@@ -6,8 +6,9 @@
 //
 // google-benchmark microbenchmarks for the substrates (not a paper
 // table): front-end parsing, instrumented interpretation, symbolic path
-// enumeration, trace collection, tensor ops, SIMD kernels, fused vs
-// unfused recurrent-cell steps, and a full LIGER forward/backward step.
+// enumeration, trace collection, tensor ops, SIMD kernels, fused
+// recurrent-cell steps, lockstep-batched sequences and decodes, fused
+// attention reads, and a full LIGER forward/backward step.
 // Useful for tracking performance regressions of the pipeline that
 // every experiment sits on.
 //
@@ -233,15 +234,12 @@ BENCHMARK(BM_MatmulTiled)
     ->Args({8, 1});
 
 //===----------------------------------------------------------------------===//
-// Fused vs unfused cell steps: Arg(0) = per-gate reference graph,
-// Arg(1) = fused single-node op. Same math bit-for-bit; the delta is
-// pure graph/kernel overhead.
+// Fused cell steps: one graph node per GRU step, two per LSTM step.
+// Their per-gate reference graph is the equivalence oracle in
+// tests/ReferenceGraphs; EXPERIMENTS.md records the fused speed-up.
 //===----------------------------------------------------------------------===//
 
 void runCellForward(benchmark::State &State, CellKind Kind) {
-  bool Fused = State.range(0) != 0;
-  bool Saved = fusedCellsEnabled();
-  setFusedCellsEnabled(Fused);
   Rng R(1);
   ParamStore Store;
   RecurrentCell Cell(Store, "cell", Kind, 32, 32, R);
@@ -255,13 +253,9 @@ void runCellForward(benchmark::State &State, CellKind Kind) {
     benchmark::DoNotOptimize(States.back().H->Value[0]);
     Arena.reset();
   }
-  setFusedCellsEnabled(Saved);
 }
 
 void runCellForwardBackward(benchmark::State &State, CellKind Kind) {
-  bool Fused = State.range(0) != 0;
-  bool Saved = fusedCellsEnabled();
-  setFusedCellsEnabled(Fused);
   Rng R(1);
   ParamStore Store;
   RecurrentCell Cell(Store, "cell", Kind, 32, 32, R);
@@ -276,28 +270,27 @@ void runCellForwardBackward(benchmark::State &State, CellKind Kind) {
     Store.zeroGrads();
     Arena.reset();
   }
-  setFusedCellsEnabled(Saved);
 }
 
 void BM_GruCellForward(benchmark::State &State) {
   runCellForward(State, CellKind::Gru);
 }
-BENCHMARK(BM_GruCellForward)->Arg(0)->Arg(1);
+BENCHMARK(BM_GruCellForward);
 
 void BM_GruCellForwardBackward(benchmark::State &State) {
   runCellForwardBackward(State, CellKind::Gru);
 }
-BENCHMARK(BM_GruCellForwardBackward)->Arg(0)->Arg(1);
+BENCHMARK(BM_GruCellForwardBackward);
 
 void BM_LstmCellForward(benchmark::State &State) {
   runCellForward(State, CellKind::Lstm);
 }
-BENCHMARK(BM_LstmCellForward)->Arg(0)->Arg(1);
+BENCHMARK(BM_LstmCellForward);
 
 void BM_LstmCellForwardBackward(benchmark::State &State) {
   runCellForwardBackward(State, CellKind::Lstm);
 }
-BENCHMARK(BM_LstmCellForwardBackward)->Arg(0)->Arg(1);
+BENCHMARK(BM_LstmCellForwardBackward);
 
 void BM_GruSequence(benchmark::State &State) {
   Rng R(1);
@@ -317,17 +310,15 @@ void BM_GruSequence(benchmark::State &State) {
 BENCHMARK(BM_GruSequence);
 
 // B concurrently-advancing 30-step sequences in lockstep, forward +
-// backward: Arg(1) routes each timestep through the matmul-backed
-// batch op with the fused descending-lane batch backward, Arg(0)
-// through the per-sample fused step() loop. Bitwise-identical states
-// and gradients. The forward matmul is roughly a wash at this size —
-// the batch win is the backward's single walk over each shared
+// backward: Arg(1) routes each timestep through stepBatch (the
+// matmul-backed batch op with the fused descending-lane batch
+// backward), Arg(0) through a per-sample step() loop. Bitwise-identical
+// states and gradients. The forward matmul is roughly a wash at this
+// size — the batch win is the backward's single walk over each shared
 // parameter-gradient matrix instead of one walk per lane.
 void BM_GruSequenceBatched(benchmark::State &State) {
   size_t B = static_cast<size_t>(State.range(0));
   bool Batched = State.range(1) != 0;
-  bool Saved = batchedCellsEnabled();
-  setBatchedCellsEnabled(Batched);
   Rng R(1);
   ParamStore Store;
   RecurrentCell Cell(Store, "gru", CellKind::Gru, 100, 100, R);
@@ -341,8 +332,14 @@ void BM_GruSequenceBatched(benchmark::State &State) {
     std::vector<RecState> States(B);
     for (size_t I = 0; I < B; ++I)
       States[I] = Cell.initial();
-    for (const std::vector<Var> &Step : Inputs)
-      States = Cell.stepBatch(Step, States);
+    for (const std::vector<Var> &Step : Inputs) {
+      if (Batched) {
+        States = Cell.stepBatch(Step, States);
+      } else {
+        for (size_t I = 0; I < B; ++I)
+          States[I] = Cell.step(Step[I], States[I]);
+      }
+    }
     std::vector<Var> Norms;
     Norms.reserve(B);
     for (const RecState &S : States)
@@ -353,7 +350,6 @@ void BM_GruSequenceBatched(benchmark::State &State) {
     Arena.reset();
   }
   State.SetItemsProcessed(State.iterations() * B * Inputs.size());
-  setBatchedCellsEnabled(Saved);
 }
 BENCHMARK(BM_GruSequenceBatched)
     ->Args({1, 1})
@@ -365,17 +361,14 @@ BENCHMARK(BM_GruSequenceBatched)
     ->Args({24, 1});
 
 //===----------------------------------------------------------------------===//
-// Batched vs per-pair attention: Arg(0) = per-pair reference graph
-// (split score MLP, one chain per key), Arg(1) = fused key-projection +
-// softmax-context nodes. Same math bit-for-bit.
+// Fused attention: one key-projection node per memory plus one
+// softmax-context node per read. The per-pair reference graph is the
+// oracle in tests/ReferenceGraphs; EXPERIMENTS.md records the speed-up.
 //===----------------------------------------------------------------------===//
 
 void BM_AttentionScore(benchmark::State &State) {
   // One attention read over a 16-vector memory, forward + backward:
   // the LIGER fusion-site shape (fresh prepare every step).
-  bool Fused = State.range(0) != 0;
-  bool Saved = fusedAttentionEnabled();
-  setFusedAttentionEnabled(Fused);
   Rng R(1);
   ParamStore Store;
   const size_t Dim = 32, T = 16;
@@ -394,65 +387,18 @@ void BM_AttentionScore(benchmark::State &State) {
     Arena.reset();
   }
   State.SetItemsProcessed(State.iterations() * T);
-  setFusedAttentionEnabled(Saved);
 }
-BENCHMARK(BM_AttentionScore)->Arg(0)->Arg(1);
-
-// Q queries against one shared prepared memory, forward + backward:
-// Arg(1) scores the whole block through the single multi-query node,
-// Arg(0) loops per-query contextOf. Bitwise-identical contexts; the
-// delta is the amortized key-memory walk (the beam-decode shape).
-void BM_AttentionScoreMultiQuery(benchmark::State &State) {
-  size_t Q = static_cast<size_t>(State.range(0));
-  bool Batched = State.range(1) != 0;
-  bool Saved = batchedAttentionEnabled();
-  setBatchedAttentionEnabled(Batched);
-  Rng R(1);
-  ParamStore Store;
-  const size_t Dim = 100, T = 16;
-  AttentionScorer Attn(Store, "attn", Dim, Dim, Dim, R);
-  std::vector<Var> Queries;
-  for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(constant(Tensor::uniform(Dim, 1.0f, R)));
-  std::vector<Var> Keys;
-  for (size_t I = 0; I < T; ++I)
-    Keys.push_back(constant(Tensor::uniform(Dim, 1.0f, R)));
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (auto _ : State) {
-    AttentionScorer::Memory Mem = Attn.prepare(Keys);
-    std::vector<AttentionScorer::Result> Out =
-        Attn.contextOfMulti(Queries, Mem);
-    std::vector<Var> Norms;
-    Norms.reserve(Out.size());
-    for (const AttentionScorer::Result &Ctx : Out)
-      Norms.push_back(dot(Ctx.Context, Ctx.Context));
-    backward(sumV(stackScalars(Norms)));
-    Store.zeroGrads();
-    Arena.reset();
-  }
-  State.SetItemsProcessed(State.iterations() * Q * T);
-  setBatchedAttentionEnabled(Saved);
-}
-BENCHMARK(BM_AttentionScoreMultiQuery)
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1});
+BENCHMARK(BM_AttentionScore);
 
 void BM_DecoderStep(benchmark::State &State) {
   // Teacher-forced decode over a 20-vector memory, forward + backward:
   // the SeqDecoder shape, where the key-side projections are computed
-  // once per decode and shared by every step. Mode 0 = per-pair
-  // reference attention, 1 = fused attention (both single-lane), 2 =
-  // four lanes decoded in lockstep through lossBatch with the batched
-  // cell steps on; items are normalized per decode step, so /1 vs /2
-  // is the per-step batching gain.
+  // once per decode and shared by every step. Mode 1 = one lane through
+  // loss(), 2 = four lanes decoded in lockstep through lossBatch;
+  // items are normalized per decode step, so /1 vs /2 is the per-step
+  // batching gain.
   const int Mode = static_cast<int>(State.range(0));
   const size_t Lanes = Mode == 2 ? 4 : 1;
-  bool Saved = fusedAttentionEnabled();
-  bool SavedBatched = batchedCellsEnabled();
-  setFusedAttentionEnabled(Mode != 0);
-  setBatchedCellsEnabled(Mode == 2);
   Rng R(1);
   ParamStore Store;
   SeqDecoderConfig Config;
@@ -488,10 +434,8 @@ void BM_DecoderStep(benchmark::State &State) {
   }
   // Report per-decode-step; one iteration = Lanes * Targets.size() steps.
   State.SetItemsProcessed(State.iterations() * Lanes * Targets.size());
-  setFusedAttentionEnabled(Saved);
-  setBatchedCellsEnabled(SavedBatched);
 }
-BENCHMARK(BM_DecoderStep)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DecoderStep)->Arg(1)->Arg(2);
 
 void BM_ArenaGraphChurn(benchmark::State &State) {
   // Build-and-reset cost of a deep elementwise chain: isolates node
@@ -534,12 +478,10 @@ void BM_LigerForwardBackward(benchmark::State &State) {
   // Arg 0 = one sample per iteration through loss() (the trajectory
   // point tracked since the shared_ptr-graph rewrite); arg N > 0 = N
   // samples per iteration encoded and decoded in lockstep through
-  // lossBatch with the batched cell steps on. Items are per sample, so
-  // /0 vs /N items-per-second is the end-to-end batching gain.
+  // lossBatch. Items are per sample, so /0 vs /N items-per-second is
+  // the end-to-end batching gain.
   const bool Batched = State.range(0) != 0;
   const size_t Group = Batched ? static_cast<size_t>(State.range(0)) : 1;
-  bool SavedBatched = batchedCellsEnabled();
-  setBatchedCellsEnabled(Batched);
   std::vector<const MethodSample *> Samples(Group, &Sample);
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
@@ -557,7 +499,6 @@ void BM_LigerForwardBackward(benchmark::State &State) {
     Arena.reset();
   }
   State.SetItemsProcessed(State.iterations() * Group);
-  setBatchedCellsEnabled(SavedBatched);
 }
 // Group 4 captures the batching win on one core; wider groups (8+)
 // only plateau — the live graph outgrows the cache working set about

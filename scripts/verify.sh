@@ -7,8 +7,10 @@
 #   1. tier-1: build + full ctest in the primary build tree
 #      (LIGER_VERIFY_BUILD_DIR, default ./build);
 #   2. sanitized gradcheck: ASan+UBSan build (build-asan) running the
-#      autodiff grad-check, arena, grad-sink, checkpoint, and
-#      fused-equivalence suites;
+#      autodiff grad-check, arena, grad-sink, and checkpoint suites plus
+#      the equivalence suites that pin the fused ops against the
+#      reference graphs in tests/ReferenceGraphs and the batched ops
+#      against per-lane loops;
 #   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite and
 #      the thread-determinism corpus suites under ASan+UBSan;
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
@@ -21,8 +23,7 @@
 #      under ASan+UBSan (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
-#      across thread counts, batch-op toggles both ways) under
-#      ASan+UBSan (DESIGN.md §14);
+#      at 1, 2 and 4 threads) under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;

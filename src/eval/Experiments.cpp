@@ -12,6 +12,9 @@
 #include "support/StringUtils.h"
 #include "testgen/Coverage.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,16 +25,37 @@ using namespace liger;
 // ExperimentScale
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Exits with status 2 (the unknown-flag path) for a numeric flag whose
+/// value did not parse completely.
+[[noreturn]] void badNumericFlag(const std::string &Arg) {
+  std::fprintf(stderr, "bad numeric value in experiment flag: %s\n",
+               Arg.c_str());
+  std::exit(2);
+}
+
+} // namespace
+
 ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
   ExperimentScale Scale;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    // Numeric values must be plain decimal digits that parse completely
+    // and fit: "--batch=abc" or "--epochs=3x" would otherwise silently
+    // become 0 or 3, and a zero batch size never advances an epoch.
     auto TakeSize = [&](const char *Key, size_t &Slot) {
       std::string Prefix = std::string("--") + Key + "=";
       if (!startsWith(Arg, Prefix))
         return false;
-      Slot = static_cast<size_t>(
-          std::strtoull(Arg.c_str() + Prefix.size(), nullptr, 10));
+      const char *Begin = Arg.c_str() + Prefix.size();
+      char *End = nullptr;
+      errno = 0;
+      unsigned long long Value = std::strtoull(Begin, &End, 10);
+      if (!std::isdigit(static_cast<unsigned char>(*Begin)) || *End != '\0' ||
+          errno == ERANGE)
+        badNumericFlag(Arg);
+      Slot = static_cast<size_t>(Value);
       return true;
     };
     if (Arg == "--verbose") {
@@ -71,10 +95,14 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       Scale.MethodsLarge = Scale.MethodsMed * 2;
       continue;
     }
+    if (TakeSize("batch", Scale.BatchSize)) {
+      if (Scale.BatchSize == 0)
+        badNumericFlag(Arg);
+      continue;
+    }
     if (TakeSize("methods-large", Scale.MethodsLarge) ||
         TakeSize("coset-per-class", Scale.CosetPerClass) ||
         TakeSize("epochs", Scale.Epochs) ||
-        TakeSize("batch", Scale.BatchSize) ||
         TakeSize("hidden", Scale.Hidden) ||
         TakeSize("embed", Scale.EmbedDim) ||
         TakeSize("threads", Scale.Threads) ||
@@ -99,7 +127,13 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       continue;
     }
     if (startsWith(Arg, "--lr=")) {
-      Scale.LearningRate = std::strtof(Arg.c_str() + 5, nullptr);
+      const char *Begin = Arg.c_str() + 5;
+      char *End = nullptr;
+      errno = 0;
+      Scale.LearningRate = std::strtof(Begin, &End);
+      if (End == Begin || *End != '\0' || errno == ERANGE ||
+          !std::isfinite(Scale.LearningRate))
+        badNumericFlag(Arg);
       continue;
     }
     if (startsWith(Arg, "--benchmark"))

@@ -205,6 +205,8 @@ TrainResult runTrainingLoop(const LossFn &Loss, const BatchLossFn &BatchLoss,
                             bool TrackBest, const ValidateFn &Validate,
                             const char *ScoreName,
                             const TrainOptions &Options) {
+  // A zero batch size would never advance the epoch loops.
+  LIGER_CHECK(Options.BatchSize > 0, "training needs a positive batch size");
   Stopwatch Timer;
   AdamOptions AdamOpts;
   AdamOpts.LearningRate = Options.LearningRate;

@@ -26,7 +26,7 @@ namespace liger {
 /// Training configuration.
 struct TrainOptions {
   size_t Epochs = 6;
-  size_t BatchSize = 8;
+  size_t BatchSize = 8; ///< Samples per optimizer step; must be positive.
   float LearningRate = 2e-3f;
   uint64_t Seed = 1;
   bool Verbose = false;

@@ -80,10 +80,9 @@ lockstepSchedule(const std::vector<size_t> &Lens);
 /// Runs one shared recurrent cell over many variable-length sequences
 /// in lockstep: at each timestep every still-active sequence advances
 /// through one batched cell step (RecurrentCell::stepBatch), so
-/// same-timestep lanes share a matmul when batching is enabled and
-/// degrade to per-lane steps in lane order when it is not. Returns
-/// each sequence's final state; per-lane values are bitwise-identical
-/// to RecurrentCell::run over that sequence alone.
+/// same-timestep lanes share a matmul. Returns each sequence's final
+/// state; per-lane values are bitwise-identical to RecurrentCell::run
+/// over that sequence alone.
 std::vector<RecState>
 runCellLockstep(const RecurrentCell &Cell,
                 const std::vector<std::vector<Var>> &Seqs);

@@ -8,8 +8,6 @@
 
 #include "models/Common.h"
 
-#include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 using namespace liger;
@@ -203,132 +201,4 @@ std::vector<int> SeqDecoder::decodeGreedy(const Var &ProgramEmbedding,
     Prev = Next;
   }
   return Output;
-}
-
-namespace {
-
-/// One beam hypothesis: decoder state after consuming Ids, the token
-/// to feed next, and the accumulated log-probability.
-struct Hypothesis {
-  RecState State;
-  std::vector<int> Ids;
-  int Prev = Vocabulary::Sos;
-  double Score = 0.0;
-};
-
-} // namespace
-
-std::vector<int> SeqDecoder::decodeBeam(const Var &ProgramEmbedding,
-                                        const std::vector<Var> &Memory,
-                                        size_t MaxLen, size_t Width) const {
-  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
-  LIGER_CHECK(Width > 0, "beam width must be positive");
-
-  Hypothesis Init;
-  Init.State.H = tanhV(InitProj.apply(ProgramEmbedding));
-  if (Config.Cell == CellKind::Lstm)
-    Init.State.C = constant(Tensor::zeros(Config.Hidden));
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
-
-  std::vector<Hypothesis> Live{Init};
-  std::vector<Hypothesis> Done;
-  for (size_t Step = 0; Step < MaxLen && !Live.empty(); ++Step) {
-    // The whole hypothesis set advances together: one multi-query
-    // attention node over the shared prepared memory, one batched cell
-    // step over the stacked states.
-    std::vector<Var> Queries;
-    Queries.reserve(Live.size());
-    for (const Hypothesis &Hyp : Live)
-      Queries.push_back(Hyp.State.H);
-    std::vector<AttentionScorer::Result> Ctxs =
-        Attn.contextOfMulti(Queries, Mem);
-    std::vector<Var> Ins;
-    std::vector<RecState> PrevStates;
-    Ins.reserve(Live.size());
-    PrevStates.reserve(Live.size());
-    for (size_t I = 0; I < Live.size(); ++I) {
-      Ins.push_back(
-          concat(TargetEmbed.lookup(Live[I].Prev), Ctxs[I].Context));
-      PrevStates.push_back(Live[I].State);
-    }
-    std::vector<RecState> Next = Cell.stepBatch(Ins, PrevStates);
-
-    // Expand: candidates are generated hypothesis-ascending then
-    // id-ascending, and the sort below is stable on that order with a
-    // strict > comparator — so at Width 1 the surviving candidate is
-    // exactly decodeGreedy's first-wins argmax (log is monotone in the
-    // masked logits).
-    struct Candidate {
-      size_t Hyp;
-      int Id;
-      double Score;
-    };
-    std::vector<Candidate> Candidates;
-    Candidates.reserve(Live.size() * Config.TargetVocabSize);
-    for (size_t I = 0; I < Live.size(); ++I) {
-      Var Logits = OutProj.apply(concat(Next[I].H, Ctxs[I].Context));
-      Tensor Masked = Logits->Value;
-      Masked[Vocabulary::Pad] = -1e30f;
-      Masked[Vocabulary::Sos] = -1e30f;
-      Masked[Vocabulary::Unk] = -1e30f;
-      std::vector<float> Probs = softmaxValues(Masked);
-      for (size_t Id = 0; Id < Probs.size(); ++Id) {
-        if (Id == Vocabulary::Pad || Id == Vocabulary::Sos ||
-            Id == Vocabulary::Unk)
-          continue;
-        double LogP =
-            std::log(std::max(static_cast<double>(Probs[Id]), 1e-12));
-        Candidates.push_back({I, static_cast<int>(Id), Live[I].Score + LogP});
-      }
-    }
-    std::stable_sort(Candidates.begin(), Candidates.end(),
-                     [](const Candidate &A, const Candidate &B) {
-                       return A.Score > B.Score;
-                     });
-
-    std::vector<Hypothesis> NewLive;
-    NewLive.reserve(Width);
-    size_t Taken = 0;
-    for (const Candidate &C : Candidates) {
-      if (Taken >= Width)
-        break;
-      ++Taken;
-      Hypothesis Hyp;
-      Hyp.State = Next[C.Hyp];
-      Hyp.Ids = Live[C.Hyp].Ids;
-      Hyp.Score = C.Score;
-      if (C.Id == Vocabulary::Eos) {
-        Done.push_back(std::move(Hyp));
-        continue;
-      }
-      Hyp.Ids.push_back(C.Id);
-      Hyp.Prev = C.Id;
-      NewLive.push_back(std::move(Hyp));
-    }
-    Live = std::move(NewLive);
-
-    // Scores only decrease as hypotheses extend (log-probs are ≤ 0),
-    // so once the best finished hypothesis outranks every live one no
-    // extension can overtake it.
-    if (!Done.empty() && !Live.empty()) {
-      double BestDone = Done[0].Score, BestLive = Live[0].Score;
-      for (const Hypothesis &Hyp : Done)
-        BestDone = std::max(BestDone, Hyp.Score);
-      for (const Hypothesis &Hyp : Live)
-        BestLive = std::max(BestLive, Hyp.Score);
-      if (BestDone >= BestLive)
-        break;
-    }
-  }
-
-  const Hypothesis *Best = nullptr;
-  for (const Hypothesis &Hyp : Done)
-    if (!Best || Hyp.Score > Best->Score)
-      Best = &Hyp;
-  if (!Best)
-    for (const Hypothesis &Hyp : Live)
-      if (!Best || Hyp.Score > Best->Score)
-        Best = &Hyp;
-  LIGER_CHECK(Best, "beam search produced no hypotheses");
-  return Best->Ids;
 }

@@ -46,12 +46,13 @@ public:
 
   /// Teacher-forced losses for B samples decoded in lockstep: the
   /// batching scheduler (lockstepSchedule) groups the samples still
-  /// active at each timestep into one batched cell step, so
-  /// same-timestep samples share a matmul. Per-sample loss values are
-  /// bitwise-identical to loss() on each sample; the graph is always
-  /// built timestep-major, so flipping batchedCellsEnabled() only
-  /// swaps the batch op's internals (BatchedLossEquivalenceTest pins
-  /// both). Returns each sample's mean loss.
+  /// active at each timestep into one multi-memory attention read, one
+  /// batched cell step and one batched loss head, so same-timestep
+  /// samples share a matmul. Per-sample loss values are
+  /// bitwise-identical to loss() on each sample
+  /// (BatchedLossEquivalenceTest); each batch op is pinned against a
+  /// per-lane loop of its single-sample op (BatchedKernelEquivalenceTest).
+  /// Returns each sample's mean loss.
   std::vector<Var>
   lossBatch(const std::vector<Var> &ProgramEmbeddings,
             const std::vector<std::vector<Var>> &Memories,
@@ -62,15 +63,6 @@ public:
   std::vector<int> decodeGreedy(const Var &ProgramEmbedding,
                                 const std::vector<Var> &Memory,
                                 size_t MaxLen) const;
-
-  /// Beam-search decoding with \p Width hypotheses: every step scores
-  /// the whole live hypothesis set through one multi-query attention
-  /// node and one batched cell step (the decoder-side consumer of the
-  /// batching scheduler). Width 1 reproduces decodeGreedy exactly.
-  /// Returned ids do not include Eos.
-  std::vector<int> decodeBeam(const Var &ProgramEmbedding,
-                              const std::vector<Var> &Memory, size_t MaxLen,
-                              size_t Width) const;
 
 private:
   /// Shared per-step computation: emits logits for the next token,

@@ -114,7 +114,8 @@ Var LigerEncoder::embedState(const ProgramState &State,
 }
 
 void LigerEncoder::embedStatesBatch(
-    std::vector<StateEmbedRequest> &Requests) const {
+    std::vector<StateEmbedRequest> &Requests,
+    std::unordered_map<std::string, Var> &Cache) const {
   // f1 lanes: one per flattened object value across every request, in
   // request order — the order embedState walks them one state at a
   // time — so every object value of every state shares the lockstep
@@ -151,8 +152,7 @@ void LigerEncoder::embedStatesBatch(
         VarEmbeds.push_back(lookupToken(Rq.ValueTokens[I][0], *Rq.Ctx));
     }
     if (VarEmbeds.empty()) {
-      Rq.Cache->emplace(std::move(Rq.Key),
-                        constant(Tensor::zeros(Config.Hidden)));
+      Cache.emplace(std::move(Rq.Key), constant(Tensor::zeros(Config.Hidden)));
       continue;
     }
     F2Req.push_back(R);
@@ -161,7 +161,7 @@ void LigerEncoder::embedStatesBatch(
   std::vector<RecState> F2Out = runCellLockstep(F2, F2Seqs);
   for (size_t K = 0; K < F2Seqs.size(); ++K) {
     StateEmbedRequest &Rq = Requests[F2Req[K]];
-    Rq.Cache->emplace(std::move(Rq.Key), F2Out[K].H);
+    Cache.emplace(std::move(Rq.Key), F2Out[K].H);
   }
 }
 
@@ -273,18 +273,16 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
     const std::vector<const MethodTraces *> &Batch) const {
   size_t B = Batch.size();
   // Statement and token caches never cross samples. State embeddings
-  // DO share one batch-scoped cache by default
-  // (crossSampleStateCacheEnabled()): the kind-tagged state key is
+  // DO share one batch-scoped cache: the kind-tagged state key is
   // injective and f1/f2 are deterministic functions of the key's token
   // sequences and the parameters, so a state revisited by another
   // sample reuses a node with bitwise-identical value — per-sample
-  // loss values are unchanged. Gradient flow through a shared node
+  // loss values match encode(). Gradient flow through a shared node
   // merges where per-sample caches would duplicate it, which only the
   // (already order-sensitive) batched gradient accumulation can
   // observe.
   std::vector<EncodeContext> Ctxs(B);
   std::unordered_map<std::string, Var> BatchStateCache;
-  const bool SharedStates = crossSampleStateCacheEnabled();
 
   // One lane per eligible blended trace, in sample-major order.
   struct Lane {
@@ -323,14 +321,10 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
 
   // Timestep-major lockstep: each round fuses every live lane's step-J
   // components per lane, then advances all lanes with a fused input
-  // through one batched F3 step. With batching toggled off stepBatch
-  // degrades to per-lane step() calls in the same lane order — the
-  // reference schedule the pinned toggle-equivalence tests compare
-  // against.
+  // through one batched F3 step.
   struct PendingSlot {
     size_t LaneIdx;
     size_t CompIdx;
-    std::unordered_map<std::string, Var> *Cache;
     std::string Key;
   };
   std::vector<std::vector<Var>> LaneStates(Lanes.size());
@@ -342,8 +336,8 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
   for (size_t J = 0; J < MaxSteps; ++J) {
     // Resolve the round's state components up front: cached states
     // fill their lane slots directly, the rest are gathered (deduped
-    // per sample) and embedded through lockstep-batched f1/f2 runs,
-    // then patched into the slots they came from.
+    // across the batch) and embedded through lockstep-batched f1/f2
+    // runs, then patched into the slots they came from.
     for (std::vector<Var> &Slots : LaneStates)
       Slots.clear();
     Requests.clear();
@@ -360,27 +354,25 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
         StateEmbedRequest Rq;
         Rq.Ctx = &Ctx;
         Rq.State = &States.States[J];
-        Rq.Cache = SharedStates ? &BatchStateCache : &Ctx.StateCache;
         Rq.Key = stateKey(*Rq.State, Rq.ValueTokens);
-        auto It = Rq.Cache->find(Rq.Key);
-        if (It != Rq.Cache->end()) {
+        auto It = BatchStateCache.find(Rq.Key);
+        if (It != BatchStateCache.end()) {
           LaneStates[Li].push_back(It->second);
           continue;
         }
         LaneStates[Li].push_back(nullptr);
-        Pending.push_back(
-            {Li, LaneStates[Li].size() - 1, Rq.Cache, Rq.Key});
+        Pending.push_back({Li, LaneStates[Li].size() - 1, Rq.Key});
         bool Queued = false;
         for (const StateEmbedRequest &Prev : Requests)
-          Queued |= Prev.Cache == Rq.Cache && Prev.Key == Rq.Key;
+          Queued |= Prev.Key == Rq.Key;
         if (!Queued)
           Requests.push_back(std::move(Rq));
       }
     }
     if (!Requests.empty())
-      embedStatesBatch(Requests);
+      embedStatesBatch(Requests, BatchStateCache);
     for (PendingSlot &Slot : Pending)
-      LaneStates[Slot.LaneIdx][Slot.CompIdx] = Slot.Cache->at(Slot.Key);
+      LaneStates[Slot.LaneIdx][Slot.CompIdx] = BatchStateCache.at(Slot.Key);
 
     Active.clear();
     Ins.clear();

@@ -93,8 +93,9 @@ public:
   /// (RecurrentCell::stepBatch). Per-sample values are
   /// bitwise-identical to encode(); only node creation order — and so
   /// gradient accumulation order across lanes — follows the
-  /// timestep-major schedule SeqDecoder::lossBatch already uses, which
-  /// is the same schedule whether batching is toggled on or off.
+  /// timestep-major schedule SeqDecoder::lossBatch already uses.
+  /// Program states share one embedding cache across the whole batch:
+  /// a state revisited by another sample reuses its node.
   std::vector<LigerEncoding>
   encodeBatch(const std::vector<const MethodTraces *> &Batch) const;
 
@@ -115,16 +116,13 @@ private:
     FusionStats *Stats = nullptr;
   };
 
-  /// One state an encodeBatch round still needs embedded: the owning
-  /// sample's context, the state, its precomputed cache key and
-  /// per-variable token sequences, and the cache the result parks in —
-  /// the batch-scoped cross-sample cache by default
-  /// (crossSampleStateCacheEnabled()), the sample's own StateCache
-  /// otherwise.
+  /// One state an encodeBatch round still needs embedded: the context
+  /// of the sample that first asked for it (its token cache), the
+  /// state, and its precomputed cache key and per-variable token
+  /// sequences.
   struct StateEmbedRequest {
     EncodeContext *Ctx;
     const ProgramState *State;
-    std::unordered_map<std::string, Var> *Cache = nullptr;
     std::string Key;
     std::vector<std::vector<std::string>> ValueTokens;
   };
@@ -139,9 +137,11 @@ private:
            std::vector<std::vector<std::string>> &ValueTokens) const;
   Var embedState(const ProgramState &State, EncodeContext &Ctx) const;
   /// Embeds every requested state through lockstep-batched f1/f2 runs
-  /// (runCellLockstep) and parks the results in each request's target
-  /// cache; per-state values are bitwise-identical to embedState.
-  void embedStatesBatch(std::vector<StateEmbedRequest> &Requests) const;
+  /// (runCellLockstep) and parks the results in \p Cache under each
+  /// request's key; per-state values are bitwise-identical to
+  /// embedState.
+  void embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
+                        std::unordered_map<std::string, Var> &Cache) const;
   /// Fuses step \p J of one path (statement + state components through
   /// the fusion rule) or returns null when the step has no components.
   /// When \p StateComps is non-null it supplies the step's state

@@ -549,8 +549,8 @@ Var liger::colsView(const Var &M, size_t Col0, size_t Cols) {
 // weight blocks (matvecN: one pass over x / h for every gate), and a
 // single backward closure replays the reference per-gate graph's
 // backward node by node, in the same order, through the same kernels —
-// so losses and gradients are bitwise-identical to the unfused path
-// (FusedEquivalenceTest pins this).
+// so losses and gradients are bitwise-identical to the per-gate graph
+// in tests/ReferenceGraphs.cpp (FusedEquivalenceTest pins this).
 //
 // Determinism/bitwise notes:
 //  - every elementwise loop performs exactly one float operation per
@@ -1348,11 +1348,11 @@ CellOut liger::treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 // tanh → second-layer matvec → softmax → weighted context sum, the same
 // 1-2-nodes-per-step discipline as the fused cells above.
 //
-// Both backwards replay the unfused reference graph (colsView / matvec
+// Both backwards replay the per-pair reference graph (colsView / matvec
 // / add / tanhV / stackScalars / softmax / weightedCombine, see
-// AttentionScorer's reference path in Module.cpp) node by node in
-// descending creation order through the same kernels, so losses and
-// gradients are bitwise-identical to the per-pair path
+// tests/ReferenceGraphs.cpp) node by node in descending creation order
+// through the same kernels, so losses and gradients are
+// bitwise-identical to the per-pair path
 // (AttentionEquivalenceTest pins this). The W1 halves are addressed as
 // column bands of the packed [Hidden x (KeyDim+QueryDim)] parameter —
 // strided matvecs forward, fresh-zeroed staging blocks scattered with
@@ -1397,9 +1397,9 @@ void attentionKeyProjBackward(Node &N) {
     kernels::addAcc2d(H, K, WkStage.data(), K, W1N.grad().data(), W1Cols);
 }
 
-/// One query's attention backward over the shared key memory; the
-/// whole chain for a single-query node, and one replay step of the
-/// multi-query node (KeyParents points at the shared Key_0.. span).
+/// One query's attention backward over its key memory; the whole
+/// chain for a single-query node, and one replay step of the
+/// multi-memory node (KeyParents points at that query's Key_0.. span).
 void attentionBackwardOne(Node &W1N, Node &W2N, Node &B2N, Node &QN,
                           Node &KPN, Node *const *KeyParents, size_t T,
                           size_t K, size_t H, size_t Q, const float *G,
@@ -1463,28 +1463,6 @@ void attentionBackward(Node &N) {
                        *N.Parents[3], KPN, N.Parents + 5, T,
                        N.Value.size(), H, N.Parents[3]->Value.size(),
                        N.Grad.data(), N.AuxM, N.AuxM + T * H);
-}
-
-/// Multi-query node: parents W1, W2, B2, Query_0..Query_{Qn-1},
-/// KeyProj, Key_0..Key_{T-1}; payload is Qn slices of (T*H tanh
-/// activations + T weights). Queries replay in descending order —
-/// where ascending-created single-query nodes sit in the global
-/// descending-Seq schedule — so shared-parameter accumulation is
-/// bitwise-identical to the per-query reference.
-void attentionMultiQueryBackward(Node &N) {
-  size_t Qn = N.IScalar;
-  Node &KPN = *N.Parents[3 + Qn];
-  size_t T = N.NumParents - 4 - Qn;
-  size_t K = N.Value.dim(1);
-  size_t H = KPN.Value.dim(1);
-  const float *G = N.Grad.data();
-  for (size_t Qi = Qn; Qi-- > 0;) {
-    const float *Slice = N.AuxM + Qi * (T * H + T);
-    attentionBackwardOne(*N.Parents[0], *N.Parents[1], *N.Parents[2],
-                         *N.Parents[3 + Qi], KPN, N.Parents + 4 + Qn, T,
-                         K, H, N.Parents[3 + Qi]->Value.size(),
-                         G + Qi * K, Slice, Slice + T * H);
-  }
 }
 
 } // namespace
@@ -1573,93 +1551,6 @@ AttnOut liger::attentionOp(const Var &W1, const Var &W2, const Var &B2,
   Result.Context = N;
   Result.Weights = A;
   return Result;
-}
-
-std::vector<AttnOut> liger::attentionMultiQueryOp(
-    const Var &W1, const Var &W2, const Var &B2,
-    const std::vector<Var> &Queries, const Var &KeyProj,
-    const std::vector<Var> &Keys) {
-  size_t Qn = Queries.size();
-  size_t T = Keys.size();
-  LIGER_CHECK(Qn > 0, "attentionMultiQueryOp needs queries");
-  LIGER_CHECK(T > 0, "attentionMultiQueryOp needs keys");
-  size_t K = Keys[0]->Value.size();
-  size_t Q = Queries[0]->Value.size();
-  size_t H = W1->Value.dim(0);
-  size_t W1Cols = W1->Value.dim(1);
-  LIGER_CHECK(W1->Value.rank() == 2 && W1Cols == K + Q,
-              "attentionMultiQueryOp packed W1 shape mismatch");
-  LIGER_CHECK(W2->Value.rank() == 2 && W2->Value.dim(0) == 1 &&
-                  W2->Value.dim(1) == H,
-              "attentionMultiQueryOp W2 shape mismatch");
-  LIGER_CHECK(B2->Value.size() == 1,
-              "attentionMultiQueryOp B2 shape mismatch");
-  LIGER_CHECK(KeyProj->Value.rank() == 2 && KeyProj->Value.dim(0) == T &&
-                  KeyProj->Value.dim(1) == H,
-              "attentionMultiQueryOp key projection mismatch");
-  for (size_t TI = 0; TI < T; ++TI)
-    LIGER_CHECK(Keys[TI]->Value.size() == K,
-                "attentionMultiQueryOp keys must share shape");
-
-  float *Pay = allocCellPayload(Qn * (T * H + T));
-  const float *KPV = KeyProj->Value.data();
-  const float *W2V = W2->Value.data();
-
-  // All queries' broadcast projections in one tiled matmul over the
-  // query-side band of W1 (each row bitwise ≡ the single-query
-  // matvecStrided).
-  Tensor QScratch;
-  const float *QBufV = stackedValues(Queries, Q, QScratch);
-  Tensor Mq = Tensor::raw(Qn, H);
-  kernels::matmul(Qn, H, Q, W1->Value.data() + K, W1Cols, QBufV, Q,
-                  Mq.data(), H);
-
-  Tensor Out = Tensor::zeros(Qn, K);
-  Tensor Pre = Tensor::raw(H);
-  float *__restrict PreV = Pre.data();
-  for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    float *Slice = Pay + Qi * (T * H + T);
-    float *Ht = Slice, *A = Slice + T * H;
-    const float *__restrict MqV = Mq.data() + Qi * H;
-    Tensor Sv = Tensor::zeros(T);
-    for (size_t TI = 0; TI < T; ++TI) {
-      const float *__restrict KPRow = KPV + TI * H;
-      for (size_t I = 0; I < H; ++I)
-        PreV[I] = KPRow[I] + MqV[I];
-      float *HtRow = Ht + TI * H;
-      kernels::tanhMap(H, PreV, HtRow);
-      float S = kernels::dot(H, W2V, HtRow);
-      Sv[TI] = S + B2->Value[0];
-    }
-    std::vector<float> Probs = softmaxValues(Sv);
-    std::memcpy(A, Probs.data(), T * sizeof(float));
-    float *OutRow = Out.data() + Qi * K;
-    for (size_t TI = 0; TI < T; ++TI)
-      kernels::axpy(K, A[TI], Keys[TI]->Value.data(), OutRow);
-  }
-
-  std::vector<Var> Parents;
-  Parents.reserve(4 + Qn + T);
-  Parents.push_back(W1);
-  Parents.push_back(W2);
-  Parents.push_back(B2);
-  for (const Var &Qv : Queries)
-    Parents.push_back(Qv);
-  Parents.push_back(KeyProj);
-  for (const Var &Key : Keys)
-    Parents.push_back(Key);
-  Node *N = makeNode(std::move(Out), Parents, attentionMultiQueryBackward);
-  N->AuxM = Pay;
-  N->IScalar = Qn;
-  std::vector<AttnOut> Results;
-  Results.reserve(Qn);
-  for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    AttnOut R;
-    R.Context = row(N, Qi);
-    R.Weights = Pay + Qi * (T * H + T) + T * H;
-    Results.push_back(R);
-  }
-  return Results;
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,11 +16,15 @@
 /// with any per-op payload stored inline in the node (no std::function,
 /// no shared_ptr, no per-op heap allocation on the hot path).
 ///
-/// The op set is exactly what the LIGER/DYPRO/code2vec/code2seq models
-/// need: matrix-vector products, elementwise arithmetic, tanh/sigmoid,
+/// The op set is what the LIGER/DYPRO/code2vec/code2seq models need:
+/// matrix-vector products, elementwise arithmetic, tanh/sigmoid,
 /// concatenation, embedding-row lookup, stacking scalar scores,
-/// softmax, attention-style weighted combination, max/mean pooling, and
-/// a fused numerically-stable softmax-cross-entropy loss.
+/// softmax, attention-style weighted combination, max/mean pooling, a
+/// fused numerically-stable softmax-cross-entropy loss, and the fused
+/// and batched cell / attention / loss-head ops below. Each fused op
+/// is bitwise-identical to a chain of the elementary ops; those
+/// reference chains live in tests/ReferenceGraphs and address packed
+/// parameters through the rowsView/sliceView/colsView ops.
 ///
 /// Thread-parallel training: graphs built on different threads (each on
 /// its own arena) may share parameter nodes read-only. backward(Loss,
@@ -150,16 +154,18 @@ Var meanLoss(const std::vector<Var> &Losses);
 //===----------------------------------------------------------------------===//
 
 /// Rows [Row0, Row0 + Rows) of matrix \p M as a matrix view (a copy;
-/// backward scatters into that row range). With sliceView, this is how
-/// the legacy per-gate reference paths address packed gate weights.
+/// backward scatters into that row range). With sliceView, this
+/// addresses one gate block of a packed gate weight — how the per-gate
+/// reference graphs in tests/ReferenceGraphs read the cells' packed
+/// parameters.
 Var rowsView(const Var &M, size_t Row0, size_t Rows);
 /// Entries [Off, Off + Count) of vector \p V as a vector.
 Var sliceView(const Var &V, size_t Off, size_t Count);
 /// Columns [Col0, Col0 + Cols) of matrix \p M as a matrix (a copy;
-/// backward scatters row-by-row into that column band). This is how the
-/// attention score MLP's reference path addresses the key-side and
-/// query-side halves of its packed [Hidden x (KeyDim+QueryDim)] first
-/// layer without splitting the stored parameter.
+/// backward scatters row-by-row into that column band). This addresses
+/// the key-side or query-side half of an attention scorer's packed
+/// [Hidden x (KeyDim+QueryDim)] first layer without splitting the
+/// stored parameter (the per-pair reference graphs use it).
 Var colsView(const Var &M, size_t Col0, size_t Cols);
 
 /// Both outputs of a fused LSTM-style cell step.
@@ -176,7 +182,8 @@ struct CellOut {
 /// with packed parameters Wx [3H x In], bx [3H], Wh [3H x H] (gate
 /// order z, r, n). The single backward closure emits every parameter
 /// and input gradient, replacing the ~16 nodes of the per-gate graph.
-/// Bitwise-identical to the RecurrentCell::stepUnfused reference path.
+/// Bitwise-identical to the per-gate reference graph
+/// (tests/ReferenceGraphs, FusedEquivalenceTest).
 Var gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh, const Var &X,
               const Var &HPrev);
 
@@ -264,26 +271,11 @@ struct AttnOut {
 /// with a single backward closure emitting all gradients (W1, W2, b2,
 /// query, KeyProj, keys) — the same 1-2-nodes-per-step discipline as
 /// gruCellOp, replacing the ~6·T nodes of the per-pair score chain.
-/// Bitwise-identical to the unfused reference path
-/// (AttentionEquivalenceTest pins this).
+/// Bitwise-identical to the per-pair reference graph in
+/// tests/ReferenceGraphs (AttentionEquivalenceTest pins this).
 AttnOut attentionOp(const Var &W1, const Var &W2, const Var &B2,
                     const Var &Query, const Var &KeyProj,
                     const std::vector<Var> &Keys);
-
-/// Multi-query fused attention: scores a block of Q queries against
-/// one shared prepared key projection in a single node, so beam
-/// hypotheses (and any same-memory query group) amortize the memory
-/// walk and the query-side projection becomes one [Q x Hidden] tiled
-/// matmul. The node's [Q x KeyDim] value holds every query's context;
-/// returned AttnOuts are per-query row views plus arena-owned weight
-/// peeks. The backward replays the single-query attentionOp backward
-/// per query in descending query order — bitwise-identical to Q
-/// attentionOp calls over the same memory.
-std::vector<AttnOut> attentionMultiQueryOp(const Var &W1, const Var &W2,
-                                           const Var &B2,
-                                           const std::vector<Var> &Queries,
-                                           const Var &KeyProj,
-                                           const std::vector<Var> &Keys);
 
 /// Multi-memory fused attention: scores B queries, each against its
 /// OWN prepared key projection, in a single node — the lockstep

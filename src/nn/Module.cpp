@@ -8,31 +8,9 @@
 
 #include "nn/Checkpoint.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstring>
-
 using namespace liger;
 
 namespace {
-
-/// Process-wide fused-cell toggle (see Module.h).
-std::atomic<bool> FusedCells{true};
-
-/// Process-wide fused-attention toggle (see Module.h).
-std::atomic<bool> FusedAttention{true};
-
-/// Process-wide batched-cell toggle (see Module.h).
-std::atomic<bool> BatchedCells{true};
-
-/// Process-wide batched-attention toggle (see Module.h).
-std::atomic<bool> BatchedAttention{true};
-
-/// Process-wide batched-loss-head toggle (see Module.h).
-std::atomic<bool> BatchedLossHead{true};
-
-/// Process-wide cross-sample state-cache toggle (see Module.h).
-std::atomic<bool> CrossSampleStateCache{true};
 
 /// Draws a Glorot-uniform [Rows x Cols] block into rows
 /// [Row0, Row0 + Rows) of \p Packed, consuming exactly the Rng draws
@@ -47,54 +25,6 @@ void xavierRows(Tensor &Packed, size_t Row0, size_t Rows, size_t Cols,
 }
 
 } // namespace
-
-bool liger::fusedCellsEnabled() {
-  return FusedCells.load(std::memory_order_relaxed);
-}
-
-void liger::setFusedCellsEnabled(bool Enabled) {
-  FusedCells.store(Enabled, std::memory_order_relaxed);
-}
-
-bool liger::fusedAttentionEnabled() {
-  return FusedAttention.load(std::memory_order_relaxed);
-}
-
-void liger::setFusedAttentionEnabled(bool Enabled) {
-  FusedAttention.store(Enabled, std::memory_order_relaxed);
-}
-
-bool liger::batchedCellsEnabled() {
-  return BatchedCells.load(std::memory_order_relaxed);
-}
-
-void liger::setBatchedCellsEnabled(bool Enabled) {
-  BatchedCells.store(Enabled, std::memory_order_relaxed);
-}
-
-bool liger::batchedAttentionEnabled() {
-  return BatchedAttention.load(std::memory_order_relaxed);
-}
-
-void liger::setBatchedAttentionEnabled(bool Enabled) {
-  BatchedAttention.store(Enabled, std::memory_order_relaxed);
-}
-
-bool liger::batchedLossHeadEnabled() {
-  return BatchedLossHead.load(std::memory_order_relaxed);
-}
-
-void liger::setBatchedLossHeadEnabled(bool Enabled) {
-  BatchedLossHead.store(Enabled, std::memory_order_relaxed);
-}
-
-bool liger::crossSampleStateCacheEnabled() {
-  return CrossSampleStateCache.load(std::memory_order_relaxed);
-}
-
-void liger::setCrossSampleStateCacheEnabled(bool Enabled) {
-  CrossSampleStateCache.store(Enabled, std::memory_order_relaxed);
-}
 
 //===----------------------------------------------------------------------===//
 // ParamStore
@@ -191,7 +121,7 @@ Linear::softmaxCrossEntropyBatch(const std::vector<Var> &Xs,
                                  const std::vector<size_t> &Targets) const {
   LIGER_CHECK(Xs.size() == Targets.size(),
               "softmaxCrossEntropyBatch needs one target per lane");
-  if (Xs.size() <= 1 || !batchedLossHeadEnabled()) {
+  if (Xs.size() <= 1) {
     std::vector<Var> Out;
     Out.reserve(Xs.size());
     for (size_t I = 0; I < Xs.size(); ++I)
@@ -262,15 +192,10 @@ RecState RecurrentCell::initial() const {
 }
 
 RecState RecurrentCell::step(const Var &X, const RecState &Prev) const {
-  if (Kind == CellKind::Rnn) {
-    RecState S;
-    S.H = tanhV(add(L1.apply(X), matvec(U1, Prev.H)));
-    return S;
-  }
-  if (!fusedCellsEnabled())
-    return stepUnfused(X, Prev);
   RecState S;
-  if (Kind == CellKind::Gru) {
+  if (Kind == CellKind::Rnn) {
+    S.H = tanhV(add(L1.apply(X), matvec(U1, Prev.H)));
+  } else if (Kind == CellKind::Gru) {
     S.H = gruCellOp(PWx, PBx, PWh, X, Prev.H);
   } else {
     CellOut Out = lstmCellOp(PWx, PBx, PWh, X, Prev.H, Prev.C);
@@ -286,8 +211,7 @@ RecurrentCell::stepBatch(const std::vector<Var> &Xs,
   LIGER_CHECK(Xs.size() == Prev.size() && !Xs.empty(),
               "stepBatch needs matching non-empty input/state sets");
   size_t B = Xs.size();
-  if (Kind == CellKind::Rnn || B == 1 || !batchedCellsEnabled() ||
-      !fusedCellsEnabled()) {
+  if (Kind == CellKind::Rnn || B == 1) {
     std::vector<RecState> Out;
     Out.reserve(B);
     for (size_t I = 0; I < B; ++I)
@@ -319,82 +243,6 @@ RecurrentCell::stepBatch(const std::vector<Var> &Xs,
     Out[I].C = Cells[I].C;
   }
   return Out;
-}
-
-RecState RecurrentCell::stepUnfused(const Var &X, const RecState &Prev) const {
-  // Node creation order below is load-bearing: the fused cell ops'
-  // backward closures replay gradient accumulation in exactly this
-  // graph's descending-Seq order, which is what makes the two paths
-  // bitwise-identical. Keep every op an explicitly sequenced statement
-  // (nested calls would leave argument evaluation order unspecified).
-  size_t H = Hidden;
-  switch (Kind) {
-  case CellKind::Rnn: {
-    RecState S;
-    S.H = tanhV(add(L1.apply(X), matvec(U1, Prev.H)));
-    return S;
-  }
-  case CellKind::Gru: {
-    Var Wz = rowsView(PWx, 0, H);
-    Var Wr = rowsView(PWx, H, H);
-    Var Wn = rowsView(PWx, 2 * H, H);
-    Var Bz = sliceView(PBx, 0, H);
-    Var Br = sliceView(PBx, H, H);
-    Var Bn = sliceView(PBx, 2 * H, H);
-    Var Uz = rowsView(PWh, 0, H);
-    Var Ur = rowsView(PWh, H, H);
-    Var Un = rowsView(PWh, 2 * H, H);
-    auto Gate = [&](const Var &W, const Var &B, const Var &U,
-                    const Var &HVec) {
-      Var A = matvec(W, X);
-      Var Ab = add(A, B);
-      Var Uh = matvec(U, HVec);
-      return add(Ab, Uh);
-    };
-    Var Z = sigmoidV(Gate(Wz, Bz, Uz, Prev.H));
-    Var Rg = sigmoidV(Gate(Wr, Br, Ur, Prev.H));
-    Var RH = mul(Rg, Prev.H);
-    Var N = tanhV(Gate(Wn, Bn, Un, RH));
-    // h = (1 - z) * n + z * h_prev  =  n + z * (h_prev - n)
-    Var D = sub(Prev.H, N);
-    Var ZD = mul(Z, D);
-    RecState S;
-    S.H = add(N, ZD);
-    return S;
-  }
-  case CellKind::Lstm: {
-    Var Wi = rowsView(PWx, 0, H);
-    Var Wf = rowsView(PWx, H, H);
-    Var Wg = rowsView(PWx, 2 * H, H);
-    Var Wo = rowsView(PWx, 3 * H, H);
-    Var Bi = sliceView(PBx, 0, H);
-    Var Bf = sliceView(PBx, H, H);
-    Var Bg = sliceView(PBx, 2 * H, H);
-    Var Bo = sliceView(PBx, 3 * H, H);
-    Var Ui = rowsView(PWh, 0, H);
-    Var Uf = rowsView(PWh, H, H);
-    Var Ug = rowsView(PWh, 2 * H, H);
-    Var Uo = rowsView(PWh, 3 * H, H);
-    auto Gate = [&](const Var &W, const Var &B, const Var &U) {
-      Var A = matvec(W, X);
-      Var Ab = add(A, B);
-      Var Uh = matvec(U, Prev.H);
-      return add(Ab, Uh);
-    };
-    Var I = sigmoidV(Gate(Wi, Bi, Ui));
-    Var F = sigmoidV(Gate(Wf, Bf, Uf));
-    Var G = tanhV(Gate(Wg, Bg, Ug));
-    Var O = sigmoidV(Gate(Wo, Bo, Uo));
-    Var FC = mul(F, Prev.C);
-    Var IG = mul(I, G);
-    RecState S;
-    S.C = add(FC, IG);
-    Var TC = tanhV(S.C);
-    S.H = mul(O, TC);
-    return S;
-  }
-  }
-  LIGER_UNREACHABLE("covered switch");
 }
 
 std::vector<RecState>
@@ -455,9 +303,8 @@ ChildSumTreeLstm::ChildSumTreeLstm(ParamStore &Store, const std::string &Name,
 
 namespace {
 
-/// h~ = Σ_k h_k (zero vector for leaves). Shared by the fused and
-/// reference paths — the chain's nodes (and thus its gradient
-/// roundings) are identical in both.
+/// h~ = Σ_k h_k (zero vector for leaves), kept as ordinary add nodes so
+/// its gradient flows through the graph rather than the fused node.
 Var childHSum(const std::vector<Var> &ChildHs, size_t Hidden) {
   if (ChildHs.empty())
     return constant(Tensor::zeros(Hidden));
@@ -496,76 +343,10 @@ ChildSumTreeLstm::NodeState ChildSumTreeLstm::embedNode(
   return Result;
 }
 
-ChildSumTreeLstm::NodeState ChildSumTreeLstm::embedNodeUnfused(
-    const AstTree &Tree,
-    const std::function<Var(const std::string &)> &Embed) const {
-  std::vector<NodeState> Children;
-  Children.reserve(Tree.Children.size());
-  for (const AstTree &Child : Tree.Children)
-    Children.push_back(embedNodeUnfused(Child, Embed));
-
-  Var X = Embed(Tree.Label);
-
-  std::vector<Var> ChildHs;
-  for (const NodeState &Child : Children)
-    ChildHs.push_back(Child.H);
-  Var HSum = childHSum(ChildHs, Hidden);
-
-  size_t H = Hidden;
-  Var WiV = rowsView(PWx, 0, H);
-  Var BiV = sliceView(PBx, 0, H);
-  Var UiV = rowsView(PWh, 0, H);
-  Var WoV = rowsView(PWx, H, H);
-  Var BoV = sliceView(PBx, H, H);
-  Var UoV = rowsView(PWh, H, H);
-  Var WuV = rowsView(PWx, 2 * H, H);
-  Var BuV = sliceView(PBx, 2 * H, H);
-  Var UuV = rowsView(PWh, 2 * H, H);
-  auto Gate = [&](const Var &W, const Var &B, const Var &U,
-                  const Var &HVec) {
-    Var A = matvec(W, X);
-    Var Ab = add(A, B);
-    Var Uh = matvec(U, HVec);
-    return add(Ab, Uh);
-  };
-  Var I = sigmoidV(Gate(WiV, BiV, UiV, HSum));
-  Var O = sigmoidV(Gate(WoV, BoV, UoV, HSum));
-  Var U = tanhV(Gate(WuV, BuV, UuV, HSum));
-
-  // c = i ⊙ u + Σ_k f_k ⊙ c_k, with a per-child forget gate
-  // f_k = σ(Wf x + Uf h_k). The f views are created fresh per child:
-  // a shared view would pre-aggregate the children's weight gradients
-  // before scattering, rounding differently from the fused op's (and
-  // the pre-packing layout's) direct per-child accumulation.
-  Var C = mul(I, U);
-  for (const NodeState &Child : Children) {
-    Var WfV = rowsView(PWx, 3 * H, H);
-    Var BfV = sliceView(PBx, 3 * H, H);
-    Var UfV = rowsView(PWh, 3 * H, H);
-    Var Fk = sigmoidV(Gate(WfV, BfV, UfV, Child.H));
-    Var FC = mul(Fk, Child.C);
-    C = add(C, FC);
-  }
-
-  Var TC = tanhV(C);
-  NodeState Result;
-  Result.C = C;
-  Result.H = mul(O, TC);
-  return Result;
-}
-
 Var ChildSumTreeLstm::embed(
     const AstTree &Tree,
     const std::function<Var(const std::string &)> &Embed) const {
-  if (!fusedCellsEnabled())
-    return embedNodeUnfused(Tree, Embed).H;
   return embedNode(Tree, Embed).H;
-}
-
-Var ChildSumTreeLstm::embedUnfused(
-    const AstTree &Tree,
-    const std::function<Var(const std::string &)> &Embed) const {
-  return embedNodeUnfused(Tree, Embed).H;
 }
 
 //===----------------------------------------------------------------------===//
@@ -586,7 +367,7 @@ Var EmbeddingTable::lookup(int Id) const {
 AttentionScorer::AttentionScorer(ParamStore &Store, const std::string &Name,
                                  size_t QueryDim, size_t KeyDim,
                                  size_t Hidden, Rng &R)
-    : QueryDim(QueryDim), KeyDim(KeyDim), Hidden(Hidden) {
+    : QueryDim(QueryDim), KeyDim(KeyDim) {
   // Same parameter names, shapes, and Rng draw order as the
   // Mlp(Name, KeyDim + QueryDim, Hidden, 1) this class used to wrap,
   // so existing checkpoints load bit-exactly and fixed seeds reproduce:
@@ -599,24 +380,6 @@ AttentionScorer::AttentionScorer(ParamStore &Store, const std::string &Name,
   B2 = Store.addParam(Name + ".l2.b", Tensor::zeros(1));
 }
 
-Var AttentionScorer::scoreUnfused(const Var &Query, const Var &Key) const {
-  // Split-first-layer reference chain for one pair; the batched paths
-  // share the key-side half of this computation across steps.
-  Var Wk = colsView(W1, 0, KeyDim);
-  Var Mk = matvec(Wk, Key);
-  Var KP = add(Mk, B1);
-  Var Wq = colsView(W1, KeyDim, QueryDim);
-  Var Mq = matvec(Wq, Query);
-  Var Pre = add(KP, Mq);
-  Var Act = tanhV(Pre);
-  Var M2 = matvec(W2, Act);
-  return add(M2, B2);
-}
-
-Var AttentionScorer::score(const Var &Query, const Var &Key) const {
-  return scoreUnfused(Query, Key);
-}
-
 AttentionScorer::Memory
 AttentionScorer::prepare(const std::vector<Var> &Keys) const {
   if (Keys.empty())
@@ -626,90 +389,16 @@ AttentionScorer::prepare(const std::vector<Var> &Keys) const {
                      std::to_string(KeyDim) + ")");
   Memory Mem;
   Mem.Keys = Keys;
-  Mem.Fused = fusedAttentionEnabled();
-  if (Mem.Fused) {
-    Mem.KeyProj = attentionKeyProj(W1, B1, Keys);
-    return Mem;
-  }
-  Var Wk = colsView(W1, 0, KeyDim);
-  Mem.KeyProjRows.reserve(Keys.size());
-  for (const Var &Key : Keys) {
-    Var Mk = matvec(Wk, Key);
-    Var KP = add(Mk, B1);
-    Mem.KeyProjRows.push_back(KP);
-  }
+  Mem.KeyProj = attentionKeyProj(W1, B1, Keys);
   return Mem;
-}
-
-Var AttentionScorer::scoreAllRows(
-    const Var &Query, const std::vector<Var> &KeyProjRows) const {
-  // Node creation order here is load-bearing: the fused attentionOp's
-  // backward replays exactly this graph in descending creation order
-  // (query-side view + matvec first, then each key's chain).
-  Var Wq = colsView(W1, KeyDim, QueryDim);
-  Var Mq = matvec(Wq, Query);
-  std::vector<Var> Scores;
-  Scores.reserve(KeyProjRows.size());
-  for (const Var &KP : KeyProjRows) {
-    Var Pre = add(KP, Mq);
-    Var Act = tanhV(Pre);
-    Var M2 = matvec(W2, Act);
-    Scores.push_back(add(M2, B2));
-  }
-  return stackScalars(Scores);
-}
-
-Var AttentionScorer::scoreAll(const Var &Query,
-                              const std::vector<Var> &Keys) const {
-  if (Keys.empty())
-    reportFatalError("attention over an empty key set (memory size 0, "
-                     "query dim " +
-                     std::to_string(QueryDim) + ", key dim " +
-                     std::to_string(KeyDim) + ")");
-  Var Wk = colsView(W1, 0, KeyDim);
-  std::vector<Var> Rows;
-  Rows.reserve(Keys.size());
-  for (const Var &Key : Keys) {
-    Var Mk = matvec(Wk, Key);
-    Rows.push_back(add(Mk, B1));
-  }
-  return scoreAllRows(Query, Rows);
 }
 
 AttentionScorer::Result
 AttentionScorer::contextOf(const Var &Query, const Memory &Mem) const {
+  AttnOut Fused = attentionOp(W1, W2, B2, Query, Mem.KeyProj, Mem.Keys);
   Result Out;
-  if (Mem.Fused) {
-    AttnOut Fused = attentionOp(W1, W2, B2, Query, Mem.KeyProj, Mem.Keys);
-    Out.Context = Fused.Context;
-    Out.Weights = Fused.Weights;
-    return Out;
-  }
-  Var Scores = scoreAllRows(Query, Mem.KeyProjRows);
-  Var A = softmax(Scores);
-  Out.Context = weightedCombine(Mem.Keys, A);
-  Out.Weights = A->Value.data();
-  return Out;
-}
-
-std::vector<AttentionScorer::Result>
-AttentionScorer::contextOfMulti(const std::vector<Var> &Queries,
-                                const Memory &Mem) const {
-  LIGER_CHECK(!Queries.empty(), "contextOfMulti needs queries");
-  if (Queries.size() == 1 || !Mem.Fused || !batchedAttentionEnabled()) {
-    std::vector<Result> Out;
-    Out.reserve(Queries.size());
-    for (const Var &Q : Queries)
-      Out.push_back(contextOf(Q, Mem));
-    return Out;
-  }
-  std::vector<AttnOut> Fused =
-      attentionMultiQueryOp(W1, W2, B2, Queries, Mem.KeyProj, Mem.Keys);
-  std::vector<Result> Out(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I) {
-    Out[I].Context = Fused[I].Context;
-    Out[I].Weights = Fused[I].Weights;
-  }
+  Out.Context = Fused.Context;
+  Out.Weights = Fused.Weights;
   return Out;
 }
 
@@ -718,16 +407,8 @@ std::vector<AttentionScorer::Result> AttentionScorer::contextOfMultiMemory(
     const std::vector<const Memory *> &Mems) const {
   LIGER_CHECK(!Queries.empty() && Mems.size() == Queries.size(),
               "contextOfMultiMemory needs one memory per query");
-  bool AllFused = batchedAttentionEnabled() && Queries.size() > 1;
-  for (const Memory *Mem : Mems)
-    AllFused = AllFused && Mem->Fused;
-  if (!AllFused) {
-    std::vector<Result> Out;
-    Out.reserve(Queries.size());
-    for (size_t I = 0; I < Queries.size(); ++I)
-      Out.push_back(contextOf(Queries[I], *Mems[I]));
-    return Out;
-  }
+  if (Queries.size() == 1)
+    return {contextOf(Queries[0], *Mems[0])};
   std::vector<Var> KeyProjs;
   std::vector<const std::vector<Var> *> KeysPerQuery;
   KeyProjs.reserve(Mems.size());
@@ -744,9 +425,4 @@ std::vector<AttentionScorer::Result> AttentionScorer::contextOfMultiMemory(
     Out[I].Weights = Fused[I].Weights;
   }
   return Out;
-}
-
-Var AttentionScorer::weights(const Var &Query,
-                             const std::vector<Var> &Keys) const {
-  return softmax(scoreAll(Query, Keys));
 }

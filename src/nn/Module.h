@@ -21,6 +21,11 @@
 /// stable): unlike graph nodes, parameters outlive every arena reset,
 /// and the optimizer and (de)serialization reach them through here.
 ///
+/// Each op has exactly one path: the fused and batched graph ops of
+/// nn/Graph.h. The per-gate and per-pair graphs they are bitwise
+/// pinned against live in tests/ReferenceGraphs, reading the same
+/// packed parameters by name from the ParamStore.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_NN_MODULE_H
@@ -103,39 +108,6 @@ private:
   std::vector<std::pair<std::string, LegacyView>> Views;
 };
 
-/// Whether recurrent cells route through the fused single-node graph
-/// ops (the default) or the per-gate reference graphs. The two paths
-/// are bitwise-identical (FusedEquivalenceTest); the toggle exists for
-/// A/B testing and the equivalence suite itself.
-bool fusedCellsEnabled();
-void setFusedCellsEnabled(bool Enabled);
-
-/// Whether stepBatch() stacks same-timestep samples into the matmul-
-/// backed batch cell ops (the default) or loops the per-sample fused
-/// step(). Bitwise-identical paths (BatchedKernelEquivalenceTest); the
-/// toggle exists for A/B benchmarks and the equivalence suite.
-bool batchedCellsEnabled();
-void setBatchedCellsEnabled(bool Enabled);
-
-/// Whether Linear::softmaxCrossEntropyBatch() routes through the
-/// single batched loss-head node (the default) or loops the per-lane
-/// apply() + softmaxCrossEntropy() reference chain. Bitwise-identical
-/// paths (BatchedKernelEquivalenceTest); the toggle exists for A/B
-/// benchmarks and the equivalence suite.
-bool batchedLossHeadEnabled();
-void setBatchedLossHeadEnabled(bool Enabled);
-
-/// Whether LigerEncoder::encodeBatch() shares one state-embedding
-/// cache across every sample in the mini-batch (the default) or keeps
-/// the per-sample caches. Embeddings are value-deterministic functions
-/// of the injective state key, so per-sample loss values are
-/// bitwise-identical either way; gradient flow through a shared
-/// embedding merges where per-sample caches would duplicate it, which
-/// is observable only through the (already order-sensitive) batched
-/// gradient accumulation.
-bool crossSampleStateCacheEnabled();
-void setCrossSampleStateCacheEnabled(bool Enabled);
-
 /// Fully connected layer: y = W x + b.
 class Linear {
 public:
@@ -147,9 +119,9 @@ public:
 
   /// Softmax cross-entropy losses of this layer's logits over a block
   /// of B lockstep lanes: one batched loss-head node (matmul logits +
-  /// fused descending-lane backward) when batchedLossHeadEnabled(),
-  /// else the per-lane apply() + softmaxCrossEntropy() loop. The two
-  /// paths are bitwise-identical (BatchedKernelEquivalenceTest).
+  /// fused descending-lane backward), or the plain apply() +
+  /// softmaxCrossEntropy() chain for a single lane. Bitwise-identical
+  /// to that chain run per lane in order (BatchedKernelEquivalenceTest).
   std::vector<Var> softmaxCrossEntropyBatch(const std::vector<Var> &Xs,
                                             const std::vector<size_t> &Targets)
       const;
@@ -194,16 +166,18 @@ public:
   /// Initial (zero) state.
   RecState initial() const;
 
-  /// One time step.
+  /// One time step. Gated cells build one fused node per GRU step
+  /// (gruCellOp) and two per LSTM step (lstmCellOp), bitwise-identical
+  /// to the per-gate reference graph in tests/ReferenceGraphs
+  /// (FusedEquivalenceTest).
   RecState step(const Var &X, const RecState &Prev) const;
 
   /// One time step for B concurrently-advancing sequences: stacks the
   /// inputs/states into one matmul-backed batch op per packed gate
   /// block (gruCellBatchOp/lstmCellBatchOp) and hands back per-sample
-  /// row views. Falls back to a per-sample step() loop for Rnn cells,
-  /// B == 1, or when batchedCellsEnabled()/fusedCellsEnabled() is off;
+  /// row views. Rnn cells and B == 1 take a per-sample step() loop;
   /// either way results are bitwise-identical to calling step() on
-  /// each sample in order.
+  /// each sample in order (BatchedKernelEquivalenceTest).
   std::vector<RecState> stepBatch(const std::vector<Var> &Xs,
                                   const std::vector<RecState> &Prev) const;
 
@@ -213,12 +187,6 @@ public:
 
   size_t hiddenDim() const { return Hidden; }
   CellKind kind() const { return Kind; }
-
-  /// Per-gate reference implementation of step(): builds the packed
-  /// parameters' gate blocks as explicit view nodes and composes the
-  /// legacy one-op-per-node graph. Bitwise-identical to the fused
-  /// step(); kept as the equivalence/gradcheck oracle.
-  RecState stepUnfused(const Var &X, const RecState &Prev) const;
 
 private:
   CellKind Kind = CellKind::Gru;
@@ -243,23 +211,19 @@ public:
                    size_t Hidden, Rng &R);
 
   /// Embeds \p Tree; \p Embed maps a node label to its input vector.
+  /// Each tree node builds one fused treeLstmNodeOp (c- and h-node),
+  /// bitwise-identical to the per-gate reference graph in
+  /// tests/ReferenceGraphs (FusedEquivalenceTest).
   Var embed(const AstTree &Tree,
             const std::function<Var(const std::string &)> &Embed) const;
 
   size_t hiddenDim() const { return Hidden; }
-
-  /// Per-gate reference embedding (see RecurrentCell::stepUnfused).
-  Var embedUnfused(const AstTree &Tree,
-                   const std::function<Var(const std::string &)> &Embed) const;
 
 private:
   struct NodeState {
     Var H = nullptr, C = nullptr;
   };
   NodeState embedNode(
-      const AstTree &Tree,
-      const std::function<Var(const std::string &)> &Embed) const;
-  NodeState embedNodeUnfused(
       const AstTree &Tree,
       const std::function<Var(const std::string &)> &Embed) const;
 
@@ -288,19 +252,6 @@ private:
   Var Table = nullptr;
 };
 
-/// Whether attention routes through the fused attentionKeyProj /
-/// attentionOp graph nodes (the default) or the per-pair reference
-/// graph. Bitwise-identical paths (AttentionEquivalenceTest); the
-/// toggle exists for A/B benchmarks and the equivalence suite.
-bool fusedAttentionEnabled();
-void setFusedAttentionEnabled(bool Enabled);
-
-/// Whether contextOfMulti() scores its query block through the single
-/// multi-query attention node (the default) or loops per-query
-/// contextOf(). Bitwise-identical paths (BatchedKernelEquivalenceTest).
-bool batchedAttentionEnabled();
-void setBatchedAttentionEnabled(bool Enabled);
-
 /// Bahdanau-style additive attention scorer: score(q, k) =
 /// v · tanh(W1 [k ⊕ q] + b1) — the paper's a1 (fusion) and a2
 /// (decoder) networks. The first layer stays stored as one packed
@@ -316,14 +267,10 @@ public:
 
   /// Per-decode attention memory: the keys plus their cached key-side
   /// first-layer projections. Build once per memory with prepare(),
-  /// reuse across every decoder step. Whether the fused or reference
-  /// graph form is held is latched from fusedAttentionEnabled() at
-  /// prepare() time.
+  /// reuse across every decoder step.
   struct Memory {
     std::vector<Var> Keys;
-    Var KeyProj = nullptr;             ///< Fused [T x Hidden] node.
-    std::vector<Var> KeyProjRows;      ///< Reference per-key nodes.
-    bool Fused = true;
+    Var KeyProj = nullptr; ///< [T x Hidden] attentionKeyProj node.
   };
 
   /// One attention step's outputs: the context node plus a read-only
@@ -340,56 +287,26 @@ public:
   Memory prepare(const std::vector<Var> &Keys) const;
 
   /// Attended context for one query over a prepared memory: softmax of
-  /// all scores, then the weighted key sum — one fused graph node (or
-  /// the reference chain when the memory was prepared unfused).
+  /// all scores, then the weighted key sum — one fused attentionOp
+  /// node, bitwise-identical to the per-pair reference graph
+  /// (AttentionEquivalenceTest).
   Result contextOf(const Var &Query, const Memory &Mem) const;
-
-  /// Attended contexts for a block of queries over one shared prepared
-  /// memory: a single multi-query node amortizes the key-memory walk
-  /// (decoder hypothesis sets, same-timestep batched decodes). Falls
-  /// back to a per-query contextOf() loop for a single query, an
-  /// unfused memory, or when batchedAttentionEnabled() is off; either
-  /// way results are bitwise-identical to per-query contextOf() calls
-  /// in order.
-  std::vector<Result> contextOfMulti(const std::vector<Var> &Queries,
-                                     const Memory &Mem) const;
 
   /// Attended contexts for a block of queries, each over its OWN
   /// prepared memory — the lockstep decoder's per-lane attention reads
   /// over distinct sample memories. One multi-memory node batches the
-  /// query-side projection across lanes; falls back to a per-query
-  /// contextOf() loop for a single query, any unfused memory, or when
-  /// batchedAttentionEnabled() is off. Either way results are
-  /// bitwise-identical to per-query contextOf() calls in order.
+  /// query-side projection across lanes; a single query takes
+  /// contextOf(). Either way results are bitwise-identical to
+  /// per-query contextOf() calls in order.
   std::vector<Result>
   contextOfMultiMemory(const std::vector<Var> &Queries,
                        const std::vector<const Memory *> &Mems) const;
-
-  /// All T pre-softmax scores of \p Query against \p Keys as one [T]
-  /// node, sharing the key projections across scores (reference graph
-  /// form; differentiable).
-  Var scoreAll(const Var &Query, const std::vector<Var> &Keys) const;
-
-  /// Scalar score node for one (query, key) pair. Kept as the unfused
-  /// reference the equivalence suite checks the batched path against.
-  Var scoreUnfused(const Var &Query, const Var &Key) const;
-
-  /// Alias of scoreUnfused (legacy call sites).
-  Var score(const Var &Query, const Var &Key) const;
-
-  /// Softmax-normalized weights for one query over many keys.
-  Var weights(const Var &Query, const std::vector<Var> &Keys) const;
 
   size_t queryDim() const { return QueryDim; }
   size_t keyDim() const { return KeyDim; }
 
 private:
-  /// Shared tail of scoreAll/contextOf: the query-side matvec plus the
-  /// per-key tanh → second-layer chains over prepared projections.
-  Var scoreAllRows(const Var &Query,
-                   const std::vector<Var> &KeyProjRows) const;
-
-  size_t QueryDim = 0, KeyDim = 0, Hidden = 0;
+  size_t QueryDim = 0, KeyDim = 0;
   // Packed score MLP, same names/shapes/init draws as the Mlp this
   // class used to wrap: W1 [Hidden x (KeyDim+QueryDim)], B1 [Hidden],
   // W2 [1 x Hidden], B2 [1].

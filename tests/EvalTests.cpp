@@ -148,6 +148,40 @@ TEST(ScaleTest, ParsesOverrides) {
 
 namespace {
 
+/// Parses a one-flag command line (exits the process on a bad flag).
+void parseOneFlag(const char *Flag) {
+  const char *Argv[] = {"bench", Flag};
+  ExperimentScale::fromArgs(2, const_cast<char **>(Argv));
+}
+
+} // namespace
+
+TEST(ScaleTest, RejectsMalformedNumericFlags) {
+  // A value that does not parse completely, or does not fit, must take
+  // the unknown-flag exit path instead of becoming 0 or its leading
+  // digits.
+  for (const char *Flag :
+       {"--batch=abc", "--epochs=3x", "--methods=", "--hidden= 8",
+        "--threads=-1", "--seed=99999999999999999999999", "--lr=fast",
+        "--lr=0.01x", "--lr=", "--lr=nan"})
+    EXPECT_EXIT(parseOneFlag(Flag), testing::ExitedWithCode(2),
+                "bad numeric value")
+        << Flag;
+}
+
+TEST(ScaleTest, RejectsZeroBatch) {
+  // --batch=0 would make the epoch loops spin on Begin += 0.
+  EXPECT_EXIT(parseOneFlag("--batch=0"), testing::ExitedWithCode(2),
+              "bad numeric value in experiment flag: --batch=0");
+  const char *Argv[] = {"bench", "--batch=1", "--epochs=0"};
+  ExperimentScale Scale =
+      ExperimentScale::fromArgs(3, const_cast<char **>(Argv));
+  EXPECT_EQ(Scale.BatchSize, 1u);
+  EXPECT_EQ(Scale.Epochs, 0u);
+}
+
+namespace {
+
 std::vector<MethodSample> tinyTransformCorpus() {
   CorpusOptions Options;
   Options.NumMethods = 12;
@@ -310,9 +344,7 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
   // The shard partition depends only on the batch size (never on the
   // thread count) and shard sinks are reduced in shard order on the
   // calling thread, so losses and final weights must be
-  // bitwise-identical at any --threads — with the batched op
-  // internals (cells, attention, loss head, cross-sample state cache)
-  // toggled either way.
+  // bitwise-identical at any --threads.
   ExperimentScale Scale;
   Scale.MethodsMed = 30;
   Scale.Epochs = 2;
@@ -326,17 +358,8 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
   NameTask Task = buildNameTask(Scale, false);
   ASSERT_GE(Task.Split.Train.size(), 10u);
 
-  auto RunWith = [&](size_t Threads, bool BatchedOps,
+  auto RunWith = [&](size_t Threads,
                      std::vector<std::vector<float>> &ParamsOut) {
-    bool PrevCells = batchedCellsEnabled();
-    bool PrevAttn = batchedAttentionEnabled();
-    bool PrevHead = batchedLossHeadEnabled();
-    bool PrevShared = crossSampleStateCacheEnabled();
-    setBatchedCellsEnabled(BatchedOps);
-    setBatchedAttentionEnabled(BatchedOps);
-    setBatchedLossHeadEnabled(BatchedOps);
-    setCrossSampleStateCacheEnabled(BatchedOps);
-
     LigerConfig Config;
     Config.EmbedDim = Scale.EmbedDim;
     Config.Hidden = Scale.Hidden;
@@ -358,30 +381,36 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
     for (const Var &P : Net.params().params())
       ParamsOut.emplace_back(P->Value.data(),
                              P->Value.data() + P->Value.size());
-
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevHead);
-    setCrossSampleStateCacheEnabled(PrevShared);
     return Result.FinalTrainLoss;
   };
 
-  for (bool BatchedOps : {true, false}) {
-    std::vector<std::vector<float>> P1, P2, P4;
-    double L1 = RunWith(1, BatchedOps, P1);
-    double L2 = RunWith(2, BatchedOps, P2);
-    double L4 = RunWith(4, BatchedOps, P4);
-    EXPECT_EQ(L1, L2) << "batchedOps=" << BatchedOps;
-    EXPECT_EQ(L1, L4) << "batchedOps=" << BatchedOps;
-    ASSERT_EQ(P1.size(), P2.size());
-    ASSERT_EQ(P1.size(), P4.size());
-    for (size_t I = 0; I < P1.size(); ++I) {
-      EXPECT_EQ(P1[I], P2[I])
-          << "parameter " << I << " batchedOps=" << BatchedOps;
-      EXPECT_EQ(P1[I], P4[I])
-          << "parameter " << I << " batchedOps=" << BatchedOps;
-    }
+  std::vector<std::vector<float>> P1, P2, P4;
+  double L1 = RunWith(1, P1);
+  double L2 = RunWith(2, P2);
+  double L4 = RunWith(4, P4);
+  EXPECT_EQ(L1, L2);
+  EXPECT_EQ(L1, L4);
+  ASSERT_EQ(P1.size(), P2.size());
+  ASSERT_EQ(P1.size(), P4.size());
+  for (size_t I = 0; I < P1.size(); ++I) {
+    EXPECT_EQ(P1[I], P2[I]) << "parameter " << I;
+    EXPECT_EQ(P1[I], P4[I]) << "parameter " << I;
   }
+}
+
+TEST(TrainingIntegrationTest, ZeroBatchSizeIsFatal) {
+  // Library callers bypass fromArgs' flag checks; the training loop
+  // itself must refuse a zero batch size instead of spinning on it.
+  ParamStore Store;
+  Var W = Store.addParam("w", Tensor::zeros(1));
+  NameModelHooks Hooks;
+  Hooks.Loss = [&](const MethodSample &) { return sumV(W); };
+  Hooks.Params = &Store;
+  TrainOptions Options;
+  Options.BatchSize = 0;
+  std::vector<MethodSample> Train(2);
+  EXPECT_DEATH(trainNameModel(Hooks, Train, {}, Options),
+               "positive batch size");
 }
 
 TEST(TrainingIntegrationTest, BatchedSamplesWithoutHookFallsBackPerSample) {

@@ -197,39 +197,6 @@ TEST(LigerTest, FusionStatsAreSensible) {
   EXPECT_LE(Stats.staticMean(), 1.0);
 }
 
-TEST(LigerTest, FusedAttentionTrainingStepIsBitwise) {
-  // End-to-end check that the fused attention path (both the encoder
-  // fusion site A1 and the cached decoder memory) is bitwise identical
-  // to the per-pair reference graph through loss, gradients, and one
-  // Adam step.
-  auto Samples = tinyCorpus();
-  TinyVocabs V = buildVocabs(Samples);
-  auto RunStep = [&](bool Fused) {
-    bool Prev = fusedAttentionEnabled();
-    setFusedAttentionEnabled(Fused);
-    LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
-    Adam Opt(Net.params());
-    std::vector<Var> Losses;
-    for (const MethodSample &Sample : Samples)
-      Losses.push_back(Net.loss(Sample));
-    Var Loss = meanLoss(Losses);
-    backward(Loss);
-    std::vector<std::vector<float>> Grads, Params;
-    for (const Var &P : Net.params().params())
-      Grads.emplace_back(P->Grad.data(), P->Grad.data() + P->Grad.size());
-    Opt.step();
-    for (const Var &P : Net.params().params())
-      Params.emplace_back(P->Value.data(), P->Value.data() + P->Value.size());
-    setFusedAttentionEnabled(Prev);
-    return std::make_tuple(Loss->Value[0], Grads, Params);
-  };
-  auto [FusedLoss, FusedGrads, FusedParams] = RunStep(true);
-  auto [RefLoss, RefGrads, RefParams] = RunStep(false);
-  EXPECT_EQ(FusedLoss, RefLoss);
-  EXPECT_EQ(FusedGrads, RefGrads);
-  EXPECT_EQ(FusedParams, RefParams);
-}
-
 TEST(LigerTest, AblationsRunAndDiffer) {
   auto Samples = tinyCorpus();
   TinyVocabs V = buildVocabs(Samples);
@@ -552,7 +519,7 @@ TEST(CheckpointTest, AllFourModelStoresRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched decoder: lossBatch and beam search
+// Batched decoder: lossBatch
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -606,40 +573,6 @@ TEST(BatchedLossEquivalenceTest, LossBatchValuesMatchLoss) {
   }
 }
 
-TEST(BatchedLossEquivalenceTest, LossBatchToggleIsBitwise) {
-  // lossBatch always builds the graph timestep-major; the toggle only
-  // swaps the batch op internals, so a whole training step must agree
-  // down to the bit.
-  auto RunStep = [](bool Batched) {
-    bool PrevCells = batchedCellsEnabled();
-    bool PrevAttn = batchedAttentionEnabled();
-    bool PrevHead = batchedLossHeadEnabled();
-    setBatchedCellsEnabled(Batched);
-    setBatchedAttentionEnabled(Batched);
-    setBatchedLossHeadEnabled(Batched);
-    DecoderFixture F;
-    Adam Opt(F.Store);
-    std::vector<Var> Losses = F.Dec.lossBatch(F.Embeds, F.Memories, F.Targets);
-    Var Sum = sumV(stackScalars(Losses));
-    backward(Sum);
-    std::vector<std::vector<float>> Grads, Params;
-    for (const Var &P : F.Store.params())
-      Grads.emplace_back(P->Grad.data(), P->Grad.data() + P->Grad.size());
-    Opt.step();
-    for (const Var &P : F.Store.params())
-      Params.emplace_back(P->Value.data(), P->Value.data() + P->Value.size());
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevHead);
-    return std::make_tuple(Sum->Value[0], Grads, Params);
-  };
-  auto [BatchedLoss, BatchedGrads, BatchedParams] = RunStep(true);
-  auto [RefLoss, RefGrads, RefParams] = RunStep(false);
-  EXPECT_EQ(BatchedLoss, RefLoss);
-  EXPECT_EQ(BatchedGrads, RefGrads);
-  EXPECT_EQ(BatchedParams, RefParams);
-}
-
 TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLoss) {
   auto Samples = tinyCorpus();
   TinyVocabs V = buildVocabs(Samples);
@@ -655,47 +588,20 @@ TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLoss) {
 }
 
 TEST(BatchedLossEquivalenceTest, CrossSampleStateCacheKeepsLossValuesBitwise) {
-  // Sharing one state-embedding cache across the samples of a batch
-  // merges gradient flow (documented: accumulation order inside a
-  // batched graph is already mode-specific), but the forward values
-  // must stay bitwise-identical: state keys are injective and the
-  // fusion layers are deterministic functions of key + parameters.
+  // encodeBatch shares one state-embedding cache across the samples of
+  // a batch. Repeating every sample makes each state of the repeats a
+  // cross-sample cache hit; the shared nodes must carry bitwise the
+  // values each sample's own loss() computes.
   auto Samples = tinyCorpus();
   TinyVocabs V = buildVocabs(Samples);
-  auto BatchLossValues = [&](bool Shared) {
-    bool Prev = crossSampleStateCacheEnabled();
-    setCrossSampleStateCacheEnabled(Shared);
-    LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
-    std::vector<const MethodSample *> Group;
+  LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
+  std::vector<const MethodSample *> Group;
+  for (int Repeat = 0; Repeat < 2; ++Repeat)
     for (const MethodSample &Sample : Samples)
       Group.push_back(&Sample);
-    std::vector<Var> Losses = Net.lossBatch(Group);
-    std::vector<float> Out;
-    for (const Var &L : Losses)
-      Out.push_back(L->Value[0]);
-    setCrossSampleStateCacheEnabled(Prev);
-    return Out;
-  };
-  EXPECT_EQ(BatchLossValues(true), BatchLossValues(false));
-}
-
-TEST(BatchedLossEquivalenceTest, DecodeBeamWidth1MatchesGreedy) {
-  DecoderFixture F;
-  for (size_t S = 0; S < 3; ++S) {
-    std::vector<int> Greedy = F.Dec.decodeGreedy(F.Embeds[S], F.Memories[S], 6);
-    std::vector<int> Beam = F.Dec.decodeBeam(F.Embeds[S], F.Memories[S], 6, 1);
-    EXPECT_EQ(Beam, Greedy) << "sample " << S;
-  }
-}
-
-TEST(BatchedLossEquivalenceTest, DecodeBeamWiderEmitsValidIds) {
-  DecoderFixture F;
-  for (size_t Width : {2u, 4u}) {
-    std::vector<int> Ids = F.Dec.decodeBeam(F.Embeds[0], F.Memories[0], 6, Width);
-    EXPECT_LE(Ids.size(), 6u);
-    for (int Id : Ids) {
-      EXPECT_GE(Id, 4);    // no Pad/Sos/Eos/Unk in the output
-      EXPECT_LT(Id, 9);
-    }
-  }
+  std::vector<Var> Batched = Net.lossBatch(Group);
+  ASSERT_EQ(Batched.size(), Group.size());
+  for (size_t S = 0; S < Group.size(); ++S)
+    EXPECT_EQ(Batched[S]->Value[0], Net.loss(*Group[S])->Value[0])
+        << "lane " << S;
 }

@@ -10,6 +10,8 @@
 #include "nn/Module.h"
 #include "nn/Optim.h"
 
+#include "ReferenceGraphs.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -219,7 +221,10 @@ TEST(GradCheckTest, LinearAndMlp) {
 
 namespace {
 
-void checkCell(CellKind Kind) {
+/// Finite-difference check of a three-step sequence through \p Kind,
+/// built by the production cell or, with \p Reference, by the per-gate
+/// reference graph over the same packed parameters.
+void checkCell(CellKind Kind, bool Reference = false) {
   ParamStore Store;
   Rng R(19);
   RecurrentCell Cell(Store, "cell", Kind, 3, 4, R);
@@ -227,7 +232,10 @@ void checkCell(CellKind Kind) {
                           constant(Tensor::uniform(3, 0.9f, R)),
                           constant(Tensor::uniform(3, 0.9f, R))};
   GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<RecState> States = Cell.run(Inputs);
+    std::vector<RecState> States =
+        Reference ? reference::cellRun(Store, "cell", Kind, Cell.initial(),
+                                       Inputs)
+                  : Cell.run(Inputs);
     Var Last = States.back().H;
     return dot(Last, Last);
   });
@@ -285,8 +293,8 @@ TEST(GradCheckTest, AttentionScorer) {
                         constant(Tensor::uniform(4, 0.9f, R)),
                         constant(Tensor::uniform(4, 0.9f, R))};
   GradCheckResult Result = checkGradients(Store, [&] {
-    Var W = Attn.weights(Q, Keys);
-    Var C = weightedCombine(Keys, W);
+    AttentionScorer::Memory Mem = Attn.prepare(Keys);
+    Var C = Attn.contextOf(Q, Mem).Context;
     return dot(C, C);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -816,15 +824,6 @@ TEST(AdamOptionsTest, ClippingDefaultsOff) {
 
 namespace {
 
-/// RAII toggle for the fused-cell dispatch.
-struct FusedGuard {
-  explicit FusedGuard(bool Enabled) : Prev(fusedCellsEnabled()) {
-    setFusedCellsEnabled(Enabled);
-  }
-  ~FusedGuard() { setFusedCellsEnabled(Prev); }
-  bool Prev;
-};
-
 /// The three-node / two-level AST used by the TreeLSTM tests.
 AstTree buildTestTree() {
   AstTree T;
@@ -855,20 +854,18 @@ std::function<Var(const std::string &)> treeLookup(const EmbeddingTable &Emb) {
 
 } // namespace
 
-// The per-gate reference paths (view nodes over the packed weights)
-// must satisfy the same finite-difference checks as the fused default.
+// The per-gate reference graphs (view nodes over the packed weights,
+// tests/ReferenceGraphs) must satisfy the same finite-difference
+// checks as the fused ops they are the oracle for.
 TEST(GradCheckTest, GruCellUnfusedReference) {
-  FusedGuard Guard(false);
-  checkCell(CellKind::Gru);
+  checkCell(CellKind::Gru, /*Reference=*/true);
 }
 
 TEST(GradCheckTest, LstmCellUnfusedReference) {
-  FusedGuard Guard(false);
-  checkCell(CellKind::Lstm);
+  checkCell(CellKind::Lstm, /*Reference=*/true);
 }
 
 TEST(GradCheckTest, TreeLstmUnfusedReference) {
-  FusedGuard Guard(false);
   ParamStore Store;
   Rng R(21);
   ChildSumTreeLstm Tree(Store, "tree", 3, 4, R);
@@ -876,7 +873,7 @@ TEST(GradCheckTest, TreeLstmUnfusedReference) {
   AstTree T = buildTestTree();
   auto Lookup = treeLookup(Emb);
   GradCheckResult Result = checkGradients(Store, [&] {
-    Var H = Tree.embed(T, Lookup);
+    Var H = reference::treeLstmEmbed(Store, "tree", T, Lookup);
     return dot(H, H);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -946,7 +943,7 @@ TEST(GradCheckTest, TreeLstmNodeOpPacked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fused vs unfused bitwise equivalence
+// Fused ops vs the per-gate reference graphs: bitwise equivalence
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -969,11 +966,10 @@ struct StepResult {
 };
 
 /// One full training step (batched loss, backward, Adam update) of a
-/// sequence classifier built on \p Kind, with the fused dispatch
-/// toggled by \p Fused. Identical seeds make the runs comparable down
-/// to the bit.
-StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
-  FusedGuard Guard(Fused);
+/// sequence classifier built on \p Kind: through the fused cell, or
+/// with \p Reference through the per-gate reference graph. Identical
+/// seeds make the runs comparable down to the bit.
+StepResult runCellTrainingStep(CellKind Kind, bool Reference) {
   ParamStore Store;
   Rng R(61);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
@@ -987,7 +983,11 @@ StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
     std::vector<Var> Inputs;
     for (int T = 0; T < 4; ++T)
       Inputs.push_back(Emb.lookup(Tokens[S][T]));
-    Var H = Cell.run(Inputs).back().H;
+    std::vector<RecState> States =
+        Reference
+            ? reference::cellRun(Store, "cell", Kind, Cell.initial(), Inputs)
+            : Cell.run(Inputs);
+    Var H = States.back().H;
     Losses.push_back(softmaxCrossEntropy(Head.apply(H), S));
   }
   Var Loss = meanLoss(Losses);
@@ -1001,8 +1001,7 @@ StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
   return Result;
 }
 
-StepResult runTreeTrainingStep(bool Fused) {
-  FusedGuard Guard(Fused);
+StepResult runTreeTrainingStep(bool Reference) {
   ParamStore Store;
   Rng R(63);
   ChildSumTreeLstm Tree(Store, "tree", 6, 8, R);
@@ -1012,7 +1011,8 @@ StepResult runTreeTrainingStep(bool Fused) {
 
   AstTree T = buildTestTree();
   auto Lookup = treeLookup(Emb);
-  Var H = Tree.embed(T, Lookup);
+  Var H = Reference ? reference::treeLstmEmbed(Store, "tree", T, Lookup)
+                    : Tree.embed(T, Lookup);
   Var Loss = softmaxCrossEntropy(Head.apply(H), 1);
   backward(Loss);
 
@@ -1027,24 +1027,24 @@ StepResult runTreeTrainingStep(bool Fused) {
 } // namespace
 
 TEST(FusedEquivalenceTest, GruTrainingStepIsBitwise) {
-  StepResult Fused = runCellTrainingStep(CellKind::Gru, true);
-  StepResult Ref = runCellTrainingStep(CellKind::Gru, false);
+  StepResult Fused = runCellTrainingStep(CellKind::Gru, false);
+  StepResult Ref = runCellTrainingStep(CellKind::Gru, true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
   EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
 }
 
 TEST(FusedEquivalenceTest, LstmTrainingStepIsBitwise) {
-  StepResult Fused = runCellTrainingStep(CellKind::Lstm, true);
-  StepResult Ref = runCellTrainingStep(CellKind::Lstm, false);
+  StepResult Fused = runCellTrainingStep(CellKind::Lstm, false);
+  StepResult Ref = runCellTrainingStep(CellKind::Lstm, true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
   EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
 }
 
 TEST(FusedEquivalenceTest, TreeLstmTrainingStepIsBitwise) {
-  StepResult Fused = runTreeTrainingStep(true);
-  StepResult Ref = runTreeTrainingStep(false);
+  StepResult Fused = runTreeTrainingStep(false);
+  StepResult Ref = runTreeTrainingStep(true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
   EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
@@ -1054,14 +1054,17 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
   // The thread-parallel trainer differentiates into per-sample sinks;
   // the fused backward must route parameter gradients through the sink
   // exactly like the reference graph does.
-  auto RunSink = [](bool Fused) {
-    FusedGuard Guard(Fused);
+  auto RunSink = [](bool Reference) {
     ParamStore Store;
     Rng R(65);
     RecurrentCell Cell(Store, "cell", CellKind::Gru, 4, 6, R);
     std::vector<Var> Inputs{constant(Tensor::uniform(4, 0.9f, R)),
                             constant(Tensor::uniform(4, 0.9f, R))};
-    Var H = Cell.run(Inputs).back().H;
+    std::vector<RecState> States =
+        Reference ? reference::cellRun(Store, "cell", CellKind::Gru,
+                                       Cell.initial(), Inputs)
+                  : Cell.run(Inputs);
+    Var H = States.back().H;
     GradSink Sink;
     backward(dot(H, H), Sink);
     std::vector<std::vector<float>> Out;
@@ -1074,7 +1077,7 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
     }
     return Out;
   };
-  EXPECT_EQ(RunSink(true), RunSink(false));
+  EXPECT_EQ(RunSink(false), RunSink(true));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1245,20 +1248,12 @@ TEST(CheckpointTest, TreeLstmLegacyNamesMapToPackOrder) {
 
 namespace {
 
-/// RAII toggle for the fused-attention dispatch.
-struct FusedAttnGuard {
-  explicit FusedAttnGuard(bool Enabled) : Prev(fusedAttentionEnabled()) {
-    setFusedAttentionEnabled(Enabled);
-  }
-  ~FusedAttnGuard() { setFusedAttentionEnabled(Prev); }
-  bool Prev;
-};
-
 /// Finite-difference check of one prepare() + contextOf() attention
-/// step with every parameter and input (query, keys) perturbed. Odd
-/// dims exercise the SIMD kernels' remainder lanes; \p T sweeps the
-/// memory-size remainder cases.
-void checkAttentionAt(size_t T) {
+/// step — or, with \p Reference, of its per-pair reference graph — with
+/// every parameter and input (query, keys) perturbed. Odd dims exercise
+/// the SIMD kernels' remainder lanes; \p T sweeps the memory-size
+/// remainder cases.
+void checkAttentionAt(size_t T, bool Reference = false) {
   ParamStore Store;
   Rng R(81);
   const size_t QDim = 5, KDim = 6, Hidden = 7;
@@ -1269,8 +1264,14 @@ void checkAttentionAt(size_t T) {
     Keys.push_back(
         Store.addParam("k" + std::to_string(I), Tensor::uniform(KDim, 0.9f, R)));
   GradCheckResult Result = checkGradients(Store, [&] {
-    AttentionScorer::Memory Mem = Attn.prepare(Keys);
-    AttentionScorer::Result Out = Attn.contextOf(Q, Mem);
+    AttentionScorer::Result Out;
+    if (Reference) {
+      std::vector<Var> Rows =
+          reference::attentionKeyProjRows(Store, "attn", Keys);
+      Out = reference::attentionContext(Store, "attn", Q, Keys, Rows);
+    } else {
+      Out = Attn.contextOf(Q, Attn.prepare(Keys));
+    }
     return dot(Out.Context, Out.Context);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -1288,12 +1289,11 @@ TEST(GradCheckTest, AttentionOpMemory9) { checkAttentionAt(9); }
 
 // The per-pair reference graph must satisfy the same checks.
 TEST(GradCheckTest, AttentionUnfusedReference) {
-  FusedAttnGuard Guard(false);
-  checkAttentionAt(3);
+  checkAttentionAt(3, /*Reference=*/true);
 }
 
 //===----------------------------------------------------------------------===//
-// Batched vs per-pair attention bitwise equivalence
+// Fused attention vs the per-pair reference graph: bitwise equivalence
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1307,11 +1307,11 @@ struct AttnStepResult {
 
 /// One training step of a miniature teacher-forced attention decoder
 /// (embedding -> recurrent cell with attended context -> logits), the
-/// decoder shape SeqDecoder builds, with the fused-attention dispatch
-/// toggled by \p Fused. The key projections are prepared once and
-/// shared across every step, in both modes.
-AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
-  FusedAttnGuard Guard(Fused);
+/// decoder shape SeqDecoder builds, attending through the fused ops or,
+/// with \p Reference, through the per-pair reference graph. The key
+/// projections are prepared once and shared across every step, in both
+/// modes.
+AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Reference) {
   ParamStore Store;
   Rng R(83);
   const size_t EmbDim = 6, Hidden = 8, KeyDim = 5, AttnHidden = 9,
@@ -1327,13 +1327,21 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
   Adam Opt(Store);
 
   const int Targets[] = {4, 5, 6, 4, 2};
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
+  AttentionScorer::Memory Mem;
+  std::vector<Var> RefRows;
+  if (Reference)
+    RefRows = reference::attentionKeyProjRows(Store, "attn", Memory);
+  else
+    Mem = Attn.prepare(Memory);
   RecState State = Cell.initial();
   AttnStepResult Result;
   std::vector<Var> Losses;
   int Prev = 3;
   for (int Target : Targets) {
-    AttentionScorer::Result Step = Attn.contextOf(State.H, Mem);
+    AttentionScorer::Result Step =
+        Reference ? reference::attentionContext(Store, "attn", State.H,
+                                                Memory, RefRows)
+                  : Attn.contextOf(State.H, Mem);
     Result.StepWeights.emplace_back(Step.Weights,
                                     Step.Weights + Memory.size());
     State = Cell.step(concat(Emb.lookup(Prev), Step.Context), State);
@@ -1354,8 +1362,7 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
 /// One training step in the LIGER fusion-site shape: the component set
 /// is re-prepared every step (components change per trace step there)
 /// and the query is the evolving recurrent state.
-AttnStepResult runFusionStyleStep(bool Fused) {
-  FusedAttnGuard Guard(Fused);
+AttnStepResult runFusionStyleStep(bool Reference) {
   ParamStore Store;
   Rng R(85);
   const size_t Dim = 6, AttnHidden = 7;
@@ -1370,8 +1377,15 @@ AttnStepResult runFusionStyleStep(bool Fused) {
   AttnStepResult Result;
   RecState State = Cell.initial();
   for (int J = 0; J < 3; ++J) {
-    AttentionScorer::Memory Mem = A1.prepare(Components);
-    AttentionScorer::Result Fusion = A1.contextOf(State.H, Mem);
+    AttentionScorer::Result Fusion;
+    if (Reference) {
+      std::vector<Var> Rows =
+          reference::attentionKeyProjRows(Store, "a1", Components);
+      Fusion = reference::attentionContext(Store, "a1", State.H, Components,
+                                           Rows);
+    } else {
+      Fusion = A1.contextOf(State.H, A1.prepare(Components));
+    }
     Result.StepWeights.emplace_back(Fusion.Weights,
                                     Fusion.Weights + Components.size());
     State = Cell.step(Fusion.Context, State);
@@ -1389,8 +1403,8 @@ AttnStepResult runFusionStyleStep(bool Fused) {
 } // namespace
 
 TEST(AttentionEquivalenceTest, GruDecoderTrainingStepIsBitwise) {
-  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Gru, true);
-  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Gru, false);
+  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Gru, false);
+  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Gru, true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.StepWeights, Ref.StepWeights);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
@@ -1398,8 +1412,8 @@ TEST(AttentionEquivalenceTest, GruDecoderTrainingStepIsBitwise) {
 }
 
 TEST(AttentionEquivalenceTest, LstmDecoderTrainingStepIsBitwise) {
-  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Lstm, true);
-  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Lstm, false);
+  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Lstm, false);
+  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Lstm, true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.StepWeights, Ref.StepWeights);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
@@ -1407,8 +1421,8 @@ TEST(AttentionEquivalenceTest, LstmDecoderTrainingStepIsBitwise) {
 }
 
 TEST(AttentionEquivalenceTest, FusionStyleChainIsBitwise) {
-  AttnStepResult Fused = runFusionStyleStep(true);
-  AttnStepResult Ref = runFusionStyleStep(false);
+  AttnStepResult Fused = runFusionStyleStep(false);
+  AttnStepResult Ref = runFusionStyleStep(true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.StepWeights, Ref.StepWeights);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
@@ -1416,8 +1430,10 @@ TEST(AttentionEquivalenceTest, FusionStyleChainIsBitwise) {
 }
 
 TEST(AttentionEquivalenceTest, ScoreAllMatchesPerPairScores) {
-  // The batched pre-softmax scores must be bitwise what the per-pair
-  // reference chain computes for each key.
+  // The reference scores over shared key projections (the chain the
+  // fused op replays) must be bitwise what the from-scratch per-pair
+  // chain computes for each key, and the fused op's softmax weights
+  // bitwise the softmax of those scores.
   ParamStore Store;
   Rng R(87);
   AttentionScorer Attn(Store, "attn", 5, 6, 7, R);
@@ -1425,16 +1441,23 @@ TEST(AttentionEquivalenceTest, ScoreAllMatchesPerPairScores) {
   std::vector<Var> Keys;
   for (int I = 0; I < 4; ++I)
     Keys.push_back(constant(Tensor::uniform(6, 0.9f, R)));
-  Var Batched = Attn.scoreAll(Q, Keys);
-  ASSERT_EQ(Batched->Value.size(), Keys.size());
+  std::vector<Var> Rows = reference::attentionKeyProjRows(Store, "attn", Keys);
+  Var Scores = reference::attentionScores(Store, "attn", Q, Rows);
+  ASSERT_EQ(Scores->Value.size(), Keys.size());
   for (size_t I = 0; I < Keys.size(); ++I)
-    EXPECT_EQ(Attn.scoreUnfused(Q, Keys[I])->Value[0], Batched->Value[I]);
+    EXPECT_EQ(reference::attentionPairScore(Store, "attn", Q, Keys[I])
+                  ->Value[0],
+              Scores->Value[I]);
+  Var RefWeights = softmax(Scores);
+  AttentionScorer::Result Fused = Attn.contextOf(Q, Attn.prepare(Keys));
+  EXPECT_EQ(std::memcmp(Fused.Weights, RefWeights->Value.data(),
+                        Keys.size() * sizeof(float)),
+            0);
 }
 
 TEST(AttentionEquivalenceTest, KeyProjMatchesReferenceRows) {
   // The fused [T x Hidden] key projection must be bitwise the
   // reference per-key add(matvec(colsView(W1), key), b1) rows.
-  FusedAttnGuard FusedOn(true);
   ParamStore Store;
   Rng R(89);
   AttentionScorer Attn(Store, "attn", 5, 6, 7, R);
@@ -1442,12 +1465,12 @@ TEST(AttentionEquivalenceTest, KeyProjMatchesReferenceRows) {
   for (int I = 0; I < 5; ++I)
     Keys.push_back(constant(Tensor::uniform(6, 0.9f, R)));
   AttentionScorer::Memory FusedMem = Attn.prepare(Keys);
-  FusedAttnGuard FusedOff(false);
-  AttentionScorer::Memory RefMem = Attn.prepare(Keys);
+  std::vector<Var> RefRows =
+      reference::attentionKeyProjRows(Store, "attn", Keys);
   ASSERT_NE(FusedMem.KeyProj, nullptr);
-  ASSERT_EQ(RefMem.KeyProjRows.size(), Keys.size());
+  ASSERT_EQ(RefRows.size(), Keys.size());
   for (size_t T = 0; T < Keys.size(); ++T) {
-    const Tensor &Row = RefMem.KeyProjRows[T]->Value;
+    const Tensor &Row = RefRows[T]->Value;
     EXPECT_EQ(std::memcmp(FusedMem.KeyProj->Value.data() + T * Row.size(),
                           Row.data(), Row.size() * sizeof(float)),
               0)
@@ -1504,35 +1527,19 @@ TEST(CheckpointTest, AttentionMlpCheckpointLoadsUnchanged) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched (matmul-backed) vs per-sample bitwise equivalence
+// Batched (matmul-backed) ops vs per-lane loops: bitwise equivalence
 //===----------------------------------------------------------------------===//
+//
+// Each batched entry point is compared against an explicit per-lane
+// loop of its single-sample op, written out below in lane order.
 
 namespace {
 
-struct BatchedGuard {
-  explicit BatchedGuard(bool Enabled)
-      : PrevCells(batchedCellsEnabled()),
-        PrevAttn(batchedAttentionEnabled()),
-        PrevLossHead(batchedLossHeadEnabled()) {
-    setBatchedCellsEnabled(Enabled);
-    setBatchedAttentionEnabled(Enabled);
-    setBatchedLossHeadEnabled(Enabled);
-  }
-  ~BatchedGuard() {
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevLossHead);
-  }
-  bool PrevCells, PrevAttn, PrevLossHead;
-};
-
 /// One training step of B token sequences advancing in lockstep
-/// through stepBatch, with the batched dispatch toggled by \p Batched
-/// (off = the per-sample fused step() loop). Identical seeds make the
-/// runs comparable down to the bit.
+/// through stepBatch, or (\p Batched false) through a per-lane step()
+/// loop. Identical seeds make the runs comparable down to the bit.
 StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
                                       bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(71);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
@@ -1547,7 +1554,12 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
     std::vector<Var> Inputs;
     for (size_t S = 0; S < B; ++S)
       Inputs.push_back(Emb.lookup(static_cast<int>((S * 7 + T * 3) % 5)));
-    States = Cell.stepBatch(Inputs, States);
+    if (Batched) {
+      States = Cell.stepBatch(Inputs, States);
+    } else {
+      for (size_t S = 0; S < B; ++S)
+        States[S] = Cell.step(Inputs[S], States[S]);
+    }
   }
   std::vector<Var> Losses;
   for (size_t S = 0; S < B; ++S)
@@ -1564,11 +1576,10 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
   return Result;
 }
 
-/// One training step scoring Q recurrent queries against one shared
-/// prepared memory through contextOfMulti, with the multi-query
-/// dispatch toggled by \p Batched (off = per-query contextOf loop).
+/// One training step scoring Q queries against ONE shared prepared
+/// memory: through contextOfMultiMemory with every lane aliasing that
+/// memory, or (\p Batched false) through a per-query contextOf() loop.
 AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(73);
   const size_t QDim = 6, KeyDim = 5, AttnHidden = 7;
@@ -1584,7 +1595,14 @@ AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
   Adam Opt(Store);
 
   AttentionScorer::Memory Mem = Attn.prepare(Memory);
-  std::vector<AttentionScorer::Result> Out = Attn.contextOfMulti(Queries, Mem);
+  std::vector<AttentionScorer::Result> Out;
+  if (Batched) {
+    std::vector<const AttentionScorer::Memory *> Shared(Q, &Mem);
+    Out = Attn.contextOfMultiMemory(Queries, Shared);
+  } else {
+    for (const Var &Query : Queries)
+      Out.push_back(Attn.contextOf(Query, Mem));
+  }
   AttnStepResult Result;
   std::vector<Var> Norms;
   for (const AttentionScorer::Result &Ctx : Out) {
@@ -1619,10 +1637,9 @@ void expectMultiQueryBitwise(size_t Q) {
 }
 
 /// One training step of B lanes through the projection + softmax-CE
-/// loss head, with the single-matmul batch dispatch toggled by
-/// \p Batched (off = per-lane softmaxCrossEntropy(apply(x)) chain).
+/// loss head: softmaxCrossEntropyBatch, or (\p Batched false) the
+/// per-lane softmaxCrossEntropy(apply(x)) chain.
 StepResult runLossHeadStep(size_t B, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(85);
   const size_t In = 7, V = 5;
@@ -1636,7 +1653,13 @@ StepResult runLossHeadStep(size_t B, bool Batched) {
   }
   Adam Opt(Store);
 
-  std::vector<Var> Losses = Head.softmaxCrossEntropyBatch(Xs, Targets);
+  std::vector<Var> Losses;
+  if (Batched) {
+    Losses = Head.softmaxCrossEntropyBatch(Xs, Targets);
+  } else {
+    for (size_t I = 0; I < B; ++I)
+      Losses.push_back(softmaxCrossEntropy(Head.apply(Xs[I]), Targets[I]));
+  }
   Var Loss = meanLoss(Losses);
   backward(Loss);
 
@@ -1657,10 +1680,9 @@ void expectLossHeadBitwise(size_t B) {
 }
 
 /// One training step scoring Q queries each against its OWN prepared
-/// memory (distinct lengths) through contextOfMultiMemory, with the
-/// batched dispatch toggled by \p Batched (off = per-query contextOf).
+/// memory (distinct lengths) through contextOfMultiMemory, or
+/// (\p Batched false) through a per-query contextOf() loop.
 AttnStepResult runMultiMemoryStep(size_t Q, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(87);
   const size_t QDim = 6, KeyDim = 5, AttnHidden = 7;
@@ -1683,11 +1705,16 @@ AttnStepResult runMultiMemoryStep(size_t Q, bool Batched) {
   Mems.reserve(Q);
   for (size_t I = 0; I < Q; ++I)
     Mems.push_back(Attn.prepare(Keys[I]));
-  std::vector<const AttentionScorer::Memory *> MemPtrs;
-  for (const AttentionScorer::Memory &M : Mems)
-    MemPtrs.push_back(&M);
-  std::vector<AttentionScorer::Result> Out =
-      Attn.contextOfMultiMemory(Queries, MemPtrs);
+  std::vector<AttentionScorer::Result> Out;
+  if (Batched) {
+    std::vector<const AttentionScorer::Memory *> MemPtrs;
+    for (const AttentionScorer::Memory &M : Mems)
+      MemPtrs.push_back(&M);
+    Out = Attn.contextOfMultiMemory(Queries, MemPtrs);
+  } else {
+    for (size_t I = 0; I < Q; ++I)
+      Out.push_back(Attn.contextOf(Queries[I], Mems[I]));
+  }
 
   AttnStepResult Result;
   std::vector<Var> Norms;
@@ -1868,34 +1895,6 @@ TEST(GradCheckTest, LstmCellBatchOpPacked) {
     std::vector<Var> Norms;
     for (const CellOut &S : S2)
       Norms.push_back(add(dot(S.H, S.H), dot(S.C, S.C)));
-    return sumV(stackScalars(Norms));
-  });
-  EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
-                         << Result.WorstParam;
-}
-
-TEST(GradCheckTest, AttentionMultiQueryOpPacked) {
-  ParamStore Store;
-  Rng R(83);
-  const size_t QDim = 5, KeyDim = 4, H = 6, Q = 2, T = 3;
-  Var W1 = Store.addParam("W1", Tensor::xavier(H, KeyDim + QDim, R));
-  Var B1 = Store.addParam("b1", Tensor::uniform(H, 0.2f, R));
-  Var W2 = Store.addParam("W2", Tensor::xavier(1, H, R));
-  Var B2 = Store.addParam("b2", Tensor::uniform(1, 0.2f, R));
-  std::vector<Var> Queries, Keys;
-  for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(Store.addParam("q" + std::to_string(I),
-                                     Tensor::uniform(QDim, 0.9f, R)));
-  for (size_t I = 0; I < T; ++I)
-    Keys.push_back(Store.addParam("k" + std::to_string(I),
-                                  Tensor::uniform(KeyDim, 0.9f, R)));
-  GradCheckResult Result = checkGradients(Store, [&] {
-    Var KP = attentionKeyProj(W1, B1, Keys);
-    std::vector<AttnOut> Out =
-        attentionMultiQueryOp(W1, W2, B2, Queries, KP, Keys);
-    std::vector<Var> Norms;
-    for (const AttnOut &A : Out)
-      Norms.push_back(dot(A.Context, A.Context));
     return sumV(stackScalars(Norms));
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "

@@ -115,6 +115,13 @@ struct SymxSubject {
   const char *Source;
 };
 
+// Print a subject by name. gtest's default printer dumps the bytes of the
+// two pointers, which change from run to run under ASLR and would leak into
+// the test names gtest_discover_tests records.
+void PrintTo(const SymxSubject &Subject, std::ostream *OS) {
+  *OS << Subject.Name;
+}
+
 class SymxReplayP : public testing::TestWithParam<SymxSubject> {};
 
 TEST_P(SymxReplayP, EveryWitnessReplaysItsPath) {

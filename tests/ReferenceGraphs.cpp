@@ -1,0 +1,280 @@
+//===-- tests/ReferenceGraphs.cpp - Per-gate and per-pair oracles ---------===//
+//
+// Part of the LIGER reproduction project.
+//
+//===----------------------------------------------------------------------===//
+
+#include "ReferenceGraphs.h"
+
+using namespace liger;
+
+Var reference::param(const ParamStore &Store, const std::string &Name) {
+  const std::vector<std::string> &Names = Store.names();
+  for (size_t I = 0; I < Names.size(); ++I)
+    if (Names[I] == Name)
+      return Store.params()[I];
+  reportFatalError("no parameter named " + Name);
+}
+
+//===----------------------------------------------------------------------===//
+// Recurrent cells
+//===----------------------------------------------------------------------===//
+
+RecState reference::cellStep(const ParamStore &Store, const std::string &Cell,
+                             CellKind Kind, const Var &X,
+                             const RecState &Prev) {
+  LIGER_CHECK(Kind != CellKind::Rnn,
+              "the per-gate reference covers the gated cells only");
+  Var PWx = param(Store, Cell + ".Wx");
+  Var PBx = param(Store, Cell + ".bx");
+  Var PWh = param(Store, Cell + ".Wh");
+  size_t H = PWh->Value.dim(1);
+  if (Kind == CellKind::Gru) {
+    Var Wz = rowsView(PWx, 0, H);
+    Var Wr = rowsView(PWx, H, H);
+    Var Wn = rowsView(PWx, 2 * H, H);
+    Var Bz = sliceView(PBx, 0, H);
+    Var Br = sliceView(PBx, H, H);
+    Var Bn = sliceView(PBx, 2 * H, H);
+    Var Uz = rowsView(PWh, 0, H);
+    Var Ur = rowsView(PWh, H, H);
+    Var Un = rowsView(PWh, 2 * H, H);
+    auto Gate = [&](const Var &W, const Var &B, const Var &U,
+                    const Var &HVec) {
+      Var A = matvec(W, X);
+      Var Ab = add(A, B);
+      Var Uh = matvec(U, HVec);
+      return add(Ab, Uh);
+    };
+    Var Z = sigmoidV(Gate(Wz, Bz, Uz, Prev.H));
+    Var Rg = sigmoidV(Gate(Wr, Br, Ur, Prev.H));
+    Var RH = mul(Rg, Prev.H);
+    Var N = tanhV(Gate(Wn, Bn, Un, RH));
+    // h = (1 - z) * n + z * h_prev  =  n + z * (h_prev - n)
+    Var D = sub(Prev.H, N);
+    Var ZD = mul(Z, D);
+    RecState S;
+    S.H = add(N, ZD);
+    return S;
+  }
+  Var Wi = rowsView(PWx, 0, H);
+  Var Wf = rowsView(PWx, H, H);
+  Var Wg = rowsView(PWx, 2 * H, H);
+  Var Wo = rowsView(PWx, 3 * H, H);
+  Var Bi = sliceView(PBx, 0, H);
+  Var Bf = sliceView(PBx, H, H);
+  Var Bg = sliceView(PBx, 2 * H, H);
+  Var Bo = sliceView(PBx, 3 * H, H);
+  Var Ui = rowsView(PWh, 0, H);
+  Var Uf = rowsView(PWh, H, H);
+  Var Ug = rowsView(PWh, 2 * H, H);
+  Var Uo = rowsView(PWh, 3 * H, H);
+  auto Gate = [&](const Var &W, const Var &B, const Var &U) {
+    Var A = matvec(W, X);
+    Var Ab = add(A, B);
+    Var Uh = matvec(U, Prev.H);
+    return add(Ab, Uh);
+  };
+  Var I = sigmoidV(Gate(Wi, Bi, Ui));
+  Var F = sigmoidV(Gate(Wf, Bf, Uf));
+  Var G = tanhV(Gate(Wg, Bg, Ug));
+  Var O = sigmoidV(Gate(Wo, Bo, Uo));
+  Var FC = mul(F, Prev.C);
+  Var IG = mul(I, G);
+  RecState S;
+  S.C = add(FC, IG);
+  Var TC = tanhV(S.C);
+  S.H = mul(O, TC);
+  return S;
+}
+
+std::vector<RecState> reference::cellRun(const ParamStore &Store,
+                                         const std::string &Cell,
+                                         CellKind Kind, RecState Initial,
+                                         const std::vector<Var> &Inputs) {
+  std::vector<RecState> States;
+  States.reserve(Inputs.size());
+  RecState S = Initial;
+  for (const Var &X : Inputs) {
+    S = cellStep(Store, Cell, Kind, X, S);
+    States.push_back(S);
+  }
+  return States;
+}
+
+//===----------------------------------------------------------------------===//
+// Child-Sum TreeLSTM
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct TreeNodeState {
+  Var H = nullptr, C = nullptr;
+};
+
+/// h~ = Σ_k h_k (zero vector for leaves): the same add chain
+/// ChildSumTreeLstm builds as the fused node's HSum parent, so its
+/// nodes and gradient roundings are identical on both paths.
+Var childHSum(const std::vector<Var> &ChildHs, size_t Hidden) {
+  if (ChildHs.empty())
+    return constant(Tensor::zeros(Hidden));
+  Var HSum = ChildHs.size() == 1 ? ChildHs[0] : add(ChildHs[0], ChildHs[1]);
+  for (size_t I = 2; I < ChildHs.size(); ++I)
+    HSum = add(HSum, ChildHs[I]);
+  return HSum;
+}
+
+TreeNodeState
+treeNode(const Var &PWx, const Var &PBx, const Var &PWh, const AstTree &Tree,
+         const std::function<Var(const std::string &)> &Embed) {
+  std::vector<TreeNodeState> Children;
+  Children.reserve(Tree.Children.size());
+  for (const AstTree &Child : Tree.Children)
+    Children.push_back(treeNode(PWx, PBx, PWh, Child, Embed));
+
+  Var X = Embed(Tree.Label);
+
+  size_t H = PWh->Value.dim(1);
+  std::vector<Var> ChildHs;
+  for (const TreeNodeState &Child : Children)
+    ChildHs.push_back(Child.H);
+  Var HSum = childHSum(ChildHs, H);
+
+  // Pack order i, o, u, f.
+  Var WiV = rowsView(PWx, 0, H);
+  Var BiV = sliceView(PBx, 0, H);
+  Var UiV = rowsView(PWh, 0, H);
+  Var WoV = rowsView(PWx, H, H);
+  Var BoV = sliceView(PBx, H, H);
+  Var UoV = rowsView(PWh, H, H);
+  Var WuV = rowsView(PWx, 2 * H, H);
+  Var BuV = sliceView(PBx, 2 * H, H);
+  Var UuV = rowsView(PWh, 2 * H, H);
+  auto Gate = [&](const Var &W, const Var &B, const Var &U,
+                  const Var &HVec) {
+    Var A = matvec(W, X);
+    Var Ab = add(A, B);
+    Var Uh = matvec(U, HVec);
+    return add(Ab, Uh);
+  };
+  Var I = sigmoidV(Gate(WiV, BiV, UiV, HSum));
+  Var O = sigmoidV(Gate(WoV, BoV, UoV, HSum));
+  Var U = tanhV(Gate(WuV, BuV, UuV, HSum));
+
+  // c = i ⊙ u + Σ_k f_k ⊙ c_k, with a per-child forget gate
+  // f_k = σ(Wf x + Uf h_k). The f views are created fresh per child:
+  // a shared view would pre-aggregate the children's weight gradients
+  // before scattering, rounding differently from the fused op's (and
+  // the pre-packing layout's) direct per-child accumulation.
+  Var C = mul(I, U);
+  for (const TreeNodeState &Child : Children) {
+    Var WfV = rowsView(PWx, 3 * H, H);
+    Var BfV = sliceView(PBx, 3 * H, H);
+    Var UfV = rowsView(PWh, 3 * H, H);
+    Var Fk = sigmoidV(Gate(WfV, BfV, UfV, Child.H));
+    Var FC = mul(Fk, Child.C);
+    C = add(C, FC);
+  }
+
+  Var TC = tanhV(C);
+  TreeNodeState Result;
+  Result.C = C;
+  Result.H = mul(O, TC);
+  return Result;
+}
+
+} // namespace
+
+Var reference::treeLstmEmbed(
+    const ParamStore &Store, const std::string &Name, const AstTree &Tree,
+    const std::function<Var(const std::string &)> &Embed) {
+  return treeNode(param(Store, Name + ".Wx"), param(Store, Name + ".bx"),
+                  param(Store, Name + ".Wh"), Tree, Embed)
+      .H;
+}
+
+//===----------------------------------------------------------------------===//
+// Additive attention
+//===----------------------------------------------------------------------===//
+//
+// The scorer stores its first layer packed as W1 [Hidden x (KeyDim +
+// QueryDim)], keys in the leading columns; the reference reads the two
+// halves through colsView bands.
+
+namespace {
+
+struct AttentionParams {
+  Var W1, B1, W2, B2;
+};
+
+AttentionParams attentionParams(const ParamStore &Store,
+                                const std::string &Name) {
+  return {reference::param(Store, Name + ".l1.W"),
+          reference::param(Store, Name + ".l1.b"),
+          reference::param(Store, Name + ".l2.W"),
+          reference::param(Store, Name + ".l2.b")};
+}
+
+} // namespace
+
+std::vector<Var> reference::attentionKeyProjRows(const ParamStore &Store,
+                                                 const std::string &Name,
+                                                 const std::vector<Var> &Keys) {
+  LIGER_CHECK(!Keys.empty(), "attention over an empty key set");
+  AttentionParams P = attentionParams(Store, Name);
+  Var Wk = colsView(P.W1, 0, Keys[0]->Value.size());
+  std::vector<Var> Rows;
+  Rows.reserve(Keys.size());
+  for (const Var &Key : Keys) {
+    Var Mk = matvec(Wk, Key);
+    Var KP = add(Mk, P.B1);
+    Rows.push_back(KP);
+  }
+  return Rows;
+}
+
+Var reference::attentionScores(const ParamStore &Store,
+                               const std::string &Name, const Var &Query,
+                               const std::vector<Var> &KeyProjRows) {
+  AttentionParams P = attentionParams(Store, Name);
+  size_t QueryDim = Query->Value.size();
+  size_t KeyDim = P.W1->Value.dim(1) - QueryDim;
+  Var Wq = colsView(P.W1, KeyDim, QueryDim);
+  Var Mq = matvec(Wq, Query);
+  std::vector<Var> Scores;
+  Scores.reserve(KeyProjRows.size());
+  for (const Var &KP : KeyProjRows) {
+    Var Pre = add(KP, Mq);
+    Var Act = tanhV(Pre);
+    Var M2 = matvec(P.W2, Act);
+    Scores.push_back(add(M2, P.B2));
+  }
+  return stackScalars(Scores);
+}
+
+Var reference::attentionPairScore(const ParamStore &Store,
+                                  const std::string &Name, const Var &Query,
+                                  const Var &Key) {
+  AttentionParams P = attentionParams(Store, Name);
+  size_t KeyDim = Key->Value.size(), QueryDim = Query->Value.size();
+  Var Wk = colsView(P.W1, 0, KeyDim);
+  Var Mk = matvec(Wk, Key);
+  Var KP = add(Mk, P.B1);
+  Var Wq = colsView(P.W1, KeyDim, QueryDim);
+  Var Mq = matvec(Wq, Query);
+  Var Pre = add(KP, Mq);
+  Var Act = tanhV(Pre);
+  Var M2 = matvec(P.W2, Act);
+  return add(M2, P.B2);
+}
+
+AttentionScorer::Result reference::attentionContext(
+    const ParamStore &Store, const std::string &Name, const Var &Query,
+    const std::vector<Var> &Keys, const std::vector<Var> &KeyProjRows) {
+  Var Scores = attentionScores(Store, Name, Query, KeyProjRows);
+  Var A = softmax(Scores);
+  AttentionScorer::Result Out;
+  Out.Context = weightedCombine(Keys, A);
+  Out.Weights = A->Value.data();
+  return Out;
+}

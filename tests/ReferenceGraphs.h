@@ -1,0 +1,84 @@
+//===-- tests/ReferenceGraphs.h - Per-gate and per-pair oracles -*- C++ -*-===//
+//
+// Part of the LIGER reproduction project.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The reference graphs the fused ops of nn/Graph.h are pinned against.
+/// Each function rebuilds one fused op as a chain of elementary graph
+/// nodes: per-gate matvecs over rowsView/sliceView blocks of a cell's
+/// packed weights, and per-key score chains over colsView bands of an
+/// attention scorer's packed first layer.
+///
+/// The fused backward closures replay exactly these chains in
+/// descending creation order, which is what makes the two paths
+/// bitwise-identical in loss, gradients and post-Adam parameters. Node
+/// creation order is therefore load-bearing: every op below is its own
+/// sequenced statement (nested calls would leave argument evaluation
+/// order unspecified), and the TreeLSTM creates fresh forget-gate views
+/// per child.
+///
+/// The functions read a module's packed parameters by name from its
+/// ParamStore. A test builds the production module, which registers and
+/// initializes the parameters, and runs both paths over the same
+/// weights.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef LIGER_TESTS_REFERENCEGRAPHS_H
+#define LIGER_TESTS_REFERENCEGRAPHS_H
+
+#include "nn/Module.h"
+
+namespace liger::reference {
+
+/// The parameter registered as \p Name in \p Store (fatal if absent).
+Var param(const ParamStore &Store, const std::string &Name);
+
+/// One per-gate step of the GRU or LSTM cell registered as \p Cell
+/// (packed parameters Cell.Wx, Cell.bx, Cell.Wh) — the reference for
+/// RecurrentCell::step.
+RecState cellStep(const ParamStore &Store, const std::string &Cell,
+                  CellKind Kind, const Var &X, const RecState &Prev);
+
+/// RecurrentCell::run through cellStep: folds \p Inputs from
+/// \p Initial and returns the state after each input.
+std::vector<RecState> cellRun(const ParamStore &Store, const std::string &Cell,
+                              CellKind Kind, RecState Initial,
+                              const std::vector<Var> &Inputs);
+
+/// Per-gate embedding of \p Tree by the Child-Sum TreeLSTM registered
+/// as \p Name — the reference for ChildSumTreeLstm::embed.
+Var treeLstmEmbed(const ParamStore &Store, const std::string &Name,
+                  const AstTree &Tree,
+                  const std::function<Var(const std::string &)> &Embed);
+
+/// Key-side first-layer rows add(matvec(colsView(W1, 0, KeyDim), k), b1)
+/// of the attention scorer registered as \p Name, one node per key —
+/// the reference for AttentionScorer::prepare.
+std::vector<Var> attentionKeyProjRows(const ParamStore &Store,
+                                      const std::string &Name,
+                                      const std::vector<Var> &Keys);
+
+/// All pre-softmax scores of \p Query over prepared key rows as one [T]
+/// node: the query-side matvec, then one tanh / second-layer chain per
+/// key.
+Var attentionScores(const ParamStore &Store, const std::string &Name,
+                    const Var &Query, const std::vector<Var> &KeyProjRows);
+
+/// The score of one (query, key) pair, built from scratch.
+Var attentionPairScore(const ParamStore &Store, const std::string &Name,
+                       const Var &Query, const Var &Key);
+
+/// One attention read: softmax of attentionScores, then the weighted
+/// key sum — the reference for AttentionScorer::contextOf.
+AttentionScorer::Result attentionContext(const ParamStore &Store,
+                                         const std::string &Name,
+                                         const Var &Query,
+                                         const std::vector<Var> &Keys,
+                                         const std::vector<Var> &KeyProjRows);
+
+} // namespace liger::reference
+
+#endif // LIGER_TESTS_REFERENCEGRAPHS_H
