@@ -18,7 +18,11 @@
 // Emits BENCH_pipeline.json with seconds per regime, the warm speedup,
 // per-phase breakdowns, cache counters, and two determinism checks:
 // the corpus fingerprint must be identical across thread counts and
-// across off/cold/warm.
+// across off/cold/warm. It also reports trace-construction seconds per
+// kept method, the cost framing of the paper's data-reliance result
+// (Fig. 7: LIGER matches DYPRO with about 5x fewer concrete
+// executions): wall seconds of each cold run and the cold t=1 phase
+// CPU seconds, each divided by the number of kept methods.
 //
 // Usage: pipeline_throughput [--methods=N] [--paths=N] [--execs=N]
 //                            [--seed=N] [--threads=N]
@@ -70,13 +74,33 @@ RunResult runWorkload(const ExperimentScale &Scale, size_t Threads,
   return Result;
 }
 
+/// Wall seconds of \p R per kept method (0 when nothing was kept).
+double secondsPerKept(const RunResult &R) {
+  return R.Stats.Kept ? R.Seconds / static_cast<double>(R.Stats.Kept) : 0;
+}
+
+/// Summed pipeline-phase CPU seconds of \p R (cold runs).
+double phaseCpuSeconds(const RunResult &R) {
+  return R.Stats.PhaseExploreSeconds + R.Stats.PhaseSymbolicSeconds +
+         R.Stats.PhaseMutateSeconds + R.Stats.PhaseRecordSeconds;
+}
+
 void printRun(const char *Label, const RunResult &R) {
-  std::printf("%-18s threads=%zu  %.2fs  kept=%zu  hit/miss/bypass="
-              "%zu/%zu/%zu  fingerprint=%016llx\n",
-              Label, R.Threads, R.Seconds, R.Stats.Kept, R.Stats.CacheHits,
+  std::printf("%-18s threads=%zu  %.2fs  kept=%zu  %.2f ms/kept  "
+              "hit/miss/bypass=%zu/%zu/%zu  fingerprint=%016llx\n",
+              Label, R.Threads, R.Seconds, R.Stats.Kept,
+              secondsPerKept(R) * 1e3, R.Stats.CacheHits,
               R.Stats.CacheMisses, R.Stats.CacheBypassed,
               static_cast<unsigned long long>(R.Fingerprint));
 }
+
+// Whether this binary was compiled optimized; recorded in the JSON so
+// numbers from an assertion-enabled build are recognizable.
+#if defined(NDEBUG) && defined(__OPTIMIZE__)
+constexpr const char *BuildType = "optimized";
+#else
+constexpr const char *BuildType = "unoptimized";
+#endif
 
 } // namespace
 
@@ -146,7 +170,14 @@ int main(int Argc, char **Argv) {
   double WarmSpeedup = Warm.front().Seconds > 0
                            ? Cold.front().Seconds / Warm.front().Seconds
                            : 0;
-  std::printf("\nwarm speedup over cold (t=1): %.1fx\n", WarmSpeedup);
+  double KeptCount = static_cast<double>(Off.Stats.Kept);
+  double PhaseCpuPerKept =
+      KeptCount > 0 ? phaseCpuSeconds(Cold.front()) / KeptCount : 0;
+  std::printf("\ntrace construction per kept method: %.2f ms wall at "
+              "t=%zu, %.2f ms phase CPU\n",
+              secondsPerKept(Cold.back()) * 1e3, Cold.back().Threads,
+              PhaseCpuPerKept * 1e3);
+  std::printf("warm speedup over cold (t=1): %.1fx\n", WarmSpeedup);
   std::printf("corpus identical across thread counts: %s\n",
               ColdDeterministic ? "OK (bitwise)" : "FAILED");
   std::printf("corpus identical off/cold/warm: %s\n",
@@ -168,6 +199,7 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Scale.Seed));
   std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", BuildType);
   std::fprintf(F, "  \"baseline_off_seconds\": %.3f,\n", Off.Seconds);
   std::fprintf(F,
                "  \"phase_seconds_cold\": {\"explore\": %.3f, \"symbolic\": "
@@ -178,6 +210,8 @@ int main(int Argc, char **Argv) {
                Cold.front().Stats.PhaseRecordSeconds);
   std::fprintf(F, "  \"phase_seconds_warm\": {\"replay\": %.3f},\n",
                Warm.front().Stats.PhaseReplaySeconds);
+  std::fprintf(F, "  \"cold_phase_cpu_seconds_per_kept_method\": %.6f,\n",
+               PhaseCpuPerKept);
   auto EmitRuns = [F](const char *Key, const std::vector<RunResult> &Runs,
                       const RunResult &Off) {
     std::fprintf(F, "  \"%s\": [\n", Key);
@@ -185,9 +219,10 @@ int main(int Argc, char **Argv) {
       const RunResult &R = Runs[I];
       std::fprintf(F,
                    "    {\"threads\": %zu, \"seconds\": %.3f, "
+                   "\"seconds_per_kept_method\": %.6f, "
                    "\"cache_hits\": %zu, \"cache_misses\": %zu, "
                    "\"fingerprint_matches_off\": %s}%s\n",
-                   R.Threads, R.Seconds, R.Stats.CacheHits,
+                   R.Threads, R.Seconds, secondsPerKept(R), R.Stats.CacheHits,
                    R.Stats.CacheMisses,
                    R.Fingerprint == Off.Fingerprint ? "true" : "false",
                    I + 1 < Runs.size() ? "," : "");

@@ -11,12 +11,14 @@
 #      the equivalence suites that pin the fused ops against the
 #      reference graphs in tests/ReferenceGraphs and the batched ops
 #      against per-lane loops;
-#   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite and
-#      the thread-determinism corpus suites under ASan+UBSan;
+#   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite, the
+#      thread-determinism corpus suites and the golden interpreter/corpus
+#      digests under ASan+UBSan;
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
-#      budget, lexer byte totality, interpreter memory budget) plus a
-#      liger_fuzz smoke burst and the regression-corpus replay, all
-#      under ASan+UBSan (DESIGN.md §12);
+#      budget, lexer byte totality, interpreter memory budget), the
+#      wrapping-int and slot-layout suites of the interpreter and symx,
+#      plus a liger_fuzz smoke burst and the regression-corpus replay,
+#      all under ASan+UBSan (DESIGN.md §12);
 #   3c. sanitized serving: the forward-only runtime suites (bitwise
 #      inference equivalence, LGWI truncation/corruption/mmap fuzz,
 #      shared trace-cache concurrency) and a liger_serve --smoke burst
@@ -68,17 +70,19 @@ step "sanitized gradcheck build (build-asan)"
 cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
   --target nn_tests testgen_tests dataset_tests interp_tests lang_tests \
-           eval_tests serve_tests liger_fuzz liger_serve
+           symx_tests eval_tests serve_tests liger_fuzz liger_serve
 "$REPO/build-asan/tests/nn_tests" \
   --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
 "$REPO/build-asan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
 "$REPO/build-asan/tests/dataset_tests" \
-  --gtest_filter='CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*'
+  --gtest_filter='CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*:GoldenDigestTest.*'
 
 step "sanitized hardening: depth/memory budgets + fuzz smoke (build-asan)"
-"$REPO/build-asan/tests/interp_tests" --gtest_filter='InterpHardeningTest.*'
+"$REPO/build-asan/tests/interp_tests" \
+  --gtest_filter='InterpHardeningTest.*:InterpIntSemanticsTest.*:FrameLayoutTest.*'
+"$REPO/build-asan/tests/symx_tests" --gtest_filter='SymxIntSemanticsTest.*'
 "$REPO/build-asan/tests/lang_tests" \
   --gtest_filter='ParserDepthTest.*:LexerHardeningTest.*'
 "$REPO/build-asan/tools/liger_fuzz" --smoke --replay "$REPO/tests/fuzz-corpus"

@@ -12,6 +12,9 @@
 #include "support/ThreadPool.h"
 #include "testgen/TraceCache.h"
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -248,6 +251,31 @@ bool buildSample(const std::string &Source, const std::string &MethodName,
   return true;
 }
 
+/// Calls Fn(I) for every I in [0, NumTasks) on \p Threads workers (<= 1
+/// runs inline). Workers claim the next unclaimed index from a shared
+/// counter instead of owning a fixed block: per-method cost varies by
+/// orders of magnitude (a parse failure is free, a non-terminating
+/// method burns its whole fuel budget on every probe), so fixed blocks
+/// leave workers idle behind whichever one drew the slow methods.
+/// Which worker runs an index is therefore unspecified; Fn must write
+/// only its index's own slot, and callers reduce slots in index order
+/// (DESIGN.md §10).
+void forEachClaimed(size_t NumTasks, size_t Threads,
+                    const std::function<void(size_t)> &Fn) {
+  size_t Workers = std::min(Threads, NumTasks);
+  if (Workers <= 1) {
+    for (size_t I = 0; I < NumTasks; ++I)
+      Fn(I);
+    return;
+  }
+  std::atomic<size_t> Next{0};
+  ThreadPool Pool(Workers);
+  Pool.run(Workers, [&](size_t) {
+    for (size_t I = Next++; I < NumTasks; I = Next++)
+      Fn(I);
+  });
+}
+
 /// Adds every counter and timing of \p From into \p Into (the
 /// index-order reduction of per-worker stats).
 void accumulateStats(CorpusStats &Into, const CorpusStats &From) {
@@ -288,8 +316,7 @@ liger::generateMethodCorpus(const CorpusOptions &Options,
   // before the parallel region.
   const std::vector<TaskSpec> &Library = taskLibrary();
 
-  ThreadPool Pool(Options.Threads <= 1 ? 0 : Options.Threads);
-  Pool.run(Options.NumMethods, [&](size_t Index) {
+  forEachClaimed(Options.NumMethods, Options.Threads, [&](size_t Index) {
     SampleSlot &Slot = Slots[Index];
     ++Slot.Stats.Requested;
     Rng R(perTaskSeed(Options.Seed, Index, /*Salt=*/0x4D455448)); // "METH"
@@ -365,8 +392,7 @@ liger::generateCosetCorpus(const CosetOptions &Options,
   };
   std::vector<ClassSlot> Slots(Classes.size());
 
-  ThreadPool Pool(Options.Threads <= 1 ? 0 : Options.Threads);
-  Pool.run(Classes.size(), [&](size_t C) {
+  forEachClaimed(Classes.size(), Options.Threads, [&](size_t C) {
     const ClassSpec &Spec = Classes[C];
     ClassSlot &Slot = Slots[C];
     Rng R(perTaskSeed(Options.Seed, C, /*Salt=*/0x434F5345)); // "COSE"

@@ -6,7 +6,7 @@
 
 #include "interp/Interpreter.h"
 
-#include "lang/TypeCheck.h"
+#include "interp/IntOps.h"
 #include "support/Error.h"
 
 #include <functional>
@@ -24,20 +24,23 @@ enum class Flow { Normal, Break, Continue, Return };
 /// environments and instrumentation disabled.
 class Engine {
 public:
-  Engine(const Program &P, const InterpOptions &Options)
-      : P(P), Options(Options), FuelLeft(Options.Fuel) {}
+  Engine(const FrameLayout &Layout, const InterpOptions &Options)
+      : Layout(Layout), P(Layout.program()), Options(Options),
+        FuelLeft(Options.Fuel), Cells(Layout.numSlots()),
+        LastKnown(Layout.varNames().size()) {}
 
-  ExecResult run(const FunctionDecl &Fn, const std::vector<Value> &Args) {
+  ExecResult run(const std::vector<Value> &Args) {
+    const FunctionDecl &Fn = Layout.function();
     ExecResult Result;
-    Result.VarNames = collectVariableTuple(Fn);
-    TraceVarNames = &Result.VarNames;
+    Result.VarNames = Layout.varNames();
     Trace = &Result;
 
     LIGER_CHECK(Args.size() == Fn.Params.size(),
                 "argument count must match parameter count");
     pushFrame();
-    for (size_t I = 0; I < Fn.Params.size(); ++I)
-      declare(Fn.Params[I].Name, Args[I]);
+    const std::vector<uint32_t> &Params = Layout.paramSlots(Fn);
+    for (size_t I = 0; I < Params.size(); ++I)
+      declare(Params[I], Args[I]);
 
     if (Options.RecordStates)
       Result.InitialState = snapshotState();
@@ -48,7 +51,7 @@ public:
     Flow F = Flow::Normal;
     if (Fn.Body && !stopped())
       F = execBlock(Fn.Body, /*Instrument=*/true);
-    popFrame();
+    popFrame(/*Persist=*/false);
 
     if (Failed) {
       Result.Status = ExecStatus::RuntimeError;
@@ -76,58 +79,83 @@ private:
   // Environment
   //===--------------------------------------------------------------------===//
 
-  using Frame = std::unordered_map<std::string, Value>;
+  // Shallow binding: each slot's cell holds the innermost live binding
+  // of its name, tagged with the depth of the frame that made it. A
+  // declaration that shadows a binding from an outer frame (or from a
+  // caller: scoping is dynamic) saves the old cell on Shadowed;
+  // popping the frame restores it. Lookup is one index, and a frame
+  // costs nothing unless it declares.
 
-  void pushFrame() { Frames.emplace_back(); }
-  void popFrame() { Frames.pop_back(); }
+  struct Cell {
+    Value V;
+    uint32_t Depth = 0; ///< Frame depth of the binding; 0 = unbound.
+  };
+  struct ShadowedCell {
+    uint32_t Slot;
+    uint32_t Depth;
+    Value V;
+  };
 
-  void declare(const std::string &Name, Value V) {
-    Frames.back()[Name] = V;
-    if (CallDepth == 0) // only the traced top-level activation
-      LastKnown[Name] = V;
-  }
+  void pushFrame() { FrameMarks.push_back(Shadowed.size()); }
 
-  Value *lookup(const std::string &Name) {
-    for (auto It = Frames.rbegin(); It != Frames.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
+  /// Unbinds the innermost frame's declarations. With \p Persist (the
+  /// traced activation's scopes) a dying tuple variable's final value
+  /// becomes its LastKnown fallback.
+  void popFrame(bool Persist) {
+    size_t Mark = FrameMarks.back();
+    FrameMarks.pop_back();
+    while (Shadowed.size() > Mark) {
+      ShadowedCell &Old = Shadowed.back();
+      Cell &C = Cells[Old.Slot];
+      if (Persist && Old.Slot < LastKnown.size())
+        LastKnown[Old.Slot] = std::move(C.V);
+      C.V = std::move(Old.V);
+      C.Depth = Old.Depth;
+      Shadowed.pop_back();
     }
-    return nullptr;
   }
 
-  /// Snapshot of the fixed variable tuple, deep-copied. Variables that
-  /// went out of scope keep their last known value (matching the
-  /// paper's presentation where a state is the accumulated variable
-  /// valuation); never-declared variables are ⊥.
-  std::vector<Value> snapshotState() {
+  /// Binds \p Slot in the innermost frame; redeclaring a name in the
+  /// same frame overwrites its binding.
+  void declare(uint32_t Slot, Value V) {
+    Cell &C = Cells[Slot];
+    uint32_t Depth = static_cast<uint32_t>(FrameMarks.size());
+    if (C.Depth != Depth) {
+      Shadowed.push_back({Slot, C.Depth, std::move(C.V)});
+      C.Depth = Depth;
+    }
+    C.V = std::move(V);
+  }
+
+  Value *lookup(uint32_t Slot) {
+    Cell &C = Cells[Slot];
+    return C.Depth != 0 ? &C.V : nullptr;
+  }
+
+  /// The value a snapshot shows for tuple slot \p Slot: the live
+  /// binding, else the last value the variable had before going out of
+  /// scope (the paper's accumulated valuation), else ⊥.
+  const Value &stateValue(uint32_t Slot) const {
+    const Cell &C = Cells[Slot];
+    return C.Depth != 0 ? C.V : LastKnown[Slot];
+  }
+
+  /// Snapshot of the fixed variable tuple, deep-copied.
+  std::vector<Value> snapshotState() const {
     std::vector<Value> State;
-    State.reserve(TraceVarNames->size());
-    for (const std::string &Name : *TraceVarNames) {
-      if (Value *V = lookup(Name))
-        State.push_back(V->deepCopy());
-      else {
-        auto It = LastKnown.find(Name);
-        State.push_back(It == LastKnown.end() ? Value::undef()
-                                              : It->second.deepCopy());
-      }
-    }
+    State.reserve(LastKnown.size());
+    for (uint32_t Slot = 0; Slot < LastKnown.size(); ++Slot)
+      State.push_back(stateValue(Slot).deepCopy());
     return State;
   }
 
   /// What snapshotState() would allocate, without allocating it. Used
   /// to charge snapshot costs identically whether states are recorded
   /// or not (see InterpOptions::MaxMemoryBytes).
-  uint64_t stateBytes() {
+  uint64_t stateBytes() const {
     uint64_t Total = 0;
-    for (const std::string &Name : *TraceVarNames) {
-      if (Value *V = lookup(Name)) {
-        Total += V->approxBytes();
-        continue;
-      }
-      auto It = LastKnown.find(Name);
-      Total += It == LastKnown.end() ? 16 : It->second.approxBytes();
-    }
+    for (uint32_t Slot = 0; Slot < LastKnown.size(); ++Slot)
+      Total += stateValue(Slot).approxBytes();
     return Total;
   }
 
@@ -222,11 +250,7 @@ private:
       if (F != Flow::Normal || stopped())
         break;
     }
-    // Persist this frame's bindings for snapshot fallback before popping.
-    if (Instrument)
-      for (auto &Entry : Frames.back())
-        LastKnown[Entry.first] = Entry.second;
-    popFrame();
+    popFrame(/*Persist=*/Instrument);
     return F;
   }
 
@@ -255,7 +279,7 @@ private:
         }
         Init = Value::zeroOf(Decl->declType(), SD);
       }
-      declare(Decl->name(), Init);
+      declare(Layout.slot(Decl->id()), std::move(Init));
       record(S, StepKind::Plain, Instrument);
       return Flow::Normal;
     }
@@ -306,7 +330,7 @@ private:
       if (For->init()) {
         execStmt(For->init(), Instrument);
         if (stopped()) {
-          popFrame();
+          popFrame(/*Persist=*/false);
           return Flow::Normal;
         }
       }
@@ -338,10 +362,7 @@ private:
             break;
         }
       }
-      if (Instrument)
-        for (auto &Entry : Frames.back())
-          LastKnown[Entry.first] = Entry.second;
-      popFrame();
+      popFrame(/*Persist=*/Instrument);
       return Result;
     }
     case StmtKind::Return: {
@@ -381,7 +402,7 @@ private:
     // Resolve the target cell.
     Value *Cell = nullptr;
     if (const auto *Var = dyn_cast<VarExpr>(S->target())) {
-      Cell = lookup(Var->name());
+      Cell = lookup(Layout.slot(Var->id()));
       if (!Cell) {
         fail("assignment to undeclared variable '" + Var->name() + "'");
         return;
@@ -425,8 +446,7 @@ private:
     }
 
     if (S->op() == AssignOp::Set) {
-      *Cell = NewValue;
-      syncLastKnown(S->target());
+      *Cell = std::move(NewValue);
       return;
     }
 
@@ -438,7 +458,6 @@ private:
                         NewValue.asString().size()))
         return;
       *Cell = Value::makeString(Cell->asString() + NewValue.asString());
-      syncLastKnown(S->target());
       return;
     }
     if (!Cell->isInt() || !NewValue.isInt()) {
@@ -449,38 +468,27 @@ private:
     int64_t R = NewValue.asInt();
     int64_t Out = 0;
     switch (S->op()) {
-    case AssignOp::Add: Out = L + R; break;
-    case AssignOp::Sub: Out = L - R; break;
-    case AssignOp::Mul: Out = L * R; break;
+    case AssignOp::Add: Out = wrapAdd(L, R); break;
+    case AssignOp::Sub: Out = wrapSub(L, R); break;
+    case AssignOp::Mul: Out = wrapMul(L, R); break;
     case AssignOp::Div:
       if (R == 0) {
         fail("division by zero");
         return;
       }
-      Out = L / R;
+      Out = wrapDiv(L, R);
       break;
     case AssignOp::Mod:
       if (R == 0) {
         fail("modulo by zero");
         return;
       }
-      Out = L % R;
+      Out = wrapMod(L, R);
       break;
     case AssignOp::Set:
       LIGER_UNREACHABLE("Set handled above");
     }
     *Cell = Value::makeInt(Out);
-    syncLastKnown(S->target());
-  }
-
-  /// Keeps the LastKnown fallback in sync with direct variable writes in
-  /// the traced (outermost) activation.
-  void syncLastKnown(const Expr *Target) {
-    if (CallDepth != 0)
-      return;
-    if (const auto *Var = dyn_cast<VarExpr>(Target))
-      if (Value *Cell = lookup(Var->name()))
-        LastKnown[Var->name()] = *Cell;
   }
 
   //===--------------------------------------------------------------------===//
@@ -498,7 +506,7 @@ private:
     case ExprKind::StringLit:
       return Value::makeString(cast<StringLitExpr>(E)->value());
     case ExprKind::Var: {
-      if (Value *V = lookup(cast<VarExpr>(E)->name()))
+      if (Value *V = lookup(Layout.slot(E->id())))
         return *V;
       fail("use of undeclared variable '" + cast<VarExpr>(E)->name() + "'");
       return Value::undef();
@@ -620,7 +628,7 @@ private:
         int64_t V = 0;
         if (!wantInt(Operand, V, "negation operand"))
           return Value::undef();
-        return Value::makeInt(-V);
+        return Value::makeInt(wrapNeg(V));
       }
       bool B = false;
       if (!wantBool(Operand, B, "'!' operand"))
@@ -685,23 +693,23 @@ private:
 
     switch (E->op()) {
     case BinaryOp::Add:
-      return Value::makeInt(LI + RI);
+      return Value::makeInt(wrapAdd(LI, RI));
     case BinaryOp::Sub:
-      return Value::makeInt(LI - RI);
+      return Value::makeInt(wrapSub(LI, RI));
     case BinaryOp::Mul:
-      return Value::makeInt(LI * RI);
+      return Value::makeInt(wrapMul(LI, RI));
     case BinaryOp::Div:
       if (RI == 0) {
         fail("division by zero");
         return Value::undef();
       }
-      return Value::makeInt(LI / RI);
+      return Value::makeInt(wrapDiv(LI, RI));
     case BinaryOp::Mod:
       if (RI == 0) {
         fail("modulo by zero");
         return Value::undef();
       }
-      return Value::makeInt(LI % RI);
+      return Value::makeInt(wrapMod(LI, RI));
     case BinaryOp::Lt:
       return Value::makeBool(LI < RI);
     case BinaryOp::Le:
@@ -777,7 +785,7 @@ private:
       int64_t V = 0;
       if (!wantArity(1) || !wantInt(Args[0], V, "'abs' argument"))
         return Value::undef();
-      return Value::makeInt(V < 0 ? -V : V);
+      return Value::makeInt(wrapAbs(V));
     }
     if (Callee == "min" || Callee == "max") {
       int64_t A = 0, B = 0;
@@ -803,18 +811,19 @@ private:
       return Value::undef();
     }
 
-    size_t SavedFrameCount = Frames.size();
+    size_t SavedFrameCount = FrameMarks.size();
     Value SavedReturn = ReturnValue;
     ++CallDepth;
     pushFrame();
-    for (size_t I = 0; I < Fn->Params.size(); ++I)
-      Frames.back()[Fn->Params[I].Name] = Args[I];
+    const std::vector<uint32_t> &Params = Layout.paramSlots(*Fn);
+    for (size_t I = 0; I < Params.size(); ++I)
+      declare(Params[I], std::move(Args[I]));
     Flow F = Flow::Normal;
     if (Fn->Body)
       F = execBlock(Fn->Body, /*Instrument=*/false);
-    popFrame();
+    popFrame(/*Persist=*/false);
     --CallDepth;
-    LIGER_CHECK(Frames.size() == SavedFrameCount, "unbalanced frames");
+    LIGER_CHECK(FrameMarks.size() == SavedFrameCount, "unbalanced frames");
 
     Value Result = F == Flow::Return ? ReturnValue : Value::undef();
     ReturnValue = SavedReturn;
@@ -823,13 +832,15 @@ private:
     return Result;
   }
 
+  const FrameLayout &Layout;
   const Program &P;
   const InterpOptions &Options;
   uint64_t FuelLeft;
 
-  std::vector<Frame> Frames;
-  std::unordered_map<std::string, Value> LastKnown;
-  const std::vector<std::string> *TraceVarNames = nullptr;
+  std::vector<Cell> Cells;                 ///< One per layout slot.
+  std::vector<ShadowedCell> Shadowed;      ///< Undo log of shadowed cells.
+  std::vector<size_t> FrameMarks;          ///< Shadowed.size() per frame.
+  std::vector<Value> LastKnown;            ///< Per tuple slot.
   ExecResult *Trace = nullptr;
 
   bool Failed = false;
@@ -890,9 +901,106 @@ std::vector<std::string> liger::collectVariableTuple(const FunctionDecl &Fn) {
   return Names;
 }
 
+FrameLayout::FrameLayout(const Program &P, const FunctionDecl &Fn)
+    : P(&P), Fn(&Fn), VarNames(collectVariableTuple(Fn)),
+      NodeSlots(P.context().numNodes(), 0) {
+  std::unordered_map<std::string, uint32_t> Index;
+  auto Intern = [&](const std::string &Name) {
+    auto [It, Inserted] = Index.emplace(Name, static_cast<uint32_t>(NumSlots));
+    if (Inserted)
+      ++NumSlots;
+    return It->second;
+  };
+  // The tuple goes first, so tuple position I is slot I.
+  for (const std::string &Name : VarNames)
+    Intern(Name);
+  auto Bind = [&](NodeId Id, const std::string &Name) {
+    if (Id >= NodeSlots.size())
+      NodeSlots.resize(Id + 1, 0);
+    NodeSlots[Id] = Intern(Name);
+  };
+
+  std::function<void(const Expr *)> WalkExpr = [&](const Expr *E) {
+    if (!E)
+      return;
+    if (const auto *Var = dyn_cast<VarExpr>(E))
+      Bind(Var->id(), Var->name());
+    E->forEachChild(WalkExpr);
+  };
+  std::function<void(const Stmt *)> WalkStmt = [&](const Stmt *S) {
+    if (!S)
+      return;
+    switch (S->kind()) {
+    case StmtKind::Decl: {
+      const auto *Decl = cast<DeclStmt>(S);
+      WalkExpr(Decl->init());
+      Bind(Decl->id(), Decl->name());
+      return;
+    }
+    case StmtKind::Assign:
+      WalkExpr(cast<AssignStmt>(S)->target());
+      WalkExpr(cast<AssignStmt>(S)->value());
+      return;
+    case StmtKind::If:
+      WalkExpr(cast<IfStmt>(S)->cond());
+      WalkStmt(cast<IfStmt>(S)->thenStmt());
+      WalkStmt(cast<IfStmt>(S)->elseStmt());
+      return;
+    case StmtKind::While:
+      WalkExpr(cast<WhileStmt>(S)->cond());
+      WalkStmt(cast<WhileStmt>(S)->body());
+      return;
+    case StmtKind::For: {
+      const auto *For = cast<ForStmt>(S);
+      WalkStmt(For->init());
+      WalkExpr(For->cond());
+      WalkStmt(For->step());
+      WalkStmt(For->body());
+      return;
+    }
+    case StmtKind::Return:
+      WalkExpr(cast<ReturnStmt>(S)->value());
+      return;
+    case StmtKind::Block:
+      for (const Stmt *Child : cast<BlockStmt>(S)->body())
+        WalkStmt(Child);
+      return;
+    case StmtKind::Expr:
+      WalkExpr(cast<ExprStmt>(S)->expr());
+      return;
+    case StmtKind::Break:
+    case StmtKind::Continue:
+      return;
+    }
+  };
+  ParamSlots.reserve(P.Functions.size());
+  for (const FunctionDecl &F : P.Functions) {
+    std::vector<uint32_t> Params;
+    Params.reserve(F.Params.size());
+    for (const TypedName &Param : F.Params)
+      Params.push_back(Intern(Param.Name));
+    WalkStmt(F.Body);
+    ParamSlots.push_back(std::move(Params));
+  }
+  paramSlots(Fn); // checks that Fn belongs to P
+}
+
+const std::vector<uint32_t> &
+FrameLayout::paramSlots(const FunctionDecl &F) const {
+  size_t Index = static_cast<size_t>(&F - P->Functions.data());
+  LIGER_CHECK(Index < ParamSlots.size(), "function is not in the program");
+  return ParamSlots[Index];
+}
+
+ExecResult liger::execute(const FrameLayout &Layout,
+                          const std::vector<Value> &Args,
+                          const InterpOptions &Options) {
+  Engine E(Layout, Options);
+  return E.run(Args);
+}
+
 ExecResult liger::execute(const Program &P, const FunctionDecl &Fn,
                           const std::vector<Value> &Args,
                           const InterpOptions &Options) {
-  Engine E(P, Options);
-  return E.run(Fn, Args);
+  return execute(FrameLayout(P, Fn), Args, Options);
 }

@@ -21,8 +21,9 @@
 /// like `s = s + s` in a loop become MemoryLimit before they can OOM
 /// the process), and total: runtime errors (division by zero, index out
 /// of range, type-confused operands when the type checker was bypassed,
-/// ...) produce a RuntimeError status, not a crash. The bounded-
-/// execution contract is documented in DESIGN.md §12.
+/// ...) produce a RuntimeError status, not a crash. Integer arithmetic
+/// wraps like Java's `long` (interp/IntOps.h). The bounded-execution
+/// contract is documented in DESIGN.md §12.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +33,7 @@
 #include "interp/Value.h"
 #include "lang/Ast.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -104,9 +106,55 @@ struct InterpOptions {
 /// declared local in source order (first occurrence of each name).
 std::vector<std::string> collectVariableTuple(const FunctionDecl &Fn);
 
-/// Executes \p Fn from \p P on \p Args (must match the parameter count;
-/// type agreement is the caller's responsibility — corpus inputs are
-/// generated from the signature).
+/// The variables of \p Fn and of every function of its program,
+/// resolved once to integer slots (DESIGN.md §12.2). Every distinct
+/// variable name of the program gets one slot, and every VarExpr,
+/// DeclStmt and parameter records the slot of its name; slots
+/// [0, varNames().size()) are the traced function's variable tuple in
+/// tuple order. Resolution is by name only, so it needs no type check;
+/// execution binds and unbinds slots as scopes open and close, so
+/// scoping stays dynamic (a callee sees its caller's live bindings).
+///
+/// Immutable once built and safe to share between threads. Holds
+/// pointers into the program, which must outlive it. Build one per
+/// function and reuse it for all of its executions.
+class FrameLayout {
+public:
+  /// \p Fn must be one of \p P's functions.
+  FrameLayout(const Program &P, const FunctionDecl &Fn);
+
+  const Program &program() const { return *P; }
+  const FunctionDecl &function() const { return *Fn; }
+  /// The traced function's variable tuple (collectVariableTuple(Fn)).
+  const std::vector<std::string> &varNames() const { return VarNames; }
+  /// Number of distinct variable names in the program.
+  size_t numSlots() const { return NumSlots; }
+
+  /// Slot of a VarExpr or DeclStmt reachable from the program.
+  uint32_t slot(NodeId Id) const { return NodeSlots[Id]; }
+  /// Slots of \p F's parameters, in declaration order; \p F is one of
+  /// the program's functions.
+  const std::vector<uint32_t> &paramSlots(const FunctionDecl &F) const;
+
+private:
+  const Program *P;
+  const FunctionDecl *Fn;
+  std::vector<std::string> VarNames;
+  size_t NumSlots = 0;
+  std::vector<uint32_t> NodeSlots;
+  /// Parallel to P->Functions.
+  std::vector<std::vector<uint32_t>> ParamSlots;
+};
+
+/// Executes the layout's function on \p Args (must match the parameter
+/// count; type agreement is the caller's responsibility — corpus inputs
+/// are generated from the signature).
+ExecResult execute(const FrameLayout &Layout, const std::vector<Value> &Args,
+                   const InterpOptions &Options = {});
+
+/// Executes \p Fn from \p P on \p Args, building its FrameLayout first.
+/// Callers that execute one function many times should build the
+/// layout once and use the overload above.
 ExecResult execute(const Program &P, const FunctionDecl &Fn,
                    const std::vector<Value> &Args,
                    const InterpOptions &Options = {});

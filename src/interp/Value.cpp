@@ -41,18 +41,18 @@ Value Value::deepCopy() const {
   case ValueKind::Bool:
     return *this;
   case ValueKind::String:
-    return makeString(*StringVal);
+    return makeString(heapString());
   case ValueKind::Array: {
     std::vector<Value> Copy;
-    Copy.reserve(Elements->size());
-    for (const Value &Elem : *Elements)
+    Copy.reserve(heapElements().size());
+    for (const Value &Elem : heapElements())
       Copy.push_back(Elem.deepCopy());
     return makeArray(std::move(Copy));
   }
   case ValueKind::Struct: {
     std::vector<Value> Copy;
-    Copy.reserve(Elements->size());
-    for (const Value &Elem : *Elements)
+    Copy.reserve(heapElements().size());
+    for (const Value &Elem : heapElements())
       Copy.push_back(Elem.deepCopy());
     return makeStruct(Decl, std::move(Copy));
   }
@@ -67,11 +67,11 @@ uint64_t Value::approxBytes() const {
   case ValueKind::Bool:
     return 16;
   case ValueKind::String:
-    return 32 + StringVal->size();
+    return 32 + heapString().size();
   case ValueKind::Array:
   case ValueKind::Struct: {
     uint64_t Total = 32;
-    for (const Value &Elem : *Elements)
+    for (const Value &Elem : heapElements())
       Total += Elem.approxBytes();
     return Total;
   }
@@ -88,15 +88,15 @@ bool Value::equals(const Value &Other) const {
   case ValueKind::Int:
     return IntVal == Other.IntVal;
   case ValueKind::Bool:
-    return BoolVal == Other.BoolVal;
+    return IntVal == Other.IntVal;
   case ValueKind::String:
-    return *StringVal == *Other.StringVal;
+    return heapString() == Other.heapString();
   case ValueKind::Array:
   case ValueKind::Struct: {
     if (Kind == ValueKind::Struct && Decl != Other.Decl)
       return false;
-    const std::vector<Value> &A = *Elements;
-    const std::vector<Value> &B = *Other.Elements;
+    const std::vector<Value> &A = heapElements();
+    const std::vector<Value> &B = Other.heapElements();
     if (A.size() != B.size())
       return false;
     for (size_t I = 0; I < A.size(); ++I)
@@ -115,25 +115,25 @@ std::string Value::str() const {
   case ValueKind::Int:
     return std::to_string(IntVal);
   case ValueKind::Bool:
-    return BoolVal ? "true" : "false";
+    return IntVal ? "true" : "false";
   case ValueKind::String:
-    return "\"" + *StringVal + "\"";
+    return "\"" + heapString() + "\"";
   case ValueKind::Array: {
     std::string Out = "[";
-    for (size_t I = 0; I < Elements->size(); ++I) {
+    for (size_t I = 0; I < heapElements().size(); ++I) {
       if (I)
         Out += ", ";
-      Out += (*Elements)[I].str();
+      Out += heapElements()[I].str();
     }
     Out += "]";
     return Out;
   }
   case ValueKind::Struct: {
     std::string Out = "{";
-    for (size_t I = 0; I < Elements->size(); ++I) {
+    for (size_t I = 0; I < heapElements().size(); ++I) {
       if (I)
         Out += ", ";
-      Out += Decl->Fields[I].Name + ": " + (*Elements)[I].str();
+      Out += Decl->Fields[I].Name + ": " + heapElements()[I].str();
     }
     Out += "}";
     return Out;
@@ -152,7 +152,7 @@ void Value::flatten(std::vector<Value> &Out) const {
     return;
   case ValueKind::Array:
   case ValueKind::Struct:
-    for (const Value &Elem : *Elements)
+    for (const Value &Elem : heapElements())
       Elem.flatten(Out);
     return;
   }

@@ -50,18 +50,18 @@ public:
   }
   static Value makeBool(bool V) {
     Value Val(ValueKind::Bool);
-    Val.BoolVal = V;
+    Val.IntVal = V ? 1 : 0;
     return Val;
   }
   static Value makeString(std::string V) {
     Value Val(ValueKind::String);
-    Val.StringVal = std::make_shared<std::string>(std::move(V));
+    Val.Heap = std::make_shared<std::string>(std::move(V));
     return Val;
   }
   /// Creates an array sharing no storage with any other value.
   static Value makeArray(std::vector<Value> Elements) {
     Value Val(ValueKind::Array);
-    Val.Elements = std::make_shared<std::vector<Value>>(std::move(Elements));
+    Val.Heap = std::make_shared<std::vector<Value>>(std::move(Elements));
     return Val;
   }
   /// Creates a struct instance; \p Decl must outlive the value.
@@ -70,8 +70,7 @@ public:
     LIGER_CHECK(Decl != nullptr, "struct value needs a declaration");
     Value Val(ValueKind::Struct);
     Val.Decl = Decl;
-    Val.Elements =
-        std::make_shared<std::vector<Value>>(std::move(FieldValues));
+    Val.Heap = std::make_shared<std::vector<Value>>(std::move(FieldValues));
     return Val;
   }
 
@@ -92,20 +91,20 @@ public:
   }
   bool asBool() const {
     LIGER_CHECK(isBool(), "asBool on non-bool value");
-    return BoolVal;
+    return IntVal != 0;
   }
   const std::string &asString() const {
     LIGER_CHECK(isString(), "asString on non-string value");
-    return *StringVal;
+    return heapString();
   }
   /// Mutable element storage (arrays and structs).
   std::vector<Value> &elements() {
     LIGER_CHECK(isArray() || isStruct(), "elements on scalar value");
-    return *Elements;
+    return heapElements();
   }
   const std::vector<Value> &elements() const {
     LIGER_CHECK(isArray() || isStruct(), "elements on scalar value");
-    return *Elements;
+    return heapElements();
   }
   const StructDecl *structDecl() const {
     LIGER_CHECK(isStruct(), "structDecl on non-struct value");
@@ -136,11 +135,21 @@ public:
 private:
   explicit Value(ValueKind K) : Kind(K) {}
 
+  // Unchecked views of Heap; the caller knows the kind.
+  const std::string &heapString() const {
+    return *static_cast<const std::string *>(Heap.get());
+  }
+  std::vector<Value> &heapElements() const {
+    return *static_cast<std::vector<Value> *>(Heap.get());
+  }
+
+  // One heap pointer and one scalar word keep a Value at 40 bytes: the
+  // interpreter copies Values on every variable read.
   ValueKind Kind;
-  int64_t IntVal = 0;
-  bool BoolVal = false;
-  std::shared_ptr<std::string> StringVal;
-  std::shared_ptr<std::vector<Value>> Elements;
+  int64_t IntVal = 0; ///< Int payload; bools store 0 or 1.
+  /// std::string for strings, std::vector<Value> for arrays and
+  /// structs, shared between aliases; null for scalars.
+  std::shared_ptr<void> Heap;
   const StructDecl *Decl = nullptr;
 };
 

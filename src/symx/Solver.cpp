@@ -11,12 +11,13 @@ using namespace liger;
 namespace {
 
 /// Returns the number of violated constraints (faulting evaluation
-/// counts as violated).
+/// counts as violated). Resets \p Memo for \p A and leaves it filled.
 unsigned countViolations(const std::vector<SymExprPtr> &Constraints,
-                         const Assignment &A) {
+                         const Assignment &A, SymEvalMemo &Memo) {
+  Memo.clear();
   unsigned Violated = 0;
   for (const SymExprPtr &C : Constraints) {
-    std::optional<bool> V = C->evalBool(A.Ints, A.Bools);
+    std::optional<bool> V = C->evalBool(A.Ints, A.Bools, &Memo);
     if (!V || !*V)
       ++Violated;
   }
@@ -68,11 +69,12 @@ search(const std::vector<SymExprPtr> &Constraints, unsigned NumInts,
   if (Constraints.empty())
     return Zero;
 
+  SymEvalMemo Memo;
   unsigned Steps = 0;
   for (Assignment &Probe : heuristicProbes(NumInts, NumBools, Options)) {
     if (++Steps > Budget)
       return std::nullopt;
-    if (countViolations(Constraints, Probe) == 0)
+    if (countViolations(Constraints, Probe, Memo) == 0)
       return Probe;
   }
 
@@ -93,14 +95,14 @@ search(const std::vector<SymExprPtr> &Constraints, unsigned NumInts,
 
     for (unsigned Local = 0; Local < StepsPerRestart && Steps < Budget;
          ++Local, ++Steps) {
-      unsigned Violated = countViolations(Constraints, A);
+      unsigned Violated = countViolations(Constraints, A, Memo);
       if (Violated == 0)
         return A;
       // Pick a violated constraint and perturb one of its variables.
       unsigned Target = static_cast<unsigned>(R.nextBelow(Violated));
       const SymExpr *Chosen = nullptr;
       for (const SymExprPtr &C : Constraints) {
-        std::optional<bool> V = C->evalBool(A.Ints, A.Bools);
+        std::optional<bool> V = C->evalBool(A.Ints, A.Bools, &Memo);
         if (!V || !*V) {
           if (Target == 0) {
             Chosen = C.get();

@@ -6,6 +6,8 @@
 
 #include "symx/SymExpr.h"
 
+#include "interp/IntOps.h"
+
 #include <algorithm>
 
 using namespace liger;
@@ -32,8 +34,33 @@ bool SymExpr::isBoolTyped() const {
 }
 
 std::optional<int64_t>
-SymExpr::evalInt(const std::vector<int64_t> &IntAssign,
-                 const std::vector<bool> &BoolAssign) const {
+SymExpr::evalIntMemo(const std::vector<int64_t> &IntAssign,
+                     const std::vector<bool> &BoolAssign,
+                     SymEvalMemo &Memo) const {
+  auto It = Memo.find(this);
+  if (It != Memo.end())
+    return It->second;
+  std::optional<int64_t> V = computeInt(IntAssign, BoolAssign, &Memo);
+  Memo.emplace(this, V);
+  return V;
+}
+
+std::optional<bool>
+SymExpr::evalBoolMemo(const std::vector<int64_t> &IntAssign,
+                      const std::vector<bool> &BoolAssign,
+                      SymEvalMemo &Memo) const {
+  auto It = Memo.find(this);
+  if (It != Memo.end())
+    return It->second ? std::optional<bool>(*It->second != 0) : std::nullopt;
+  std::optional<bool> V = computeBool(IntAssign, BoolAssign, &Memo);
+  Memo.emplace(this, V ? std::optional<int64_t>(*V ? 1 : 0) : std::nullopt);
+  return V;
+}
+
+std::optional<int64_t>
+SymExpr::computeInt(const std::vector<int64_t> &IntAssign,
+                    const std::vector<bool> &BoolAssign,
+                    SymEvalMemo *Memo) const {
   switch (Op) {
   case SymOp::IntConst:
     return IntVal;
@@ -41,16 +68,16 @@ SymExpr::evalInt(const std::vector<int64_t> &IntAssign,
     LIGER_CHECK(Slot < IntAssign.size(), "int slot out of range");
     return IntAssign[Slot];
   case SymOp::Neg: {
-    auto A = Operands[0]->evalInt(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalInt(IntAssign, BoolAssign, Memo);
     if (!A)
       return std::nullopt;
-    return -*A;
+    return wrapNeg(*A);
   }
   case SymOp::Abs: {
-    auto A = Operands[0]->evalInt(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalInt(IntAssign, BoolAssign, Memo);
     if (!A)
       return std::nullopt;
-    return *A < 0 ? -*A : *A;
+    return wrapAbs(*A);
   }
   case SymOp::Add:
   case SymOp::Sub:
@@ -59,22 +86,22 @@ SymExpr::evalInt(const std::vector<int64_t> &IntAssign,
   case SymOp::Mod:
   case SymOp::Min:
   case SymOp::Max: {
-    auto A = Operands[0]->evalInt(IntAssign, BoolAssign);
-    auto B = Operands[1]->evalInt(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalInt(IntAssign, BoolAssign, Memo);
+    auto B = Operands[1]->evalInt(IntAssign, BoolAssign, Memo);
     if (!A || !B)
       return std::nullopt;
     switch (Op) {
-    case SymOp::Add: return *A + *B;
-    case SymOp::Sub: return *A - *B;
-    case SymOp::Mul: return *A * *B;
+    case SymOp::Add: return wrapAdd(*A, *B);
+    case SymOp::Sub: return wrapSub(*A, *B);
+    case SymOp::Mul: return wrapMul(*A, *B);
     case SymOp::Div:
       if (*B == 0)
         return std::nullopt;
-      return *A / *B;
+      return wrapDiv(*A, *B);
     case SymOp::Mod:
       if (*B == 0)
         return std::nullopt;
-      return *A % *B;
+      return wrapMod(*A, *B);
     case SymOp::Min: return std::min(*A, *B);
     case SymOp::Max: return std::max(*A, *B);
     default: LIGER_UNREACHABLE("handled above");
@@ -86,8 +113,9 @@ SymExpr::evalInt(const std::vector<int64_t> &IntAssign,
 }
 
 std::optional<bool>
-SymExpr::evalBool(const std::vector<int64_t> &IntAssign,
-                  const std::vector<bool> &BoolAssign) const {
+SymExpr::computeBool(const std::vector<int64_t> &IntAssign,
+                     const std::vector<bool> &BoolAssign,
+                     SymEvalMemo *Memo) const {
   switch (Op) {
   case SymOp::BoolConst:
     return IntVal != 0;
@@ -95,7 +123,7 @@ SymExpr::evalBool(const std::vector<int64_t> &IntAssign,
     LIGER_CHECK(Slot < BoolAssign.size(), "bool slot out of range");
     return BoolAssign[Slot];
   case SymOp::Not: {
-    auto A = Operands[0]->evalBool(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalBool(IntAssign, BoolAssign, Memo);
     if (!A)
       return std::nullopt;
     return !*A;
@@ -104,7 +132,7 @@ SymExpr::evalBool(const std::vector<int64_t> &IntAssign,
   case SymOp::Or:
   case SymOp::EqBool:
   case SymOp::NeBool: {
-    auto A = Operands[0]->evalBool(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalBool(IntAssign, BoolAssign, Memo);
     if (!A)
       return std::nullopt;
     // Short-circuit semantics must match the interpreter: the right
@@ -113,7 +141,7 @@ SymExpr::evalBool(const std::vector<int64_t> &IntAssign,
       return false;
     if (Op == SymOp::Or && *A)
       return true;
-    auto B = Operands[1]->evalBool(IntAssign, BoolAssign);
+    auto B = Operands[1]->evalBool(IntAssign, BoolAssign, Memo);
     if (!B)
       return std::nullopt;
     switch (Op) {
@@ -130,8 +158,8 @@ SymExpr::evalBool(const std::vector<int64_t> &IntAssign,
   case SymOp::Ge:
   case SymOp::EqInt:
   case SymOp::NeInt: {
-    auto A = Operands[0]->evalInt(IntAssign, BoolAssign);
-    auto B = Operands[1]->evalInt(IntAssign, BoolAssign);
+    auto A = Operands[0]->evalInt(IntAssign, BoolAssign, Memo);
+    auto B = Operands[1]->evalInt(IntAssign, BoolAssign, Memo);
     if (!A || !B)
       return std::nullopt;
     switch (Op) {
@@ -239,9 +267,8 @@ SymExprPtr SymExpr::unary(SymOp Op, SymExprPtr A) {
               "not a unary op");
   if (A->isConst()) {
     switch (Op) {
-    case SymOp::Neg: return intConst(-A->intValue());
-    case SymOp::Abs:
-      return intConst(A->intValue() < 0 ? -A->intValue() : A->intValue());
+    case SymOp::Neg: return intConst(wrapNeg(A->intValue()));
+    case SymOp::Abs: return intConst(wrapAbs(A->intValue()));
     case SymOp::Not: return boolConst(!A->boolValue());
     default: break;
     }

@@ -22,10 +22,12 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace liger {
@@ -46,6 +48,13 @@ enum class SymOp {
 
 class SymExpr;
 using SymExprPtr = std::shared_ptr<const SymExpr>;
+
+/// Values of already-evaluated deep nodes under one assignment (bools
+/// as 0/1). An unrolled loop makes the path condition a DAG: iteration
+/// k's value is a node over iteration k-1's, so evaluating all k
+/// constraints node by node costs O(k^2) without one. Valid for a
+/// single assignment; clear it when the assignment changes.
+using SymEvalMemo = std::unordered_map<const SymExpr *, std::optional<int64_t>>;
 
 /// A node of the symbolic expression DAG. Create through the factory
 /// functions below (they constant-fold).
@@ -76,11 +85,23 @@ public:
 
   /// Evaluates under \p IntAssign / \p BoolAssign (indexed by slot).
   /// Returns nullopt on arithmetic faults (division by zero), which the
-  /// solver treats as "constraint not satisfied".
+  /// solver treats as "constraint not satisfied". A non-null \p Memo
+  /// caches the values of nodes at least MemoMinDepth deep; shallower
+  /// ones are cheaper to re-evaluate than to look up.
   std::optional<int64_t> evalInt(const std::vector<int64_t> &IntAssign,
-                                 const std::vector<bool> &BoolAssign) const;
+                                 const std::vector<bool> &BoolAssign,
+                                 SymEvalMemo *Memo = nullptr) const {
+    if (Memo && Depth >= MemoMinDepth)
+      return evalIntMemo(IntAssign, BoolAssign, *Memo);
+    return computeInt(IntAssign, BoolAssign, Memo);
+  }
   std::optional<bool> evalBool(const std::vector<int64_t> &IntAssign,
-                               const std::vector<bool> &BoolAssign) const;
+                               const std::vector<bool> &BoolAssign,
+                               SymEvalMemo *Memo = nullptr) const {
+    if (Memo && Depth >= MemoMinDepth)
+      return evalBoolMemo(IntAssign, BoolAssign, *Memo);
+    return computeBool(IntAssign, BoolAssign, Memo);
+  }
 
   /// Collects the distinct variable slots appearing in the expression.
   void collectSlots(std::vector<unsigned> &IntSlots,
@@ -97,17 +118,35 @@ public:
   static SymExprPtr unary(SymOp Op, SymExprPtr A);
   static SymExprPtr binary(SymOp Op, SymExprPtr A, SymExprPtr B);
 
+  static constexpr unsigned MemoMinDepth = 8;
+
 protected:
   SymExpr(SymOp Op, int64_t IntVal, unsigned Slot,
           std::vector<SymExprPtr> Operands)
-      : Op(Op), IntVal(IntVal), Slot(Slot), Operands(std::move(Operands)) {}
+      : Op(Op), IntVal(IntVal), Slot(Slot), Operands(std::move(Operands)) {
+    for (const SymExprPtr &Operand : this->Operands)
+      Depth = std::max(Depth, Operand->Depth + 1);
+  }
 
 private:
+  std::optional<int64_t> evalIntMemo(const std::vector<int64_t> &IntAssign,
+                                     const std::vector<bool> &BoolAssign,
+                                     SymEvalMemo &Memo) const;
+  std::optional<bool> evalBoolMemo(const std::vector<int64_t> &IntAssign,
+                                   const std::vector<bool> &BoolAssign,
+                                   SymEvalMemo &Memo) const;
+  std::optional<int64_t> computeInt(const std::vector<int64_t> &IntAssign,
+                                    const std::vector<bool> &BoolAssign,
+                                    SymEvalMemo *Memo) const;
+  std::optional<bool> computeBool(const std::vector<int64_t> &IntAssign,
+                                  const std::vector<bool> &BoolAssign,
+                                  SymEvalMemo *Memo) const;
 
   SymOp Op;
   int64_t IntVal = 0;
   unsigned Slot = 0;
   std::vector<SymExprPtr> Operands;
+  unsigned Depth = 1; ///< Longest path to a leaf, in nodes.
 };
 
 } // namespace liger

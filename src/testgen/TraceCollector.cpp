@@ -62,6 +62,8 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   Rng R(Options.Seed);
   Stopwatch Phase;
 
+  // Resolved once; the ~250 executions of this method share it.
+  FrameLayout Layout(P, Fn);
   InterpOptions ProbeOptions = Options.Interp;
   ProbeOptions.RecordStates = false; // discovery probes skip snapshots
   InterpOptions FullOptions = Options.Interp;
@@ -77,7 +79,7 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   // up front is cheaper than re-executing later.
   auto TryInput = [&](const std::vector<Value> &Inputs, bool Record) -> bool {
     ++LocalStats.Attempts;
-    ExecResult Run = execute(P, Fn, deepCopyInputs(Inputs),
+    ExecResult Run = execute(Layout, deepCopyInputs(Inputs),
                              Record ? FullOptions : ProbeOptions);
     if (Run.Status == ExecStatus::OutOfFuel) {
       ++LocalStats.Timeouts;
@@ -190,7 +192,7 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
         Results.push_back(std::move(Bucket.Recorded[I]));
       else
         Results.push_back(
-            execute(P, Fn, deepCopyInputs(Bucket.Inputs[I]), FullOptions));
+            execute(Layout, deepCopyInputs(Bucket.Inputs[I]), FullOptions));
       AllInputs.push_back(Bucket.Inputs[I]);
       if (AcceptedOut)
         AcceptedOut->push_back(Bucket.Inputs[I]);
@@ -215,6 +217,7 @@ bool replayEntry(const Program &P, const FunctionDecl &Fn,
     if (!materializeTraces(Entry.Traces, P, Fn, Out))
       return false;
   } else {
+    FrameLayout Layout(P, Fn);
     InterpOptions FullOptions = Options.Interp;
     FullOptions.RecordStates = true;
     std::vector<ExecResult> Results;
@@ -236,7 +239,7 @@ bool replayEntry(const Program &P, const FunctionDecl &Fn,
       // invariants.
       if (Inputs.size() != Fn.Params.size())
         return false;
-      Results.push_back(execute(P, Fn, deepCopyInputs(Inputs), FullOptions));
+      Results.push_back(execute(Layout, deepCopyInputs(Inputs), FullOptions));
       AllInputs.push_back(std::move(Inputs));
     }
     Out = groupByPath(Fn, Results, AllInputs);

@@ -7,6 +7,7 @@
 #include "dataset/Corpus.h"
 #include "dataset/Tasks.h"
 
+#include "support/Hash.h"
 #include "support/StringUtils.h"
 
 #include "lang/AstPrinter.h"
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 using namespace liger;
@@ -412,4 +414,145 @@ TEST(CorpusTraceCacheTest, OffColdWarmBitwiseIdentical) {
   EXPECT_EQ(WarmStats.CacheHits, OffStats.CacheBypassed);
   expectFunnelEqual(ColdStats, OffStats);
   expectFunnelEqual(WarmStats, OffStats);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden digests: interpreter outputs and one Table-1 corpus, pinned
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void hashValues(StableHash &H, const std::vector<Value> &Values) {
+  H.addU64(Values.size());
+  for (const Value &V : Values)
+    H.addString(V.str());
+}
+
+/// Folds every field of \p R into \p H: status, message, fuel, return
+/// value, variable tuple, initial state, and each step's statement id,
+/// kind and state.
+void hashExecResult(StableHash &H, const ExecResult &R) {
+  H.addU8(static_cast<uint8_t>(R.Status));
+  H.addString(R.ErrorMessage);
+  H.addU64(R.FuelUsed);
+  H.addString(R.ReturnValue.str());
+  H.addU64(R.VarNames.size());
+  for (const std::string &Name : R.VarNames)
+    H.addString(Name);
+  hashValues(H, R.InitialState);
+  H.addU64(R.Steps.size());
+  for (const ExecStep &Step : R.Steps) {
+    H.addU32(Step.Statement->id());
+    H.addU8(static_cast<uint8_t>(Step.Kind));
+    hashValues(H, Step.State);
+  }
+}
+
+/// The Table 1 defect mix of bench/pipeline_throughput.
+void applyTable1DefectMix(CorpusOptions &Options) {
+  Options.SyntaxDefectRate = 0.20;
+  Options.ExternalRefRate = 0.45;
+  Options.NonTerminationRate = 0.05;
+  Options.TooSmallRate = 0.12;
+}
+
+} // namespace
+
+// The digests below were computed before the interpreter moved from
+// name-keyed frames to slot layouts; any change to what an execution
+// records, charges or reports shows up here.
+TEST(GoldenDigestTest, TaskLibraryExecutions) {
+  InterpOptions Record;
+  InterpOptions Probe;
+  Probe.RecordStates = false;
+  // Tight budgets pin the fuel and memory charging rules: many runs end
+  // OutOfFuel or MemoryLimit part-way, with a truncated trace.
+  InterpOptions Tight;
+  Tight.Fuel = 40;
+  Tight.MaxMemoryBytes = 2048;
+  Tight.MaxRecordedSteps = 12;
+  const InterpOptions *Configs[] = {&Record, &Probe, &Tight};
+
+  Rng R(20200615);
+  InputGenOptions InputOptions;
+  StableHash H;
+  size_t Runs = 0;
+  std::map<ExecStatus, size_t> StatusCounts;
+  for (const TaskSpec &Task : taskLibrary())
+    for (const TaskVariant &Variant : Task.Variants) {
+      DiagnosticSink Diags;
+      std::optional<Program> P = parseAndCheck(
+          replaceIdentifier(Variant.Source, "FN", "probe"), Diags);
+      ASSERT_TRUE(P.has_value()) << Task.Key << ": " << Diags.str();
+      const FunctionDecl &Fn = P->Functions.back();
+      for (int Trial = 0; Trial < 6; ++Trial) {
+        std::vector<Value> Inputs = randomInputs(Fn, *P, R, InputOptions);
+        for (const InterpOptions *Options : Configs) {
+          std::vector<Value> Copy;
+          for (const Value &V : Inputs)
+            Copy.push_back(V.deepCopy());
+          ExecResult Run = execute(*P, Fn, Copy, *Options);
+          hashExecResult(H, Run);
+          ++StatusCounts[Run.Status];
+          ++Runs;
+        }
+      }
+    }
+  EXPECT_EQ(Runs, 1296u);
+  EXPECT_EQ(StatusCounts[ExecStatus::OutOfFuel], 4u);
+  EXPECT_EQ(StatusCounts[ExecStatus::MemoryLimit], 30u);
+  EXPECT_EQ(StatusCounts[ExecStatus::RuntimeError], 0u);
+  EXPECT_EQ(H.digest(), 10886156763121302215ull);
+}
+
+TEST(GoldenDigestTest, Table1CorpusFingerprintAndFunnel) {
+  CorpusOptions Options;
+  Options.NumMethods = 600;
+  Options.TraceGen.TargetPaths = 8;
+  Options.TraceGen.ExecutionsPerPath = 5;
+  Options.Seed = 11;
+  Options.Threads = 4;
+  applyTable1DefectMix(Options);
+  CorpusStats Stats;
+  auto Samples = generateMethodCorpus(Options, &Stats);
+  EXPECT_EQ(corpusFingerprint(Samples), 10302200943036706300ull);
+  EXPECT_EQ(Stats.Requested, 600u);
+  EXPECT_EQ(Stats.ParseFailures, 114u);
+  EXPECT_EQ(Stats.ExternalRefFailures, 263u);
+  EXPECT_EQ(Stats.TestgenTimeouts, 43u);
+  EXPECT_EQ(Stats.TestgenMemoryBombs, 0u);
+  EXPECT_EQ(Stats.TooSmall, 81u);
+  EXPECT_EQ(Stats.NoTraces, 0u);
+  EXPECT_EQ(Stats.Kept, 99u);
+}
+
+TEST(CorpusParallelEquivalenceTest, Table1MixBitwiseAcrossThreads) {
+  // Per-method cost varies by orders of magnitude under the Table 1
+  // mix (a non-terminating method burns its whole fuel budget on every
+  // probe, a parse failure costs nothing), so workers claim methods in
+  // a different order on every run; the corpus must not notice.
+  CorpusOptions Options;
+  Options.NumMethods = 120;
+  Options.TraceGen.TargetPaths = 8;
+  Options.TraceGen.ExecutionsPerPath = 5;
+  Options.Seed = 5;
+  applyTable1DefectMix(Options);
+
+  uint64_t Baseline = 0;
+  CorpusStats BaseStats;
+  for (size_t Threads : {1u, 2u, 4u}) {
+    Options.Threads = Threads;
+    CorpusStats Stats;
+    auto Samples = generateMethodCorpus(Options, &Stats);
+    uint64_t Fingerprint = corpusFingerprint(Samples);
+    if (Threads == 1) {
+      Baseline = Fingerprint;
+      BaseStats = Stats;
+      EXPECT_GT(Stats.TestgenTimeouts, 0u);
+      EXPECT_GT(Samples.size(), 0u);
+      continue;
+    }
+    EXPECT_EQ(Fingerprint, Baseline) << "threads=" << Threads;
+    expectFunnelEqual(Stats, BaseStats);
+  }
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace liger;
 
 namespace {
@@ -655,4 +657,129 @@ TEST(InterpHardeningTest, SubstringChargesAndBoundsChecks) {
       P, P.Functions[0],
       {Value::makeString("hello"), Value::makeInt(3), Value::makeInt(9)});
   EXPECT_EQ(Bad.Status, ExecStatus::RuntimeError);
+}
+
+//===----------------------------------------------------------------------===//
+// Integer semantics: Java's wrapping 64-bit two's complement
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int64_t IntMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t IntMax = std::numeric_limits<int64_t>::max();
+
+/// Runs `int f(int d)` and returns its int result, asserting Ok.
+int64_t runIntFn(const std::string &Body, int64_t D) {
+  Program P = mustParse("int f(int d) { int m = -9223372036854775807 - 1; "
+                        "int M = 9223372036854775807; " +
+                        Body + " }");
+  ExecResult R = execute(P, P.Functions[0], {Value::makeInt(D)});
+  EXPECT_EQ(R.Status, ExecStatus::Ok) << Body << ": " << R.ErrorMessage;
+  return R.ok() && R.ReturnValue.isInt() ? R.ReturnValue.asInt() : 0;
+}
+
+} // namespace
+
+TEST(InterpIntSemanticsTest, IntMinDivByMinusOneWraps) {
+  EXPECT_EQ(runIntFn("return m / d;", -1), IntMin);
+  EXPECT_EQ(runIntFn("return m % d;", -1), 0);
+  EXPECT_EQ(runIntFn("int c = m; c /= d; return c;", -1), IntMin);
+  EXPECT_EQ(runIntFn("int c = m; c %= d; return c;", -1), 0);
+  // Ordinary divisors keep C/Java truncation toward zero.
+  EXPECT_EQ(runIntFn("return m / d;", 2), IntMin / 2);
+  EXPECT_EQ(runIntFn("return (0 - 7) / d;", 2), -3);
+  EXPECT_EQ(runIntFn("return (0 - 7) % d;", 2), -1);
+  EXPECT_EQ(runIntFn("return 7 % d;", -2), 1);
+}
+
+TEST(InterpIntSemanticsTest, OverflowWrapsAround) {
+  EXPECT_EQ(runIntFn("return M + d;", 1), IntMin);
+  EXPECT_EQ(runIntFn("return m - d;", 1), IntMax);
+  EXPECT_EQ(runIntFn("return M * d;", 2), -2);
+  EXPECT_EQ(runIntFn("return -m;", 0), IntMin);
+  EXPECT_EQ(runIntFn("return abs(m);", 0), IntMin);
+  EXPECT_EQ(runIntFn("return abs(M);", 0), IntMax);
+  EXPECT_EQ(runIntFn("int c = M; c += d; return c;", 1), IntMin);
+  EXPECT_EQ(runIntFn("int c = m; c -= d; return c;", 1), IntMax);
+  EXPECT_EQ(runIntFn("int c = M; c *= d; return c;", 2), -2);
+  EXPECT_EQ(runIntFn("int c = M; c++; return c;", 0), IntMin);
+}
+
+TEST(InterpIntSemanticsTest, IntMinDivReproRunsOk) {
+  // Used to raise SIGFPE inside execute() (tests/fuzz-corpus/
+  // runtime_int_min_div.mini holds the same method).
+  Program P = mustParse(
+      "int f() { int m = -9223372036854775807 - 1; int q = m / -1; "
+      "return q; }");
+  ExecResult R = execute(P, P.Functions[0], {});
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.ErrorMessage;
+  EXPECT_EQ(R.ReturnValue.asInt(), IntMin);
+  // Division by zero is still a runtime error, not a wrap.
+  Program Zero = mustParse("int f(int d) { return d % d; }");
+  EXPECT_EQ(execute(Zero, Zero.Functions[0], {Value::makeInt(0)}).Status,
+            ExecStatus::RuntimeError);
+}
+
+//===----------------------------------------------------------------------===//
+// Frame layout: scoping is unchanged by slot resolution
+//===----------------------------------------------------------------------===//
+
+TEST(FrameLayoutTest, TupleSlotsComeFirstInTupleOrder) {
+  Program P = mustParse(R"(
+int helper(int q) { int z = q; return z; }
+int f(int a) {
+  int r = helper(a);
+  for (int i = 0; i < 2; i++) { int t = i; r += t; }
+  return r;
+}
+)");
+  const FunctionDecl *F = P.findFunction("f");
+  FrameLayout Layout(P, *F);
+  EXPECT_EQ(Layout.varNames(), collectVariableTuple(*F));
+  // helper's q and z get slots of their own after f's tuple.
+  EXPECT_EQ(Layout.numSlots(), Layout.varNames().size() + 2);
+  EXPECT_EQ(Layout.paramSlots(*F), (std::vector<uint32_t>{0}));
+  ExecResult R = execute(Layout, {Value::makeInt(5)});
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.ReturnValue.asInt(), 6);
+}
+
+TEST(FrameLayoutTest, ShadowingAndOutOfScopeValues) {
+  // An inner declaration shadows the outer one only inside its block;
+  // after the block the snapshot shows the outer binding again, and a
+  // variable whose block ended keeps its last value (not ⊥).
+  Program P = mustParse(R"(
+int f(int a) {
+  int x = a;
+  if (a > 0) { int x = 100; int y = x + 1; }
+  int w = x;
+  return w;
+}
+)");
+  ExecResult R = execute(P, P.Functions[0], {Value::makeInt(3)});
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.ReturnValue.asInt(), 3);
+  ASSERT_EQ(R.VarNames, (std::vector<std::string>{"a", "x", "y", "w"}));
+  // Steps: x=a, cond, x=100 (inner), y=x+1, w=x, return.
+  ASSERT_EQ(R.Steps.size(), 6u);
+  EXPECT_EQ(R.Steps[2].State[1].asInt(), 100); // inner x visible
+  EXPECT_EQ(R.Steps[3].State[2].asInt(), 101);
+  EXPECT_EQ(R.Steps[4].State[1].asInt(), 3);   // outer x again
+  EXPECT_EQ(R.Steps[4].State[2].asInt(), 101); // y out of scope, kept
+}
+
+TEST(FrameLayoutTest, CalleeSeesCallerBindingsWithoutTypeCheck) {
+  // Without the type checker a callee's unbound name resolves to the
+  // innermost live binding of the caller (scoping is dynamic); a name
+  // bound nowhere is a runtime error.
+  Program P = parseOnly(
+      "int g() { return k + 1; } int f() { int k = 41; return g(); }");
+  ExecResult R = execute(P, *P.findFunction("f"), {});
+  ASSERT_EQ(R.Status, ExecStatus::Ok) << R.ErrorMessage;
+  EXPECT_EQ(R.ReturnValue.asInt(), 42);
+  ExecResult Unbound = execute(P, *P.findFunction("g"), {});
+  EXPECT_EQ(Unbound.Status, ExecStatus::RuntimeError);
+  EXPECT_NE(Unbound.ErrorMessage.find("use of undeclared variable 'k'"),
+            std::string::npos)
+      << Unbound.ErrorMessage;
 }

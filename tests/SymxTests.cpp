@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace liger;
 
 namespace {
@@ -74,6 +76,31 @@ TEST(SymExprTest, EvalMatchesSemantics) {
   auto V = E->evalInt({3, 4}, {});
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(*V, 20);
+}
+
+TEST(SymExprTest, MemoizedEvalMatchesPlainEval) {
+  // An unrolled `x -= 1` loop: each iteration's value and guard are
+  // nodes over the previous iteration's value, so the guards share one
+  // chain. The memo must give the same answers, faults included.
+  SymExprPtr X = SymExpr::intVar(0);
+  std::vector<SymExprPtr> Guards;
+  for (int I = 0; I < 50; ++I) {
+    X = SymExpr::binary(SymOp::Sub, X, SymExpr::intConst(1));
+    Guards.push_back(SymExpr::binary(SymOp::Gt, X, SymExpr::intConst(0)));
+  }
+  SymExprPtr Fault = SymExpr::binary(
+      SymOp::EqInt, SymExpr::binary(SymOp::Div, X, SymExpr::intVar(1)),
+      SymExpr::intConst(0));
+  Guards.push_back(Fault);
+  for (int64_t X0 : {-3, 0, 25, 60})
+    for (int64_t X1 : {0, 1}) {
+      SymEvalMemo Memo;
+      for (const SymExprPtr &G : Guards) {
+        EXPECT_EQ(G->evalBool({X0, X1}, {}, &Memo), G->evalBool({X0, X1}, {}))
+            << G->str() << " at " << X0 << ", " << X1;
+        EXPECT_EQ(X->evalInt({X0, X1}, {}, &Memo), X->evalInt({X0, X1}, {}));
+      }
+    }
 }
 
 TEST(SymExprTest, DivisionByZeroEvaluatesToNullopt) {
@@ -444,4 +471,66 @@ int f(int a1, int a2, int a3, int a4, int a5, int a6, int a7, int a8) {
   // One statement-level path exists and the budget is plenty to
   // complete (and dedup) at least one arm of it.
   EXPECT_EQ(Paths.size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Integer semantics: symx wraps exactly like the interpreter
+//===----------------------------------------------------------------------===//
+
+TEST(SymxIntSemanticsTest, FoldingAndEvalWrapAtTheExtremes) {
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  auto Fold = [](SymOp Op, int64_t A, int64_t B) {
+    SymExprPtr E =
+        SymExpr::binary(Op, SymExpr::intConst(A), SymExpr::intConst(B));
+    EXPECT_TRUE(E->isIntConst());
+    return E->isIntConst() ? E->intValue() : 0;
+  };
+  EXPECT_EQ(Fold(SymOp::Div, Min, -1), Min);
+  EXPECT_EQ(Fold(SymOp::Mod, Min, -1), 0);
+  EXPECT_EQ(Fold(SymOp::Add, Max, 1), Min);
+  EXPECT_EQ(Fold(SymOp::Sub, Min, 1), Max);
+  EXPECT_EQ(Fold(SymOp::Mul, Max, 2), -2);
+  EXPECT_EQ(SymExpr::unary(SymOp::Neg, SymExpr::intConst(Min))->intValue(),
+            Min);
+  EXPECT_EQ(SymExpr::unary(SymOp::Abs, SymExpr::intConst(Min))->intValue(),
+            Min);
+
+  // Unfolded expressions evaluate the same way under an assignment.
+  SymExprPtr X = SymExpr::intVar(0);
+  SymExprPtr Y = SymExpr::intVar(1);
+  auto Eval = [&](SymOp Op, int64_t A, int64_t B) {
+    std::optional<int64_t> V = SymExpr::binary(Op, X, Y)->evalInt({A, B}, {});
+    EXPECT_TRUE(V.has_value());
+    return V.value_or(0);
+  };
+  EXPECT_EQ(Eval(SymOp::Div, Min, -1), Min);
+  EXPECT_EQ(Eval(SymOp::Mod, Min, -1), 0);
+  EXPECT_EQ(Eval(SymOp::Add, Max, 1), Min);
+  EXPECT_EQ(Eval(SymOp::Mul, Min, -1), Min);
+  EXPECT_EQ(SymExpr::unary(SymOp::Neg, X)->evalInt({Min}, {}), Min);
+  EXPECT_EQ(SymExpr::unary(SymOp::Abs, X)->evalInt({Min}, {}), Min);
+}
+
+TEST(SymxIntSemanticsTest, IntMinWitnessesReplay) {
+  // Every path's condition mentions INT64_MIN / x; the witnesses must
+  // drive the interpreter down the same paths, including x == -1.
+  Program P = mustParse(R"(
+int f(int x) {
+  int m = -9223372036854775807 - 1;
+  if (x == 0) { return 0; }
+  int q = m / x;
+  if (q == m) { return 1; }
+  if (m % x == 0) { return 2; }
+  return 3;
+}
+)");
+  const FunctionDecl &Fn = P.Functions[0];
+  std::vector<SymbolicPath> Paths = enumeratePaths(P, Fn);
+  EXPECT_GE(Paths.size(), 3u);
+  expectWitnessesReplay(P, Fn, Paths);
+  // x == -1 takes the wrapping path: INT64_MIN / -1 == INT64_MIN.
+  ExecResult R = execute(P, Fn, {Value::makeInt(-1)});
+  ASSERT_TRUE(R.ok()) << R.ErrorMessage;
+  EXPECT_EQ(R.ReturnValue.asInt(), 1);
 }

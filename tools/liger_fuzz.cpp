@@ -285,7 +285,8 @@ std::string genHostileTemplate(Rng &R) {
   }
 }
 
-/// Structural generation: a random program assembled from fragments.
+/// Structural generation: a random program assembled from fragments,
+/// some with boundary integer literals.
 std::string genStructural(Rng &R) {
   if (R.nextBelow(4) == 0)
     return genHostileTemplate(R);
@@ -301,12 +302,24 @@ std::string genStructural(Rng &R) {
       "x = a[y];",
       "return x;",
       "break;",
+      // '@' is replaced by a boundary literal: the overflow and
+      // INT64_MIN / -1 cases of the wrapping int semantics.
+      "y = @;",
+      "x = @ / @;",
+      "x = y % @;",
+      "x = x * @ + y;",
+      "x = -y - @;",
+      "y = abs(y) + @;",
   };
+  static const char *const Boundaries[] = {
+      "9223372036854775807", "(-9223372036854775807 - 1)", "-1", "0"};
   std::string Out = "int f(int x, int y) {\n  string s = \"\";\n";
   size_t N = 1 + R.nextBelow(8);
   for (size_t I = 0; I < N; ++I) {
     Out += "  ";
-    Out += Stmts[R.nextBelow(sizeof(Stmts) / sizeof(Stmts[0]))];
+    for (const char *C = Stmts[R.nextBelow(sizeof(Stmts) / sizeof(Stmts[0]))];
+         *C; ++C)
+      Out += *C == '@' ? Boundaries[R.nextBelow(4)] : std::string(1, *C);
     Out += "\n";
   }
   Out += "  return x;\n}\n";
