@@ -27,6 +27,15 @@
 
 namespace liger {
 
+/// Whether this binary was compiled optimized; the throughput benches
+/// record it in their JSON so numbers from an assertion-enabled build
+/// are recognizable.
+#if defined(NDEBUG) && defined(__OPTIMIZE__)
+inline constexpr const char *BenchBuildType = "optimized";
+#else
+inline constexpr const char *BenchBuildType = "unoptimized";
+#endif
+
 /// Default cache-mode directory shared by the figure benches (and the
 /// verify.sh smoke steps): the Table 1 / fig6–fig11 sweeps regenerate
 /// the same corpora, so pointing them at one Full-mode directory pays

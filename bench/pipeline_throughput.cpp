@@ -94,14 +94,6 @@ void printRun(const char *Label, const RunResult &R) {
               static_cast<unsigned long long>(R.Fingerprint));
 }
 
-// Whether this binary was compiled optimized; recorded in the JSON so
-// numbers from an assertion-enabled build are recognizable.
-#if defined(NDEBUG) && defined(__OPTIMIZE__)
-constexpr const char *BuildType = "optimized";
-#else
-constexpr const char *BuildType = "unoptimized";
-#endif
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -199,7 +191,7 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Scale.Seed));
   std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(F, "  \"build_type\": \"%s\",\n", BuildType);
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", BenchBuildType);
   std::fprintf(F, "  \"baseline_off_seconds\": %.3f,\n", Off.Seconds);
   std::fprintf(F,
                "  \"phase_seconds_cold\": {\"explore\": %.3f, \"symbolic\": "

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace liger;
@@ -168,7 +169,7 @@ int main(int Argc, char **Argv) {
         NamesIdentical = false;
     }
   }
-  // Warm pass: persistent statement/state caches are primed now.
+  // Warm pass: the embedding store is primed now.
   for (const MethodSample *S : Samples) {
     Stopwatch Timer;
     Inference.predictName(S->Traces);
@@ -272,6 +273,9 @@ int main(int Argc, char **Argv) {
   std::fprintf(F, "  \"execs\": %u,\n", Scale.ExecutionsPerPath);
   std::fprintf(F, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(Scale.Seed));
+  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", BenchBuildType);
   std::fprintf(F, "  \"autodiff_mean_ms\": %.4f,\n", AutodiffMean);
   std::fprintf(F, "  \"inference_cold_mean_ms\": %.4f,\n", ColdMean);
   std::fprintf(F, "  \"inference_warm_mean_ms\": %.4f,\n", WarmMean);

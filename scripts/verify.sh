@@ -20,9 +20,11 @@
 #      plus a liger_fuzz smoke burst and the regression-corpus replay,
 #      all under ASan+UBSan (DESIGN.md §12);
 #   3c. sanitized serving: the forward-only runtime suites (bitwise
-#      inference equivalence, LGWI truncation/corruption/mmap fuzz,
-#      shared trace-cache concurrency) and a liger_serve --smoke burst
-#      under ASan+UBSan (DESIGN.md §13);
+#      inference equivalence in cold/warm/reverse rounds, embedding-store
+#      token ids, kind tag and rebind, LGWI truncation/corruption/mmap
+#      fuzz, shared trace-cache concurrency, stats() during concurrent
+#      handle()) and a liger_serve --smoke burst under ASan+UBSan
+#      (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
 #      at 1, 2 and 4 threads) under ASan+UBSan (DESIGN.md §14);
@@ -87,7 +89,11 @@ step "sanitized hardening: depth/memory budgets + fuzz smoke (build-asan)"
   --gtest_filter='ParserDepthTest.*:LexerHardeningTest.*'
 "$REPO/build-asan/tools/liger_fuzz" --smoke --replay "$REPO/tests/fuzz-corpus"
 
-step "sanitized serving: inference equivalence + shared cache + serve smoke (build-asan)"
+step "sanitized serving: inference equivalence + embedding store + shared cache + serve smoke (build-asan)"
+# Every serve_tests suite: InferenceEquivalenceTest, ValueTokenIdsTest,
+# InferenceStoreTest, WeightImageTest, ServeStatusTest,
+# ServeStatsConcurrencyTest, ServeDeadlineTest, ServeSharedCacheTest,
+# TraceCacheConcurrencyTest.
 "$REPO/build-asan/tests/serve_tests"
 "$REPO/build-asan/tools/liger_serve" --smoke --trace-cache-dir="$CACHE"
 

@@ -12,7 +12,6 @@
 #include "support/StringUtils.h"
 #include "testgen/Coverage.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -48,12 +47,8 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       std::string Prefix = std::string("--") + Key + "=";
       if (!startsWith(Arg, Prefix))
         return false;
-      const char *Begin = Arg.c_str() + Prefix.size();
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long Value = std::strtoull(Begin, &End, 10);
-      if (!std::isdigit(static_cast<unsigned char>(*Begin)) || *End != '\0' ||
-          errno == ERANGE)
+      uint64_t Value = 0;
+      if (!parseDecimal(Arg.substr(Prefix.size()), Value))
         badNumericFlag(Arg);
       Slot = static_cast<size_t>(Value);
       return true;

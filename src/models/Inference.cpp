@@ -18,6 +18,7 @@
 #include "models/Common.h"
 #include "nn/InferOps.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace liger;
@@ -69,6 +70,171 @@ size_t ScratchArena::floatsReserved() const {
 }
 
 //===----------------------------------------------------------------------===//
+// ValueTokenIds
+//===----------------------------------------------------------------------===//
+
+ValueTokenIds::ValueTokenIds(const Vocabulary &Vocab) : Vocab(Vocab) {
+  // Every spelling valueToken()/valueTokens() can produce outside
+  // short strings.
+  Undef = Vocab.lookup(valueToken(Value::undef()));
+  True = Vocab.lookup(valueToken(Value::makeBool(true)));
+  False = Vocab.lookup(valueToken(Value::makeBool(false)));
+  Empty = Vocab.lookup(valueTokens(Value::makeArray({})).front());
+  for (int64_t X = -64; X <= 64; ++X)
+    SmallInts[X + 64] = Vocab.lookup(valueToken(Value::makeInt(X)));
+  // One representative magnitude per bucket: 256, 4096, 65536, 2^20.
+  const int64_t Magnitudes[4] = {256, 4096, 65536, int64_t(1) << 20};
+  for (int B = 0; B < 4; ++B) {
+    IntBuckets[0][B] = Vocab.lookup(valueToken(Value::makeInt(Magnitudes[B])));
+    IntBuckets[1][B] =
+        Vocab.lookup(valueToken(Value::makeInt(-Magnitudes[B])));
+  }
+  for (int B = 0; B < 3; ++B)
+    StrBuckets[B] =
+        Vocab.lookup(valueToken(Value::makeString(std::string(16u << B, 'x'))));
+}
+
+int ValueTokenIds::id(const Value &V) const {
+  switch (V.kind()) {
+  case ValueKind::Undef:
+    return Undef;
+  case ValueKind::Bool:
+    return V.asBool() ? True : False;
+  case ValueKind::Int: {
+    // valueToken's buckets: exact in [-64, 64], then magnitude <= 256,
+    // <= 4096, <= 65536, beyond.
+    int64_t X = V.asInt();
+    if (X >= -64 && X <= 64)
+      return SmallInts[X + 64];
+    uint64_t Mag = X < 0 ? static_cast<uint64_t>(-(X + 1)) + 1
+                         : static_cast<uint64_t>(X);
+    int Bucket = Mag <= 256 ? 0 : Mag <= 4096 ? 1 : Mag <= 65536 ? 2 : 3;
+    return IntBuckets[X < 0][Bucket];
+  }
+  case ValueKind::String: {
+    const std::string &S = V.asString();
+    if (S.size() <= 8) {
+      // At most 10 bytes: stays in the string's inline buffer.
+      std::string Key;
+      Key += '"';
+      Key += S;
+      Key += '"';
+      return Vocab.lookup(Key);
+    }
+    return StrBuckets[S.size() <= 16 ? 0 : S.size() <= 32 ? 1 : 2];
+  }
+  case ValueKind::Array:
+  case ValueKind::Struct:
+    LIGER_UNREACHABLE("ValueTokenIds::id expects a primitive");
+  }
+  LIGER_UNREACHABLE("covered switch");
+}
+
+void ValueTokenIds::appendLeaves(const Value &Object, size_t Max,
+                                 std::vector<int> &Out) const {
+  for (const Value &Elem : Object.elements()) {
+    if (Out.size() == Max)
+      return;
+    if (Elem.isArray() || Elem.isStruct())
+      appendLeaves(Elem, Max, Out);
+    else
+      Out.push_back(id(Elem));
+  }
+}
+
+void ValueTokenIds::objectIds(const Value &Object, size_t Max,
+                              std::vector<int> &Out) const {
+  Out.clear();
+  appendLeaves(Object, Max, Out);
+  // valueTokens() emits <empty> for a leafless value before truncation.
+  if (Out.empty() && Max > 0)
+    Out.push_back(Empty);
+}
+
+//===----------------------------------------------------------------------===//
+// The embedding store's indexes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// splitmix64's finalizer: a bijection on 64-bit words, so a key hashed
+/// by it alone is identified exactly by its hash.
+uint64_t mix64(uint64_t X) {
+  X ^= X >> 30;
+  X *= 0xbf58476d1ce4e5b9ull;
+  X ^= X >> 27;
+  X *= 0x94d049bb133111ebull;
+  X ^= X >> 31;
+  return X;
+}
+
+uint64_t hashIds(const std::vector<int> &Ids) {
+  uint64_t H = mix64(Ids.size());
+  for (int Id : Ids)
+    H = mix64(H ^ static_cast<uint32_t>(Id));
+  return H;
+}
+
+} // namespace
+
+template <typename MatchFn>
+uint32_t LigerInference::HashIndex::find(uint64_t Hash,
+                                         MatchFn &&Match) const {
+  if (Slots.empty())
+    return None;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = Hash & Mask; Slots[I].Entry != None; I = (I + 1) & Mask)
+    if (Slots[I].Hash == Hash && Match(Slots[I].Entry))
+      return Slots[I].Entry;
+  return None;
+}
+
+uint32_t LigerInference::HashIndex::find(uint64_t Hash) const {
+  return find(Hash, [](uint32_t) { return true; });
+}
+
+void LigerInference::HashIndex::insert(uint64_t Hash, uint32_t Entry) {
+  // Grow at 3/4 load; the capacity stays a power of two.
+  if (4 * (Used + 1) > 3 * Slots.size()) {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 16 : 2 * Old.size(), Slot());
+    Used = 0;
+    for (const Slot &S : Old)
+      if (S.Entry != None)
+        insert(S.Hash, S.Entry);
+  }
+  size_t Mask = Slots.size() - 1;
+  size_t I = Hash & Mask;
+  while (Slots[I].Entry != None)
+    I = (I + 1) & Mask;
+  Slots[I] = {Hash, Entry};
+  ++Used;
+}
+
+void LigerInference::HashIndex::clear() {
+  std::fill(Slots.begin(), Slots.end(), Slot());
+  Used = 0;
+}
+
+uint32_t LigerInference::SequenceMemo::find(const std::vector<int> &Seq,
+                                            uint64_t Hash) const {
+  return Index.find(Hash, [&](uint32_t E) {
+    size_t Begin = Offsets[E], End = Offsets[E + 1];
+    return End - Begin == Seq.size() &&
+           std::equal(Seq.begin(), Seq.end(), Ids.begin() + Begin);
+  });
+}
+
+uint32_t LigerInference::SequenceMemo::insert(const std::vector<int> &Seq,
+                                              uint64_t Hash) {
+  uint32_t E = static_cast<uint32_t>(Offsets.size() - 1);
+  Ids.insert(Ids.end(), Seq.begin(), Seq.end());
+  Offsets.push_back(static_cast<uint32_t>(Ids.size()));
+  Index.insert(Hash, E);
+  return E;
+}
+
+//===----------------------------------------------------------------------===//
 // Weight binding
 //===----------------------------------------------------------------------===//
 
@@ -76,10 +242,12 @@ LigerInference::LigerInference(const WeightImage &Image,
                                const Vocabulary &JointVocab,
                                const Vocabulary *Target,
                                const LigerConfig &Cfg)
-    : Config(Cfg), Vocab(JointVocab), TargetVocab(Target) {
+    : Config(Cfg), Vocab(JointVocab), TargetVocab(Target),
+      ValueIds(JointVocab) {
   LIGER_CHECK(Config.UseStaticFeature || Config.UseDynamicFeature,
               "at least one feature dimension must be enabled");
   bind(Image);
+  resetStore();
 }
 
 LigerInference::LinearRef
@@ -161,20 +329,33 @@ void LigerInference::bind(const WeightImage &Image) {
 void LigerInference::rebind(const WeightImage &Image) {
   Digest128 Old = Version;
   bind(Image);
-  if (Version != Old) {
-    StmtCache.clear();
-    StateCache.clear();
-  }
+  if (Version != Old)
+    resetStore();
+}
+
+void LigerInference::resetStore() {
+  Store = EmbeddingStore();
+  // The trie root, the empty tuple: f2's initial state, which is also
+  // the zero embedding of a state with no values.
+  StoredRow Root;
+  Root.H = Store.Floats.allocZeroed(Config.Hidden);
+  if (Config.Cell == CellKind::Lstm)
+    Root.C = Store.Floats.allocZeroed(Config.Hidden);
+  Store.Nodes.push_back(Root);
+}
+
+void LigerInference::beginRequest() {
+  Arena.reset();
+  RequestStmts.clear();
 }
 
 //===----------------------------------------------------------------------===//
 // Primitive module forwards
 //===----------------------------------------------------------------------===//
 
-const float *LigerInference::tokenEmbed(const std::string &Token) const {
+const float *LigerInference::tokenEmbed(int Id) const {
   // EmbeddingTable::lookup is a zero-copy row view; here it is plain
   // pointer arithmetic into the image.
-  int Id = Vocab.lookup(Token);
   return Embed + static_cast<size_t>(Id) * Config.EmbedDim;
 }
 
@@ -262,22 +443,39 @@ LigerInference::attnContext(const AttnRef &Attn,
 }
 
 //===----------------------------------------------------------------------===//
-// Statement embedding (persistent cache)
+// Statement embedding (per-request memo + persistent store)
 //===----------------------------------------------------------------------===//
 
-LigerInference::St LigerInference::treeNode(const AstTree &Tree) {
+namespace {
+
+/// Pre-order (label id, arity) pairs of a head tree: injective on
+/// trees of token ids, and the embedding reads nothing else.
+void appendTreeIds(const AstTree &Tree, const Vocabulary &Vocab,
+                   std::vector<int> &Out) {
+  Out.push_back(Vocab.lookup(Tree.Label));
+  Out.push_back(static_cast<int>(Tree.Children.size()));
+  for (const AstTree &Child : Tree.Children)
+    appendTreeIds(Child, Vocab, Out);
+}
+
+} // namespace
+
+LigerInference::St LigerInference::treeNode(const std::vector<int> &PreOrder,
+                                            size_t &Pos) {
   // Mirrors ChildSumTreeLstm::embedNode: children first, then the
   // child-sum and the fused node op.
   size_t H = Config.Hidden;
-  size_t K = Tree.Children.size();
+  int Label = PreOrder[Pos];
+  size_t K = static_cast<size_t>(PreOrder[Pos + 1]);
+  Pos += 2;
   std::vector<const float *> ChildH(K), ChildC(K);
   for (size_t I = 0; I < K; ++I) {
-    St Child = treeNode(Tree.Children[I]);
+    St Child = treeNode(PreOrder, Pos);
     ChildH[I] = Child.H;
     ChildC[I] = Child.C;
   }
 
-  const float *X = tokenEmbed(Tree.Label);
+  const float *X = tokenEmbed(Label);
 
   // childHSum: zeros / the single child / a left-to-right add chain.
   const float *HSum;
@@ -306,138 +504,165 @@ LigerInference::St LigerInference::treeNode(const AstTree &Tree) {
   return Out;
 }
 
-namespace {
-
-/// Injective serialization of a statement head tree: length-prefixed
-/// labels plus explicit child-list delimiters, so distinct trees can
-/// never produce the same key.
-void appendTreeKey(const AstTree &Tree, std::string &Key) {
-  Key += std::to_string(Tree.Label.size());
-  Key += ':';
-  Key += Tree.Label;
-  Key += '(';
-  for (const AstTree &Child : Tree.Children)
-    appendTreeKey(Child, Key);
-  Key += ')';
-}
-
-} // namespace
-
-const float *LigerInference::embedStatement(const Stmt *S) {
-  AstTree Tree = buildStmtHeadTree(S);
-  std::string Key;
-  appendTreeKey(Tree, Key);
-  auto It = StmtCache.find(Key);
-  if (It != StmtCache.end()) {
+LigerInference::StoredRow *LigerInference::embedStatement(const Stmt *S) {
+  uint64_t PtrKey = mix64(reinterpret_cast<uintptr_t>(S));
+  uint32_t E = RequestStmts.find(PtrKey);
+  if (E != HashIndex::None) {
     ++Stats.StmtHits;
-    return It->second.data();
+    return &Store.StmtRows[E];
   }
-  ++Stats.StmtMisses;
-  St R = treeNode(Tree);
-  std::vector<float> &Slot = StmtCache[std::move(Key)];
-  Slot.assign(R.H, R.H + Config.Hidden);
-  return Slot.data();
+  std::vector<int> &Ids = IdScratch;
+  Ids.clear();
+  appendTreeIds(buildStmtHeadTree(S), Vocab, Ids);
+  uint64_t Hash = hashIds(Ids);
+  E = Store.Stmts.find(Ids, Hash);
+  if (E != HashIndex::None) {
+    ++Stats.StmtHits;
+  } else {
+    ++Stats.StmtMisses;
+    size_t Pos = 0;
+    St R = treeNode(Ids, Pos);
+    float *H = Store.Floats.alloc(Config.Hidden);
+    std::memcpy(H, R.H, Config.Hidden * sizeof(float));
+    StoredRow Row;
+    Row.H = H;
+    Store.StmtRows.push_back(Row);
+    E = Store.Stmts.insert(Ids, Hash);
+  }
+  RequestStmts.insert(PtrKey, E);
+  return &Store.StmtRows[E];
 }
 
 //===----------------------------------------------------------------------===//
-// State embedding (persistent cache)
+// State embedding (object memo + f2 prefix trie)
 //===----------------------------------------------------------------------===//
 
-const float *LigerInference::embedState(const ProgramState &State) {
-  // The key construction is LigerEncoder::stateKey verbatim — serving
-  // and training must agree on which states are "the same".
-  std::string Key;
-  std::vector<std::vector<std::string>> ValueTokens;
-  ValueTokens.reserve(State.Values.size());
-  for (const Value &V : State.Values) {
-    bool IsObject = V.isArray() || V.isStruct();
-    if (IsObject) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      ValueTokens.push_back(std::move(Tokens));
-    } else {
-      ValueTokens.push_back({valueToken(V)});
-    }
-    // Kind tag as in LigerEncoder::stateKey: a persistent cache must
-    // never hand a primitive's token embedding to the one-element
-    // object with the same token stream (or vice versa).
-    Key += IsObject ? 'O' : 'P';
-    for (const std::string &Token : ValueTokens.back()) {
-      Key += Token;
-      Key += '\x1f';
-    }
-    Key += '\x1e';
-  }
+uint32_t LigerInference::objectEntry(const Value &Object) {
+  std::vector<int> &Ids = IdScratch;
+  ValueIds.objectIds(Object, Config.MaxFlattenedValues, Ids);
+  uint64_t Hash = hashIds(Ids);
+  uint32_t E = Store.Objects.find(Ids, Hash);
+  if (E != HashIndex::None)
+    return E;
+  // f1 over the flattened attr sequence.
+  St S = cellInitial(F1);
+  for (int Id : Ids)
+    S = cellStep(F1, tokenEmbed(Id), S);
+  float *H = Store.Floats.alloc(F1.Hidden);
+  std::memcpy(H, S.H, F1.Hidden * sizeof(float));
+  Store.ObjectH.push_back(H);
+  return Store.Objects.insert(Ids, Hash);
+}
 
-  auto It = StateCache.find(Key);
-  if (It != StateCache.end()) {
+LigerInference::StoredRow *
+LigerInference::embedState(const ProgramState &State) {
+  // A state is the trie node its (component, ...) walk ends on. A
+  // component is a primitive's token id or an object entry, tagged
+  // apart, so int 5 and the one-element array [5] never share an edge.
+  auto componentOf = [&](const Value &V) -> uint64_t {
+    if (V.isArray() || V.isStruct())
+      return uint64_t(objectEntry(V)) << 1 | 1;
+    return uint64_t(static_cast<uint32_t>(ValueIds.id(V))) << 1;
+  };
+  auto edgeKey = [](uint32_t Parent, uint64_t Component) {
+    return mix64(uint64_t(Parent) << 33 | Component);
+  };
+
+  uint32_t Node = 0;
+  size_t I = 0, N = State.Values.size();
+  uint64_t Component = 0;
+  for (; I < N; ++I) {
+    Component = componentOf(State.Values[I]);
+    uint32_t Child = Store.Edges.find(edgeKey(Node, Component));
+    if (Child == HashIndex::None)
+      break;
+    Node = Child;
+  }
+  if (I == N) {
     ++Stats.StateHits;
-    return It->second.data();
+    return &Store.Nodes[Node];
   }
   ++Stats.StateMisses;
 
-  // Per-variable embeddings: primitives embed directly; object values
-  // run f1 over their flattened attr sequence.
-  std::vector<const float *> VarEmbeds;
-  VarEmbeds.reserve(State.Values.size());
-  for (size_t I = 0; I < State.Values.size(); ++I) {
-    const Value &V = State.Values[I];
-    if (V.isArray() || V.isStruct()) {
-      St S = cellInitial(F1);
-      for (const std::string &Token : ValueTokens[I])
-        S = cellStep(F1, tokenEmbed(Token), S);
-      VarEmbeds.push_back(S.H);
-    } else {
-      VarEmbeds.push_back(tokenEmbed(ValueTokens[I][0]));
+  // Run only the f2 steps below the deepest node that exists.
+  size_t H = Config.Hidden;
+  St S{Store.Nodes[Node].H, Store.Nodes[Node].C};
+  for (;;) {
+    const float *X = (Component & 1)
+                         ? Store.ObjectH[Component >> 1]
+                         : tokenEmbed(static_cast<int>(Component >> 1));
+    S = cellStep(F2, X, S);
+    StoredRow Row;
+    float *NodeH = Store.Floats.alloc(H);
+    std::memcpy(NodeH, S.H, H * sizeof(float));
+    Row.H = NodeH;
+    if (S.C) {
+      float *NodeC = Store.Floats.alloc(H);
+      std::memcpy(NodeC, S.C, H * sizeof(float));
+      Row.C = NodeC;
     }
+    uint32_t Child = static_cast<uint32_t>(Store.Nodes.size());
+    Store.Nodes.push_back(Row);
+    Store.Edges.insert(edgeKey(Node, Component), Child);
+    Node = Child;
+    if (++I == N)
+      return &Store.Nodes[Node];
+    Component = componentOf(State.Values[I]);
   }
-
-  const float *H;
-  if (VarEmbeds.empty()) {
-    H = Arena.allocZeroed(Config.Hidden);
-  } else {
-    St S = cellInitial(F2);
-    for (const float *In : VarEmbeds)
-      S = cellStep(F2, In, S);
-    H = S.H;
-  }
-  std::vector<float> &Slot = StateCache[std::move(Key)];
-  Slot.assign(H, H + Config.Hidden);
-  return Slot.data();
 }
 
 //===----------------------------------------------------------------------===//
 // Encode walk
 //===----------------------------------------------------------------------===//
 
+const float *LigerInference::keyProjRow(StoredRow &Row) {
+  // attnKeyProj's per-row kernel on one key: the same row a
+  // whole-memory projection computes.
+  if (!Row.KeyProj) {
+    float *KP = Store.Floats.alloc(A1.Hidden);
+    inferops::attentionKeyProjForward(1, A1.Hidden, A1.KeyDim,
+                                      A1.KeyDim + A1.QueryDim, A1.W1, A1.B1,
+                                      &Row.H, KP);
+    Row.KeyProj = KP;
+  }
+  return Row.KeyProj;
+}
+
 const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
                                       size_t NumConcrete,
                                       const float *PrevH) {
-  std::vector<const float *> Components;
+  std::vector<StoredRow *> &Rows = FuseRows;
+  Rows.clear();
   if (Config.UseStaticFeature)
-    Components.push_back(embedStatement(Path.Symbolic.Steps[J].Statement));
+    Rows.push_back(embedStatement(Path.Symbolic.Steps[J].Statement));
   for (size_t T = 0; T < NumConcrete; ++T) {
     const StateTrace &States = Path.Concrete[T];
     if (J < States.States.size() && !States.States[J].Values.empty())
-      Components.push_back(embedState(States.States[J]));
+      Rows.push_back(embedState(States.States[J]));
   }
-  if (Components.empty())
+  if (Rows.empty())
     return nullptr;
 
-  if (Components.size() == 1)
-    return Components[0];
+  if (Rows.size() == 1)
+    return Rows[0]->H;
+  size_t H = Config.Hidden;
   if (!Config.UseFusionAttention || J == 0) {
     // meanPool: zeros + in-order axpy with the 1/N weight.
-    size_t H = Config.Hidden;
     float *Out = Arena.allocZeroed(H);
-    float Inv = 1.0f / static_cast<float>(Components.size());
-    for (const float *Item : Components)
-      kernels::axpy(H, Inv, Item, Out);
+    float Inv = 1.0f / static_cast<float>(Rows.size());
+    for (const StoredRow *Row : Rows)
+      kernels::axpy(H, Inv, Row->H, Out);
     return Out;
   }
-  const float *KP = attnKeyProj(A1, Components);
-  return attnContext(A1, Components, KP, PrevH);
+  std::vector<const float *> &Keys = FuseKeys;
+  Keys.clear();
+  float *KP = Arena.alloc(Rows.size() * A1.Hidden);
+  for (size_t T = 0; T < Rows.size(); ++T) {
+    Keys.push_back(Rows[T]->H);
+    std::memcpy(KP + T * A1.Hidden, keyProjRow(*Rows[T]),
+                A1.Hidden * sizeof(float));
+  }
+  return attnContext(A1, Keys, KP, PrevH);
 }
 
 const float *
@@ -506,7 +731,7 @@ LigerInference::encodeInternal(const MethodTraces &Traces,
 }
 
 const float *LigerInference::encode(const MethodTraces &Traces) {
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   return encodeInternal(Traces, StepMemory);
 }
@@ -570,7 +795,7 @@ LigerInference::decodeGreedy(const float *ProgramEmbedding,
 std::vector<std::string>
 LigerInference::predictName(const MethodTraces &Traces) {
   LIGER_CHECK(TargetVocab, "predictName needs a target vocabulary");
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   const float *Program = encodeInternal(Traces, StepMemory);
   std::vector<int> Ids = decodeGreedy(Program, StepMemory);
@@ -579,7 +804,7 @@ LigerInference::predictName(const MethodTraces &Traces) {
 
 int LigerInference::predictClass(const MethodTraces &Traces) {
   LIGER_CHECK(hasClassifierHead(), "image has no classifier head");
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   const float *Program = encodeInternal(Traces, StepMemory);
   const float *Logits = linearApply(Head, Program);

@@ -19,12 +19,15 @@
 /// and LSTM configs, encode and decode).
 ///
 /// Since parameters are frozen at serving time, the per-encode
-/// statement/state embedding caches of the training path become
-/// persistent, parameter-versioned caches here: statements are keyed
-/// by their serialized head tree (Stmt pointers do not survive
-/// re-parsing), states by the same token-signature key the training
-/// cache uses, and both are cleared whenever rebind() installs an
-/// image with a different content digest (DESIGN.md §13).
+/// statement/state embedding caches of the training path become one
+/// persistent, parameter-versioned store per engine, keyed by token id
+/// (DESIGN.md §13.2): object values memoise f1's final state by their
+/// leaf-id sequence, states are nodes of an f2 prefix trie over
+/// (primitive token | object) components, statements key by the token
+/// ids of their head tree behind a per-request Stmt* memo, and every
+/// statement and state entry keeps A1's key-side row. rebind() drops
+/// the store whenever it installs an image with a different content
+/// digest.
 ///
 /// An engine is single-threaded; serving spawns one per worker. It
 /// borrows the WeightImage and vocabularies, which must outlive it.
@@ -40,8 +43,8 @@
 #include "trace/Vocabulary.h"
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace liger {
@@ -49,7 +52,8 @@ namespace liger {
 /// Bump allocator over retained float blocks: alloc() hands out
 /// pointers that stay valid until the next reset(), reset() recycles
 /// every block without freeing, so steady-state requests perform no
-/// heap allocation for tensor temporaries.
+/// heap allocation for tensor temporaries. The embedding store keeps
+/// its rows in one that it never resets.
 class ScratchArena {
 public:
   float *alloc(size_t N);
@@ -68,9 +72,40 @@ private:
   size_t Active = 0;
 };
 
+/// Token ids of runtime values read straight from Values: id() equals
+/// Vocab.lookup(valueToken(V)) for a primitive, and objectIds() the ids
+/// of valueTokens(V) after truncation, without building token strings,
+/// token vectors or Value::flatten copies. Only strings of at most 8
+/// bytes reach Vocabulary::lookup, with a key that fits std::string's
+/// inline buffer; every other primitive reads a table built once.
+class ValueTokenIds {
+public:
+  /// \p Vocab must outlive the table.
+  explicit ValueTokenIds(const Vocabulary &Vocab);
+
+  /// Id of a primitive value (⊥, bool, int or string).
+  int id(const Value &Primitive) const;
+
+  /// Replaces \p Out by the ids of an array/struct value's leaves in
+  /// order, cut at \p Max, or by <empty> when it has none.
+  void objectIds(const Value &Object, size_t Max, std::vector<int> &Out) const;
+
+private:
+  void appendLeaves(const Value &Object, size_t Max,
+                    std::vector<int> &Out) const;
+
+  const Vocabulary &Vocab;
+  int Undef = 0, True = 0, False = 0, Empty = 0;
+  int SmallInts[129] = {};   ///< -64..64.
+  int IntBuckets[2][4] = {}; ///< [negative][e2, e3, e4, big].
+  int StrBuckets[3] = {};    ///< len16, len32, len64.
+};
+
 /// Forward-only inference over a frozen weight image.
 class LigerInference {
 public:
+  /// One lookup per statement or state a fusion step embeds; a hit
+  /// reuses a stored row, a miss computes and stores it.
   struct CacheStats {
     uint64_t StmtHits = 0;
     uint64_t StmtMisses = 0;
@@ -98,8 +133,8 @@ public:
   bool hasClassifierHead() const { return Head.W != nullptr; }
 
   /// Re-binds against \p Image (same architecture). The embedding
-  /// caches survive when the content digest matches and are dropped
-  /// otherwise — they key computations by parameter version.
+  /// store survives when the content digest matches and is dropped
+  /// otherwise — it keys computations by parameter version.
   void rebind(const WeightImage &Image);
 
   const Digest128 &paramVersion() const { return Version; }
@@ -136,7 +171,66 @@ private:
   AttnRef bindAttn(const WeightImage &Image, const std::string &Name,
                    size_t QueryDim, size_t KeyDim, size_t Hidden) const;
 
-  const float *tokenEmbed(const std::string &Token) const;
+  /// One stored embedding: the vector a fusion step consumes, the f2
+  /// cell state C (LSTM trie nodes only), and A1's key-side row,
+  /// projected on first use.
+  struct StoredRow {
+    const float *H = nullptr;
+    const float *C = nullptr;
+    const float *KeyProj = nullptr;
+  };
+
+  /// Open-addressing index from 64-bit hashes to entry numbers. A hash
+  /// may name several keys; find() asks \p Match to confirm a
+  /// candidate entry.
+  class HashIndex {
+  public:
+    static constexpr uint32_t None = UINT32_MAX;
+    template <typename MatchFn>
+    uint32_t find(uint64_t Hash, MatchFn &&Match) const;
+    uint32_t find(uint64_t Hash) const; ///< For exact (bijective) hashes.
+    void insert(uint64_t Hash, uint32_t Entry);
+    void clear();
+
+  private:
+    struct Slot {
+      uint64_t Hash = 0;
+      uint32_t Entry = None;
+    };
+    std::vector<Slot> Slots;
+    size_t Used = 0;
+  };
+
+  /// Interned id sequences: entry E is the E-th distinct sequence.
+  struct SequenceMemo {
+    HashIndex Index;
+    std::vector<int> Ids; ///< All sequences, concatenated.
+    /// Entry E is Ids[Offsets[E], Offsets[E + 1]).
+    std::vector<uint32_t> Offsets = {0};
+    uint32_t find(const std::vector<int> &Seq, uint64_t Hash) const;
+    uint32_t insert(const std::vector<int> &Seq, uint64_t Hash);
+  };
+
+  /// The per-engine embedding store (DESIGN.md §13.2). Floats live in
+  /// an arena as long as the store; rows are never moved.
+  struct EmbeddingStore {
+    ScratchArena Floats;
+    /// Object values: leaf-id sequence -> f1 final H (EmbedDim floats).
+    SequenceMemo Objects;
+    std::vector<const float *> ObjectH;
+    /// Statements: pre-order (label id, arity) sequence -> row.
+    SequenceMemo Stmts;
+    std::deque<StoredRow> StmtRows;
+    /// The f2 prefix trie: node 0 is the empty tuple; an edge is keyed
+    /// by (parent node, component id) and a node holds f2's state after
+    /// the components on its path.
+    HashIndex Edges;
+    std::deque<StoredRow> Nodes;
+  };
+
+  void resetStore();
+  void beginRequest();
+  const float *tokenEmbed(int Id) const;
   const float *linearApply(const LinearRef &L, const float *X);
   St cellInitial(const CellRef &Cell);
   St cellStep(const CellRef &Cell, const float *X, const St &Prev);
@@ -146,9 +240,11 @@ private:
   const float *attnKeyProj(const AttnRef &Attn,
                            const std::vector<const float *> &Keys);
 
-  St treeNode(const AstTree &Tree);
-  const float *embedStatement(const Stmt *S);
-  const float *embedState(const ProgramState &State);
+  St treeNode(const std::vector<int> &PreOrder, size_t &Pos);
+  const float *keyProjRow(StoredRow &Row);
+  uint32_t objectEntry(const Value &Object);
+  StoredRow *embedStatement(const Stmt *S);
+  StoredRow *embedState(const ProgramState &State);
   const float *fuseStep(const BlendedTrace &Path, size_t J,
                         size_t NumConcrete, const float *PrevH);
   const float *encodePath(const BlendedTrace &Path,
@@ -178,13 +274,17 @@ private:
   } Dec;
   LinearRef Head; ///< Classifier head; W null when absent.
 
+  ValueTokenIds ValueIds;
   ScratchArena Arena;
   CacheStats Stats;
-  // Parameter-versioned persistent caches: Config.Hidden floats each.
-  // unordered_map never moves a vector's heap buffer on rehash, so
-  // returned pointers stay valid for the engine's lifetime.
-  std::unordered_map<std::string, std::vector<float>> StmtCache;
-  std::unordered_map<std::string, std::vector<float>> StateCache;
+  EmbeddingStore Store;
+  /// Per-request memo in front of Store.Stmts: Stmt pointers are only
+  /// stable while the request's Program lives.
+  HashIndex RequestStmts;
+  // Reused per-call buffers (an engine is single-threaded).
+  std::vector<int> IdScratch;
+  std::vector<StoredRow *> FuseRows;
+  std::vector<const float *> FuseKeys;
 };
 
 } // namespace liger

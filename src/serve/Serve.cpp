@@ -159,9 +159,18 @@ ServeEngine::ServeEngine(const ServeConfig &Config)
 
 ServeResponse ServeEngine::handle(const ServeRequest &Request) {
   EngineLease Lease(*this);
-  ServeResponse Resp = handleOn(Request, Lease.engine());
+  LigerInference &Engine = Lease.engine();
+  // The engine's counters are only read while this request leases it;
+  // stats() sees them as the deltas added here under StatsMutex.
+  LigerInference::CacheStats Before = Engine.cacheStats();
+  ServeResponse Resp = handleOn(Request, Engine);
+  const LigerInference::CacheStats &After = Engine.cacheStats();
 
   std::lock_guard<std::mutex> Lock(StatsMutex);
+  Stats.Embeddings.StmtHits += After.StmtHits - Before.StmtHits;
+  Stats.Embeddings.StmtMisses += After.StmtMisses - Before.StmtMisses;
+  Stats.Embeddings.StateHits += After.StateHits - Before.StateHits;
+  Stats.Embeddings.StateMisses += After.StateMisses - Before.StateMisses;
   ++Stats.Requests;
   switch (Resp.Status) {
   case ServeStatus::Ok:
@@ -273,21 +282,6 @@ ServeEngine::handleBatch(const std::vector<ServeRequest> &Requests) {
 }
 
 ServeStats ServeEngine::stats() const {
-  ServeStats Out;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Out = Stats;
-  }
-  // Engine-local counters: take the engine mutex so no request is in
-  // flight on an engine while its counters are read (callers should
-  // still prefer quiescent points — leased engines are not waited on).
-  std::lock_guard<std::mutex> Lock(EngineMutex);
-  for (const std::unique_ptr<LigerInference> &E : Engines) {
-    const LigerInference::CacheStats &C = E->cacheStats();
-    Out.Embeddings.StmtHits += C.StmtHits;
-    Out.Embeddings.StmtMisses += C.StmtMisses;
-    Out.Embeddings.StateHits += C.StateHits;
-    Out.Embeddings.StateMisses += C.StateMisses;
-  }
-  return Out;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  return Stats;
 }

@@ -96,7 +96,7 @@ struct ServeStats {
   uint64_t DeadlineExceeded = 0;
   uint64_t TraceCacheHits = 0;
   uint64_t TraceCacheMisses = 0;
-  /// Summed over the worker engines' persistent embedding caches.
+  /// The worker engines' embedding-store lookups, added per request.
   LigerInference::CacheStats Embeddings;
 };
 
@@ -151,7 +151,7 @@ private:
 
   // Free list of per-worker inference engines (ThreadPool::run hands
   // out task indices, not worker identities, so engines are leased).
-  mutable std::mutex EngineMutex;
+  std::mutex EngineMutex;
   std::condition_variable EngineAvailable;
   std::vector<std::unique_ptr<LigerInference>> Engines;
   std::vector<size_t> FreeEngines;

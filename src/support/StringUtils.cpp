@@ -76,6 +76,22 @@ bool liger::startsWith(const std::string &S, const std::string &Prefix) {
          S.compare(0, Prefix.size(), Prefix) == 0;
 }
 
+bool liger::parseDecimal(const std::string &Text, uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (!isDigitAscii(C))
+      return false;
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Value > (UINT64_MAX - Digit) / 10)
+      return false;
+    Value = Value * 10 + Digit;
+  }
+  Out = Value;
+  return true;
+}
+
 bool liger::endsWith(const std::string &S, const std::string &Suffix) {
   return S.size() >= Suffix.size() &&
          S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;

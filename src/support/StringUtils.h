@@ -15,6 +15,7 @@
 #ifndef LIGER_SUPPORT_STRINGUTILS_H
 #define LIGER_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,11 @@ std::string trim(const std::string &S);
 
 /// Splits on a single character separator; empty fields are kept.
 std::vector<std::string> splitChar(const std::string &S, char Sep);
+
+/// Parses \p Text as a plain decimal number: one or more ASCII digits,
+/// no sign, space or suffix, and no overflow. Returns false (leaving
+/// \p Out untouched) otherwise.
+bool parseDecimal(const std::string &Text, uint64_t &Out);
 
 /// Renders a double with \p Precision digits after the decimal point.
 std::string formatDouble(double Value, int Precision = 2);

@@ -10,19 +10,28 @@
 ///  - InferenceEquivalenceTest: the forward-only LigerInference
 ///    runtime is bitwise-identical to the autodiff forward — program
 ///    embeddings memcmp-equal, greedy decodes token-equal — for GRU
-///    and LSTM cells, cold and warm embedding caches.
+///    and LSTM cells, with the embedding store cold, warm, and filled
+///    in reverse order.
+///  - ValueTokenIdsTest / InferenceStoreTest: the store's token ids
+///    equal the vocabulary's ids of valueToken()/valueTokens(); the
+///    kind tag keeps 5 and [5] apart; rebind() keeps the store for one
+///    digest and matches a fresh engine for another; served requests
+///    match fresh engines bitwise.
 ///  - WeightImageTest: LGWI round-trips are bitwise; truncation at
 ///    every byte offset and every single-byte flip fail cleanly (the
 ///    LGCK fuzz-harness discipline applied to the serving image).
 ///  - ServeDeadlineTest / ServeStatusTest: per-request wall-clock
 ///    deadlines surface as a distinct terminal status and stats
 ///    counter; pipeline filters map to their statuses.
+///  - ServeStatsConcurrencyTest: stats() during concurrent handle()
+///    calls reads only whole requests' counters.
 ///  - ServeSharedCacheTest / TraceCacheConcurrencyTest: engines and
 ///    raw caches sharing one on-disk directory serve concurrent
 ///    readers (and writers) without corruption or result drift.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "dataset/Tasks.h"
 #include "models/Inference.h"
 #include "nn/GraphArena.h"
 #include "serve/Serve.h"
@@ -64,6 +73,26 @@ std::vector<const MethodSample *> allSamples(const NameTask &Task) {
   return Out;
 }
 
+/// One pass of \p Samples, in the given order, through \p Inference,
+/// each checked against the graph forward: embeddings memcmp-equal,
+/// decodes token-equal.
+void expectRoundBitwise(LigerNamePredictor &Net, LigerInference &Inference,
+                        const std::vector<const MethodSample *> &Samples,
+                        const LigerConfig &Config, const char *Round) {
+  for (const MethodSample *S : Samples) {
+    GraphArena::current().reset();
+    LigerEncoding Enc = Net.encoder().encode(S->Traces);
+    const float *Embedding = Inference.encode(S->Traces);
+    ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0)
+        << Round << " round";
+    GraphArena::current().reset();
+    EXPECT_EQ(Inference.predictName(S->Traces), Net.predict(*S))
+        << Round << " round";
+  }
+}
+
 /// Checks bitwise encode + exact decode equivalence between the
 /// autodiff model and the forward-only runtime for one cell kind.
 void expectForwardEquivalence(CellKind Cell) {
@@ -77,28 +106,23 @@ void expectForwardEquivalence(CellKind Cell) {
 
   std::vector<const MethodSample *> Samples = allSamples(Task);
   ASSERT_FALSE(Samples.empty());
+  std::vector<const MethodSample *> Reversed(Samples.rbegin(),
+                                             Samples.rend());
 
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
-  // Two rounds: the first runs the inference engine with cold
-  // statement/state caches, the second with warm ones — both must be
-  // bitwise-identical to the graph forward.
-  for (int Round = 0; Round < 2; ++Round) {
-    for (const MethodSample *S : Samples) {
-      GraphArena::current().reset();
-      LigerEncoding Enc = Net.encoder().encode(S->Traces);
-      const float *Embedding = Inference.encode(S->Traces);
-      ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
-                            Config.Hidden * sizeof(float)),
-                0)
-          << "round " << Round;
-      GraphArena::current().reset();
-      EXPECT_EQ(Inference.predictName(S->Traces), Net.predict(*S))
-          << "round " << Round;
-    }
-  }
-  // Warm rounds actually hit the persistent caches.
+  // The first round runs with a cold embedding store, the second with a
+  // warm one, the third warm in reverse order. A second engine then
+  // starts cold in reverse order, so each method meets objects, trie
+  // prefixes and statements that other methods stored.
+  expectRoundBitwise(Net, Inference, Samples, Config, "cold");
+  expectRoundBitwise(Net, Inference, Samples, Config, "warm");
+  expectRoundBitwise(Net, Inference, Reversed, Config, "warm reverse");
+  LigerInference Fresh(Image, Task.Joint, &Task.Target, Config);
+  expectRoundBitwise(Net, Fresh, Reversed, Config, "cold reverse");
+  // Warm rounds actually hit the store.
   EXPECT_GT(Inference.cacheStats().StmtHits, 0u);
+  EXPECT_GT(Inference.cacheStats().StateHits, 0u);
 }
 
 std::string tempPath(const char *Name) {
@@ -142,6 +166,226 @@ TEST(InferenceEquivalenceTest, GruEncodeDecodeBitwise) {
 
 TEST(InferenceEquivalenceTest, LstmEncodeDecodeBitwise) {
   expectForwardEquivalence(CellKind::Lstm);
+}
+
+//===----------------------------------------------------------------------===//
+// ValueTokenIdsTest / InferenceStoreTest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Value intArray(std::vector<int64_t> Xs) {
+  std::vector<Value> Elems;
+  for (int64_t X : Xs)
+    Elems.push_back(Value::makeInt(X));
+  return Value::makeArray(std::move(Elems));
+}
+
+/// The primitives whose tokens sit at valueToken's bucket edges.
+std::vector<Value> edgePrimitives() {
+  std::vector<Value> Out;
+  for (int64_t X : {int64_t(-65), int64_t(-64), int64_t(64), int64_t(65),
+                    int64_t(256), int64_t(257), int64_t(4096), int64_t(4097),
+                    int64_t(65536), int64_t(65537), INT64_MIN, INT64_MAX})
+    Out.push_back(Value::makeInt(X));
+  for (int64_t X : {int64_t(-257), int64_t(-4097), int64_t(-65537), int64_t(0)})
+    Out.push_back(Value::makeInt(X));
+  Out.push_back(Value::makeBool(true));
+  Out.push_back(Value::makeBool(false));
+  Out.push_back(Value::undef());
+  for (size_t Len : {0, 8, 9, 16, 17, 32, 33, 64, 65})
+    Out.push_back(Value::makeString(std::string(Len, 'a')));
+  return Out;
+}
+
+/// A vocabulary holding every token of \p Values plus <empty>, added in
+/// reverse so no id coincides with a table position by accident.
+Vocabulary vocabularyOf(const std::vector<Value> &Values) {
+  Vocabulary Vocab;
+  Vocab.add("<empty>");
+  for (auto It = Values.rbegin(); It != Values.rend(); ++It) {
+    if (It->isArray() || It->isStruct()) {
+      for (const std::string &Token : valueTokens(*It))
+        Vocab.add(Token);
+    } else {
+      Vocab.add(valueToken(*It));
+    }
+  }
+  Vocab.freeze();
+  return Vocab;
+}
+
+/// One path of one step whose single execution is in \p State: with
+/// the static feature off, the program embedding is f3 over that
+/// state's embedding alone.
+MethodTraces singleStateTraces(ProgramState State) {
+  MethodTraces Traces;
+  BlendedTrace Path;
+  Path.Symbolic.Steps.resize(1);
+  StateTrace Exec;
+  Exec.States.push_back(std::move(State));
+  Path.Concrete.push_back(std::move(Exec));
+  Traces.Paths.push_back(std::move(Path));
+  return Traces;
+}
+
+} // namespace
+
+TEST(ValueTokenIdsTest, PrimitiveIdsMatchVocabularyLookup) {
+  std::vector<Value> Values = edgePrimitives();
+  Vocabulary Full = vocabularyOf(Values);
+  Vocabulary SpecialsOnly;
+  SpecialsOnly.freeze();
+  for (const Vocabulary *Vocab : {&Full, &SpecialsOnly}) {
+    ValueTokenIds Ids(*Vocab);
+    for (const Value &V : Values)
+      EXPECT_EQ(Ids.id(V), Vocab->lookup(valueToken(V))) << V.str();
+    // A short string no vocabulary holds reads <unk>, as lookup does.
+    Value Unseen = Value::makeString("zq");
+    EXPECT_EQ(Ids.id(Unseen), Vocabulary::Unk);
+    EXPECT_EQ(Ids.id(Unseen), Vocab->lookup(valueToken(Unseen)));
+  }
+  // The full vocabulary tells the bucket edges apart.
+  ValueTokenIds Ids(Full);
+  EXPECT_NE(Ids.id(Value::makeInt(64)), Ids.id(Value::makeInt(65)));
+  EXPECT_NE(Ids.id(Value::makeInt(256)), Ids.id(Value::makeInt(257)));
+  EXPECT_NE(Ids.id(Value::makeInt(-65)), Ids.id(Value::makeInt(65)));
+  EXPECT_NE(Ids.id(Value::makeString(std::string(8, 'a'))),
+            Ids.id(Value::makeString(std::string(9, 'a'))));
+}
+
+TEST(ValueTokenIdsTest, ObjectLeafIdsMatchTruncatedValueTokens) {
+  StructDecl Point;
+  Point.Name = "Point";
+  Point.Fields.resize(2);
+  Point.Fields[0].Name = "x";
+  Point.Fields[1].Name = "ys";
+  std::vector<int64_t> Long;
+  for (int64_t I = 0; I < 30; ++I)
+    Long.push_back(I * 7 - 40);
+  std::vector<Value> NestedLong;
+  for (int64_t I = 0; I < 10; ++I)
+    NestedLong.push_back(intArray({I, -I, 1000 * I}));
+
+  std::vector<Value> Objects = {
+      Value::makeArray({Value::makeInt(1), intArray({2, 300}),
+                        intArray({}), Value::makeString("ab"),
+                        Value::makeBool(true), Value::undef()}),
+      intArray({}),
+      Value::makeArray({intArray({}), intArray({})}),
+      Value::makeStruct(&Point, {Value::makeInt(5), intArray({6, 70000})}),
+      Value::makeStruct(&Point, {intArray({}), intArray({})}),
+      intArray(Long),
+      Value::makeArray(NestedLong),
+      intArray({5}),
+  };
+  Vocabulary Vocab = vocabularyOf(Objects);
+  ValueTokenIds Ids(Vocab);
+  std::vector<int> Got;
+  for (size_t Max : {size_t(0), size_t(1), size_t(12), size_t(100)})
+    for (const Value &V : Objects) {
+      std::vector<std::string> Tokens = valueTokens(V);
+      if (Tokens.size() > Max)
+        Tokens.resize(Max);
+      std::vector<int> Want;
+      for (const std::string &Token : Tokens)
+        Want.push_back(Vocab.lookup(Token));
+      Ids.objectIds(V, Max, Got);
+      EXPECT_EQ(Got, Want) << V.str() << " cut at " << Max;
+    }
+}
+
+TEST(InferenceStoreTest, PrimitiveAndOneElementArrayEmbedApart) {
+  // 5 and [5] read the same token; only the kind tag keeps the object
+  // (f1 over its leaves) apart from the primitive (the token's row).
+  // "5" is the first token after the four specials, and the four
+  // padding objects take object entries 0-3, so [5]'s entry number
+  // equals 5's token id: an untagged component would collide.
+  Vocabulary Joint;
+  ASSERT_EQ(Joint.add("5"), 4);
+  Joint.add("<empty>");
+  Joint.freeze();
+  Vocabulary Target;
+  Target.add("five");
+  LigerConfig Config;
+  Config.EmbedDim = 6;
+  Config.Hidden = 7;
+  Config.AttnHidden = 5;
+  Config.UseStaticFeature = false;
+  std::vector<MethodTraces> States;
+  States.push_back(singleStateTraces({{Value::makeInt(5)}}));
+  for (size_t Len = 1; Len <= 4; ++Len)
+    States.push_back(
+        singleStateTraces({{intArray(std::vector<int64_t>(Len, 1))}}));
+  States.push_back(singleStateTraces({{intArray({5})}}));
+
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
+    Config.Cell = Cell;
+    LigerNamePredictor Net(Joint, Target, Config, /*Seed=*/3);
+    WeightImage Image = WeightImage::fromStore(Net.params());
+    LigerInference Inference(Image, Joint, &Target, Config);
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    std::vector<std::vector<float>> Embeddings;
+    for (const MethodTraces &Traces : States) {
+      GraphArena::current().reset();
+      LigerEncoding Enc = Net.encoder().encode(Traces);
+      const float *E = Inference.encode(Traces);
+      ASSERT_EQ(std::memcmp(E, Enc.ProgramEmbedding->Value.data(),
+                            Config.Hidden * sizeof(float)),
+                0)
+          << "state " << Embeddings.size();
+      Embeddings.emplace_back(E, E + Config.Hidden);
+    }
+    EXPECT_NE(Embeddings.front(), Embeddings.back());
+    EXPECT_EQ(Inference.cacheStats().StateMisses, States.size());
+  }
+}
+
+TEST(InferenceStoreTest, RebindKeepsStoreOnSameDigestResetsOnNew) {
+  ExperimentScale Scale = tinyScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  LigerConfig Config = serveLigerConfig(Scale);
+  LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+  LigerNamePredictor Other(Task.Joint, Task.Target, Config, Scale.Seed + 1);
+  WeightImage Image = WeightImage::fromStore(Net.params());
+  WeightImage SameImage = WeightImage::fromStore(Net.params());
+  WeightImage OtherImage = WeightImage::fromStore(Other.params());
+  ASSERT_TRUE(SameImage.version() == Image.version());
+  ASSERT_FALSE(OtherImage.version() == Image.version());
+
+  std::vector<const MethodSample *> Samples = allSamples(Task);
+  ASSERT_FALSE(Samples.empty());
+  LigerInference Inference(Image, Task.Joint, &Task.Target, Config);
+  for (const MethodSample *S : Samples)
+    Inference.predictName(S->Traces);
+
+  // Same digest: the store stays warm, so a second pass misses nothing.
+  Inference.rebind(SameImage);
+  LigerInference::CacheStats Warm = Inference.cacheStats();
+  for (const MethodSample *S : Samples)
+    Inference.predictName(S->Traces);
+  EXPECT_EQ(Inference.cacheStats().StmtMisses, Warm.StmtMisses);
+  EXPECT_EQ(Inference.cacheStats().StateMisses, Warm.StateMisses);
+  EXPECT_GT(Inference.cacheStats().StateHits, Warm.StateHits);
+
+  // New digest: the store is dropped and every output is bitwise what
+  // a fresh engine on the new image computes.
+  Inference.rebind(OtherImage);
+  EXPECT_TRUE(Inference.paramVersion() == OtherImage.version());
+  LigerInference::CacheStats BeforeNew = Inference.cacheStats();
+  LigerInference Fresh(OtherImage, Task.Joint, &Task.Target, Config);
+  for (const MethodSample *S : Samples) {
+    std::vector<float> Got;
+    const float *E = Inference.encode(S->Traces);
+    Got.assign(E, E + Config.Hidden);
+    const float *Want = Fresh.encode(S->Traces);
+    EXPECT_EQ(std::memcmp(Got.data(), Want, Config.Hidden * sizeof(float)),
+              0);
+    EXPECT_EQ(Inference.predictName(S->Traces), Fresh.predictName(S->Traces));
+  }
+  EXPECT_GT(Inference.cacheStats().StateMisses, BeforeNew.StateMisses);
+  EXPECT_GT(Inference.cacheStats().StmtMisses, BeforeNew.StmtMisses);
 }
 
 //===----------------------------------------------------------------------===//
@@ -336,6 +580,86 @@ TEST(ServeStatusTest, PipelineFiltersMapToStatuses) {
   EXPECT_EQ(Stats.TooSmall, 1u);
   EXPECT_EQ(Stats.NoTraces, 1u);
   EXPECT_EQ(Stats.DeadlineExceeded, 0u);
+}
+
+TEST(InferenceStoreTest, ServedRequestsMatchFreshEngines) {
+  // One engine serves distinct methods back to back, twice, so its
+  // store holds other methods' statements, objects and trie prefixes,
+  // and every request re-parses (Stmt addresses get reused): each
+  // embedding must still be bitwise what a fresh engine returns.
+  ServeConfig Config = tinyServeConfig();
+  Config.Workers = 0;
+  Config.ReturnEmbedding = true;
+  std::vector<ServeRequest> Requests;
+  for (const TaskSpec &Task : taskLibrary()) {
+    if (Requests.size() == 8)
+      break;
+    std::string Name = "served" + std::to_string(Requests.size());
+    Requests.push_back(
+        {Name, replaceIdentifier(Task.Variants.front().Source, "FN", Name),
+         60000});
+  }
+  // Back to back first, so re-parsed statements can land where an
+  // earlier request's statements were.
+  ServeEngine Warm(Config);
+  std::vector<ServeResponse> Got;
+  for (int Pass = 0; Pass < 2; ++Pass)
+    for (const ServeRequest &Req : Requests)
+      Got.push_back(Warm.handle(Req));
+  size_t Served = 0;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    const ServeRequest &Req = Requests[I % Requests.size()];
+    Config.Scale.Cache = std::make_shared<TraceCache>(
+        Config.Scale.CacheMode, /*Dir=*/std::string());
+    ServeEngine Fresh(Config);
+    ServeResponse Want = Fresh.handle(Req);
+    ASSERT_EQ(Got[I].Status, Want.Status) << Req.MethodName;
+    if (Want.Status != ServeStatus::Ok)
+      continue;
+    ++Served;
+    ASSERT_EQ(Got[I].Embedding.size(), Want.Embedding.size());
+    EXPECT_EQ(std::memcmp(Got[I].Embedding.data(), Want.Embedding.data(),
+                          Want.Embedding.size() * sizeof(float)),
+              0)
+        << Req.MethodName << " request " << I;
+    EXPECT_EQ(Got[I].NameSubtokens, Want.NameSubtokens) << Req.MethodName;
+  }
+  EXPECT_GE(Served, 8u);
+}
+
+TEST(ServeStatsConcurrencyTest, StatsDuringHandleSeesWholeRequests) {
+  // stats() runs while two threads are inside handle(): it must read
+  // only what handle() published under the stats mutex, never a leased
+  // engine's counters mid-request (a data race a TSan build reports).
+  ServeEngine Engine(tinyServeConfig());
+  constexpr size_t PerThread = 12;
+  std::atomic<size_t> Running{2};
+  std::vector<std::thread> Clients;
+  for (int T = 0; T < 2; ++T)
+    Clients.emplace_back([&] {
+      for (size_t I = 0; I < PerThread; ++I)
+        EXPECT_EQ(Engine.handle({"sumAll", SumSource, 0}).Status,
+                  ServeStatus::Ok);
+      Running.fetch_sub(1);
+    });
+  uint64_t Last = 0;
+  while (Running.load() != 0) {
+    ServeStats S = Engine.stats();
+    EXPECT_GE(S.Requests, Last);
+    Last = S.Requests;
+    // Counters of a finished request arrive together with it.
+    EXPECT_EQ(S.Ok, S.Requests);
+  }
+  for (std::thread &T : Clients)
+    T.join();
+
+  ServeStats S = Engine.stats();
+  EXPECT_EQ(S.Requests, 2 * PerThread);
+  EXPECT_EQ(S.Ok, 2 * PerThread);
+  // One engine per worker: each computes a statement once, then reuses it.
+  EXPECT_GT(S.Embeddings.StmtHits, 0u);
+  EXPECT_GT(S.Embeddings.StmtMisses, 0u);
+  EXPECT_GT(S.Embeddings.StateHits + S.Embeddings.StateMisses, 0u);
 }
 
 TEST(ServeDeadlineTest, TinyDeadlineSurfacesAsDistinctStatus) {

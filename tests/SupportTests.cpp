@@ -172,6 +172,22 @@ TEST(StringUtilsTest, StartsEndsWith) {
   EXPECT_FALSE(endsWith("ger", "liger"));
 }
 
+TEST(StringUtilsTest, ParseDecimal) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseDecimal("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseDecimal("0042", V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseDecimal("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+  for (const char *Bad : {"", "18446744073709551616", "99999999999999999999",
+                          "-1", "+1", " 1", "1 ", "1x", "abc", "0x10"}) {
+    V = 7;
+    EXPECT_FALSE(parseDecimal(Bad, V)) << Bad;
+    EXPECT_EQ(V, 7u) << Bad;
+  }
+}
+
 TEST(StringUtilsTest, Trim) {
   EXPECT_EQ(trim("  a b \t\n"), "a b");
   EXPECT_EQ(trim(""), "");

@@ -24,7 +24,11 @@
 /// Flags: --workers=N --deadline-ms=N --checkpoint=PATH --large
 ///        --emit-embedding --smoke, plus every ExperimentScale flag
 ///        (--hidden=, --trace-cache-dir=, ...; unknown flags are
-///        fatal, as in the bench binaries).
+///        fatal, as in the bench binaries). Numeric values are plain
+///        decimal digits that fit; --workers is at most MaxWorkers.
+///        A bad flag, or a malformed request (a METHOD header whose
+///        deadline is not plain digits that fit, or that has trailing
+///        tokens; a missing END), exits with status 2.
 ///
 /// --smoke runs a built-in self-test instead of serving: a burst of
 /// valid, repeated (trace-cache hit), malformed, hostile
@@ -36,6 +40,7 @@
 
 #include "dataset/Tasks.h"
 #include "serve/Serve.h"
+#include "support/StringUtils.h"
 #include "testgen/TraceCache.h"
 
 #include <chrono>
@@ -52,10 +57,29 @@ using namespace liger;
 
 namespace {
 
+/// Upper bound on --workers: each worker is a thread plus an inference
+/// engine with its own embedding store, so a larger count is a typo,
+/// not a configuration.
+constexpr uint64_t MaxWorkers = 256;
+
 struct ServeToolOptions {
   ServeConfig Config;
   bool Smoke = false;
 };
+
+/// The value of a numeric flag: plain decimal digits that fit and are
+/// at most \p Max; anything else exits with status 2, as
+/// ExperimentScale::fromArgs does for its flags.
+uint64_t numericFlag(const std::string &Arg, size_t PrefixLen,
+                     uint64_t Max) {
+  uint64_t Value = 0;
+  if (!parseDecimal(Arg.substr(PrefixLen), Value) || Value > Max) {
+    std::fprintf(stderr, "liger_serve: bad numeric value in flag: %s\n",
+                 Arg.c_str());
+    std::exit(2);
+  }
+  return Value;
+}
 
 /// Splits serve-specific flags from the ExperimentScale flags, which
 /// are handed to ExperimentScale::fromArgs (fatal on unknown keys).
@@ -66,13 +90,14 @@ ServeToolOptions parseArgs(int Argc, char **Argv) {
   Rest.push_back(Argv[0]);
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg.rfind("--workers=", 0) == 0) {
-      Opts.Config.Workers = std::strtoull(Arg.c_str() + 10, nullptr, 10);
+    if (startsWith(Arg, "--workers=")) {
+      Opts.Config.Workers = static_cast<size_t>(
+          numericFlag(Arg, std::strlen("--workers="), MaxWorkers));
       continue;
     }
-    if (Arg.rfind("--deadline-ms=", 0) == 0) {
+    if (startsWith(Arg, "--deadline-ms=")) {
       Opts.Config.DefaultDeadlineMillis =
-          std::strtoull(Arg.c_str() + 14, nullptr, 10);
+          numericFlag(Arg, std::strlen("--deadline-ms="), UINT64_MAX);
       continue;
     }
     if (Arg.rfind("--checkpoint=", 0) == 0) {
@@ -164,17 +189,24 @@ int serveLoop(ServeEngine &Engine, bool EmitEmbedding) {
       continue;
     }
     std::istringstream Header(Line);
-    std::string Keyword;
-    Header >> Keyword;
+    std::string Keyword, Deadline, Trailing;
+    ServeRequest Req;
+    Header >> Keyword >> Req.MethodName >> Deadline >> Trailing;
     if (Keyword != "METHOD") {
       std::fprintf(stderr, "liger_serve: expected METHOD/GO, got: %s\n",
                    Line.c_str());
       return 2;
     }
-    ServeRequest Req;
-    Header >> Req.MethodName >> Req.DeadlineMillis;
     if (Req.MethodName.empty()) {
       std::fprintf(stderr, "liger_serve: METHOD needs a name\n");
+      return 2;
+    }
+    if (!Trailing.empty() ||
+        (!Deadline.empty() && !parseDecimal(Deadline, Req.DeadlineMillis))) {
+      std::fprintf(stderr,
+                   "liger_serve: bad METHOD header (expected METHOD <name> "
+                   "[deadline-ms], deadline plain digits): %s\n",
+                   Line.c_str());
       return 2;
     }
     std::string Source;
