@@ -83,7 +83,7 @@ step "sanitized trace cache + parallel corpus (build-asan)"
 
 step "sanitized hardening: depth/memory budgets + fuzz smoke (build-asan)"
 "$REPO/build-asan/tests/interp_tests" \
-  --gtest_filter='InterpHardeningTest.*:InterpIntSemanticsTest.*:FrameLayoutTest.*'
+  --gtest_filter='InterpHardeningTest.*:InterpIntSemanticsTest.*:FrameLayoutTest.*:InterpCycleTest.*'
 "$REPO/build-asan/tests/symx_tests" --gtest_filter='SymxIntSemanticsTest.*'
 "$REPO/build-asan/tests/lang_tests" \
   --gtest_filter='ParserDepthTest.*:LexerHardeningTest.*'

@@ -254,8 +254,8 @@ bool buildSample(const std::string &Source, const std::string &MethodName,
 /// Calls Fn(I) for every I in [0, NumTasks) on \p Threads workers (<= 1
 /// runs inline). Workers claim the next unclaimed index from a shared
 /// counter instead of owning a fixed block: per-method cost varies by
-/// orders of magnitude (a parse failure is free, a non-terminating
-/// method burns its whole fuel budget on every probe), so fixed blocks
+/// orders of magnitude (a parse failure is free, a method with a long
+/// loop runs every probe far into its fuel budget), so fixed blocks
 /// leave workers idle behind whichever one drew the slow methods.
 /// Which worker runs an index is therefore unspecified; Fn must write
 /// only its index's own slot, and callers reduce slots in index order

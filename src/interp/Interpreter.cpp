@@ -9,6 +9,8 @@
 #include "interp/IntOps.h"
 #include "support/Error.h"
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <unordered_map>
 
@@ -19,6 +21,20 @@ namespace {
 /// Non-local control flow signal bubbling out of statement execution.
 enum class Flow { Normal, Break, Continue, Return };
 
+/// Loop cycle detectors sample no state until the run has used
+/// ArmFuel = min(Fuel / 64, 2^16) statements, so a run that ends early
+/// never encodes one. A loop activation then samples its state every
+/// 32 + 4 statements per word of the last encoding, starting that far
+/// from its entry, so encoding costs a few percent of the
+/// interpretation it watches. The spacing never exceeds 4 * ArmFuel,
+/// so a repeat is found within a fixed share of any budget
+/// (DESIGN.md §12.2).
+constexpr uint64_t CycleArmDivisor = 64;
+constexpr uint64_t MaxArmFuel = uint64_t(1) << 16;
+constexpr uint64_t MinSampleGap = 32;
+constexpr uint64_t SampleGapPerWord = 4;
+constexpr uint64_t MaxSampleGapInArms = 4;
+
 /// The interpreter engine. One instance per top-level execute() call;
 /// user-function calls reuse the engine (sharing fuel) with fresh
 /// environments and instrumentation disabled.
@@ -26,8 +42,9 @@ class Engine {
 public:
   Engine(const FrameLayout &Layout, const InterpOptions &Options)
       : Layout(Layout), P(Layout.program()), Options(Options),
-        FuelLeft(Options.Fuel), Cells(Layout.numSlots()),
-        LastKnown(Layout.varNames().size()) {}
+        FuelLeft(Options.Fuel),
+        ArmFuel(std::min(Options.Fuel / CycleArmDivisor, MaxArmFuel)),
+        Cells(Layout.numSlots()), LastKnown(Layout.varNames().size()) {}
 
   ExecResult run(const std::vector<Value> &Args) {
     const FunctionDecl &Fn = Layout.function();
@@ -194,6 +211,26 @@ private:
 
   bool stopped() const { return Failed || OutOfFuel || MemoryExceeded; }
 
+  /// Sets \p Out to the zero value of \p Ty. Fails when \p Ty names a
+  /// struct that is undeclared (\p Use says where) or has a struct-typed
+  /// field: the type checker rejects both, but an un-typechecked program
+  /// reaches here.
+  bool zeroValue(const Type &Ty, const char *Use, Value &Out) {
+    const StructDecl *SD = nullptr;
+    if (Ty.isStruct()) {
+      SD = P.findStruct(Ty.structName());
+      if (!SD)
+        return fail(std::string(Use) + " of undeclared struct type '" +
+                    Ty.structName() + "'");
+      for (const TypedName &Field : SD->Fields)
+        if (Field.Ty.isStruct())
+          return fail("struct '" + SD->Name + "' has a struct-typed field '" +
+                      Field.Name + "'");
+    }
+    Out = Value::zeroOf(Ty, SD);
+    return true;
+  }
+
   /// Extracts an int operand or fails with a RuntimeError. Hostile
   /// input can reach the interpreter without a type check (or with one
   /// the parser's error placeholders confused), so no operand kind is
@@ -239,6 +276,199 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
+  // Cycle detection at loop back-edges
+  //===--------------------------------------------------------------------===//
+
+  // A loop whose engine state repeats at its back-edge never leaves on
+  // its own: every later cycle replays the same statements, records the
+  // same steps and charges the same fuel and bytes, until a budget runs
+  // out. Each while/for activation runs Brent's algorithm over an exact
+  // encoding of the state and, on a repeat, skips whole cycles by their
+  // measured effect; the interpreter itself then runs the final partial
+  // cycle into the budget (DESIGN.md §12.2).
+
+  /// Brent's algorithm for one loop activation, over the back-edges it
+  /// samples: the encoded state at the saved sample, with the budgets
+  /// and trace length it had there.
+  struct CycleDetector {
+    explicit CycleDetector(uint64_t FirstCheck) : NextCheck(FirstCheck) {}
+
+    /// The next back-edge with FuelLeft <= NextCheck is sampled.
+    uint64_t NextCheck;
+    bool HasSaved = false;
+    std::vector<uint64_t> Saved;
+    uint64_t Power = 1;  ///< Samples until the saved state moves on.
+    uint64_t Lambda = 0; ///< Samples since the saved one.
+    uint64_t SavedFuelLeft = 0;
+    uint64_t SavedBytes = 0;
+    size_t SavedSteps = 0;
+  };
+
+  /// A detector for a loop activation starting now: its first sample
+  /// is one spacing away, and not before the run is armed.
+  CycleDetector startCycleDetector() const {
+    return CycleDetector(std::min(Options.Fuel - ArmFuel, nextSample()));
+  }
+
+  /// The FuelLeft at which a sample taken now is followed by the next.
+  /// Within an activation the spacing is a function of the sampled
+  /// state, so the samples of a periodic loop are periodic too.
+  uint64_t nextSample() const {
+    uint64_t Gap = std::min(MaxSampleGapInArms * ArmFuel,
+                            MinSampleGap + SampleGapPerWord * LastEncodedWords);
+    return FuelLeft > Gap ? FuelLeft - Gap : 0;
+  }
+
+  /// Runs at the head of every iteration, before its fuel is burned.
+  /// Between samples this is one compare.
+  void checkCycle(CycleDetector &D) {
+    if (FuelLeft <= D.NextCheck)
+      detectCycle(D);
+  }
+
+  void detectCycle(CycleDetector &D) {
+    encodeState();
+    LastEncodedWords = Encoding.size();
+    if (D.HasSaved && Encoding == D.Saved) {
+      // The loop repeats every CycleFuel statements from here on. After
+      // the skip the run either ends within a cycle or goes on across
+      // the recording cap, and the next repeat then shows one cycle
+      // later, so the detector samples exactly there.
+      uint64_t CycleFuel = D.SavedFuelLeft - FuelLeft;
+      skipCycles(D);
+      D.NextCheck = FuelLeft > CycleFuel ? FuelLeft - CycleFuel : 0;
+      D.Power = 1;
+      markSaved(D);
+      return;
+    }
+    D.NextCheck = nextSample();
+    if (D.HasSaved && ++D.Lambda < D.Power)
+      return;
+    D.Power = D.HasSaved ? 2 * D.Power : 1;
+    std::swap(D.Saved, Encoding);
+    D.HasSaved = true;
+    markSaved(D);
+  }
+
+  /// Makes the current back-edge the saved sample's position.
+  void markSaved(CycleDetector &D) const {
+    D.Lambda = 0;
+    D.SavedFuelLeft = FuelLeft;
+    D.SavedBytes = BytesCharged;
+    D.SavedSteps = Trace->Steps.size();
+  }
+
+  /// The state equals the saved sample's, so the cycle between them
+  /// repeats until a budget stops it. Skips as many whole copies of it
+  /// as end within the fuel and memory budgets and, if the cycle
+  /// recorded steps, within the recording cap. Steps never pass the
+  /// cap, so a cycle that reached it part-way ends at it and is not
+  /// skipped (its successor records nothing), and one that started
+  /// there records nothing and is skipped freely.
+  void skipCycles(const CycleDetector &D) {
+    std::vector<ExecStep> &Steps = Trace->Steps;
+    size_t Last = Steps.size();
+    // Every iteration burns fuel at its head, so CycleFuel >= 1.
+    uint64_t CycleFuel = D.SavedFuelLeft - FuelLeft;
+    uint64_t CycleBytes = BytesCharged - D.SavedBytes;
+    size_t CycleSteps = Last - D.SavedSteps;
+    uint64_t Skip = FuelLeft / CycleFuel;
+    if (CycleBytes != 0)
+      Skip = std::min(Skip,
+                      (Options.MaxMemoryBytes - BytesCharged) / CycleBytes);
+    if (CycleSteps != 0)
+      Skip = std::min<uint64_t>(
+          Skip, (Options.MaxRecordedSteps - Last) / CycleSteps);
+    FuelLeft -= Skip * CycleFuel;
+    BytesCharged += Skip * CycleBytes;
+    // Each skipped step repeats the one a cycle earlier. With steps in
+    // the cycle, Skip * CycleSteps <= MaxRecordedSteps - Last.
+    size_t Appended = CycleSteps == 0 ? 0 : Skip * CycleSteps;
+    Steps.reserve(Last + Appended);
+    for (size_t I = 0; I < Appended; ++I) {
+      const ExecStep &Earlier = Steps[Steps.size() - CycleSteps];
+      ExecStep Copy;
+      Copy.Statement = Earlier.Statement;
+      Copy.Kind = Earlier.Kind;
+      Copy.State.reserve(Earlier.State.size());
+      for (const Value &V : Earlier.State)
+        Copy.State.push_back(V.deepCopy());
+      Steps.push_back(std::move(Copy));
+    }
+  }
+
+  /// Encodes everything a loop iteration can read or write: every cell
+  /// with its depth tag, the shadowed cells, LastKnown and ReturnValue.
+  /// Equal encodings mean equal states up to renaming heap objects. The
+  /// rest is fixed for the activation's lifetime (frame marks, call
+  /// depth, the C++ stack above the loop) or is the budgets the skip
+  /// accounts for.
+  void encodeState() {
+    Encoding.clear();
+    HeapIds.clear();
+    for (const Cell &C : Cells) {
+      Encoding.push_back(C.Depth);
+      encodeValue(C.V);
+    }
+    Encoding.push_back(Shadowed.size());
+    for (const ShadowedCell &Old : Shadowed) {
+      Encoding.push_back(uint64_t(Old.Slot) << 32 | Old.Depth);
+      encodeValue(Old.V);
+    }
+    for (const Value &V : LastKnown)
+      encodeValue(V);
+    encodeValue(ReturnValue);
+  }
+
+  /// Appends \p V's self-delimiting encoding. Arrays and structs are
+  /// numbered in first-visit order and a revisit encodes the number, so
+  /// aliasing is part of the encoding; strings are immutable and encode
+  /// by content.
+  void encodeValue(const Value &V) {
+    constexpr uint64_t AliasTag = 0x100;
+    switch (V.kind()) {
+    case ValueKind::Undef:
+      Encoding.push_back(static_cast<uint64_t>(V.kind()));
+      return;
+    case ValueKind::Int:
+    case ValueKind::Bool:
+      Encoding.push_back(static_cast<uint64_t>(V.kind()));
+      Encoding.push_back(
+          static_cast<uint64_t>(V.isInt() ? V.asInt() : V.asBool()));
+      return;
+    case ValueKind::String: {
+      const std::string &S = V.asString();
+      Encoding.push_back(static_cast<uint64_t>(V.kind()));
+      Encoding.push_back(S.size());
+      for (size_t I = 0; I < S.size(); I += 8) {
+        uint64_t Word = 0;
+        std::memcpy(&Word, S.data() + I, std::min<size_t>(8, S.size() - I));
+        Encoding.push_back(Word);
+      }
+      return;
+    }
+    case ValueKind::Array:
+    case ValueKind::Struct: {
+      const std::vector<Value> &Elems = V.elements();
+      auto [It, FirstVisit] = HeapIds.try_emplace(&Elems, HeapIds.size());
+      if (!FirstVisit) {
+        Encoding.push_back(AliasTag);
+        Encoding.push_back(It->second);
+        return;
+      }
+      Encoding.push_back(static_cast<uint64_t>(V.kind()));
+      if (V.isStruct())
+        Encoding.push_back(reinterpret_cast<uintptr_t>(V.structDecl()));
+      Encoding.push_back(Elems.size());
+      for (const Value &Elem : Elems)
+        encodeValue(Elem);
+      return;
+    }
+    }
+    LIGER_UNREACHABLE("covered switch");
+  }
+
+  //===--------------------------------------------------------------------===//
   // Statements
   //===--------------------------------------------------------------------===//
 
@@ -267,17 +497,8 @@ private:
         Init = evalExpr(Decl->init());
         if (stopped())
           return Flow::Normal;
-      } else {
-        const StructDecl *SD = nullptr;
-        if (Decl->declType().isStruct()) {
-          SD = P.findStruct(Decl->declType().structName());
-          if (!SD) {
-            fail("declaration of undeclared struct type '" +
-                 Decl->declType().structName() + "'");
-            return Flow::Normal;
-          }
-        }
-        Init = Value::zeroOf(Decl->declType(), SD);
+      } else if (!zeroValue(Decl->declType(), "declaration", Init)) {
+        return Flow::Normal;
       }
       declare(Layout.slot(Decl->id()), std::move(Init));
       record(S, StepKind::Plain, Instrument);
@@ -305,7 +526,9 @@ private:
     }
     case StmtKind::While: {
       const auto *While = cast<WhileStmt>(S);
+      CycleDetector Cycle = startCycleDetector();
       for (;;) {
+        checkCycle(Cycle);
         if (!burnFuel())
           return Flow::Normal;
         Value Cond = evalExpr(While->cond());
@@ -334,7 +557,9 @@ private:
           return Flow::Normal;
         }
       }
+      CycleDetector Cycle = startCycleDetector();
       for (;;) {
+        checkCycle(Cycle);
         if (!burnFuel())
           break;
         bool Taken = true;
@@ -536,16 +761,9 @@ private:
         fail("invalid array size " + std::to_string(N));
         return Value::undef();
       }
-      const StructDecl *ElemDecl = nullptr;
-      if (New->elemType().isStruct()) {
-        ElemDecl = P.findStruct(New->elemType().structName());
-        if (!ElemDecl) {
-          fail("array of undeclared struct type '" +
-               New->elemType().structName() + "'");
-          return Value::undef();
-        }
-      }
-      Value Zero = Value::zeroOf(New->elemType(), ElemDecl);
+      Value Zero;
+      if (!zeroValue(New->elemType(), "array", Zero))
+        return Value::undef();
       if (!chargeMemory(32 + Zero.approxBytes() * static_cast<uint64_t>(N)))
         return Value::undef();
       std::vector<Value> Elements(static_cast<size_t>(N), Zero);
@@ -836,6 +1054,8 @@ private:
   const Program &P;
   const InterpOptions &Options;
   uint64_t FuelLeft;
+  /// Fuel a run uses before its loops sample their state.
+  const uint64_t ArmFuel;
 
   std::vector<Cell> Cells;                 ///< One per layout slot.
   std::vector<ShadowedCell> Shadowed;      ///< Undo log of shadowed cells.
@@ -852,6 +1072,12 @@ private:
 
   unsigned CallDepth = 0;
   static constexpr unsigned MaxCallDepth = 64;
+
+  std::vector<uint64_t> Encoding; ///< encodeState()'s output.
+  size_t LastEncodedWords = 0;     ///< Size of the latest encoding.
+  /// First-visit numbers of the arrays and structs encodeState() met,
+  /// keyed by their shared element storage.
+  std::unordered_map<const std::vector<Value> *, uint64_t> HeapIds;
 };
 
 } // namespace

@@ -17,7 +17,9 @@
 /// program path).
 ///
 /// Execution is fuel-bounded (infinite loops become OutOfFuel — the
-/// Table 1 "takes too long" filter), memory-bounded (allocation bombs
+/// Table 1 "takes too long" filter; a loop whose state repeats is
+/// detected and skipped to the end of its budget, with the result of
+/// running it in full), memory-bounded (allocation bombs
 /// like `s = s + s` in a loop become MemoryLimit before they can OOM
 /// the process), and total: runtime errors (division by zero, index out
 /// of range, type-confused operands when the type checker was bypassed,

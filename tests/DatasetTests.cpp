@@ -505,6 +505,94 @@ TEST(GoldenDigestTest, TaskLibraryExecutions) {
   EXPECT_EQ(H.digest(), 10886156763121302215ull);
 }
 
+// Loops whose engine state repeats at a back-edge, and a few that only
+// look as if it does. The digest was computed before the interpreter
+// learned to skip repeated cycles: a skipped cycle must leave every
+// step, charge and status where a full run puts it.
+TEST(GoldenDigestTest, PeriodicLoopExecutions) {
+  const char *Sources[] = {
+      // Period 1: the corpus's injected non-termination defect.
+      "int f() { int spin3 = 0; while (spin3 == 0) { spin3 = spin3 * 1; } "
+      "return spin3; }",
+      // Period 3 over an int.
+      "int f() { int i = 0; while (i < 5) { i = (i + 1) % 3; } return i; }",
+      // Period 2 over a bool.
+      "int f() { bool b = true; int n = 0; while (n == 0) { b = !b; } "
+      "return n; }",
+      // Period 3 over a string; every cycle allocates fresh strings.
+      "int f() { string s = \"abc\"; while (len(s) > 0) { "
+      "s = substring(s, 1, 2) + substring(s, 0, 1); } return len(s); }",
+      // Period 6 over an array mutated in place, in a for loop whose
+      // body continues.
+      "int f() { int[] a = new int[3]; "
+      "for (int i = 0; i >= 0; i = (i + 1) % 3) { a[i] = 1 - a[i]; "
+      "if (i == 1) { continue; } a[0] = a[0] * 1; } return a[0]; }",
+      // Period 2 over a struct, through a body-local tuple variable that
+      // outlives each iteration as its last known value.
+      "struct P { int x; int y; } int f() { P p = new P(0, 1); "
+      "while (p.x >= 0) { int t = p.x; p.x = p.y; p.y = t; } return p.x; }",
+      // A spinning loop inside a callee, where nothing is traced.
+      "int g(int k) { while (k >= 0) { k = k * 1; } return k; } "
+      "int f() { int r = g(1); return r; }",
+      // A terminating loop inside a callee: the traced tuple stays the
+      // same while it runs.
+      "int g(int n) { int i = 0; while (i < n) { i = i + 1; } return i; } "
+      "int f() { int r = g(2000); return r; }",
+      // Nested loops: the inner loop ends every time, the outer repeats.
+      "int f() { int s = 0; while (s >= 0) { s = 0; "
+      "for (int j = 0; j < 3; j++) { s = s + j; } s = s - 3; } return s; }",
+      // Nested loops: the outer loop runs once, the inner one spins.
+      "int f() { int s = 1; while (s > 0) { s = s + 1; "
+      "for (int j = 0; j < 1; j = j * 1) { s = s * 1; } } return s; }",
+      // One allocation per cycle: the memory budget trips first, after
+      // the recording cap with the default budgets and before it with
+      // the tight ones.
+      "int f() { int n = 0; while (n == 0) { int[] a = new int[500]; } "
+      "return n; }",
+      "int f() { int n = 0; while (n == 0) { int[] a = new int[7]; } "
+      "return n; }",
+      // Five recorded steps per cycle: the recording cap falls inside a
+      // cycle.
+      "int f() { int a = 0; int b = 0; "
+      "while (a == 0) { b = 1; b = 2; b = 0; a = b; } return a; }",
+      // The alias trap: a and b start as two distinct [0] arrays, so the
+      // loop entry and the first back-edge hold equal values but not
+      // equal heaps. The loop ends on its third test.
+      "int f() { int[] a = new int[1]; int[] b = new int[1]; "
+      "while (a[0] == 0) { b[0] = 1; if (a[0] == 0) { b[0] = 0; b = a; } } "
+      "return a[0]; }",
+      // A counter never repeats its state: it runs until the fuel is gone.
+      "int f() { int x = 0; while (true) { x = x + 1; } return x; }",
+  };
+  InterpOptions Record;
+  InterpOptions Probe;
+  Probe.RecordStates = false;
+  // A budget this small arms the cycle detector at the loop entry.
+  InterpOptions Tight;
+  Tight.Fuel = 40;
+  Tight.MaxMemoryBytes = 2048;
+  Tight.MaxRecordedSteps = 12;
+  const InterpOptions *Configs[] = {&Record, &Probe, &Tight};
+
+  StableHash H;
+  std::map<ExecStatus, size_t> StatusCounts;
+  for (const char *Source : Sources) {
+    DiagnosticSink Diags;
+    std::optional<Program> P = parseAndCheck(Source, Diags);
+    ASSERT_TRUE(P.has_value()) << Source << ": " << Diags.str();
+    for (const InterpOptions *Options : Configs) {
+      ExecResult Run = execute(*P, P->Functions.back(), {}, *Options);
+      hashExecResult(H, Run);
+      ++StatusCounts[Run.Status];
+    }
+  }
+  EXPECT_EQ(StatusCounts[ExecStatus::Ok], 5u);
+  EXPECT_EQ(StatusCounts[ExecStatus::OutOfFuel], 36u);
+  EXPECT_EQ(StatusCounts[ExecStatus::MemoryLimit], 4u);
+  EXPECT_EQ(StatusCounts[ExecStatus::RuntimeError], 0u);
+  EXPECT_EQ(H.digest(), 6701613074365101891ull);
+}
+
 TEST(GoldenDigestTest, Table1CorpusFingerprintAndFunnel) {
   CorpusOptions Options;
   Options.NumMethods = 600;
@@ -528,9 +616,10 @@ TEST(GoldenDigestTest, Table1CorpusFingerprintAndFunnel) {
 
 TEST(CorpusParallelEquivalenceTest, Table1MixBitwiseAcrossThreads) {
   // Per-method cost varies by orders of magnitude under the Table 1
-  // mix (a non-terminating method burns its whole fuel budget on every
-  // probe, a parse failure costs nothing), so workers claim methods in
-  // a different order on every run; the corpus must not notice.
+  // mix (a non-terminating method runs every probe until the
+  // interpreter decides it, a parse failure costs nothing), so workers
+  // claim methods in a different order on every run; the corpus must
+  // not notice.
   CorpusOptions Options;
   Options.NumMethods = 120;
   Options.TraceGen.TargetPaths = 8;

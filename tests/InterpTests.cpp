@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <set>
 
 using namespace liger;
 
@@ -642,6 +644,25 @@ TEST(InterpHardeningTest, TypeConfusedOperandsAreRuntimeErrors) {
   }
 }
 
+TEST(InterpHardeningTest, NestedStructZeroIsRuntimeError) {
+  // The type checker rejects a struct-typed field. Without it, zeroing
+  // such a struct for a declaration used to abort the process.
+  const char *Sources[] = {
+      "struct P { int x; int y; } struct Q { P p; int z; } "
+      "int f(int n) { Q q; int t = n + 1; return t; }",
+      "struct P { int x; } struct Q { P p; } "
+      "int f(int n) { while (n > 0) { Q q; n = n - 1; } return n; }",
+  };
+  for (const char *Source : Sources) {
+    Program P = parseOnly(Source);
+    ExecResult R = execute(P, *P.findFunction("f"), {Value::makeInt(2)});
+    EXPECT_EQ(R.Status, ExecStatus::RuntimeError) << Source;
+    EXPECT_NE(R.ErrorMessage.find("struct 'Q' has a struct-typed field 'p'"),
+              std::string::npos)
+        << R.ErrorMessage;
+  }
+}
+
 TEST(InterpHardeningTest, SubstringChargesAndBoundsChecks) {
   Program P = mustParse(R"(
     string f(string s, int i, int n) { return substring(s, i, n); }
@@ -782,4 +803,73 @@ TEST(FrameLayoutTest, CalleeSeesCallerBindingsWithoutTypeCheck) {
   EXPECT_NE(Unbound.ErrorMessage.find("use of undeclared variable 'k'"),
             std::string::npos)
       << Unbound.ErrorMessage;
+}
+
+//===----------------------------------------------------------------------===//
+// Cycle detection: repeated loop states are skipped, not re-executed
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs `f()` of \p Source with \p Fuel and otherwise default budgets,
+/// and fails the test if it takes a second or more.
+ExecResult runWithin1s(const char *Source, uint64_t Fuel) {
+  Program P = mustParse(Source);
+  InterpOptions Options;
+  Options.Fuel = Fuel;
+  auto Start = std::chrono::steady_clock::now();
+  ExecResult R = execute(P, P.Functions[0], {}, Options);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(1))
+      << Source;
+  return R;
+}
+
+} // namespace
+
+TEST(InterpCycleTest, HugeFuelSpinIsDecided) {
+  // The corpus's injected defect repeats its state every iteration.
+  // Interpreted statement by statement, 2^40 fuel would take hours.
+  ExecResult R = runWithin1s(
+      "int f() { int spin3 = 0; while (spin3 == 0) { spin3 = spin3 * 1; } "
+      "return spin3; }",
+      uint64_t(1) << 40);
+  EXPECT_EQ(R.Status, ExecStatus::OutOfFuel);
+  EXPECT_EQ(R.FuelUsed, uint64_t(1) << 40);
+  EXPECT_EQ(R.Steps.size(), InterpOptions().MaxRecordedSteps);
+  EXPECT_EQ(R.ErrorMessage, "fuel budget exhausted (1099511627776 statements)");
+}
+
+TEST(InterpCycleTest, HugeFuelAllocationLoopsStopAtTheMemoryBudget) {
+  // Each cycle allocates, so the memory budget ends the run. The fuel
+  // figures come from running these without cycle detection.
+  ExecResult Array = runWithin1s(
+      "int f() { int n = 0; while (n == 0) { int[] a = new int[1]; } "
+      "return n; }",
+      uint64_t(1) << 40);
+  EXPECT_EQ(Array.Status, ExecStatus::MemoryLimit);
+  EXPECT_EQ(Array.FuelUsed, 4177925u);
+  EXPECT_EQ(Array.Steps.size(), InterpOptions().MaxRecordedSteps);
+  ExecResult Rotation = runWithin1s(
+      "int f() { string s = \"ab\"; while (len(s) == 2) { "
+      "s = substring(s, 1, 1) + substring(s, 0, 1); } return 0; }",
+      uint64_t(1) << 40);
+  EXPECT_EQ(Rotation.Status, ExecStatus::MemoryLimit);
+  EXPECT_EQ(Rotation.FuelUsed, 2009090u);
+  EXPECT_EQ(Rotation.Steps.size(), InterpOptions().MaxRecordedSteps);
+}
+
+TEST(InterpCycleTest, SkippedCyclesRecordDeepCopies) {
+  // Steps appended for skipped cycles own their states, like every
+  // other recorded step.
+  ExecResult R = runWithin1s(
+      "int f() { int[] a = new int[2]; "
+      "while (a[0] == 0) { a[1] = 1 - a[1]; } return 0; }",
+      InterpOptions().Fuel);
+  ASSERT_EQ(R.Status, ExecStatus::OutOfFuel);
+  ASSERT_EQ(R.Steps.size(), InterpOptions().MaxRecordedSteps);
+  std::set<const std::vector<Value> *> Storage;
+  for (const ExecStep &Step : R.Steps) {
+    ASSERT_TRUE(Step.State[0].isArray());
+    EXPECT_TRUE(Storage.insert(&Step.State[0].elements()).second);
+  }
 }

@@ -543,6 +543,12 @@ const char *SpinSource = "int spinner(int x) {\n"
                          "  while (spin3 == 0) { spin3 = spin3 * 1; }\n"
                          "  return spin3;\n"
                          "}\n";
+/// A loop whose state never repeats: every run interprets its whole
+/// fuel budget.
+const char *CounterSource = "int counter(int x) {\n"
+                            "  while (true) { x += 1; }\n"
+                            "  return x;\n"
+                            "}\n";
 const char *SumSource = "int sumAll(int[] xs) {\n"
                         "  int s = 0;\n"
                         "  for (int i = 0; i < len(xs); i = i + 1) {\n"
@@ -568,8 +574,9 @@ TEST(ServeStatusTest, PipelineFiltersMapToStatuses) {
   EXPECT_EQ(Out[1].Status, ServeStatus::ParseError);
   EXPECT_EQ(Out[2].Status, ServeStatus::NoSuchMethod);
   EXPECT_EQ(Out[3].Status, ServeStatus::TooSmall);
-  // With an effectively unlimited deadline the spin is caught by the
-  // fuel budget on every run: the timeout filter, not the deadline.
+  // With an effectively unlimited deadline every run of the spin ends
+  // OutOfFuel (its repeated state is skipped to the end of the budget):
+  // the timeout filter, not the deadline.
   EXPECT_EQ(Out[4].Status, ServeStatus::NoTraces);
 
   ServeStats Stats = Engine.stats();
@@ -664,11 +671,12 @@ TEST(ServeStatsConcurrencyTest, StatsDuringHandleSeesWholeRequests) {
 
 TEST(ServeDeadlineTest, TinyDeadlineSurfacesAsDistinctStatus) {
   ServeEngine Engine(tinyServeConfig());
-  // A 1ms deadline on an uncached hostile method: the fuel-bounded
-  // exploration alone takes longer, and the phase-boundary check then
-  // reports the deadline, which dominates the trace-outcome filters.
+  // A 1ms deadline on an uncached method whose loop never repeats its
+  // state: the fuel-bounded exploration alone takes longer, and the
+  // phase-boundary check then reports the deadline, which dominates the
+  // trace-outcome filters.
   std::vector<ServeResponse> Out =
-      Engine.handleBatch({{"spinner", SpinSource, 1}});
+      Engine.handleBatch({{"counter", CounterSource, 1}});
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Status, ServeStatus::DeadlineExceeded);
   EXPECT_TRUE(Out[0].NameSubtokens.empty());

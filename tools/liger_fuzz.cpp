@@ -15,7 +15,7 @@
 /// Input generators, chosen per iteration:
 ///   - structural: random MiniLang-shaped programs, including hostile
 ///     templates (deep nesting, string doubling, allocation loops,
-///     unbounded recursion);
+///     unbounded recursion, loops that repeat their state);
 ///   - mutation: byte flips / splices / truncations of valid seeds;
 ///   - token soup: syntactically plausible garbage;
 ///   - raw bytes: arbitrary binary.
@@ -39,6 +39,7 @@
 #include "testgen/TraceCollector.h"
 #include "trace/Vocabulary.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -114,18 +115,20 @@ InterpOptions fuzzInterpOptions() {
 
 /// Zero-ish arguments for a function whose types may be junk (the type
 /// checker was bypassed or failed): primitives get their zero value,
-/// unresolvable structs get ⊥ — the hardened interpreter must cope.
+/// structs that are unresolvable or have a struct-typed field get ⊥ —
+/// the hardened interpreter must cope.
 std::vector<Value> hostileArgs(const Program &Prog, const FunctionDecl &Fn) {
   std::vector<Value> Args;
   Args.reserve(Fn.Params.size());
   for (const TypedName &Param : Fn.Params) {
     const StructDecl *SD =
         Param.Ty.isStruct() ? Prog.findStruct(Param.Ty.structName()) : nullptr;
-    if (Param.Ty.isStruct() && !SD) {
-      Args.push_back(Value::undef());
-      continue;
-    }
-    Args.push_back(Value::zeroOf(Param.Ty, SD));
+    bool Zeroable = !Param.Ty.isStruct() ||
+                    (SD && std::none_of(SD->Fields.begin(), SD->Fields.end(),
+                                        [](const TypedName &Field) {
+                                          return Field.Ty.isStruct();
+                                        }));
+    Args.push_back(Zeroable ? Value::zeroOf(Param.Ty, SD) : Value::undef());
   }
   return Args;
 }
@@ -241,8 +244,10 @@ const char *const Seeds[] = {
 constexpr size_t NumSeeds = sizeof(Seeds) / sizeof(Seeds[0]);
 
 /// Hostile-by-construction programs: each aims at one resource bound.
+/// The periodic loops (cases 6-9) repeat their state, which the
+/// interpreter detects and skips instead of re-executing.
 std::string genHostileTemplate(Rng &R) {
-  switch (R.nextBelow(6)) {
+  switch (R.nextBelow(10)) {
   case 0: { // deep expression nesting
     size_t Depth = 50 + R.nextBelow(600);
     std::string Out = "int f(int x) { int y = ";
@@ -280,8 +285,36 @@ std::string genHostileTemplate(Rng &R) {
            "}\n";
   case 4: // unbounded recursion
     return "int rec(int n) { return rec(n + 1); }\n";
-  default: // infinite loop
+  case 5: // infinite loop whose state never repeats
     return "int spin(int n) { while (true) { n += 1; } return n; }\n";
+  case 6: { // period-k modular counter
+    std::string K = std::to_string(1 + R.nextBelow(9));
+    return "int modspin(int n) {\n"
+           "  int i = 0;\n"
+           "  while (i < " + K + ") { i = (i + 1) % " + K + "; }\n"
+           "  return i;\n"
+           "}\n";
+  }
+  case 7: // alias flip: two arrays swap places and contents every cycle
+    return "int aliasflip(int n) {\n"
+           "  int[] a = new int[1];\n"
+           "  int[] b = new int[1];\n"
+           "  while (n >= 0) {\n"
+           "    int[] t = a; a = b; b = t;\n"
+           "    a[0] = 1 - b[0];\n"
+           "  }\n"
+           "  return a[0];\n"
+           "}\n";
+  case 8: { // one allocation per cycle: the memory budget ends it
+    std::string N = std::to_string(1 + R.nextBelow(2000));
+    return "int allocspin(int n) {\n"
+           "  while (n == n) { int[] a = new int[" + N + "]; }\n"
+           "  return n;\n"
+           "}\n";
+  }
+  default: // a spinning loop in a callee
+    return "int inner(int k) { while (k == k) { k = k * 1; } return k; }\n"
+           "int outer(int n) { int r = inner(n); return r; }\n";
   }
 }
 

@@ -246,8 +246,9 @@ void expect(bool Cond, const char *What) {
   }
 }
 
-/// A method whose every execution burns its whole fuel budget: the
-/// NonTermination defect shape of the corpus generator.
+/// A method whose every execution runs out of fuel: the NonTermination
+/// defect shape of the corpus generator. Its loop repeats its state, so
+/// the interpreter skips to the end of the budget.
 std::string hostileSpinSource(const std::string &Name) {
   std::string Source = "int FN(int x) {\n"
                        "  int spin3 = 0;\n"
@@ -255,6 +256,16 @@ std::string hostileSpinSource(const std::string &Name) {
                        "  return spin3;\n"
                        "}\n";
   return replaceIdentifier(Source, "FN", Name);
+}
+
+/// A method whose loop never repeats its state, so every execution
+/// interprets its whole fuel budget.
+std::string counterSpinSource(const std::string &Name) {
+  return replaceIdentifier("int FN(int x) {\n"
+                           "  while (true) { x += 1; }\n"
+                           "  return x;\n"
+                           "}\n",
+                           "FN", Name);
 }
 
 int runSmoke(ServeToolOptions Opts) {
@@ -293,7 +304,7 @@ int runSmoke(ServeToolOptions Opts) {
   // points at a directory populated by a previous smoke run (verify.sh
   // shares one cache dir across its smoke steps): a per-process nonce
   // in the method name keeps the key fresh, and the fuel-bounded
-  // exploration of the spin alone then exceeds a 1ms wall-clock
+  // exploration of the counter alone then exceeds a 1ms wall-clock
   // deadline.
   std::string Starved =
       "starvedSpin" +
@@ -301,7 +312,7 @@ int runSmoke(ServeToolOptions Opts) {
           static_cast<unsigned long long>(::getpid()) * 1000003ull ^
           static_cast<unsigned long long>(
               std::chrono::steady_clock::now().time_since_epoch().count()));
-  Burst.push_back({Starved, hostileSpinSource(Starved), 1});
+  Burst.push_back({Starved, counterSpinSource(Starved), 1});
 
   std::vector<ServeResponse> Out = Engine.handleBatch(Burst);
   expect(Out.size() == Burst.size(), "batch answered in full");
