@@ -11,16 +11,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <unordered_set>
 
 using namespace liger;
 
 namespace {
 
-/// Global creation counter. Creation order is a topological order of
-/// every DAG, including graphs whose nodes span arenas (a worker-arena
-/// graph consuming main-arena constants), so the counter is shared.
-std::atomic<uint64_t> NextSeq{1};
+/// Backward-pass counter: each pass stamps the nodes it reaches with a
+/// value no earlier pass on any thread used (Node::Mark starts at 0).
+std::atomic<uint64_t> NextPass{1};
 
 /// Sink installed by backward(Loss, Sink) for the duration of the
 /// pass; Node::grad() routes parameter gradients through it.
@@ -29,7 +27,6 @@ thread_local GradSink *ActiveSink = nullptr;
 Node *newNodeCommon(Tensor Value) {
   Node *N = GraphArena::current().newNode();
   N->Value = std::move(Value);
-  N->Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
   return N;
 }
 
@@ -1564,7 +1561,7 @@ namespace {
 /// holds the per-query key counts, AuxM per-query slices of
 /// (T_q*Hidden + T_q). Queries replay in descending order, each with
 /// its own memory — where ascending-created single-query attentionOp
-/// nodes sit in the global descending-Seq schedule — so
+/// nodes sit in the newest-first tape walk — so
 /// shared-parameter accumulation is bitwise-identical to the per-query
 /// reference.
 void attentionMultiMemoryBackward(Node &N) {
@@ -1714,8 +1711,8 @@ namespace {
 /// Batched loss-head node: parents W, Bias, X_0..X_{B-1}; value the
 /// [B x 1] per-lane losses, AuxF the B*V softmax probabilities, AuxIdx
 /// the B targets. Lanes replay in descending order — where the
-/// ascending-created per-lane matvec/add/CE chains sit in the global
-/// descending-Seq schedule. Each lane's fused CE grad lands in a
+/// ascending-created per-lane matvec/add/CE chains sit in the
+/// newest-first tape walk. Each lane's fused CE grad lands in a
 /// fresh logits-grad row that feeds the lane's input grad inline (the
 /// per-lane rows are disjoint, so reordering them against the shared
 /// regions is bitwise-neutral); the shared bias and weight regions
@@ -1815,30 +1812,41 @@ void runBackward(const Var &Loss) {
   LIGER_CHECK(Loss->Value.size() == 1, "backward starts from a scalar");
   if (!Loss->RequiresGrad)
     return;
-  // Collect the reachable subgraph, pruning subtrees with no trainable
-  // ancestors (RequiresGrad propagates upward at construction).
-  std::vector<Node *> Order;
-  std::unordered_set<Node *> Seen;
+  // Stamp the reachable non-leaf nodes, pruning subtrees with no
+  // trainable ancestors (RequiresGrad propagates upward at
+  // construction). Leaves are never written: parameter nodes are shared
+  // with passes running on other threads.
+  uint64_t Pass = NextPass.fetch_add(1, std::memory_order_relaxed);
+  size_t Marked = 0;
   std::vector<Node *> Stack{Loss};
   while (!Stack.empty()) {
     Node *N = Stack.back();
     Stack.pop_back();
-    if (!Seen.insert(N).second)
+    if (!N->BackwardFn || N->Mark == Pass)
       continue;
-    if (N->BackwardFn)
-      Order.push_back(N);
+    N->Mark = Pass;
+    ++Marked;
     for (uint32_t I = 0; I < N->NumParents; ++I)
       if (N->Parents[I]->RequiresGrad)
         Stack.push_back(N->Parents[I]);
   }
-  // Process in descending creation order: every consumer before its
-  // producers (creation order is a topological order of the DAG).
-  std::sort(Order.begin(), Order.end(),
-            [](const Node *A, const Node *B) { return A->Seq > B->Seq; });
+  // Walk the arena's tape newest first, so every consumer runs before
+  // its producers, and stop once every stamped node has been seen.
+  // Unstamped nodes belong to other graphs of the same arena
+  // generation and keep whatever gradients they hold.
   Loss->grad()[0] += 1.0f;
-  for (Node *N : Order)
+  GraphArena &Arena = GraphArena::current();
+  size_t Seen = 0;
+  for (size_t I = Arena.numLive(); I-- > 0 && Seen < Marked;) {
+    Node *N = Arena.node(I);
+    if (N->Mark != Pass)
+      continue;
+    ++Seen;
     if (!N->Grad.empty())
       N->BackwardFn(*N);
+  }
+  LIGER_CHECK(Seen == Marked,
+              "backward reached a graph node outside the current GraphArena");
 }
 
 } // namespace

@@ -7,14 +7,25 @@
 /// \file
 /// Define-by-run reverse-mode automatic differentiation. Each operation
 /// allocates a Node holding its value, its parents, and a backward
-/// function; backward(loss) topologically sorts the reachable subgraph
-/// (by creation sequence number) and accumulates gradients.
+/// function; backward(loss) stamps the reachable subgraph and
+/// accumulates gradients in tape order.
 ///
 /// Nodes are plain structs bump-allocated from the thread's current
 /// GraphArena: a Var is a raw Node pointer that stays valid until the
 /// owning arena is reset. Backward passes are plain function pointers
 /// with any per-op payload stored inline in the node (no std::function,
 /// no shared_ptr, no per-op heap allocation on the hot path).
+///
+/// Tape order: an arena hands out nodes in creation order, and every op
+/// creates its node after its parents, so the arena's node sequence is
+/// a topological order of every graph built in it. backward() walks it
+/// newest first and runs each stamped node — no hashing, no sorting.
+/// The one-arena contract follows: every non-leaf node a backward pass
+/// reaches must live in the arena that is current when backward() is
+/// called (build a graph and differentiate it under the same
+/// GraphArena::Scope, and before that arena is reset); a LIGER_CHECK
+/// fails otherwise. Leaves — parameters and constants — may live
+/// anywhere: a ParamStore, another arena, another thread's graph.
 ///
 /// The op set is what the LIGER/DYPRO/code2vec/code2seq models need:
 /// matrix-vector products, elementwise arithmetic, tanh/sigmoid,
@@ -62,7 +73,8 @@ struct Node {
   /// Parameter gradients are routed through the active GradSink (if
   /// any) so concurrent backward passes never write to shared nodes.
   int32_t ParamIndex = -1;
-  uint64_t Seq = 0; ///< Creation order; backward processes descending.
+  /// The last backward pass that reached this non-leaf node (0: none).
+  uint64_t Mark = 0;
   /// Propagates this node's Grad into its parents' grads.
   void (*BackwardFn)(Node &) = nullptr;
   // Small fixed payload for BackwardFn (meaning depends on the op):
@@ -222,8 +234,8 @@ CellOut treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 /// row copy; backward: an addAcc into the batch node's grad row). The
 /// batch backward replays the single-sample gruCellOp backward per
 /// sample in descending sample order — exactly where B per-sample cell
-/// nodes created in ascending order would sit in the global
-/// descending-Seq schedule — so losses, gradients, and optimizer steps
+/// nodes created in ascending order would sit in the newest-first tape
+/// walk — so losses, gradients, and optimizer steps
 /// are bitwise-identical to B gruCellOp calls
 /// (BatchedKernelEquivalenceTest pins this).
 std::vector<Var> gruCellBatchOp(const Var &Wx, const Var &Bx, const Var &Wh,
@@ -310,7 +322,8 @@ std::vector<Var> softmaxCrossEntropyBatchOp(const Var &W, const Var &Bias,
                                             const std::vector<Var> &Xs,
                                             const std::vector<size_t> &Targets);
 
-/// Runs reverse-mode accumulation from scalar \p Loss (grad seeded 1).
+/// Runs reverse-mode accumulation from scalar \p Loss (grad seeded 1)
+/// over the current arena's tape (see the one-arena contract above).
 void backward(const Var &Loss);
 
 /// Like backward(Loss), but parameter gradients accumulate into

@@ -68,6 +68,10 @@ Node *GraphArena::newNode() {
   return N;
 }
 
+Node *GraphArena::node(size_t I) const {
+  return Slabs[I / NodesPerSlab]->at(I % NodesPerSlab);
+}
+
 void *GraphArena::allocBytes(size_t Bytes, size_t Align) {
   if (Bytes == 0)
     return nullptr;

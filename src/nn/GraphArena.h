@@ -21,6 +21,13 @@
 /// loop (an epoch, an evaluation sweep) should scope an arena and
 /// reset it at iteration boundaries.
 ///
+/// The arena is also backward's tape: nodes are numbered in creation
+/// order (node(I)), which is a topological order of every graph built
+/// in it, and backward() runs a graph by walking the current arena
+/// newest first. A graph must therefore be differentiated while the
+/// arena it was built in is current and before that arena is reset
+/// (the one-arena contract in nn/Graph.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_NN_GRAPHARENA_H
@@ -63,6 +70,11 @@ public:
 
   /// Nodes allocated since the last reset.
   size_t numLive() const { return Live; }
+  /// Live node \p I in creation order: 0 is the oldest node since the
+  /// last reset, numLive() - 1 the newest. backward() walks these
+  /// newest first (the reverse of creation order is a topological order
+  /// of every graph built in the arena).
+  Node *node(size_t I) const;
   /// High-water mark of numLive() over the arena's lifetime.
   size_t peakLive() const { return Peak; }
 

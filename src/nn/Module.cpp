@@ -32,8 +32,9 @@ void xavierRows(Tensor &Packed, size_t Row0, size_t Rows, size_t Cols,
 
 Var ParamStore::addParam(const std::string &Name, Tensor Init) {
   // Parameters are store-owned (not arena-owned): they must survive
-  // arena resets between samples/epochs. Seq stays 0 so every graph
-  // node (Seq >= 1) orders after its parameter parents.
+  // arena resets between samples/epochs. As leaves they sit on no
+  // arena's tape, and backward never writes to them outside a grad
+  // slot, so graphs on several threads may read them at once.
   Storage.emplace_back();
   Node &N = Storage.back();
   N.Value = std::move(Init);

@@ -771,6 +771,24 @@ TEST(GraphArenaTest, ScopeRestoresPreviousArena) {
   EXPECT_FLOAT_EQ(After->Value[0], 9.0f);
 }
 
+TEST(GraphArenaTest, BackwardRejectsGraphOutsideCurrentArena) {
+  // backward() walks the current arena's tape; a graph built in another
+  // arena is not on it, so the pass must fail loudly rather than skip
+  // the graph's nodes and leave the parameters without gradients.
+  ParamStore Store;
+  Var W = Store.addParam("w", Tensor::fromVector({2, -3}));
+  GraphArena Builder;
+  Var Loss;
+  {
+    GraphArena::Scope BuildScope(Builder);
+    Loss = dot(mul(W, vec({1, 4})), vec({1, 1}));
+  }
+  GraphArena Other;
+  GraphArena::Scope OtherScope(Other);
+  vec({5}); // the current arena holds an unrelated node
+  EXPECT_DEATH(backward(Loss), "outside the current GraphArena");
+}
+
 //===----------------------------------------------------------------------===//
 // GradSink routing
 //===----------------------------------------------------------------------===//
