@@ -27,7 +27,9 @@
 #      (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
-#      at 1, 2 and 4 threads) under ASan+UBSan (DESIGN.md §14);
+#      at 1, 2 and 4 threads) and the batched-loss equivalence suite
+#      (lossBatch values bitwise against loss(), gradients against the
+#      per-sample sum, GRU and LSTM) under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;
@@ -72,7 +74,8 @@ step "sanitized gradcheck build (build-asan)"
 cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
   --target nn_tests testgen_tests dataset_tests interp_tests lang_tests \
-           symx_tests eval_tests serve_tests liger_fuzz liger_serve
+           symx_tests eval_tests models_tests serve_tests liger_fuzz \
+           liger_serve
 "$REPO/build-asan/tests/nn_tests" \
   --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
 
@@ -97,9 +100,11 @@ step "sanitized serving: inference equivalence + embedding store + shared cache 
 "$REPO/build-asan/tests/serve_tests"
 "$REPO/build-asan/tools/liger_serve" --smoke --trace-cache-dir="$CACHE"
 
-step "sanitized lockstep training: threaded batched-epoch equivalence (build-asan)"
+step "sanitized lockstep training: threaded batched-epoch + batched-loss equivalence (build-asan)"
 "$REPO/build-asan/tests/eval_tests" \
   --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
+"$REPO/build-asan/tests/models_tests" \
+  --gtest_filter='BatchedLossEquivalenceTest.*'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF

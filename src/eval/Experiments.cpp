@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 using namespace liger;
 
@@ -51,6 +52,17 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       if (!parseDecimal(Arg.substr(Prefix.size()), Value))
         badNumericFlag(Arg);
       Slot = static_cast<size_t>(Value);
+      return true;
+    };
+    // --paths and --execs land in unsigned fields: a value that does
+    // not fit must not wrap (2^32 + 2 would otherwise become 2).
+    auto TakeUnsigned = [&](const char *Key, unsigned &Slot) {
+      size_t Value = 0;
+      if (!TakeSize(Key, Value))
+        return false;
+      if (Value > std::numeric_limits<unsigned>::max())
+        badNumericFlag(Arg);
+      Slot = static_cast<unsigned>(Value);
       return true;
     };
     if (Arg == "--verbose") {
@@ -109,14 +121,9 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       Scale.CacheFlagsExplicit = true;
       continue;
     }
-    if (TakeSize("paths", Tmp)) {
-      Scale.TargetPaths = static_cast<unsigned>(Tmp);
+    if (TakeUnsigned("paths", Scale.TargetPaths) ||
+        TakeUnsigned("execs", Scale.ExecutionsPerPath))
       continue;
-    }
-    if (TakeSize("execs", Tmp)) {
-      Scale.ExecutionsPerPath = static_cast<unsigned>(Tmp);
-      continue;
-    }
     if (TakeSize("seed", Tmp)) {
       Scale.Seed = Tmp;
       continue;

@@ -70,171 +70,6 @@ size_t ScratchArena::floatsReserved() const {
 }
 
 //===----------------------------------------------------------------------===//
-// ValueTokenIds
-//===----------------------------------------------------------------------===//
-
-ValueTokenIds::ValueTokenIds(const Vocabulary &Vocab) : Vocab(Vocab) {
-  // Every spelling valueToken()/valueTokens() can produce outside
-  // short strings.
-  Undef = Vocab.lookup(valueToken(Value::undef()));
-  True = Vocab.lookup(valueToken(Value::makeBool(true)));
-  False = Vocab.lookup(valueToken(Value::makeBool(false)));
-  Empty = Vocab.lookup(valueTokens(Value::makeArray({})).front());
-  for (int64_t X = -64; X <= 64; ++X)
-    SmallInts[X + 64] = Vocab.lookup(valueToken(Value::makeInt(X)));
-  // One representative magnitude per bucket: 256, 4096, 65536, 2^20.
-  const int64_t Magnitudes[4] = {256, 4096, 65536, int64_t(1) << 20};
-  for (int B = 0; B < 4; ++B) {
-    IntBuckets[0][B] = Vocab.lookup(valueToken(Value::makeInt(Magnitudes[B])));
-    IntBuckets[1][B] =
-        Vocab.lookup(valueToken(Value::makeInt(-Magnitudes[B])));
-  }
-  for (int B = 0; B < 3; ++B)
-    StrBuckets[B] =
-        Vocab.lookup(valueToken(Value::makeString(std::string(16u << B, 'x'))));
-}
-
-int ValueTokenIds::id(const Value &V) const {
-  switch (V.kind()) {
-  case ValueKind::Undef:
-    return Undef;
-  case ValueKind::Bool:
-    return V.asBool() ? True : False;
-  case ValueKind::Int: {
-    // valueToken's buckets: exact in [-64, 64], then magnitude <= 256,
-    // <= 4096, <= 65536, beyond.
-    int64_t X = V.asInt();
-    if (X >= -64 && X <= 64)
-      return SmallInts[X + 64];
-    uint64_t Mag = X < 0 ? static_cast<uint64_t>(-(X + 1)) + 1
-                         : static_cast<uint64_t>(X);
-    int Bucket = Mag <= 256 ? 0 : Mag <= 4096 ? 1 : Mag <= 65536 ? 2 : 3;
-    return IntBuckets[X < 0][Bucket];
-  }
-  case ValueKind::String: {
-    const std::string &S = V.asString();
-    if (S.size() <= 8) {
-      // At most 10 bytes: stays in the string's inline buffer.
-      std::string Key;
-      Key += '"';
-      Key += S;
-      Key += '"';
-      return Vocab.lookup(Key);
-    }
-    return StrBuckets[S.size() <= 16 ? 0 : S.size() <= 32 ? 1 : 2];
-  }
-  case ValueKind::Array:
-  case ValueKind::Struct:
-    LIGER_UNREACHABLE("ValueTokenIds::id expects a primitive");
-  }
-  LIGER_UNREACHABLE("covered switch");
-}
-
-void ValueTokenIds::appendLeaves(const Value &Object, size_t Max,
-                                 std::vector<int> &Out) const {
-  for (const Value &Elem : Object.elements()) {
-    if (Out.size() == Max)
-      return;
-    if (Elem.isArray() || Elem.isStruct())
-      appendLeaves(Elem, Max, Out);
-    else
-      Out.push_back(id(Elem));
-  }
-}
-
-void ValueTokenIds::objectIds(const Value &Object, size_t Max,
-                              std::vector<int> &Out) const {
-  Out.clear();
-  appendLeaves(Object, Max, Out);
-  // valueTokens() emits <empty> for a leafless value before truncation.
-  if (Out.empty() && Max > 0)
-    Out.push_back(Empty);
-}
-
-//===----------------------------------------------------------------------===//
-// The embedding store's indexes
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// splitmix64's finalizer: a bijection on 64-bit words, so a key hashed
-/// by it alone is identified exactly by its hash.
-uint64_t mix64(uint64_t X) {
-  X ^= X >> 30;
-  X *= 0xbf58476d1ce4e5b9ull;
-  X ^= X >> 27;
-  X *= 0x94d049bb133111ebull;
-  X ^= X >> 31;
-  return X;
-}
-
-uint64_t hashIds(const std::vector<int> &Ids) {
-  uint64_t H = mix64(Ids.size());
-  for (int Id : Ids)
-    H = mix64(H ^ static_cast<uint32_t>(Id));
-  return H;
-}
-
-} // namespace
-
-template <typename MatchFn>
-uint32_t LigerInference::HashIndex::find(uint64_t Hash,
-                                         MatchFn &&Match) const {
-  if (Slots.empty())
-    return None;
-  size_t Mask = Slots.size() - 1;
-  for (size_t I = Hash & Mask; Slots[I].Entry != None; I = (I + 1) & Mask)
-    if (Slots[I].Hash == Hash && Match(Slots[I].Entry))
-      return Slots[I].Entry;
-  return None;
-}
-
-uint32_t LigerInference::HashIndex::find(uint64_t Hash) const {
-  return find(Hash, [](uint32_t) { return true; });
-}
-
-void LigerInference::HashIndex::insert(uint64_t Hash, uint32_t Entry) {
-  // Grow at 3/4 load; the capacity stays a power of two.
-  if (4 * (Used + 1) > 3 * Slots.size()) {
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(Old.empty() ? 16 : 2 * Old.size(), Slot());
-    Used = 0;
-    for (const Slot &S : Old)
-      if (S.Entry != None)
-        insert(S.Hash, S.Entry);
-  }
-  size_t Mask = Slots.size() - 1;
-  size_t I = Hash & Mask;
-  while (Slots[I].Entry != None)
-    I = (I + 1) & Mask;
-  Slots[I] = {Hash, Entry};
-  ++Used;
-}
-
-void LigerInference::HashIndex::clear() {
-  std::fill(Slots.begin(), Slots.end(), Slot());
-  Used = 0;
-}
-
-uint32_t LigerInference::SequenceMemo::find(const std::vector<int> &Seq,
-                                            uint64_t Hash) const {
-  return Index.find(Hash, [&](uint32_t E) {
-    size_t Begin = Offsets[E], End = Offsets[E + 1];
-    return End - Begin == Seq.size() &&
-           std::equal(Seq.begin(), Seq.end(), Ids.begin() + Begin);
-  });
-}
-
-uint32_t LigerInference::SequenceMemo::insert(const std::vector<int> &Seq,
-                                              uint64_t Hash) {
-  uint32_t E = static_cast<uint32_t>(Offsets.size() - 1);
-  Ids.insert(Ids.end(), Seq.begin(), Seq.end());
-  Offsets.push_back(static_cast<uint32_t>(Ids.size()));
-  Index.insert(Hash, E);
-  return E;
-}
-
-//===----------------------------------------------------------------------===//
 // Weight binding
 //===----------------------------------------------------------------------===//
 
@@ -540,9 +375,9 @@ LigerInference::StoredRow *LigerInference::embedStatement(const Stmt *S) {
 uint32_t LigerInference::objectEntry(const Value &Object) {
   std::vector<int> &Ids = IdScratch;
   ValueIds.objectIds(Object, Config.MaxFlattenedValues, Ids);
-  uint64_t Hash = hashIds(Ids);
-  uint32_t E = Store.Objects.find(Ids, Hash);
-  if (E != HashIndex::None)
+  bool Added = false;
+  uint32_t E = Store.Trie.objectEntry(Ids, Added);
+  if (!Added)
     return E;
   // f1 over the flattened attr sequence.
   St S = cellInitial(F1);
@@ -551,30 +386,25 @@ uint32_t LigerInference::objectEntry(const Value &Object) {
   float *H = Store.Floats.alloc(F1.Hidden);
   std::memcpy(H, S.H, F1.Hidden * sizeof(float));
   Store.ObjectH.push_back(H);
-  return Store.Objects.insert(Ids, Hash);
+  return E;
 }
 
 LigerInference::StoredRow *
 LigerInference::embedState(const ProgramState &State) {
-  // A state is the trie node its (component, ...) walk ends on. A
-  // component is a primitive's token id or an object entry, tagged
-  // apart, so int 5 and the one-element array [5] never share an edge.
-  auto componentOf = [&](const Value &V) -> uint64_t {
+  // A state is the trie node its (component, ...) walk ends on.
+  auto componentOf = [&](const Value &V) {
     if (V.isArray() || V.isStruct())
-      return uint64_t(objectEntry(V)) << 1 | 1;
-    return uint64_t(static_cast<uint32_t>(ValueIds.id(V))) << 1;
-  };
-  auto edgeKey = [](uint32_t Parent, uint64_t Component) {
-    return mix64(uint64_t(Parent) << 33 | Component);
+      return StateTrie::object(objectEntry(V));
+    return StateTrie::primitive(ValueIds.id(V));
   };
 
-  uint32_t Node = 0;
+  uint32_t Node = StateTrie::Root;
   size_t I = 0, N = State.Values.size();
   uint64_t Component = 0;
   for (; I < N; ++I) {
     Component = componentOf(State.Values[I]);
-    uint32_t Child = Store.Edges.find(edgeKey(Node, Component));
-    if (Child == HashIndex::None)
+    uint32_t Child = Store.Trie.child(Node, Component);
+    if (Child == StateTrie::None)
       break;
     Node = Child;
   }
@@ -588,9 +418,10 @@ LigerInference::embedState(const ProgramState &State) {
   size_t H = Config.Hidden;
   St S{Store.Nodes[Node].H, Store.Nodes[Node].C};
   for (;;) {
-    const float *X = (Component & 1)
-                         ? Store.ObjectH[Component >> 1]
-                         : tokenEmbed(static_cast<int>(Component >> 1));
+    uint32_t Payload = StateTrie::payload(Component);
+    const float *X = StateTrie::isObject(Component)
+                         ? Store.ObjectH[Payload]
+                         : tokenEmbed(static_cast<int>(Payload));
     S = cellStep(F2, X, S);
     StoredRow Row;
     float *NodeH = Store.Floats.alloc(H);
@@ -601,10 +432,8 @@ LigerInference::embedState(const ProgramState &State) {
       std::memcpy(NodeC, S.C, H * sizeof(float));
       Row.C = NodeC;
     }
-    uint32_t Child = static_cast<uint32_t>(Store.Nodes.size());
+    Node = Store.Trie.addChild(Node, Component);
     Store.Nodes.push_back(Row);
-    Store.Edges.insert(edgeKey(Node, Component), Child);
-    Node = Child;
     if (++I == N)
       return &Store.Nodes[Node];
     Component = componentOf(State.Values[I]);

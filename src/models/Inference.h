@@ -23,11 +23,12 @@
 /// persistent, parameter-versioned store per engine, keyed by token id
 /// (DESIGN.md §13.2): object values memoise f1's final state by their
 /// leaf-id sequence, states are nodes of an f2 prefix trie over
-/// (primitive token | object) components, statements key by the token
-/// ids of their head tree behind a per-request Stmt* memo, and every
-/// statement and state entry keeps A1's key-side row. rebind() drops
-/// the store whenever it installs an image with a different content
-/// digest.
+/// (primitive token | object) components — the keys of
+/// models/StateTrie.h, which LigerEncoder::encodeBatch shares —
+/// statements key by the token ids of their head tree behind a
+/// per-request Stmt* memo, and every statement and state entry keeps
+/// A1's key-side row. rebind() drops the store whenever it installs an
+/// image with a different content digest.
 ///
 /// An engine is single-threaded; serving spawns one per worker. It
 /// borrows the WeightImage and vocabularies, which must outlive it.
@@ -38,6 +39,7 @@
 #define LIGER_MODELS_INFERENCE_H
 
 #include "models/Liger.h"
+#include "models/StateTrie.h"
 #include "nn/WeightImage.h"
 #include "trace/Trace.h"
 #include "trace/Vocabulary.h"
@@ -70,35 +72,6 @@ private:
   };
   std::vector<Block> Blocks;
   size_t Active = 0;
-};
-
-/// Token ids of runtime values read straight from Values: id() equals
-/// Vocab.lookup(valueToken(V)) for a primitive, and objectIds() the ids
-/// of valueTokens(V) after truncation, without building token strings,
-/// token vectors or Value::flatten copies. Only strings of at most 8
-/// bytes reach Vocabulary::lookup, with a key that fits std::string's
-/// inline buffer; every other primitive reads a table built once.
-class ValueTokenIds {
-public:
-  /// \p Vocab must outlive the table.
-  explicit ValueTokenIds(const Vocabulary &Vocab);
-
-  /// Id of a primitive value (⊥, bool, int or string).
-  int id(const Value &Primitive) const;
-
-  /// Replaces \p Out by the ids of an array/struct value's leaves in
-  /// order, cut at \p Max, or by <empty> when it has none.
-  void objectIds(const Value &Object, size_t Max, std::vector<int> &Out) const;
-
-private:
-  void appendLeaves(const Value &Object, size_t Max,
-                    std::vector<int> &Out) const;
-
-  const Vocabulary &Vocab;
-  int Undef = 0, True = 0, False = 0, Empty = 0;
-  int SmallInts[129] = {};   ///< -64..64.
-  int IntBuckets[2][4] = {}; ///< [negative][e2, e3, e4, big].
-  int StrBuckets[3] = {};    ///< len16, len32, len64.
 };
 
 /// Forward-only inference over a frozen weight image.
@@ -180,52 +153,19 @@ private:
     const float *KeyProj = nullptr;
   };
 
-  /// Open-addressing index from 64-bit hashes to entry numbers. A hash
-  /// may name several keys; find() asks \p Match to confirm a
-  /// candidate entry.
-  class HashIndex {
-  public:
-    static constexpr uint32_t None = UINT32_MAX;
-    template <typename MatchFn>
-    uint32_t find(uint64_t Hash, MatchFn &&Match) const;
-    uint32_t find(uint64_t Hash) const; ///< For exact (bijective) hashes.
-    void insert(uint64_t Hash, uint32_t Entry);
-    void clear();
-
-  private:
-    struct Slot {
-      uint64_t Hash = 0;
-      uint32_t Entry = None;
-    };
-    std::vector<Slot> Slots;
-    size_t Used = 0;
-  };
-
-  /// Interned id sequences: entry E is the E-th distinct sequence.
-  struct SequenceMemo {
-    HashIndex Index;
-    std::vector<int> Ids; ///< All sequences, concatenated.
-    /// Entry E is Ids[Offsets[E], Offsets[E + 1]).
-    std::vector<uint32_t> Offsets = {0};
-    uint32_t find(const std::vector<int> &Seq, uint64_t Hash) const;
-    uint32_t insert(const std::vector<int> &Seq, uint64_t Hash);
-  };
-
   /// The per-engine embedding store (DESIGN.md §13.2). Floats live in
   /// an arena as long as the store; rows are never moved.
   struct EmbeddingStore {
     ScratchArena Floats;
-    /// Object values: leaf-id sequence -> f1 final H (EmbedDim floats).
-    SequenceMemo Objects;
+    /// The object memo and f2 prefix trie (models/StateTrie.h).
+    StateTrie Trie;
+    /// Per object entry: f1's final H (EmbedDim floats).
     std::vector<const float *> ObjectH;
+    /// Per trie node: f2's state after the components on its path.
+    std::deque<StoredRow> Nodes;
     /// Statements: pre-order (label id, arity) sequence -> row.
     SequenceMemo Stmts;
     std::deque<StoredRow> StmtRows;
-    /// The f2 prefix trie: node 0 is the empty tuple; an edge is keyed
-    /// by (parent node, component id) and a node holds f2's state after
-    /// the components on its path.
-    HashIndex Edges;
-    std::deque<StoredRow> Nodes;
   };
 
   void resetStore();

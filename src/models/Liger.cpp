@@ -22,7 +22,8 @@ LigerEncoder::LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
       F1(Store, "liger.f1", Cfg.Cell, Cfg.EmbedDim, Cfg.EmbedDim, R),
       F2(Store, "liger.f2", Cfg.Cell, Cfg.EmbedDim, Cfg.Hidden, R),
       A1(Store, "liger.a1", Cfg.Hidden, Cfg.Hidden, Cfg.AttnHidden, R),
-      F3(Store, "liger.f3", Cfg.Cell, Cfg.Hidden, Cfg.Hidden, R) {
+      F3(Store, "liger.f3", Cfg.Cell, Cfg.Hidden, Cfg.Hidden, R),
+      ValueIds(JointVocab) {
   LIGER_CHECK(Cfg.UseStaticFeature || Cfg.UseDynamicFeature,
               "at least one feature dimension must be enabled");
 }
@@ -37,6 +38,13 @@ Var LigerEncoder::lookupToken(const std::string &Token,
   return E;
 }
 
+Var LigerEncoder::tokenEmbed(int Id, SampleCache &Cache) const {
+  auto [It, Added] = Cache.Tokens.try_emplace(Id);
+  if (Added)
+    It->second = Embed.lookup(Id);
+  return It->second;
+}
+
 Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
   auto It = Ctx.StmtCache.find(S);
   if (It != Ctx.StmtCache.end())
@@ -45,6 +53,17 @@ Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
   Var H = StmtTree.embed(
       Tree, [&](const std::string &Label) { return lookupToken(Label, Ctx); });
   Ctx.StmtCache.emplace(S, H);
+  return H;
+}
+
+Var LigerEncoder::embedStatement(const Stmt *S, SampleCache &Cache) const {
+  auto It = Cache.Stmts.find(S);
+  if (It != Cache.Stmts.end())
+    return It->second;
+  Var H = StmtTree.embed(buildStmtHeadTree(S), [&](const std::string &Label) {
+    return tokenEmbed(Vocab.lookup(Label), Cache);
+  });
+  Cache.Stmts.emplace(S, H);
   return H;
 }
 
@@ -113,94 +132,41 @@ Var LigerEncoder::embedState(const ProgramState &State,
   return H;
 }
 
-void LigerEncoder::embedStatesBatch(
-    std::vector<StateEmbedRequest> &Requests,
-    std::unordered_map<std::string, Var> &Cache) const {
-  // f1 lanes: one per flattened object value across every request, in
-  // request order — the order embedState walks them one state at a
-  // time — so every object value of every state shares the lockstep
-  // f1 recurrence.
-  std::vector<std::vector<Var>> F1Seqs;
-  for (StateEmbedRequest &Rq : Requests) {
-    for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
-      const Value &V = Rq.State->Values[I];
-      if (!V.isArray() && !V.isStruct())
-        continue;
-      std::vector<Var> Inputs;
-      Inputs.reserve(Rq.ValueTokens[I].size());
-      for (const std::string &Token : Rq.ValueTokens[I])
-        Inputs.push_back(lookupToken(Token, *Rq.Ctx));
-      F1Seqs.push_back(std::move(Inputs));
-    }
-  }
-  std::vector<RecState> F1Out = runCellLockstep(F1, F1Seqs);
-
-  // f2 lanes: each request's variable sequence (primitives embed
-  // directly, object values take their f1 final state).
-  std::vector<std::vector<Var>> F2Seqs;
-  std::vector<size_t> F2Req;
-  size_t F1Lane = 0;
-  for (size_t R = 0; R < Requests.size(); ++R) {
-    StateEmbedRequest &Rq = Requests[R];
-    std::vector<Var> VarEmbeds;
-    VarEmbeds.reserve(Rq.State->Values.size());
-    for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
-      const Value &V = Rq.State->Values[I];
-      if (V.isArray() || V.isStruct())
-        VarEmbeds.push_back(F1Out[F1Lane++].H);
-      else
-        VarEmbeds.push_back(lookupToken(Rq.ValueTokens[I][0], *Rq.Ctx));
-    }
-    if (VarEmbeds.empty()) {
-      Cache.emplace(std::move(Rq.Key), constant(Tensor::zeros(Config.Hidden)));
-      continue;
-    }
-    F2Req.push_back(R);
-    F2Seqs.push_back(std::move(VarEmbeds));
-  }
-  std::vector<RecState> F2Out = runCellLockstep(F2, F2Seqs);
-  for (size_t K = 0; K < F2Seqs.size(); ++K) {
-    StateEmbedRequest &Rq = Requests[F2Req[K]];
-    Cache.emplace(std::move(Rq.Key), F2Out[K].H);
-  }
-}
-
 Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
-                           size_t NumConcrete, Var PrevH, EncodeContext &Ctx,
-                           const std::vector<Var> *StateComps) const {
+                           size_t NumConcrete, Var PrevH,
+                           EncodeContext &Ctx) const {
   // Collect the feature vectors of this ordered pair; the statement
   // vector (when enabled) is component 0.
   std::vector<Var> Components;
   if (Config.UseStaticFeature)
     Components.push_back(
         embedStatement(Path.Symbolic.Steps[J].Statement, Ctx));
-  if (StateComps) {
-    Components.insert(Components.end(), StateComps->begin(),
-                      StateComps->end());
-  } else {
-    for (size_t T = 0; T < NumConcrete; ++T) {
-      const StateTrace &States = Path.Concrete[T];
-      if (J < States.States.size() && !States.States[J].Values.empty())
-        Components.push_back(embedState(States.States[J], Ctx));
-    }
+  for (size_t T = 0; T < NumConcrete; ++T) {
+    const StateTrace &States = Path.Concrete[T];
+    if (J < States.States.size() && !States.States[J].Values.empty())
+      Components.push_back(embedState(States.States[J], Ctx));
   }
+  return fuse(Components, J, PrevH, Ctx.Stats);
+}
+
+Var LigerEncoder::fuse(const std::vector<Var> &Components, size_t J,
+                       Var PrevH, FusionStats *Stats) const {
   if (Components.empty())
     return nullptr; // dynamic-only config with a state-less step
 
   bool UniformFirstStep = J == 0; // paper: even weights at step one
   if (Components.size() == 1) {
-    if (Ctx.Stats && Config.UseStaticFeature) {
-      Ctx.Stats->StaticWeightSum += 1.0;
-      ++Ctx.Stats->FusionSteps;
+    if (Stats && Config.UseStaticFeature) {
+      Stats->StaticWeightSum += 1.0;
+      ++Stats->FusionSteps;
     }
     return Components[0];
   }
   if (!Config.UseFusionAttention || UniformFirstStep) {
     Var Fused = meanPool(Components);
-    if (Ctx.Stats && Config.UseStaticFeature) {
-      Ctx.Stats->StaticWeightSum +=
-          1.0 / static_cast<double>(Components.size());
-      ++Ctx.Stats->FusionSteps;
+    if (Stats && Config.UseStaticFeature) {
+      Stats->StaticWeightSum += 1.0 / static_cast<double>(Components.size());
+      ++Stats->FusionSteps;
     }
     return Fused;
   }
@@ -209,9 +175,9 @@ Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
   // projection + attention op) replacing the per-pair score chain.
   AttentionScorer::Memory Mem = A1.prepare(Components);
   AttentionScorer::Result Fusion = A1.contextOf(PrevH, Mem);
-  if (Ctx.Stats && Config.UseStaticFeature) {
-    Ctx.Stats->StaticWeightSum += static_cast<double>(Fusion.Weights[0]);
-    ++Ctx.Stats->FusionSteps;
+  if (Stats && Config.UseStaticFeature) {
+    Stats->StaticWeightSum += static_cast<double>(Fusion.Weights[0]);
+    ++Stats->FusionSteps;
   }
   return Fusion.Context;
 }
@@ -269,20 +235,135 @@ LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
   return Out;
 }
 
+/// encodeBatch's two-level state embeddings (DESIGN.md §14.2): one
+/// StateTrie for the call, with f1's final state per object entry and
+/// f2's state per trie node. request() resolves a state to its node and
+/// registers every object and edge it lacks; flush() embeds what the
+/// round registered — the new objects as the lanes of one lockstep f1
+/// run, then the new edges depth by depth, one F2.stepBatch per depth.
+/// Entries, nodes and graph nodes are created in request order, which
+/// encodeBatch fixes by lane and concrete trace.
+///
+/// A shared node's value is bitwise what each sharer would compute
+/// alone: f1 and f2 read only token-id sequences and the parameters,
+/// and a batched cell step is bitwise-identical per lane to step().
+class LigerEncoder::BatchStates {
+public:
+  explicit BatchStates(const LigerEncoder &Enc) : Enc(Enc) {
+    NodeStates.push_back(Enc.F2.initial()); // the root, the empty tuple
+  }
+
+  /// The trie node of \p State; token embeddings of new objects and
+  /// edges come from \p Cache, the requesting sample's.
+  uint32_t request(const ProgramState &State, SampleCache &Cache) {
+    uint32_t Node = StateTrie::Root;
+    for (size_t I = 0; I < State.Values.size(); ++I) {
+      const Value &V = State.Values[I];
+      uint64_t Component = V.isArray() || V.isStruct()
+                               ? StateTrie::object(objectEntry(V, Cache))
+                               : StateTrie::primitive(Enc.ValueIds.id(V));
+      uint32_t Child = Trie.child(Node, Component);
+      if (Child == StateTrie::None) {
+        Child = Trie.addChild(Node, Component);
+        NodeStates.emplace_back(); // set by the next flush
+        if (NewEdges.size() <= I)
+          NewEdges.resize(I + 1);
+        NewEdges[I].push_back({Child, Node, Component, &Cache});
+      }
+      Node = Child;
+    }
+    return Node;
+  }
+
+  /// Embeds every object and edge registered since the last flush.
+  void flush() {
+    if (!NewObjects.empty()) {
+      std::vector<std::vector<Var>> Seqs;
+      Seqs.reserve(NewObjects.size());
+      for (const NewObject &O : NewObjects) {
+        std::vector<Var> &Inputs = Seqs.emplace_back();
+        auto [Begin, End] = Trie.objectIds(O.Entry);
+        for (const int *Id = Begin; Id != End; ++Id)
+          Inputs.push_back(Enc.tokenEmbed(*Id, *O.Cache));
+      }
+      std::vector<RecState> Out = runCellLockstep(Enc.F1, Seqs);
+      for (size_t K = 0; K < NewObjects.size(); ++K)
+        ObjectH[NewObjects[K].Entry] = Out[K].H;
+      NewObjects.clear();
+    }
+    // A new edge's parent is older or one position up, so ascending
+    // positions find every parent state computed.
+    for (std::vector<NewEdge> &Edges : NewEdges) {
+      if (Edges.empty())
+        continue;
+      Xs.clear();
+      Prevs.clear();
+      for (const NewEdge &E : Edges) {
+        uint32_t Payload = StateTrie::payload(E.Component);
+        Xs.push_back(StateTrie::isObject(E.Component)
+                         ? ObjectH[Payload]
+                         : Enc.tokenEmbed(static_cast<int>(Payload), *E.Cache));
+        Prevs.push_back(NodeStates[E.Parent]);
+      }
+      std::vector<RecState> Next = Enc.F2.stepBatch(Xs, Prevs);
+      for (size_t K = 0; K < Edges.size(); ++K)
+        NodeStates[Edges[K].Node] = Next[K];
+      Edges.clear();
+    }
+  }
+
+  /// The state embedding of a flushed node.
+  Var embedding(uint32_t Node) const { return NodeStates[Node].H; }
+
+private:
+  struct NewObject {
+    uint32_t Entry;
+    SampleCache *Cache;
+  };
+  struct NewEdge {
+    uint32_t Node, Parent;
+    uint64_t Component;
+    SampleCache *Cache;
+  };
+
+  /// The entry of \p Object, registering it for the next flush when new.
+  uint32_t objectEntry(const Value &Object, SampleCache &Cache) {
+    Enc.ValueIds.objectIds(Object, Enc.Config.MaxFlattenedValues, Ids);
+    bool Added = false;
+    uint32_t Entry = Trie.objectEntry(Ids, Added);
+    if (Added) {
+      ObjectH.push_back(nullptr);
+      NewObjects.push_back({Entry, &Cache});
+    }
+    return Entry;
+  }
+
+  const LigerEncoder &Enc;
+  StateTrie Trie;
+  std::vector<Var> ObjectH;         ///< Per object entry: f1's final H.
+  std::vector<RecState> NodeStates; ///< Per trie node: f2's state.
+  std::vector<NewObject> NewObjects;
+  /// Unflushed edges by position: NewEdges[I] holds edges whose
+  /// component is the state's I-th value.
+  std::vector<std::vector<NewEdge>> NewEdges;
+  // Reused scratch.
+  std::vector<int> Ids;
+  std::vector<Var> Xs;
+  std::vector<RecState> Prevs;
+};
+
 std::vector<LigerEncoding> LigerEncoder::encodeBatch(
     const std::vector<const MethodTraces *> &Batch) const {
   size_t B = Batch.size();
-  // Statement and token caches never cross samples. State embeddings
-  // DO share one batch-scoped cache: the kind-tagged state key is
-  // injective and f1/f2 are deterministic functions of the key's token
-  // sequences and the parameters, so a state revisited by another
-  // sample reuses a node with bitwise-identical value — per-sample
-  // loss values match encode(). Gradient flow through a shared node
-  // merges where per-sample caches would duplicate it, which only the
-  // (already order-sensitive) batched gradient accumulation can
-  // observe.
-  std::vector<EncodeContext> Ctxs(B);
-  std::unordered_map<std::string, Var> BatchStateCache;
+  // Statement and token embeddings stay per sample. Program states
+  // share one BatchStates across the batch: an object value or state
+  // prefix that any lane revisits reuses its node, whose value is
+  // bitwise what encode() computes, so per-sample losses match loss().
+  // Gradient flow through a shared node merges where per-sample caches
+  // would duplicate it, which only the (already order-sensitive)
+  // batched gradient accumulation can observe.
+  std::vector<SampleCache> Caches(B);
+  BatchStates States(*this);
 
   // One lane per eligible blended trace, in sample-major order.
   struct Lane {
@@ -319,60 +400,29 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
     }
   }
 
-  // Timestep-major lockstep: each round fuses every live lane's step-J
-  // components per lane, then advances all lanes with a fused input
-  // through one batched F3 step.
-  struct PendingSlot {
-    size_t LaneIdx;
-    size_t CompIdx;
-    std::string Key;
-  };
-  std::vector<std::vector<Var>> LaneStates(Lanes.size());
-  std::vector<StateEmbedRequest> Requests;
-  std::vector<PendingSlot> Pending;
+  // Timestep-major lockstep: each round resolves every live lane's
+  // step-J states to trie nodes and embeds the round's new objects and
+  // edges, then fuses each lane's components and advances all lanes
+  // with a fused input through one batched F3 step.
+  std::vector<std::vector<uint32_t>> LaneNodes(Lanes.size());
+  std::vector<Var> Components;
   std::vector<size_t> Active;
   std::vector<Var> Ins;
   std::vector<RecState> PrevStates;
   for (size_t J = 0; J < MaxSteps; ++J) {
-    // Resolve the round's state components up front: cached states
-    // fill their lane slots directly, the rest are gathered (deduped
-    // across the batch) and embedded through lockstep-batched f1/f2
-    // runs, then patched into the slots they came from.
-    for (std::vector<Var> &Slots : LaneStates)
-      Slots.clear();
-    Requests.clear();
-    Pending.clear();
     for (size_t Li = 0; Li < Lanes.size(); ++Li) {
       Lane &L = Lanes[Li];
+      LaneNodes[Li].clear();
       if (J >= L.Steps)
         continue;
-      EncodeContext &Ctx = Ctxs[L.Sample];
       for (size_t T = 0; T < L.NumConcrete; ++T) {
-        const StateTrace &States = L.Path->Concrete[T];
-        if (J >= States.States.size() || States.States[J].Values.empty())
-          continue;
-        StateEmbedRequest Rq;
-        Rq.Ctx = &Ctx;
-        Rq.State = &States.States[J];
-        Rq.Key = stateKey(*Rq.State, Rq.ValueTokens);
-        auto It = BatchStateCache.find(Rq.Key);
-        if (It != BatchStateCache.end()) {
-          LaneStates[Li].push_back(It->second);
-          continue;
-        }
-        LaneStates[Li].push_back(nullptr);
-        Pending.push_back({Li, LaneStates[Li].size() - 1, Rq.Key});
-        bool Queued = false;
-        for (const StateEmbedRequest &Prev : Requests)
-          Queued |= Prev.Key == Rq.Key;
-        if (!Queued)
-          Requests.push_back(std::move(Rq));
+        const StateTrace &Trace = L.Path->Concrete[T];
+        if (J < Trace.States.size() && !Trace.States[J].Values.empty())
+          LaneNodes[Li].push_back(
+              States.request(Trace.States[J], Caches[L.Sample]));
       }
     }
-    if (!Requests.empty())
-      embedStatesBatch(Requests, BatchStateCache);
-    for (PendingSlot &Slot : Pending)
-      LaneStates[Slot.LaneIdx][Slot.CompIdx] = BatchStateCache.at(Slot.Key);
+    States.flush();
 
     Active.clear();
     Ins.clear();
@@ -381,8 +431,13 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
       Lane &L = Lanes[Li];
       if (J >= L.Steps)
         continue;
-      Var Fused = fuseStep(*L.Path, J, L.NumConcrete, L.PrevH,
-                           Ctxs[L.Sample], &LaneStates[Li]);
+      Components.clear();
+      if (Config.UseStaticFeature)
+        Components.push_back(embedStatement(L.Path->Symbolic.Steps[J].Statement,
+                                            Caches[L.Sample]));
+      for (uint32_t Node : LaneNodes[Li])
+        Components.push_back(States.embedding(Node));
+      Var Fused = fuse(Components, J, L.PrevH, nullptr);
       if (!Fused)
         continue;
       Active.push_back(Li);

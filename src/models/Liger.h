@@ -35,6 +35,7 @@
 
 #include "models/Common.h"
 #include "models/Decoder.h"
+#include "models/StateTrie.h"
 
 #include <unordered_map>
 
@@ -94,16 +95,19 @@ public:
   /// bitwise-identical to encode(); only node creation order — and so
   /// gradient accumulation order across lanes — follows the
   /// timestep-major schedule SeqDecoder::lossBatch already uses.
-  /// Program states share one embedding cache across the whole batch:
-  /// a state revisited by another sample reuses its node.
+  /// Program states share a two-level embedding across the whole
+  /// batch (DESIGN.md §14.2): every distinct object value runs f1 once
+  /// and every distinct state prefix runs its f2 step once, each round
+  /// embedding its new objects in one lockstep f1 run and its new trie
+  /// edges with one batched f2 step per depth.
   std::vector<LigerEncoding>
   encodeBatch(const std::vector<const MethodTraces *> &Batch) const;
 
   const LigerConfig &config() const { return Config; }
 
 private:
-  /// Per-forward-pass caches (statement embeddings recur across loop
-  /// iterations; token embeddings recur everywhere).
+  /// encode()'s per-forward-pass caches (statement embeddings recur
+  /// across loop iterations; token embeddings recur everywhere).
   struct EncodeContext {
     std::unordered_map<const Stmt *, Var> StmtCache;
     std::unordered_map<std::string, Var> TokenCache;
@@ -116,19 +120,20 @@ private:
     FusionStats *Stats = nullptr;
   };
 
-  /// One state an encodeBatch round still needs embedded: the context
-  /// of the sample that first asked for it (its token cache), the
-  /// state, and its precomputed cache key and per-variable token
-  /// sequences.
-  struct StateEmbedRequest {
-    EncodeContext *Ctx;
-    const ProgramState *State;
-    std::string Key;
-    std::vector<std::vector<std::string>> ValueTokens;
+  /// One sample's caches in encodeBatch: statement embeddings by
+  /// statement, token embeddings by vocabulary id.
+  struct SampleCache {
+    std::unordered_map<const Stmt *, Var> Stmts;
+    std::unordered_map<int, Var> Tokens;
   };
 
+  /// encodeBatch's state embeddings for one call (Liger.cpp).
+  class BatchStates;
+
   Var lookupToken(const std::string &Token, EncodeContext &Ctx) const;
+  Var tokenEmbed(int Id, SampleCache &Cache) const;
   Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
+  Var embedStatement(const Stmt *S, SampleCache &Cache) const;
   /// Computes a state's cache key and fills \p ValueTokens with each
   /// variable's flattened token sequence (truncated to
   /// MaxFlattenedValues for object values).
@@ -136,20 +141,14 @@ private:
   stateKey(const ProgramState &State,
            std::vector<std::vector<std::string>> &ValueTokens) const;
   Var embedState(const ProgramState &State, EncodeContext &Ctx) const;
-  /// Embeds every requested state through lockstep-batched f1/f2 runs
-  /// (runCellLockstep) and parks the results in \p Cache under each
-  /// request's key; per-state values are bitwise-identical to
-  /// embedState.
-  void embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
-                        std::unordered_map<std::string, Var> &Cache) const;
   /// Fuses step \p J of one path (statement + state components through
-  /// the fusion rule) or returns null when the step has no components.
-  /// When \p StateComps is non-null it supplies the step's state
-  /// embeddings (resolved up front by encodeBatch's prefetch) instead
-  /// of the per-state embedState walk.
+  /// fuse()) or returns null when the step has no components.
   Var fuseStep(const BlendedTrace &Path, size_t J, size_t NumConcrete,
-               Var PrevH, EncodeContext &Ctx,
-               const std::vector<Var> *StateComps = nullptr) const;
+               Var PrevH, EncodeContext &Ctx) const;
+  /// The fusion rule over one step's components (the statement vector,
+  /// when enabled, first); null when there are none.
+  Var fuse(const std::vector<Var> &Components, size_t J, Var PrevH,
+           FusionStats *Stats) const;
   Var encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
                  std::vector<Var> &StepMemory) const;
 
@@ -161,6 +160,7 @@ private:
   RecurrentCell F2;           ///< State RNN over variable embeddings.
   AttentionScorer A1;         ///< Fusion attention.
   RecurrentCell F3;           ///< Executions embedding RNN.
+  ValueTokenIds ValueIds;     ///< Value token ids for encodeBatch.
 };
 
 /// LIGER for method name prediction (encoder + attention decoder).

@@ -163,7 +163,8 @@ TEST(ScaleTest, RejectsMalformedNumericFlags) {
   for (const char *Flag :
        {"--batch=abc", "--epochs=3x", "--methods=", "--hidden= 8",
         "--threads=-1", "--seed=99999999999999999999999", "--lr=fast",
-        "--lr=0.01x", "--lr=", "--lr=nan"})
+        "--lr=0.01x", "--lr=", "--lr=nan", "--paths=4294967298",
+        "--execs=4294967296"})
     EXPECT_EXIT(parseOneFlag(Flag), testing::ExitedWithCode(2),
                 "bad numeric value")
         << Flag;

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 using namespace liger;
@@ -604,4 +606,110 @@ TEST(BatchedLossEquivalenceTest, CrossSampleStateCacheKeepsLossValuesBitwise) {
   for (size_t S = 0; S < Group.size(); ++S)
     EXPECT_EQ(Batched[S]->Value[0], Net.loss(*Group[S])->Value[0])
         << "lane " << S;
+}
+
+namespace {
+
+LigerConfig tinyLigerConfig(CellKind Cell) {
+  LigerConfig Config = tinyLigerConfig();
+  Config.Cell = Cell;
+  return Config;
+}
+
+/// A LIGER name model over tinyCorpus() repeated \p Repeats times in
+/// one batch: from the second copy on, every object value and state
+/// prefix is one the batch has already embedded.
+struct RepeatedCorpus {
+  std::vector<MethodSample> Samples = tinyCorpus();
+  TinyVocabs V = buildVocabs(Samples);
+  LigerNamePredictor Net;
+  std::vector<const MethodSample *> Group;
+
+  RepeatedCorpus(CellKind Cell, int Repeats)
+      : Net(V.Joint, V.Target, tinyLigerConfig(Cell), 42) {
+    for (int Repeat = 0; Repeat < Repeats; ++Repeat)
+      for (const MethodSample &Sample : Samples)
+        Group.push_back(&Sample);
+  }
+};
+
+void expectLossBatchMatchesLoss(RepeatedCorpus &C) {
+  std::vector<Var> Batched = C.Net.lossBatch(C.Group);
+  ASSERT_EQ(Batched.size(), C.Group.size());
+  for (size_t S = 0; S < C.Group.size(); ++S)
+    EXPECT_EQ(Batched[S]->Value[0], C.Net.loss(*C.Group[S])->Value[0])
+        << "lane " << S;
+}
+
+/// Largest |entry| of a gradient slot.
+double maxAbs(const Tensor &G) {
+  double Max = 0;
+  for (size_t I = 0; I < G.size(); ++I)
+    Max = std::max(Max, static_cast<double>(std::abs(G[I])));
+  return Max;
+}
+
+/// One backward over the sum of lossBatch against per-sample loss()
+/// backwards, each in a fresh arena.
+void expectBatchGradientsMatchPerSampleSum(RepeatedCorpus &C) {
+  GradSink Batched, Reference;
+  {
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    backward(sumV(stackScalars(C.Net.lossBatch(C.Group))), Batched);
+  }
+  for (const MethodSample *Sample : C.Group) {
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    backward(C.Net.loss(*Sample), Reference);
+  }
+
+  // The two sums accumulate in different orders, so entries agree to
+  // rounding, relative to the parameter's largest gradient. The floor
+  // covers parameters whose true gradient is zero (an attention
+  // scorer's output bias such as liger.a1.l2.b: softmax is shift
+  // invariant), whose entries are rounding noise; a shared subgraph
+  // dropped or counted twice would show up as an O(1) difference.
+  const std::vector<std::string> &Names = C.Net.params().names();
+  size_t N = Names.size();
+  double GlobalMax = 0;
+  for (size_t P = 0; P < N; ++P)
+    if (Reference.touched(P))
+      GlobalMax = std::max(GlobalMax, maxAbs(Reference.grad(P)));
+  ASSERT_GT(GlobalMax, 0.0);
+  for (size_t P = 0; P < N; ++P) {
+    ASSERT_EQ(Batched.touched(P), Reference.touched(P)) << Names[P];
+    if (!Reference.touched(P))
+      continue;
+    const Tensor &Got = Batched.grad(P), &Want = Reference.grad(P);
+    ASSERT_EQ(Got.size(), Want.size()) << Names[P];
+    double Tol = 1e-4 * std::max(maxAbs(Want), 1e-3 * GlobalMax);
+    double Worst = 0;
+    for (size_t I = 0; I < Want.size(); ++I)
+      Worst = std::max(Worst, std::abs(static_cast<double>(Got[I]) -
+                                       static_cast<double>(Want[I])));
+    EXPECT_LE(Worst, Tol) << Names[P];
+  }
+}
+
+} // namespace
+
+TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLossLstm) {
+  // The LSTM trie nodes carry f2's cell state C alongside H.
+  RepeatedCorpus C(CellKind::Lstm, 1);
+  expectLossBatchMatchesLoss(C);
+}
+
+TEST(BatchedLossEquivalenceTest,
+     CrossSampleStateCacheKeepsLossValuesBitwiseLstm) {
+  RepeatedCorpus C(CellKind::Lstm, 2);
+  expectLossBatchMatchesLoss(C);
+}
+
+TEST(BatchedLossEquivalenceTest, LossBatchGradientsMatchPerSampleSum) {
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
+    SCOPED_TRACE(Cell == CellKind::Gru ? "GRU" : "LSTM");
+    RepeatedCorpus C(Cell, 2);
+    expectBatchGradientsMatchPerSampleSum(C);
+  }
 }
