@@ -33,11 +33,12 @@ struct TrainOptions {
   /// Select the epoch with the best validation score (F1 or accuracy);
   /// requires a non-empty validation set.
   bool SelectBestOnValidation = true;
-  /// Worker threads within a mini-batch: per-sample graphs, or the
-  /// LockstepShards shard graphs under BatchedSamples. Results are
-  /// bitwise-identical for any value: every sample's (or shard's)
-  /// gradient lands in its own accumulator, and accumulators are
-  /// reduced in sample order on the calling thread. 0 or 1 = serial.
+  /// Worker threads within a mini-batch; they build the batch's shard
+  /// graphs (one per sample, or the LockstepShards shards under
+  /// BatchedSamples). Results are bitwise-identical for any value:
+  /// every shard's gradient lands in its own accumulator, and
+  /// accumulators are reduced in shard (= sample) order on the calling
+  /// thread. 0 or 1 = serial.
   size_t Threads = 1;
   /// Clip the global gradient norm before each Adam step (0 = off).
   float ClipNorm = 0.0f;
@@ -61,13 +62,13 @@ struct TrainOptions {
   /// epoch and the batch index within it (progress reporting; tests
   /// use it to kill a run mid-epoch).
   std::function<void(size_t Epoch, size_t Batch)> StepHook;
-  /// Build each mini-batch as lockstep graphs through the model's
-  /// LossBatch hook (same-timestep samples share matmul-backed batch
-  /// ops) instead of per-sample graphs. Requires the hook;
-  /// deterministic, but a distinct gradient-accumulation order from
-  /// the per-sample-sink mode, so the two modes are not bitwise
-  /// comparable. Ignored (with the per-sample path) by models without
-  /// a LossBatch hook and by the classifier driver.
+  /// Build each mini-batch as LockstepShards lockstep graphs through
+  /// the model's LossBatch hook (same-timestep samples share
+  /// matmul-backed batch ops) instead of one graph per sample. Both
+  /// modes run the same epoch loop and differ only in the shard count,
+  /// which orders gradient accumulation, so they are not bitwise
+  /// comparable. Ignored by models without a LossBatch hook and by the
+  /// classifier driver, which train one sample per shard.
   bool BatchedSamples = false;
   /// Under BatchedSamples, split each mini-batch into this many
   /// contiguous sample shards, each built and differentiated as its
@@ -76,7 +77,7 @@ struct TrainOptions {
   /// on Threads), and shard sinks are reduced in shard order on the
   /// calling thread, so losses, gradients, and final weights are
   /// bitwise-identical for any Threads value. Clamped to the batch
-  /// size; 1 = one graph per batch (the pre-sharding behavior).
+  /// size; 1 = one graph per batch.
   size_t LockstepShards = 4;
 };
 
@@ -130,7 +131,9 @@ ClassScores evaluateClassifier(const ClassModelHooks &Hooks,
                                const std::vector<MethodSample> &Samples,
                                size_t NumClasses);
 
-/// Trains a classifier; restores the best-validation parameters.
+/// Trains a classifier, one sample per shard (ClassModelHooks has no
+/// LossBatch, so BatchedSamples has no effect); restores the
+/// best-validation parameters.
 TrainResult trainClassifier(const ClassModelHooks &Hooks,
                             const std::vector<MethodSample> &Train,
                             const std::vector<MethodSample> &Valid,

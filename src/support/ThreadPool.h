@@ -13,16 +13,17 @@
 /// creation.
 ///
 /// Static contiguous partitioning (rather than work stealing) keeps
-/// the mapping of task index to thread deterministic. The trainer
-/// (eval/Training.cpp: runEpochBatched and the per-sample runEpoch)
-/// relies on it: task I always runs on the same worker, so its
-/// thread-routed GraphArena, and the thread pool its GradSink buffers
-/// return to, are reused reproducibly from one mini-batch to the next. Result determinism itself comes from the
-/// caller reducing per-index outputs in index order, so callers with
-/// uneven tasks may balance load on top of the pool instead: corpus
-/// construction (dataset/Corpus.cpp) runs one task per worker and has
-/// each claim method indices from a shared atomic counter. ServeEngine
-/// uses neither property: it leases engines per request.
+/// the mapping of task index to thread deterministic. The trainer's
+/// epoch loop (eval/Training.cpp: runEpochBatched) relies on it: task I
+/// always runs on the same worker, so its thread-routed GraphArena, and
+/// the thread pool its GradSink buffers return to, are reused
+/// reproducibly from one mini-batch to the next. Result determinism
+/// itself comes from the caller reducing per-index outputs in index
+/// order, so callers with uneven tasks may balance load on top of the
+/// pool instead: corpus construction (dataset/Corpus.cpp) runs one task
+/// per worker and has each claim method indices from a shared atomic
+/// counter. ServeEngine uses neither property: it leases engines per
+/// request.
 ///
 /// Fn must not throw (the codebase reports fatal errors via
 /// LIGER_CHECK, which aborts).
