@@ -28,32 +28,11 @@ LigerEncoder::LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
               "at least one feature dimension must be enabled");
 }
 
-Var LigerEncoder::lookupToken(const std::string &Token,
-                              EncodeContext &Ctx) const {
-  auto It = Ctx.TokenCache.find(Token);
-  if (It != Ctx.TokenCache.end())
-    return It->second;
-  Var E = Embed.lookup(Vocab.lookup(Token));
-  Ctx.TokenCache.emplace(Token, E);
-  return E;
-}
-
 Var LigerEncoder::tokenEmbed(int Id, SampleCache &Cache) const {
   auto [It, Added] = Cache.Tokens.try_emplace(Id);
   if (Added)
     It->second = Embed.lookup(Id);
   return It->second;
-}
-
-Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
-  auto It = Ctx.StmtCache.find(S);
-  if (It != Ctx.StmtCache.end())
-    return It->second;
-  AstTree Tree = buildStmtHeadTree(S);
-  Var H = StmtTree.embed(
-      Tree, [&](const std::string &Label) { return lookupToken(Label, Ctx); });
-  Ctx.StmtCache.emplace(S, H);
-  return H;
 }
 
 Var LigerEncoder::embedStatement(const Stmt *S, SampleCache &Cache) const {
@@ -65,88 +44,6 @@ Var LigerEncoder::embedStatement(const Stmt *S, SampleCache &Cache) const {
   });
   Cache.Stmts.emplace(S, H);
   return H;
-}
-
-std::string LigerEncoder::stateKey(
-    const ProgramState &State,
-    std::vector<std::vector<std::string>> &ValueTokens) const {
-  std::string Key;
-  ValueTokens.reserve(State.Values.size());
-  for (const Value &V : State.Values) {
-    bool IsObject = V.isArray() || V.isStruct();
-    if (IsObject) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      ValueTokens.push_back(std::move(Tokens));
-    } else {
-      ValueTokens.push_back({valueToken(V)});
-    }
-    // The kind tag keeps the key injective: a primitive embeds its
-    // token directly while an object runs f1 over its flattening, so
-    // int 5 and the one-element array [5] — identical token streams —
-    // must not share an entry.
-    Key += IsObject ? 'O' : 'P';
-    for (const std::string &Token : ValueTokens.back()) {
-      Key += Token;
-      Key += '\x1f'; // token separator
-    }
-    Key += '\x1e'; // value separator (tokens can't merge across values)
-  }
-  return Key;
-}
-
-Var LigerEncoder::embedState(const ProgramState &State,
-                             EncodeContext &Ctx) const {
-  // Equal variable valuations embed identically; key the state by its
-  // full token signature so repeated states (loop iterations, shared
-  // prefixes across executions) cost one f1/f2 run per encode.
-  std::vector<std::vector<std::string>> ValueTokens;
-  std::string Key = stateKey(State, ValueTokens);
-  auto It = Ctx.StateCache.find(Key);
-  if (It != Ctx.StateCache.end())
-    return It->second;
-
-  // Per-variable embeddings h'_{v}: primitives embed directly; object
-  // (array/struct) values run f1 over their flattened attr sequence
-  // (Eq. 3).
-  std::vector<Var> VarEmbeds;
-  VarEmbeds.reserve(State.Values.size());
-  for (size_t I = 0; I < State.Values.size(); ++I) {
-    const Value &V = State.Values[I];
-    if (V.isArray() || V.isStruct()) {
-      std::vector<Var> Inputs;
-      Inputs.reserve(ValueTokens[I].size());
-      for (const std::string &Token : ValueTokens[I])
-        Inputs.push_back(lookupToken(Token, Ctx));
-      VarEmbeds.push_back(F1.run(Inputs).back().H);
-    } else {
-      VarEmbeds.push_back(lookupToken(ValueTokens[I][0], Ctx));
-    }
-  }
-  // f2 folds variable embeddings (fixed variable order) into the state
-  // vector.
-  Var H = VarEmbeds.empty() ? constant(Tensor::zeros(Config.Hidden))
-                            : F2.run(VarEmbeds).back().H;
-  Ctx.StateCache.emplace(std::move(Key), H);
-  return H;
-}
-
-Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
-                           size_t NumConcrete, Var PrevH,
-                           EncodeContext &Ctx) const {
-  // Collect the feature vectors of this ordered pair; the statement
-  // vector (when enabled) is component 0.
-  std::vector<Var> Components;
-  if (Config.UseStaticFeature)
-    Components.push_back(
-        embedStatement(Path.Symbolic.Steps[J].Statement, Ctx));
-  for (size_t T = 0; T < NumConcrete; ++T) {
-    const StateTrace &States = Path.Concrete[T];
-    if (J < States.States.size() && !States.States[J].Values.empty())
-      Components.push_back(embedState(States.States[J], Ctx));
-  }
-  return fuse(Components, J, PrevH, Ctx.Stats);
 }
 
 Var LigerEncoder::fuse(const std::vector<Var> &Components, size_t J,
@@ -180,59 +77,6 @@ Var LigerEncoder::fuse(const std::vector<Var> &Components, size_t J,
     ++Stats->FusionSteps;
   }
   return Fusion.Context;
-}
-
-Var LigerEncoder::encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
-                             std::vector<Var> &StepMemory) const {
-  size_t Steps =
-      std::min(Path.Symbolic.Steps.size(), Config.MaxStepsPerTrace);
-  size_t NumConcrete = Config.UseDynamicFeature
-                           ? std::min(Path.Concrete.size(),
-                                      Config.MaxConcretePerPath)
-                           : 0;
-
-  RecState Trace = F3.initial();
-  Var PrevH = Trace.H; // H^e_{i_0} = 0
-  for (size_t J = 0; J < Steps; ++J) {
-    Var Fused = fuseStep(Path, J, NumConcrete, PrevH, Ctx);
-    if (!Fused)
-      continue;
-    Trace = F3.step(Fused, Trace);
-    PrevH = Trace.H;
-    StepMemory.push_back(Trace.H);
-  }
-  return Trace.H; // H^e_i
-}
-
-LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
-                                   FusionStats *Stats) const {
-  EncodeContext Ctx;
-  Ctx.Stats = Stats;
-
-  std::vector<Var> PathEmbeddings;
-  std::vector<Var> StepMemory;
-  for (const BlendedTrace &Path : Traces.Paths) {
-    if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
-      continue;
-    if (Config.UseDynamicFeature && !Config.UseStaticFeature &&
-        Path.Concrete.empty())
-      continue;
-    PathEmbeddings.push_back(encodePath(Path, Ctx, StepMemory));
-  }
-
-  LigerEncoding Out;
-  if (PathEmbeddings.empty()) {
-    Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
-    Out.StepMemory.push_back(Out.ProgramEmbedding);
-    return Out;
-  }
-  Out.ProgramEmbedding = Config.MeanPoolPrograms
-                             ? meanPool(PathEmbeddings)
-                             : maxPool(PathEmbeddings);
-  if (StepMemory.empty())
-    StepMemory.push_back(Out.ProgramEmbedding);
-  Out.StepMemory = std::move(StepMemory);
-  return Out;
 }
 
 /// encodeBatch's two-level state embeddings (DESIGN.md §14.2): one
@@ -352,16 +196,16 @@ private:
   std::vector<RecState> Prevs;
 };
 
-std::vector<LigerEncoding> LigerEncoder::encodeBatch(
-    const std::vector<const MethodTraces *> &Batch) const {
+std::vector<LigerEncoding>
+LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
+                          FusionStats *Stats) const {
   size_t B = Batch.size();
   // Statement and token embeddings stay per sample. Program states
   // share one BatchStates across the batch: an object value or state
   // prefix that any lane revisits reuses its node, whose value is
-  // bitwise what encode() computes, so per-sample losses match loss().
-  // Gradient flow through a shared node merges where per-sample caches
-  // would duplicate it, which only the (already order-sensitive)
-  // batched gradient accumulation can observe.
+  // bitwise what the sample computes alone, so a sample's values do not
+  // depend on its batch. Gradient flow through a shared node merges,
+  // which only the order of gradient accumulation can observe.
   std::vector<SampleCache> Caches(B);
   BatchStates States(*this);
 
@@ -437,7 +281,7 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
                                             Caches[L.Sample]));
       for (uint32_t Node : LaneNodes[Li])
         Components.push_back(States.embedding(Node));
-      Var Fused = fuse(Components, J, L.PrevH, nullptr);
+      Var Fused = fuse(Components, J, L.PrevH, Stats);
       if (!Fused)
         continue;
       Active.push_back(Li);
@@ -455,7 +299,7 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
     }
   }
 
-  // Per-sample assembly in encode()'s path-major order.
+  // Per-sample assembly in path-major order.
   std::vector<LigerEncoding> Out(B);
   std::vector<std::vector<Var>> PathEmbeds(B);
   for (Lane &L : Lanes) {
@@ -476,6 +320,11 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
       Out[S].StepMemory.push_back(Out[S].ProgramEmbedding);
   }
   return Out;
+}
+
+LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
+                                   FusionStats *Stats) const {
+  return std::move(encodeBatch({&Traces}, Stats)[0]);
 }
 
 //===----------------------------------------------------------------------===//

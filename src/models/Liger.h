@@ -28,6 +28,12 @@
 /// UseStaticFeature, UseDynamicFeature, UseFusionAttention; an extra
 /// MeanPoolPrograms switch ablates the pooling choice.
 ///
+/// The graph encoder has one forward, the lockstep walk of
+/// LigerEncoder::encodeBatch; encode() is its batch of one. The
+/// forward-only LigerInference (models/Inference.h) is the independent,
+/// path-major forward that serving runs and the tests pin this one
+/// against.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_MODELS_LIGER_H
@@ -82,8 +88,9 @@ public:
   LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
                const LigerConfig &Config, Rng &R);
 
-  /// Encodes one method's blended traces. When \p Stats is non-null,
-  /// fusion attention weights are accumulated into it.
+  /// Encodes one method's blended traces: encodeBatch() over a batch
+  /// of one. When \p Stats is non-null, fusion attention weights are
+  /// accumulated into it.
   LigerEncoding encode(const MethodTraces &Traces,
                        FusionStats *Stats = nullptr) const;
 
@@ -91,35 +98,23 @@ public:
   /// in lockstep: at each step index the per-path component fusions
   /// run per lane (each path attends over its own components), then
   /// all live paths advance through one batched F3 step
-  /// (RecurrentCell::stepBatch). Per-sample values are
-  /// bitwise-identical to encode(); only node creation order — and so
-  /// gradient accumulation order across lanes — follows the
-  /// timestep-major schedule SeqDecoder::lossBatch already uses.
-  /// Program states share a two-level embedding across the whole
-  /// batch (DESIGN.md §14.2): every distinct object value runs f1 once
-  /// and every distinct state prefix runs its f2 step once, each round
-  /// embedding its new objects in one lockstep f1 run and its new trie
-  /// edges with one batched f2 step per depth.
+  /// (RecurrentCell::stepBatch). A sample's values are bitwise the same
+  /// in any batch, a batch of one included; only node creation order —
+  /// and so gradient accumulation order across lanes — depends on the
+  /// batch, following the timestep-major schedule SeqDecoder::lossBatch
+  /// also uses. Program states share a two-level embedding across the
+  /// whole batch (DESIGN.md §14.2): every distinct object value runs f1
+  /// once and every distinct state prefix runs its f2 step once, each
+  /// round embedding its new objects in one lockstep f1 run and its new
+  /// trie edges with one batched f2 step per depth. When \p Stats is
+  /// non-null, fusion attention weights are accumulated into it.
   std::vector<LigerEncoding>
-  encodeBatch(const std::vector<const MethodTraces *> &Batch) const;
+  encodeBatch(const std::vector<const MethodTraces *> &Batch,
+              FusionStats *Stats = nullptr) const;
 
   const LigerConfig &config() const { return Config; }
 
 private:
-  /// encode()'s per-forward-pass caches (statement embeddings recur
-  /// across loop iterations; token embeddings recur everywhere).
-  struct EncodeContext {
-    std::unordered_map<const Stmt *, Var> StmtCache;
-    std::unordered_map<std::string, Var> TokenCache;
-    /// State embeddings keyed by the state's full token signature:
-    /// concrete executions of the same path revisit identical variable
-    /// valuations constantly (loop iterations, repeated inputs), and
-    /// the f1/f2 recurrences over equal token sequences produce the
-    /// same graph value, so equal states share one node.
-    std::unordered_map<std::string, Var> StateCache;
-    FusionStats *Stats = nullptr;
-  };
-
   /// One sample's caches in encodeBatch: statement embeddings by
   /// statement, token embeddings by vocabulary id.
   struct SampleCache {
@@ -130,27 +125,12 @@ private:
   /// encodeBatch's state embeddings for one call (Liger.cpp).
   class BatchStates;
 
-  Var lookupToken(const std::string &Token, EncodeContext &Ctx) const;
   Var tokenEmbed(int Id, SampleCache &Cache) const;
-  Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
   Var embedStatement(const Stmt *S, SampleCache &Cache) const;
-  /// Computes a state's cache key and fills \p ValueTokens with each
-  /// variable's flattened token sequence (truncated to
-  /// MaxFlattenedValues for object values).
-  std::string
-  stateKey(const ProgramState &State,
-           std::vector<std::vector<std::string>> &ValueTokens) const;
-  Var embedState(const ProgramState &State, EncodeContext &Ctx) const;
-  /// Fuses step \p J of one path (statement + state components through
-  /// fuse()) or returns null when the step has no components.
-  Var fuseStep(const BlendedTrace &Path, size_t J, size_t NumConcrete,
-               Var PrevH, EncodeContext &Ctx) const;
   /// The fusion rule over one step's components (the statement vector,
   /// when enabled, first); null when there are none.
   Var fuse(const std::vector<Var> &Components, size_t J, Var PrevH,
            FusionStats *Stats) const;
-  Var encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
-                 std::vector<Var> &StepMemory) const;
 
   LigerConfig Config;
   const Vocabulary &Vocab;
@@ -160,7 +140,7 @@ private:
   RecurrentCell F2;           ///< State RNN over variable embeddings.
   AttentionScorer A1;         ///< Fusion attention.
   RecurrentCell F3;           ///< Executions embedding RNN.
-  ValueTokenIds ValueIds;     ///< Value token ids for encodeBatch.
+  ValueTokenIds ValueIds;     ///< Value token ids of program states.
 };
 
 /// LIGER for method name prediction (encoder + attention decoder).
