@@ -4,11 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every function here is a values-only transliteration of its graph
-// counterpart (Liger.cpp / Decoder.cpp / Module.cpp), calling the same
-// inferops:: kernels the fused graph ops call; keep the two in lockstep
-// when either changes — InferenceEquivalenceTest compares them with
-// memcmp.
+// The module forwards here (cells, tree node, attention, decoder step)
+// are values-only transliterations of their graph counterparts
+// (Module.cpp / Decoder.cpp), calling the same inferops:: kernels the
+// fused graph ops call. The encode walk goes path by path where
+// LigerEncoder::encodeBatch (Liger.cpp) advances every path in
+// lockstep; both fuse, pool and order step memory the same way. Keep
+// the two in step when either changes — InferenceEquivalenceTest
+// compares them with memcmp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -151,13 +154,6 @@ void LigerInference::bind(const WeightImage &Image) {
     Dec.Out = bindLinear(Image, "liger.dec.out", H + H, Vt);
   }
 
-  Head = LinearRef();
-  if (const WeightImage::Entry *HeadW = Image.find("liger.head.W")) {
-    LIGER_CHECK(HeadW->Rank == 2 && HeadW->Dims[1] == H,
-                "classifier head shape mismatch");
-    Head = bindLinear(Image, "liger.head", H, HeadW->Dims[0]);
-  }
-
   Version = Image.version();
 }
 
@@ -192,14 +188,6 @@ const float *LigerInference::tokenEmbed(int Id) const {
   // EmbeddingTable::lookup is a zero-copy row view; here it is plain
   // pointer arithmetic into the image.
   return Embed + static_cast<size_t>(Id) * Config.EmbedDim;
-}
-
-const float *LigerInference::linearApply(const LinearRef &L, const float *X) {
-  // Mirrors Linear::apply = add(matvec(W, X), B).
-  float *Y = Arena.alloc(L.Out);
-  kernels::matvec(L.Out, L.In, L.W, X, Y);
-  kernels::addAcc(L.Out, L.B, Y);
-  return Y;
 }
 
 LigerInference::St LigerInference::cellInitial(const CellRef &Cell) {
@@ -629,13 +617,4 @@ LigerInference::predictName(const MethodTraces &Traces) {
   const float *Program = encodeInternal(Traces, StepMemory);
   std::vector<int> Ids = decodeGreedy(Program, StepMemory);
   return idsToSubtokens(Ids, *TargetVocab);
-}
-
-int LigerInference::predictClass(const MethodTraces &Traces) {
-  LIGER_CHECK(hasClassifierHead(), "image has no classifier head");
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  const float *Program = encodeInternal(Traces, StepMemory);
-  const float *Logits = linearApply(Head, Program);
-  return static_cast<int>(inferops::argmaxRow(Head.Out, Logits));
 }

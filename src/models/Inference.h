@@ -5,22 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The no-graph inference runtime: a mirror of the single-sample
-/// LigerEncoder::encode -> SeqDecoder::decodeGreedy walk that runs the
+/// The no-graph inference runtime: the LIGER encoder and greedy
+/// decoder (LigerNamePredictor::predict) as a forward that runs the
 /// shared forward kernels (nn/InferOps.h) directly against an immutable
 /// WeightImage — no graph Nodes, no backward payloads kept alive, no
 /// arena of parent arrays. Temporaries come from a reusable per-engine
 /// ScratchArena that is reset at the top of every request, so a warmed
 /// engine allocates nothing on the steady path.
 ///
-/// Because the ops are the literal functions the autodiff builders
-/// call, the embeddings and predictions are bitwise-identical to the
-/// training-path forward (InferenceEquivalenceTest pins this for GRU
-/// and LSTM configs, encode and decode).
+/// The encoder walks a method path by path, independently of the graph
+/// encoder's lockstep walk (LigerEncoder::encodeBatch). Because the ops
+/// are the literal functions the autodiff builders call, and no value
+/// depends on the walk order, the embeddings and predictions are
+/// bitwise-identical to the training-path forward
+/// (InferenceEquivalenceTest pins this for GRU, LSTM and vanilla RNN
+/// cells and the ablation configs, encode and decode).
 ///
-/// Since parameters are frozen at serving time, the per-encode
-/// statement/state embedding caches of the training path become one
-/// persistent, parameter-versioned store per engine, keyed by token id
+/// Since parameters are frozen at serving time, the embeddings the
+/// graph encoder memoises for one call (statements per sample, objects
+/// and state prefixes per batch) become one persistent,
+/// parameter-versioned store per engine, keyed by token id
 /// (DESIGN.md §13.2): object values memoise f1's final state by their
 /// leaf-id sequence, states are nodes of an f2 prefix trie over
 /// (primitive token | object) components — the keys of
@@ -86,9 +90,9 @@ public:
     uint64_t StateMisses = 0;
   };
 
-  /// \p Target may be null for encode-only / classifier images (then
-  /// predictName() is unavailable). Binds every tensor the config
-  /// implies; missing or mis-shaped tensors are fatal.
+  /// \p Target may be null for encode-only use (then predictName() is
+  /// unavailable). Binds every tensor the config implies; missing or
+  /// mis-shaped tensors are fatal.
   LigerInference(const WeightImage &Image, const Vocabulary &JointVocab,
                  const Vocabulary *Target, const LigerConfig &Config);
 
@@ -99,11 +103,6 @@ public:
   /// Greedy-decoded method-name subtokens (mirrors
   /// LigerNamePredictor::predict).
   std::vector<std::string> predictName(const MethodTraces &Traces);
-
-  /// Argmax class of the classification head (mirrors
-  /// LigerClassifier::predict); only for images with "liger.head".
-  int predictClass(const MethodTraces &Traces);
-  bool hasClassifierHead() const { return Head.W != nullptr; }
 
   /// Re-binds against \p Image (same architecture). The embedding
   /// store survives when the content digest matches and is dropped
@@ -171,7 +170,6 @@ private:
   void resetStore();
   void beginRequest();
   const float *tokenEmbed(int Id) const;
-  const float *linearApply(const LinearRef &L, const float *X);
   St cellInitial(const CellRef &Cell);
   St cellStep(const CellRef &Cell, const float *X, const St &Prev);
   const float *attnContext(const AttnRef &Attn,
@@ -212,7 +210,6 @@ private:
     CellRef Cell;
     AttnRef Attn;
   } Dec;
-  LinearRef Head; ///< Classifier head; W null when absent.
 
   ValueTokenIds ValueIds;
   ScratchArena Arena;
