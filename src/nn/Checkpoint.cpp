@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace liger;
 
@@ -29,7 +28,7 @@ constexpr uint32_t TagRng = tagOf('R', 'N', 'G', 'S');
 constexpr uint32_t TagTrainer = tagOf('T', 'R', 'N', 'R');
 
 /// Longest parameter name the reader accepts; real names are short
-/// ("liger.decoder.gru.Wz"), so anything bigger marks corruption.
+/// ("liger.dec.cell.Wx"), so anything bigger marks corruption.
 constexpr uint64_t MaxNameLen = 4096;
 /// Sanity bound on the header's section count.
 constexpr uint32_t MaxSections = 64;
@@ -124,24 +123,14 @@ void writeTrainerSection(BinaryWriter &W, const ParamStore &Store,
   }
 }
 
-/// Where one parameter tensor of the file lands in the store: either a
-/// whole parameter or (for checkpoints written before gate weights
-/// were packed) a legacy-view region of one. Recorded in file order —
-/// the optimizer and best-snapshot blob lists carry no names of their
-/// own and follow the parameter section's tensor order.
-struct FileEntry {
-  size_t Param = 0;  ///< Index into ParamStore::params().
-  size_t Offset = 0; ///< Flat element offset inside that parameter.
-  size_t Count = 0;  ///< Element count.
-};
-
 /// Reads a list of raw tensor blobs laid out like the parameter
-/// section's entries. Shapes and offsets are dictated by the store's
-/// resolution of the parameter section (never by the file — corrupt
-/// counts cannot over-allocate); \p Out gets one full-shaped tensor
-/// per store parameter, assembled from the entry regions.
+/// section: \p Entries holds the store index of each of its tensors,
+/// in file order (the optimizer and best-snapshot blob lists carry no
+/// names of their own). Shapes are dictated by the store's resolution
+/// of the parameter section (never by the file — corrupt counts cannot
+/// over-allocate); \p Out gets one tensor per store parameter.
 bool readTensorBlobList(BinaryReader &R, const ParamStore &Store,
-                        const std::vector<FileEntry> &Entries,
+                        const std::vector<size_t> &Entries,
                         std::vector<Tensor> &Out, const char *What,
                         std::string *Error) {
   uint64_t Count = 0;
@@ -155,8 +144,8 @@ bool readTensorBlobList(BinaryReader &R, const ParamStore &Store,
   Out.reserve(Store.params().size());
   for (const Var &P : Store.params())
     Out.push_back(Tensor::zerosLike(P->Value));
-  for (const FileEntry &E : Entries) {
-    if (!R.readFloats(Out[E.Param].data() + E.Offset, E.Count)) {
+  for (size_t P : Entries) {
+    if (!R.readFloats(Out[P].data(), Out[P].size())) {
       setError(Error, std::string("checkpoint truncated inside ") + What +
                           " block");
       return false;
@@ -226,50 +215,16 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
   if (NumSections > MaxSections)
     return Fail("implausible section count " + std::to_string(NumSections));
 
-  // Resolve names against the store: every current parameter name plus
-  // every registered legacy view (checkpoints from before gate-weight
-  // packing). The file never dictates a size or destination the store
-  // did not declare.
-  std::unordered_map<std::string, FileEntry> Resolver;
-  for (size_t I = 0; I < Params.params().size(); ++I) {
-    FileEntry E;
-    E.Param = I;
-    E.Offset = 0;
-    E.Count = Params.params()[I]->Value.size();
-    Resolver.emplace(Params.names()[I], E);
-  }
-  std::unordered_map<const Node *, size_t> ParamIndexOf;
+  // Resolve names against the store. The file never dictates a size or
+  // destination the store did not declare.
+  std::unordered_map<std::string, size_t> Resolver;
   for (size_t I = 0; I < Params.params().size(); ++I)
-    ParamIndexOf.emplace(Params.params()[I], I);
-  for (const auto &[Name, View] : Params.legacyViews()) {
-    FileEntry E;
-    E.Param = ParamIndexOf.at(View.Param);
-    E.Offset = View.Offset;
-    E.Count = 1;
-    for (size_t D : View.Dims)
-      E.Count *= D;
-    Resolver.emplace(Name, E);
-  }
-  auto expectedDims = [&](const std::string &Name,
-                          const FileEntry &E) -> std::vector<size_t> {
-    const Tensor &T = Params.params()[E.Param]->Value;
-    if (E.Offset == 0 && E.Count == T.size() &&
-        Params.names()[E.Param] == Name) {
-      std::vector<size_t> Dims;
-      for (size_t D = 0; D < T.rank(); ++D)
-        Dims.push_back(T.dim(D));
-      return Dims;
-    }
-    for (const auto &[ViewName, View] : Params.legacyViews())
-      if (ViewName == Name)
-        return View.Dims;
-    return {};
-  };
+    Resolver.emplace(Params.names()[I], I);
 
   // Stage everything; nothing caller-visible mutates until the whole
   // file has validated.
   std::vector<Tensor> StagedParams;
-  std::vector<FileEntry> Entries; ///< Parameter-section tensors, file order.
+  std::vector<size_t> Entries; ///< Parameter-section tensors, file order.
   uint64_t StagedStep = 0;
   std::vector<Tensor> StagedM, StagedV;
   TrainerState StagedTrainer;
@@ -286,55 +241,49 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
     uint64_t Before = R.remaining();
 
     if (Tag == TagParams) {
+      // Each entry must name a store parameter not seen before, so the
+      // loop below fails by the entry after the store's last parameter
+      // whatever Count says.
       uint64_t Count = 0;
-      uint64_t MaxEntries =
-          Params.params().size() + Params.legacyViews().size();
-      if (!R.readU64(Count) || Count > MaxEntries)
-        return Fail("checkpoint holds " + std::to_string(Count) +
-                    " parameter tensors, store can resolve at most " +
-                    std::to_string(MaxEntries));
+      if (!R.readU64(Count))
+        return Fail("checkpoint truncated in the parameter section");
       StagedParams.clear();
       StagedParams.reserve(Params.params().size());
       for (const Var &P : Params.params())
         StagedParams.push_back(Tensor::zerosLike(P->Value));
       Entries.clear();
-      Entries.reserve(Count);
-      std::vector<size_t> Covered(Params.params().size(), 0);
-      std::unordered_set<std::string> Seen;
+      std::vector<bool> Covered(Params.params().size(), false);
       for (uint64_t I = 0; I < Count; ++I) {
         std::string Name;
         if (!R.readString(Name, MaxNameLen))
           return Fail("checkpoint truncated in a parameter name");
-        if (!Seen.insert(Name).second)
-          return Fail("parameter '" + Name + "' appears twice");
         auto It = Resolver.find(Name);
         if (It == Resolver.end())
           return Fail("checkpoint parameter '" + Name +
-                      "' does not match any store parameter or legacy name");
-        const FileEntry &E = It->second;
-        std::vector<size_t> Expect = expectedDims(Name, E);
+                      "' does not match any store parameter");
+        size_t P = It->second;
+        if (Covered[P])
+          return Fail("parameter '" + Name + "' appears twice");
+        Covered[P] = true;
+        Tensor &Staged = StagedParams[P];
         uint64_t Rank = 0;
-        if (!R.readU64(Rank) || Rank != Expect.size())
+        if (!R.readU64(Rank) || Rank != Staged.rank())
           return Fail("parameter '" + Name + "' has rank " +
                       std::to_string(Rank) + ", store expects " +
-                      std::to_string(Expect.size()));
-        for (size_t Dim : Expect) {
+                      std::to_string(Staged.rank()));
+        for (size_t Dim = 0; Dim < Staged.rank(); ++Dim) {
           uint64_t D = 0;
-          if (!R.readU64(D) || D != Dim)
+          if (!R.readU64(D) || D != Staged.dim(Dim))
             return Fail("parameter '" + Name + "' shape mismatch");
         }
-        if (!R.readFloats(StagedParams[E.Param].data() + E.Offset, E.Count))
+        if (!R.readFloats(Staged.data(), Staged.size()))
           return Fail("checkpoint truncated in parameter '" + Name + "'");
-        Covered[E.Param] += E.Count;
-        Entries.push_back(E);
+        Entries.push_back(P);
       }
       for (size_t I = 0; I < Params.params().size(); ++I)
-        if (Covered[I] != Params.params()[I]->Value.size())
+        if (!Covered[I])
           return Fail("parameter '" + Params.names()[I] +
-                      "' is not fully covered by the checkpoint (" +
-                      std::to_string(Covered[I]) + " of " +
-                      std::to_string(Params.params()[I]->Value.size()) +
-                      " elements)");
+                      "' is not fully covered by the checkpoint");
       SawParams = true;
     } else if (Tag == TagAdam && Opt) {
       if (!SawParams)
@@ -349,9 +298,9 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
         StagedM.push_back(Tensor::zerosLike(P->Value));
         StagedV.push_back(Tensor::zerosLike(P->Value));
       }
-      for (const FileEntry &E : Entries) {
-        if (!R.readFloats(StagedM[E.Param].data() + E.Offset, E.Count) ||
-            !R.readFloats(StagedV[E.Param].data() + E.Offset, E.Count))
+      for (size_t P : Entries) {
+        if (!R.readFloats(StagedM[P].data(), StagedM[P].size()) ||
+            !R.readFloats(StagedV[P].data(), StagedV[P].size()))
           return Fail("checkpoint truncated in the optimizer block");
       }
       SawAdam = true;

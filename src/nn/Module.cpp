@@ -45,20 +45,6 @@ Var ParamStore::addParam(const std::string &Name, Tensor Init) {
   return &N;
 }
 
-void ParamStore::addLegacyView(const std::string &Name, const Var &Param,
-                               size_t Offset, std::vector<size_t> Dims) {
-  size_t Count = 1;
-  for (size_t D : Dims)
-    Count *= D;
-  LIGER_CHECK(Offset + Count <= Param->Value.size(),
-              "legacy view exceeds parameter bounds");
-  LegacyView View;
-  View.Param = Param;
-  View.Offset = Offset;
-  View.Dims = std::move(Dims);
-  Views.emplace_back(Name, std::move(View));
-}
-
 void ParamStore::zeroGrads() {
   for (const Var &P : Params)
     if (!P->Grad.empty())
@@ -166,22 +152,6 @@ RecurrentCell::RecurrentCell(ParamStore &Store, const std::string &Name,
   PWx = Store.addParam(Name + ".Wx", std::move(Wx));
   PBx = Store.addParam(Name + ".bx", Tensor::zeros(K * Hidden));
   PWh = Store.addParam(Name + ".Wh", std::move(Wh));
-
-  // Checkpoints written before packing address the gates by their old
-  // per-tensor names; register those as views for the loader.
-  static const char *GruX[] = {".Wz", ".Wr", ".Wn"};
-  static const char *GruH[] = {".Uz", ".Ur", ".Un"};
-  static const char *LstmX[] = {".Wi", ".Wf", ".Wg", ".Wo"};
-  static const char *LstmH[] = {".Ui", ".Uf", ".Ug", ".Uo"};
-  const char **XNames = Kind == CellKind::Gru ? GruX : LstmX;
-  const char **HNames = Kind == CellKind::Gru ? GruH : LstmH;
-  for (size_t G = 0; G < K; ++G) {
-    Store.addLegacyView(Name + XNames[G] + ".W", PWx, G * Hidden * In,
-                        {Hidden, In});
-    Store.addLegacyView(Name + XNames[G] + ".b", PBx, G * Hidden, {Hidden});
-    Store.addLegacyView(Name + HNames[G], PWh, G * Hidden * Hidden,
-                        {Hidden, Hidden});
-  }
 }
 
 RecState RecurrentCell::initial() const {
@@ -283,23 +253,6 @@ ChildSumTreeLstm::ChildSumTreeLstm(ParamStore &Store, const std::string &Name,
   PWx = Store.addParam(Name + ".Wx", std::move(Wx));
   PBx = Store.addParam(Name + ".bx", Tensor::zeros(4 * Hidden));
   PWh = Store.addParam(Name + ".Wh", std::move(Wh));
-
-  struct GateNames {
-    const char *X;
-    const char *U;
-    size_t Row;
-  };
-  static const GateNames Gates[] = {{".Wi", ".Ui", RowI},
-                                    {".Wf", ".Uf", RowF},
-                                    {".Wo", ".Uo", RowO},
-                                    {".Wu", ".Uu", RowU}};
-  for (const GateNames &G : Gates) {
-    Store.addLegacyView(Name + G.X + ".W", PWx, G.Row * Hidden * In,
-                        {Hidden, In});
-    Store.addLegacyView(Name + G.X + ".b", PBx, G.Row * Hidden, {Hidden});
-    Store.addLegacyView(Name + G.U, PWh, G.Row * Hidden * Hidden,
-                        {Hidden, Hidden});
-  }
 }
 
 namespace {

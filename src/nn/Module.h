@@ -48,27 +48,6 @@ class ParamStore {
 public:
   Var addParam(const std::string &Name, Tensor Init);
 
-  /// A named alias for a contiguous region of an existing parameter.
-  /// Checkpoints written before gate weights were packed store per-gate
-  /// tensors ("gru.Wz.W", "gru.Uz", ...); the loader resolves such
-  /// names through this registry and copies the payload into the
-  /// parameter at \p Offset. Dims describe the legacy tensor's shape.
-  struct LegacyView {
-    Var Param = nullptr;
-    size_t Offset = 0;
-    std::vector<size_t> Dims;
-  };
-
-  /// Registers \p Name as a legacy alias of \p Param's elements
-  /// [Offset, Offset + product(Dims)).
-  void addLegacyView(const std::string &Name, const Var &Param, size_t Offset,
-                     std::vector<size_t> Dims);
-
-  /// Legacy-name -> view registry (checkpoint migration).
-  const std::vector<std::pair<std::string, LegacyView>> &legacyViews() const {
-    return Views;
-  }
-
   const std::vector<Var> &params() const { return Params; }
   const std::vector<std::string> &names() const { return Names; }
 
@@ -105,7 +84,6 @@ private:
   std::deque<Node> Storage; ///< Owns the nodes; deque keeps addresses stable.
   std::vector<Var> Params;
   std::vector<std::string> Names;
-  std::vector<std::pair<std::string, LegacyView>> Views;
 };
 
 /// Fully connected layer: y = W x + b.
@@ -196,8 +174,7 @@ private:
   Linear L1;
   Var U1 = nullptr;
   // Gru/Lstm store gate weights packed: PWx [K*H x In], PBx [K*H],
-  // PWh [K*H x H] with K = 3 (z, r, n) or 4 (i, f, g, o). Legacy
-  // per-gate names are registered as checkpoint views.
+  // PWh [K*H x H] with K = 3 (z, r, n) or 4 (i, f, g, o).
   Var PWx = nullptr, PBx = nullptr, PWh = nullptr;
 };
 

@@ -12,9 +12,9 @@
 /// serving-side embedding caches (DESIGN.md §13).
 ///
 /// Unlike the LGCK checkpoint (nn/Checkpoint.h), which exists to
-/// restore a live ParamStore (optimizer slots, trainer state, legacy
-/// per-gate names), the weight image carries values only and never
-/// touches graph Nodes — readers get raw const float* into the buffer.
+/// restore a live ParamStore (optimizer slots, trainer state), the
+/// weight image carries values only and never touches graph Nodes —
+/// readers get raw const float* into the buffer.
 /// The usual path is checkpoint -> ParamStore::load -> fromStore();
 /// save()/load() additionally persist the image itself as an "LGWI"
 /// container (same magic/version/atomic-write/checksum discipline as

@@ -1099,112 +1099,22 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checkpoint migration: per-gate legacy layout -> packed gate weights
+// Checkpoint name resolution: every store parameter, by its packed name
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// A store laid out like the pre-packing GRU registration: per-gate
-/// Linear weights and biases, then per-gate hidden matrices, in the old
-/// creation order.
-void buildLegacyGruStore(ParamStore &Store, size_t In, size_t H,
-                         uint64_t Seed) {
-  Rng R(Seed);
-  const char *Gates[] = {".Wz", ".Wr", ".Wn"};
-  for (const char *G : Gates) {
-    Store.addParam(std::string("gru") + G + ".W", Tensor::xavier(H, In, R));
-    Store.addParam(std::string("gru") + G + ".b",
-                   Tensor::uniform(H, 0.5f, R));
-  }
-  const char *HMats[] = {".Uz", ".Ur", ".Un"};
-  for (const char *U : HMats)
-    Store.addParam(std::string("gru") + U, Tensor::xavier(H, H, R));
-}
-
-} // namespace
-
-TEST(CheckpointTest, LegacyPerGateCheckpointLoadsIntoPackedStore) {
-  // A full training checkpoint (params + Adam moments + trainer best
-  // snapshot) written from the per-gate layout must load bit-exactly
-  // into today's packed-parameter store through the legacy-view
-  // registry.
-  std::string Path = testing::TempDir() + "/liger_legacy_gru.ckpt";
+TEST(CheckpointTest, PartialCoverageIsRejected) {
+  // A checkpoint missing one of the store's parameters must fail the
+  // coverage check and leave the store untouched.
+  std::string Path = testing::TempDir() + "/liger_partial.ckpt";
   const size_t In = 3, H = 4;
-  ParamStore Legacy;
-  buildLegacyGruStore(Legacy, In, H, 67);
-  Adam LegacyOpt(Legacy);
-  stepAdamABit(Legacy, LegacyOpt, 3);
-  TrainerState TS;
-  TS.NextEpoch = 5;
-  TS.HasBest = true;
-  for (const Var &P : Legacy.params())
-    TS.BestParams.push_back(P->Value);
-  std::string Error;
-  ASSERT_TRUE(saveCheckpoint(Path, Legacy, &LegacyOpt, &TS, &Error)) << Error;
-
-  ParamStore Packed;
-  Rng R(69);
-  RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
-  ASSERT_EQ(Packed.params().size(), 3u);
-  Adam PackedOpt(Packed);
-  TrainerState Loaded;
-  ASSERT_TRUE(loadCheckpoint(Path, Packed, &PackedOpt, &Loaded, &Error))
-      << Error;
-
-  // params() order in the packed store: Wx [3H x In], bx [3H],
-  // Wh [3H x H]; legacy store order: Wz.W, Wz.b, Wr.W, Wr.b, Wn.W,
-  // Wn.b, Uz, Ur, Un.
-  const Tensor &Wx = Packed.params()[0]->Value;
-  const Tensor &Bx = Packed.params()[1]->Value;
-  const Tensor &Wh = Packed.params()[2]->Value;
-  for (size_t G = 0; G < 3; ++G) {
-    const Tensor &LW = Legacy.params()[2 * G]->Value;
-    const Tensor &LB = Legacy.params()[2 * G + 1]->Value;
-    const Tensor &LU = Legacy.params()[6 + G]->Value;
-    EXPECT_EQ(std::memcmp(Wx.data() + G * H * In, LW.data(),
-                          H * In * sizeof(float)),
-              0)
-        << "x-weights of gate " << G;
-    EXPECT_EQ(std::memcmp(Bx.data() + G * H, LB.data(), H * sizeof(float)),
-              0)
-        << "bias of gate " << G;
-    EXPECT_EQ(
-        std::memcmp(Wh.data() + G * H * H, LU.data(), H * H * sizeof(float)),
-        0)
-        << "h-weights of gate " << G;
-  }
-
-  // Adam moments and the best snapshot migrate region-by-region too.
-  EXPECT_EQ(PackedOpt.stepCount(), LegacyOpt.stepCount());
-  ASSERT_TRUE(Loaded.HasBest);
-  ASSERT_EQ(Loaded.BestParams.size(), 3u);
-  for (size_t G = 0; G < 3; ++G) {
-    EXPECT_EQ(std::memcmp(PackedOpt.firstMoments()[0].data() + G * H * In,
-                          LegacyOpt.firstMoments()[2 * G].data(),
-                          H * In * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(PackedOpt.secondMoments()[2].data() + G * H * H,
-                          LegacyOpt.secondMoments()[6 + G].data(),
-                          H * H * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(Loaded.BestParams[0].data() + G * H * In,
-                          TS.BestParams[2 * G].data(),
-                          H * In * sizeof(float)),
-              0);
-  }
-  EXPECT_EQ(Loaded.NextEpoch, TS.NextEpoch);
-}
-
-TEST(CheckpointTest, PartialLegacyCoverageIsRejected) {
-  // Dropping one per-gate tensor must fail the coverage check and
-  // leave the target store untouched.
-  std::string Path = testing::TempDir() + "/liger_legacy_partial.ckpt";
-  const size_t In = 3, H = 4;
-  ParamStore Partial;
+  ParamStore Source;
   Rng R0(71);
-  Partial.addParam("gru.Wz.W", Tensor::xavier(H, In, R0));
-  Partial.addParam("gru.Wz.b", Tensor::uniform(H, 0.5f, R0));
-  // .Wr/.Wn and the hidden matrices are missing entirely.
+  RecurrentCell Full(Source, "gru", CellKind::Gru, In, H, R0);
+  ParamStore Partial; // Source's names and shapes, but no "gru.Wh"
+  for (size_t I = 0; I < Source.params().size(); ++I)
+    if (Source.names()[I] != "gru.Wh")
+      Partial.addParam(Source.names()[I], Source.params()[I]->Value);
+  ASSERT_EQ(Partial.params().size(), 2u);
   ASSERT_TRUE(Partial.save(Path));
 
   ParamStore Packed;
@@ -1213,51 +1123,39 @@ TEST(CheckpointTest, PartialLegacyCoverageIsRejected) {
   std::vector<std::vector<float>> Pristine = dumpParams(Packed);
   std::string Error;
   EXPECT_FALSE(Packed.load(Path, &Error));
-  EXPECT_NE(Error.find("not fully covered"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'gru.Wh' is not fully covered"), std::string::npos)
+      << Error;
   EXPECT_EQ(dumpParams(Packed), Pristine);
 }
 
-TEST(CheckpointTest, TreeLstmLegacyNamesMapToPackOrder) {
-  // The TreeLSTM packs gates i, o, u, f while the legacy creation
-  // order was Wi, Wf, Wo, Wu — the loader must honor the registered
-  // row offsets, not positional order.
-  std::string Path = testing::TempDir() + "/liger_legacy_tree.ckpt";
+TEST(CheckpointTest, PerGateCheckpointIsRejected) {
+  // The per-gate layout that predates packed gate weights ("gru.Wz.W",
+  // "gru.Wz.b", ..., "gru.Un") is no longer read: loading one fails at
+  // its first name, which the diagnostic reports, and leaves the store
+  // untouched.
+  std::string Path = testing::TempDir() + "/liger_per_gate.ckpt";
   const size_t In = 3, H = 4;
-  ParamStore Legacy;
-  Rng R0(75);
-  const char *XNames[] = {".Wi", ".Wf", ".Wo", ".Wu"};
-  for (const char *G : XNames) {
-    Legacy.addParam(std::string("tree") + G + ".W", Tensor::xavier(H, In, R0));
-    Legacy.addParam(std::string("tree") + G + ".b",
-                    Tensor::uniform(H, 0.5f, R0));
+  ParamStore PerGate;
+  Rng R0(67);
+  for (const char *G : {".Wz", ".Wr", ".Wn"}) {
+    PerGate.addParam(std::string("gru") + G + ".W", Tensor::xavier(H, In, R0));
+    PerGate.addParam(std::string("gru") + G + ".b",
+                     Tensor::uniform(H, 0.5f, R0));
   }
-  const char *UNames[] = {".Ui", ".Uf", ".Uo", ".Uu"};
-  for (const char *U : UNames)
-    Legacy.addParam(std::string("tree") + U, Tensor::xavier(H, H, R0));
-  ASSERT_TRUE(Legacy.save(Path));
+  for (const char *U : {".Uz", ".Ur", ".Un"})
+    PerGate.addParam(std::string("gru") + U, Tensor::xavier(H, H, R0));
+  ASSERT_TRUE(PerGate.save(Path));
 
   ParamStore Packed;
-  Rng R(77);
-  ChildSumTreeLstm Tree(Packed, "tree", In, H, R);
+  Rng R(69);
+  RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
+  std::vector<std::vector<float>> Pristine = dumpParams(Packed);
   std::string Error;
-  ASSERT_TRUE(Packed.load(Path, &Error)) << Error;
-
-  // Pack rows: i = 0, o = 1, u = 2, f = 3; legacy param order i, f, o, u.
-  const size_t PackRow[] = {0, 3, 1, 2}; // for legacy order Wi, Wf, Wo, Wu
-  const Tensor &Wx = Packed.params()[0]->Value;
-  const Tensor &Wh = Packed.params()[2]->Value;
-  for (size_t L = 0; L < 4; ++L) {
-    const Tensor &LW = Legacy.params()[2 * L]->Value;
-    const Tensor &LU = Legacy.params()[8 + L]->Value;
-    EXPECT_EQ(std::memcmp(Wx.data() + PackRow[L] * H * In, LW.data(),
-                          H * In * sizeof(float)),
-              0)
-        << "x-weights " << XNames[L];
-    EXPECT_EQ(std::memcmp(Wh.data() + PackRow[L] * H * H, LU.data(),
-                          H * H * sizeof(float)),
-              0)
-        << "h-weights " << UNames[L];
-  }
+  EXPECT_FALSE(Packed.load(Path, &Error));
+  EXPECT_NE(Error.find("'gru.Wz.W' does not match any store parameter"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(dumpParams(Packed), Pristine);
 }
 
 //===----------------------------------------------------------------------===//
