@@ -36,6 +36,7 @@
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 #include "testgen/TraceCollector.h"
 #include "trace/Vocabulary.h"
 
@@ -484,11 +485,14 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--runs" && I + 1 < Argc)
-      Runs = std::strtoull(Argv[++I], nullptr, 10);
-    else if (Arg == "--seed" && I + 1 < Argc)
-      Seed = std::strtoull(Argv[++I], nullptr, 10);
-    else if (Arg == "--smoke")
+    if ((Arg == "--runs" || Arg == "--seed") && I + 1 < Argc) {
+      if (!parseDecimal(Argv[++I], Arg == "--runs" ? Runs : Seed)) {
+        std::fprintf(stderr,
+                     "liger_fuzz: %s takes plain decimal digits, got '%s'\n",
+                     Arg.c_str(), Argv[I]);
+        return 2;
+      }
+    } else if (Arg == "--smoke")
       Runs = 500;
     else if (Arg == "--verbose")
       Verbose = true;
