@@ -27,9 +27,11 @@
 #      (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
-#      at 1, 2 and 4 threads) and the batched-loss equivalence suite
+#      at 1, 2 and 4 threads), the batched-loss equivalence suite
 #      (lossBatch values bitwise against loss(), gradients against the
-#      per-sample sum, GRU and LSTM) under ASan+UBSan (DESIGN.md §14);
+#      per-sample sum, GRU and LSTM) and the LIGER model suite (every
+#      LIGER graph, ablations and classifier included, runs the
+#      lockstep walk) under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;
@@ -104,7 +106,7 @@ step "sanitized lockstep training: threaded batched-epoch + batched-loss equival
 "$REPO/build-asan/tests/eval_tests" \
   --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
 "$REPO/build-asan/tests/models_tests" \
-  --gtest_filter='BatchedLossEquivalenceTest.*'
+  --gtest_filter='BatchedLossEquivalenceTest.*:LigerTest.*'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF
