@@ -12,6 +12,7 @@
 #      reference graphs in tests/ReferenceGraphs and the batched ops
 #      against per-lane loops;
 #   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite, the
+#      byte-codec suite under all three file formats (BinaryIOTest), the
 #      thread-determinism corpus suites and the golden interpreter/corpus
 #      digests under ASan+UBSan;
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
@@ -75,14 +76,15 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 step "sanitized gradcheck build (build-asan)"
 cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
-  --target nn_tests testgen_tests dataset_tests interp_tests lang_tests \
-           symx_tests eval_tests models_tests serve_tests liger_fuzz \
-           liger_serve
+  --target support_tests nn_tests testgen_tests dataset_tests interp_tests \
+           lang_tests symx_tests eval_tests models_tests serve_tests \
+           liger_fuzz liger_serve
 "$REPO/build-asan/tests/nn_tests" \
   --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
 "$REPO/build-asan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
+"$REPO/build-asan/tests/support_tests" --gtest_filter='BinaryIOTest.*'
 "$REPO/build-asan/tests/dataset_tests" \
   --gtest_filter='CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*:GoldenDigestTest.*'
 

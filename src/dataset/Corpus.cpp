@@ -146,35 +146,6 @@ std::string applyDefect(std::string Source, DefectKind Kind, Rng &R) {
   LIGER_UNREACHABLE("covered switch");
 }
 
-/// Counts the trace-level statements of a function (the "too small"
-/// filter threshold).
-size_t countStatements(const Stmt *S) {
-  if (!S)
-    return 0;
-  switch (S->kind()) {
-  case StmtKind::Block: {
-    size_t Total = 0;
-    for (const Stmt *Child : cast<BlockStmt>(S)->body())
-      Total += countStatements(Child);
-    return Total;
-  }
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return 1 + countStatements(If->thenStmt()) +
-           countStatements(If->elseStmt());
-  }
-  case StmtKind::While:
-    return 1 + countStatements(cast<WhileStmt>(S)->body());
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return 1 + countStatements(For->init()) + countStatements(For->step()) +
-           countStatements(For->body());
-  }
-  default:
-    return 1;
-  }
-}
-
 /// Stable per-task seed: mixing through StableHash decorrelates the
 /// streams of adjacent indices (plain Seed + Index would make worker
 /// RNGs start one step apart).
@@ -212,7 +183,7 @@ bool buildSample(const std::string &Source, const std::string &MethodName,
     return false;
   }
 
-  if (countStatements(Fn->Body) < 3) {
+  if (countStatements(Fn->Body) < MinMethodStatements) {
     ++Stats.TooSmall;
     return false;
   }
@@ -298,6 +269,15 @@ void accumulateStats(CorpusStats &Into, const CorpusStats &From) {
 }
 
 } // namespace
+
+size_t liger::countStatements(const Stmt *S) {
+  if (!S)
+    return 0;
+  size_t Count = S->kind() == StmtKind::Block ? 0 : 1;
+  forEachChildStmt(
+      S, [&Count](const Stmt *Child) { Count += countStatements(Child); });
+  return Count;
+}
 
 std::vector<MethodSample>
 liger::generateMethodCorpus(const CorpusOptions &Options,

@@ -33,6 +33,15 @@ namespace liger {
 
 class TraceCache;
 
+/// Fewest trace-level statements a method needs to be kept: the
+/// corpus drops smaller ones as "too small to be considered" (Table 1),
+/// and the service rejects them the same way.
+constexpr size_t MinMethodStatements = 3;
+
+/// Counts the trace-level statements under \p S: every statement but a
+/// block, which counts only its children. Null counts 0.
+size_t countStatements(const Stmt *S);
+
 /// Generation options for the method-name corpus.
 struct CorpusOptions {
   /// Number of *raw* methods to generate (before filtering).

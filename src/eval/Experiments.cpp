@@ -39,6 +39,7 @@ namespace {
 
 ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
   ExperimentScale Scale;
+  bool ModeGiven = false; // an explicit --trace-cache=off stays off
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     // Numeric values must be plain decimal digits that parse completely
@@ -89,11 +90,11 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
     if (startsWith(Arg, "--trace-cache=")) {
       std::string Mode = Arg.substr(std::strlen("--trace-cache="));
       if (!parseTraceCacheMode(Mode, Scale.CacheMode)) {
-        std::fprintf(stderr,
-                     "bad --trace-cache mode '%s' (off|inputs|full)\n",
+        std::fprintf(stderr, "bad --trace-cache mode '%s' (off|full)\n",
                      Mode.c_str());
         std::exit(2);
       }
+      ModeGiven = true;
       Scale.CacheFlagsExplicit = true;
       continue;
     }
@@ -143,9 +144,8 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
     std::fprintf(stderr, "unknown experiment flag: %s\n", Arg.c_str());
     std::exit(2);
   }
-  // A directory without an explicit mode means "cache as much as
-  // possible": full reuse.
-  if (Scale.CacheMode == TraceCacheMode::Off && !Scale.TraceCacheDir.empty())
+  // A directory without a mode means "cache": full reuse.
+  if (!ModeGiven && !Scale.TraceCacheDir.empty())
     Scale.CacheMode = TraceCacheMode::Full;
   if (Scale.CacheMode != TraceCacheMode::Off)
     Scale.Cache = std::make_shared<TraceCache>(
@@ -240,20 +240,6 @@ Code2SeqConfig code2seqConfig(const ExperimentScale &Scale) {
   return Config;
 }
 
-LigerConfig ligerConfig(const ExperimentScale &Scale,
-                        const LigerAblation &Ablation) {
-  LigerConfig Config;
-  Config.EmbedDim = Scale.EmbedDim;
-  Config.Hidden = Scale.Hidden;
-  Config.AttnHidden = Scale.Hidden;
-  Config.UseStaticFeature = Ablation.StaticFeature;
-  Config.UseDynamicFeature = Ablation.DynamicFeature;
-  Config.UseFusionAttention = Ablation.FusionAttention;
-  Config.MeanPoolPrograms = Ablation.MeanPool;
-  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
-  return Config;
-}
-
 DyproConfig dyproConfig(const ExperimentScale &Scale) {
   DyproConfig Config;
   Config.EmbedDim = Scale.EmbedDim;
@@ -330,6 +316,20 @@ void buildVocabularies(const std::vector<MethodSample> &Train,
 
 } // namespace
 
+LigerConfig liger::ligerConfig(const ExperimentScale &Scale,
+                               const LigerAblation &Ablation) {
+  LigerConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Scale.Hidden;
+  Config.AttnHidden = Scale.Hidden;
+  Config.UseStaticFeature = Ablation.StaticFeature;
+  Config.UseDynamicFeature = Ablation.DynamicFeature;
+  Config.UseFusionAttention = Ablation.FusionAttention;
+  Config.MeanPoolPrograms = Ablation.MeanPool;
+  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
+  return Config;
+}
+
 NameTask liger::buildNameTask(const ExperimentScale &Scale, bool Large) {
   CorpusOptions Options;
   Options.NumMethods = Large ? Scale.MethodsLarge : Scale.MethodsMed;
@@ -392,10 +392,7 @@ NameRunResult liger::runNameModel(NameModel Model, const NameTask &Task,
   TrainOptions TrainOpts = Scale.trainOptions();
   scopeCheckpointDir(TrainOpts, Task.Tag, modelId(Model));
 
-  switch (Model) {
-  case NameModel::Code2Vec: {
-    Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
-                              code2vecConfig(Scale), Scale.Seed);
+  auto Run = [&](auto &Net) {
     NameModelHooks Hooks;
     Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
     Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
@@ -403,30 +400,25 @@ NameRunResult liger::runNameModel(NameModel Model, const NameTask &Task,
     Result.TrainSeconds =
         trainNameModel(Hooks, Train, Valid, TrainOpts).Seconds;
     Result.Test = evaluateNameModel(Hooks, Test);
+  };
+
+  switch (Model) {
+  case NameModel::Code2Vec: {
+    Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
+                              code2vecConfig(Scale), Scale.Seed);
+    Run(Net);
     return Result;
   }
   case NameModel::Code2Seq: {
     Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
                               code2seqConfig(Scale), Scale.Seed);
-    NameModelHooks Hooks;
-    Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
-    Hooks.Params = &Net.params();
-    Result.TrainSeconds =
-        trainNameModel(Hooks, Train, Valid, TrainOpts).Seconds;
-    Result.Test = evaluateNameModel(Hooks, Test);
+    Run(Net);
     return Result;
   }
   case NameModel::Dypro: {
     DyproNamePredictor Net(Task.Joint, Task.Target, dyproConfig(Scale),
                            Scale.Seed);
-    NameModelHooks Hooks;
-    Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
-    Hooks.Params = &Net.params();
-    Result.TrainSeconds =
-        trainNameModel(Hooks, Train, Valid, TrainOpts).Seconds;
-    Result.Test = evaluateNameModel(Hooks, Test);
+    Run(Net);
     return Result;
   }
   case NameModel::Liger: {

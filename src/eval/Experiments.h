@@ -68,7 +68,7 @@ struct ExperimentScale {
   size_t CheckpointEveryEpochs = 1;
   /// Resume every training run from its state checkpoint when present.
   bool Resume = false;
-  /// Trace-cache mode (--trace-cache=off|inputs|full). Giving
+  /// Trace-cache mode (--trace-cache=off|full). Giving
   /// --trace-cache-dir without a mode implies Full.
   TraceCacheMode CacheMode = TraceCacheMode::Off;
   /// On-disk trace-cache directory (--trace-cache-dir=PATH; empty =
@@ -129,6 +129,11 @@ struct LigerAblation {
   bool FusionAttention = true;
   bool MeanPool = false;
 };
+
+/// The LIGER configuration of \p Scale under \p Ablation; serving binds
+/// the tensors of the full model (serveLigerConfig).
+LigerConfig ligerConfig(const ExperimentScale &Scale,
+                        const LigerAblation &Ablation = {});
 
 /// Result of one name-model run.
 struct NameRunResult {

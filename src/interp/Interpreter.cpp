@@ -1097,31 +1097,9 @@ std::vector<std::string> liger::collectVariableTuple(const FunctionDecl &Fn) {
   std::function<void(const Stmt *)> Walk = [&](const Stmt *S) {
     if (!S)
       return;
-    switch (S->kind()) {
-    case StmtKind::Decl:
-      Add(cast<DeclStmt>(S)->name());
-      return;
-    case StmtKind::Block:
-      for (const Stmt *Child : cast<BlockStmt>(S)->body())
-        Walk(Child);
-      return;
-    case StmtKind::If:
-      Walk(cast<IfStmt>(S)->thenStmt());
-      Walk(cast<IfStmt>(S)->elseStmt());
-      return;
-    case StmtKind::While:
-      Walk(cast<WhileStmt>(S)->body());
-      return;
-    case StmtKind::For: {
-      const auto *For = cast<ForStmt>(S);
-      Walk(For->init());
-      Walk(For->step());
-      Walk(For->body());
-      return;
-    }
-    default:
-      return;
-    }
+    if (const auto *Decl = dyn_cast<DeclStmt>(S))
+      Add(Decl->name());
+    forEachChildStmt(S, Walk);
   };
   Walk(Fn.Body);
   return Names;

@@ -554,6 +554,44 @@ private:
   const Expr *E;
 };
 
+/// Calls \p Visit on each non-null direct sub-statement of \p S in
+/// source order: a `for` visits init, then step, then body, which is
+/// also the order its declarations enter the variable tuple.
+/// Expressions are not visited.
+template <typename Fn> void forEachChildStmt(const Stmt *S, Fn &&Visit) {
+  auto Child = [&Visit](const Stmt *C) {
+    if (C)
+      Visit(C);
+  };
+  switch (S->kind()) {
+  case StmtKind::Block:
+    for (const Stmt *C : cast<BlockStmt>(S)->body())
+      Child(C);
+    return;
+  case StmtKind::If:
+    Child(cast<IfStmt>(S)->thenStmt());
+    Child(cast<IfStmt>(S)->elseStmt());
+    return;
+  case StmtKind::While:
+    Child(cast<WhileStmt>(S)->body());
+    return;
+  case StmtKind::For: {
+    const auto *For = cast<ForStmt>(S);
+    Child(For->init());
+    Child(For->step());
+    Child(For->body());
+    return;
+  }
+  case StmtKind::Decl:
+  case StmtKind::Assign:
+  case StmtKind::Return:
+  case StmtKind::Break:
+  case StmtKind::Continue:
+  case StmtKind::Expr:
+    return;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Declarations and Program
 //===----------------------------------------------------------------------===//

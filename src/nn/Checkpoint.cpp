@@ -8,20 +8,12 @@
 
 #include "support/BinaryIO.h"
 
-#include <cstdio>
 #include <unordered_map>
 
 using namespace liger;
 
 namespace {
 
-/// Section tags, spelled as four ASCII bytes (little-endian u32).
-constexpr uint32_t tagOf(char A, char B, char C, char D) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(A)) |
-         static_cast<uint32_t>(static_cast<uint8_t>(B)) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(C)) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(D)) << 24;
-}
 constexpr uint32_t TagParams = tagOf('P', 'R', 'M', 'S');
 constexpr uint32_t TagAdam = tagOf('A', 'D', 'A', 'M');
 constexpr uint32_t TagRng = tagOf('R', 'N', 'G', 'S');
@@ -38,44 +30,8 @@ void setError(std::string *Error, const std::string &Msg) {
     *Error = Msg;
 }
 
-/// Serialized size of one tensor-data blob list (count + raw floats).
-uint64_t tensorBlobListSize(const ParamStore &Store) {
-  uint64_t Size = sizeof(uint64_t);
-  for (const Var &P : Store.params())
-    Size += P->Value.size() * sizeof(float);
-  return Size;
-}
-
-uint64_t paramsSectionSize(const ParamStore &Store) {
-  uint64_t Size = sizeof(uint64_t); // param count
-  for (size_t I = 0; I < Store.params().size(); ++I) {
-    const Tensor &T = Store.params()[I]->Value;
-    Size += sizeof(uint64_t) + Store.names()[I].size(); // name
-    Size += sizeof(uint64_t) * (1 + T.rank());          // rank + dims
-    Size += T.size() * sizeof(float);                   // data
-  }
-  return Size;
-}
-
-uint64_t adamSectionSize(const ParamStore &Store) {
-  // step + count + (M, V) blobs per parameter.
-  uint64_t Size = 2 * sizeof(uint64_t);
-  for (const Var &P : Store.params())
-    Size += 2 * P->Value.size() * sizeof(float);
-  return Size;
-}
-
-uint64_t trainerSectionSize(const ParamStore &Store,
-                            const TrainerState &TS) {
-  uint64_t Size = 4 * sizeof(uint64_t) /*epochs + 2 doubles*/ + 1;
-  if (TS.HasBest)
-    Size += tensorBlobListSize(Store);
-  return Size;
-}
-
-void writeParamsSection(BinaryWriter &W, const ParamStore &Store) {
-  W.writeU32(TagParams);
-  W.writeU64(paramsSectionSize(Store));
+ByteWriter paramsSection(const ParamStore &Store) {
+  ByteWriter W;
   W.writeU64(Store.params().size());
   for (size_t I = 0; I < Store.params().size(); ++I) {
     const Tensor &T = Store.params()[I]->Value;
@@ -85,12 +41,11 @@ void writeParamsSection(BinaryWriter &W, const ParamStore &Store) {
       W.writeU64(T.dim(D));
     W.writeFloats(T.data(), T.size());
   }
+  return W;
 }
 
-void writeAdamSection(BinaryWriter &W, const ParamStore &Store,
-                      const Adam &Opt) {
-  W.writeU32(TagAdam);
-  W.writeU64(adamSectionSize(Store));
+ByteWriter adamSection(const ParamStore &Store, const Adam &Opt) {
+  ByteWriter W;
   W.writeU64(Opt.stepCount());
   W.writeU64(Store.params().size());
   for (size_t I = 0; I < Store.params().size(); ++I) {
@@ -98,19 +53,18 @@ void writeAdamSection(BinaryWriter &W, const ParamStore &Store,
     W.writeFloats(Opt.secondMoments()[I].data(),
                   Opt.secondMoments()[I].size());
   }
+  return W;
 }
 
-void writeRngSection(BinaryWriter &W, const TrainerState &TS) {
-  W.writeU32(TagRng);
-  W.writeU64(4 * sizeof(uint64_t));
+ByteWriter rngSection(const TrainerState &TS) {
+  ByteWriter W;
   for (uint64_t Word : TS.RngState)
     W.writeU64(Word);
+  return W;
 }
 
-void writeTrainerSection(BinaryWriter &W, const ParamStore &Store,
-                         const TrainerState &TS) {
-  W.writeU32(TagTrainer);
-  W.writeU64(trainerSectionSize(Store, TS));
+ByteWriter trainerSection(const TrainerState &TS) {
+  ByteWriter W;
   W.writeU64(TS.NextEpoch);
   W.writeU64(TS.BestEpoch);
   W.writeF64(TS.BestValidScore);
@@ -121,6 +75,7 @@ void writeTrainerSection(BinaryWriter &W, const ParamStore &Store,
     for (const Tensor &T : TS.BestParams)
       W.writeFloats(T.data(), T.size());
   }
+  return W;
 }
 
 /// Reads a list of raw tensor blobs laid out like the parameter
@@ -129,7 +84,7 @@ void writeTrainerSection(BinaryWriter &W, const ParamStore &Store,
 /// names of their own). Shapes are dictated by the store's resolution
 /// of the parameter section (never by the file — corrupt counts cannot
 /// over-allocate); \p Out gets one tensor per store parameter.
-bool readTensorBlobList(BinaryReader &R, const ParamStore &Store,
+bool readTensorBlobList(ByteReader &R, const ParamStore &Store,
                         const std::vector<size_t> &Entries,
                         std::vector<Tensor> &Out, const char *What,
                         std::string *Error) {
@@ -164,40 +119,34 @@ bool liger::saveCheckpoint(const std::string &Path, const ParamStore &Params,
     setError(Error, "trainer best-snapshot size does not match the store");
     return false;
   }
-  return atomicWriteFile(
-      Path,
-      [&](BinaryWriter &W) {
-        uint32_t Sections = 1 + (Opt ? 1 : 0) + (Trainer ? 2 : 0);
-        W.writeU32(CheckpointMagic);
-        W.writeU32(CheckpointVersion);
-        W.writeU32(Sections);
-        W.writeU32(0); // reserved
-        writeParamsSection(W, Params);
-        if (Opt)
-          writeAdamSection(W, Params, *Opt);
-        if (Trainer) {
-          writeRngSection(W, *Trainer);
-          writeTrainerSection(W, Params, *Trainer);
-        }
-      },
-      Error);
+  ByteWriter W;
+  W.writeU32(CheckpointMagic);
+  W.writeU32(CheckpointVersion);
+  W.writeU32(1 + (Opt ? 1 : 0) + (Trainer ? 2 : 0)); // section count
+  W.writeU32(0);                                     // reserved
+  W.writeSection(TagParams, paramsSection(Params));
+  if (Opt)
+    W.writeSection(TagAdam, adamSection(Params, *Opt));
+  if (Trainer) {
+    W.writeSection(TagRng, rngSection(*Trainer));
+    W.writeSection(TagTrainer, trainerSection(*Trainer));
+  }
+  return atomicWriteFile(Path, W.bytes(), Error);
 }
 
 bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
                            Adam *Opt, TrainerState *Trainer,
                            std::string *Error) {
-  uint64_t Size = fileSize(Path);
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F || Size == UINT64_MAX) {
-    if (F)
-      std::fclose(F);
+  // One read of the whole file: the parse below sees one snapshot even
+  // when a concurrent save atomically replaces the path.
+  std::string Bytes;
+  if (readWholeFile(Path, UINT64_MAX, Bytes) != ReadResult::Ok) {
     setError(Error, "cannot open checkpoint " + Path);
     return false;
   }
-  BinaryReader R(F, Size);
+  ByteReader R(Bytes);
   auto Fail = [&](const std::string &Msg) {
     setError(Error, Msg + " (" + Path + ")");
-    std::fclose(F);
     return false;
   };
 
@@ -322,10 +271,8 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
         return Fail("trainer best-snapshot precedes the parameter section");
       if (StagedTrainer.HasBest &&
           !readTensorBlobList(R, Params, Entries, StagedTrainer.BestParams,
-                              "best-snapshot", Error)) {
-        std::fclose(F);
+                              "best-snapshot", Error))
         return false;
-      }
       SawTrainer = true;
     } else {
       // Unknown (or unrequested) section: skip its payload.
@@ -336,7 +283,6 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
     if (Before - R.remaining() != Len)
       return Fail("section length disagrees with its contents (corrupt)");
   }
-  std::fclose(F);
 
   if (!SawParams) {
     setError(Error, "checkpoint has no parameter section (" + Path + ")");

@@ -10,8 +10,6 @@
 #include "support/BinaryIO.h"
 #include "support/Error.h"
 
-#include <cstring>
-
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -38,63 +36,12 @@ void fail(std::string *Error, const std::string &Msg) {
     *Error = Msg;
 }
 
-/// Bounded reader over an in-memory byte span, interface-compatible
-/// with the slice of BinaryReader the header parser needs, so load()
-/// (stdio) and map() (mmap) share one parsing/validation path.
-class MemReader {
-public:
-  MemReader(const char *Data, uint64_t Size) : Data(Data), Left(Size) {}
-
-  bool readBytes(void *Out, size_t Size) {
-    if (Failed || Size > Left) {
-      Failed = true;
-      return false;
-    }
-    std::memcpy(Out, Data, Size);
-    Data += Size;
-    Left -= Size;
-    return true;
-  }
-  bool readU32(uint32_t &V) { return readBytes(&V, sizeof(V)); }
-  bool readU64(uint64_t &V) { return readBytes(&V, sizeof(V)); }
-  bool readString(std::string &Out, uint64_t MaxLen) {
-    uint64_t Len = 0;
-    if (!readU64(Len))
-      return false;
-    if (Len > MaxLen || Len > Left) {
-      Failed = true;
-      return false;
-    }
-    Out.assign(Data, static_cast<size_t>(Len));
-    Data += Len;
-    Left -= Len;
-    return true;
-  }
-  bool skip(uint64_t Count) {
-    if (Failed || Count > Left) {
-      Failed = true;
-      return false;
-    }
-    Data += Count;
-    Left -= Count;
-    return true;
-  }
-  uint64_t remaining() const { return Left; }
-
-private:
-  const char *Data;
-  uint64_t Left;
-  bool Failed = false;
-};
-
 /// Parses and validates everything up to (but not including) the float
 /// payload: magic, version, the entry table, the float count, and the
 /// alignment pad. On success the reader is positioned at the first
 /// payload byte and \p NumFloats bytes of floats plus the digest
 /// trailer are known to fit in what remains.
-template <class Reader>
-bool parseImageHeader(Reader &R, uint64_t TotalBytes,
-                      std::vector<WeightImage::Entry> &Entries,
+bool parseImageHeader(ByteReader &R, std::vector<WeightImage::Entry> &Entries,
                       uint64_t &NumFloats, const std::string &Path,
                       std::string *Error) {
   uint32_t Magic = 0, Ver = 0;
@@ -137,8 +84,7 @@ bool parseImageHeader(Reader &R, uint64_t TotalBytes,
   // derived from position, so reader and writer can never disagree.
   // Pad bytes must be zero: they sit outside the content digest, and
   // rejecting nonzero pad keeps "no byte of the file is ignorable".
-  uint64_t Offset = TotalBytes - R.remaining();
-  uint64_t Pad = (PayloadAlign - Offset % PayloadAlign) % PayloadAlign;
+  uint64_t Pad = (PayloadAlign - R.position() % PayloadAlign) % PayloadAlign;
   char PadBuf[PayloadAlign] = {};
   if (Pad != 0 && !R.readBytes(PadBuf, static_cast<size_t>(Pad)))
     return fail(Error, "weight image: truncated data in " + Path), false;
@@ -217,58 +163,42 @@ const float *WeightImage::tensor1d(const std::string &Name, size_t N) const {
 }
 
 bool WeightImage::save(const std::string &Path, std::string *Error) const {
-  return atomicWriteFile(
-      Path,
-      [&](BinaryWriter &W) {
-        W.writeU32(WeightImageMagic);
-        W.writeU32(WeightImageVersion);
-        W.writeU64(Entries.size());
-        for (const Entry &E : Entries) {
-          W.writeString(E.Name);
-          W.writeU32(E.Rank);
-          W.writeU64(E.Dims[0]);
-          W.writeU64(E.Dims[1]);
-        }
-        W.writeU64(totalScalars());
-        // Zero pad to the aligned payload offset (see PayloadAlign).
-        static const char Zeros[PayloadAlign] = {};
-        W.writeBytes(Zeros, static_cast<size_t>(
-                                (PayloadAlign -
-                                 W.bytesWritten() % PayloadAlign) %
-                                PayloadAlign));
-        W.writeFloats(floats(), totalScalars());
-        // Content digest trailer: load()/map() recompute it over the
-        // decoded image, so any in-body bit flip is caught even when
-        // the flipped bytes still parse.
-        W.writeU64(Version.Lo);
-        W.writeU64(Version.Hi);
-      },
-      Error);
+  ByteWriter W;
+  W.writeU32(WeightImageMagic);
+  W.writeU32(WeightImageVersion);
+  W.writeU64(Entries.size());
+  for (const Entry &E : Entries) {
+    W.writeString(E.Name);
+    W.writeU32(E.Rank);
+    W.writeU64(E.Dims[0]);
+    W.writeU64(E.Dims[1]);
+  }
+  W.writeU64(totalScalars());
+  // Zero pad to the aligned payload offset (see PayloadAlign).
+  static const char Zeros[PayloadAlign] = {};
+  W.writeBytes(Zeros, static_cast<size_t>(
+                          (PayloadAlign - W.size() % PayloadAlign) %
+                          PayloadAlign));
+  W.writeFloats(floats(), totalScalars());
+  // Content digest trailer: load()/map() recompute it over the decoded
+  // image, so any in-body bit flip is caught even when the flipped
+  // bytes still parse.
+  W.writeU64(Version.Lo);
+  W.writeU64(Version.Hi);
+  return atomicWriteFile(Path, W.bytes(), Error);
 }
 
 bool WeightImage::load(const std::string &Path, WeightImage &Out,
                        std::string *Error) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
+  std::string Bytes;
+  if (readWholeFile(Path, UINT64_MAX, Bytes) != ReadResult::Ok)
     return fail(Error, "weight image: cannot open " + Path), false;
-  struct Closer {
-    FILE *F;
-    ~Closer() { std::fclose(F); }
-  } Close{F};
-  // Size the read budget from the open handle (no stat/open race with
-  // a concurrent atomic replace of the same path).
-  if (std::fseek(F, 0, SEEK_END) != 0)
-    return fail(Error, "weight image: cannot seek " + Path), false;
-  long End = std::ftell(F);
-  if (End < 0 || std::fseek(F, 0, SEEK_SET) != 0)
-    return fail(Error, "weight image: cannot seek " + Path), false;
-  BinaryReader R(F, static_cast<uint64_t>(End));
+  ByteReader R(Bytes);
 
   // Stage into a local image so a malformed tail never half-fills Out.
   WeightImage Img;
   uint64_t NumFloats = 0;
-  if (!parseImageHeader(R, static_cast<uint64_t>(End), Img.Entries,
-                        NumFloats, Path, Error))
+  if (!parseImageHeader(R, Img.Entries, NumFloats, Path, Error))
     return false;
   Img.Data.resize(static_cast<size_t>(NumFloats));
   if (!R.readFloats(Img.Data.data(), Img.Data.size()))
@@ -310,13 +240,13 @@ bool WeightImage::map(const std::string &Path, WeightImage &Out,
       [Size](const void *P) { ::munmap(const_cast<void *>(P), Size); });
 
   const char *Bytes = static_cast<const char *>(Raw);
-  MemReader R(Bytes, Size);
+  ByteReader R(Bytes, Size);
   WeightImage Img;
   uint64_t NumFloats = 0;
-  if (!parseImageHeader(R, Size, Img.Entries, NumFloats, Path, Error))
+  if (!parseImageHeader(R, Img.Entries, NumFloats, Path, Error))
     return false;
   // parseImageHeader landed the reader on the aligned payload byte.
-  Img.Base = reinterpret_cast<const float *>(Bytes + (Size - R.remaining()));
+  Img.Base = reinterpret_cast<const float *>(Bytes + R.position());
   Img.MappedFloats = static_cast<size_t>(NumFloats);
   Img.Mapping = std::move(Mapping);
   if (!R.skip(NumFloats * sizeof(float)))

@@ -26,36 +26,6 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// Mirror of the corpus "too small" filter (dataset/Corpus.cpp): the
-/// service rejects exactly what corpus generation would have dropped,
-/// so served methods look like training-distribution methods.
-size_t countStatements(const Stmt *S) {
-  if (!S)
-    return 0;
-  switch (S->kind()) {
-  case StmtKind::Block: {
-    size_t Total = 0;
-    for (const Stmt *Child : cast<BlockStmt>(S)->body())
-      Total += countStatements(Child);
-    return Total;
-  }
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return 1 + countStatements(If->thenStmt()) +
-           countStatements(If->elseStmt());
-  }
-  case StmtKind::While:
-    return 1 + countStatements(cast<WhileStmt>(S)->body());
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return 1 + countStatements(For->init()) + countStatements(For->step()) +
-           countStatements(For->body());
-  }
-  default:
-    return 1;
-  }
-}
-
 /// Deterministic per-request trace seed: a function of the source,
 /// method name, and corpus seed only, so repeated requests for the
 /// same method key identically into the shared trace cache.
@@ -69,16 +39,8 @@ uint64_t requestTraceSeed(const ServeRequest &Request, uint64_t Seed) {
 
 } // namespace
 
-// Mirror of the (file-local) ligerConfig in eval/Experiments.cpp at
-// the full-model ablation: serving must bind exactly the tensors the
-// training run created, so the two must stay in lockstep.
 LigerConfig liger::serveLigerConfig(const ExperimentScale &Scale) {
-  LigerConfig Config;
-  Config.EmbedDim = Scale.EmbedDim;
-  Config.Hidden = Scale.Hidden;
-  Config.AttnHidden = Scale.Hidden;
-  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
-  return Config;
+  return ligerConfig(Scale);
 }
 
 const char *liger::serveStatusName(ServeStatus Status) {
@@ -233,9 +195,12 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
     return finish(ServeStatus::NoSuchMethod,
                   "no function '" + Request.MethodName + "' in source");
 
-  if (countStatements(Fn->Body) < 3)
+  // The service rejects exactly what corpus generation would have
+  // dropped, so served methods look like training-distribution methods.
+  if (countStatements(Fn->Body) < MinMethodStatements)
     return finish(ServeStatus::TooSmall,
-                  "method under the 3-statement corpus threshold");
+                  "method under the " + std::to_string(MinMethodStatements) +
+                      "-statement corpus threshold");
   if (pastDeadline())
     return deadline("parse");
 

@@ -1,4 +1,4 @@
-//===-- support/BinaryIO.cpp - Checked binary file I/O --------------------===//
+//===-- support/BinaryIO.cpp - Checked binary codec and file I/O ----------===//
 //
 // Part of the LIGER reproduction project.
 //
@@ -8,77 +8,83 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 using namespace liger;
 
 //===----------------------------------------------------------------------===//
-// BinaryWriter
+// ByteReader
 //===----------------------------------------------------------------------===//
 
-void BinaryWriter::writeBytes(const void *Data, size_t Size) {
-  if (Failed || Size == 0)
-    return;
-  if (std::fwrite(Data, 1, Size, F) != Size) {
-    Failed = true;
-    return;
-  }
-  Written += Size;
-}
-
-void BinaryWriter::writeString(const std::string &S) {
-  writeU64(S.size());
-  writeBytes(S.data(), S.size());
-}
-
-//===----------------------------------------------------------------------===//
-// BinaryReader
-//===----------------------------------------------------------------------===//
-
-bool BinaryReader::readBytes(void *Out, size_t Size) {
-  if (Failed)
-    return false;
-  if (Size > Left || std::fread(Out, 1, Size, F) != Size) {
-    Failed = true;
-    return false;
-  }
-  Left -= Size;
+bool ByteReader::readBytes(void *Out, size_t Count) {
+  if (Failed || Count > remaining())
+    return fail();
+  if (Count != 0)
+    std::memcpy(Out, Data + Pos, Count);
+  Pos += Count;
   return true;
 }
 
-bool BinaryReader::readString(std::string &Out, uint64_t MaxLen) {
+bool ByteReader::readFloats(float *Out, size_t Count) {
+  if (Count > remaining() / sizeof(float))
+    return fail();
+  return readBytes(Out, Count * sizeof(float));
+}
+
+bool ByteReader::readString(std::string &Out, uint64_t MaxLen) {
   uint64_t Len = 0;
   if (!readU64(Len))
     return false;
-  if (Len > MaxLen || Len > Left) {
-    Failed = true;
-    return false;
-  }
-  Out.assign(static_cast<size_t>(Len), '\0');
-  return readBytes(Out.data(), static_cast<size_t>(Len));
+  if (Len > MaxLen || Len > remaining())
+    return fail();
+  Out.assign(Data + Pos, static_cast<size_t>(Len));
+  Pos += static_cast<size_t>(Len);
+  return true;
 }
 
-bool BinaryReader::skip(uint64_t Count) {
-  if (Failed)
-    return false;
-  if (Count > Left ||
-      std::fseek(F, static_cast<long>(Count), SEEK_CUR) != 0) {
-    Failed = true;
-    return false;
-  }
-  Left -= Count;
+bool ByteReader::skip(uint64_t Count) {
+  if (Failed || Count > remaining())
+    return fail();
+  Pos += static_cast<size_t>(Count);
   return true;
 }
 
 //===----------------------------------------------------------------------===//
-// Atomic file replacement and filesystem helpers
+// Whole-file reads and atomic replacement
 //===----------------------------------------------------------------------===//
 
-bool liger::atomicWriteFile(
-    const std::string &Path,
-    const std::function<void(BinaryWriter &)> &Fill, std::string *Error) {
+ReadResult liger::readWholeFile(const std::string &Path, uint64_t MaxBytes,
+                                std::string &Out) {
+  int FD = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (FD < 0)
+    return ReadResult::Absent;
+  struct Closer {
+    int FD;
+    ~Closer() { ::close(FD); }
+  } Close{FD};
+  struct stat St;
+  if (::fstat(FD, &St) != 0 || !S_ISREG(St.st_mode) || St.st_size < 0 ||
+      static_cast<uint64_t>(St.st_size) > MaxBytes)
+    return ReadResult::Bad;
+  size_t Size = static_cast<size_t>(St.st_size);
+  Out.assign(Size, '\0');
+  for (size_t Done = 0; Done < Size;) {
+    ssize_t N = ::read(FD, Out.data() + Done, Size - Done);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return ReadResult::Bad; // I/O error, or the file shrank under us
+    Done += static_cast<size_t>(N);
+  }
+  return ReadResult::Ok;
+}
+
+bool liger::atomicWriteFile(const std::string &Path, const std::string &Bytes,
+                            std::string *Error) {
   auto Fail = [&](const std::string &What) {
     if (Error)
       *Error = What + ": " + std::strerror(errno);
@@ -96,13 +102,11 @@ bool liger::atomicWriteFile(
   if (!F)
     return Fail("cannot create temp file " + TmpPath);
 
-  BinaryWriter W(F);
-  Fill(W);
-
   // A short write, a failed flush, or a failed fsync all mean the
   // payload may not be durably on disk — abandon the temp file and
   // leave any previous file at Path untouched.
-  bool Ok = W.ok() && std::fflush(F) == 0 && ::fsync(::fileno(F)) == 0;
+  bool Ok = std::fwrite(Bytes.data(), 1, Bytes.size(), F) == Bytes.size() &&
+            std::fflush(F) == 0 && ::fsync(::fileno(F)) == 0;
   if (std::fclose(F) != 0)
     Ok = false;
   if (!Ok) {
@@ -116,16 +120,13 @@ bool liger::atomicWriteFile(
   return true;
 }
 
+//===----------------------------------------------------------------------===//
+// Filesystem helpers
+//===----------------------------------------------------------------------===//
+
 bool liger::fileExists(const std::string &Path) {
   struct stat St;
   return ::stat(Path.c_str(), &St) == 0 && S_ISREG(St.st_mode);
-}
-
-uint64_t liger::fileSize(const std::string &Path) {
-  struct stat St;
-  if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
-    return UINT64_MAX;
-  return static_cast<uint64_t>(St.st_size);
 }
 
 bool liger::ensureDirExists(const std::string &Path) {

@@ -17,34 +17,9 @@ std::set<unsigned> liger::allStatementLines(const FunctionDecl &Fn) {
   std::function<void(const Stmt *)> Walk = [&](const Stmt *S) {
     if (!S)
       return;
-    switch (S->kind()) {
-    case StmtKind::Block:
-      for (const Stmt *Child : cast<BlockStmt>(S)->body())
-        Walk(Child);
-      return;
-    case StmtKind::If: {
-      const auto *If = cast<IfStmt>(S);
+    if (S->kind() != StmtKind::Block)
       Lines.insert(S->loc().Line);
-      Walk(If->thenStmt());
-      Walk(If->elseStmt());
-      return;
-    }
-    case StmtKind::While:
-      Lines.insert(S->loc().Line);
-      Walk(cast<WhileStmt>(S)->body());
-      return;
-    case StmtKind::For: {
-      const auto *For = cast<ForStmt>(S);
-      Lines.insert(S->loc().Line);
-      Walk(For->init());
-      Walk(For->step());
-      Walk(For->body());
-      return;
-    }
-    default:
-      Lines.insert(S->loc().Line);
-      return;
-    }
+    forEachChildStmt(S, Walk);
   };
   Walk(Fn.Body);
   Lines.erase(0); // drop unknown locations

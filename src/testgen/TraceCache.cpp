@@ -9,8 +9,6 @@
 #include "support/BinaryIO.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <unordered_map>
 
 #include <dirent.h>
@@ -25,18 +23,11 @@ namespace {
 // LGTR container constants
 //===----------------------------------------------------------------------===//
 
-/// Section tags, spelled as four ASCII bytes (little-endian u32) —
-/// same discipline as the LGCK checkpoint format.
-constexpr uint32_t tagOf(char A, char B, char C, char D) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(A)) |
-         static_cast<uint32_t>(static_cast<uint8_t>(B)) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(C)) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(D)) << 24;
-}
 constexpr uint32_t MagicLGTR = tagOf('L', 'G', 'T', 'R');
-constexpr uint32_t FormatVersion = 2; // v2: MemoryExceeded in STAT
+/// v2: MemoryExceeded in STAT. v3: the accepted-inputs section (INPT)
+/// is gone; TRCE is required.
+constexpr uint32_t FormatVersion = 3;
 constexpr uint32_t TagStats = tagOf('S', 'T', 'A', 'T');
-constexpr uint32_t TagInputs = tagOf('I', 'N', 'P', 'T');
 constexpr uint32_t TagTraces = tagOf('T', 'R', 'C', 'E');
 
 /// Bump to invalidate every existing key when the hashed field set of
@@ -51,121 +42,35 @@ constexpr uint64_t MaxEntryBytes = 1ULL << 30;
 constexpr unsigned MaxValueDepth = 64;
 
 //===----------------------------------------------------------------------===//
-// In-memory byte stream helpers
-//===----------------------------------------------------------------------===//
-// Entries are serialized into a buffer first so the payload checksum
-// can be computed before anything touches the disk, and parsed from a
-// buffer so a checksum mismatch rejects the file before any payload
-// byte is interpreted. Reads are bounded exactly like BinaryReader:
-// a truncated or corrupt buffer can never read past its end or induce
-// an oversized allocation.
-
-void putBytes(std::string &Out, const void *Data, size_t Size) {
-  Out.append(static_cast<const char *>(Data), Size);
-}
-void putU8(std::string &Out, uint8_t V) { putBytes(Out, &V, sizeof(V)); }
-void putU32(std::string &Out, uint32_t V) { putBytes(Out, &V, sizeof(V)); }
-void putU64(std::string &Out, uint64_t V) { putBytes(Out, &V, sizeof(V)); }
-void putI64(std::string &Out, int64_t V) {
-  putU64(Out, static_cast<uint64_t>(V));
-}
-void putString(std::string &Out, const std::string &S) {
-  putU64(Out, S.size());
-  putBytes(Out, S.data(), S.size());
-}
-
-/// Bounded reader over a byte buffer. After the first failure every
-/// later call fails too.
-class BufReader {
-public:
-  BufReader(const char *Data, size_t Size) : Data(Data), Left(Size) {}
-
-  bool readBytes(void *Out, size_t Size) {
-    if (Failed || Size > Left) {
-      Failed = true;
-      return false;
-    }
-    std::memcpy(Out, Data, Size);
-    Data += Size;
-    Left -= Size;
-    return true;
-  }
-  bool readU8(uint8_t &V) { return readBytes(&V, sizeof(V)); }
-  bool readU32(uint32_t &V) { return readBytes(&V, sizeof(V)); }
-  bool readU64(uint64_t &V) { return readBytes(&V, sizeof(V)); }
-  bool readI64(int64_t &V) {
-    uint64_t U = 0;
-    if (!readU64(U))
-      return false;
-    V = static_cast<int64_t>(U);
-    return true;
-  }
-  bool readString(std::string &Out, uint64_t MaxLen) {
-    uint64_t Len = 0;
-    if (!readU64(Len))
-      return false;
-    if (Len > MaxLen || Len > Left) {
-      Failed = true;
-      return false;
-    }
-    Out.assign(Data, static_cast<size_t>(Len));
-    Data += Len;
-    Left -= Len;
-    return true;
-  }
-  bool skip(uint64_t Count) {
-    if (Failed || Count > Left) {
-      Failed = true;
-      return false;
-    }
-    Data += Count;
-    Left -= Count;
-    return true;
-  }
-  /// A stored element count can never exceed the remaining bytes (every
-  /// element costs at least one byte), so this check rejects corrupt
-  /// counts before any reserve/resize.
-  bool plausibleCount(uint64_t Count) const { return Count <= Left; }
-
-  uint64_t remaining() const { return Left; }
-  bool ok() const { return !Failed; }
-
-private:
-  const char *Data;
-  uint64_t Left;
-  bool Failed = false;
-};
-
-//===----------------------------------------------------------------------===//
 // Portable value serialization
 //===----------------------------------------------------------------------===//
 
-void putValue(std::string &Out, const PortableValue &V) {
-  putU8(Out, static_cast<uint8_t>(V.Kind));
+void writeValue(ByteWriter &W, const PortableValue &V) {
+  W.writeU8(static_cast<uint8_t>(V.Kind));
   switch (V.Kind) {
   case ValueKind::Undef:
     break;
   case ValueKind::Int:
-    putI64(Out, V.Int);
+    W.writeI64(V.Int);
     break;
   case ValueKind::Bool:
-    putU8(Out, V.Bool ? 1 : 0);
+    W.writeU8(V.Bool ? 1 : 0);
     break;
   case ValueKind::String:
-    putString(Out, V.Str);
+    W.writeString(V.Str);
     break;
   case ValueKind::Struct:
-    putString(Out, V.Str); // struct type name
+    W.writeString(V.Str); // struct type name
     [[fallthrough]];
   case ValueKind::Array:
-    putU64(Out, V.Elements.size());
+    W.writeU64(V.Elements.size());
     for (const PortableValue &E : V.Elements)
-      putValue(Out, E);
+      writeValue(W, E);
     break;
   }
 }
 
-bool readValue(BufReader &R, PortableValue &Out, unsigned Depth) {
+bool readValue(ByteReader &R, PortableValue &Out, unsigned Depth) {
   if (Depth > MaxValueDepth)
     return false;
   uint8_t Kind = 0;
@@ -205,13 +110,13 @@ bool readValue(BufReader &R, PortableValue &Out, unsigned Depth) {
   return false;
 }
 
-void putValueList(std::string &Out, const std::vector<PortableValue> &Vs) {
-  putU64(Out, Vs.size());
+void writeValueList(ByteWriter &W, const std::vector<PortableValue> &Vs) {
+  W.writeU64(Vs.size());
   for (const PortableValue &V : Vs)
-    putValue(Out, V);
+    writeValue(W, V);
 }
 
-bool readValueList(BufReader &R, std::vector<PortableValue> &Out) {
+bool readValueList(ByteReader &R, std::vector<PortableValue> &Out) {
   uint64_t Count = 0;
   if (!R.readU64(Count) || !R.plausibleCount(Count))
     return false;
@@ -226,69 +131,50 @@ bool readValueList(BufReader &R, std::vector<PortableValue> &Out) {
 // Section payloads
 //===----------------------------------------------------------------------===//
 
-std::string statsSection(const CachedTraceEntry &E) {
-  std::string Out;
-  putU32(Out, E.Attempts);
-  putU32(Out, E.OkRuns);
-  putU32(Out, E.Faults);
-  putU32(Out, E.Timeouts);
-  putU32(Out, E.MemoryExceeded);
-  putU32(Out, E.SymbolicSeeds);
-  return Out;
+ByteWriter statsSection(const CachedTraceEntry &E) {
+  ByteWriter W;
+  W.writeU32(E.Attempts);
+  W.writeU32(E.OkRuns);
+  W.writeU32(E.Faults);
+  W.writeU32(E.Timeouts);
+  W.writeU32(E.MemoryExceeded);
+  W.writeU32(E.SymbolicSeeds);
+  return W;
 }
 
-bool readStatsSection(BufReader &R, CachedTraceEntry &E) {
+bool readStatsSection(ByteReader &R, CachedTraceEntry &E) {
   return R.readU32(E.Attempts) && R.readU32(E.OkRuns) &&
          R.readU32(E.Faults) && R.readU32(E.Timeouts) &&
          R.readU32(E.MemoryExceeded) && R.readU32(E.SymbolicSeeds);
 }
 
-std::string inputsSection(const CachedTraceEntry &E) {
-  std::string Out;
-  putU64(Out, E.AcceptedInputs.size());
-  for (const std::vector<PortableValue> &In : E.AcceptedInputs)
-    putValueList(Out, In);
-  return Out;
-}
-
-bool readInputsSection(BufReader &R, CachedTraceEntry &E) {
-  uint64_t Count = 0;
-  if (!R.readU64(Count) || !R.plausibleCount(Count))
-    return false;
-  E.AcceptedInputs.resize(static_cast<size_t>(Count));
-  for (std::vector<PortableValue> &In : E.AcceptedInputs)
-    if (!readValueList(R, In))
-      return false;
-  return true;
-}
-
-std::string tracesSection(const PortableMethodTraces &T) {
-  std::string Out;
-  putU64(Out, T.VarNames.size());
+ByteWriter tracesSection(const PortableMethodTraces &T) {
+  ByteWriter W;
+  W.writeU64(T.VarNames.size());
   for (const std::string &Name : T.VarNames)
-    putString(Out, Name);
-  putU64(Out, T.Paths.size());
+    W.writeString(Name);
+  W.writeU64(T.Paths.size());
   for (const PortableBlendedTrace &Path : T.Paths) {
-    putU64(Out, Path.Steps.size());
+    W.writeU64(Path.Steps.size());
     for (const PortableStep &Step : Path.Steps) {
-      putU32(Out, Step.StmtId);
-      putU8(Out, static_cast<uint8_t>(Step.Kind));
+      W.writeU32(Step.StmtId);
+      W.writeU8(static_cast<uint8_t>(Step.Kind));
     }
-    putU64(Out, Path.Concrete.size());
+    W.writeU64(Path.Concrete.size());
     for (const PortableStateTrace &ST : Path.Concrete) {
-      putValueList(Out, ST.Initial);
-      putU64(Out, ST.States.size());
+      writeValueList(W, ST.Initial);
+      W.writeU64(ST.States.size());
       for (const std::vector<PortableValue> &State : ST.States)
-        putValueList(Out, State);
+        writeValueList(W, State);
     }
-    putU64(Out, Path.Inputs.size());
+    W.writeU64(Path.Inputs.size());
     for (const std::vector<PortableValue> &In : Path.Inputs)
-      putValueList(Out, In);
+      writeValueList(W, In);
   }
-  return Out;
+  return W;
 }
 
-bool readTracesSection(BufReader &R, PortableMethodTraces &T) {
+bool readTracesSection(ByteReader &R, PortableMethodTraces &T) {
   uint64_t Count = 0;
   if (!R.readU64(Count) || !R.plausibleCount(Count))
     return false;
@@ -342,30 +228,7 @@ void collectStmtIds(const Stmt *S,
   if (!S)
     return;
   Map.emplace(S->id(), S);
-  switch (S->kind()) {
-  case StmtKind::Block:
-    for (const Stmt *Child : cast<BlockStmt>(S)->body())
-      collectStmtIds(Child, Map);
-    break;
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    collectStmtIds(If->thenStmt(), Map);
-    collectStmtIds(If->elseStmt(), Map);
-    break;
-  }
-  case StmtKind::While:
-    collectStmtIds(cast<WhileStmt>(S)->body(), Map);
-    break;
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    collectStmtIds(For->init(), Map);
-    collectStmtIds(For->step(), Map);
-    collectStmtIds(For->body(), Map);
-    break;
-  }
-  default:
-    break;
-  }
+  forEachChildStmt(S, [&](const Stmt *Child) { collectStmtIds(Child, Map); });
 }
 
 } // namespace
@@ -378,8 +241,6 @@ bool liger::parseTraceCacheMode(const std::string &Text,
                                 TraceCacheMode &Out) {
   if (Text == "off")
     Out = TraceCacheMode::Off;
-  else if (Text == "inputs")
-    Out = TraceCacheMode::Inputs;
   else if (Text == "full")
     Out = TraceCacheMode::Full;
   else
@@ -605,42 +466,39 @@ bool liger::materializeTraces(const PortableMethodTraces &PT,
 // Container serialization
 //===----------------------------------------------------------------------===//
 
+// Entries are serialized into a buffer first so the payload checksum
+// can be computed before anything touches the disk, and parsed from a
+// buffer so a checksum mismatch rejects the file before any payload
+// byte is interpreted.
+
 std::string liger::serializeCacheEntry(const TraceCacheKey &Key,
                                        const CachedTraceEntry &Entry) {
   // Payload: section count, then tag/size/bytes per section.
-  std::string Payload;
-  std::vector<std::pair<uint32_t, std::string>> Sections;
-  Sections.emplace_back(TagStats, statsSection(Entry));
-  Sections.emplace_back(TagInputs, inputsSection(Entry));
-  if (Entry.HasTraces)
-    Sections.emplace_back(TagTraces, tracesSection(Entry.Traces));
-  putU32(Payload, static_cast<uint32_t>(Sections.size()));
-  for (const auto &[Tag, Bytes] : Sections) {
-    putU32(Payload, Tag);
-    putU64(Payload, Bytes.size());
-    Payload += Bytes;
-  }
+  ByteWriter Payload;
+  Payload.writeU32(2); // STAT and TRCE
+  Payload.writeSection(TagStats, statsSection(Entry));
+  Payload.writeSection(TagTraces, tracesSection(Entry.Traces));
 
   StableHash Checksum;
-  Checksum.addBytes(Payload.data(), Payload.size());
+  Checksum.addBytes(Payload.bytes().data(), Payload.size());
   Digest128 Sum = Checksum.digest128();
 
-  std::string Out;
-  putU32(Out, MagicLGTR);
-  putU32(Out, FormatVersion);
-  putU64(Out, Key.Hi);
-  putU64(Out, Key.Lo);
-  putU64(Out, Payload.size());
-  putU64(Out, Sum.Hi);
-  putU64(Out, Sum.Lo);
-  Out += Payload;
-  return Out;
+  ByteWriter Out;
+  Out.writeU32(MagicLGTR);
+  Out.writeU32(FormatVersion);
+  Out.writeU64(Key.Hi);
+  Out.writeU64(Key.Lo);
+  Out.writeU64(Payload.size());
+  Out.writeU64(Sum.Hi);
+  Out.writeU64(Sum.Lo);
+  Out.writeBytes(Payload.bytes().data(), Payload.size());
+  return Out.bytes();
 }
 
 bool liger::deserializeCacheEntry(const std::string &Bytes,
                                   const TraceCacheKey &Key,
                                   CachedTraceEntry &Out) {
-  BufReader Header(Bytes.data(), Bytes.size());
+  ByteReader Header(Bytes);
   uint32_t Magic = 0, Version = 0;
   uint64_t KeyHi = 0, KeyLo = 0, PayloadSize = 0, SumHi = 0, SumLo = 0;
   if (!Header.readU32(Magic) || Magic != MagicLGTR)
@@ -654,19 +512,19 @@ bool liger::deserializeCacheEntry(const std::string &Bytes,
       !Header.readU64(SumLo) || PayloadSize != Header.remaining())
     return false;
 
-  const char *Payload = Bytes.data() + (Bytes.size() - PayloadSize);
+  const char *Payload = Bytes.data() + Header.position();
   StableHash Checksum;
   Checksum.addBytes(Payload, static_cast<size_t>(PayloadSize));
   Digest128 Sum = Checksum.digest128();
   if (Sum.Hi != SumHi || Sum.Lo != SumLo)
     return false;
 
-  BufReader R(Payload, static_cast<size_t>(PayloadSize));
+  ByteReader R(Payload, static_cast<size_t>(PayloadSize));
   uint32_t NumSections = 0;
   if (!R.readU32(NumSections) || NumSections > MaxSections)
     return false;
   Out = CachedTraceEntry();
-  bool SawStats = false, SawInputs = false;
+  bool SawStats = false, SawTraces = false;
   for (uint32_t I = 0; I < NumSections; ++I) {
     uint32_t Tag = 0;
     uint64_t Size = 0;
@@ -677,14 +535,10 @@ bool liger::deserializeCacheEntry(const std::string &Bytes,
       if (!readStatsSection(R, Out))
         return false;
       SawStats = true;
-    } else if (Tag == TagInputs) {
-      if (!readInputsSection(R, Out))
-        return false;
-      SawInputs = true;
     } else if (Tag == TagTraces) {
       if (!readTracesSection(R, Out.Traces))
         return false;
-      Out.HasTraces = true;
+      SawTraces = true;
     } else {
       // Unknown section from a future writer at the same version is
       // still corruption here (the version gates format changes), but
@@ -696,7 +550,7 @@ bool liger::deserializeCacheEntry(const std::string &Bytes,
     if (Before - R.remaining() != Size)
       return false;
   }
-  return R.ok() && R.remaining() == 0 && SawStats && SawInputs;
+  return R.ok() && R.remaining() == 0 && SawStats && SawTraces;
 }
 
 //===----------------------------------------------------------------------===//
@@ -717,41 +571,6 @@ std::string TraceCache::entryPath(const TraceCacheKey &Key) const {
   return Dir + "/" + entryFileName(Key);
 }
 
-namespace {
-
-enum class SlurpResult { Ok, Absent, Bad };
-
-/// Reads a whole regular file into \p Out (bounded). The size comes
-/// from the open handle, never from a separate stat: concurrent serve
-/// workers atomically replace entries via rename, and an open FILE*
-/// pins one whole snapshot of the file, so there is no window where a
-/// reader can observe a size that does not match what it then reads.
-/// Absent (never created, or unlinked between the caller's decision
-/// and the open) is distinguished from Bad (I/O error, oversized) so
-/// lookup() does not count replacement races as corruption.
-SlurpResult slurpEntryFile(const std::string &Path, std::string &Out) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return SlurpResult::Absent;
-  struct Closer {
-    FILE *F;
-    ~Closer() { std::fclose(F); }
-  } Close{F};
-  if (std::fseek(F, 0, SEEK_END) != 0)
-    return SlurpResult::Bad;
-  long End = std::ftell(F);
-  if (End < 0 || static_cast<uint64_t>(End) > MaxEntryBytes ||
-      std::fseek(F, 0, SEEK_SET) != 0)
-    return SlurpResult::Bad;
-  size_t Size = static_cast<size_t>(End);
-  Out.assign(Size, '\0');
-  if (Size != 0 && std::fread(Out.data(), 1, Size, F) != Size)
-    return SlurpResult::Bad;
-  return SlurpResult::Ok;
-}
-
-} // namespace
-
 bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
   std::string Hex = Key.hex();
   {
@@ -766,8 +585,10 @@ bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
   if (!Dir.empty()) {
     std::string Path = entryPath(Key);
     std::string Bytes;
-    switch (slurpEntryFile(Path, Bytes)) {
-    case SlurpResult::Ok:
+    // Absent (never created, or unlinked between the caller's decision
+    // and the open) is not corruption: replacement races only miss.
+    switch (readWholeFile(Path, MaxEntryBytes, Bytes)) {
+    case ReadResult::Ok:
       if (deserializeCacheEntry(Bytes, Key, Out)) {
         std::lock_guard<std::mutex> Lock(Mutex);
         Memory.emplace(std::move(Hex), Out);
@@ -776,10 +597,10 @@ bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
       }
       BadEntries.fetch_add(1);
       break;
-    case SlurpResult::Bad:
+    case ReadResult::Bad:
       BadEntries.fetch_add(1);
       break;
-    case SlurpResult::Absent:
+    case ReadResult::Absent:
       break;
     }
   }
@@ -790,12 +611,9 @@ bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
 void TraceCache::store(const TraceCacheKey &Key, CachedTraceEntry Entry) {
   bool Wrote = false;
   if (!Dir.empty() && ensureDirExists(Dir)) {
-    std::string Bytes = serializeCacheEntry(Key, Entry);
     // Failures are non-fatal: the entry still serves from memory, and
     // the next cold run will simply re-store it.
-    Wrote = atomicWriteFile(entryPath(Key), [&](BinaryWriter &W) {
-      W.writeBytes(Bytes.data(), Bytes.size());
-    });
+    Wrote = atomicWriteFile(entryPath(Key), serializeCacheEntry(Key, Entry));
   }
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Wrote && MaxBytes != 0)

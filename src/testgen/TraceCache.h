@@ -9,21 +9,18 @@
 /// key is a stable 128-bit hash over (instantiated method source,
 /// method name, every TestGenOptions field that influences the
 /// pipeline, seed); the value is everything needed to reproduce
-/// collectTraces' output without re-running discovery:
+/// collectTraces' output without re-running discovery or the
+/// interpreter:
 ///
 ///  - the discovery outcome counters (so corpus filter decisions and
 ///    funnel statistics are identical between cold and warm runs);
-///  - the accepted inputs in phase-4 order ("inputs" mode: a hit
-///    replays them through the state-recording interpreter, skipping
-///    random exploration, symbolic enumeration, and mutation);
-///  - optionally the recorded MethodTraces themselves ("full" mode:
-///    statements are stored by NodeId and re-bound to the re-parsed
-///    AST, so a hit skips the interpreter too).
+///  - the recorded MethodTraces themselves (statements are stored by
+///    NodeId and re-bound to the re-parsed AST).
 ///
 /// Entries live in a thread-safe in-memory map and, when a directory
 /// is configured, in one LGTR-versioned file per entry (same
 /// magic/version/section discipline as the LGCK checkpoint format,
-/// written atomically via support/BinaryIO). Every entry carries a
+/// written atomically through support/BinaryIO). Every entry carries a
 /// checksum over its payload: truncated, bit-flipped, or
 /// version-mismatched files degrade to a cache miss, never a crash.
 ///
@@ -49,14 +46,13 @@
 
 namespace liger {
 
-/// What the pipeline is allowed to reuse.
+/// Whether the pipeline may reuse cached traces.
 enum class TraceCacheMode {
-  Off,    ///< Cache disabled; every method runs the full pipeline.
-  Inputs, ///< Reuse accepted inputs; re-run the recording interpreter.
-  Full,   ///< Reuse the recorded traces; skip the interpreter entirely.
+  Off,  ///< Cache disabled; every method runs the full pipeline.
+  Full, ///< Reuse the recorded traces; skip the interpreter entirely.
 };
 
-/// Parses "off" / "inputs" / "full"; returns false on anything else.
+/// Parses "off" / "full"; returns false on anything else.
 bool parseTraceCacheMode(const std::string &Text, TraceCacheMode &Out);
 
 /// The content-addressed key of one pipeline invocation.
@@ -106,8 +102,7 @@ struct PortableMethodTraces {
   std::vector<PortableBlendedTrace> Paths;
 };
 
-/// One cache entry: discovery counters, accepted inputs, and (full
-/// mode) the recorded traces.
+/// One cache entry: discovery counters and the recorded traces.
 struct CachedTraceEntry {
   /// CollectStats discovery counters of the original cold run.
   uint32_t Attempts = 0;
@@ -116,12 +111,6 @@ struct CachedTraceEntry {
   uint32_t Timeouts = 0;
   uint32_t MemoryExceeded = 0;
   uint32_t SymbolicSeeds = 0;
-  /// Accepted inputs, flattened in phase-4 (bucket, then acceptance)
-  /// order — replaying them in this order reproduces groupByPath's
-  /// path ordering exactly.
-  std::vector<std::vector<PortableValue>> AcceptedInputs;
-  /// Present when the entry was stored in Full mode.
-  bool HasTraces = false;
   PortableMethodTraces Traces;
 };
 

@@ -45,9 +45,7 @@ std::vector<Value> deepCopyInputs(const std::vector<Value> &Inputs) {
 }
 
 /// The four-phase discovery pipeline. Fills \p LocalStats (discovery
-/// counters plus per-phase timings) and, when \p AcceptedOut is
-/// non-null, the accepted inputs flattened in phase-4 order — exactly
-/// what a cache entry needs to replay this invocation.
+/// counters plus per-phase timings).
 ///
 /// Output is a pure function of (P, Fn, Options): the interpreter and
 /// both input generators are deterministic, and state recording never
@@ -57,8 +55,7 @@ std::vector<Value> deepCopyInputs(const std::vector<Value> &Inputs) {
 /// and re-executing later.
 MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
                          const TestGenOptions &Options,
-                         CollectStats &LocalStats,
-                         std::vector<std::vector<Value>> *AcceptedOut) {
+                         CollectStats &LocalStats) {
   Rng R(Options.Seed);
   Stopwatch Phase;
 
@@ -182,10 +179,6 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   std::vector<std::vector<Value>> AllInputs;
   Results.reserve(TotalAccepted);
   AllInputs.reserve(TotalAccepted);
-  if (AcceptedOut) {
-    AcceptedOut->clear();
-    AcceptedOut->reserve(TotalAccepted);
-  }
   for (PathBucket &Bucket : Buckets)
     for (size_t I = 0; I < Bucket.Inputs.size(); ++I) {
       if (Bucket.HasRecorded[I])
@@ -194,56 +187,23 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
         Results.push_back(
             execute(Layout, deepCopyInputs(Bucket.Inputs[I]), FullOptions));
       AllInputs.push_back(Bucket.Inputs[I]);
-      if (AcceptedOut)
-        AcceptedOut->push_back(Bucket.Inputs[I]);
     }
   MethodTraces Out = groupByPath(Fn, Results, AllInputs);
   LocalStats.RecordSeconds = Phase.seconds();
   return Out;
 }
 
-/// Reproduces a pipeline invocation from a cache entry. Restores the
-/// discovery counters (so corpus filter decisions match the cold run),
-/// then either re-binds the cached traces (full entries) or replays the
-/// cached accepted inputs through the recording interpreter. Returns
-/// false — with \p Out untouched — when the entry cannot be applied to
-/// this program; callers fall back to the full pipeline.
+/// Reproduces a pipeline invocation from a cache entry: re-binds the
+/// cached traces to \p P and restores the discovery counters (so corpus
+/// filter decisions match the cold run). Returns false when the entry
+/// cannot be applied to this program; callers fall back to the full
+/// pipeline.
 bool replayEntry(const Program &P, const FunctionDecl &Fn,
-                 const TestGenOptions &Options, const CachedTraceEntry &Entry,
-                 TraceCacheMode Mode, CollectStats &LocalStats,
+                 const CachedTraceEntry &Entry, CollectStats &LocalStats,
                  MethodTraces &Out) {
   Stopwatch Replay;
-  if (Mode == TraceCacheMode::Full && Entry.HasTraces) {
-    if (!materializeTraces(Entry.Traces, P, Fn, Out))
-      return false;
-  } else {
-    FrameLayout Layout(P, Fn);
-    InterpOptions FullOptions = Options.Interp;
-    FullOptions.RecordStates = true;
-    std::vector<ExecResult> Results;
-    std::vector<std::vector<Value>> AllInputs;
-    Results.reserve(Entry.AcceptedInputs.size());
-    AllInputs.reserve(Entry.AcceptedInputs.size());
-    for (const std::vector<PortableValue> &PIn : Entry.AcceptedInputs) {
-      std::vector<Value> Inputs;
-      Inputs.reserve(PIn.size());
-      for (const PortableValue &PV : PIn) {
-        Value V;
-        if (!fromPortable(PV, P, V))
-          return false;
-        Inputs.push_back(std::move(V));
-      }
-      // Arity is implied by the key (the signature is part of the
-      // hashed source); still guard so a colliding or hand-edited
-      // entry degrades to a miss instead of tripping interpreter
-      // invariants.
-      if (Inputs.size() != Fn.Params.size())
-        return false;
-      Results.push_back(execute(Layout, deepCopyInputs(Inputs), FullOptions));
-      AllInputs.push_back(std::move(Inputs));
-    }
-    Out = groupByPath(Fn, Results, AllInputs);
-  }
+  if (!materializeTraces(Entry.Traces, P, Fn, Out))
+    return false;
   LocalStats.Attempts = Entry.Attempts;
   LocalStats.OkRuns = Entry.OkRuns;
   LocalStats.Faults = Entry.Faults;
@@ -261,7 +221,7 @@ MethodTraces liger::collectTraces(const Program &P, const FunctionDecl &Fn,
                                   CollectStats *Stats) {
   CollectStats LocalStats;
   LocalStats.CacheBypasses = 1;
-  MethodTraces Out = runPipeline(P, Fn, Options, LocalStats, nullptr);
+  MethodTraces Out = runPipeline(P, Fn, Options, LocalStats);
   if (Stats)
     *Stats = LocalStats;
   return Out;
@@ -281,7 +241,7 @@ MethodTraces liger::collectTracesCached(const Program &P,
   CachedTraceEntry Entry;
   if (Cache->lookup(Key, Entry)) {
     MethodTraces Out;
-    if (replayEntry(P, Fn, Options, Entry, Cache->mode(), LocalStats, Out)) {
+    if (replayEntry(P, Fn, Entry, LocalStats, Out)) {
       LocalStats.CacheHits = 1;
       if (Stats)
         *Stats = LocalStats;
@@ -293,8 +253,7 @@ MethodTraces liger::collectTracesCached(const Program &P,
   }
 
   LocalStats.CacheMisses = 1;
-  std::vector<std::vector<Value>> Accepted;
-  MethodTraces Out = runPipeline(P, Fn, Options, LocalStats, &Accepted);
+  MethodTraces Out = runPipeline(P, Fn, Options, LocalStats);
 
   CachedTraceEntry NewEntry;
   NewEntry.Attempts = LocalStats.Attempts;
@@ -303,18 +262,7 @@ MethodTraces liger::collectTracesCached(const Program &P,
   NewEntry.Timeouts = LocalStats.Timeouts;
   NewEntry.MemoryExceeded = LocalStats.MemoryExceeded;
   NewEntry.SymbolicSeeds = LocalStats.SymbolicSeeds;
-  NewEntry.AcceptedInputs.reserve(Accepted.size());
-  for (const std::vector<Value> &Inputs : Accepted) {
-    std::vector<PortableValue> PIn;
-    PIn.reserve(Inputs.size());
-    for (const Value &V : Inputs)
-      PIn.push_back(toPortable(V));
-    NewEntry.AcceptedInputs.push_back(std::move(PIn));
-  }
-  if (Cache->mode() == TraceCacheMode::Full) {
-    NewEntry.HasTraces = true;
-    NewEntry.Traces = toPortable(Out);
-  }
+  NewEntry.Traces = toPortable(Out);
   Cache->store(Key, std::move(NewEntry));
 
   if (Stats)

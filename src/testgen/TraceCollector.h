@@ -17,10 +17,9 @@
 /// The pipeline runs in four phases — random exploration, symbolic
 /// seeding, mutation, state recording — each timed into CollectStats.
 /// collectTracesCached() additionally consults a TraceCache keyed on
-/// (instantiated source, method name, options, seed): a hit skips the
-/// discovery phases entirely by replaying the cached accepted inputs
-/// (or, in full mode, by rebinding the cached traces to the re-parsed
-/// AST without running the interpreter at all). See DESIGN.md §10.
+/// (instantiated source, method name, options, seed): a hit rebinds the
+/// cached traces to the re-parsed AST, skipping the discovery phases
+/// and the interpreter entirely. See DESIGN.md §10.
 ///
 //===----------------------------------------------------------------------===//
 

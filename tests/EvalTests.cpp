@@ -170,6 +170,41 @@ TEST(ScaleTest, RejectsMalformedNumericFlags) {
         << Flag;
 }
 
+TEST(ScaleTest, TraceCacheDirAloneImpliesFull) {
+  const char *Argv[] = {"bench", "--trace-cache-dir=scale-test-cache"};
+  ExperimentScale Scale =
+      ExperimentScale::fromArgs(2, const_cast<char **>(Argv));
+  EXPECT_EQ(Scale.CacheMode, TraceCacheMode::Full);
+  ASSERT_NE(Scale.Cache, nullptr);
+  EXPECT_EQ(Scale.Cache->mode(), TraceCacheMode::Full);
+  EXPECT_EQ(Scale.Cache->dir(), "scale-test-cache");
+  EXPECT_TRUE(Scale.CacheFlagsExplicit);
+}
+
+TEST(ScaleTest, ExplicitTraceCacheOffBeatsDir) {
+  // In either order, an explicit off disables caching even though a
+  // directory is given.
+  const char *OffFirst[] = {"bench", "--trace-cache=off",
+                            "--trace-cache-dir=scale-test-cache"};
+  const char *DirFirst[] = {"bench", "--trace-cache-dir=scale-test-cache",
+                            "--trace-cache=off"};
+  for (const char **Argv : {OffFirst, DirFirst}) {
+    ExperimentScale Scale =
+        ExperimentScale::fromArgs(3, const_cast<char **>(Argv));
+    EXPECT_EQ(Scale.CacheMode, TraceCacheMode::Off);
+    EXPECT_EQ(Scale.Cache, nullptr);
+    EXPECT_TRUE(Scale.CacheFlagsExplicit);
+  }
+}
+
+TEST(ScaleTest, RejectsUnknownTraceCacheMode) {
+  for (const char *Flag :
+       {"--trace-cache=inputs", "--trace-cache=Full", "--trace-cache="})
+    EXPECT_EXIT(parseOneFlag(Flag), testing::ExitedWithCode(2),
+                "bad --trace-cache mode")
+        << Flag;
+}
+
 TEST(ScaleTest, RejectsZeroBatch) {
   // --batch=0 would make the epoch loops spin on Begin += 0.
   EXPECT_EXIT(parseOneFlag("--batch=0"), testing::ExitedWithCode(2),

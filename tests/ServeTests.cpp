@@ -838,11 +838,7 @@ TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
     CachedTraceEntry E;
     E.Attempts = static_cast<uint32_t>(10 + I);
     E.OkRuns = static_cast<uint32_t>(I);
-    E.AcceptedInputs.resize(1);
-    PortableValue V;
-    V.Kind = ValueKind::Int;
-    V.Int = static_cast<int64_t>(I);
-    E.AcceptedInputs[0].push_back(V);
+    E.Traces.VarNames = {"v" + std::to_string(I)};
     return E;
   };
 
@@ -862,9 +858,8 @@ TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
           CachedTraceEntry Out;
           if (Caches[T]->lookup(keyOf(I), Out))
             if (Out.Attempts != 10 + I || Out.OkRuns != I ||
-                Out.AcceptedInputs.size() != 1 ||
-                Out.AcceptedInputs[0].size() != 1 ||
-                Out.AcceptedInputs[0][0].Int != static_cast<int64_t>(I))
+                Out.Traces.VarNames !=
+                    std::vector<std::string>{"v" + std::to_string(I)})
               WrongPayloads.fetch_add(1);
         }
     });

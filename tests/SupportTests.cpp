@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/BinaryIO.h"
 #include "support/Hash.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -12,6 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 using namespace liger;
@@ -309,4 +315,223 @@ TEST(StableHashTest, StreamingMatchesOneShot) {
   for (size_t I = 0; I + 1 < sizeof(Data); ++I)
     B.addBytes(Data + I, 1);
   EXPECT_EQ(A.digest128(), B.digest128());
+}
+
+//===----------------------------------------------------------------------===//
+// BinaryIO
+//===----------------------------------------------------------------------===//
+
+TEST(BinaryIOTest, EveryWriterFieldRoundTrips) {
+  const float Floats[] = {1.5f, -2.0f, 0.0f};
+  const std::string WithNul("ab\0cd", 5);
+  ByteWriter Section;
+  Section.writeU32(7);
+
+  ByteWriter W;
+  W.writeU8(0xAB);
+  W.writeU32(0xDEADBEEFu);
+  W.writeU64(0x0123456789ABCDEFull);
+  W.writeI64(-5);
+  W.writeF64(-0.0);
+  W.writeFloats(Floats, 3);
+  W.writeString(WithNul);
+  W.writeBytes("xyz", 3);
+  W.writeSection(tagOf('T', 'E', 'S', 'T'), Section);
+  EXPECT_EQ(W.size(), 1u + 4 + 8 + 8 + 8 + 12 + (8 + 5) + 3 + (4 + 8 + 4));
+  EXPECT_EQ(W.bytes().size(), W.size());
+
+  ByteReader R(W.bytes());
+  uint8_t U8 = 0;
+  uint32_t U32 = 0, Tag = 0, SectionValue = 0;
+  uint64_t U64 = 0, SectionLen = 0;
+  int64_t I64 = 0;
+  double F64 = 1;
+  float FloatsBack[3] = {};
+  std::string Str;
+  char Raw[3] = {};
+  ASSERT_TRUE(R.readU8(U8));
+  ASSERT_TRUE(R.readU32(U32));
+  ASSERT_TRUE(R.readU64(U64));
+  ASSERT_TRUE(R.readI64(I64));
+  ASSERT_TRUE(R.readF64(F64));
+  ASSERT_TRUE(R.readFloats(FloatsBack, 3));
+  ASSERT_TRUE(R.readString(Str, 5));
+  ASSERT_TRUE(R.readBytes(Raw, 3));
+  EXPECT_EQ(R.position(), W.size() - 16);
+  ASSERT_TRUE(R.readU32(Tag));
+  ASSERT_TRUE(R.readU64(SectionLen));
+  ASSERT_TRUE(R.readU32(SectionValue));
+  EXPECT_EQ(U8, 0xAB);
+  EXPECT_EQ(U32, 0xDEADBEEFu);
+  EXPECT_EQ(U64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(I64, -5);
+  EXPECT_EQ(F64, 0.0);
+  EXPECT_TRUE(std::signbit(F64));
+  EXPECT_EQ(std::memcmp(FloatsBack, Floats, sizeof(Floats)), 0);
+  EXPECT_EQ(Str, WithNul);
+  EXPECT_EQ(std::string(Raw, 3), "xyz");
+  EXPECT_EQ(Tag, tagOf('T', 'E', 'S', 'T'));
+  EXPECT_EQ(SectionLen, 4u);
+  EXPECT_EQ(SectionValue, 7u);
+  EXPECT_EQ(R.remaining(), 0u);
+  EXPECT_EQ(R.position(), W.size());
+  EXPECT_TRUE(R.ok());
+
+  // Tags are the ASCII bytes in file order: "LGCK" is the checkpoint
+  // magic word.
+  EXPECT_EQ(tagOf('L', 'G', 'C', 'K'), 0x4B43474Cu);
+}
+
+TEST(BinaryIOTest, ReadPastEndFailsAndLatches) {
+  const char Bytes[3] = {1, 2, 3};
+  ByteReader R(Bytes, sizeof(Bytes));
+  uint32_t U32 = 0;
+  uint8_t U8 = 0;
+  EXPECT_FALSE(R.readU32(U32));
+  EXPECT_FALSE(R.ok());
+  // A read that would fit still fails once the reader has failed.
+  EXPECT_FALSE(R.readU8(U8));
+  EXPECT_FALSE(R.skip(1));
+  EXPECT_EQ(R.position(), 0u);
+  EXPECT_EQ(R.remaining(), 3u);
+
+  ByteReader Skipper(Bytes, sizeof(Bytes));
+  EXPECT_FALSE(Skipper.skip(4));
+  EXPECT_FALSE(Skipper.readU8(U8));
+}
+
+TEST(BinaryIOTest, OversizedStringFailsWithoutAllocating) {
+  // A stored length over the caller's cap.
+  ByteWriter Capped;
+  Capped.writeString("hello");
+  ByteReader R1(Capped.bytes());
+  std::string Out = "keep";
+  EXPECT_FALSE(R1.readString(Out, 4));
+  EXPECT_FALSE(R1.ok());
+  EXPECT_EQ(Out, "keep");
+
+  // A stored length over the bytes left, under a cap that admits it:
+  // the length is rejected before the string is sized.
+  ByteWriter Huge;
+  Huge.writeU64(uint64_t(1) << 40);
+  Huge.writeBytes("abc", 3);
+  ByteReader R2(Huge.bytes());
+  EXPECT_FALSE(R2.readString(Out, UINT64_MAX));
+  EXPECT_FALSE(R2.ok());
+  EXPECT_EQ(Out, "keep");
+  EXPECT_LT(Out.capacity(), size_t(1) << 20);
+}
+
+TEST(BinaryIOTest, PlausibleCountIsBoundedByBytesLeft) {
+  const char Bytes[8] = {};
+  ByteReader R(Bytes, sizeof(Bytes));
+  EXPECT_TRUE(R.plausibleCount(0));
+  EXPECT_TRUE(R.plausibleCount(8));
+  EXPECT_FALSE(R.plausibleCount(9));
+  EXPECT_FALSE(R.plausibleCount(UINT64_MAX));
+  uint32_t U32 = 0;
+  ASSERT_TRUE(R.readU32(U32));
+  EXPECT_TRUE(R.plausibleCount(4));
+  EXPECT_FALSE(R.plausibleCount(5));
+  // A check, not a read: it neither consumes nor fails the reader.
+  EXPECT_EQ(R.remaining(), 4u);
+  EXPECT_TRUE(R.ok());
+}
+
+TEST(BinaryIOTest, ReadFloatsRejectsWrappingCount) {
+  const char Bytes[16] = {};
+  ByteReader R(Bytes, sizeof(Bytes));
+  // Count * sizeof(float) wraps to 0 in size_t; a reader that
+  // multiplied first would "read" zero bytes and succeed.
+  size_t Wrapping = SIZE_MAX / sizeof(float) + 1;
+  ASSERT_EQ(Wrapping * sizeof(float), 0u);
+  float Dummy = 0;
+  EXPECT_FALSE(R.readFloats(&Dummy, Wrapping));
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.position(), 0u);
+
+  ByteReader Fits(Bytes, sizeof(Bytes));
+  float Four[4] = {1, 1, 1, 1};
+  EXPECT_TRUE(Fits.readFloats(Four, 4));
+  EXPECT_EQ(Four[3], 0.0f);
+  EXPECT_FALSE(Fits.readFloats(Four, 1));
+}
+
+namespace {
+
+/// A fresh, empty scratch directory under the gtest temp dir.
+std::string freshDir(const std::string &Name) {
+  std::string Dir = testing::TempDir() + "/" + Name;
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// Names in \p Dir that look like abandoned atomicWriteFile temps.
+size_t countTempFiles(const std::string &Dir) {
+  size_t N = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().filename().string().find(".tmp.") != std::string::npos)
+      ++N;
+  return N;
+}
+
+} // namespace
+
+TEST(BinaryIOTest, ReadWholeFileOutcomes) {
+  std::string Dir = freshDir("liger_binary_io_read");
+  std::string Out;
+  EXPECT_EQ(readWholeFile(Dir + "/missing", UINT64_MAX, Out),
+            ReadResult::Absent);
+  EXPECT_EQ(readWholeFile(Dir, UINT64_MAX, Out), ReadResult::Bad);
+
+  const std::string Bytes("\x00LGTR\xff\n", 7);
+  std::string Path = Dir + "/entry";
+  {
+    std::ofstream F(Path, std::ios::binary);
+    F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+  EXPECT_EQ(readWholeFile(Path, Bytes.size() - 1, Out), ReadResult::Bad);
+  ASSERT_EQ(readWholeFile(Path, Bytes.size(), Out), ReadResult::Ok);
+  EXPECT_EQ(Out, Bytes);
+
+  std::string Empty = Dir + "/empty";
+  std::ofstream(Empty, std::ios::binary).close();
+  Out = "stale";
+  ASSERT_EQ(readWholeFile(Empty, UINT64_MAX, Out), ReadResult::Ok);
+  EXPECT_TRUE(Out.empty());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(BinaryIOTest, AtomicWriteFileReplacesOrLeavesTargetIntact) {
+  std::string Dir = freshDir("liger_binary_io_write");
+  std::string Path = Dir + "/file";
+  std::string Out;
+  ASSERT_TRUE(atomicWriteFile(Path, "first"));
+  ASSERT_TRUE(atomicWriteFile(Path, "second"));
+  ASSERT_EQ(readWholeFile(Path, UINT64_MAX, Out), ReadResult::Ok);
+  EXPECT_EQ(Out, "second");
+
+  // A missing directory: no temp file can be created.
+  std::string Error;
+  EXPECT_FALSE(atomicWriteFile(Dir + "/no-such-dir/file", "x", &Error));
+  EXPECT_NE(Error.find("cannot create temp file"), std::string::npos)
+      << Error;
+
+  // A target the rename cannot replace (a non-empty directory): the
+  // write fails, the target keeps its contents, no temp file is left.
+  std::string Target = Dir + "/target";
+  std::filesystem::create_directories(Target);
+  ASSERT_TRUE(atomicWriteFile(Target + "/child", "kept"));
+  Error.clear();
+  EXPECT_FALSE(atomicWriteFile(Target, "replacement", &Error));
+  EXPECT_NE(Error.find("cannot rename"), std::string::npos) << Error;
+  ASSERT_EQ(readWholeFile(Target + "/child", UINT64_MAX, Out),
+            ReadResult::Ok);
+  EXPECT_EQ(Out, "kept");
+  EXPECT_EQ(countTempFiles(Dir), 0u);
+  EXPECT_EQ(countTempFiles(Target), 0u);
+  ASSERT_EQ(readWholeFile(Path, UINT64_MAX, Out), ReadResult::Ok);
+  EXPECT_EQ(Out, "second");
+  std::filesystem::remove_all(Dir);
 }

@@ -583,7 +583,7 @@ TEST(TraceCacheTest, PortableValueRoundTrip) {
   EXPECT_FALSE(fromPortable(WrongArity, P, Back));
 }
 
-TEST(TraceCacheTest, ColdWarmEquivalenceInputsMode) {
+TEST(TraceCacheTest, ColdWarmEquivalenceInMemory) {
   Program P = mustParse(StructProgram);
   const FunctionDecl &Fn = P.Functions[0];
   TestGenOptions Options = tinyTraceGen();
@@ -592,7 +592,7 @@ TEST(TraceCacheTest, ColdWarmEquivalenceInputsMode) {
   MethodTraces Plain = collectTraces(P, Fn, Options, &Baseline);
   EXPECT_EQ(Baseline.CacheBypasses, 1u);
 
-  TraceCache Cache(TraceCacheMode::Inputs, "");
+  TraceCache Cache(TraceCacheMode::Full, "");
   CollectStats Cold, Warm;
   MethodTraces ColdTraces =
       collectTracesCached(P, Fn, StructProgram, Options, &Cache, &Cold);
@@ -665,9 +665,13 @@ TEST(TraceCacheTest, SerializedEntryRoundTrips) {
   ASSERT_TRUE(deserializeCacheEntry(Bytes, Key, Back));
   EXPECT_EQ(Back.Attempts, Entry.Attempts);
   EXPECT_EQ(Back.OkRuns, Entry.OkRuns);
-  EXPECT_EQ(Back.AcceptedInputs.size(), Entry.AcceptedInputs.size());
-  EXPECT_EQ(Back.HasTraces, Entry.HasTraces);
-  EXPECT_EQ(Back.Traces.Paths.size(), Entry.Traces.Paths.size());
+  // TRCE is the whole entry: the round-tripped traces must rebind to
+  // exactly the cached ones.
+  MethodTraces Expected, Actual;
+  ASSERT_TRUE(materializeTraces(Entry.Traces, P, Fn, Expected));
+  ASSERT_TRUE(materializeTraces(Back.Traces, P, Fn, Actual));
+  ASSERT_FALSE(Expected.Paths.empty());
+  expectTracesEqual(Expected, Actual);
 
   // A different key must reject the same bytes.
   TestGenOptions Other = Options;
@@ -787,10 +791,9 @@ TEST(TraceCacheTest, ModeParsing) {
   TraceCacheMode Mode;
   EXPECT_TRUE(parseTraceCacheMode("off", Mode));
   EXPECT_EQ(Mode, TraceCacheMode::Off);
-  EXPECT_TRUE(parseTraceCacheMode("inputs", Mode));
-  EXPECT_EQ(Mode, TraceCacheMode::Inputs);
   EXPECT_TRUE(parseTraceCacheMode("full", Mode));
   EXPECT_EQ(Mode, TraceCacheMode::Full);
+  EXPECT_FALSE(parseTraceCacheMode("inputs", Mode));
   EXPECT_FALSE(parseTraceCacheMode("Full", Mode));
   EXPECT_FALSE(parseTraceCacheMode("", Mode));
 }
