@@ -12,8 +12,9 @@
 //  - cache off (the pre-cache baseline),
 //  - cold: an empty on-disk cache being populated, at 1/2/4 worker
 //    threads (the parallel-scaling axis),
-//  - warm: a fresh process pointed at the populated directory, so every
-//    hit is served from disk.
+//  - warm: a fresh TraceCache in the same process (empty memory map)
+//    pointed at the populated t=1 directory, so every hit is served
+//    from disk and promoted into memory.
 //
 // Emits BENCH_pipeline.json with seconds per regime, the warm speedup,
 // per-phase breakdowns, cache counters, and two determinism checks:

@@ -26,6 +26,13 @@
 #      fuzz, shared trace-cache concurrency, stats() during concurrent
 #      handle()) and a liger_serve --smoke burst under ASan+UBSan
 #      (DESIGN.md §13);
+#   3c'. thread-sanitized trace cache: a ThreadSanitizer build
+#      (build-tsan, flags on the command line, no CMake option) of
+#      testgen_tests, serve_tests and dataset_tests, running the trace
+#      cache suite, the shared-cache and stats() concurrency suites and
+#      the corpus trace-cache suite (one memory-only cache hit from four
+#      workers, which parse entries outside the cache's lock); TSan
+#      exits 66 on any report, which fails the step;
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
 #      at 1, 2 and 4 threads), the batched-loss equivalence suite
@@ -103,6 +110,19 @@ step "sanitized serving: inference equivalence + embedding store + shared cache 
 # TraceCacheConcurrencyTest.
 "$REPO/build-asan/tests/serve_tests"
 "$REPO/build-asan/tools/liger_serve" --smoke --trace-cache-dir="$CACHE"
+
+step "thread-sanitized trace cache: shared cache + stats + corpus workers (build-tsan)"
+# LIGER_SANITIZE is ASan+UBSan only; TSan needs a tree of its own.
+# TSan exits 66 on any report, so a race fails this step.
+cmake -B "$REPO/build-tsan" -S "$REPO" \
+  -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build "$REPO/build-tsan" -j "$JOBS" \
+  --target testgen_tests serve_tests dataset_tests
+"$REPO/build-tsan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
+"$REPO/build-tsan/tests/serve_tests" \
+  --gtest_filter='TraceCacheConcurrencyTest.*:ServeSharedCacheTest.*:ServeStatsConcurrencyTest.*'
+"$REPO/build-tsan/tests/dataset_tests" --gtest_filter='CorpusTraceCacheTest.*'
 
 step "sanitized lockstep training: threaded batched-epoch + batched-loss equivalence (build-asan)"
 "$REPO/build-asan/tests/eval_tests" \

@@ -247,6 +247,14 @@ ServeEngine::handleBatch(const std::vector<ServeRequest> &Requests) {
 }
 
 ServeStats ServeEngine::stats() const {
-  std::lock_guard<std::mutex> Lock(StatsMutex);
-  return Stats;
+  ServeStats Out;
+  {
+    std::lock_guard<std::mutex> Lock(StatsMutex);
+    Out = Stats;
+  }
+  if (Cache) {
+    Out.TraceCacheEntries = Cache->entries();
+    Out.TraceCacheBytes = Cache->residentBytes();
+  }
+  return Out;
 }

@@ -96,6 +96,10 @@ struct ServeStats {
   uint64_t DeadlineExceeded = 0;
   uint64_t TraceCacheHits = 0;
   uint64_t TraceCacheMisses = 0;
+  /// What the shared trace cache holds in memory when stats() is read:
+  /// its entries and their summed LGTR bytes (0 without a cache).
+  uint64_t TraceCacheEntries = 0;
+  uint64_t TraceCacheBytes = 0;
   /// The worker engines' embedding-store lookups, added per request.
   LigerInference::CacheStats Embeddings;
 };

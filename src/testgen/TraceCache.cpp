@@ -41,187 +41,168 @@ constexpr uint64_t MaxSections = 16;
 constexpr uint64_t MaxEntryBytes = 1ULL << 30;
 constexpr unsigned MaxValueDepth = 64;
 
+/// magic, version, key (hi, lo), payload length, checksum (hi, lo).
+constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8 + 8;
+
 //===----------------------------------------------------------------------===//
-// Portable value serialization
+// Writing: straight from the live values
 //===----------------------------------------------------------------------===//
 
-void writeValue(ByteWriter &W, const PortableValue &V) {
-  W.writeU8(static_cast<uint8_t>(V.Kind));
-  switch (V.Kind) {
+void writeValueList(ByteWriter &W, const std::vector<Value> &Vs);
+
+void writeValue(ByteWriter &W, const Value &V) {
+  W.writeU8(static_cast<uint8_t>(V.kind()));
+  switch (V.kind()) {
   case ValueKind::Undef:
     break;
   case ValueKind::Int:
-    W.writeI64(V.Int);
+    W.writeI64(V.asInt());
     break;
   case ValueKind::Bool:
-    W.writeU8(V.Bool ? 1 : 0);
+    W.writeU8(V.asBool() ? 1 : 0);
     break;
   case ValueKind::String:
-    W.writeString(V.Str);
+    W.writeString(V.asString());
     break;
   case ValueKind::Struct:
-    W.writeString(V.Str); // struct type name
+    W.writeString(V.structDecl()->Name);
     [[fallthrough]];
   case ValueKind::Array:
-    W.writeU64(V.Elements.size());
-    for (const PortableValue &E : V.Elements)
-      writeValue(W, E);
+    writeValueList(W, V.elements());
     break;
   }
 }
 
-bool readValue(ByteReader &R, PortableValue &Out, unsigned Depth) {
+void writeValueList(ByteWriter &W, const std::vector<Value> &Vs) {
+  W.writeU64(Vs.size());
+  for (const Value &V : Vs)
+    writeValue(W, V);
+}
+
+ByteWriter statsSection(const CollectStats &S) {
+  ByteWriter W;
+  W.writeU32(S.Attempts);
+  W.writeU32(S.OkRuns);
+  W.writeU32(S.Faults);
+  W.writeU32(S.Timeouts);
+  W.writeU32(S.MemoryExceeded);
+  W.writeU32(S.SymbolicSeeds);
+  return W;
+}
+
+ByteWriter tracesSection(const MethodTraces &T) {
+  ByteWriter W;
+  W.writeU64(T.VarNames.size());
+  for (const std::string &Name : T.VarNames)
+    W.writeString(Name);
+  W.writeU64(T.Paths.size());
+  for (const BlendedTrace &Path : T.Paths) {
+    W.writeU64(Path.Symbolic.Steps.size());
+    for (const SymbolicStep &Step : Path.Symbolic.Steps) {
+      W.writeU32(Step.Statement->id());
+      W.writeU8(static_cast<uint8_t>(Step.Kind));
+    }
+    W.writeU64(Path.Concrete.size());
+    for (const StateTrace &ST : Path.Concrete) {
+      writeValueList(W, ST.Initial.Values);
+      W.writeU64(ST.States.size());
+      for (const ProgramState &State : ST.States)
+        writeValueList(W, State.Values);
+    }
+    W.writeU64(Path.Inputs.size());
+    for (const std::vector<Value> &In : Path.Inputs)
+      writeValueList(W, In);
+  }
+  return W;
+}
+
+//===----------------------------------------------------------------------===//
+// Reading: bounded, straight into Values bound to one Program
+//===----------------------------------------------------------------------===//
+
+/// Reads a u64 element count no larger than the bytes left (every
+/// element costs at least one byte), so no corrupt count can reach a
+/// reserve.
+bool readCount(ByteReader &R, uint64_t &Count) {
+  return R.readU64(Count) && R.plausibleCount(Count);
+}
+
+bool readValueList(ByteReader &R, const Program &P, unsigned Depth,
+                   std::vector<Value> &Out);
+
+bool readValue(ByteReader &R, const Program &P, unsigned Depth,
+               Value &Out) {
   if (Depth > MaxValueDepth)
     return false;
   uint8_t Kind = 0;
   if (!R.readU8(Kind) || Kind > static_cast<uint8_t>(ValueKind::Struct))
     return false;
-  Out.Kind = static_cast<ValueKind>(Kind);
-  Out.Elements.clear();
-  switch (Out.Kind) {
+  switch (static_cast<ValueKind>(Kind)) {
   case ValueKind::Undef:
+    Out = Value::undef();
     return true;
-  case ValueKind::Int:
-    return R.readI64(Out.Int);
+  case ValueKind::Int: {
+    int64_t I = 0;
+    if (!R.readI64(I))
+      return false;
+    Out = Value::makeInt(I);
+    return true;
+  }
   case ValueKind::Bool: {
     uint8_t B = 0;
     if (!R.readU8(B))
       return false;
-    Out.Bool = B != 0;
+    Out = Value::makeBool(B != 0);
     return true;
   }
-  case ValueKind::String:
-    return R.readString(Out.Str, MaxStringLen);
-  case ValueKind::Struct:
-    if (!R.readString(Out.Str, MaxStringLen))
+  case ValueKind::String: {
+    std::string S;
+    if (!R.readString(S, MaxStringLen))
       return false;
-    [[fallthrough]];
+    Out = Value::makeString(std::move(S));
+    return true;
+  }
   case ValueKind::Array: {
-    uint64_t Count = 0;
-    if (!R.readU64(Count) || !R.plausibleCount(Count))
+    std::vector<Value> Elements;
+    if (!readValueList(R, P, Depth + 1, Elements))
       return false;
-    Out.Elements.resize(static_cast<size_t>(Count));
-    for (PortableValue &E : Out.Elements)
-      if (!readValue(R, E, Depth + 1))
-        return false;
+    Out = Value::makeArray(std::move(Elements));
+    return true;
+  }
+  case ValueKind::Struct: {
+    std::string Name;
+    if (!R.readString(Name, MaxStringLen))
+      return false;
+    // A stale entry against an evolved (or absent) struct fails softly.
+    const StructDecl *Decl = P.findStruct(Name);
+    std::vector<Value> Fields;
+    if (!Decl || !readValueList(R, P, Depth + 1, Fields) ||
+        Fields.size() != Decl->Fields.size())
+      return false;
+    Out = Value::makeStruct(Decl, std::move(Fields));
     return true;
   }
   }
   return false;
 }
 
-void writeValueList(ByteWriter &W, const std::vector<PortableValue> &Vs) {
-  W.writeU64(Vs.size());
-  for (const PortableValue &V : Vs)
-    writeValue(W, V);
-}
-
-bool readValueList(ByteReader &R, std::vector<PortableValue> &Out) {
+bool readValueList(ByteReader &R, const Program &P, unsigned Depth,
+                   std::vector<Value> &Out) {
   uint64_t Count = 0;
-  if (!R.readU64(Count) || !R.plausibleCount(Count))
+  if (!readCount(R, Count))
     return false;
   Out.resize(static_cast<size_t>(Count));
-  for (PortableValue &V : Out)
-    if (!readValue(R, V, 0))
+  for (Value &V : Out)
+    if (!readValue(R, P, Depth, V))
       return false;
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Section payloads
-//===----------------------------------------------------------------------===//
-
-ByteWriter statsSection(const CachedTraceEntry &E) {
-  ByteWriter W;
-  W.writeU32(E.Attempts);
-  W.writeU32(E.OkRuns);
-  W.writeU32(E.Faults);
-  W.writeU32(E.Timeouts);
-  W.writeU32(E.MemoryExceeded);
-  W.writeU32(E.SymbolicSeeds);
-  return W;
+bool readStatsSection(ByteReader &R, CollectStats &S) {
+  return R.readU32(S.Attempts) && R.readU32(S.OkRuns) &&
+         R.readU32(S.Faults) && R.readU32(S.Timeouts) &&
+         R.readU32(S.MemoryExceeded) && R.readU32(S.SymbolicSeeds);
 }
-
-bool readStatsSection(ByteReader &R, CachedTraceEntry &E) {
-  return R.readU32(E.Attempts) && R.readU32(E.OkRuns) &&
-         R.readU32(E.Faults) && R.readU32(E.Timeouts) &&
-         R.readU32(E.MemoryExceeded) && R.readU32(E.SymbolicSeeds);
-}
-
-ByteWriter tracesSection(const PortableMethodTraces &T) {
-  ByteWriter W;
-  W.writeU64(T.VarNames.size());
-  for (const std::string &Name : T.VarNames)
-    W.writeString(Name);
-  W.writeU64(T.Paths.size());
-  for (const PortableBlendedTrace &Path : T.Paths) {
-    W.writeU64(Path.Steps.size());
-    for (const PortableStep &Step : Path.Steps) {
-      W.writeU32(Step.StmtId);
-      W.writeU8(static_cast<uint8_t>(Step.Kind));
-    }
-    W.writeU64(Path.Concrete.size());
-    for (const PortableStateTrace &ST : Path.Concrete) {
-      writeValueList(W, ST.Initial);
-      W.writeU64(ST.States.size());
-      for (const std::vector<PortableValue> &State : ST.States)
-        writeValueList(W, State);
-    }
-    W.writeU64(Path.Inputs.size());
-    for (const std::vector<PortableValue> &In : Path.Inputs)
-      writeValueList(W, In);
-  }
-  return W;
-}
-
-bool readTracesSection(ByteReader &R, PortableMethodTraces &T) {
-  uint64_t Count = 0;
-  if (!R.readU64(Count) || !R.plausibleCount(Count))
-    return false;
-  T.VarNames.resize(static_cast<size_t>(Count));
-  for (std::string &Name : T.VarNames)
-    if (!R.readString(Name, MaxStringLen))
-      return false;
-  if (!R.readU64(Count) || !R.plausibleCount(Count))
-    return false;
-  T.Paths.resize(static_cast<size_t>(Count));
-  for (PortableBlendedTrace &Path : T.Paths) {
-    if (!R.readU64(Count) || !R.plausibleCount(Count))
-      return false;
-    Path.Steps.resize(static_cast<size_t>(Count));
-    for (PortableStep &Step : Path.Steps) {
-      uint8_t Kind = 0;
-      if (!R.readU32(Step.StmtId) || !R.readU8(Kind) ||
-          Kind > static_cast<uint8_t>(StepKind::CondFalse))
-        return false;
-      Step.Kind = static_cast<StepKind>(Kind);
-    }
-    if (!R.readU64(Count) || !R.plausibleCount(Count))
-      return false;
-    Path.Concrete.resize(static_cast<size_t>(Count));
-    for (PortableStateTrace &ST : Path.Concrete) {
-      if (!readValueList(R, ST.Initial))
-        return false;
-      if (!R.readU64(Count) || !R.plausibleCount(Count))
-        return false;
-      ST.States.resize(static_cast<size_t>(Count));
-      for (std::vector<PortableValue> &State : ST.States)
-        if (!readValueList(R, State))
-          return false;
-    }
-    if (!R.readU64(Count) || !R.plausibleCount(Count))
-      return false;
-    Path.Inputs.resize(static_cast<size_t>(Count));
-    for (std::vector<PortableValue> &In : Path.Inputs)
-      if (!readValueList(R, In))
-        return false;
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Statement re-binding
-//===----------------------------------------------------------------------===//
 
 void collectStmtIds(const Stmt *S,
                     std::unordered_map<uint32_t, const Stmt *> &Map) {
@@ -229,6 +210,85 @@ void collectStmtIds(const Stmt *S,
     return;
   Map.emplace(S->id(), S);
   forEachChildStmt(S, [&](const Stmt *Child) { collectStmtIds(Child, Map); });
+}
+
+bool readTracesSection(ByteReader &R, const Program &P,
+                       MethodTraces &T) {
+  // Statements can come from any function in the program (the
+  // interpreter records across calls), so index them all.
+  std::unordered_map<uint32_t, const Stmt *> StmtById;
+  for (const FunctionDecl &F : P.Functions)
+    collectStmtIds(F.Body, StmtById);
+
+  uint64_t Count = 0;
+  if (!readCount(R, Count))
+    return false;
+  T.VarNames.resize(static_cast<size_t>(Count));
+  for (std::string &Name : T.VarNames)
+    if (!R.readString(Name, MaxStringLen))
+      return false;
+  if (!readCount(R, Count))
+    return false;
+  T.Paths.resize(static_cast<size_t>(Count));
+  for (BlendedTrace &Path : T.Paths) {
+    if (!readCount(R, Count))
+      return false;
+    Path.Symbolic.Steps.resize(static_cast<size_t>(Count));
+    for (SymbolicStep &Step : Path.Symbolic.Steps) {
+      uint32_t Id = 0;
+      uint8_t Kind = 0;
+      if (!R.readU32(Id) || !R.readU8(Kind) ||
+          Kind > static_cast<uint8_t>(StepKind::CondFalse))
+        return false;
+      auto It = StmtById.find(Id);
+      if (It == StmtById.end())
+        return false;
+      Step = {It->second, static_cast<StepKind>(Kind)};
+    }
+    if (!readCount(R, Count))
+      return false;
+    Path.Concrete.resize(static_cast<size_t>(Count));
+    for (StateTrace &ST : Path.Concrete) {
+      if (!readValueList(R, P, 0, ST.Initial.Values) || !readCount(R, Count))
+        return false;
+      ST.States.resize(static_cast<size_t>(Count));
+      for (ProgramState &State : ST.States)
+        if (!readValueList(R, P, 0, State.Values))
+          return false;
+    }
+    if (!readCount(R, Count))
+      return false;
+    Path.Inputs.resize(static_cast<size_t>(Count));
+    for (std::vector<Value> &In : Path.Inputs)
+      if (!readValueList(R, P, 0, In))
+        return false;
+  }
+  return true;
+}
+
+/// True when \p Bytes is a whole LGTR entry for \p Key: magic,
+/// version, key, payload length and payload checksum all match. The
+/// payload then starts at HeaderBytes.
+bool entryIntact(const std::string &Bytes, const TraceCacheKey &Key) {
+  ByteReader Header(Bytes);
+  uint32_t Magic = 0, Version = 0;
+  uint64_t KeyHi = 0, KeyLo = 0, PayloadSize = 0, SumHi = 0, SumLo = 0;
+  if (!Header.readU32(Magic) || Magic != MagicLGTR)
+    return false;
+  if (!Header.readU32(Version) || Version != FormatVersion)
+    return false;
+  if (!Header.readU64(KeyHi) || !Header.readU64(KeyLo) ||
+      KeyHi != Key.Hi || KeyLo != Key.Lo)
+    return false;
+  if (!Header.readU64(PayloadSize) || !Header.readU64(SumHi) ||
+      !Header.readU64(SumLo) || PayloadSize != Header.remaining())
+    return false;
+
+  StableHash Checksum;
+  Checksum.addBytes(Bytes.data() + HeaderBytes,
+                    static_cast<size_t>(PayloadSize));
+  Digest128 Sum = Checksum.digest128();
+  return Sum.Hi == SumHi && Sum.Lo == SumLo;
 }
 
 } // namespace
@@ -283,201 +343,22 @@ TraceCacheKey liger::traceCacheKey(const std::string &SourceText,
 }
 
 //===----------------------------------------------------------------------===//
-// Portable value conversion
-//===----------------------------------------------------------------------===//
-
-PortableValue liger::toPortable(const Value &V) {
-  PortableValue Out;
-  Out.Kind = V.kind();
-  switch (V.kind()) {
-  case ValueKind::Undef:
-    break;
-  case ValueKind::Int:
-    Out.Int = V.asInt();
-    break;
-  case ValueKind::Bool:
-    Out.Bool = V.asBool();
-    break;
-  case ValueKind::String:
-    Out.Str = V.asString();
-    break;
-  case ValueKind::Struct:
-    Out.Str = V.structDecl()->Name;
-    [[fallthrough]];
-  case ValueKind::Array:
-    Out.Elements.reserve(V.elements().size());
-    for (const Value &E : V.elements())
-      Out.Elements.push_back(toPortable(E));
-    break;
-  }
-  return Out;
-}
-
-bool liger::fromPortable(const PortableValue &PV, const Program &P,
-                         Value &Out) {
-  switch (PV.Kind) {
-  case ValueKind::Undef:
-    Out = Value::undef();
-    return true;
-  case ValueKind::Int:
-    Out = Value::makeInt(PV.Int);
-    return true;
-  case ValueKind::Bool:
-    Out = Value::makeBool(PV.Bool);
-    return true;
-  case ValueKind::String:
-    Out = Value::makeString(PV.Str);
-    return true;
-  case ValueKind::Array: {
-    std::vector<Value> Elements;
-    Elements.reserve(PV.Elements.size());
-    for (const PortableValue &E : PV.Elements) {
-      Value V;
-      if (!fromPortable(E, P, V))
-        return false;
-      Elements.push_back(std::move(V));
-    }
-    Out = Value::makeArray(std::move(Elements));
-    return true;
-  }
-  case ValueKind::Struct: {
-    const StructDecl *Decl = P.findStruct(PV.Str);
-    if (!Decl || Decl->Fields.size() != PV.Elements.size())
-      return false;
-    std::vector<Value> Fields;
-    Fields.reserve(PV.Elements.size());
-    for (const PortableValue &E : PV.Elements) {
-      Value V;
-      if (!fromPortable(E, P, V))
-        return false;
-      Fields.push_back(std::move(V));
-    }
-    Out = Value::makeStruct(Decl, std::move(Fields));
-    return true;
-  }
-  }
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Portable trace conversion
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::vector<PortableValue> toPortableList(const std::vector<Value> &Vs) {
-  std::vector<PortableValue> Out;
-  Out.reserve(Vs.size());
-  for (const Value &V : Vs)
-    Out.push_back(toPortable(V));
-  return Out;
-}
-
-bool fromPortableList(const std::vector<PortableValue> &PVs,
-                      const Program &P, std::vector<Value> &Out) {
-  Out.clear();
-  Out.reserve(PVs.size());
-  for (const PortableValue &PV : PVs) {
-    Value V;
-    if (!fromPortable(PV, P, V))
-      return false;
-    Out.push_back(std::move(V));
-  }
-  return true;
-}
-
-} // namespace
-
-PortableMethodTraces liger::toPortable(const MethodTraces &Traces) {
-  PortableMethodTraces Out;
-  Out.VarNames = Traces.VarNames;
-  Out.Paths.reserve(Traces.Paths.size());
-  for (const BlendedTrace &Path : Traces.Paths) {
-    PortableBlendedTrace PPath;
-    PPath.Steps.reserve(Path.Symbolic.Steps.size());
-    for (const SymbolicStep &Step : Path.Symbolic.Steps)
-      PPath.Steps.push_back({Step.Statement->id(), Step.Kind});
-    PPath.Concrete.reserve(Path.Concrete.size());
-    for (const StateTrace &ST : Path.Concrete) {
-      PortableStateTrace PST;
-      PST.Initial = toPortableList(ST.Initial.Values);
-      PST.States.reserve(ST.States.size());
-      for (const ProgramState &State : ST.States)
-        PST.States.push_back(toPortableList(State.Values));
-      PPath.Concrete.push_back(std::move(PST));
-    }
-    PPath.Inputs.reserve(Path.Inputs.size());
-    for (const std::vector<Value> &In : Path.Inputs)
-      PPath.Inputs.push_back(toPortableList(In));
-    Out.Paths.push_back(std::move(PPath));
-  }
-  return Out;
-}
-
-bool liger::materializeTraces(const PortableMethodTraces &PT,
-                              const Program &P, const FunctionDecl &Fn,
-                              MethodTraces &Out) {
-  // Statements can come from any function in the program (the
-  // interpreter records across calls), so index them all.
-  std::unordered_map<uint32_t, const Stmt *> StmtById;
-  for (const FunctionDecl &F : P.Functions)
-    collectStmtIds(F.Body, StmtById);
-
-  Out = MethodTraces();
-  Out.Fn = &Fn;
-  Out.VarNames = PT.VarNames;
-  Out.Paths.reserve(PT.Paths.size());
-  for (const PortableBlendedTrace &PPath : PT.Paths) {
-    BlendedTrace Path;
-    Path.Symbolic.Steps.reserve(PPath.Steps.size());
-    for (const PortableStep &Step : PPath.Steps) {
-      auto It = StmtById.find(Step.StmtId);
-      if (It == StmtById.end())
-        return false;
-      Path.Symbolic.Steps.push_back({It->second, Step.Kind});
-    }
-    Path.Concrete.reserve(PPath.Concrete.size());
-    for (const PortableStateTrace &PST : PPath.Concrete) {
-      StateTrace ST;
-      if (!fromPortableList(PST.Initial, P, ST.Initial.Values))
-        return false;
-      ST.States.reserve(PST.States.size());
-      for (const std::vector<PortableValue> &State : PST.States) {
-        ProgramState PS;
-        if (!fromPortableList(State, P, PS.Values))
-          return false;
-        ST.States.push_back(std::move(PS));
-      }
-      Path.Concrete.push_back(std::move(ST));
-    }
-    Path.Inputs.reserve(PPath.Inputs.size());
-    for (const std::vector<PortableValue> &In : PPath.Inputs) {
-      std::vector<Value> Values;
-      if (!fromPortableList(In, P, Values))
-        return false;
-      Path.Inputs.push_back(std::move(Values));
-    }
-    Out.Paths.push_back(std::move(Path));
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // Container serialization
 //===----------------------------------------------------------------------===//
 
 // Entries are serialized into a buffer first so the payload checksum
 // can be computed before anything touches the disk, and parsed from a
-// buffer so a checksum mismatch rejects the file before any payload
+// buffer so a checksum mismatch rejects the entry before any payload
 // byte is interpreted.
 
 std::string liger::serializeCacheEntry(const TraceCacheKey &Key,
-                                       const CachedTraceEntry &Entry) {
+                                       const CollectStats &Stats,
+                                       const MethodTraces &Traces) {
   // Payload: section count, then tag/size/bytes per section.
   ByteWriter Payload;
   Payload.writeU32(2); // STAT and TRCE
-  Payload.writeSection(TagStats, statsSection(Entry));
-  Payload.writeSection(TagTraces, tracesSection(Entry.Traces));
+  Payload.writeSection(TagStats, statsSection(Stats));
+  Payload.writeSection(TagTraces, tracesSection(Traces));
 
   StableHash Checksum;
   Checksum.addBytes(Payload.bytes().data(), Payload.size());
@@ -495,35 +376,18 @@ std::string liger::serializeCacheEntry(const TraceCacheKey &Key,
   return Out.bytes();
 }
 
-bool liger::deserializeCacheEntry(const std::string &Bytes,
-                                  const TraceCacheKey &Key,
-                                  CachedTraceEntry &Out) {
-  ByteReader Header(Bytes);
-  uint32_t Magic = 0, Version = 0;
-  uint64_t KeyHi = 0, KeyLo = 0, PayloadSize = 0, SumHi = 0, SumLo = 0;
-  if (!Header.readU32(Magic) || Magic != MagicLGTR)
+bool liger::parseCacheEntry(const std::string &Bytes,
+                            const TraceCacheKey &Key, const Program &P,
+                            const FunctionDecl &Fn, CollectStats &Stats,
+                            MethodTraces &Out) {
+  if (!entryIntact(Bytes, Key))
     return false;
-  if (!Header.readU32(Version) || Version != FormatVersion)
-    return false;
-  if (!Header.readU64(KeyHi) || !Header.readU64(KeyLo) ||
-      KeyHi != Key.Hi || KeyLo != Key.Lo)
-    return false;
-  if (!Header.readU64(PayloadSize) || !Header.readU64(SumHi) ||
-      !Header.readU64(SumLo) || PayloadSize != Header.remaining())
-    return false;
-
-  const char *Payload = Bytes.data() + Header.position();
-  StableHash Checksum;
-  Checksum.addBytes(Payload, static_cast<size_t>(PayloadSize));
-  Digest128 Sum = Checksum.digest128();
-  if (Sum.Hi != SumHi || Sum.Lo != SumLo)
-    return false;
-
-  ByteReader R(Payload, static_cast<size_t>(PayloadSize));
+  ByteReader R(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes);
   uint32_t NumSections = 0;
   if (!R.readU32(NumSections) || NumSections > MaxSections)
     return false;
-  Out = CachedTraceEntry();
+  Out = MethodTraces();
+  Out.Fn = &Fn;
   bool SawStats = false, SawTraces = false;
   for (uint32_t I = 0; I < NumSections; ++I) {
     uint32_t Tag = 0;
@@ -532,11 +396,11 @@ bool liger::deserializeCacheEntry(const std::string &Bytes,
       return false;
     uint64_t Before = R.remaining();
     if (Tag == TagStats) {
-      if (!readStatsSection(R, Out))
+      if (!readStatsSection(R, Stats))
         return false;
       SawStats = true;
     } else if (Tag == TagTraces) {
-      if (!readTracesSection(R, Out.Traces))
+      if (!readTracesSection(R, P, Out))
         return false;
       SawTraces = true;
     } else {
@@ -571,29 +435,43 @@ std::string TraceCache::entryPath(const TraceCacheKey &Key) const {
   return Dir + "/" + entryFileName(Key);
 }
 
-bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
+size_t TraceCache::entries() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Memory.size();
+}
+
+uint64_t TraceCache::residentBytes() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return ResidentBytes;
+}
+
+std::shared_ptr<const std::string>
+TraceCache::lookup(const TraceCacheKey &Key) {
   std::string Hex = Key.hex();
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Memory.find(Hex);
     if (It != Memory.end()) {
-      Out = It->second;
       Hits.fetch_add(1);
-      return true;
+      return It->second;
     }
   }
   if (!Dir.empty()) {
-    std::string Path = entryPath(Key);
     std::string Bytes;
     // Absent (never created, or unlinked between the caller's decision
     // and the open) is not corruption: replacement races only miss.
-    switch (readWholeFile(Path, MaxEntryBytes, Bytes)) {
+    switch (readWholeFile(entryPath(Key), MaxEntryBytes, Bytes)) {
     case ReadResult::Ok:
-      if (deserializeCacheEntry(Bytes, Key, Out)) {
+      if (entryIntact(Bytes, Key)) {
+        auto Held = std::make_shared<const std::string>(std::move(Bytes));
         std::lock_guard<std::mutex> Lock(Mutex);
-        Memory.emplace(std::move(Hex), Out);
+        // A racing store or promotion may have got here first; every
+        // hit then shares its buffer.
+        auto [It, Inserted] = Memory.emplace(std::move(Hex), std::move(Held));
+        if (Inserted)
+          ResidentBytes += It->second->size();
         Hits.fetch_add(1);
-        return true;
+        return It->second;
       }
       BadEntries.fetch_add(1);
       break;
@@ -605,20 +483,25 @@ bool TraceCache::lookup(const TraceCacheKey &Key, CachedTraceEntry &Out) {
     }
   }
   Misses.fetch_add(1);
-  return false;
+  return nullptr;
 }
 
-void TraceCache::store(const TraceCacheKey &Key, CachedTraceEntry Entry) {
+void TraceCache::store(const TraceCacheKey &Key, std::string Bytes) {
+  auto Held = std::make_shared<const std::string>(std::move(Bytes));
   bool Wrote = false;
   if (!Dir.empty() && ensureDirExists(Dir)) {
     // Failures are non-fatal: the entry still serves from memory, and
     // the next cold run will simply re-store it.
-    Wrote = atomicWriteFile(entryPath(Key), serializeCacheEntry(Key, Entry));
+    Wrote = atomicWriteFile(entryPath(Key), *Held);
   }
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Wrote && MaxBytes != 0)
     evictOverBudget(entryFileName(Key));
-  Memory[Key.hex()] = std::move(Entry);
+  std::shared_ptr<const std::string> &Slot = Memory[Key.hex()];
+  if (Slot)
+    ResidentBytes -= Slot->size();
+  ResidentBytes += Held->size();
+  Slot = std::move(Held);
   Stores.fetch_add(1);
 }
 

@@ -17,18 +17,20 @@
 ///  - the recorded MethodTraces themselves (statements are stored by
 ///    NodeId and re-bound to the re-parsed AST).
 ///
-/// Entries live in a thread-safe in-memory map and, when a directory
-/// is configured, in one LGTR-versioned file per entry (same
-/// magic/version/section discipline as the LGCK checkpoint format,
-/// written atomically through support/BinaryIO). Every entry carries a
-/// checksum over its payload: truncated, bit-flipped, or
-/// version-mismatched files degrade to a cache miss, never a crash.
+/// An entry is its LGTR bytes (same magic/version/section discipline
+/// as the LGCK checkpoint format, through support/BinaryIO), in memory
+/// as well as on disk. A miss serializes the live traces once; that
+/// buffer goes to the entry's file, when a directory is configured,
+/// and into a thread-safe in-memory map as a shared, immutable string.
+/// A hit copies the pointer under the map's mutex and parses the bytes
+/// outside it, straight into Values. Every entry carries a checksum
+/// over its payload: truncated, bit-flipped, or version-mismatched
+/// files degrade to a cache miss, never a crash.
 ///
-/// Values inside entries are stored in a program-independent portable
-/// form (struct types by name, statements by id) because every corpus
-/// sample re-parses its own Program; materialization re-binds them and
-/// fails softly — any unresolvable name or id turns the hit into a
-/// miss. See DESIGN.md §10 for the container layout.
+/// Struct types are stored by name and statements by id because every
+/// corpus sample re-parses its own Program; parsing binds them to that
+/// Program and fails softly — any unresolvable name or id turns the hit
+/// into a miss. See DESIGN.md §10 for the container layout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,10 +41,10 @@
 #include "testgen/TraceCollector.h"
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace liger {
 
@@ -67,68 +69,26 @@ TraceCacheKey traceCacheKey(const std::string &SourceText,
                             const std::string &MethodName,
                             const TestGenOptions &Options);
 
-/// A runtime Value lifted into program-independent form: struct types
-/// are referenced by name and re-bound at materialization time.
-struct PortableValue {
-  ValueKind Kind = ValueKind::Undef;
-  int64_t Int = 0;
-  bool Bool = false;
-  std::string Str;        ///< String payload or struct type name.
-  std::vector<PortableValue> Elements; ///< Array/struct elements.
-};
+/// Serializes one pipeline invocation into LGTR bytes, straight from
+/// the live values: \p Stats' six discovery counters (STAT) and
+/// \p Traces (TRCE), with struct types written by name and statements
+/// by NodeId. The bytes are what the cache holds in memory and writes
+/// to disk.
+std::string serializeCacheEntry(const TraceCacheKey &Key,
+                                const CollectStats &Stats,
+                                const MethodTraces &Traces);
 
-/// One symbolic-trace step, with the statement referenced by NodeId.
-struct PortableStep {
-  uint32_t StmtId = 0;
-  StepKind Kind = StepKind::Plain;
-};
-
-/// Def. 2.3 in portable form.
-struct PortableStateTrace {
-  std::vector<PortableValue> Initial;
-  std::vector<std::vector<PortableValue>> States;
-};
-
-/// Def. 5.1 in portable form.
-struct PortableBlendedTrace {
-  std::vector<PortableStep> Steps;
-  std::vector<PortableStateTrace> Concrete;
-  std::vector<std::vector<PortableValue>> Inputs;
-};
-
-/// A whole MethodTraces in portable form.
-struct PortableMethodTraces {
-  std::vector<std::string> VarNames;
-  std::vector<PortableBlendedTrace> Paths;
-};
-
-/// One cache entry: discovery counters and the recorded traces.
-struct CachedTraceEntry {
-  /// CollectStats discovery counters of the original cold run.
-  uint32_t Attempts = 0;
-  uint32_t OkRuns = 0;
-  uint32_t Faults = 0;
-  uint32_t Timeouts = 0;
-  uint32_t MemoryExceeded = 0;
-  uint32_t SymbolicSeeds = 0;
-  PortableMethodTraces Traces;
-};
-
-/// Lifts a runtime value into portable form.
-PortableValue toPortable(const Value &V);
-
-/// Re-binds a portable value against \p P (struct declarations looked
-/// up by name). Returns false when a referenced struct is missing.
-bool fromPortable(const PortableValue &PV, const Program &P, Value &Out);
-
-/// Lifts collected traces into portable form (statements by id).
-PortableMethodTraces toPortable(const MethodTraces &Traces);
-
-/// Re-binds portable traces against the re-parsed \p P / \p Fn.
-/// Returns false when any statement id or struct name fails to
-/// resolve — callers treat that as a cache miss.
-bool materializeTraces(const PortableMethodTraces &PT, const Program &P,
-                       const FunctionDecl &Fn, MethodTraces &Out);
+/// Parses LGTR bytes into the discovery counters of \p Stats and into
+/// \p Out, bound to the re-parsed \p P / \p Fn (struct types looked up
+/// by name with a field-count check, statements by id). Verifies magic,
+/// version, key, payload length and checksum first. Returns false on
+/// any malformed input or unresolvable name or id — callers treat that
+/// as a miss — and never throws or over-allocates: every count is
+/// checked against the bytes left before anything is reserved.
+/// \p Stats and \p Out are unspecified after a false return.
+bool parseCacheEntry(const std::string &Bytes, const TraceCacheKey &Key,
+                     const Program &P, const FunctionDecl &Fn,
+                     CollectStats &Stats, MethodTraces &Out);
 
 /// Thread-safe content-addressed trace cache: an in-memory map plus an
 /// optional on-disk LGTR store. Shared by every corpus worker thread.
@@ -150,8 +110,11 @@ public:
   const std::string &dir() const { return Dir; }
   uint64_t maxBytes() const { return MaxBytes; }
 
-  /// Looks \p Key up in memory, then on disk. Disk hits are promoted
-  /// into memory. Malformed disk entries count as BadEntries and miss.
+  /// Looks \p Key up in memory, then on disk, and returns the entry's
+  /// LGTR bytes (null on a miss). Every hit on one key returns the same
+  /// buffer. A disk entry enters memory only once its header and
+  /// payload checksum verify; a malformed one counts as a BadEntry and
+  /// misses.
   ///
   /// Safe under concurrency, including across processes sharing one
   /// directory (serve workers, parallel bench sweeps): entry files are
@@ -159,18 +122,24 @@ public:
   /// file from its own open handle, so every read observes one whole
   /// entry snapshot — a replacement race can at worst miss, never
   /// corrupt or misattribute an entry (the key and payload checksum
-  /// are re-verified on every disk read regardless).
-  bool lookup(const TraceCacheKey &Key, CachedTraceEntry &Out);
+  /// are re-verified on every read regardless).
+  std::shared_ptr<const std::string> lookup(const TraceCacheKey &Key);
 
-  /// Stores \p Entry in memory and, when a directory is configured, as
-  /// an LGTR file (written atomically; failures are non-fatal — the
-  /// cache degrades to memory-only for that entry).
-  void store(const TraceCacheKey &Key, CachedTraceEntry Entry);
+  /// Stores \p Bytes (serializeCacheEntry's output for \p Key) in
+  /// memory and, when a directory is configured, as an LGTR file
+  /// (written atomically; failures are non-fatal — the cache degrades
+  /// to memory-only for that entry).
+  void store(const TraceCacheKey &Key, std::string Bytes);
 
   /// File name (without directory) of \p Key's on-disk entry.
   static std::string entryFileName(const TraceCacheKey &Key);
   /// Full path of \p Key's on-disk entry ("" for memory-only caches).
   std::string entryPath(const TraceCacheKey &Key) const;
+
+  /// Entries held in memory.
+  size_t entries() const;
+  /// Summed size of the LGTR buffers held in memory.
+  uint64_t residentBytes() const;
 
   // Global counters (across all threads, monotone).
   uint64_t hits() const { return Hits.load(); }
@@ -191,8 +160,9 @@ private:
   std::string Dir;
   uint64_t MaxBytes = 0;
 
-  std::mutex Mutex;
-  std::unordered_map<std::string, CachedTraceEntry> Memory;
+  mutable std::mutex Mutex;
+  std::unordered_map<std::string, std::shared_ptr<const std::string>> Memory;
+  uint64_t ResidentBytes = 0; ///< Sum of Memory's buffer sizes.
 
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
@@ -200,15 +170,6 @@ private:
   std::atomic<uint64_t> BadEntries{0};
   std::atomic<uint64_t> Evictions{0};
 };
-
-/// Serializes \p Entry into LGTR container bytes (exposed for tests).
-std::string serializeCacheEntry(const TraceCacheKey &Key,
-                                const CachedTraceEntry &Entry);
-
-/// Parses LGTR container bytes. Returns false (never throws, never
-/// over-allocates) on any malformed input or key mismatch.
-bool deserializeCacheEntry(const std::string &Bytes,
-                           const TraceCacheKey &Key, CachedTraceEntry &Out);
 
 } // namespace liger
 

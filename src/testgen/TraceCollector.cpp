@@ -193,27 +193,6 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   return Out;
 }
 
-/// Reproduces a pipeline invocation from a cache entry: re-binds the
-/// cached traces to \p P and restores the discovery counters (so corpus
-/// filter decisions match the cold run). Returns false when the entry
-/// cannot be applied to this program; callers fall back to the full
-/// pipeline.
-bool replayEntry(const Program &P, const FunctionDecl &Fn,
-                 const CachedTraceEntry &Entry, CollectStats &LocalStats,
-                 MethodTraces &Out) {
-  Stopwatch Replay;
-  if (!materializeTraces(Entry.Traces, P, Fn, Out))
-    return false;
-  LocalStats.Attempts = Entry.Attempts;
-  LocalStats.OkRuns = Entry.OkRuns;
-  LocalStats.Faults = Entry.Faults;
-  LocalStats.Timeouts = Entry.Timeouts;
-  LocalStats.MemoryExceeded = Entry.MemoryExceeded;
-  LocalStats.SymbolicSeeds = Entry.SymbolicSeeds;
-  LocalStats.ReplaySeconds = Replay.seconds();
-  return true;
-}
-
 } // namespace
 
 MethodTraces liger::collectTraces(const Program &P, const FunctionDecl &Fn,
@@ -238,10 +217,13 @@ MethodTraces liger::collectTracesCached(const Program &P,
 
   CollectStats LocalStats;
   TraceCacheKey Key = traceCacheKey(SourceText, Fn.Name, Options);
-  CachedTraceEntry Entry;
-  if (Cache->lookup(Key, Entry)) {
+  if (std::shared_ptr<const std::string> Entry = Cache->lookup(Key)) {
+    // A hit parses the cached traces against P and restores the
+    // discovery counters, so corpus filter decisions match the cold run.
+    Stopwatch Replay;
     MethodTraces Out;
-    if (replayEntry(P, Fn, Entry, LocalStats, Out)) {
+    if (parseCacheEntry(*Entry, Key, P, Fn, LocalStats, Out)) {
+      LocalStats.ReplaySeconds = Replay.seconds();
       LocalStats.CacheHits = 1;
       if (Stats)
         *Stats = LocalStats;
@@ -254,16 +236,7 @@ MethodTraces liger::collectTracesCached(const Program &P,
 
   LocalStats.CacheMisses = 1;
   MethodTraces Out = runPipeline(P, Fn, Options, LocalStats);
-
-  CachedTraceEntry NewEntry;
-  NewEntry.Attempts = LocalStats.Attempts;
-  NewEntry.OkRuns = LocalStats.OkRuns;
-  NewEntry.Faults = LocalStats.Faults;
-  NewEntry.Timeouts = LocalStats.Timeouts;
-  NewEntry.MemoryExceeded = LocalStats.MemoryExceeded;
-  NewEntry.SymbolicSeeds = LocalStats.SymbolicSeeds;
-  NewEntry.Traces = toPortable(Out);
-  Cache->store(Key, std::move(NewEntry));
+  Cache->store(Key, serializeCacheEntry(Key, LocalStats, Out));
 
   if (Stats)
     *Stats = LocalStats;

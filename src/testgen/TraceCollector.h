@@ -84,7 +84,7 @@ struct CollectStats {
   double SymbolicSeconds = 0; ///< Phase 2: symbolic seeding.
   double MutateSeconds = 0;   ///< Phase 3: same-path mutation.
   double RecordSeconds = 0;   ///< Phase 4: state-recording runs.
-  double ReplaySeconds = 0;   ///< Cache-hit replay / materialization.
+  double ReplaySeconds = 0;   ///< Cache-hit replay: parsing the entry.
 
   /// True when every single run timed out (the "takes too long" filter).
   bool allTimedOut() const { return Attempts > 0 && Timeouts == Attempts; }

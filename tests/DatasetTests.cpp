@@ -416,6 +416,36 @@ TEST(CorpusTraceCacheTest, OffColdWarmBitwiseIdentical) {
   expectFunnelEqual(WarmStats, OffStats);
 }
 
+TEST(CorpusTraceCacheTest, SharedMemoryCacheAcrossThreads) {
+  // One memory-only cache shared by four workers: the cold pass stores
+  // concurrently, and the warm pass parses the shared entry buffers
+  // concurrently, outside the cache's lock.
+  CorpusOptions Options = smallCorpusOptions();
+  Options.NumMethods = 24;
+  Options.Threads = 4;
+
+  CorpusStats OffStats;
+  uint64_t OffFp = corpusFingerprint(generateMethodCorpus(Options, &OffStats));
+  EXPECT_GT(OffStats.CacheBypassed, 0u);
+
+  TraceCache Cache(TraceCacheMode::Full, "");
+  Options.Cache = &Cache;
+  CorpusStats ColdStats, WarmStats;
+  uint64_t ColdFp =
+      corpusFingerprint(generateMethodCorpus(Options, &ColdStats));
+  uint64_t WarmFp =
+      corpusFingerprint(generateMethodCorpus(Options, &WarmStats));
+
+  EXPECT_EQ(ColdFp, OffFp);
+  EXPECT_EQ(WarmFp, OffFp);
+  EXPECT_EQ(ColdStats.CacheMisses, OffStats.CacheBypassed);
+  EXPECT_EQ(WarmStats.CacheMisses, 0u);
+  EXPECT_EQ(WarmStats.CacheHits, OffStats.CacheBypassed);
+  EXPECT_EQ(Cache.entries(), OffStats.CacheBypassed);
+  expectFunnelEqual(ColdStats, OffStats);
+  expectFunnelEqual(WarmStats, OffStats);
+}
+
 //===----------------------------------------------------------------------===//
 // Golden digests: interpreter outputs and one Table-1 corpus, pinned
 //===----------------------------------------------------------------------===//

@@ -816,6 +816,50 @@ TEST(ServeSharedCacheTest, TwoEnginesShareOneDirectory) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(ServeSharedCacheTest, ResidentBytesMatchWrittenEntries) {
+  // Every entry in a directory-backed cache's memory went through one
+  // buffer that was also written to its file, so the cache's resident
+  // bytes are exactly the directory's LGTR bytes, and stats() says so.
+  std::string Dir = tempPath("liger-serve-resident-bytes");
+  std::filesystem::remove_all(Dir);
+  ServeConfig Config = tinyServeConfig();
+  Config.Scale.TraceCacheDir = Dir;
+  Config.Scale.Cache = std::make_shared<TraceCache>(
+      Config.Scale.CacheMode, Config.Scale.TraceCacheDir);
+  TraceCache &Cache = *Config.Scale.Cache;
+
+  ServeEngine Engine(Config);
+  std::vector<ServeResponse> Out = Engine.handleBatch(
+      {{"sumAll", SumSource, 0}, {"spinner", SpinSource, 60000}});
+  ASSERT_EQ(Out[0].Status, ServeStatus::Ok);
+  ASSERT_EQ(Engine.handle({"sumAll", SumSource, 0}).Status, ServeStatus::Ok);
+
+  uint64_t FileBytes = 0;
+  size_t Files = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == ".lgtr") {
+      FileBytes += E.file_size();
+      ++Files;
+    }
+  EXPECT_GT(Files, 0u);
+  EXPECT_EQ(Cache.residentBytes(), FileBytes);
+  EXPECT_EQ(Cache.entries(), Files);
+  ServeStats S = Engine.stats();
+  EXPECT_EQ(S.TraceCacheBytes, FileBytes);
+  EXPECT_EQ(S.TraceCacheEntries, Files);
+
+  // No cache, nothing held.
+  ServeConfig Bare = tinyServeConfig();
+  Bare.Scale.CacheMode = TraceCacheMode::Off;
+  Bare.Scale.Cache = nullptr;
+  ServeEngine Uncached(Bare);
+  EXPECT_EQ(Uncached.handle({"sumAll", SumSource, 0}).Status,
+            ServeStatus::Ok);
+  EXPECT_EQ(Uncached.stats().TraceCacheEntries, 0u);
+  EXPECT_EQ(Uncached.stats().TraceCacheBytes, 0u);
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
   std::string Dir = tempPath("liger-trace-cache-concurrent");
   std::filesystem::remove_all(Dir);
@@ -834,13 +878,15 @@ TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
     return traceCacheKey("shared-source", "method" + std::to_string(I),
                          Options);
   };
-  auto entryOf = [](size_t I) {
-    CachedTraceEntry E;
-    E.Attempts = static_cast<uint32_t>(10 + I);
-    E.OkRuns = static_cast<uint32_t>(I);
-    E.Traces.VarNames = {"v" + std::to_string(I)};
-    return E;
-  };
+  std::vector<std::string> Entries;
+  for (size_t I = 0; I < NumKeys; ++I) {
+    CollectStats Stats;
+    Stats.Attempts = static_cast<unsigned>(10 + I);
+    Stats.OkRuns = static_cast<unsigned>(I);
+    MethodTraces Traces;
+    Traces.VarNames = {"v" + std::to_string(I)};
+    Entries.push_back(serializeCacheEntry(keyOf(I), Stats, Traces));
+  }
 
   std::vector<std::unique_ptr<TraceCache>> Caches;
   for (size_t T = 0; T < NumThreads; ++T)
@@ -854,12 +900,10 @@ TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
       for (size_t R = 0; R < Rounds; ++R)
         for (size_t I = 0; I < NumKeys; ++I) {
           if ((R + T + I) % 2 == 0)
-            Caches[T]->store(keyOf(I), entryOf(I));
-          CachedTraceEntry Out;
-          if (Caches[T]->lookup(keyOf(I), Out))
-            if (Out.Attempts != 10 + I || Out.OkRuns != I ||
-                Out.Traces.VarNames !=
-                    std::vector<std::string>{"v" + std::to_string(I)})
+            Caches[T]->store(keyOf(I), Entries[I]);
+          if (std::shared_ptr<const std::string> Out =
+                  Caches[T]->lookup(keyOf(I)))
+            if (*Out != Entries[I])
               WrongPayloads.fetch_add(1);
         }
     });
@@ -874,8 +918,9 @@ TEST(TraceCacheConcurrencyTest, SharedDirReadersAndWritersStayClean) {
   // A fresh instance over the settled directory hits every key.
   TraceCache Fresh(TraceCacheMode::Full, Dir);
   for (size_t I = 0; I < NumKeys; ++I) {
-    CachedTraceEntry Out;
-    EXPECT_TRUE(Fresh.lookup(keyOf(I), Out)) << "key " << I;
+    std::shared_ptr<const std::string> Out = Fresh.lookup(keyOf(I));
+    ASSERT_TRUE(Out) << "key " << I;
+    EXPECT_EQ(*Out, Entries[I]) << "key " << I;
   }
   std::filesystem::remove_all(Dir);
 }

@@ -10,10 +10,12 @@
 #include "testgen/TraceCollector.h"
 
 #include "lang/Parser.h"
+#include "support/BinaryIO.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 
 using namespace liger;
@@ -501,15 +503,18 @@ TEST(TraceCacheTest, MaxBytesEvictsLeastRecentlyUsed) {
     O.Seed = 1000 + static_cast<uint64_t>(I);
     return traceCacheKey(SortProgram, "sort", O);
   };
-  CachedTraceEntry Entry;
-  Entry.Attempts = 1;
-  Entry.OkRuns = 1;
-  uint64_t One = serializeCacheEntry(KeyOf(0), Entry).size();
+  auto EntryOf = [&](int I) {
+    CollectStats Stats;
+    Stats.Attempts = 1;
+    Stats.OkRuns = 1;
+    return serializeCacheEntry(KeyOf(I), Stats, MethodTraces());
+  };
+  uint64_t One = EntryOf(0).size();
 
   TraceCache Cache(TraceCacheMode::Full, Dir, /*MaxBytes=*/3 * One);
   EXPECT_EQ(Cache.maxBytes(), 3 * One);
   for (int I = 0; I < 3; ++I)
-    Cache.store(KeyOf(I), Entry);
+    Cache.store(KeyOf(I), EntryOf(I));
   // Exactly at the bound: nothing to evict.
   EXPECT_EQ(Cache.evictions(), 0u);
   for (int I = 0; I < 3; ++I)
@@ -524,7 +529,7 @@ TEST(TraceCacheTest, MaxBytesEvictsLeastRecentlyUsed) {
 
   // The fourth store pushes the directory over budget by one entry:
   // exactly the oldest file goes.
-  Cache.store(KeyOf(3), Entry);
+  Cache.store(KeyOf(3), EntryOf(3));
   EXPECT_EQ(Cache.evictions(), 1u);
   EXPECT_FALSE(fs::exists(Cache.entryPath(KeyOf(1))));
   EXPECT_TRUE(fs::exists(Cache.entryPath(KeyOf(0))));
@@ -535,52 +540,156 @@ TEST(TraceCacheTest, MaxBytesEvictsLeastRecentlyUsed) {
   // still hits a surviving one; the writer's own memory map keeps
   // serving the evicted key regardless.
   TraceCache Fresh(TraceCacheMode::Full, Dir);
-  CachedTraceEntry Out;
-  EXPECT_FALSE(Fresh.lookup(KeyOf(1), Out));
-  EXPECT_TRUE(Fresh.lookup(KeyOf(0), Out));
-  EXPECT_TRUE(Cache.lookup(KeyOf(1), Out));
+  EXPECT_FALSE(Fresh.lookup(KeyOf(1)));
+  EXPECT_TRUE(Fresh.lookup(KeyOf(0)));
+  EXPECT_TRUE(Cache.lookup(KeyOf(1)));
 
   // A budget smaller than one entry still keeps the newest store: the
   // entry just written is never its own victim.
   TraceCache Tiny(TraceCacheMode::Full, Dir, /*MaxBytes=*/1);
-  Tiny.store(KeyOf(9), Entry);
+  Tiny.store(KeyOf(9), EntryOf(9));
   EXPECT_TRUE(fs::exists(Tiny.entryPath(KeyOf(9))));
   EXPECT_EQ(Tiny.evictions(), 3u); // everything but the new entry
 }
 
-TEST(TraceCacheTest, PortableValueRoundTrip) {
+TEST(TraceCacheTest, ValueRoundTrip) {
   Program P = mustParse(StructProgram);
+  const FunctionDecl &Fn = P.Functions[0];
   const StructDecl *Pt = P.findStruct("Pt");
   ASSERT_NE(Pt, nullptr);
+  TraceCacheKey Key = traceCacheKey(StructProgram, Fn.Name, tinyTraceGen());
 
   std::vector<Value> Originals;
   Originals.push_back(Value::undef());
   Originals.push_back(Value::makeInt(-42));
+  Originals.push_back(Value::makeInt(INT64_MIN));
+  Originals.push_back(Value::makeInt(INT64_MAX));
   Originals.push_back(Value::makeBool(true));
-  Originals.push_back(Value::makeString("ab\"c"));
+  Originals.push_back(Value::makeBool(false));
+  Originals.push_back(Value::makeString(""));
+  Originals.push_back(Value::makeString(std::string("a\"b\0c", 5)));
+  Originals.push_back(Value::makeArray({}));
   Originals.push_back(Value::makeArray(
-      {Value::makeInt(1), Value::makeInt(2), Value::makeInt(3)}));
+      {Value::makeArray({Value::makeInt(1), Value::makeInt(2)}),
+       Value::makeArray({}),
+       Value::makeArray({Value::makeString("x"), Value::undef()})}));
   Originals.push_back(
       Value::makeStruct(Pt, {Value::makeInt(5), Value::makeInt(-7)}));
+  Originals.push_back(Value::makeArray(
+      {Value::makeStruct(Pt, {Value::makeInt(0), Value::makeInt(1)})}));
 
-  for (const Value &V : Originals) {
-    PortableValue PV = toPortable(V);
-    Value Back;
-    ASSERT_TRUE(fromPortable(PV, P, Back)) << V.str();
-    EXPECT_TRUE(V.equals(Back)) << V.str() << " vs " << Back.str();
+  // Every value once in an initial state, a program state and an
+  // input tuple: the three value lists TRCE stores.
+  auto tracesOf = [](const std::vector<Value> &Vs) {
+    MethodTraces T;
+    T.VarNames = {"v"};
+    BlendedTrace Path;
+    StateTrace ST;
+    ST.Initial.Values = Vs;
+    ST.States.push_back({Vs});
+    Path.Concrete.push_back(ST);
+    Path.Inputs.push_back(Vs);
+    T.Paths.push_back(Path);
+    return T;
+  };
+  CollectStats Stats;
+  std::string Bytes = serializeCacheEntry(Key, Stats, tracesOf(Originals));
+
+  CollectStats BackStats;
+  MethodTraces Back;
+  ASSERT_TRUE(parseCacheEntry(Bytes, Key, P, Fn, BackStats, Back));
+  EXPECT_EQ(Back.Fn, &Fn);
+  ASSERT_EQ(Back.Paths.size(), 1u);
+  const BlendedTrace &Path = Back.Paths[0];
+  ASSERT_EQ(Path.Concrete.size(), 1u);
+  ASSERT_EQ(Path.Concrete[0].States.size(), 1u);
+  ASSERT_EQ(Path.Inputs.size(), 1u);
+  for (const std::vector<Value> *Vs :
+       {&Path.Concrete[0].Initial.Values, &Path.Concrete[0].States[0].Values,
+        &Path.Inputs[0]}) {
+    ASSERT_EQ(Vs->size(), Originals.size());
+    for (size_t I = 0; I < Originals.size(); ++I)
+      // Same Program: equals() also compares the bound StructDecl.
+      EXPECT_TRUE(Originals[I].equals((*Vs)[I]))
+          << Originals[I].str() << " vs " << (*Vs)[I].str();
   }
 
   // A struct type the program does not declare fails softly.
-  PortableValue Unknown;
-  Unknown.Kind = ValueKind::Struct;
-  Unknown.Str = "NoSuchStruct";
-  Value Back;
-  EXPECT_FALSE(fromPortable(Unknown, P, Back));
+  Program Other = mustParse("struct Q { int a; }\nint f(Q q) { return q.a; }");
+  Value Unknown = Value::makeStruct(Other.findStruct("Q"), {Value::makeInt(1)});
+  Bytes = serializeCacheEntry(Key, Stats, tracesOf({Unknown}));
+  EXPECT_FALSE(parseCacheEntry(Bytes, Key, P, Fn, BackStats, Back));
 
   // Field-count mismatch (stale entry against an evolved struct) too.
-  PortableValue WrongArity = toPortable(Originals.back());
-  WrongArity.Elements.pop_back();
-  EXPECT_FALSE(fromPortable(WrongArity, P, Back));
+  Program Evolved =
+      mustParse("struct Pt { int x; }\nint f(Pt p) { return p.x; }");
+  Value OneField =
+      Value::makeStruct(Evolved.findStruct("Pt"), {Value::makeInt(1)});
+  Bytes = serializeCacheEntry(Key, Stats, tracesOf({OneField}));
+  EXPECT_FALSE(parseCacheEntry(Bytes, Key, P, Fn, BackStats, Back));
+}
+
+TEST(TraceCacheTest, EntryBytesAreStable) {
+  // Pins the LGTR writer byte for byte: on-disk entries written by
+  // earlier builds must keep hitting without a format-version bump.
+  // The digest was computed with the writer that serialized entries
+  // through an intermediate, program-independent value tree.
+  Program P = mustParse(StructProgram);
+  const FunctionDecl &Fn = P.Functions[0];
+  TestGenOptions Options = tinyTraceGen();
+  CollectStats Stats;
+  MethodTraces Traces = collectTraces(P, Fn, Options, &Stats);
+  TraceCacheKey Key = traceCacheKey(StructProgram, Fn.Name, Options);
+  std::string Bytes = serializeCacheEntry(Key, Stats, Traces);
+
+  StableHash H;
+  H.addBytes(Bytes.data(), Bytes.size());
+  EXPECT_EQ(Key.hex(), "d30277a3e52361d82a0d8ec08f0bb06d");
+  EXPECT_EQ(Bytes.size(), 3508u);
+  EXPECT_EQ(H.digest(), 13306745716922321847ull);
+}
+
+TEST(TraceCacheTest, HitSharesStoredBytes) {
+  Program P = mustParse(AbsProgram);
+  const FunctionDecl &Fn = P.Functions[0];
+  TestGenOptions Options = tinyTraceGen();
+  std::string Dir = testing::TempDir() + "/liger_trace_cache_shared";
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir, Ec); // stale entries from prior runs
+
+  CollectStats Stats;
+  MethodTraces Traces = collectTraces(P, Fn, Options, &Stats);
+  TraceCacheKey Key = traceCacheKey(AbsProgram, Fn.Name, Options);
+  std::string Bytes = serializeCacheEntry(Key, Stats, Traces);
+
+  // Memory hits hand out the stored buffer itself, never a copy.
+  TraceCache Cache(TraceCacheMode::Full, Dir);
+  Cache.store(Key, Bytes);
+  std::shared_ptr<const std::string> First = Cache.lookup(Key);
+  std::shared_ptr<const std::string> Second = Cache.lookup(Key);
+  ASSERT_TRUE(First);
+  EXPECT_EQ(First.get(), Second.get());
+  EXPECT_EQ(*First, Bytes);
+  EXPECT_EQ(Cache.entries(), 1u);
+  EXPECT_EQ(Cache.residentBytes(), Bytes.size());
+
+  // Re-storing a key replaces its buffer; resident bytes count it once.
+  Cache.store(Key, Bytes);
+  EXPECT_EQ(Cache.entries(), 1u);
+  EXPECT_EQ(Cache.residentBytes(), Bytes.size());
+
+  // A disk hit promotes the file's bytes; later hits share that buffer.
+  TraceCache Fresh(TraceCacheMode::Full, Dir);
+  EXPECT_EQ(Fresh.entries(), 0u);
+  EXPECT_EQ(Fresh.residentBytes(), 0u);
+  std::shared_ptr<const std::string> FromDisk = Fresh.lookup(Key);
+  ASSERT_TRUE(FromDisk);
+  EXPECT_EQ(*FromDisk, Bytes);
+  EXPECT_EQ(Fresh.lookup(Key).get(), FromDisk.get());
+  EXPECT_EQ(Fresh.entries(), 1u);
+  EXPECT_EQ(Fresh.residentBytes(), Bytes.size());
+  EXPECT_EQ(Fresh.hits(), 2u);
+  EXPECT_EQ(Fresh.misses(), 0u);
 }
 
 TEST(TraceCacheTest, ColdWarmEquivalenceInMemory) {
@@ -654,58 +763,78 @@ TEST(TraceCacheTest, SerializedEntryRoundTrips) {
 
   TraceCache Cache(TraceCacheMode::Full, Dir);
   CollectStats Cold;
-  collectTracesCached(P, Fn, StructProgram, Options, &Cache, &Cold);
+  MethodTraces Traces =
+      collectTracesCached(P, Fn, StructProgram, Options, &Cache, &Cold);
+  ASSERT_FALSE(Traces.Paths.empty());
 
+  // One buffer: what memory holds is what the file holds, and both are
+  // the cold run's traces serialized.
   TraceCacheKey Key = traceCacheKey(StructProgram, Fn.Name, Options);
-  CachedTraceEntry Entry;
-  ASSERT_TRUE(Cache.lookup(Key, Entry));
-  std::string Bytes = serializeCacheEntry(Key, Entry);
+  std::shared_ptr<const std::string> Held = Cache.lookup(Key);
+  ASSERT_TRUE(Held);
+  std::string OnDisk;
+  ASSERT_EQ(readWholeFile(Cache.entryPath(Key), 1u << 20, OnDisk),
+            ReadResult::Ok);
+  EXPECT_EQ(*Held, OnDisk);
+  EXPECT_EQ(*Held, serializeCacheEntry(Key, Cold, Traces));
 
-  CachedTraceEntry Back;
-  ASSERT_TRUE(deserializeCacheEntry(Bytes, Key, Back));
-  EXPECT_EQ(Back.Attempts, Entry.Attempts);
-  EXPECT_EQ(Back.OkRuns, Entry.OkRuns);
-  // TRCE is the whole entry: the round-tripped traces must rebind to
-  // exactly the cached ones.
-  MethodTraces Expected, Actual;
-  ASSERT_TRUE(materializeTraces(Entry.Traces, P, Fn, Expected));
-  ASSERT_TRUE(materializeTraces(Back.Traces, P, Fn, Actual));
-  ASSERT_FALSE(Expected.Paths.empty());
-  expectTracesEqual(Expected, Actual);
+  // TRCE is the whole entry: the parsed traces must equal the cold ones.
+  CollectStats BackStats;
+  MethodTraces Back;
+  ASSERT_TRUE(parseCacheEntry(*Held, Key, P, Fn, BackStats, Back));
+  expectDiscoveryStatsEqual(Cold, BackStats);
+  expectTracesEqual(Traces, Back);
 
   // A different key must reject the same bytes.
   TestGenOptions Other = Options;
   Other.Seed += 1;
   TraceCacheKey WrongKey = traceCacheKey(StructProgram, Fn.Name, Other);
-  EXPECT_FALSE(deserializeCacheEntry(Bytes, WrongKey, Back));
+  EXPECT_FALSE(parseCacheEntry(*Held, WrongKey, P, Fn, BackStats, Back));
+}
+
+TEST(TraceCacheTest, UnknownStatementIdIsMiss) {
+  // Statements bind by id: an entry recorded against a longer program
+  // carries ids the shorter one never assigned.
+  Program Sort = mustParse(SortProgram);
+  TestGenOptions Options = tinyTraceGen();
+  CollectStats Stats;
+  MethodTraces Traces =
+      collectTraces(Sort, Sort.Functions[0], Options, &Stats);
+  ASSERT_FALSE(Traces.Paths.empty());
+  TraceCacheKey Key = traceCacheKey(SortProgram, "sort", Options);
+  std::string Bytes = serializeCacheEntry(Key, Stats, Traces);
+
+  Program Abs = mustParse(AbsProgram);
+  CollectStats BackStats;
+  MethodTraces Back;
+  EXPECT_FALSE(
+      parseCacheEntry(Bytes, Key, Abs, Abs.Functions[0], BackStats, Back));
+  EXPECT_TRUE(
+      parseCacheEntry(Bytes, Key, Sort, Sort.Functions[0], BackStats, Back));
 }
 
 TEST(TraceCacheTest, TruncationAtEveryOffsetIsMiss) {
   // The acceptance bar for the LGTR reader: an entry cut at ANY byte
-  // offset must deserialize to false — no crash, no sanitizer finding,
-  // no over-allocation.
+  // offset must parse to false — no crash, no sanitizer finding, no
+  // over-allocation.
   Program P = mustParse(StructProgram);
   const FunctionDecl &Fn = P.Functions[0];
   TestGenOptions Options = tinyTraceGen();
   Options.TargetPaths = 2;
   Options.ExecutionsPerPath = 1;
 
-  TraceCache Cache(TraceCacheMode::Full, "");
   CollectStats Cold;
-  collectTracesCached(P, Fn, StructProgram, Options, &Cache, &Cold);
+  MethodTraces Traces = collectTraces(P, Fn, Options, &Cold);
   TraceCacheKey Key = traceCacheKey(StructProgram, Fn.Name, Options);
-  CachedTraceEntry Entry;
-  ASSERT_TRUE(Cache.lookup(Key, Entry));
-  std::string Bytes = serializeCacheEntry(Key, Entry);
+  std::string Bytes = serializeCacheEntry(Key, Cold, Traces);
   ASSERT_GT(Bytes.size(), 48u);
 
-  for (size_t Len = 0; Len < Bytes.size(); ++Len) {
-    CachedTraceEntry Out;
-    EXPECT_FALSE(deserializeCacheEntry(Bytes.substr(0, Len), Key, Out))
+  CollectStats Stats;
+  MethodTraces Out;
+  for (size_t Len = 0; Len < Bytes.size(); ++Len)
+    EXPECT_FALSE(parseCacheEntry(Bytes.substr(0, Len), Key, P, Fn, Stats, Out))
         << "truncation at " << Len << " parsed successfully";
-  }
-  CachedTraceEntry Out;
-  EXPECT_TRUE(deserializeCacheEntry(Bytes, Key, Out));
+  EXPECT_TRUE(parseCacheEntry(Bytes, Key, P, Fn, Stats, Out));
 }
 
 TEST(TraceCacheTest, ByteFlipAtEveryOffsetIsMiss) {
@@ -717,19 +846,17 @@ TEST(TraceCacheTest, ByteFlipAtEveryOffsetIsMiss) {
   Options.TargetPaths = 2;
   Options.ExecutionsPerPath = 1;
 
-  TraceCache Cache(TraceCacheMode::Full, "");
   CollectStats Cold;
-  collectTracesCached(P, Fn, AbsProgram, Options, &Cache, &Cold);
+  MethodTraces Traces = collectTraces(P, Fn, Options, &Cold);
   TraceCacheKey Key = traceCacheKey(AbsProgram, Fn.Name, Options);
-  CachedTraceEntry Entry;
-  ASSERT_TRUE(Cache.lookup(Key, Entry));
-  std::string Bytes = serializeCacheEntry(Key, Entry);
+  std::string Bytes = serializeCacheEntry(Key, Cold, Traces);
 
+  CollectStats Stats;
+  MethodTraces Out;
   for (size_t I = 0; I < Bytes.size(); ++I) {
     std::string Bad = Bytes;
     Bad[I] = static_cast<char>(Bad[I] ^ 0x5A);
-    CachedTraceEntry Out;
-    EXPECT_FALSE(deserializeCacheEntry(Bad, Key, Out))
+    EXPECT_FALSE(parseCacheEntry(Bad, Key, P, Fn, Stats, Out))
         << "byte flip at " << I << " parsed successfully";
   }
 }

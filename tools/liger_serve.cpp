@@ -19,7 +19,10 @@
 /// Responses (stdout), in request order:
 ///   RESP <idx> <status> <millis> <hit|miss|->[ <subtokens...>]
 ///   EMB <idx> <f0> <f1> ...       (--emit-embedding, Ok only)
-///   STATS requests=N ok=N ... stmt-hits=N ...
+///   STATS requests=N ok=N ... trace-hits=N trace-misses=N
+///         trace-cache-entries=N trace-cache-bytes=N stmt-hits=N ...
+///         (one line; trace-cache-*: what the trace cache holds in
+///         memory, its entries and their LGTR bytes)
 ///
 /// Flags: --workers=N --deadline-ms=N --checkpoint=PATH --large
 ///        --emit-embedding --smoke, plus every ExperimentScale flag
@@ -151,6 +154,7 @@ void printStats(const ServeStats &S) {
   std::printf("STATS requests=%llu ok=%llu parse-error=%llu "
               "no-such-method=%llu too-small=%llu no-traces=%llu "
               "deadline-exceeded=%llu trace-hits=%llu trace-misses=%llu "
+              "trace-cache-entries=%llu trace-cache-bytes=%llu "
               "stmt-hits=%llu stmt-misses=%llu state-hits=%llu "
               "state-misses=%llu\n",
               (unsigned long long)S.Requests, (unsigned long long)S.Ok,
@@ -161,6 +165,8 @@ void printStats(const ServeStats &S) {
               (unsigned long long)S.DeadlineExceeded,
               (unsigned long long)S.TraceCacheHits,
               (unsigned long long)S.TraceCacheMisses,
+              (unsigned long long)S.TraceCacheEntries,
+              (unsigned long long)S.TraceCacheBytes,
               (unsigned long long)S.Embeddings.StmtHits,
               (unsigned long long)S.Embeddings.StmtMisses,
               (unsigned long long)S.Embeddings.StateHits,
