@@ -7,10 +7,12 @@
 #   1. tier-1: build + full ctest in the primary build tree
 #      (LIGER_VERIFY_BUILD_DIR, default ./build);
 #   2. sanitized gradcheck: ASan+UBSan build (build-asan) running the
-#      autodiff grad-check, arena, grad-sink, and checkpoint suites plus
-#      the equivalence suites that pin the fused ops against the
-#      reference graphs in tests/ReferenceGraphs and the batched ops
-#      against per-lane loops;
+#      autodiff grad-check, arena, grad-sink, and checkpoint suites, the
+#      equivalence suites that pin the fused ops against the reference
+#      graphs in tests/ReferenceGraphs and the batched ops against
+#      per-lane loops, and the activation-kernel suite (the AVX2 tanh
+#      and sigmoid against libm at every length 0..33, unaligned and in
+#      place, so a vector access past a buffer's end is caught);
 #   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite, the
 #      byte-codec suite under all three file formats (BinaryIOTest), the
 #      thread-determinism corpus suites and the golden interpreter/corpus
@@ -42,7 +44,8 @@
 #      lockstep walk) under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
-#      AVX2 ones;
+#      AVX2 ones (there the activation kernels are the libm calls
+#      themselves, so ActivationKernelTest holds trivially);
 #   5. kernel benches in smoke mode on both the SIMD and the scalar
 #      build (sanity that the bench harness, the fused ops, and the
 #      batched matmul/cell/attention paths still run; timings are not
@@ -87,7 +90,7 @@ cmake --build "$REPO/build-asan" -j "$JOBS" \
            lang_tests symx_tests eval_tests models_tests serve_tests \
            liger_fuzz liger_serve
 "$REPO/build-asan/tests/nn_tests" \
-  --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
+  --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*:ActivationKernelTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
 "$REPO/build-asan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'

@@ -504,9 +504,11 @@ LigerInference::encodePath(const BlendedTrace &Path,
   return Trace.H;
 }
 
-const float *
-LigerInference::encodeInternal(const MethodTraces &Traces,
-                               std::vector<const float *> &StepMemory) {
+LigerInference::Encoding
+LigerInference::encodeForDecode(const MethodTraces &Traces) {
+  beginRequest();
+  Encoding Enc;
+  std::vector<const float *> &StepMemory = Enc.StepMemory;
   std::vector<const float *> PathEmbeddings;
   for (const BlendedTrace &Path : Traces.Paths) {
     if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
@@ -521,15 +523,15 @@ LigerInference::encodeInternal(const MethodTraces &Traces,
   if (PathEmbeddings.empty()) {
     float *Zero = Arena.allocZeroed(H);
     StepMemory.push_back(Zero);
-    return Zero;
+    Enc.Program = Zero;
+    return Enc;
   }
-  const float *Program;
   if (Config.MeanPoolPrograms) {
     float *Out = Arena.allocZeroed(H);
     float Inv = 1.0f / static_cast<float>(PathEmbeddings.size());
     for (const float *Item : PathEmbeddings)
       kernels::axpy(H, Inv, Item, Out);
-    Program = Out;
+    Enc.Program = Out;
   } else {
     // maxPool: copy the first item, strict-> updates after.
     float *Out = Arena.alloc(H);
@@ -540,17 +542,15 @@ LigerInference::encodeInternal(const MethodTraces &Traces,
         if (Item[D] > Out[D])
           Out[D] = Item[D];
     }
-    Program = Out;
+    Enc.Program = Out;
   }
   if (StepMemory.empty())
-    StepMemory.push_back(Program);
-  return Program;
+    StepMemory.push_back(Enc.Program);
+  return Enc;
 }
 
 const float *LigerInference::encode(const MethodTraces &Traces) {
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  return encodeInternal(Traces, StepMemory);
+  return encodeForDecode(Traces).Program;
 }
 
 //===----------------------------------------------------------------------===//
@@ -611,10 +611,12 @@ LigerInference::decodeGreedy(const float *ProgramEmbedding,
 
 std::vector<std::string>
 LigerInference::predictName(const MethodTraces &Traces) {
+  return predictName(encodeForDecode(Traces));
+}
+
+std::vector<std::string>
+LigerInference::predictName(const Encoding &Encoded) {
   LIGER_CHECK(TargetVocab, "predictName needs a target vocabulary");
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  const float *Program = encodeInternal(Traces, StepMemory);
-  std::vector<int> Ids = decodeGreedy(Program, StepMemory);
+  std::vector<int> Ids = decodeGreedy(Encoded.Program, Encoded.StepMemory);
   return idsToSubtokens(Ids, *TargetVocab);
 }

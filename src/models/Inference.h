@@ -96,6 +96,20 @@ public:
   LigerInference(const WeightImage &Image, const Vocabulary &JointVocab,
                  const Vocabulary *Target, const LigerConfig &Config);
 
+  /// One request's encoder output: the program embedding
+  /// (Config.Hidden floats) and the step memory the decoder attends
+  /// over. Arena-owned: valid until the next encode/predict call on
+  /// this engine.
+  struct Encoding {
+    const float *Program = nullptr;
+    std::vector<const float *> StepMemory;
+  };
+
+  /// Runs the encoder once. A caller that wants the embedding and the
+  /// name passes the result to predictName(const Encoding &), which
+  /// decodes from the same step memory instead of encoding again.
+  Encoding encodeForDecode(const MethodTraces &Traces);
+
   /// Program embedding (Config.Hidden floats, arena-owned: valid until
   /// the next encode/predict call on this engine).
   const float *encode(const MethodTraces &Traces);
@@ -103,6 +117,9 @@ public:
   /// Greedy-decoded method-name subtokens (mirrors
   /// LigerNamePredictor::predict).
   std::vector<std::string> predictName(const MethodTraces &Traces);
+  /// The same, decoded from \p Encoded: this engine's latest
+  /// encodeForDecode() result.
+  std::vector<std::string> predictName(const Encoding &Encoded);
 
   /// Re-binds against \p Image (same architecture). The embedding
   /// store survives when the content digest matches and is dropped
@@ -187,8 +204,6 @@ private:
                         size_t NumConcrete, const float *PrevH);
   const float *encodePath(const BlendedTrace &Path,
                           std::vector<const float *> &StepMemory);
-  const float *encodeInternal(const MethodTraces &Traces,
-                              std::vector<const float *> &StepMemory);
   std::vector<int> decodeGreedy(const float *ProgramEmbedding,
                                 const std::vector<const float *> &Memory);
 

@@ -768,18 +768,14 @@ inline float sum(size_t N, const float *__restrict A) {
 /// The logistic function, spelled exactly as sigmoidV applies it.
 inline float sigmoidScalar(float X) { return 1.0f / (1.0f + std::exp(-X)); }
 
-/// Y[i] = sigmoid(X[i]) (X and Y may be the same buffer — not
-/// restrict-qualified for that reason).
-inline void sigmoidMap(size_t N, const float *X, float *Y) {
-  for (size_t I = 0; I < N; ++I)
-    Y[I] = sigmoidScalar(X[I]);
-}
+/// Y[i] = sigmoidScalar(X[i]), bit for bit (X and Y may be the same
+/// buffer — not restrict-qualified for that reason). Defined in
+/// Activation.cpp, with the AVX2 lanes that reproduce libm's expf.
+void sigmoidMap(size_t N, const float *X, float *Y);
 
-/// Y[i] = tanh(X[i]) (in-place allowed).
-inline void tanhMap(size_t N, const float *X, float *Y) {
-  for (size_t I = 0; I < N; ++I)
-    Y[I] = std::tanh(X[I]);
-}
+/// Y[i] = std::tanh(X[i]), bit for bit (in-place allowed). Defined in
+/// Activation.cpp, with the AVX2 lanes that reproduce libm's tanhf.
+void tanhMap(size_t N, const float *X, float *Y);
 
 /// Y[i] += G[i] * V[i] (mul backward wrt one operand).
 inline void mulAcc(size_t N, const float *__restrict G,

@@ -181,10 +181,12 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
   };
 
   // The corpus pipeline, phase by phase (dataset/Corpus.cpp
-  // buildSample), with a wall-clock check after each phase. Every
-  // phase is itself bounded by the fuel / memory / attempt budgets of
-  // DESIGN.md §12, so the deadline can overshoot by at most one
-  // budget-bounded phase before it is observed.
+  // buildSample), with a wall-clock check after each phase. The fuel /
+  // memory / attempt budgets of DESIGN.md §12 bound each phase's work
+  // but not its time, and nothing checks the clock inside a phase: the
+  // symbolic phase alone can return 0.7-2.7 s after a 1 ms deadline
+  // (DESIGN.md §13.3; preempting inside a phase is an open ROADMAP
+  // item).
   DiagnosticSink Diags;
   std::optional<Program> Parsed = parseAndCheck(Request.Source, Diags);
   if (!Parsed)
@@ -228,13 +230,14 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
   if (Traces.Paths.empty())
     return finish(ServeStatus::NoTraces, "no successful execution");
 
+  LigerInference::Encoding Encoded = Engine.encodeForDecode(Traces);
   if (Config.ReturnEmbedding) {
-    const float *E = Engine.encode(Traces);
-    Resp.Embedding.assign(E, E + ModelConfig.Hidden);
+    Resp.Embedding.assign(Encoded.Program,
+                          Encoded.Program + ModelConfig.Hidden);
     if (pastDeadline())
       return deadline("encode");
   }
-  Resp.NameSubtokens = Engine.predictName(Traces);
+  Resp.NameSubtokens = Engine.predictName(Encoded);
   return finish(ServeStatus::Ok, "");
 }
 

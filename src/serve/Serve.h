@@ -20,8 +20,9 @@
 /// worker identity. Each request runs under a wall-clock deadline
 /// layered on top of the interpreter's fuel and memory budgets: the
 /// budgets bound every individual execution, the deadline bounds the
-/// whole request and is checked at pipeline phase boundaries (so it
-/// can overshoot by at most one budget-bounded phase). Deadline hits
+/// whole request and is checked at pipeline phase boundaries only, so
+/// a request overshoots it by whatever the phase then running takes
+/// (seconds for some symbolic phases; DESIGN.md §13.3). Deadline hits
 /// are a distinct terminal status, visible per-response and counted
 /// in ServeStats.
 ///

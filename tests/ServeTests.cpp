@@ -34,10 +34,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "dataset/Tasks.h"
+#include "lang/Parser.h"
 #include "models/Inference.h"
 #include "nn/GraphArena.h"
 #include "serve/Serve.h"
+#include "support/Hash.h"
 #include "testgen/TraceCache.h"
+#include "testgen/TraceCollector.h"
 
 #include "gtest/gtest.h"
 
@@ -47,6 +50,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <thread>
 
 using namespace liger;
@@ -671,7 +675,8 @@ TEST(InferenceStoreTest, ServedRequestsMatchFreshEngines) {
   // One engine serves distinct methods back to back, twice, so its
   // store holds other methods' statements, objects and trie prefixes,
   // and every request re-parses (Stmt addresses get reused): each
-  // embedding must still be bitwise what a fresh engine returns.
+  // embedding and name must still be bitwise what a fresh inference
+  // engine's encode() and predictName() return.
   ServeConfig Config = tinyServeConfig();
   Config.Workers = 0;
   Config.ReturnEmbedding = true;
@@ -685,31 +690,58 @@ TEST(InferenceStoreTest, ServedRequestsMatchFreshEngines) {
          60000});
   }
   // Back to back first, so re-parsed statements can land where an
-  // earlier request's statements were.
+  // earlier request's statements were. A second engine serves the same
+  // requests without embeddings.
   ServeEngine Warm(Config);
-  std::vector<ServeResponse> Got;
+  ServeConfig NamesOnlyConfig = tinyServeConfig();
+  NamesOnlyConfig.Workers = 0;
+  ServeEngine NamesOnly(NamesOnlyConfig);
+  std::vector<ServeResponse> Got, GotNames;
   for (int Pass = 0; Pass < 2; ++Pass)
-    for (const ServeRequest &Req : Requests)
+    for (const ServeRequest &Req : Requests) {
       Got.push_back(Warm.handle(Req));
-  size_t Served = 0;
+      GotNames.push_back(NamesOnly.handle(Req));
+    }
+  const size_t H = Warm.modelConfig().Hidden;
   for (size_t I = 0; I < Got.size(); ++I) {
     const ServeRequest &Req = Requests[I % Requests.size()];
-    Config.Scale.Cache = std::make_shared<TraceCache>(
-        Config.Scale.CacheMode, /*Dir=*/std::string());
-    ServeEngine Fresh(Config);
-    ServeResponse Want = Fresh.handle(Req);
-    ASSERT_EQ(Got[I].Status, Want.Status) << Req.MethodName;
-    if (Want.Status != ServeStatus::Ok)
-      continue;
-    ++Served;
-    ASSERT_EQ(Got[I].Embedding.size(), Want.Embedding.size());
-    EXPECT_EQ(std::memcmp(Got[I].Embedding.data(), Want.Embedding.data(),
-                          Want.Embedding.size() * sizeof(float)),
+    ASSERT_EQ(Got[I].Status, ServeStatus::Ok) << Req.MethodName;
+    ASSERT_EQ(GotNames[I].Status, ServeStatus::Ok) << Req.MethodName;
+    // The traces ServeEngine collects: its options and its per-request
+    // seed, a hash of (source, method, corpus seed).
+    DiagnosticSink Diags;
+    std::optional<Program> Parsed = parseAndCheck(Req.Source, Diags);
+    ASSERT_TRUE(Parsed) << Diags.str();
+    const FunctionDecl *Fn = Parsed->findFunction(Req.MethodName);
+    ASSERT_NE(Fn, nullptr);
+    TestGenOptions Gen = Config.Scale.traceGenOptions();
+    StableHash Seed;
+    Seed.addString(Req.Source);
+    Seed.addString(Req.MethodName);
+    Seed.addU64(Config.Scale.Seed);
+    Gen.Seed = Seed.digest();
+    MethodTraces Traces = collectTraces(*Parsed, *Fn, Gen);
+    LigerInference Fresh(Warm.weightImage(), Warm.jointVocab(),
+                         &Warm.targetVocab(), Warm.modelConfig());
+    ASSERT_EQ(Got[I].Embedding.size(), H);
+    EXPECT_EQ(std::memcmp(Got[I].Embedding.data(), Fresh.encode(Traces),
+                          H * sizeof(float)),
               0)
         << Req.MethodName << " request " << I;
-    EXPECT_EQ(Got[I].NameSubtokens, Want.NameSubtokens) << Req.MethodName;
+    std::vector<std::string> Want = Fresh.predictName(Traces);
+    EXPECT_EQ(Got[I].NameSubtokens, Want) << Req.MethodName;
+    EXPECT_EQ(GotNames[I].NameSubtokens, Want) << Req.MethodName;
+    EXPECT_TRUE(GotNames[I].Embedding.empty());
   }
-  EXPECT_GE(Served, 8u);
+  // Returning the embedding encodes once: the store sees exactly the
+  // lookups of the names-only engine.
+  LigerInference::CacheStats With = Warm.stats().Embeddings;
+  LigerInference::CacheStats Without = NamesOnly.stats().Embeddings;
+  EXPECT_GT(Without.StmtMisses, 0u);
+  EXPECT_EQ(With.StmtHits, Without.StmtHits);
+  EXPECT_EQ(With.StmtMisses, Without.StmtMisses);
+  EXPECT_EQ(With.StateHits, Without.StateHits);
+  EXPECT_EQ(With.StateMisses, Without.StateMisses);
 }
 
 TEST(ServeStatsConcurrencyTest, StatsDuringHandleSeesWholeRequests) {
