@@ -33,6 +33,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "eval/Experiments.h"
 #include "eval/Training.h"
 #include "models/Liger.h"
@@ -231,6 +232,9 @@ int main(int Argc, char **Argv) {
   std::fprintf(F, "  \"peak_graph_nodes\": %zu,\n", PeakNodes);
   std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", BenchBuildType);
+  std::fprintf(F, "  \"seed\": %llu,\n",
+               static_cast<unsigned long long>(Scale.Seed));
   std::fprintf(F, "  \"batched_deterministic_across_threads\": %s,\n",
                Deterministic ? "true" : "false");
   std::fprintf(F, "  \"configs\": [\n");

@@ -6,9 +6,10 @@
 //
 // google-benchmark microbenchmarks for the substrates (not a paper
 // table): front-end parsing, instrumented interpretation, symbolic path
-// enumeration, trace collection, tensor ops, SIMD kernels, fused
-// recurrent-cell steps, lockstep-batched sequences and decodes, fused
-// attention reads, and a full LIGER forward/backward step.
+// enumeration, trace collection, tensor ops, SIMD kernels, the tanh
+// and sigmoid maps, fused recurrent-cell steps, lockstep-batched
+// sequences and decodes, fused attention reads, and a full LIGER
+// forward/backward step.
 // Useful for tracking performance regressions of the pipeline that
 // every experiment sits on.
 //
@@ -201,6 +202,31 @@ void BM_KernelAxpy(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * N);
 }
 BENCHMARK(BM_KernelAxpy)->Arg(256)->Arg(1024);
+
+// The activation maps every cell and attention op runs: one hidden
+// vector (24) and a decoder attention block (2048). Bitwise equal to
+// libm in both builds; the scalar build's numbers are libm's own cost.
+template <void (*Map)(size_t, const float *, float *)>
+void BM_ActivationMap(benchmark::State &State) {
+  size_t N = static_cast<size_t>(State.range(0));
+  Rng R(1);
+  Tensor X = Tensor::uniform(N, 3.0f, R);
+  Tensor Y = Tensor::raw(N);
+  for (auto _ : State) {
+    Map(N, X.data(), Y.data());
+    benchmark::DoNotOptimize(Y.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * N);
+}
+void BM_TanhMap(benchmark::State &State) {
+  BM_ActivationMap<kernels::tanhMap>(State);
+}
+void BM_SigmoidMap(benchmark::State &State) {
+  BM_ActivationMap<kernels::sigmoidMap>(State);
+}
+BENCHMARK(BM_TanhMap)->Arg(24)->Arg(2048);
+BENCHMARK(BM_SigmoidMap)->Arg(24)->Arg(2048);
 
 // The GEMM substrate: B stacked [4H x H] gate projections as one tiled
 // matmul (Arg(1)) versus the same rows as a per-vector matvecStrided
@@ -568,7 +594,8 @@ int main(int argc, char **argv) {
   std::vector<std::string> Injected;
   if (KernelsOnly)
     Injected.push_back("--benchmark_filter="
-                       "BM_Kernel|BM_Matmul|BM_GruCell|BM_LstmCell|"
+                       "BM_Kernel|BM_TanhMap|BM_SigmoidMap|BM_Matmul|"
+                       "BM_GruCell|BM_LstmCell|"
                        "BM_MatvecHidden|BM_GruSequence|BM_AttentionScore|"
                        "BM_DecoderStep|BM_LigerForwardBackward");
   if (AttentionOnly)
