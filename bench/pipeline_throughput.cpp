@@ -17,13 +17,15 @@
 //    from disk and promoted into memory.
 //
 // Emits BENCH_pipeline.json with seconds per regime, the warm speedup,
-// per-phase breakdowns, cache counters, and two determinism checks:
-// the corpus fingerprint must be identical across thread counts and
-// across off/cold/warm. It also reports trace-construction seconds per
-// kept method, the cost framing of the paper's data-reliance result
-// (Fig. 7: LIGER matches DYPRO with about 5x fewer concrete
-// executions): wall seconds of each cold run and the cold t=1 phase
-// CPU seconds, each divided by the number of kept methods.
+// per-phase breakdowns, cache counters, the cold runs' deterministic
+// work counters (discovery attempts and interpreter runs), and two
+// determinism checks: the corpus fingerprint must be identical across
+// thread counts and across off/cold/warm. It also reports
+// trace-construction seconds per kept method, the cost framing of the
+// paper's data-reliance result (Fig. 7: LIGER matches DYPRO with about
+// 5x fewer concrete executions): wall seconds of each cold run and the
+// cold t=1 phase CPU seconds, each divided by the number of kept
+// methods.
 //
 // Usage: pipeline_throughput [--methods=N] [--paths=N] [--execs=N]
 //                            [--seed=N] [--threads=N]
@@ -143,7 +145,9 @@ int main(int Argc, char **Argv) {
 
   bool ColdDeterministic = true;
   for (const RunResult &R : Cold)
-    if (R.Fingerprint != Off.Fingerprint)
+    if (R.Fingerprint != Off.Fingerprint ||
+        R.Stats.Attempts != Off.Stats.Attempts ||
+        R.Stats.Executions != Off.Stats.Executions)
       ColdDeterministic = false;
   bool WarmIdentical = true;
   for (const RunResult &R : Warm)
@@ -199,25 +203,30 @@ int main(int Argc, char **Argv) {
                Warm.front().Stats.PhaseReplaySeconds);
   std::fprintf(F, "  \"cold_phase_cpu_seconds_per_kept_method\": %.6f,\n",
                PhaseCpuPerKept);
+  // Work counters are written for cold runs only: a warm run restores
+  // the attempts from its entries and runs no interpreter.
   auto EmitRuns = [F](const char *Key, const std::vector<RunResult> &Runs,
-                      const RunResult &Off) {
+                      const RunResult &Off, bool Work) {
     std::fprintf(F, "  \"%s\": [\n", Key);
     for (size_t I = 0; I < Runs.size(); ++I) {
       const RunResult &R = Runs[I];
       std::fprintf(F,
                    "    {\"threads\": %zu, \"seconds\": %.3f, "
                    "\"seconds_per_kept_method\": %.6f, "
-                   "\"cache_hits\": %zu, \"cache_misses\": %zu, "
-                   "\"fingerprint_matches_off\": %s}%s\n",
+                   "\"cache_hits\": %zu, \"cache_misses\": %zu, ",
                    R.Threads, R.Seconds, secondsPerKept(R), R.Stats.CacheHits,
-                   R.Stats.CacheMisses,
+                   R.Stats.CacheMisses);
+      if (Work)
+        std::fprintf(F, "\"attempts\": %zu, \"executions\": %zu, ",
+                     R.Stats.Attempts, R.Stats.Executions);
+      std::fprintf(F, "\"fingerprint_matches_off\": %s}%s\n",
                    R.Fingerprint == Off.Fingerprint ? "true" : "false",
                    I + 1 < Runs.size() ? "," : "");
     }
     std::fprintf(F, "  ],\n");
   };
-  EmitRuns("cold", Cold, Off);
-  EmitRuns("warm", Warm, Off);
+  EmitRuns("cold", Cold, Off, /*Work=*/true);
+  EmitRuns("warm", Warm, Off, /*Work=*/false);
   std::fprintf(F, "  \"warm_speedup_vs_cold\": %.2f,\n", WarmSpeedup);
   std::fprintf(F, "  \"deterministic_across_threads\": %s,\n",
                ColdDeterministic ? "true" : "false");

@@ -130,11 +130,11 @@ int main() {
     std::printf("\n%s — %zu steps, first array mutations:\n",
                 Fn.Name.c_str(), Run.Steps.size());
     int Shown = 0;
-    for (const ExecStep &Step : Run.Steps) {
-      const auto *Assign = dyn_cast<AssignStmt>(Step.Statement);
+    for (size_t I = 0; I < Run.Steps.size(); ++I) {
+      const auto *Assign = dyn_cast<AssignStmt>(Run.Steps[I].Statement);
       if (!Assign || !isa<IndexExpr>(Assign->target()))
         continue;
-      ProgramState State{Step.State};
+      ProgramState State{Run.States[I]};
       std::printf("  %s\n", State.str(Run.VarNames).c_str());
       if (++Shown == 4)
         break;

@@ -14,9 +14,11 @@
 #      and sigmoid against libm at every length 0..33, unaligned and in
 #      place, so a vector access past a buffer's end is caught);
 #   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite, the
-#      byte-codec suite under all three file formats (BinaryIOTest), the
-#      thread-determinism corpus suites and the golden interpreter/corpus
-#      digests under ASan+UBSan;
+#      trace-collector suite (its probe memo keeps a pointer into an
+#      unordered_map across a probe), the byte-codec suite under all
+#      three file formats (BinaryIOTest), the thread-determinism corpus
+#      suites and the golden interpreter/collector/corpus digests under
+#      ASan+UBSan;
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
 #      budget, lexer byte totality, interpreter memory budget), the
 #      wrapping-int and slot-layout suites of the interpreter and symx,
@@ -93,7 +95,8 @@ cmake --build "$REPO/build-asan" -j "$JOBS" \
   --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*:ActivationKernelTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
-"$REPO/build-asan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
+"$REPO/build-asan/tests/testgen_tests" \
+  --gtest_filter='TraceCacheTest.*:TraceCollectorTest.*'
 "$REPO/build-asan/tests/support_tests" --gtest_filter='BinaryIOTest.*'
 "$REPO/build-asan/tests/dataset_tests" \
   --gtest_filter='CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*:GoldenDigestTest.*'

@@ -196,6 +196,8 @@ bool buildSample(const std::string &Source, const std::string &MethodName,
   Stats.CacheHits += Collect.CacheHits;
   Stats.CacheMisses += Collect.CacheMisses;
   Stats.CacheBypassed += Collect.CacheBypasses;
+  Stats.Attempts += Collect.Attempts;
+  Stats.Executions += Collect.Executions;
   Stats.PhaseExploreSeconds += Collect.ExploreSeconds;
   Stats.PhaseSymbolicSeconds += Collect.SymbolicSeconds;
   Stats.PhaseMutateSeconds += Collect.MutateSeconds;
@@ -261,6 +263,8 @@ void accumulateStats(CorpusStats &Into, const CorpusStats &From) {
   Into.CacheHits += From.CacheHits;
   Into.CacheMisses += From.CacheMisses;
   Into.CacheBypassed += From.CacheBypassed;
+  Into.Attempts += From.Attempts;
+  Into.Executions += From.Executions;
   Into.PhaseExploreSeconds += From.PhaseExploreSeconds;
   Into.PhaseSymbolicSeconds += From.PhaseSymbolicSeconds;
   Into.PhaseMutateSeconds += From.PhaseMutateSeconds;

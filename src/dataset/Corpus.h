@@ -95,6 +95,12 @@ struct CorpusStats {
   size_t CacheMisses = 0;
   size_t CacheBypassed = 0;
 
+  /// Work counters summed across methods: discovery attempts (restored
+  /// from the entry on a cache hit) and the interpreter runs performed
+  /// (0 for a hit). See CollectStats.
+  size_t Attempts = 0;
+  size_t Executions = 0;
+
   /// Summed wall-clock seconds per pipeline phase across methods.
   /// With several workers these can exceed elapsed time (they are CPU
   /// phase totals, not a wall-clock breakdown).

@@ -267,12 +267,9 @@ private:
     // leaves the already-recorded prefix intact: truncated but valid.
     if (!chargeMemory(stateBytes()))
       return;
-    ExecStep Step;
-    Step.Statement = S;
-    Step.Kind = Kind;
+    Trace->Steps.push_back({S, Kind});
     if (Options.RecordStates)
-      Step.State = snapshotState();
-    Trace->Steps.push_back(std::move(Step));
+      Trace->States.push_back(snapshotState());
   }
 
   //===--------------------------------------------------------------------===//
@@ -381,19 +378,25 @@ private:
           Skip, (Options.MaxRecordedSteps - Last) / CycleSteps);
     FuelLeft -= Skip * CycleFuel;
     BytesCharged += Skip * CycleBytes;
-    // Each skipped step repeats the one a cycle earlier. With steps in
-    // the cycle, Skip * CycleSteps <= MaxRecordedSteps - Last.
+    // Each skipped step, and its state, repeats the one a cycle
+    // earlier; a state is a deep copy, sharing no heap with the one it
+    // repeats. With steps in the cycle, Skip * CycleSteps <=
+    // MaxRecordedSteps - Last.
     size_t Appended = CycleSteps == 0 ? 0 : Skip * CycleSteps;
     Steps.reserve(Last + Appended);
+    for (size_t I = 0; I < Appended; ++I)
+      Steps.push_back(Steps[Steps.size() - CycleSteps]);
+    if (!Options.RecordStates)
+      return;
+    std::vector<std::vector<Value>> &States = Trace->States;
+    States.reserve(Last + Appended);
     for (size_t I = 0; I < Appended; ++I) {
-      const ExecStep &Earlier = Steps[Steps.size() - CycleSteps];
-      ExecStep Copy;
-      Copy.Statement = Earlier.Statement;
-      Copy.Kind = Earlier.Kind;
-      Copy.State.reserve(Earlier.State.size());
-      for (const Value &V : Earlier.State)
-        Copy.State.push_back(V.deepCopy());
-      Steps.push_back(std::move(Copy));
+      const std::vector<Value> &Earlier = States[States.size() - CycleSteps];
+      std::vector<Value> Copy;
+      Copy.reserve(Earlier.size());
+      for (const Value &V : Earlier)
+        Copy.push_back(V.deepCopy());
+      States.push_back(std::move(Copy));
     }
   }
 

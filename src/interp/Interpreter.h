@@ -56,13 +56,11 @@ enum class StepKind {
   CondFalse, ///< A control-flow condition that evaluated to false.
 };
 
-/// One recorded trace step: a statement plus the state after it.
+/// One recorded trace step: a statement and, for a control-flow
+/// condition, its outcome. The state after it is ExecResult::States.
 struct ExecStep {
   const Stmt *Statement = nullptr;
   StepKind Kind = StepKind::Plain;
-  /// Deep-copied values aligned with ExecResult::VarNames; empty when
-  /// state recording is disabled.
-  std::vector<Value> State;
 };
 
 /// Result of executing one function on one input vector.
@@ -76,6 +74,10 @@ struct ExecResult {
   /// Program state before the first statement (the paper's s0).
   std::vector<Value> InitialState;
   std::vector<ExecStep> Steps;
+  /// States[i] is the program state after Steps[i], deep-copied values
+  /// aligned with VarNames. Parallel to Steps when states are recorded
+  /// (InterpOptions::RecordStates), empty otherwise.
+  std::vector<std::vector<Value>> States;
   uint64_t FuelUsed = 0;
 
   bool ok() const { return Status == ExecStatus::Ok; }
@@ -86,8 +88,8 @@ struct InterpOptions {
   /// Maximum number of executed statements (across calls) before
   /// OutOfFuel. Chosen so that every reasonable corpus method finishes.
   uint64_t Fuel = 20000;
-  /// When false, Steps carry no state snapshots (cheaper; used by the
-  /// coverage-only feedback loop in testgen).
+  /// When false, ExecResult::States and InitialState stay empty
+  /// (cheaper; used by the coverage-only feedback loop in testgen).
   bool RecordStates = true;
   /// Hard cap on recorded steps to bound trace memory; execution
   /// continues uninstrumented past the cap.

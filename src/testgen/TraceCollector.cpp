@@ -11,6 +11,7 @@
 #include "testgen/TraceCache.h"
 
 #include <map>
+#include <unordered_map>
 
 using namespace liger;
 
@@ -44,6 +45,71 @@ std::vector<Value> deepCopyInputs(const std::vector<Value> &Inputs) {
   return Copy;
 }
 
+/// Appends \p Word in LEB128: seven bits per byte, low bits first, the
+/// high bit set on every byte but the last. Self-delimiting, and one
+/// byte for the small values the input domains draw.
+void appendVarint(std::string &Out, uint64_t Word) {
+  for (; Word >= 0x80; Word >>= 7)
+    Out.push_back(static_cast<char>(Word | 0x80));
+  Out.push_back(static_cast<char>(Word));
+}
+
+/// Appends \p V's exact, self-delimiting encoding to \p Out: a kind
+/// tag, then the int (zigzag, so small negatives stay short) or bool
+/// payload, a string's length and bytes, an array's length and
+/// elements, or a struct's declaration, field count and fields.
+void encodeValue(const Value &V, std::string &Out) {
+  Out.push_back(static_cast<char>(V.kind()));
+  switch (V.kind()) {
+  case ValueKind::Undef:
+    return;
+  case ValueKind::Int: {
+    uint64_t Bits = static_cast<uint64_t>(V.asInt());
+    appendVarint(Out, (Bits << 1) ^ (V.asInt() < 0 ? ~uint64_t(0) : 0));
+    return;
+  }
+  case ValueKind::Bool:
+    Out.push_back(V.asBool() ? 1 : 0);
+    return;
+  case ValueKind::String:
+    appendVarint(Out, V.asString().size());
+    Out += V.asString();
+    return;
+  case ValueKind::Struct:
+    appendVarint(Out, reinterpret_cast<uintptr_t>(V.structDecl()));
+    [[fallthrough]];
+  case ValueKind::Array:
+    appendVarint(Out, V.elements().size());
+    for (const Value &Elem : V.elements())
+      encodeValue(Elem, Out);
+    return;
+  }
+  LIGER_UNREACHABLE("covered switch");
+}
+
+/// The probe memo's key for \p Inputs. Executions run on a deep copy
+/// (deepCopyInputs), which shares no heap with anything, so an
+/// execution sees exactly what the key encodes. Typical inputs encode
+/// in a few bytes, within std::string's inline buffer.
+std::string probeKey(const std::vector<Value> &Inputs) {
+  std::string Key;
+  for (const Value &V : Inputs)
+    encodeValue(V, Key);
+  return Key;
+}
+
+/// What the phase-1 probe of one distinct input found: everything a
+/// repeat of the input needs, since it would take the same path.
+struct ProbeOutcome {
+  /// The bucket of a new path found once TargetPaths paths were known.
+  /// Buckets are only added below the target, so a repeat of the input
+  /// is rejected too.
+  static constexpr size_t Rejected = ~size_t(0);
+  ExecStatus Status = ExecStatus::Ok;
+  /// For an Ok run, the bucket of its path, or Rejected.
+  size_t Bucket = Rejected;
+};
+
 /// The four-phase discovery pipeline. Fills \p LocalStats (discovery
 /// counters plus per-phase timings).
 ///
@@ -52,14 +118,15 @@ std::vector<Value> deepCopyInputs(const std::vector<Value> &Inputs) {
 /// influences path keys or control flow (the recorded-step cap applies
 /// identically with recording on or off), so accepting a run straight
 /// from a recording execution is bitwise-equivalent to probing first
-/// and re-executing later.
+/// and re-executing later. For the same reason a phase-1 input that was
+/// already probed is answered from the probe memo instead of run again.
 MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
                          const TestGenOptions &Options,
                          CollectStats &LocalStats) {
   Rng R(Options.Seed);
   Stopwatch Phase;
 
-  // Resolved once; the ~250 executions of this method share it.
+  // Resolved once; every execution of this method shares it.
   FrameLayout Layout(P, Fn);
   InterpOptions ProbeOptions = Options.Interp;
   ProbeOptions.RecordStates = false; // discovery probes skip snapshots
@@ -68,45 +135,81 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
 
   std::map<std::string, size_t> PathIndex;
   std::vector<PathBucket> Buckets;
+  // Phase-1 outcomes by input content. Execution is a pure function of
+  // (layout, input content, options), so a repeated probe is looked up,
+  // not run; it counts and fills buckets exactly as its run would.
+  std::unordered_map<std::string, ProbeOutcome> Probes;
+
+  // Counts a run that ended with \p Status; true when it returned.
+  auto CountRun = [&](ExecStatus Status) {
+    switch (Status) {
+    case ExecStatus::Ok:
+      ++LocalStats.OkRuns;
+      return true;
+    case ExecStatus::OutOfFuel:
+      ++LocalStats.Timeouts;
+      return false;
+    case ExecStatus::MemoryLimit:
+      ++LocalStats.MemoryExceeded;
+      return false;
+    case ExecStatus::RuntimeError:
+      ++LocalStats.Faults;
+      return false;
+    }
+    LIGER_UNREACHABLE("covered switch");
+  };
+
+  // Accepts a run on the known path of bucket \p Index if the bucket
+  // has room.
+  auto Fill = [&](size_t Index, const std::vector<Value> &Inputs,
+                  ExecResult Run, bool Record) {
+    PathBucket &Bucket = Buckets[Index];
+    if (Bucket.Inputs.size() >= Options.ExecutionsPerPath)
+      return false;
+    Bucket.accept(Inputs, std::move(Run), Record);
+    return true;
+  };
 
   // Executes one candidate input and accepts it if it discovers a new
   // path or fills an unsaturated one. With \p Record set the execution
   // snapshots states and, on acceptance, is kept for phase 4 — used by
   // the phases whose acceptance rate is high enough that recording
-  // up front is cheaper than re-executing later.
+  // up front is cheaper than re-executing later. Without it the input
+  // goes through the probe memo.
   auto TryInput = [&](const std::vector<Value> &Inputs, bool Record) -> bool {
     ++LocalStats.Attempts;
+    // Points into Probes; nothing else is inserted before it is filled.
+    ProbeOutcome *Probe = nullptr;
+    if (!Record) {
+      auto [It, Fresh] = Probes.try_emplace(probeKey(Inputs));
+      Probe = &It->second;
+      if (!Fresh)
+        return CountRun(Probe->Status) &&
+               Probe->Bucket != ProbeOutcome::Rejected &&
+               Fill(Probe->Bucket, Inputs, ExecResult(), /*Record=*/false);
+    }
+    ++LocalStats.Executions;
     ExecResult Run = execute(Layout, deepCopyInputs(Inputs),
                              Record ? FullOptions : ProbeOptions);
-    if (Run.Status == ExecStatus::OutOfFuel) {
-      ++LocalStats.Timeouts;
+    if (Probe)
+      Probe->Status = Run.Status;
+    if (!CountRun(Run.Status))
       return false;
-    }
-    if (Run.Status == ExecStatus::MemoryLimit) {
-      ++LocalStats.MemoryExceeded;
-      return false;
-    }
-    if (Run.Status == ExecStatus::RuntimeError) {
-      ++LocalStats.Faults;
-      return false;
-    }
-    ++LocalStats.OkRuns;
     std::string Key = pathKeyOf(Run);
     auto It = PathIndex.find(Key);
     if (It == PathIndex.end()) {
       if (Buckets.size() >= Options.TargetPaths)
         return false; // enough paths; ignore further novelty
+      if (Probe)
+        Probe->Bucket = Buckets.size();
       PathIndex.emplace(std::move(Key), Buckets.size());
       Buckets.emplace_back();
       Buckets.back().accept(Inputs, std::move(Run), Record);
       return true;
     }
-    PathBucket &Bucket = Buckets[It->second];
-    if (Bucket.Inputs.size() < Options.ExecutionsPerPath) {
-      Bucket.accept(Inputs, std::move(Run), Record);
-      return true;
-    }
-    return false;
+    if (Probe)
+      Probe->Bucket = It->second;
+    return Fill(It->second, Inputs, std::move(Run), Record);
   };
 
   // Phase 1: random exploration. Methods that look hostile (every
@@ -114,7 +217,9 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   // quickly — the Table 1 "takes too long" filter and its allocation-
   // bomb sibling should not themselves take long.
   // Probes stay recording-free: most random inputs are rejected, so
-  // snapshotting them up front would be wasted work.
+  // snapshotting them up front would be wasted work. The input domains
+  // are small, so many probes repeat an earlier one and skip the
+  // interpreter; the Rng still draws every attempt's inputs.
   for (unsigned Attempt = 0; Attempt < Options.MaxAttempts; ++Attempt) {
     unsigned Hostile = LocalStats.Timeouts + LocalStats.MemoryExceeded;
     if (Hostile >= 8 && Hostile == LocalStats.Attempts)
@@ -181,11 +286,13 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
   AllInputs.reserve(TotalAccepted);
   for (PathBucket &Bucket : Buckets)
     for (size_t I = 0; I < Bucket.Inputs.size(); ++I) {
-      if (Bucket.HasRecorded[I])
+      if (Bucket.HasRecorded[I]) {
         Results.push_back(std::move(Bucket.Recorded[I]));
-      else
+      } else {
+        ++LocalStats.Executions;
         Results.push_back(
             execute(Layout, deepCopyInputs(Bucket.Inputs[I]), FullOptions));
+      }
       AllInputs.push_back(Bucket.Inputs[I]);
     }
   MethodTraces Out = groupByPath(Fn, Results, AllInputs);

@@ -73,6 +73,12 @@ struct CollectStats {
   unsigned MemoryExceeded = 0;
   unsigned SymbolicSeeds = 0;
 
+  /// Interpreter runs this call performed: Attempts less the phase-1
+  /// repeats answered from the probe memo, plus phase 4's recordings;
+  /// 0 on a cache hit. Observability only, like the Seconds fields: it
+  /// is not part of the cached entry.
+  unsigned Executions = 0;
+
   /// Cache outcome for this method: exactly one of the three is 1.
   /// Bypassed means the pipeline ran with caching disabled.
   unsigned CacheHits = 0;

@@ -9,6 +9,7 @@
 #include "lang/AstPrinter.h"
 #include "support/Error.h"
 
+#include <cstring>
 #include <map>
 
 using namespace liger;
@@ -27,25 +28,28 @@ std::string ProgramState::str(
   return Out;
 }
 
-std::string SymbolicTrace::pathKey() const {
-  std::string Key;
-  Key.reserve(Steps.size() * 8);
-  for (const SymbolicStep &Step : Steps) {
-    Key += std::to_string(Step.Statement->id());
-    switch (Step.Kind) {
-    case StepKind::Plain:
-      Key += ';';
-      break;
-    case StepKind::CondTrue:
-      Key += "T;";
-      break;
-    case StepKind::CondFalse:
-      Key += "F;";
-      break;
-    }
+namespace {
+
+/// Bytes per step in a path key: the 32-bit statement id, then the kind.
+constexpr size_t PathKeyStepBytes = sizeof(NodeId) + 1;
+
+/// The path key of \p Steps. Every step takes PathKeyStepBytes, so
+/// equal keys mean equal (statement id, kind) sequences for every id.
+std::string pathKeyOfSteps(const std::vector<ExecStep> &Steps) {
+  std::string Key(Steps.size() * PathKeyStepBytes, '\0');
+  char *Out = Key.data();
+  for (const ExecStep &Step : Steps) {
+    NodeId Id = Step.Statement->id();
+    std::memcpy(Out, &Id, sizeof(Id));
+    Out[sizeof(Id)] = static_cast<char>(Step.Kind);
+    Out += PathKeyStepBytes;
   }
   return Key;
 }
+
+} // namespace
+
+std::string SymbolicTrace::pathKey() const { return pathKeyOfSteps(Steps); }
 
 std::set<unsigned> SymbolicTrace::coveredLines() const {
   std::set<unsigned> Lines;
@@ -72,24 +76,24 @@ size_t MethodTraces::totalExecutions() const {
 }
 
 SymbolicTrace liger::extractSymbolicTrace(const ExecResult &Result) {
-  SymbolicTrace Trace;
-  Trace.Steps.reserve(Result.Steps.size());
-  for (const ExecStep &Step : Result.Steps)
-    Trace.Steps.push_back({Step.Statement, Step.Kind});
-  return Trace;
+  return SymbolicTrace{Result.Steps};
 }
 
 StateTrace liger::extractStateTrace(const ExecResult &Result) {
   StateTrace Trace;
   Trace.Initial.Values = Result.InitialState;
-  Trace.States.reserve(Result.Steps.size());
-  for (const ExecStep &Step : Result.Steps)
-    Trace.States.push_back({Step.State});
+  LIGER_CHECK(Result.States.empty() ||
+                  Result.States.size() == Result.Steps.size(),
+              "recorded states must be parallel to steps");
+  // One state per step; a run that recorded no states gets empty ones.
+  Trace.States.resize(Result.Steps.size());
+  for (size_t I = 0; I < Result.States.size(); ++I)
+    Trace.States[I].Values = Result.States[I];
   return Trace;
 }
 
 std::string liger::pathKeyOf(const ExecResult &Result) {
-  return extractSymbolicTrace(Result).pathKey();
+  return pathKeyOfSteps(Result.Steps);
 }
 
 MethodTraces liger::groupByPath(const FunctionDecl &Fn,

@@ -41,18 +41,18 @@ struct ProgramState {
 };
 
 /// One statement of a symbolic trace (with its branch outcome when it is
-/// a control-flow condition — the outcome is what distinguishes paths).
-struct SymbolicStep {
-  const Stmt *Statement = nullptr;
-  StepKind Kind = StepKind::Plain;
-};
+/// a control-flow condition — the outcome is what distinguishes paths):
+/// exactly an interpreter step, which carries no state.
+using SymbolicStep = ExecStep;
 
 /// Def. 2.2: the sequence of statements visited along one program path.
 struct SymbolicTrace {
   std::vector<SymbolicStep> Steps;
 
-  /// A stable identity for the program path this trace follows: the
-  /// sequence of (statement id, branch outcome) pairs.
+  /// The identity of the program path this trace follows: a fixed-width
+  /// binary encoding of its (statement id, branch outcome) pairs, so
+  /// equal keys mean equal sequences. Compare keys; never store or
+  /// print them.
   std::string pathKey() const;
 
   /// The set of source lines the path covers.
@@ -101,8 +101,8 @@ SymbolicTrace extractSymbolicTrace(const ExecResult &Result);
 /// Extracts the state projection of an execution.
 StateTrace extractStateTrace(const ExecResult &Result);
 
-/// Path identity of a raw execution (same definition as
-/// SymbolicTrace::pathKey).
+/// Path identity of a raw execution (the key SymbolicTrace::pathKey
+/// gives its symbolic projection), built straight from its steps.
 std::string pathKeyOf(const ExecResult &Result);
 
 /// Groups executions of one method by program path, producing one

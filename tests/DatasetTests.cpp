@@ -14,6 +14,7 @@
 #include "lang/Parser.h"
 #include "testgen/InputGen.h"
 #include "testgen/TraceCache.h"
+#include "testgen/TraceCollector.h"
 
 #include <gtest/gtest.h>
 
@@ -126,10 +127,11 @@ TEST(TaskLibraryTest, VariantsAreSemanticallyEquivalent) {
         EXPECT_EQ(Error0, ErrorV)
             << Task.Key << " variant " << Task.Variants[V].Algorithm
             << " fault divergence";
-        if (!Error0 && !ErrorV)
+        if (!Error0 && !ErrorV) {
           EXPECT_TRUE(Expected.equals(Got))
               << Task.Key << " variant " << Task.Variants[V].Algorithm
               << ": " << Expected.str() << " vs " << Got.str();
+        }
       }
     }
   }
@@ -460,7 +462,7 @@ void hashValues(StableHash &H, const std::vector<Value> &Values) {
 
 /// Folds every field of \p R into \p H: status, message, fuel, return
 /// value, variable tuple, initial state, and each step's statement id,
-/// kind and state.
+/// kind and state (empty for a run that recorded no states).
 void hashExecResult(StableHash &H, const ExecResult &R) {
   H.addU8(static_cast<uint8_t>(R.Status));
   H.addString(R.ErrorMessage);
@@ -471,10 +473,12 @@ void hashExecResult(StableHash &H, const ExecResult &R) {
     H.addString(Name);
   hashValues(H, R.InitialState);
   H.addU64(R.Steps.size());
-  for (const ExecStep &Step : R.Steps) {
-    H.addU32(Step.Statement->id());
-    H.addU8(static_cast<uint8_t>(Step.Kind));
-    hashValues(H, Step.State);
+  ASSERT_TRUE(R.States.empty() || R.States.size() == R.Steps.size());
+  const std::vector<Value> NoState;
+  for (size_t I = 0; I < R.Steps.size(); ++I) {
+    H.addU32(R.Steps[I].Statement->id());
+    H.addU8(static_cast<uint8_t>(R.Steps[I].Kind));
+    hashValues(H, R.States.empty() ? NoState : R.States[I]);
   }
 }
 
@@ -533,6 +537,60 @@ TEST(GoldenDigestTest, TaskLibraryExecutions) {
   EXPECT_EQ(StatusCounts[ExecStatus::MemoryLimit], 30u);
   EXPECT_EQ(StatusCounts[ExecStatus::RuntimeError], 0u);
   EXPECT_EQ(H.digest(), 10886156763121302215ull);
+}
+
+// The trace collector at its default settings (TestGenOptions: the
+// paper's TargetPaths of 20, where ExperimentScale and the Table 1
+// digest use 8) over every task-library variant. The digest was
+// computed before discovery probes learned to look up a repeated
+// input's outcome and before a recorded step lost its inline state:
+// the traces, the inputs and the six discovery counters must not
+// notice either.
+TEST(GoldenDigestTest, TaskLibraryCollections) {
+  TestGenOptions Options;
+  StableHash H;
+  size_t Methods = 0, Paths = 0, Executions = 0;
+  for (const TaskSpec &Task : taskLibrary())
+    for (const TaskVariant &Variant : Task.Variants) {
+      DiagnosticSink Diags;
+      std::optional<Program> P = parseAndCheck(
+          replaceIdentifier(Variant.Source, "FN", "probe"), Diags);
+      ASSERT_TRUE(P.has_value()) << Task.Key << ": " << Diags.str();
+      CollectStats Stats;
+      MethodTraces Traces =
+          collectTraces(*P, P->Functions.back(), Options, &Stats);
+      for (unsigned Counter :
+           {Stats.Attempts, Stats.OkRuns, Stats.Faults, Stats.Timeouts,
+            Stats.MemoryExceeded, Stats.SymbolicSeeds})
+        H.addU32(Counter);
+      H.addU64(Traces.VarNames.size());
+      for (const std::string &Name : Traces.VarNames)
+        H.addString(Name);
+      H.addU64(Traces.Paths.size());
+      for (const BlendedTrace &Path : Traces.Paths) {
+        H.addU64(Path.Symbolic.Steps.size());
+        for (const SymbolicStep &Step : Path.Symbolic.Steps) {
+          H.addU32(Step.Statement->id());
+          H.addU8(static_cast<uint8_t>(Step.Kind));
+        }
+        H.addU64(Path.Concrete.size());
+        for (size_t I = 0; I < Path.Concrete.size(); ++I) {
+          const StateTrace &Run = Path.Concrete[I];
+          hashValues(H, Path.Inputs[I]);
+          hashValues(H, Run.Initial.Values);
+          H.addU64(Run.States.size());
+          for (const ProgramState &State : Run.States)
+            hashValues(H, State.Values);
+        }
+        ++Paths;
+        Executions += Path.Concrete.size();
+      }
+      ++Methods;
+    }
+  EXPECT_EQ(Methods, 72u);
+  EXPECT_EQ(Paths, 706u);
+  EXPECT_EQ(Executions, 3508u);
+  EXPECT_EQ(H.digest(), 11948855298204782057ull);
 }
 
 // Loops whose engine state repeats at a back-edge, and a few that only

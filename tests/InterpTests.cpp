@@ -373,10 +373,11 @@ int[] f(int[] a) {
   ExecResult R = execute(P, P.Functions[0], {intArray({1, 2})});
   ASSERT_TRUE(R.ok());
   ASSERT_EQ(R.Steps.size(), 3u);
+  ASSERT_EQ(R.States.size(), R.Steps.size());
   // Step 0 state: a = [99, 2]; step 1 state: a = [99, 77].
-  EXPECT_EQ(R.Steps[0].State[0].elements()[0].asInt(), 99);
-  EXPECT_EQ(R.Steps[0].State[0].elements()[1].asInt(), 2);
-  EXPECT_EQ(R.Steps[1].State[0].elements()[1].asInt(), 77);
+  EXPECT_EQ(R.States[0][0].elements()[0].asInt(), 99);
+  EXPECT_EQ(R.States[0][0].elements()[1].asInt(), 2);
+  EXPECT_EQ(R.States[1][0].elements()[1].asInt(), 77);
 }
 
 TEST(InterpTest, LoopBodyStatesMatchFigureTwo) {
@@ -403,8 +404,7 @@ TEST(InterpTest, RecordStatesOffLeavesStatesEmpty) {
   ExecResult R = execute(P, P.Functions[0], {intArray({3, 1, 2})}, Options);
   ASSERT_TRUE(R.ok());
   EXPECT_FALSE(R.Steps.empty());
-  for (const ExecStep &Step : R.Steps)
-    EXPECT_TRUE(Step.State.empty());
+  EXPECT_TRUE(R.States.empty());
 }
 
 TEST(InterpTest, CalleeStatementsNotTraced) {
@@ -573,12 +573,14 @@ TEST(InterpHardeningTest, AllTerminalStatusesWellFormed) {
     EXPECT_EQ(R.InitialState.size(), R.VarNames.size()) << C.Name;
     // Even a truncated trace is valid: every recorded snapshot aligns
     // with the variable tuple.
-    for (const ExecStep &S : R.Steps) {
-      ASSERT_NE(S.Statement, nullptr) << C.Name;
-      EXPECT_EQ(S.State.size(), R.VarNames.size()) << C.Name;
+    ASSERT_EQ(R.States.size(), R.Steps.size()) << C.Name;
+    for (size_t I = 0; I < R.Steps.size(); ++I) {
+      ASSERT_NE(R.Steps[I].Statement, nullptr) << C.Name;
+      EXPECT_EQ(R.States[I].size(), R.VarNames.size()) << C.Name;
     }
-    if (C.Expected != ExecStatus::Ok)
+    if (C.Expected != ExecStatus::Ok) {
       EXPECT_FALSE(R.ErrorMessage.empty()) << C.Name;
+    }
   }
 }
 
@@ -783,10 +785,11 @@ int f(int a) {
   ASSERT_EQ(R.VarNames, (std::vector<std::string>{"a", "x", "y", "w"}));
   // Steps: x=a, cond, x=100 (inner), y=x+1, w=x, return.
   ASSERT_EQ(R.Steps.size(), 6u);
-  EXPECT_EQ(R.Steps[2].State[1].asInt(), 100); // inner x visible
-  EXPECT_EQ(R.Steps[3].State[2].asInt(), 101);
-  EXPECT_EQ(R.Steps[4].State[1].asInt(), 3);   // outer x again
-  EXPECT_EQ(R.Steps[4].State[2].asInt(), 101); // y out of scope, kept
+  ASSERT_EQ(R.States.size(), R.Steps.size());
+  EXPECT_EQ(R.States[2][1].asInt(), 100); // inner x visible
+  EXPECT_EQ(R.States[3][2].asInt(), 101);
+  EXPECT_EQ(R.States[4][1].asInt(), 3);   // outer x again
+  EXPECT_EQ(R.States[4][2].asInt(), 101); // y out of scope, kept
 }
 
 TEST(FrameLayoutTest, CalleeSeesCallerBindingsWithoutTypeCheck) {
@@ -867,9 +870,10 @@ TEST(InterpCycleTest, SkippedCyclesRecordDeepCopies) {
       InterpOptions().Fuel);
   ASSERT_EQ(R.Status, ExecStatus::OutOfFuel);
   ASSERT_EQ(R.Steps.size(), InterpOptions().MaxRecordedSteps);
+  ASSERT_EQ(R.States.size(), R.Steps.size());
   std::set<const std::vector<Value> *> Storage;
-  for (const ExecStep &Step : R.Steps) {
-    ASSERT_TRUE(Step.State[0].isArray());
-    EXPECT_TRUE(Storage.insert(&Step.State[0].elements()).second);
+  for (const std::vector<Value> &State : R.States) {
+    ASSERT_TRUE(State[0].isArray());
+    EXPECT_TRUE(Storage.insert(&State[0].elements()).second);
   }
 }

@@ -85,11 +85,12 @@ TEST_P(TaskEquivalenceP, VariantsAgreeOnRandomInputs) {
                   copyInputs(Inputs));
       ASSERT_EQ(First.ok(), Other.ok())
           << Task->Variants[V].Algorithm << " fault divergence";
-      if (First.ok())
+      if (First.ok()) {
         EXPECT_TRUE(First.ReturnValue.equals(Other.ReturnValue))
             << Task->Variants[V].Algorithm << ": "
             << First.ReturnValue.str() << " vs "
             << Other.ReturnValue.str();
+      }
     }
   }
 }
@@ -258,15 +259,18 @@ TEST_P(ValueTokenP, StableAndWellFormed) {
   // Idempotent.
   EXPECT_EQ(valueToken(V), Token);
   // Exact in the small range, bucketed outside.
-  if (X >= -64 && X <= 64)
+  if (X >= -64 && X <= 64) {
     EXPECT_EQ(Token, std::to_string(X));
-  else
+  } else {
     EXPECT_EQ(Token.front(), '<');
+  }
   // Sign is preserved by the bucket spelling.
-  if (X < -64)
+  if (X < -64) {
     EXPECT_NE(Token.find('-'), std::string::npos);
-  if (X > 64)
+  }
+  if (X > 64) {
     EXPECT_NE(Token.find('+'), std::string::npos);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

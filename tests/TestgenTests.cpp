@@ -221,6 +221,41 @@ TEST(TraceCollectorTest, MemoryBombsCounted) {
   EXPECT_EQ(Stats.Timeouts, 0u);
 }
 
+TEST(TraceCollectorTest, RepeatedInputsRunOnce) {
+  // One bool parameter has two inputs, and the if/else gives each its
+  // own path. Phase 1 makes all 300 attempts but runs only the first
+  // probe of each input; the other 298 are answered from the probe
+  // memo. Phase 2 finds no unknown path, phase 3 none with room, and
+  // phase 4 records the 5 + 5 accepted inputs: 12 runs in all.
+  const char *Source = R"(
+int pick(bool b) {
+  int r = 0;
+  if (b)
+    r = 1;
+  else
+    r = 2;
+  return r;
+}
+)";
+  Program P = mustParse(Source);
+  TestGenOptions Options;
+  TraceCache Cache(TraceCacheMode::Full, "");
+  CollectStats Cold;
+  MethodTraces Traces = collectTracesCached(P, P.Functions[0], Source,
+                                            Options, &Cache, &Cold);
+  ASSERT_EQ(Traces.Paths.size(), 2u);
+  EXPECT_EQ(Traces.totalExecutions(), 10u);
+  EXPECT_EQ(Cold.Attempts, 300u);
+  EXPECT_EQ(Cold.OkRuns, 300u);
+  EXPECT_EQ(Cold.Executions, 12u);
+  // A hit restores the discovery counters and runs nothing.
+  CollectStats Warm;
+  collectTracesCached(P, P.Functions[0], Source, Options, &Cache, &Warm);
+  EXPECT_EQ(Warm.CacheHits, 1u);
+  EXPECT_EQ(Warm.Attempts, 300u);
+  EXPECT_EQ(Warm.Executions, 0u);
+}
+
 TEST(TraceCollectorTest, DeterministicUnderSeed) {
   Program P = mustParse(SortProgram);
   TestGenOptions Options;
