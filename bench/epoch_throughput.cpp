@@ -84,7 +84,9 @@ ModeResult runModeOnce(const NameTask &Task, const ExperimentScale &Scale,
   Hooks.LossBatch = [&](const std::vector<const MethodSample *> &Group) {
     return Net.lossBatch(Group);
   };
-  Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+    return Net.predict(Samples);
+  };
   Hooks.Params = &Net.params();
 
   TrainOptions Options = Scale.trainOptions();

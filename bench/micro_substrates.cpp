@@ -435,23 +435,22 @@ void BM_DecoderStep(benchmark::State &State) {
   Config.MemoryDim = 100;
   Config.InitDim = 100;
   SeqDecoder Decoder(Store, "dec", Config, R);
-  Var Program = constant(Tensor::uniform(Config.InitDim, 1.0f, R));
-  std::vector<Var> Memory;
+  GraphEncoding Enc;
+  Enc.ProgramEmbedding = constant(Tensor::uniform(Config.InitDim, 1.0f, R));
   for (int I = 0; I < 20; ++I)
-    Memory.push_back(constant(Tensor::uniform(Config.MemoryDim, 1.0f, R)));
+    Enc.Memory.push_back(constant(Tensor::uniform(Config.MemoryDim, 1.0f, R)));
   std::vector<int> Targets = {4, 5, 6, 7, 8, Vocabulary::Eos};
-  std::vector<Var> Programs(Lanes, Program);
-  std::vector<std::vector<Var>> Memories(Lanes, Memory);
+  std::vector<GraphEncoding> Encs(Lanes, Enc);
   std::vector<std::vector<int>> AllTargets(Lanes, Targets);
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
     if (Mode == 2) {
-      std::vector<Var> Losses = Decoder.lossBatch(Programs, Memories, AllTargets);
+      std::vector<Var> Losses = Decoder.lossBatch(Encs, AllTargets);
       backward(sumV(stackScalars(Losses)));
       benchmark::DoNotOptimize(Losses[0]->Value[0]);
     } else {
-      Var Loss = Decoder.loss(Program, Memory, Targets);
+      Var Loss = Decoder.loss(Enc, Targets);
       backward(Loss);
       benchmark::DoNotOptimize(Loss->Value[0]);
     }

@@ -7,12 +7,12 @@
 // Benchmarks the forward-only serving stack (not a paper table), in
 // two parts:
 //
-//  1. Inference-path speedup: per-method encode+decode latency of the
-//     autodiff forward (graph Nodes, backward payloads) vs the
-//     no-graph LigerInference runtime on the same weights, with a
-//     bitwise equality check on the program embeddings and exact
-//     equality on the predicted names — the runtime must be a pure
-//     optimization. Reported cold (empty embedding caches) and warm.
+//  1. Runtime latency: per-method encode+decode latency of the no-graph
+//     LigerInference runtime, cold (empty embedding caches) and warm,
+//     with a bitwise equality check of its program embeddings against
+//     the autodiff encoder on the same weights. (The predicted names
+//     are pinned in ctest: InferenceEquivalenceTest compares them with
+//     the graph decode oracle.)
 //
 //  2. Load sweep: a ServeEngine handling a burst of distinct method
 //     sources at 1/2/4 workers, cold trace cache (fresh directory)
@@ -119,10 +119,11 @@ std::vector<ServeRequest> buildBurst() {
 
 int main(int Argc, char **Argv) {
   ExperimentScale Scale = ExperimentScale::fromArgs(Argc, Argv);
-  printBanner("Forward-only serving: inference speedup + load sweep", Scale);
+  printBanner("Forward-only serving: inference latency + load sweep", Scale);
 
   //===--------------------------------------------------------------------===//
-  // Part 1: autodiff forward vs forward-only runtime, same weights.
+  // Part 1: forward-only runtime latency; embeddings checked against the
+  // autodiff encoder on the same weights.
   //===--------------------------------------------------------------------===//
 
   LigerConfig Config = serveLigerConfig(Scale);
@@ -142,31 +143,23 @@ int main(int Argc, char **Argv) {
   std::printf("equivalence + latency over %zu methods\n", Samples.size());
 
   bool BitwiseIdentical = true;
-  bool NamesIdentical = true;
-  std::vector<double> AutodiffMs, InferColdMs, InferWarmMs;
+  std::vector<double> InferColdMs, InferWarmMs;
 
   {
     GraphArena Arena;
     GraphArena::Scope Scope(Arena);
     for (const MethodSample *S : Samples) {
       GraphArena::current().reset();
-      Stopwatch Timer;
-      std::vector<std::string> Predicted = Net.predict(*S);
-      AutodiffMs.push_back(Timer.seconds() * 1e3);
-
-      GraphArena::current().reset();
-      LigerEncoding Enc = Net.encoder().encode(S->Traces);
+      GraphEncoding Enc = Net.encoder().encode(S->Traces);
 
       Stopwatch ColdTimer;
-      std::vector<std::string> InferPredicted = Inference.predictName(S->Traces);
+      Inference.predictName(S->Traces);
       InferColdMs.push_back(ColdTimer.seconds() * 1e3);
 
       const float *Embedding = Inference.encode(S->Traces);
       if (std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
                       Config.Hidden * sizeof(float)) != 0)
         BitwiseIdentical = false;
-      if (InferPredicted != Predicted)
-        NamesIdentical = false;
     }
   }
   // Warm pass: the embedding store is primed now.
@@ -176,22 +169,14 @@ int main(int Argc, char **Argv) {
     InferWarmMs.push_back(Timer.seconds() * 1e3);
   }
 
-  double AutodiffMean = meanOf(AutodiffMs);
   double ColdMean = meanOf(InferColdMs);
   double WarmMean = meanOf(InferWarmMs);
-  double SpeedupCold = ColdMean > 0 ? AutodiffMean / ColdMean : 0;
-  double SpeedupWarm = WarmMean > 0 ? AutodiffMean / WarmMean : 0;
   const LigerInference::CacheStats &EmbCache = Inference.cacheStats();
 
-  std::printf("autodiff forward:   mean %.3f ms/method\n", AutodiffMean);
-  std::printf("inference (cold):   mean %.3f ms/method  (%.2fx)\n", ColdMean,
-              SpeedupCold);
-  std::printf("inference (warm):   mean %.3f ms/method  (%.2fx)\n", WarmMean,
-              SpeedupWarm);
-  std::printf("embeddings bitwise-identical: %s\n",
+  std::printf("inference (cold):   mean %.3f ms/method\n", ColdMean);
+  std::printf("inference (warm):   mean %.3f ms/method\n", WarmMean);
+  std::printf("embeddings bitwise-identical: %s\n\n",
               BitwiseIdentical ? "OK" : "FAILED");
-  std::printf("predicted names identical:    %s\n\n",
-              NamesIdentical ? "OK" : "FAILED");
 
   //===--------------------------------------------------------------------===//
   // Part 2: load sweep over workers x {cold, warm} trace cache.
@@ -276,15 +261,10 @@ int main(int Argc, char **Argv) {
   std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(F, "  \"build_type\": \"%s\",\n", BenchBuildType);
-  std::fprintf(F, "  \"autodiff_mean_ms\": %.4f,\n", AutodiffMean);
   std::fprintf(F, "  \"inference_cold_mean_ms\": %.4f,\n", ColdMean);
   std::fprintf(F, "  \"inference_warm_mean_ms\": %.4f,\n", WarmMean);
-  std::fprintf(F, "  \"speedup_cold\": %.2f,\n", SpeedupCold);
-  std::fprintf(F, "  \"speedup_warm\": %.2f,\n", SpeedupWarm);
   std::fprintf(F, "  \"embeddings_bitwise_identical\": %s,\n",
                BitwiseIdentical ? "true" : "false");
-  std::fprintf(F, "  \"names_identical\": %s,\n",
-               NamesIdentical ? "true" : "false");
   std::fprintf(F,
                "  \"embedding_cache\": {\"stmt_hits\": %llu, "
                "\"stmt_misses\": %llu, \"state_hits\": %llu, "
@@ -316,7 +296,5 @@ int main(int Argc, char **Argv) {
   std::fclose(F);
   std::printf("wrote BENCH_serve.json\n");
 
-  return (BitwiseIdentical && NamesIdentical && WarmAllHits && SweepAllOk)
-             ? 0
-             : 1;
+  return (BitwiseIdentical && WarmAllHits && SweepAllOk) ? 0 : 1;
 }

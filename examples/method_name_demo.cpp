@@ -46,7 +46,9 @@ int main(int Argc, char **Argv) {
 
   NameModelHooks Hooks;
   Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-  Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+    return Net.predict(Samples);
+  };
   Hooks.Params = &Net.params();
 
   TrainOptions Train = Scale.trainOptions();
@@ -62,14 +64,11 @@ int main(int Argc, char **Argv) {
               Test.Precision, Test.Recall, Test.F1);
 
   std::printf("== Sample predictions on held-out methods ==\n");
-  size_t Shown = 0;
-  for (const MethodSample &Sample : Task.Split.Test) {
-    if (Shown++ >= 8)
-      break;
-    std::vector<std::string> Predicted = Net.predict(Sample);
+  std::vector<std::vector<std::string>> Predicted =
+      Net.predict(Task.Split.Test);
+  for (size_t I = 0; I < Predicted.size() && I < 8; ++I)
     std::printf("actual: %-28s predicted: %s\n",
-                join(Sample.NameSubtokens, " ").c_str(),
-                join(Predicted, " ").c_str());
-  }
+                join(Task.Split.Test[I].NameSubtokens, " ").c_str(),
+                join(Predicted[I], " ").c_str());
   return 0;
 }

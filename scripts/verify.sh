@@ -25,11 +25,12 @@
 #      plus a liger_fuzz smoke burst and the regression-corpus replay,
 #      all under ASan+UBSan (DESIGN.md §12);
 #   3c. sanitized serving: the forward-only runtime suites (bitwise
-#      inference equivalence in cold/warm/reverse rounds, embedding-store
-#      token ids, kind tag and rebind, LGWI truncation/corruption/mmap
-#      fuzz, shared trace-cache concurrency, stats() during concurrent
-#      handle()) and a liger_serve --smoke burst under ASan+UBSan
-#      (DESIGN.md §13);
+#      inference equivalence in cold/warm/reverse rounds, the
+#      prefix-bound decoder against the graph decode oracle for LIGER,
+#      DYPRO and code2seq, embedding-store token ids, kind tag and
+#      rebind, LGWI truncation/corruption/mmap fuzz, shared trace-cache
+#      concurrency, stats() during concurrent handle()) and a
+#      liger_serve --smoke burst under ASan+UBSan (DESIGN.md §13);
 #   3c'. thread-sanitized trace cache: a ThreadSanitizer build
 #      (build-tsan, flags on the command line, no CMake option) of
 #      testgen_tests, serve_tests and dataset_tests, running the trace
@@ -37,13 +38,17 @@
 #      the corpus trace-cache suite (one memory-only cache hit from four
 #      workers, which parse entries outside the cache's lock); TSan
 #      exits 66 on any report, which fails the step;
-#   3d. sanitized lockstep training: the threaded batched-epoch
-#      equivalence suites (losses and final weights bitwise-identical
-#      at 1, 2 and 4 threads), the batched-loss equivalence suite
-#      (lossBatch values bitwise against loss(), gradients against the
-#      per-sample sum, GRU and LSTM) and the LIGER model suite (every
-#      LIGER graph, ablations and classifier included, runs the
-#      lockstep walk) under ASan+UBSan (DESIGN.md §14);
+#   3d. sanitized lockstep training and the drift gate: the threaded
+#      batched-epoch equivalence suites (losses and final weights
+#      bitwise-identical at 1, 2 and 4 threads), the golden digest of
+#      every name model and classifier at a tiny scale
+#      (ExperimentDigestTest: training, evaluation through the
+#      forward-only runtime, fusion statistics), the batched-loss
+#      equivalence suite (lossBatch values bitwise against loss(),
+#      gradients against the per-sample sum, GRU and LSTM) and the
+#      LIGER model suite (every LIGER graph, ablations and classifier
+#      included, runs the lockstep walk) under ASan+UBSan (DESIGN.md
+#      §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones (there the activation kernels are the libm calls
@@ -130,9 +135,9 @@ cmake --build "$REPO/build-tsan" -j "$JOBS" \
   --gtest_filter='TraceCacheConcurrencyTest.*:ServeSharedCacheTest.*:ServeStatsConcurrencyTest.*'
 "$REPO/build-tsan/tests/dataset_tests" --gtest_filter='CorpusTraceCacheTest.*'
 
-step "sanitized lockstep training: threaded batched-epoch + batched-loss equivalence (build-asan)"
+step "sanitized lockstep training + drift gate: threaded batched-epoch, experiment digest, batched-loss equivalence (build-asan)"
 "$REPO/build-asan/tests/eval_tests" \
-  --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
+  --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise:ExperimentDigestTest.*'
 "$REPO/build-asan/tests/models_tests" \
   --gtest_filter='BatchedLossEquivalenceTest.*:LigerTest.*'
 

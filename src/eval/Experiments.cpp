@@ -392,11 +392,16 @@ NameRunResult liger::runNameModel(NameModel Model, const NameTask &Task,
   TrainOptions TrainOpts = Scale.trainOptions();
   scopeCheckpointDir(TrainOpts, Task.Tag, modelId(Model));
 
-  auto Run = [&](auto &Net) {
+  auto HooksOf = [](auto &Net) {
     NameModelHooks Hooks;
-    Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+    Hooks.Loss = [&Net](const MethodSample &S) { return Net.loss(S); };
+    Hooks.Predict = [&Net](const std::vector<MethodSample> &Samples) {
+      return Net.predict(Samples);
+    };
     Hooks.Params = &Net.params();
+    return Hooks;
+  };
+  auto Run = [&](const NameModelHooks &Hooks) {
     Result.TrainSeconds =
         trainNameModel(Hooks, Train, Valid, TrainOpts).Seconds;
     Result.Test = evaluateNameModel(Hooks, Test);
@@ -406,48 +411,39 @@ NameRunResult liger::runNameModel(NameModel Model, const NameTask &Task,
   case NameModel::Code2Vec: {
     Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
                               code2vecConfig(Scale), Scale.Seed);
-    Run(Net);
-    return Result;
+    Run(HooksOf(Net));
+    break;
   }
   case NameModel::Code2Seq: {
     Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
                               code2seqConfig(Scale), Scale.Seed);
-    Run(Net);
-    return Result;
+    Run(HooksOf(Net));
+    break;
   }
   case NameModel::Dypro: {
     DyproNamePredictor Net(Task.Joint, Task.Target, dyproConfig(Scale),
                            Scale.Seed);
-    Run(Net);
-    return Result;
+    Run(HooksOf(Net));
+    break;
   }
   case NameModel::Liger: {
     LigerNamePredictor Net(Task.Joint, Task.Target,
                            ligerConfig(Scale, Ablation), Scale.Seed);
-    NameModelHooks Hooks;
-    Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
+    NameModelHooks Hooks = HooksOf(Net);
     Hooks.LossBatch = [&](const std::vector<const MethodSample *> &Group) {
       return Net.lossBatch(Group);
     };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
-    Hooks.Params = &Net.params();
-    Result.TrainSeconds =
-        trainNameModel(Hooks, Train, Valid, TrainOpts).Seconds;
-    // Evaluate with attention introspection.
-    SubtokenScorer Scorer;
+    // Every pass overwrites Fusion, so the test pass's statistics stay.
     FusionStats Fusion;
-    GraphArena Arena;
-    GraphArena::Scope Scope(Arena);
-    for (const MethodSample &Sample : Test) {
-      Scorer.add(Net.predict(Sample, &Fusion), Sample.NameSubtokens);
-      Arena.reset();
-    }
-    Result.Test = Scorer.scores();
+    Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+      return Net.predict(Samples, &Fusion);
+    };
+    Run(Hooks);
     Result.StaticAttention = Fusion.staticMean();
-    return Result;
+    break;
   }
   }
-  LIGER_UNREACHABLE("covered switch");
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

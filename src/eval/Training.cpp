@@ -259,13 +259,12 @@ TrainResult runTrainingLoop(const BatchLossFn &Loss, size_t Shards,
 
 PrfScores liger::evaluateNameModel(const NameModelHooks &Hooks,
                                    const std::vector<MethodSample> &Samples) {
+  std::vector<std::vector<std::string>> Names = Hooks.Predict(Samples);
+  LIGER_CHECK(Names.size() == Samples.size(),
+              "the predict hook must return one name per sample");
   SubtokenScorer Scorer;
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (const MethodSample &Sample : Samples) {
-    Scorer.add(Hooks.Predict(Sample), Sample.NameSubtokens);
-    Arena.reset();
-  }
+  for (size_t I = 0; I < Samples.size(); ++I)
+    Scorer.add(Names[I], Samples[I].NameSubtokens);
   return Scorer.scores();
 }
 

@@ -91,7 +91,10 @@ struct NameModelHooks {
   std::function<Var(const MethodSample &)> Loss;
   /// Optional batched variant of Loss (TrainOptions::BatchedSamples).
   BatchLossFn LossBatch;
-  std::function<std::vector<std::string>(const MethodSample &)> Predict;
+  /// Names for a whole validation or test set, one per sample in order.
+  std::function<std::vector<std::vector<std::string>>(
+      const std::vector<MethodSample> &)>
+      Predict;
   ParamStore *Params = nullptr;
 };
 

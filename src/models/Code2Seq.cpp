@@ -7,6 +7,7 @@
 #include "models/Code2Seq.h"
 
 #include "lang/AstTree.h"
+#include "models/Inference.h"
 #include "support/StringUtils.h"
 
 using namespace liger;
@@ -108,19 +109,6 @@ Var embedContextImpl(const SeqPathContext &Context,
   return tanhV(ContextProj.apply(concat(concat(L, PathH), R)));
 }
 
-SeqDecoderConfig decoderConfig(const Code2SeqConfig &Cfg,
-                               size_t TargetVocabSize) {
-  SeqDecoderConfig DC;
-  DC.TargetVocabSize = TargetVocabSize;
-  DC.EmbedDim = Cfg.EmbedDim;
-  DC.Hidden = Cfg.Hidden;
-  DC.AttnHidden = Cfg.AttnHidden;
-  DC.MemoryDim = Cfg.Hidden;
-  DC.InitDim = Cfg.Hidden;
-  DC.Cell = Cfg.Cell;
-  return DC;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -141,8 +129,7 @@ Code2SeqNamePredictor::Code2SeqNamePredictor(const Vocabulary &Subtokens,
               InitRng),
       ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
                   Cfg.Hidden, InitRng),
-      Decoder(Store, "c2s.dec",
-              decoderConfig(Cfg, static_cast<size_t>(Target.size())),
+      Decoder(Store, "c2s.dec", SeqDecoderConfig::forModel(Cfg, Target),
               InitRng) {}
 
 Var Code2SeqNamePredictor::embedContext(const SeqPathContext &Context) const {
@@ -150,11 +137,11 @@ Var Code2SeqNamePredictor::embedContext(const SeqPathContext &Context) const {
                           ContextProj, Config.EmbedDim, Config.Hidden);
 }
 
-Code2SeqNamePredictor::Encoding
+GraphEncoding
 Code2SeqNamePredictor::encode(const MethodSample &Sample) const {
   std::vector<SeqPathContext> Contexts =
       extractSeqPathContexts(Sample, SubtokenVocab, NodeVocab, Config);
-  Encoding Out;
+  GraphEncoding Out;
   if (Contexts.empty()) {
     Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
     Out.Memory.push_back(Out.ProgramEmbedding);
@@ -167,18 +154,15 @@ Code2SeqNamePredictor::encode(const MethodSample &Sample) const {
 }
 
 Var Code2SeqNamePredictor::loss(const MethodSample &Sample) const {
-  Encoding Enc = encode(Sample);
-  std::vector<int> Targets =
-      nameTargetIds(Sample.NameSubtokens, TargetVocab);
-  return Decoder.loss(Enc.ProgramEmbedding, Enc.Memory, Targets);
+  GraphEncoding Enc = encode(Sample);
+  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
 }
 
-std::vector<std::string>
-Code2SeqNamePredictor::predict(const MethodSample &Sample) const {
-  Encoding Enc = encode(Sample);
-  std::vector<int> Ids = Decoder.decodeGreedy(
-      Enc.ProgramEmbedding, Enc.Memory, Config.MaxDecodeLen);
-  return idsToSubtokens(Ids, TargetVocab);
+std::vector<std::vector<std::string>>
+Code2SeqNamePredictor::predict(const std::vector<MethodSample> &Samples) const {
+  return decodeGraphEncodings(
+      Store, Decoder, Config.MaxDecodeLen, TargetVocab, Samples,
+      [&](const MethodSample &Sample) { return encode(Sample); });
 }
 
 //===----------------------------------------------------------------------===//

@@ -65,16 +65,16 @@ public:
                         const Code2SeqConfig &Config, uint64_t Seed);
 
   Var loss(const MethodSample &Sample) const;
-  std::vector<std::string> predict(const MethodSample &Sample) const;
+  /// Greedy names for \p Samples (decodeGraphEncodings).
+  std::vector<std::vector<std::string>>
+  predict(const std::vector<MethodSample> &Samples) const;
+
+  /// The decoder's inputs: every path-context vector, and their mean.
+  GraphEncoding encode(const MethodSample &Sample) const;
 
   ParamStore &params() { return Store; }
 
 private:
-  struct Encoding {
-    Var ProgramEmbedding;
-    std::vector<Var> Memory;
-  };
-  Encoding encode(const MethodSample &Sample) const;
   Var embedContext(const SeqPathContext &Context) const;
 
   ParamStore Store;

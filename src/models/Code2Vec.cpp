@@ -139,6 +139,18 @@ Code2VecNamePredictor::predict(const MethodSample &Sample) const {
   return splitSubtokens(NameVocab.token(static_cast<int>(Best)));
 }
 
+std::vector<std::vector<std::string>>
+Code2VecNamePredictor::predict(const std::vector<MethodSample> &Samples) const {
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  std::vector<std::vector<std::string>> Names;
+  for (const MethodSample &Sample : Samples) {
+    Names.push_back(predict(Sample));
+    Arena.reset();
+  }
+  return Names;
+}
+
 //===----------------------------------------------------------------------===//
 // Code2VecClassifier
 //===----------------------------------------------------------------------===//

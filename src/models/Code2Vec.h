@@ -61,6 +61,9 @@ public:
   Var loss(const MethodSample &Sample) const;
   /// Predicts the best whole name and splits it into sub-tokens.
   std::vector<std::string> predict(const MethodSample &Sample) const;
+  /// predict() for each of \p Samples, in a graph arena reset per sample.
+  std::vector<std::vector<std::string>>
+  predict(const std::vector<MethodSample> &Samples) const;
 
   ParamStore &params() { return Store; }
 

@@ -14,7 +14,7 @@ using namespace liger;
 
 SeqDecoder::SeqDecoder(ParamStore &Store, const std::string &Name,
                        const SeqDecoderConfig &Cfg, Rng &R)
-    : Config(Cfg),
+    : Name(Name), Config(Cfg),
       TargetEmbed(Store, Name + ".target_embed", Cfg.TargetVocabSize,
                   Cfg.EmbedDim, R),
       InitProj(Store, Name + ".init", Cfg.InitDim, Cfg.Hidden, R),
@@ -25,21 +25,9 @@ SeqDecoder::SeqDecoder(ParamStore &Store, const std::string &Name,
       OutProj(Store, Name + ".out", Cfg.Hidden + Cfg.MemoryDim,
               Cfg.TargetVocabSize, R) {}
 
-Var SeqDecoder::stepLogits(const Var &PrevEmbed, RecState &State,
-                           const AttentionScorer::Memory &Mem) const {
-  // Context from attention over the prepared memory with the current
-  // hidden state as the query (µ_t = a2(H^d_{t-1}, H^e_{i_j})); the
-  // key-side projections were computed once in prepare(), so each step
-  // costs one fused attention node.
-  AttentionScorer::Result Attention = Attn.contextOf(State.H, Mem);
-  State = Cell.step(concat(PrevEmbed, Attention.Context), State);
-  return OutProj.apply(concat(State.H, Attention.Context));
-}
-
-Var SeqDecoder::loss(const Var &ProgramEmbedding,
-                     const std::vector<Var> &Memory,
+Var SeqDecoder::loss(const GraphEncoding &Enc,
                      const std::vector<int> &TargetIds) const {
-  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
+  LIGER_CHECK(!Enc.Memory.empty(), "decoder needs a non-empty memory");
   LIGER_CHECK(!TargetIds.empty() && TargetIds.back() == Vocabulary::Eos,
               "targets must end with Eos");
   // Validate every target id once, ahead of the step loop (they feed
@@ -50,13 +38,13 @@ Var SeqDecoder::loss(const Var &ProgramEmbedding,
                 "decoder target id out of range");
 
   RecState State;
-  State.H = tanhV(InitProj.apply(ProgramEmbedding));
+  State.H = tanhV(InitProj.apply(Enc.ProgramEmbedding));
   if (Config.Cell == CellKind::Lstm)
     State.C = constant(Tensor::zeros(Config.Hidden));
 
   // Key-side attention projections: once per decode, shared by every
   // step below.
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
+  AttentionScorer::Memory Mem = Attn.prepare(Enc.Memory);
 
   // Teacher-forced inputs are [Sos, T_0, ..., T_{n-2}]; hoist the
   // embedding lookups out of the step loop and look each distinct id
@@ -76,7 +64,11 @@ Var SeqDecoder::loss(const Var &ProgramEmbedding,
   std::vector<Var> Losses;
   Losses.reserve(TargetIds.size());
   for (size_t I = 0; I < TargetIds.size(); ++I) {
-    Var Logits = stepLogits(Inputs[I], State, Mem);
+    // Attention with the current hidden state as the query
+    // (µ_t = a2(H^d_{t-1}, H^e_{i_j})): one fused node per step.
+    Var Context = Attn.contextOf(State.H, Mem).Context;
+    State = Cell.step(concat(Inputs[I], Context), State);
+    Var Logits = OutProj.apply(concat(State.H, Context));
     Losses.push_back(
         softmaxCrossEntropy(Logits, static_cast<size_t>(TargetIds[I])));
   }
@@ -84,11 +76,10 @@ Var SeqDecoder::loss(const Var &ProgramEmbedding,
 }
 
 std::vector<Var>
-SeqDecoder::lossBatch(const std::vector<Var> &ProgramEmbeddings,
-                      const std::vector<std::vector<Var>> &Memories,
+SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
                       const std::vector<std::vector<int>> &TargetIds) const {
-  size_t B = ProgramEmbeddings.size();
-  LIGER_CHECK(B > 0 && Memories.size() == B && TargetIds.size() == B,
+  size_t B = Encs.size();
+  LIGER_CHECK(B > 0 && TargetIds.size() == B,
               "lossBatch needs matching non-empty sample sets");
 
   // Per-sample validation, initial states, and prepared attention
@@ -99,7 +90,7 @@ SeqDecoder::lossBatch(const std::vector<Var> &ProgramEmbeddings,
   Mems.reserve(B);
   std::vector<size_t> Lens(B);
   for (size_t Bi = 0; Bi < B; ++Bi) {
-    LIGER_CHECK(!Memories[Bi].empty(), "decoder needs a non-empty memory");
+    LIGER_CHECK(!Encs[Bi].Memory.empty(), "decoder needs a non-empty memory");
     LIGER_CHECK(!TargetIds[Bi].empty() &&
                     TargetIds[Bi].back() == Vocabulary::Eos,
                 "targets must end with Eos");
@@ -107,10 +98,10 @@ SeqDecoder::lossBatch(const std::vector<Var> &ProgramEmbeddings,
       LIGER_CHECK(Id >= 0 &&
                       static_cast<size_t>(Id) < Config.TargetVocabSize,
                   "decoder target id out of range");
-    States[Bi].H = tanhV(InitProj.apply(ProgramEmbeddings[Bi]));
+    States[Bi].H = tanhV(InitProj.apply(Encs[Bi].ProgramEmbedding));
     if (Config.Cell == CellKind::Lstm)
       States[Bi].C = constant(Tensor::zeros(Config.Hidden));
-    Mems.push_back(Attn.prepare(Memories[Bi]));
+    Mems.push_back(Attn.prepare(Encs[Bi].Memory));
     Lens[Bi] = TargetIds[Bi].size();
   }
 
@@ -172,33 +163,4 @@ SeqDecoder::lossBatch(const std::vector<Var> &ProgramEmbeddings,
   for (size_t Bi = 0; Bi < B; ++Bi)
     Out.push_back(meanLoss(Losses[Bi]));
   return Out;
-}
-
-std::vector<int> SeqDecoder::decodeGreedy(const Var &ProgramEmbedding,
-                                          const std::vector<Var> &Memory,
-                                          size_t MaxLen) const {
-  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
-  RecState State;
-  State.H = tanhV(InitProj.apply(ProgramEmbedding));
-  if (Config.Cell == CellKind::Lstm)
-    State.C = constant(Tensor::zeros(Config.Hidden));
-
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
-
-  std::vector<int> Output;
-  int Prev = Vocabulary::Sos;
-  for (size_t Step = 0; Step < MaxLen; ++Step) {
-    Var Logits = stepLogits(TargetEmbed.lookup(Prev), State, Mem);
-    // Never emit the structural specials other than Eos.
-    Tensor Masked = Logits->Value;
-    Masked[Vocabulary::Pad] = -1e30f;
-    Masked[Vocabulary::Sos] = -1e30f;
-    Masked[Vocabulary::Unk] = -1e30f;
-    int Next = static_cast<int>(argmax(Masked));
-    if (Next == Vocabulary::Eos)
-      break;
-    Output.push_back(Next);
-    Prev = Next;
-  }
-  return Output;
 }

@@ -11,6 +11,9 @@
 /// encoder vectors (for LIGER: every step embedding H^e_{i_j} of every
 /// blended trace) via the feedforward score network a2.
 ///
+/// Greedy decoding is forward-only: GreedyDecoder (models/Inference.h)
+/// binds a SeqDecoder's parameters by its name prefix.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_MODELS_DECODER_H
@@ -30,6 +33,29 @@ struct SeqDecoderConfig {
   size_t MemoryDim = 32; ///< Dimension of the encoder memory vectors.
   size_t InitDim = 32;   ///< Dimension of the program embedding.
   CellKind Cell = CellKind::Gru;
+
+  /// The decoder of a LIGER, DYPRO or code2seq config: memory vectors
+  /// and program embedding are both Hidden wide.
+  template <typename ModelConfig>
+  static SeqDecoderConfig forModel(const ModelConfig &Cfg,
+                                   const Vocabulary &Target) {
+    SeqDecoderConfig DC;
+    DC.TargetVocabSize = static_cast<size_t>(Target.size());
+    DC.EmbedDim = Cfg.EmbedDim;
+    DC.Hidden = Cfg.Hidden;
+    DC.AttnHidden = Cfg.AttnHidden;
+    DC.MemoryDim = Cfg.Hidden;
+    DC.InitDim = Cfg.Hidden;
+    DC.Cell = Cfg.Cell;
+    return DC;
+  }
+};
+
+/// An encoder's output as the decoder reads it: the program embedding
+/// and the attention memory.
+struct GraphEncoding {
+  Var ProgramEmbedding;
+  std::vector<Var> Memory;
 };
 
 /// Attention decoder over a memory of encoder vectors.
@@ -39,10 +65,9 @@ public:
   SeqDecoder(ParamStore &Store, const std::string &Name,
              const SeqDecoderConfig &Config, Rng &R);
 
-  /// Teacher-forced sequence loss. \p Memory must be non-empty;
+  /// Teacher-forced sequence loss. The memory must be non-empty;
   /// \p TargetIds must end with Eos.
-  Var loss(const Var &ProgramEmbedding, const std::vector<Var> &Memory,
-           const std::vector<int> &TargetIds) const;
+  Var loss(const GraphEncoding &Enc, const std::vector<int> &TargetIds) const;
 
   /// Teacher-forced losses for B samples decoded in lockstep: the
   /// batching scheduler (lockstepSchedule) groups the samples still
@@ -54,23 +79,15 @@ public:
   /// per-lane loop of its single-sample op (BatchedKernelEquivalenceTest).
   /// Returns each sample's mean loss.
   std::vector<Var>
-  lossBatch(const std::vector<Var> &ProgramEmbeddings,
-            const std::vector<std::vector<Var>> &Memories,
+  lossBatch(const std::vector<GraphEncoding> &Encs,
             const std::vector<std::vector<int>> &TargetIds) const;
 
-  /// Greedy decoding until Eos or \p MaxLen tokens. Returned ids do not
-  /// include Eos.
-  std::vector<int> decodeGreedy(const Var &ProgramEmbedding,
-                                const std::vector<Var> &Memory,
-                                size_t MaxLen) const;
+  /// The parameter-name prefix, which GreedyDecoder binds by.
+  const std::string &name() const { return Name; }
+  const SeqDecoderConfig &config() const { return Config; }
 
 private:
-  /// Shared per-step computation: emits logits for the next token,
-  /// attending over a prepared memory (key-side projections cached
-  /// once per decode by AttentionScorer::prepare).
-  Var stepLogits(const Var &PrevEmbed, RecState &State,
-                 const AttentionScorer::Memory &Mem) const;
-
+  std::string Name;
   SeqDecoderConfig Config;
   EmbeddingTable TargetEmbed;
   Linear InitProj;  ///< Program embedding -> initial hidden state.

@@ -6,6 +6,8 @@
 
 #include "models/Dypro.h"
 
+#include "models/Inference.h"
+
 using namespace liger;
 
 void liger::addVariableNamesToVocabulary(const MethodSample &Sample,
@@ -61,9 +63,9 @@ Var DyproEncoder::embedState(const ProgramState &State,
   return F2.run(VarEmbeds).back().H;
 }
 
-DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
+GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
   EncodeContext Ctx;
-  Encoding Out;
+  GraphEncoding Out;
   std::vector<Var> TraceEmbeddings;
   size_t Consumed = 0;
 
@@ -81,7 +83,7 @@ DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
           continue;
         Var StateVec = embedState(States.States[J], Traces.VarNames, Ctx);
         S = Trace.step(StateVec, S);
-        Out.StateMemory.push_back(S.H);
+        Out.Memory.push_back(S.H);
         Stepped = true;
       }
       if (Stepped)
@@ -91,21 +93,21 @@ DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
 
   if (TraceEmbeddings.empty()) {
     Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
-    Out.StateMemory.push_back(Out.ProgramEmbedding);
+    Out.Memory.push_back(Out.ProgramEmbedding);
     return Out;
   }
   Out.ProgramEmbedding = maxPool(TraceEmbeddings);
 
   // Bound the decoder's attention memory (see MaxAttentionMemory).
-  if (Out.StateMemory.size() > Config.MaxAttentionMemory) {
+  if (Out.Memory.size() > Config.MaxAttentionMemory) {
     std::vector<Var> Strided;
     Strided.reserve(Config.MaxAttentionMemory);
-    double Step = static_cast<double>(Out.StateMemory.size()) /
+    double Step = static_cast<double>(Out.Memory.size()) /
                   static_cast<double>(Config.MaxAttentionMemory);
     for (size_t I = 0; I < Config.MaxAttentionMemory; ++I)
       Strided.push_back(
-          Out.StateMemory[static_cast<size_t>(Step * static_cast<double>(I))]);
-    Out.StateMemory = std::move(Strided);
+          Out.Memory[static_cast<size_t>(Step * static_cast<double>(I))]);
+    Out.Memory = std::move(Strided);
   }
   return Out;
 }
@@ -114,46 +116,25 @@ DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
 // Heads
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-SeqDecoderConfig decoderConfig(const DyproConfig &Cfg,
-                               size_t TargetVocabSize) {
-  SeqDecoderConfig DC;
-  DC.TargetVocabSize = TargetVocabSize;
-  DC.EmbedDim = Cfg.EmbedDim;
-  DC.Hidden = Cfg.Hidden;
-  DC.AttnHidden = Cfg.AttnHidden;
-  DC.MemoryDim = Cfg.Hidden;
-  DC.InitDim = Cfg.Hidden;
-  DC.Cell = Cfg.Cell;
-  return DC;
-}
-
-} // namespace
-
 DyproNamePredictor::DyproNamePredictor(const Vocabulary &Vocab,
                                        const Vocabulary &Target,
                                        const DyproConfig &Config,
                                        uint64_t Seed)
     : InitRng(Seed), Encoder(Store, Vocab, Config, InitRng),
-      Decoder(Store, "dypro.dec",
-              decoderConfig(Config, static_cast<size_t>(Target.size())),
+      Decoder(Store, "dypro.dec", SeqDecoderConfig::forModel(Config, Target),
               InitRng),
       TargetVocab(Target) {}
 
 Var DyproNamePredictor::loss(const MethodSample &Sample) const {
-  DyproEncoder::Encoding Enc = Encoder.encode(Sample.Traces);
-  std::vector<int> Targets =
-      nameTargetIds(Sample.NameSubtokens, TargetVocab);
-  return Decoder.loss(Enc.ProgramEmbedding, Enc.StateMemory, Targets);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
+  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
 }
 
-std::vector<std::string>
-DyproNamePredictor::predict(const MethodSample &Sample) const {
-  DyproEncoder::Encoding Enc = Encoder.encode(Sample.Traces);
-  std::vector<int> Ids = Decoder.decodeGreedy(
-      Enc.ProgramEmbedding, Enc.StateMemory, Encoder.config().MaxDecodeLen);
-  return idsToSubtokens(Ids, TargetVocab);
+std::vector<std::vector<std::string>>
+DyproNamePredictor::predict(const std::vector<MethodSample> &Samples) const {
+  return decodeGraphEncodings(
+      Store, Decoder, Encoder.config().MaxDecodeLen, TargetVocab, Samples,
+      [&](const MethodSample &Sample) { return Encoder.encode(Sample.Traces); });
 }
 
 DyproClassifier::DyproClassifier(const Vocabulary &Vocab, size_t NumClasses,
@@ -163,12 +144,12 @@ DyproClassifier::DyproClassifier(const Vocabulary &Vocab, size_t NumClasses,
 
 Var DyproClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
-  DyproEncoder::Encoding Enc = Encoder.encode(Sample.Traces);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
   return softmaxCrossEntropy(Head.apply(Enc.ProgramEmbedding),
                              static_cast<size_t>(Sample.ClassId));
 }
 
 int DyproClassifier::predict(const MethodSample &Sample) const {
-  DyproEncoder::Encoding Enc = Encoder.encode(Sample.Traces);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
   return static_cast<int>(argmax(Head.apply(Enc.ProgramEmbedding)->Value));
 }

@@ -50,12 +50,8 @@ public:
   DyproEncoder(ParamStore &Store, const Vocabulary &Vocab,
                const DyproConfig &Config, Rng &R);
 
-  struct Encoding {
-    Var ProgramEmbedding;
-    std::vector<Var> StateMemory; ///< Per-state hiddens of all traces.
-  };
-
-  Encoding encode(const MethodTraces &Traces) const;
+  /// The memory holds the per-state hiddens of all traces.
+  GraphEncoding encode(const MethodTraces &Traces) const;
 
   const DyproConfig &config() const { return Config; }
 
@@ -84,9 +80,12 @@ public:
                      const DyproConfig &Config, uint64_t Seed);
 
   Var loss(const MethodSample &Sample) const;
-  std::vector<std::string> predict(const MethodSample &Sample) const;
+  /// Greedy names for \p Samples (decodeGraphEncodings).
+  std::vector<std::vector<std::string>>
+  predict(const std::vector<MethodSample> &Samples) const;
 
   ParamStore &params() { return Store; }
+  const DyproEncoder &encoder() const { return Encoder; }
 
 private:
   ParamStore Store;

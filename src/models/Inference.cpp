@@ -11,7 +11,8 @@
 // LigerEncoder::encodeBatch (Liger.cpp) advances every path in
 // lockstep; both fuse, pool and order step memory the same way. Keep
 // the two in step when either changes — InferenceEquivalenceTest
-// compares them with memcmp.
+// compares them with memcmp, and the decoder with the graph decode of
+// tests/ReferenceGraphs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 
 #include "lang/AstTree.h"
 #include "models/Common.h"
+#include "nn/GraphArena.h"
 #include "nn/InferOps.h"
 
 #include <algorithm>
@@ -73,24 +75,13 @@ size_t ScratchArena::floatsReserved() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Weight binding
+// Bound modules: weight binding and forwards
 //===----------------------------------------------------------------------===//
 
-LigerInference::LigerInference(const WeightImage &Image,
-                               const Vocabulary &JointVocab,
-                               const Vocabulary *Target,
-                               const LigerConfig &Cfg)
-    : Config(Cfg), Vocab(JointVocab), TargetVocab(Target),
-      ValueIds(JointVocab) {
-  LIGER_CHECK(Config.UseStaticFeature || Config.UseDynamicFeature,
-              "at least one feature dimension must be enabled");
-  bind(Image);
-  resetStore();
-}
+namespace {
 
-LigerInference::LinearRef
-LigerInference::bindLinear(const WeightImage &Image, const std::string &Name,
-                           size_t In, size_t Out) const {
+LinearRef bindLinear(const WeightImage &Image, const std::string &Name,
+                     size_t In, size_t Out) {
   LinearRef L;
   L.In = In;
   L.Out = Out;
@@ -99,9 +90,8 @@ LigerInference::bindLinear(const WeightImage &Image, const std::string &Name,
   return L;
 }
 
-LigerInference::CellRef
-LigerInference::bindCell(const WeightImage &Image, const std::string &Name,
-                         CellKind Kind, size_t In, size_t Hidden) const {
+CellRef bindCell(const WeightImage &Image, const std::string &Name,
+                 CellKind Kind, size_t In, size_t Hidden) {
   CellRef C;
   C.Kind = Kind;
   C.In = In;
@@ -118,10 +108,8 @@ LigerInference::bindCell(const WeightImage &Image, const std::string &Name,
   return C;
 }
 
-LigerInference::AttnRef
-LigerInference::bindAttn(const WeightImage &Image, const std::string &Name,
-                         size_t QueryDim, size_t KeyDim,
-                         size_t Hidden) const {
+AttnRef bindAttn(const WeightImage &Image, const std::string &Name,
+                 size_t QueryDim, size_t KeyDim, size_t Hidden) {
   AttnRef A;
   A.QueryDim = QueryDim;
   A.KeyDim = KeyDim;
@@ -133,75 +121,18 @@ LigerInference::bindAttn(const WeightImage &Image, const std::string &Name,
   return A;
 }
 
-void LigerInference::bind(const WeightImage &Image) {
-  size_t E = Config.EmbedDim, H = Config.Hidden, A = Config.AttnHidden;
-  Embed = Image.tensor2d("liger.embed",
-                         static_cast<size_t>(Vocab.size()), E);
-  TreeW.Wx = Image.tensor2d("liger.stmt_tree.Wx", 4 * H, E);
-  TreeW.Bx = Image.tensor1d("liger.stmt_tree.bx", 4 * H);
-  TreeW.Wh = Image.tensor2d("liger.stmt_tree.Wh", 4 * H, H);
-  F1 = bindCell(Image, "liger.f1", Config.Cell, E, E);
-  F2 = bindCell(Image, "liger.f2", Config.Cell, E, H);
-  A1 = bindAttn(Image, "liger.a1", H, H, A);
-  F3 = bindCell(Image, "liger.f3", Config.Cell, H, H);
-
-  if (TargetVocab) {
-    size_t Vt = static_cast<size_t>(TargetVocab->size());
-    Dec.TargetEmbed = Image.tensor2d("liger.dec.target_embed", Vt, E);
-    Dec.Init = bindLinear(Image, "liger.dec.init", H, H);
-    Dec.Cell = bindCell(Image, "liger.dec.cell", Config.Cell, E + H, H);
-    Dec.Attn = bindAttn(Image, "liger.dec.attn", H, H, A);
-    Dec.Out = bindLinear(Image, "liger.dec.out", H + H, Vt);
-  }
-
-  Version = Image.version();
-}
-
-void LigerInference::rebind(const WeightImage &Image) {
-  Digest128 Old = Version;
-  bind(Image);
-  if (Version != Old)
-    resetStore();
-}
-
-void LigerInference::resetStore() {
-  Store = EmbeddingStore();
-  // The trie root, the empty tuple: f2's initial state, which is also
-  // the zero embedding of a state with no values.
-  StoredRow Root;
-  Root.H = Store.Floats.allocZeroed(Config.Hidden);
-  if (Config.Cell == CellKind::Lstm)
-    Root.C = Store.Floats.allocZeroed(Config.Hidden);
-  Store.Nodes.push_back(Root);
-}
-
-void LigerInference::beginRequest() {
-  Arena.reset();
-  RequestStmts.clear();
-}
-
-//===----------------------------------------------------------------------===//
-// Primitive module forwards
-//===----------------------------------------------------------------------===//
-
-const float *LigerInference::tokenEmbed(int Id) const {
-  // EmbeddingTable::lookup is a zero-copy row view; here it is plain
-  // pointer arithmetic into the image.
-  return Embed + static_cast<size_t>(Id) * Config.EmbedDim;
-}
-
-LigerInference::St LigerInference::cellInitial(const CellRef &Cell) {
-  St S;
+CellState cellInitial(ScratchArena &Arena, const CellRef &Cell) {
+  CellState S;
   S.H = Arena.allocZeroed(Cell.Hidden);
   if (Cell.Kind == CellKind::Lstm)
     S.C = Arena.allocZeroed(Cell.Hidden);
   return S;
 }
 
-LigerInference::St LigerInference::cellStep(const CellRef &Cell,
-                                            const float *X, const St &Prev) {
+CellState cellStep(ScratchArena &Arena, const CellRef &Cell, const float *X,
+                   const CellState &Prev) {
   size_t H = Cell.Hidden;
-  St Next;
+  CellState Next;
   switch (Cell.Kind) {
   case CellKind::Rnn: {
     // tanhV(add(L1.apply(X), matvec(U1, Prev.H))).
@@ -239,9 +170,8 @@ LigerInference::St LigerInference::cellStep(const CellRef &Cell,
   return Next;
 }
 
-const float *
-LigerInference::attnKeyProj(const AttnRef &Attn,
-                            const std::vector<const float *> &Keys) {
+const float *attnKeyProj(ScratchArena &Arena, const AttnRef &Attn,
+                         const std::vector<const float *> &Keys) {
   float *KP = Arena.alloc(Keys.size() * Attn.Hidden);
   inferops::attentionKeyProjForward(Keys.size(), Attn.Hidden, Attn.KeyDim,
                                     Attn.KeyDim + Attn.QueryDim, Attn.W1,
@@ -249,10 +179,11 @@ LigerInference::attnKeyProj(const AttnRef &Attn,
   return KP;
 }
 
-const float *
-LigerInference::attnContext(const AttnRef &Attn,
-                            const std::vector<const float *> &Keys,
-                            const float *KeyProj, const float *Query) {
+/// \p Weights, when non-null, receives the softmax weights.
+const float *attnContext(ScratchArena &Arena, const AttnRef &Attn,
+                         const std::vector<const float *> &Keys,
+                         const float *KeyProj, const float *Query,
+                         const float **Weights = nullptr) {
   size_t T = Keys.size();
   float *Ht = Arena.alloc(T * Attn.Hidden);
   float *A = Arena.alloc(T);
@@ -262,7 +193,167 @@ LigerInference::attnContext(const AttnRef &Attn,
                              Attn.KeyDim + Attn.QueryDim, Attn.W1, Attn.W2,
                              Attn.B2[0], Query, KeyProj, Keys.data(), Ht, A,
                              Out, Ws);
+  if (Weights)
+    *Weights = A;
   return Out;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// GreedyDecoder
+//===----------------------------------------------------------------------===//
+
+GreedyDecoder::GreedyDecoder(const WeightImage &Image,
+                             const std::string &Prefix,
+                             const SeqDecoderConfig &Cfg)
+    : Config(Cfg) {
+  size_t E = Cfg.EmbedDim, H = Cfg.Hidden, M = Cfg.MemoryDim;
+  TargetEmbed =
+      Image.tensor2d(Prefix + ".target_embed", Cfg.TargetVocabSize, E);
+  Init = bindLinear(Image, Prefix + ".init", Cfg.InitDim, H);
+  Cell = bindCell(Image, Prefix + ".cell", Cfg.Cell, E + M, H);
+  Attn = bindAttn(Image, Prefix + ".attn", H, M, Cfg.AttnHidden);
+  Out = bindLinear(Image, Prefix + ".out", H + M, Cfg.TargetVocabSize);
+}
+
+std::vector<int>
+GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
+                      const std::vector<const float *> &Memory,
+                      size_t MaxLen) const {
+  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
+  size_t H = Config.Hidden, E = Config.EmbedDim, M = Config.MemoryDim;
+  size_t Vt = Out.Out;
+
+  CellState State;
+  {
+    float *H0 = Arena.alloc(H);
+    kernels::matvec(H, Init.In, Init.W, ProgramEmbedding, H0);
+    kernels::addAcc(H, Init.B, H0);
+    kernels::tanhMap(H, H0, H0);
+    State.H = H0;
+  }
+  if (Config.Cell == CellKind::Lstm)
+    State.C = Arena.allocZeroed(H);
+
+  const float *KP = attnKeyProj(Arena, Attn, Memory);
+
+  std::vector<int> Output;
+  int Prev = Vocabulary::Sos;
+  for (size_t Step = 0; Step < MaxLen; ++Step) {
+    const float *PrevEmbed = TargetEmbed + static_cast<size_t>(Prev) * E;
+    // SeqDecoder::loss's step: attention over the *previous* state, cell
+    // step, then the output projection over the new state and context.
+    const float *Ctx = attnContext(Arena, Attn, Memory, KP, State.H);
+    float *CellIn = Arena.alloc(E + M);
+    std::memcpy(CellIn, PrevEmbed, E * sizeof(float));
+    std::memcpy(CellIn + E, Ctx, M * sizeof(float));
+    State = cellStep(Arena, Cell, CellIn, State);
+    float *OutIn = Arena.alloc(H + M);
+    std::memcpy(OutIn, State.H, H * sizeof(float));
+    std::memcpy(OutIn + H, Ctx, M * sizeof(float));
+    float *Logits = Arena.alloc(Vt);
+    kernels::matvec(Vt, Out.In, Out.W, OutIn, Logits);
+    kernels::addAcc(Vt, Out.B, Logits);
+
+    // Never emit the structural specials other than Eos.
+    Logits[Vocabulary::Pad] = -1e30f;
+    Logits[Vocabulary::Sos] = -1e30f;
+    Logits[Vocabulary::Unk] = -1e30f;
+    int Next = static_cast<int>(inferops::argmaxRow(Vt, Logits));
+    if (Next == Vocabulary::Eos)
+      break;
+    Output.push_back(Next);
+    Prev = Next;
+  }
+  return Output;
+}
+
+std::vector<std::vector<std::string>> liger::decodeGraphEncodings(
+    const ParamStore &Store, const SeqDecoder &Decoder, size_t MaxLen,
+    const Vocabulary &Target, const std::vector<MethodSample> &Samples,
+    const std::function<GraphEncoding(const MethodSample &)> &Encode) {
+  WeightImage Image = WeightImage::fromStore(Store);
+  GreedyDecoder Greedy(Image, Decoder.name(), Decoder.config());
+  ScratchArena Scratch;
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  std::vector<std::vector<std::string>> Names;
+  for (const MethodSample &Sample : Samples) {
+    GraphEncoding Enc = Encode(Sample);
+    std::vector<const float *> Memory;
+    for (const Var &Item : Enc.Memory)
+      Memory.push_back(Item->Value.data());
+    Names.push_back(idsToSubtokens(
+        Greedy.decode(Scratch, Enc.ProgramEmbedding->Value.data(), Memory,
+                      MaxLen),
+        Target));
+    Scratch.reset();
+    Arena.reset();
+  }
+  return Names;
+}
+
+//===----------------------------------------------------------------------===//
+// LigerInference: weight binding
+//===----------------------------------------------------------------------===//
+
+LigerInference::LigerInference(const WeightImage &Image,
+                               const Vocabulary &JointVocab,
+                               const Vocabulary *Target,
+                               const LigerConfig &Cfg)
+    : Config(Cfg), Vocab(JointVocab), TargetVocab(Target),
+      ValueIds(JointVocab) {
+  LIGER_CHECK(Config.UseStaticFeature || Config.UseDynamicFeature,
+              "at least one feature dimension must be enabled");
+  bind(Image);
+  resetStore();
+}
+
+void LigerInference::bind(const WeightImage &Image) {
+  size_t E = Config.EmbedDim, H = Config.Hidden, A = Config.AttnHidden;
+  Embed = Image.tensor2d("liger.embed",
+                         static_cast<size_t>(Vocab.size()), E);
+  TreeW.Wx = Image.tensor2d("liger.stmt_tree.Wx", 4 * H, E);
+  TreeW.Bx = Image.tensor1d("liger.stmt_tree.bx", 4 * H);
+  TreeW.Wh = Image.tensor2d("liger.stmt_tree.Wh", 4 * H, H);
+  F1 = bindCell(Image, "liger.f1", Config.Cell, E, E);
+  F2 = bindCell(Image, "liger.f2", Config.Cell, E, H);
+  A1 = bindAttn(Image, "liger.a1", H, H, A);
+  F3 = bindCell(Image, "liger.f3", Config.Cell, H, H);
+  if (TargetVocab)
+    Decoder.emplace(Image, "liger.dec",
+                    SeqDecoderConfig::forModel(Config, *TargetVocab));
+  Version = Image.version();
+}
+
+void LigerInference::rebind(const WeightImage &Image) {
+  Digest128 Old = Version;
+  bind(Image);
+  if (Version != Old)
+    resetStore();
+}
+
+void LigerInference::resetStore() {
+  Store = EmbeddingStore();
+  // The trie root, the empty tuple: f2's initial state, which is also
+  // the zero embedding of a state with no values.
+  StoredRow Root;
+  Root.H = Store.Floats.allocZeroed(Config.Hidden);
+  if (Config.Cell == CellKind::Lstm)
+    Root.C = Store.Floats.allocZeroed(Config.Hidden);
+  Store.Nodes.push_back(Root);
+}
+
+void LigerInference::beginRequest() {
+  Arena.reset();
+  RequestStmts.clear();
+}
+
+const float *LigerInference::tokenEmbed(int Id) const {
+  // EmbeddingTable::lookup is a zero-copy row view; here it is plain
+  // pointer arithmetic into the image.
+  return Embed + static_cast<size_t>(Id) * Config.EmbedDim;
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,8 +374,8 @@ void appendTreeIds(const AstTree &Tree, const Vocabulary &Vocab,
 
 } // namespace
 
-LigerInference::St LigerInference::treeNode(const std::vector<int> &PreOrder,
-                                            size_t &Pos) {
+CellState LigerInference::treeNode(const std::vector<int> &PreOrder,
+                                   size_t &Pos) {
   // Mirrors ChildSumTreeLstm::embedNode: children first, then the
   // child-sum and the fused node op.
   size_t H = Config.Hidden;
@@ -293,7 +384,7 @@ LigerInference::St LigerInference::treeNode(const std::vector<int> &PreOrder,
   Pos += 2;
   std::vector<const float *> ChildH(K), ChildC(K);
   for (size_t I = 0; I < K; ++I) {
-    St Child = treeNode(PreOrder, Pos);
+    CellState Child = treeNode(PreOrder, Pos);
     ChildH[I] = Child.H;
     ChildC[I] = Child.C;
   }
@@ -316,7 +407,7 @@ LigerInference::St LigerInference::treeNode(const std::vector<int> &PreOrder,
 
   float *Gates = Arena.alloc((5 + K) * H);
   float *Ws = Arena.alloc(10 * H);
-  St Out;
+  CellState Out;
   float *C = Arena.alloc(H);
   float *HOut = Arena.alloc(H);
   inferops::treeLstmNodeForward(H, Config.EmbedDim, K, TreeW.Wx, TreeW.Bx,
@@ -344,7 +435,7 @@ LigerInference::StoredRow *LigerInference::embedStatement(const Stmt *S) {
   } else {
     ++Stats.StmtMisses;
     size_t Pos = 0;
-    St R = treeNode(Ids, Pos);
+    CellState R = treeNode(Ids, Pos);
     float *H = Store.Floats.alloc(Config.Hidden);
     std::memcpy(H, R.H, Config.Hidden * sizeof(float));
     StoredRow Row;
@@ -368,9 +459,9 @@ uint32_t LigerInference::objectEntry(const Value &Object) {
   if (!Added)
     return E;
   // f1 over the flattened attr sequence.
-  St S = cellInitial(F1);
+  CellState S = cellInitial(Arena, F1);
   for (int Id : Ids)
-    S = cellStep(F1, tokenEmbed(Id), S);
+    S = cellStep(Arena, F1, tokenEmbed(Id), S);
   float *H = Store.Floats.alloc(F1.Hidden);
   std::memcpy(H, S.H, F1.Hidden * sizeof(float));
   Store.ObjectH.push_back(H);
@@ -404,13 +495,13 @@ LigerInference::embedState(const ProgramState &State) {
 
   // Run only the f2 steps below the deepest node that exists.
   size_t H = Config.Hidden;
-  St S{Store.Nodes[Node].H, Store.Nodes[Node].C};
+  CellState S{Store.Nodes[Node].H, Store.Nodes[Node].C};
   for (;;) {
     uint32_t Payload = StateTrie::payload(Component);
     const float *X = StateTrie::isObject(Component)
                          ? Store.ObjectH[Payload]
                          : tokenEmbed(static_cast<int>(Payload));
-    S = cellStep(F2, X, S);
+    S = cellStep(Arena, F2, X, S);
     StoredRow Row;
     float *NodeH = Store.Floats.alloc(H);
     std::memcpy(NodeH, S.H, H * sizeof(float));
@@ -460,10 +551,13 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
   if (Rows.empty())
     return nullptr;
 
-  if (Rows.size() == 1)
+  if (Rows.size() == 1) {
+    addFusionTerm(J, 1.0);
     return Rows[0]->H;
+  }
   size_t H = Config.Hidden;
   if (!Config.UseFusionAttention || J == 0) {
+    addFusionTerm(J, 1.0 / static_cast<double>(Rows.size()));
     // meanPool: zeros + in-order axpy with the 1/N weight.
     float *Out = Arena.allocZeroed(H);
     float Inv = 1.0f / static_cast<float>(Rows.size());
@@ -479,7 +573,18 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
     std::memcpy(KP + T * A1.Hidden, keyProjRow(*Rows[T]),
                 A1.Hidden * sizeof(float));
   }
-  return attnContext(A1, Keys, KP, PrevH);
+  const float *Weights = nullptr;
+  const float *Fused = attnContext(Arena, A1, Keys, KP, PrevH, &Weights);
+  addFusionTerm(J, static_cast<double>(Weights[0]));
+  return Fused;
+}
+
+void LigerInference::addFusionTerm(size_t J, double StaticWeight) {
+  if (!Config.UseStaticFeature)
+    return;
+  if (FusionTerms.size() <= J)
+    FusionTerms.resize(J + 1);
+  FusionTerms[J].push_back(StaticWeight);
 }
 
 const float *
@@ -491,13 +596,13 @@ LigerInference::encodePath(const BlendedTrace &Path,
           ? std::min(Path.Concrete.size(), Config.MaxConcretePerPath)
           : 0;
 
-  St Trace = cellInitial(F3);
+  CellState Trace = cellInitial(Arena, F3);
   const float *PrevH = Trace.H;
   for (size_t J = 0; J < Steps; ++J) {
     const float *Fused = fuseStep(Path, J, NumConcrete, PrevH);
     if (!Fused)
       continue;
-    Trace = cellStep(F3, Fused, Trace);
+    Trace = cellStep(Arena, F3, Fused, Trace);
     PrevH = Trace.H;
     StepMemory.push_back(Trace.H);
   }
@@ -517,6 +622,14 @@ LigerInference::encodeForDecode(const MethodTraces &Traces) {
         Path.Concrete.empty())
       continue;
     PathEmbeddings.push_back(encodePath(Path, StepMemory));
+  }
+  // Every path's step-J terms before any step J+1 term, as
+  // LigerEncoder::encodeBatch walks.
+  for (std::vector<double> &Terms : FusionTerms) {
+    for (double Term : Terms)
+      Fusion.StaticWeightSum += Term;
+    Fusion.FusionSteps += Terms.size();
+    Terms.clear();
   }
 
   size_t H = Config.Hidden;
@@ -554,60 +667,8 @@ const float *LigerInference::encode(const MethodTraces &Traces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Greedy decode
+// Name prediction
 //===----------------------------------------------------------------------===//
-
-std::vector<int>
-LigerInference::decodeGreedy(const float *ProgramEmbedding,
-                             const std::vector<const float *> &Memory) {
-  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
-  size_t H = Config.Hidden, E = Config.EmbedDim;
-  size_t Vt = Dec.Out.Out;
-
-  St State;
-  {
-    float *H0 = Arena.alloc(H);
-    kernels::matvec(H, Dec.Init.In, Dec.Init.W, ProgramEmbedding, H0);
-    kernels::addAcc(H, Dec.Init.B, H0);
-    kernels::tanhMap(H, H0, H0);
-    State.H = H0;
-  }
-  if (Config.Cell == CellKind::Lstm)
-    State.C = Arena.allocZeroed(H);
-
-  const float *KP = attnKeyProj(Dec.Attn, Memory);
-
-  std::vector<int> Output;
-  int Prev = Vocabulary::Sos;
-  for (size_t Step = 0; Step < Config.MaxDecodeLen; ++Step) {
-    const float *PrevEmbed =
-        Dec.TargetEmbed + static_cast<size_t>(Prev) * E;
-    // stepLogits: attention over the *previous* state, cell step, then
-    // the output projection over the new state and the same context.
-    const float *Ctx = attnContext(Dec.Attn, Memory, KP, State.H);
-    float *CellIn = Arena.alloc(E + H);
-    std::memcpy(CellIn, PrevEmbed, E * sizeof(float));
-    std::memcpy(CellIn + E, Ctx, H * sizeof(float));
-    State = cellStep(Dec.Cell, CellIn, State);
-    float *OutIn = Arena.alloc(H + H);
-    std::memcpy(OutIn, State.H, H * sizeof(float));
-    std::memcpy(OutIn + H, Ctx, H * sizeof(float));
-    float *Logits = Arena.alloc(Vt);
-    kernels::matvec(Vt, Dec.Out.In, Dec.Out.W, OutIn, Logits);
-    kernels::addAcc(Vt, Dec.Out.B, Logits);
-
-    // Never emit the structural specials other than Eos.
-    Logits[Vocabulary::Pad] = -1e30f;
-    Logits[Vocabulary::Sos] = -1e30f;
-    Logits[Vocabulary::Unk] = -1e30f;
-    int Next = static_cast<int>(inferops::argmaxRow(Vt, Logits));
-    if (Next == Vocabulary::Eos)
-      break;
-    Output.push_back(Next);
-    Prev = Next;
-  }
-  return Output;
-}
 
 std::vector<std::string>
 LigerInference::predictName(const MethodTraces &Traces) {
@@ -616,7 +677,9 @@ LigerInference::predictName(const MethodTraces &Traces) {
 
 std::vector<std::string>
 LigerInference::predictName(const Encoding &Encoded) {
-  LIGER_CHECK(TargetVocab, "predictName needs a target vocabulary");
-  std::vector<int> Ids = decodeGreedy(Encoded.Program, Encoded.StepMemory);
-  return idsToSubtokens(Ids, *TargetVocab);
+  LIGER_CHECK(Decoder, "predictName needs a target vocabulary");
+  return idsToSubtokens(Decoder->decode(Arena, Encoded.Program,
+                                        Encoded.StepMemory,
+                                        Config.MaxDecodeLen),
+                        *TargetVocab);
 }

@@ -5,21 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The no-graph inference runtime: the LIGER encoder and greedy
-/// decoder (LigerNamePredictor::predict) as a forward that runs the
+/// The no-graph inference runtime: the LIGER encoder (LigerInference)
+/// and the greedy decoder (GreedyDecoder) as forwards that run the
 /// shared forward kernels (nn/InferOps.h) directly against an immutable
 /// WeightImage — no graph Nodes, no backward payloads kept alive, no
-/// arena of parent arrays. Temporaries come from a reusable per-engine
-/// ScratchArena that is reset at the top of every request, so a warmed
-/// engine allocates nothing on the steady path.
+/// arena of parent arrays. Temporaries come from a reusable ScratchArena
+/// that is reset at the top of every request, so a warmed engine
+/// allocates nothing on the steady path.
+///
+/// It is the evaluation forward as well as the serving one: every name
+/// model's greedy names come from GreedyDecoder, and LIGER's validation
+/// and test passes run LigerInference (DESIGN.md §13.2).
 ///
 /// The encoder walks a method path by path, independently of the graph
 /// encoder's lockstep walk (LigerEncoder::encodeBatch). Because the ops
 /// are the literal functions the autodiff builders call, and no value
-/// depends on the walk order, the embeddings and predictions are
-/// bitwise-identical to the training-path forward
-/// (InferenceEquivalenceTest pins this for GRU, LSTM and vanilla RNN
-/// cells and the ablation configs, encode and decode).
+/// depends on the walk order, the embeddings are bitwise-identical to
+/// the training-path forward, and the decodes to the graph decode
+/// oracle of tests/ReferenceGraphs (InferenceEquivalenceTest pins this
+/// for GRU, LSTM and vanilla RNN cells and the ablation configs, and
+/// the decoder for DYPRO and code2seq).
 ///
 /// Since parameters are frozen at serving time, the embeddings the
 /// graph encoder memoises for one call (statements per sample, objects
@@ -50,6 +55,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +84,61 @@ private:
   std::vector<Block> Blocks;
   size_t Active = 0;
 };
+
+/// Module weights bound from a WeightImage (raw pointers into the
+/// image, which must outlive them): the runtime's Linear,
+/// RecurrentCell and AttentionScorer.
+struct LinearRef {
+  size_t In = 0, Out = 0;
+  const float *W = nullptr, *B = nullptr;
+};
+struct CellRef {
+  CellKind Kind = CellKind::Gru;
+  size_t In = 0, Hidden = 0;
+  const float *Wx = nullptr, *Bx = nullptr, *Wh = nullptr; // packed
+  LinearRef L1;                                            // Rnn
+  const float *U1 = nullptr;                               // Rnn
+};
+struct AttnRef {
+  size_t QueryDim = 0, KeyDim = 0, Hidden = 0;
+  const float *W1 = nullptr, *B1 = nullptr, *W2 = nullptr, *B2 = nullptr;
+};
+/// A recurrent cell's state (C for LSTM only).
+struct CellState {
+  const float *H = nullptr;
+  const float *C = nullptr;
+};
+
+/// The greedy decoder of §5.1.2 as a forward-only op: a SeqDecoder's
+/// weights, bound by its name prefix ("liger.dec", "dypro.dec",
+/// "c2s.dec") from a WeightImage that must outlive it.
+class GreedyDecoder {
+public:
+  GreedyDecoder(const WeightImage &Image, const std::string &Prefix,
+                const SeqDecoderConfig &Config);
+
+  /// Target ids decoded greedily from \p ProgramEmbedding over
+  /// \p Memory (non-empty) until Eos or \p MaxLen tokens, Eos excluded;
+  /// temporaries come from \p Arena.
+  std::vector<int> decode(ScratchArena &Arena, const float *ProgramEmbedding,
+                          const std::vector<const float *> &Memory,
+                          size_t MaxLen) const;
+
+private:
+  SeqDecoderConfig Config;
+  const float *TargetEmbed = nullptr; ///< [TargetVocabSize x EmbedDim].
+  LinearRef Init, Out;
+  CellRef Cell;
+  AttnRef Attn;
+};
+
+/// Greedy names for \p Samples from a graph encoder (DYPRO, code2seq):
+/// \p Decoder's weights in one snapshot of \p Store decode the values of
+/// each sample's \p Encode, run in a graph arena reset per sample.
+std::vector<std::vector<std::string>> decodeGraphEncodings(
+    const ParamStore &Store, const SeqDecoder &Decoder, size_t MaxLen,
+    const Vocabulary &Target, const std::vector<MethodSample> &Samples,
+    const std::function<GraphEncoding(const MethodSample &)> &Encode);
 
 /// Forward-only inference over a frozen weight image.
 class LigerInference {
@@ -114,8 +176,7 @@ public:
   /// the next encode/predict call on this engine).
   const float *encode(const MethodTraces &Traces);
 
-  /// Greedy-decoded method-name subtokens (mirrors
-  /// LigerNamePredictor::predict).
+  /// Greedy-decoded method-name subtokens.
   std::vector<std::string> predictName(const MethodTraces &Traces);
   /// The same, decoded from \p Encoded: this engine's latest
   /// encodeForDecode() result.
@@ -128,37 +189,13 @@ public:
 
   const Digest128 &paramVersion() const { return Version; }
   const CacheStats &cacheStats() const { return Stats; }
+  /// Fusion statistics of every method encoded since construction.
+  const FusionStats &fusionStats() const { return Fusion; }
   const LigerConfig &config() const { return Config; }
   size_t arenaFloats() const { return Arena.floatsReserved(); }
 
 private:
-  struct LinearRef {
-    size_t In = 0, Out = 0;
-    const float *W = nullptr, *B = nullptr;
-  };
-  struct CellRef {
-    CellKind Kind = CellKind::Gru;
-    size_t In = 0, Hidden = 0;
-    const float *Wx = nullptr, *Bx = nullptr, *Wh = nullptr; // packed
-    LinearRef L1;                                            // Rnn
-    const float *U1 = nullptr;                               // Rnn
-  };
-  struct AttnRef {
-    size_t QueryDim = 0, KeyDim = 0, Hidden = 0;
-    const float *W1 = nullptr, *B1 = nullptr, *W2 = nullptr, *B2 = nullptr;
-  };
-  struct St {
-    const float *H = nullptr;
-    const float *C = nullptr;
-  };
-
   void bind(const WeightImage &Image);
-  LinearRef bindLinear(const WeightImage &Image, const std::string &Name,
-                       size_t In, size_t Out) const;
-  CellRef bindCell(const WeightImage &Image, const std::string &Name,
-                   CellKind Kind, size_t In, size_t Hidden) const;
-  AttnRef bindAttn(const WeightImage &Image, const std::string &Name,
-                   size_t QueryDim, size_t KeyDim, size_t Hidden) const;
 
   /// One stored embedding: the vector a fusion step consumes, the f2
   /// cell state C (LSTM trie nodes only), and A1's key-side row,
@@ -187,25 +224,17 @@ private:
   void resetStore();
   void beginRequest();
   const float *tokenEmbed(int Id) const;
-  St cellInitial(const CellRef &Cell);
-  St cellStep(const CellRef &Cell, const float *X, const St &Prev);
-  const float *attnContext(const AttnRef &Attn,
-                           const std::vector<const float *> &Keys,
-                           const float *KeyProj, const float *Query);
-  const float *attnKeyProj(const AttnRef &Attn,
-                           const std::vector<const float *> &Keys);
 
-  St treeNode(const std::vector<int> &PreOrder, size_t &Pos);
+  CellState treeNode(const std::vector<int> &PreOrder, size_t &Pos);
   const float *keyProjRow(StoredRow &Row);
   uint32_t objectEntry(const Value &Object);
   StoredRow *embedStatement(const Stmt *S);
   StoredRow *embedState(const ProgramState &State);
   const float *fuseStep(const BlendedTrace &Path, size_t J,
                         size_t NumConcrete, const float *PrevH);
+  void addFusionTerm(size_t J, double StaticWeight);
   const float *encodePath(const BlendedTrace &Path,
                           std::vector<const float *> &StepMemory);
-  std::vector<int> decodeGreedy(const float *ProgramEmbedding,
-                                const std::vector<const float *> &Memory);
 
   LigerConfig Config;
   const Vocabulary &Vocab;
@@ -219,16 +248,16 @@ private:
   } TreeW; ///< Child-sum TreeLSTM weights, packed i/o/u/f.
   CellRef F1, F2, F3;
   AttnRef A1;
-  struct {
-    const float *TargetEmbed = nullptr; ///< [Vt x EmbedDim].
-    LinearRef Init, Out;
-    CellRef Cell;
-    AttnRef Attn;
-  } Dec;
+  /// The "liger.dec" decoder; empty for an encode-only engine.
+  std::optional<GreedyDecoder> Decoder;
 
   ValueTokenIds ValueIds;
   ScratchArena Arena;
   CacheStats Stats;
+  FusionStats Fusion;
+  /// This request's fusion terms by step index, summed step-major as
+  /// the graph encoder walks (double sums depend on the order).
+  std::vector<std::vector<double>> FusionTerms;
   EmbeddingStore Store;
   /// Per-request memo in front of Store.Stmts: Stmt pointers are only
   /// stable while the request's Program lives.

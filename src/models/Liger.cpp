@@ -7,6 +7,7 @@
 #include "models/Liger.h"
 
 #include "lang/AstTree.h"
+#include "models/Inference.h"
 
 using namespace liger;
 
@@ -47,36 +48,18 @@ Var LigerEncoder::embedStatement(const Stmt *S, SampleCache &Cache) const {
 }
 
 Var LigerEncoder::fuse(const std::vector<Var> &Components, size_t J,
-                       Var PrevH, FusionStats *Stats) const {
+                       Var PrevH) const {
   if (Components.empty())
     return nullptr; // dynamic-only config with a state-less step
-
-  bool UniformFirstStep = J == 0; // paper: even weights at step one
-  if (Components.size() == 1) {
-    if (Stats && Config.UseStaticFeature) {
-      Stats->StaticWeightSum += 1.0;
-      ++Stats->FusionSteps;
-    }
+  if (Components.size() == 1)
     return Components[0];
-  }
-  if (!Config.UseFusionAttention || UniformFirstStep) {
-    Var Fused = meanPool(Components);
-    if (Stats && Config.UseStaticFeature) {
-      Stats->StaticWeightSum += 1.0 / static_cast<double>(Components.size());
-      ++Stats->FusionSteps;
-    }
-    return Fused;
-  }
+  if (!Config.UseFusionAttention || J == 0) // paper: even weights at step one
+    return meanPool(Components);
   // Components change every step, so the key-side projections are
   // prepared fresh here; the win is the fused two-node step (key
   // projection + attention op) replacing the per-pair score chain.
   AttentionScorer::Memory Mem = A1.prepare(Components);
-  AttentionScorer::Result Fusion = A1.contextOf(PrevH, Mem);
-  if (Stats && Config.UseStaticFeature) {
-    Stats->StaticWeightSum += static_cast<double>(Fusion.Weights[0]);
-    ++Stats->FusionSteps;
-  }
-  return Fusion.Context;
+  return A1.contextOf(PrevH, Mem).Context;
 }
 
 /// encodeBatch's two-level state embeddings (DESIGN.md §14.2): one
@@ -196,9 +179,9 @@ private:
   std::vector<RecState> Prevs;
 };
 
-std::vector<LigerEncoding>
-LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
-                          FusionStats *Stats) const {
+std::vector<GraphEncoding>
+LigerEncoder::encodeBatch(
+    const std::vector<const MethodTraces *> &Batch) const {
   size_t B = Batch.size();
   // Statement and token embeddings stay per sample. Program states
   // share one BatchStates across the batch: an object value or state
@@ -281,7 +264,7 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
                                             Caches[L.Sample]));
       for (uint32_t Node : LaneNodes[Li])
         Components.push_back(States.embedding(Node));
-      Var Fused = fuse(Components, J, L.PrevH, Stats);
+      Var Fused = fuse(Components, J, L.PrevH);
       if (!Fused)
         continue;
       Active.push_back(Li);
@@ -300,78 +283,53 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
   }
 
   // Per-sample assembly in path-major order.
-  std::vector<LigerEncoding> Out(B);
+  std::vector<GraphEncoding> Out(B);
   std::vector<std::vector<Var>> PathEmbeds(B);
   for (Lane &L : Lanes) {
     PathEmbeds[L.Sample].push_back(L.Trace.H);
-    Out[L.Sample].StepMemory.insert(Out[L.Sample].StepMemory.end(),
+    Out[L.Sample].Memory.insert(Out[L.Sample].Memory.end(),
                                     L.Memory.begin(), L.Memory.end());
   }
   for (size_t S = 0; S < B; ++S) {
     if (PathEmbeds[S].empty()) {
       Out[S].ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
-      Out[S].StepMemory.assign(1, Out[S].ProgramEmbedding);
+      Out[S].Memory.assign(1, Out[S].ProgramEmbedding);
       continue;
     }
     Out[S].ProgramEmbedding = Config.MeanPoolPrograms
                                   ? meanPool(PathEmbeds[S])
                                   : maxPool(PathEmbeds[S]);
-    if (Out[S].StepMemory.empty())
-      Out[S].StepMemory.push_back(Out[S].ProgramEmbedding);
+    if (Out[S].Memory.empty())
+      Out[S].Memory.push_back(Out[S].ProgramEmbedding);
   }
   return Out;
 }
 
-LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
-                                   FusionStats *Stats) const {
-  return std::move(encodeBatch({&Traces}, Stats)[0]);
+GraphEncoding LigerEncoder::encode(const MethodTraces &Traces) const {
+  return std::move(encodeBatch({&Traces})[0]);
 }
 
 //===----------------------------------------------------------------------===//
 // LigerNamePredictor
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-SeqDecoderConfig decoderConfig(const LigerConfig &Cfg,
-                               size_t TargetVocabSize) {
-  SeqDecoderConfig DC;
-  DC.TargetVocabSize = TargetVocabSize;
-  DC.EmbedDim = Cfg.EmbedDim;
-  DC.Hidden = Cfg.Hidden;
-  DC.AttnHidden = Cfg.AttnHidden;
-  DC.MemoryDim = Cfg.Hidden;
-  DC.InitDim = Cfg.Hidden;
-  DC.Cell = Cfg.Cell;
-  return DC;
-}
-
-} // namespace
-
 LigerNamePredictor::LigerNamePredictor(const Vocabulary &JointVocab,
                                        const Vocabulary &Target,
                                        const LigerConfig &Config,
                                        uint64_t Seed)
     : InitRng(Seed), Encoder(Store, JointVocab, Config, InitRng),
-      Decoder(Store, "liger.dec",
-              decoderConfig(Config, static_cast<size_t>(Target.size())),
+      Decoder(Store, "liger.dec", SeqDecoderConfig::forModel(Config, Target),
               InitRng),
       TargetVocab(Target) {}
 
 Var LigerNamePredictor::loss(const MethodSample &Sample) const {
-  LigerEncoding Enc = Encoder.encode(Sample.Traces);
-  std::vector<int> Targets =
-      nameTargetIds(Sample.NameSubtokens, TargetVocab);
-  return Decoder.loss(Enc.ProgramEmbedding, Enc.StepMemory, Targets);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
+  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
 }
 
 std::vector<Var> LigerNamePredictor::lossBatch(
     const std::vector<const MethodSample *> &Samples) const {
-  std::vector<Var> Embs;
-  std::vector<std::vector<Var>> Mems;
   std::vector<std::vector<int>> Targets;
-  Embs.reserve(Samples.size());
-  Mems.reserve(Samples.size());
   Targets.reserve(Samples.size());
   std::vector<const MethodTraces *> Traces;
   Traces.reserve(Samples.size());
@@ -382,22 +340,22 @@ std::vector<Var> LigerNamePredictor::lossBatch(
   // Lockstep-batched encode: all samples' blended traces advance their
   // F3 recurrences together, so same-timestep lanes share one batched
   // cell step exactly as the decoder loop below does.
-  std::vector<LigerEncoding> Encs = Encoder.encodeBatch(Traces);
-  for (LigerEncoding &Enc : Encs) {
-    Embs.push_back(Enc.ProgramEmbedding);
-    Mems.push_back(std::move(Enc.StepMemory));
-  }
-  return Decoder.lossBatch(Embs, Mems, Targets);
+  return Decoder.lossBatch(Encoder.encodeBatch(Traces), Targets);
 }
 
-std::vector<std::string>
-LigerNamePredictor::predict(const MethodSample &Sample,
+std::vector<std::vector<std::string>>
+LigerNamePredictor::predict(const std::vector<MethodSample> &Samples,
                             FusionStats *Stats) const {
-  LigerEncoding Enc = Encoder.encode(Sample.Traces, Stats);
-  std::vector<int> Ids =
-      Decoder.decodeGreedy(Enc.ProgramEmbedding, Enc.StepMemory,
-                           Encoder.config().MaxDecodeLen);
-  return idsToSubtokens(Ids, TargetVocab);
+  WeightImage Image = WeightImage::fromStore(Store);
+  LigerInference Runtime(Image, Encoder.vocab(), &TargetVocab,
+                         Encoder.config());
+  std::vector<std::vector<std::string>> Names;
+  Names.reserve(Samples.size());
+  for (const MethodSample &Sample : Samples)
+    Names.push_back(Runtime.predictName(Sample.Traces));
+  if (Stats)
+    *Stats = Runtime.fusionStats();
+  return Names;
 }
 
 //===----------------------------------------------------------------------===//
@@ -412,13 +370,13 @@ LigerClassifier::LigerClassifier(const Vocabulary &JointVocab,
 
 Var LigerClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
-  LigerEncoding Enc = Encoder.encode(Sample.Traces);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
   return softmaxCrossEntropy(Head.apply(Enc.ProgramEmbedding),
                              static_cast<size_t>(Sample.ClassId));
 }
 
 int LigerClassifier::predict(const MethodSample &Sample) const {
-  LigerEncoding Enc = Encoder.encode(Sample.Traces);
+  GraphEncoding Enc = Encoder.encode(Sample.Traces);
   return static_cast<int>(argmax(Head.apply(Enc.ProgramEmbedding)->Value));
 }
 

@@ -29,10 +29,9 @@
 /// MeanPoolPrograms switch ablates the pooling choice.
 ///
 /// The graph encoder has one forward, the lockstep walk of
-/// LigerEncoder::encodeBatch; encode() is its batch of one. The
-/// forward-only LigerInference (models/Inference.h) is the independent,
-/// path-major forward that serving runs and the tests pin this one
-/// against.
+/// LigerEncoder::encodeBatch; encode() is its batch of one. Prediction
+/// runs the forward-only, path-major LigerInference (models/Inference.h)
+/// that serving runs and the tests pin this one against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +63,8 @@ struct LigerConfig {
 };
 
 /// Attention introspection for §6.1.2: average fusion weight assigned
-/// to the symbolic (static) feature vector.
+/// to the symbolic (static) feature vector: 1, 1/N under uniform
+/// fusion, or A1's weight (computed by LigerInference).
 struct FusionStats {
   double StaticWeightSum = 0;
   size_t FusionSteps = 0;
@@ -74,14 +74,6 @@ struct FusionStats {
   }
 };
 
-/// Output of the LIGER encoder.
-struct LigerEncoding {
-  Var ProgramEmbedding;
-  /// Flattened step embeddings H^e_{i_j} of all blended traces (the
-  /// decoder's attention memory).
-  std::vector<Var> StepMemory;
-};
-
 /// The encoder (layers 1–4).
 class LigerEncoder {
 public:
@@ -89,10 +81,9 @@ public:
                const LigerConfig &Config, Rng &R);
 
   /// Encodes one method's blended traces: encodeBatch() over a batch
-  /// of one. When \p Stats is non-null, fusion attention weights are
-  /// accumulated into it.
-  LigerEncoding encode(const MethodTraces &Traces,
-                       FusionStats *Stats = nullptr) const;
+  /// of one. The memory holds the step embeddings H^e_{i_j} of every
+  /// blended trace.
+  GraphEncoding encode(const MethodTraces &Traces) const;
 
   /// Encodes a mini-batch of methods with every blended trace advanced
   /// in lockstep: at each step index the per-path component fusions
@@ -106,13 +97,12 @@ public:
   /// whole batch (DESIGN.md §14.2): every distinct object value runs f1
   /// once and every distinct state prefix runs its f2 step once, each
   /// round embedding its new objects in one lockstep f1 run and its new
-  /// trie edges with one batched f2 step per depth. When \p Stats is
-  /// non-null, fusion attention weights are accumulated into it.
-  std::vector<LigerEncoding>
-  encodeBatch(const std::vector<const MethodTraces *> &Batch,
-              FusionStats *Stats = nullptr) const;
+  /// trie edges with one batched f2 step per depth.
+  std::vector<GraphEncoding>
+  encodeBatch(const std::vector<const MethodTraces *> &Batch) const;
 
   const LigerConfig &config() const { return Config; }
+  const Vocabulary &vocab() const { return Vocab; }
 
 private:
   /// One sample's caches in encodeBatch: statement embeddings by
@@ -129,8 +119,7 @@ private:
   Var embedStatement(const Stmt *S, SampleCache &Cache) const;
   /// The fusion rule over one step's components (the statement vector,
   /// when enabled, first); null when there are none.
-  Var fuse(const std::vector<Var> &Components, size_t J, Var PrevH,
-           FusionStats *Stats) const;
+  Var fuse(const std::vector<Var> &Components, size_t J, Var PrevH) const;
 
   LigerConfig Config;
   const Vocabulary &Vocab;
@@ -160,10 +149,11 @@ public:
   std::vector<Var>
   lossBatch(const std::vector<const MethodSample *> &Samples) const;
 
-  /// Greedy prediction of name sub-tokens; \p Stats optionally receives
-  /// fusion attention statistics.
-  std::vector<std::string> predict(const MethodSample &Sample,
-                                   FusionStats *Stats = nullptr) const;
+  /// Greedy names for \p Samples from one LigerInference over one
+  /// parameter snapshot; \p Stats, if given, receives its statistics.
+  std::vector<std::vector<std::string>>
+  predict(const std::vector<MethodSample> &Samples,
+          FusionStats *Stats = nullptr) const;
 
   ParamStore &params() { return Store; }
   const LigerEncoder &encoder() const { return Encoder; }

@@ -8,8 +8,12 @@
 #include "eval/Metrics.h"
 #include "eval/Training.h"
 
+#include "models/Code2Seq.h"
+#include "models/Code2Vec.h"
+#include "models/Dypro.h"
 #include "nn/Module.h"
 #include "support/BinaryIO.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -304,7 +308,9 @@ TEST(TrainingIntegrationTest, LigerImprovesOverTraining) {
   LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
   NameModelHooks Hooks;
   Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-  Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+    return Net.predict(Samples);
+  };
   Hooks.Params = &Net.params();
 
   // Loss must drop substantially from the untrained baseline.
@@ -351,7 +357,9 @@ TEST(TrainingIntegrationTest, ParallelEpochMatchesSerialBitwise) {
     LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
     NameModelHooks Hooks;
     Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+    Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+      return Net.predict(Samples);
+    };
     Hooks.Params = &Net.params();
     TrainOptions Options = Scale.trainOptions();
     Options.Threads = Threads;
@@ -407,7 +415,9 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
         [&](const std::vector<const MethodSample *> &Group) {
           return Net.lossBatch(Group);
         };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+    Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+      return Net.predict(Samples);
+    };
     Hooks.Params = &Net.params();
     TrainOptions Options = Scale.trainOptions();
     Options.Threads = Threads;
@@ -474,7 +484,9 @@ TEST(TrainingIntegrationTest, BatchedSamplesWithoutHookFallsBackPerSample) {
     LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
     NameModelHooks Hooks;
     Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+    Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+      return Net.predict(Samples);
+    };
     Hooks.Params = &Net.params();
     // Deliberately no Hooks.LossBatch.
     TrainOptions Options = Scale.trainOptions();
@@ -519,6 +531,210 @@ TEST(TrainingIntegrationTest, ClassifierBeatsChanceOnCoset) {
 }
 
 //===----------------------------------------------------------------------===//
+// Drift gate: a golden digest of small experiment runs
+//===----------------------------------------------------------------------===//
+//
+// Every name model and every COSET classifier at a tiny scale, folded
+// into one digest per task. Every name model scores F1 = 0 here, so
+// the digests fold what the models output, not only the scores: each
+// run's best epoch, best validation score and final training loss
+// (bits), every sub-token each name model predicts for every
+// validation and test method under the restored best parameters, the
+// test scores and fusion statistics runNameModel reports for LIGER
+// (full model and uniform fusion), and every predicted class id and
+// the test accuracy of each classifier. A digest change means a model
+// output bit changed: say so in CHANGES.md and regenerate the results.
+//
+// The digests were computed while evaluation still decoded through the
+// autodiff graph (SeqDecoder) and LIGER's fusion statistics came from
+// the graph encoder; the forward-only decoder and runtime that replace
+// them must reproduce every bit. The scalar kernels
+// (LIGER_NATIVE_SIMD=OFF) round differently from the AVX2 ones, so
+// each kernel configuration has its own pair.
+
+namespace {
+
+ExperimentScale digestScale() {
+  ExperimentScale Scale;
+  Scale.MethodsMed = 64;
+  Scale.Epochs = 2;
+  Scale.Hidden = 8;
+  Scale.EmbedDim = 8;
+  Scale.TargetPaths = 3;
+  Scale.ExecutionsPerPath = 2;
+  Scale.Seed = 11;
+  return Scale;
+}
+
+#if LIGER_SIMD_AVX2
+constexpr uint64_t NameModelsDigest = 5347988627398356593ull;
+constexpr uint64_t CosetClassifiersDigest = 17880391969936264602ull;
+#else
+constexpr uint64_t NameModelsDigest = 4268730295895259844ull;
+constexpr uint64_t CosetClassifiersDigest = 2221391057893541540ull;
+#endif
+
+void foldTrainResult(StableHash &H, const TrainResult &R) {
+  H.addU64(R.BestEpoch);
+  H.addF64(R.BestValidScore);
+  H.addF64(R.FinalTrainLoss);
+}
+
+void foldNames(StableHash &H,
+               const std::vector<std::vector<std::string>> &Names) {
+  H.addU64(Names.size());
+  for (const std::vector<std::string> &Name : Names) {
+    H.addU64(Name.size());
+    for (const std::string &Subtoken : Name)
+      H.addString(Subtoken);
+  }
+}
+
+/// The hooks runNameModel builds for \p Net.
+template <typename Model> NameModelHooks nameHooks(Model &Net) {
+  NameModelHooks Hooks;
+  Hooks.Loss = [&Net](const MethodSample &S) { return Net.loss(S); };
+  Hooks.Predict = [&Net](const std::vector<MethodSample> &Samples) {
+    return Net.predict(Samples);
+  };
+  Hooks.Params = &Net.params();
+  return Hooks;
+}
+
+/// Trains as runNameModel does, then folds the run and the predictions
+/// of the restored best parameters.
+void foldNameRun(StableHash &H, const NameModelHooks &Hooks,
+                 const NameTask &Task, const ExperimentScale &Scale) {
+  foldTrainResult(H, trainNameModel(Hooks, Task.Split.Train,
+                                    Task.Split.Valid, Scale.trainOptions()));
+  foldNames(H, Hooks.Predict(Task.Split.Valid));
+  foldNames(H, Hooks.Predict(Task.Split.Test));
+}
+
+/// The hooks runCosetModel builds for \p Net.
+template <typename Model> ClassModelHooks classHooks(Model &Net) {
+  ClassModelHooks Hooks;
+  Hooks.Loss = [&Net](const MethodSample &S) { return Net.loss(S); };
+  Hooks.Predict = [&Net](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Params = &Net.params();
+  return Hooks;
+}
+
+void foldClassRun(StableHash &H, const ClassModelHooks &Hooks,
+                  const CosetTask &Task, const ExperimentScale &Scale) {
+  foldTrainResult(H, trainClassifier(Hooks, Task.Split.Train,
+                                     Task.Split.Valid, Task.NumClasses,
+                                     Scale.trainOptions()));
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  for (const std::vector<MethodSample> *Split :
+       {&Task.Split.Valid, &Task.Split.Test})
+    for (const MethodSample &S : *Split) {
+      H.addI64(Hooks.Predict(S));
+      Arena.reset();
+    }
+  ClassScores Scores =
+      evaluateClassifier(Hooks, Task.Split.Test, Task.NumClasses);
+  H.addF64(Scores.Accuracy);
+  H.addF64(Scores.MacroF1);
+}
+
+Code2VecConfig digestCode2VecConfig(const ExperimentScale &Scale) {
+  Code2VecConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.CodeDim = Scale.Hidden;
+  return Config;
+}
+
+Code2SeqConfig digestCode2SeqConfig(const ExperimentScale &Scale) {
+  Code2SeqConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Config.AttnHidden = Scale.Hidden;
+  return Config;
+}
+
+DyproConfig digestDyproConfig(const ExperimentScale &Scale) {
+  DyproConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Config.AttnHidden = Scale.Hidden;
+  return Config;
+}
+
+} // namespace
+
+TEST(ExperimentDigestTest, NameModels) {
+  ExperimentScale Scale = digestScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  ASSERT_EQ(Task.Split.Train.size(), 48u);
+  ASSERT_EQ(Task.Split.Valid.size(), 7u);
+  ASSERT_EQ(Task.Split.Test.size(), 8u);
+
+  StableHash H;
+  {
+    Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
+                              digestCode2VecConfig(Scale), Scale.Seed);
+    foldNameRun(H, nameHooks(Net), Task, Scale);
+  }
+  {
+    Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
+                              digestCode2SeqConfig(Scale), Scale.Seed);
+    foldNameRun(H, nameHooks(Net), Task, Scale);
+  }
+  {
+    DyproNamePredictor Net(Task.Joint, Task.Target, digestDyproConfig(Scale),
+                           Scale.Seed);
+    foldNameRun(H, nameHooks(Net), Task, Scale);
+  }
+  {
+    LigerNamePredictor Net(Task.Joint, Task.Target, ligerConfig(Scale),
+                           Scale.Seed);
+    foldNameRun(H, nameHooks(Net), Task, Scale);
+  }
+  // The fusion statistics: attention weights, and only 1/N and 1 terms
+  // under uniform fusion.
+  LigerAblation Uniform;
+  Uniform.FusionAttention = false;
+  for (const LigerAblation &Ablation : {LigerAblation(), Uniform}) {
+    NameRunResult Run = runNameModel(NameModel::Liger, Task, Scale, Ablation);
+    EXPECT_GT(Run.StaticAttention, 0.0);
+    H.addF64(Run.Test.Precision);
+    H.addF64(Run.Test.Recall);
+    H.addF64(Run.Test.F1);
+    H.addF64(Run.StaticAttention);
+  }
+  EXPECT_EQ(H.digest(), NameModelsDigest);
+}
+
+TEST(ExperimentDigestTest, CosetClassifiers) {
+  ExperimentScale Scale = digestScale();
+  CosetTask Task = buildCosetTask(Scale);
+  ASSERT_EQ(Task.NumClasses, 24u);
+
+  StableHash H;
+  {
+    Code2VecClassifier Net(Task.C2vTokens, Task.C2vPaths, Task.NumClasses,
+                           digestCode2VecConfig(Scale), Scale.Seed);
+    foldClassRun(H, classHooks(Net), Task, Scale);
+  }
+  {
+    Code2SeqClassifier Net(Task.C2sSubtokens, Task.C2sNodes, Task.NumClasses,
+                           digestCode2SeqConfig(Scale), Scale.Seed);
+    foldClassRun(H, classHooks(Net), Task, Scale);
+  }
+  {
+    DyproClassifier Net(Task.Joint, Task.NumClasses, digestDyproConfig(Scale),
+                        Scale.Seed);
+    foldClassRun(H, classHooks(Net), Task, Scale);
+  }
+  {
+    LigerClassifier Net(Task.Joint, Task.NumClasses, ligerConfig(Scale),
+                        Scale.Seed);
+    foldClassRun(H, classHooks(Net), Task, Scale);
+  }
+  EXPECT_EQ(H.digest(), CosetClassifiersDigest);
+}
+
+//===----------------------------------------------------------------------===//
 // Checkpoint / resume (crash safety)
 //===----------------------------------------------------------------------===//
 
@@ -557,7 +773,9 @@ double trainFreshNet(const TrainOptions &Options,
   LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
   NameModelHooks Hooks;
   Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-  Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Predict = [&](const std::vector<MethodSample> &Samples) {
+    return Net.predict(Samples);
+  };
   Hooks.Params = &Net.params();
   TrainResult Result =
       trainNameModel(Hooks, Task.Split.Train, Task.Split.Valid, Options);

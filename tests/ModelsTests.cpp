@@ -184,8 +184,9 @@ TEST(LigerTest, OverfitsTinyCorpus) {
     backward(meanLoss(Losses));
     Opt.step();
   }
-  EXPECT_EQ(Net.predict(Samples[0]), Samples[0].NameSubtokens);
-  EXPECT_EQ(Net.predict(Samples[1]), Samples[1].NameSubtokens);
+  std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+  EXPECT_EQ(Predicted[0], Samples[0].NameSubtokens);
+  EXPECT_EQ(Predicted[1], Samples[1].NameSubtokens);
 }
 
 TEST(LigerTest, FusionStatsAreSensible) {
@@ -193,7 +194,7 @@ TEST(LigerTest, FusionStatsAreSensible) {
   TinyVocabs V = buildVocabs(Samples);
   LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
   FusionStats Stats;
-  Net.predict(Samples[0], &Stats);
+  Net.predict({Samples[0]}, &Stats);
   EXPECT_GT(Stats.FusionSteps, 0u);
   EXPECT_GE(Stats.staticMean(), 0.0);
   EXPECT_LE(Stats.staticMean(), 1.0);
@@ -291,8 +292,8 @@ TEST(DyproTest, LossAndPredictRun) {
   EXPECT_GT(Loss->Value[0], 0.0f);
   backward(Loss);
   EXPECT_GT(Net.params().gradNorm(), 0.0);
-  auto Predicted = Net.predict(Samples[0]);
-  EXPECT_LE(Predicted.size(), Config.MaxDecodeLen);
+  auto Predicted = Net.predict({Samples[0]});
+  EXPECT_LE(Predicted[0].size(), Config.MaxDecodeLen);
 }
 
 TEST(DyproTest, IgnoresSymbolicDimension) {
@@ -432,8 +433,9 @@ TEST(Code2SeqTest, LearnsTinyCorpus) {
     backward(meanLoss(Losses));
     Opt.step();
   }
-  EXPECT_EQ(Net.predict(Samples[0]), Samples[0].NameSubtokens);
-  EXPECT_EQ(Net.predict(Samples[1]), Samples[1].NameSubtokens);
+  std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+  EXPECT_EQ(Predicted[0], Samples[0].NameSubtokens);
+  EXPECT_EQ(Predicted[1], Samples[1].NameSubtokens);
 }
 
 TEST(Code2SeqTest, ClassifierRuns) {
@@ -531,8 +533,7 @@ namespace {
 struct DecoderFixture {
   ParamStore Store;
   SeqDecoder Dec;
-  std::vector<Var> Embeds;
-  std::vector<std::vector<Var>> Memories;
+  std::vector<GraphEncoding> Encs;
   std::vector<std::vector<int>> Targets;
 
   DecoderFixture() {
@@ -547,14 +548,13 @@ struct DecoderFixture {
     Dec = SeqDecoder(Store, "dec", Config, R);
     const size_t MemLens[] = {2, 4, 3};
     for (size_t S = 0; S < 3; ++S) {
-      Embeds.push_back(Store.addParam("e" + std::to_string(S),
-                                      Tensor::uniform(Config.InitDim, 0.9f, R)));
-      std::vector<Var> Mem;
+      GraphEncoding &Enc = Encs.emplace_back();
+      Enc.ProgramEmbedding = Store.addParam(
+          "e" + std::to_string(S), Tensor::uniform(Config.InitDim, 0.9f, R));
       for (size_t T = 0; T < MemLens[S]; ++T)
-        Mem.push_back(Store.addParam(
+        Enc.Memory.push_back(Store.addParam(
             "m" + std::to_string(S) + "_" + std::to_string(T),
             Tensor::uniform(Config.MemoryDim, 0.9f, R)));
-      Memories.push_back(std::move(Mem));
     }
     // Ragged target lengths exercise lanes retiring mid-schedule.
     Targets = {{4, 5, Vocabulary::Eos},
@@ -567,10 +567,10 @@ struct DecoderFixture {
 
 TEST(BatchedLossEquivalenceTest, LossBatchValuesMatchLoss) {
   DecoderFixture F;
-  std::vector<Var> Batched = F.Dec.lossBatch(F.Embeds, F.Memories, F.Targets);
+  std::vector<Var> Batched = F.Dec.lossBatch(F.Encs, F.Targets);
   ASSERT_EQ(Batched.size(), 3u);
   for (size_t S = 0; S < 3; ++S) {
-    Var Ref = F.Dec.loss(F.Embeds[S], F.Memories[S], F.Targets[S]);
+    Var Ref = F.Dec.loss(F.Encs[S], F.Targets[S]);
     EXPECT_EQ(Batched[S]->Value[0], Ref->Value[0]) << "sample " << S;
   }
 }

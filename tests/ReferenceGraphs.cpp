@@ -6,6 +6,8 @@
 
 #include "ReferenceGraphs.h"
 
+#include "trace/Vocabulary.h"
+
 using namespace liger;
 
 Var reference::param(const ParamStore &Store, const std::string &Name) {
@@ -277,4 +279,82 @@ AttentionScorer::Result reference::attentionContext(
   Out.Context = weightedCombine(Keys, A);
   Out.Weights = A->Value.data();
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Greedy decode
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// RecurrentCell::step over the cell registered as \p Cell.
+RecState fusedCellStep(const ParamStore &Store, const std::string &Cell,
+                       CellKind Kind, const Var &X, const RecState &Prev) {
+  RecState S;
+  if (Kind == CellKind::Rnn) {
+    Var Wx = reference::param(Store, Cell + ".Wx.W");
+    Var Bx = reference::param(Store, Cell + ".Wx.b");
+    Var Wh = reference::param(Store, Cell + ".Wh");
+    S.H = tanhV(add(add(matvec(Wx, X), Bx), matvec(Wh, Prev.H)));
+    return S;
+  }
+  Var Wx = reference::param(Store, Cell + ".Wx");
+  Var Bx = reference::param(Store, Cell + ".bx");
+  Var Wh = reference::param(Store, Cell + ".Wh");
+  if (Kind == CellKind::Gru) {
+    S.H = gruCellOp(Wx, Bx, Wh, X, Prev.H);
+    return S;
+  }
+  CellOut Out = lstmCellOp(Wx, Bx, Wh, X, Prev.H, Prev.C);
+  S.H = Out.H;
+  S.C = Out.C;
+  return S;
+}
+
+} // namespace
+
+std::vector<int> reference::decodeGreedy(const ParamStore &Store,
+                                         const std::string &Name,
+                                         CellKind Kind,
+                                         const Var &ProgramEmbedding,
+                                         const std::vector<Var> &Memory,
+                                         size_t MaxLen) {
+  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
+  Var TargetEmbed = param(Store, Name + ".target_embed");
+  Var InitW = param(Store, Name + ".init.W");
+  Var InitB = param(Store, Name + ".init.b");
+  Var OutW = param(Store, Name + ".out.W");
+  Var OutB = param(Store, Name + ".out.b");
+  AttentionParams Attn = attentionParams(Store, Name + ".attn");
+
+  RecState State;
+  State.H = tanhV(add(matvec(InitW, ProgramEmbedding), InitB));
+  if (Kind == CellKind::Lstm)
+    State.C = constant(Tensor::zeros(InitW->Value.dim(0)));
+  // Key-side projections once per decode (AttentionScorer::prepare).
+  Var KeyProj = attentionKeyProj(Attn.W1, Attn.B1, Memory);
+
+  std::vector<int> Output;
+  int Prev = Vocabulary::Sos;
+  for (size_t Step = 0; Step < MaxLen; ++Step) {
+    // Attention over the previous state, the cell step, then the output
+    // projection over the new state and the same context.
+    Var Context =
+        attentionOp(Attn.W1, Attn.W2, Attn.B2, State.H, KeyProj, Memory)
+            .Context;
+    Var In = concat(row(TargetEmbed, static_cast<size_t>(Prev)), Context);
+    State = fusedCellStep(Store, Name + ".cell", Kind, In, State);
+    Var Logits = add(matvec(OutW, concat(State.H, Context)), OutB);
+    // Never emit the structural specials other than Eos.
+    Tensor Masked = Logits->Value;
+    Masked[Vocabulary::Pad] = -1e30f;
+    Masked[Vocabulary::Sos] = -1e30f;
+    Masked[Vocabulary::Unk] = -1e30f;
+    int Next = static_cast<int>(argmax(Masked));
+    if (Next == Vocabulary::Eos)
+      break;
+    Output.push_back(Next);
+    Prev = Next;
+  }
+  return Output;
 }

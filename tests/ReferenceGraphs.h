@@ -24,6 +24,10 @@
 /// initializes the parameters, and runs both paths over the same
 /// weights.
 ///
+/// decodeGreedy is the graph greedy decode that evaluation ran before
+/// the forward-only GreedyDecoder (models/Inference.h) replaced it: the
+/// oracle that decoder is pinned against.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_TESTS_REFERENCEGRAPHS_H
@@ -78,6 +82,14 @@ AttentionScorer::Result attentionContext(const ParamStore &Store,
                                          const Var &Query,
                                          const std::vector<Var> &Keys,
                                          const std::vector<Var> &KeyProjRows);
+
+/// Greedy decoding by the SeqDecoder registered as \p Name (kind
+/// \p Kind) from \p ProgramEmbedding over \p Memory, built from the
+/// fused graph ops its modules call, until Eos or \p MaxLen tokens.
+/// The returned target ids do not include Eos.
+std::vector<int> decodeGreedy(const ParamStore &Store, const std::string &Name,
+                              CellKind Kind, const Var &ProgramEmbedding,
+                              const std::vector<Var> &Memory, size_t MaxLen);
 
 } // namespace liger::reference
 

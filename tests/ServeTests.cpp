@@ -9,11 +9,14 @@
 ///
 ///  - InferenceEquivalenceTest: the forward-only LigerInference
 ///    runtime is bitwise-identical to the autodiff forward — program
-///    embeddings memcmp-equal, greedy decodes token-equal — for GRU
-///    and LSTM cells, with the embedding store cold, warm, and filled
-///    in reverse order, and cold and warm for the no-static,
-///    no-dynamic, no-attention, mean-pool and vanilla-RNN configs;
-///    both skip the paths a feature ablation leaves featureless.
+///    embeddings memcmp-equal, greedy decodes token-equal to the graph
+///    decode oracle (reference::decodeGreedy) — for GRU and LSTM
+///    cells, with the embedding store cold, warm, and filled in
+///    reverse order, and cold and warm for the no-static, no-dynamic,
+///    no-attention, mean-pool and vanilla-RNN configs; both skip the
+///    paths a feature ablation leaves featureless. The prefix-bound
+///    GreedyDecoder decodes DYPRO's and code2seq's graph encodings
+///    exactly as the oracle does, and so does their predict().
 ///  - ValueTokenIdsTest / InferenceStoreTest: the store's token ids
 ///    equal the vocabulary's ids of valueToken()/valueTokens(); the
 ///    kind tag keeps 5 and [5] apart; rebind() keeps the store for one
@@ -33,8 +36,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceGraphs.h"
+
 #include "dataset/Tasks.h"
 #include "lang/Parser.h"
+#include "models/Code2Seq.h"
+#include "models/Dypro.h"
 #include "models/Inference.h"
 #include "nn/GraphArena.h"
 #include "serve/Serve.h"
@@ -82,20 +89,23 @@ std::vector<const MethodSample *> allSamples(const NameTask &Task) {
 
 /// One pass of \p Samples, in the given order, through \p Inference,
 /// each checked against the graph forward: embeddings memcmp-equal,
-/// decodes token-equal.
+/// decodes token-equal to the graph decode of the graph encoding.
 void expectRoundBitwise(LigerNamePredictor &Net, LigerInference &Inference,
                         const std::vector<const MethodSample *> &Samples,
-                        const LigerConfig &Config, const char *Round) {
+                        const LigerConfig &Config, const Vocabulary &Target,
+                        const char *Round) {
   for (const MethodSample *S : Samples) {
     GraphArena::current().reset();
-    LigerEncoding Enc = Net.encoder().encode(S->Traces);
+    GraphEncoding Enc = Net.encoder().encode(S->Traces);
     const float *Embedding = Inference.encode(S->Traces);
     ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
                           Config.Hidden * sizeof(float)),
               0)
         << Round << " round";
-    GraphArena::current().reset();
-    EXPECT_EQ(Inference.predictName(S->Traces), Net.predict(*S))
+    std::vector<int> Want = reference::decodeGreedy(
+        Net.params(), "liger.dec", Config.Cell, Enc.ProgramEmbedding,
+        Enc.Memory, Config.MaxDecodeLen);
+    EXPECT_EQ(Inference.predictName(S->Traces), idsToSubtokens(Want, Target))
         << Round << " round";
   }
 }
@@ -126,13 +136,15 @@ void expectForwardEquivalence(const std::function<void(LigerConfig &)> &Adjust,
   // warm one, the third warm in reverse order. A second engine then
   // starts cold in reverse order, so each method meets objects, trie
   // prefixes and statements that other methods stored.
-  expectRoundBitwise(Net, Inference, Samples, Config, "cold");
-  expectRoundBitwise(Net, Inference, Samples, Config, "warm");
+  expectRoundBitwise(Net, Inference, Samples, Config, Task.Target, "cold");
+  expectRoundBitwise(Net, Inference, Samples, Config, Task.Target, "warm");
   if (!ReverseRounds)
     return;
-  expectRoundBitwise(Net, Inference, Reversed, Config, "warm reverse");
+  expectRoundBitwise(Net, Inference, Reversed, Config, Task.Target,
+                     "warm reverse");
   LigerInference Fresh(Image, Task.Joint, &Task.Target, Config);
-  expectRoundBitwise(Net, Fresh, Reversed, Config, "cold reverse");
+  expectRoundBitwise(Net, Fresh, Reversed, Config, Task.Target,
+                     "cold reverse");
   // Warm rounds actually hit the store.
   EXPECT_GT(Inference.cacheStats().StmtHits, 0u);
   EXPECT_GT(Inference.cacheStats().StateHits, 0u);
@@ -240,13 +252,109 @@ TEST(InferenceEquivalenceTest, FeaturelessPathsAreSkipped) {
         Featureless.Symbolic.Steps.clear();
       Traces.Paths.push_back(std::move(Featureless));
       Arena.reset();
-      LigerEncoding Enc = Net.encoder().encode(Traces);
+      GraphEncoding Enc = Net.encoder().encode(Traces);
       EXPECT_EQ(std::memcmp(Inference.encode(Traces),
                             Enc.ProgramEmbedding->Value.data(),
                             Config.Hidden * sizeof(float)),
                 0)
           << (StaticOff ? "no-static" : "no-dynamic");
     }
+  }
+}
+
+namespace {
+
+/// The values of a graph encoding's memory, as GreedyDecoder reads them.
+std::vector<const float *> memoryOf(const std::vector<Var> &Memory) {
+  std::vector<const float *> Out;
+  for (const Var &Item : Memory)
+    Out.push_back(Item->Value.data());
+  return Out;
+}
+
+/// Checks, for every sample of the tiny task, that the GreedyDecoder
+/// bound at \p Prefix decodes \p Encode's graph encoding to the ids of
+/// the graph decode oracle, and that \p Predicted (the model's
+/// predict() over the same samples) holds those names.
+void expectGraphEncodingDecodes(
+    ParamStore &Store, const std::string &Prefix,
+    const SeqDecoderConfig &Config, size_t MaxLen, const NameTask &Task,
+    const std::vector<MethodSample> &Samples,
+    const std::vector<std::vector<std::string>> &Predicted,
+    const std::function<GraphEncoding(const MethodSample &)> &Encode) {
+  ASSERT_EQ(Predicted.size(), Samples.size());
+  WeightImage Image = WeightImage::fromStore(Store);
+  GreedyDecoder Decoder(Image, Prefix, Config);
+  ScratchArena Scratch;
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  size_t Tokens = 0;
+  for (size_t I = 0; I < Samples.size(); ++I) {
+    GraphEncoding Enc = Encode(Samples[I]);
+    std::vector<int> Want = reference::decodeGreedy(
+        Store, Prefix, Config.Cell, Enc.ProgramEmbedding, Enc.Memory, MaxLen);
+    EXPECT_EQ(Decoder.decode(Scratch, Enc.ProgramEmbedding->Value.data(),
+                             memoryOf(Enc.Memory), MaxLen),
+              Want)
+        << Prefix << " sample " << I;
+    EXPECT_EQ(Predicted[I], idsToSubtokens(Want, Task.Target))
+        << Prefix << " sample " << I;
+    Tokens += Want.size();
+    Scratch.reset();
+    Arena.reset();
+  }
+  EXPECT_GT(Tokens, 0u) << "every decode was empty";
+}
+
+/// All of \p Task's samples, train, valid and test in order.
+std::vector<MethodSample> allSampleValues(const NameTask &Task) {
+  std::vector<MethodSample> Out;
+  for (const MethodSample *S : allSamples(Task))
+    Out.push_back(*S);
+  return Out;
+}
+
+} // namespace
+
+// DYPRO's and code2seq's graph encoders feed the same decoder as LIGER
+// under their own prefixes; their predict() decodes the encoding's
+// values through GreedyDecoder.
+TEST(InferenceEquivalenceTest, DyproDecodeBitwise) {
+  ExperimentScale Scale = tinyScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  std::vector<MethodSample> Samples = allSampleValues(Task);
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
+    DyproConfig Config;
+    Config.EmbedDim = Scale.EmbedDim;
+    Config.Hidden = Config.AttnHidden = Scale.Hidden;
+    Config.Cell = Cell;
+    DyproNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+    std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+    expectGraphEncodingDecodes(
+        Net.params(), "dypro.dec",
+        SeqDecoderConfig::forModel(Config, Task.Target),
+        Config.MaxDecodeLen, Task, Samples, Predicted,
+        [&](const MethodSample &S) { return Net.encoder().encode(S.Traces); });
+  }
+}
+
+TEST(InferenceEquivalenceTest, Code2SeqDecodeBitwise) {
+  ExperimentScale Scale = tinyScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  std::vector<MethodSample> Samples = allSampleValues(Task);
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
+    Code2SeqConfig Config;
+    Config.EmbedDim = Scale.EmbedDim;
+    Config.Hidden = Config.AttnHidden = Scale.Hidden;
+    Config.Cell = Cell;
+    Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
+                              Config, Scale.Seed);
+    std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+    expectGraphEncodingDecodes(
+        Net.params(), "c2s.dec",
+        SeqDecoderConfig::forModel(Config, Task.Target),
+        Config.MaxDecodeLen, Task, Samples, Predicted,
+        [&](const MethodSample &S) { return Net.encode(S); });
   }
 }
 
@@ -411,7 +519,7 @@ TEST(InferenceStoreTest, PrimitiveAndOneElementArrayEmbedApart) {
     std::vector<std::vector<float>> Embeddings;
     for (const MethodTraces &Traces : States) {
       GraphArena::current().reset();
-      LigerEncoding Enc = Net.encoder().encode(Traces);
+      GraphEncoding Enc = Net.encoder().encode(Traces);
       const float *E = Inference.encode(Traces);
       ASSERT_EQ(std::memcmp(E, Enc.ProgramEmbedding->Value.data(),
                             Config.Hidden * sizeof(float)),
