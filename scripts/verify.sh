@@ -13,12 +13,15 @@
 #      per-lane loops, and the activation-kernel suite (the AVX2 tanh
 #      and sigmoid against libm at every length 0..33, unaligned and in
 #      place, so a vector access past a buffer's end is caught);
-#   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite, the
-#      trace-collector suite (its probe memo keeps a pointer into an
-#      unordered_map across a probe), the byte-codec suite under all
-#      three file formats (BinaryIOTest), the thread-determinism corpus
-#      suites and the golden interpreter/collector/corpus digests under
-#      ASan+UBSan;
+#   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite
+#      (truncation and byte flips at every offset, and every payload
+#      flip and cut behind a resealed checksum, which reach the
+#      version-4 varint, bitmap and delta reader), the trace-collector
+#      suite (its probe memo keeps a pointer into an unordered_map
+#      across a probe), the byte-codec suite under all three file
+#      formats (BinaryIOTest, varints included), the
+#      thread-determinism corpus suites and the golden
+#      interpreter/collector/corpus digests under ASan+UBSan;
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
 #      budget, lexer byte totality, interpreter memory budget), the
 #      wrapping-int and slot-layout suites of the interpreter and symx,
@@ -36,8 +39,9 @@
 #      testgen_tests, serve_tests and dataset_tests, running the trace
 #      cache suite, the shared-cache and stats() concurrency suites and
 #      the corpus trace-cache suite (one memory-only cache hit from four
-#      workers, which parse entries outside the cache's lock); TSan
-#      exits 66 on any report, which fails the step;
+#      workers, which parse entries outside the cache's lock into
+#      states that share heap payloads, freed on whichever thread drops
+#      them); TSan exits 66 on any report, which fails the step;
 #   3d. sanitized lockstep training and the drift gate: the threaded
 #      batched-epoch equivalence suites (losses and final weights
 #      bitwise-identical at 1, 2 and 4 threads), the golden digest of

@@ -35,14 +35,49 @@ bool ByteReader::readFloats(float *Out, size_t Count) {
   return readBytes(Out, Count * sizeof(float));
 }
 
-bool ByteReader::readString(std::string &Out, uint64_t MaxLen) {
-  uint64_t Len = 0;
-  if (!readU64(Len))
-    return false;
+bool ByteReader::readVarint(uint64_t &V) {
+  uint64_t Result = 0;
+  for (unsigned Shift = 0; Shift < 7 * MaxVarintBytes; Shift += 7) {
+    if (Failed || Pos == Size)
+      return fail();
+    uint8_t Byte = static_cast<uint8_t>(Data[Pos++]);
+    // The tenth byte carries bit 63 alone; a zero final byte after the
+    // first adds nothing and would give the value a second encoding.
+    if ((Shift == 63 && Byte > 1) || (Byte == 0 && Shift != 0))
+      return fail();
+    Result |= static_cast<uint64_t>(Byte & 0x7F) << Shift;
+    if (!(Byte & 0x80)) {
+      V = Result;
+      return true;
+    }
+  }
+  LIGER_UNREACHABLE("the tenth byte ends or fails the varint");
+}
+
+bool ByteReader::readStringBytes(std::string &Out, uint64_t Len,
+                                 uint64_t MaxLen) {
   if (Len > MaxLen || Len > remaining())
     return fail();
   Out.assign(Data + Pos, static_cast<size_t>(Len));
   Pos += static_cast<size_t>(Len);
+  return true;
+}
+
+bool ByteReader::readString(std::string &Out, uint64_t MaxLen) {
+  uint64_t Len = 0;
+  return readU64(Len) && readStringBytes(Out, Len, MaxLen);
+}
+
+bool ByteReader::readVarString(std::string &Out, uint64_t MaxLen) {
+  uint64_t Len = 0;
+  return readVarint(Len) && readStringBytes(Out, Len, MaxLen);
+}
+
+bool ByteReader::readView(const char *&Out, uint64_t Count) {
+  if (Failed || Count > remaining())
+    return fail();
+  Out = Data + Pos;
+  Pos += static_cast<size_t>(Count);
   return true;
 }
 

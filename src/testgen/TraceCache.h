@@ -23,7 +23,10 @@
 /// buffer goes to the entry's file, when a directory is configured,
 /// and into a thread-safe in-memory map as a shared, immutable string.
 /// A hit copies the pointer under the map's mutex and parses the bytes
-/// outside it, straight into Values. Every entry carries a checksum
+/// outside it, straight into Values. Each recorded state is stored as
+/// the slots that changed since the previous state of its execution;
+/// the parse rebuilds whole states whose unchanged slots share the
+/// previous state's heap payloads. Every entry carries a checksum
 /// over its payload: truncated, bit-flipped, or version-mismatched
 /// files degrade to a cache miss, never a crash.
 ///
@@ -71,21 +74,24 @@ TraceCacheKey traceCacheKey(const std::string &SourceText,
 
 /// Serializes one pipeline invocation into LGTR bytes, straight from
 /// the live values: \p Stats' six discovery counters (STAT) and
-/// \p Traces (TRCE), with struct types written by name and statements
-/// by NodeId. The bytes are what the cache holds in memory and writes
-/// to disk.
+/// \p Traces (TRCE), with struct types written by name, statements
+/// by NodeId, and every state after the initial one as its changed
+/// slots (Value::equals against the previous state). The bytes are
+/// what the cache holds in memory and writes to disk.
 std::string serializeCacheEntry(const TraceCacheKey &Key,
                                 const CollectStats &Stats,
                                 const MethodTraces &Traces);
 
 /// Parses LGTR bytes into the discovery counters of \p Stats and into
 /// \p Out, bound to the re-parsed \p P / \p Fn (struct types looked up
-/// by name with a field-count check, statements by id). Verifies magic,
-/// version, key, payload length and checksum first. Returns false on
-/// any malformed input or unresolvable name or id — callers treat that
-/// as a miss — and never throws or over-allocates: every count is
-/// checked against the bytes left before anything is reserved.
-/// \p Stats and \p Out are unspecified after a false return.
+/// by name with a field-count check, statements by id). An unchanged
+/// slot of a state is a copy of the previous state's Value, sharing its
+/// heap payload; the values equal the serialized ones bit for bit.
+/// Verifies magic, version, key, payload length and checksum first.
+/// Returns false on any malformed input or unresolvable name or id —
+/// callers treat that as a miss — and never throws or over-allocates:
+/// every count is checked against the bytes left before anything is
+/// reserved. \p Stats and \p Out are unspecified after a false return.
 bool parseCacheEntry(const std::string &Bytes, const TraceCacheKey &Key,
                      const Program &P, const FunctionDecl &Fn,
                      CollectStats &Stats, MethodTraces &Out);
@@ -160,8 +166,17 @@ private:
   std::string Dir;
   uint64_t MaxBytes = 0;
 
+  /// Keys are StableHash digests already: any 64 of their bits hash.
+  struct KeyHash {
+    size_t operator()(const TraceCacheKey &Key) const {
+      return static_cast<size_t>(Key.Lo);
+    }
+  };
+
   mutable std::mutex Mutex;
-  std::unordered_map<std::string, std::shared_ptr<const std::string>> Memory;
+  std::unordered_map<TraceCacheKey, std::shared_ptr<const std::string>,
+                     KeyHash>
+      Memory;
   uint64_t ResidentBytes = 0; ///< Sum of Memory's buffer sizes.
 
   std::atomic<uint64_t> Hits{0};

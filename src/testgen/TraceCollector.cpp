@@ -6,6 +6,7 @@
 
 #include "testgen/TraceCollector.h"
 
+#include "support/BinaryIO.h"
 #include "support/Stopwatch.h"
 #include "symx/SymExec.h"
 #include "testgen/TraceCache.h"
@@ -45,29 +46,20 @@ std::vector<Value> deepCopyInputs(const std::vector<Value> &Inputs) {
   return Copy;
 }
 
-/// Appends \p Word in LEB128: seven bits per byte, low bits first, the
-/// high bit set on every byte but the last. Self-delimiting, and one
-/// byte for the small values the input domains draw.
-void appendVarint(std::string &Out, uint64_t Word) {
-  for (; Word >= 0x80; Word >>= 7)
-    Out.push_back(static_cast<char>(Word | 0x80));
-  Out.push_back(static_cast<char>(Word));
-}
-
 /// Appends \p V's exact, self-delimiting encoding to \p Out: a kind
 /// tag, then the int (zigzag, so small negatives stay short) or bool
 /// payload, a string's length and bytes, an array's length and
-/// elements, or a struct's declaration, field count and fields.
+/// elements, or a struct's declaration, field count and fields. Every
+/// number is a LEB128 varint: one byte for the small values the input
+/// domains draw.
 void encodeValue(const Value &V, std::string &Out) {
   Out.push_back(static_cast<char>(V.kind()));
   switch (V.kind()) {
   case ValueKind::Undef:
     return;
-  case ValueKind::Int: {
-    uint64_t Bits = static_cast<uint64_t>(V.asInt());
-    appendVarint(Out, (Bits << 1) ^ (V.asInt() < 0 ? ~uint64_t(0) : 0));
+  case ValueKind::Int:
+    appendVarint(Out, zigzagEncode(V.asInt()));
     return;
-  }
   case ValueKind::Bool:
     Out.push_back(V.asBool() ? 1 : 0);
     return;
@@ -293,9 +285,10 @@ MethodTraces runPipeline(const Program &P, const FunctionDecl &Fn,
         Results.push_back(
             execute(Layout, deepCopyInputs(Bucket.Inputs[I]), FullOptions));
       }
-      AllInputs.push_back(Bucket.Inputs[I]);
+      AllInputs.push_back(std::move(Bucket.Inputs[I]));
     }
-  MethodTraces Out = groupByPath(Fn, Results, AllInputs);
+  MethodTraces Out =
+      groupByPath(Fn, std::move(Results), std::move(AllInputs));
   LocalStats.RecordSeconds = Phase.seconds();
   return Out;
 }

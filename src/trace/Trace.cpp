@@ -79,16 +79,16 @@ SymbolicTrace liger::extractSymbolicTrace(const ExecResult &Result) {
   return SymbolicTrace{Result.Steps};
 }
 
-StateTrace liger::extractStateTrace(const ExecResult &Result) {
+StateTrace liger::extractStateTrace(ExecResult Result) {
   StateTrace Trace;
-  Trace.Initial.Values = Result.InitialState;
+  Trace.Initial.Values = std::move(Result.InitialState);
   LIGER_CHECK(Result.States.empty() ||
                   Result.States.size() == Result.Steps.size(),
               "recorded states must be parallel to steps");
   // One state per step; a run that recorded no states gets empty ones.
   Trace.States.resize(Result.Steps.size());
   for (size_t I = 0; I < Result.States.size(); ++I)
-    Trace.States[I].Values = Result.States[I];
+    Trace.States[I].Values = std::move(Result.States[I]);
   return Trace;
 }
 
@@ -97,8 +97,8 @@ std::string liger::pathKeyOf(const ExecResult &Result) {
 }
 
 MethodTraces liger::groupByPath(const FunctionDecl &Fn,
-                                const std::vector<ExecResult> &Results,
-                                const std::vector<std::vector<Value>> &Inputs) {
+                                std::vector<ExecResult> Results,
+                                std::vector<std::vector<Value>> Inputs) {
   LIGER_CHECK(Results.size() == Inputs.size(),
               "one input vector per execution");
   MethodTraces Traces;
@@ -108,7 +108,7 @@ MethodTraces liger::groupByPath(const FunctionDecl &Fn,
   // Preserve first-seen order of paths for determinism.
   std::map<std::string, size_t> PathIndex;
   for (size_t I = 0; I < Results.size(); ++I) {
-    const ExecResult &Result = Results[I];
+    ExecResult &Result = Results[I];
     if (!Result.ok())
       continue; // failed or timed-out executions contribute no traces
     std::string Key = pathKeyOf(Result);
@@ -123,8 +123,9 @@ MethodTraces liger::groupByPath(const FunctionDecl &Fn,
     } else {
       Index = It->second;
     }
-    Traces.Paths[Index].Concrete.push_back(extractStateTrace(Result));
-    Traces.Paths[Index].Inputs.push_back(Inputs[I]);
+    Traces.Paths[Index].Concrete.push_back(
+        extractStateTrace(std::move(Result)));
+    Traces.Paths[Index].Inputs.push_back(std::move(Inputs[I]));
   }
   return Traces;
 }

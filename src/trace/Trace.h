@@ -98,8 +98,9 @@ struct MethodTraces {
 /// Extracts the symbolic projection of an execution.
 SymbolicTrace extractSymbolicTrace(const ExecResult &Result);
 
-/// Extracts the state projection of an execution.
-StateTrace extractStateTrace(const ExecResult &Result);
+/// Extracts the state projection of an execution, moving its recorded
+/// states out (pass a copy to keep them).
+StateTrace extractStateTrace(ExecResult Result);
 
 /// Path identity of a raw execution (the key SymbolicTrace::pathKey
 /// gives its symbolic projection), built straight from its steps.
@@ -107,10 +108,11 @@ std::string pathKeyOf(const ExecResult &Result);
 
 /// Groups executions of one method by program path, producing one
 /// BlendedTrace per distinct path. Executions must all come from the
-/// same function. \p Inputs[i] are the arguments of Results[i].
+/// same function. \p Inputs[i] are the arguments of Results[i]. Each
+/// kept execution's recorded states and inputs move into its path.
 MethodTraces groupByPath(const FunctionDecl &Fn,
-                         const std::vector<ExecResult> &Results,
-                         const std::vector<std::vector<Value>> &Inputs);
+                         std::vector<ExecResult> Results,
+                         std::vector<std::vector<Value>> Inputs);
 
 /// Renders a blended trace for human inspection (one line per step:
 /// statement text followed by each execution's state).
