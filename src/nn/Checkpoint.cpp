@@ -30,8 +30,11 @@ void setError(std::string *Error, const std::string &Msg) {
     *Error = Msg;
 }
 
-ByteWriter paramsSection(const ParamStore &Store) {
-  ByteWriter W;
+// Each section writer below writes its whole section in place: tag,
+// length, payload.
+
+void writeParams(ByteWriter &W, const ParamStore &Store) {
+  size_t LengthAt = W.beginSection(TagParams);
   W.writeU64(Store.params().size());
   for (size_t I = 0; I < Store.params().size(); ++I) {
     const Tensor &T = Store.params()[I]->Value;
@@ -41,11 +44,11 @@ ByteWriter paramsSection(const ParamStore &Store) {
       W.writeU64(T.dim(D));
     W.writeFloats(T.data(), T.size());
   }
-  return W;
+  W.endSection(LengthAt);
 }
 
-ByteWriter adamSection(const ParamStore &Store, const Adam &Opt) {
-  ByteWriter W;
+void writeAdam(ByteWriter &W, const ParamStore &Store, const Adam &Opt) {
+  size_t LengthAt = W.beginSection(TagAdam);
   W.writeU64(Opt.stepCount());
   W.writeU64(Store.params().size());
   for (size_t I = 0; I < Store.params().size(); ++I) {
@@ -53,18 +56,18 @@ ByteWriter adamSection(const ParamStore &Store, const Adam &Opt) {
     W.writeFloats(Opt.secondMoments()[I].data(),
                   Opt.secondMoments()[I].size());
   }
-  return W;
+  W.endSection(LengthAt);
 }
 
-ByteWriter rngSection(const TrainerState &TS) {
-  ByteWriter W;
+void writeRng(ByteWriter &W, const TrainerState &TS) {
+  size_t LengthAt = W.beginSection(TagRng);
   for (uint64_t Word : TS.RngState)
     W.writeU64(Word);
-  return W;
+  W.endSection(LengthAt);
 }
 
-ByteWriter trainerSection(const TrainerState &TS) {
-  ByteWriter W;
+void writeTrainer(ByteWriter &W, const TrainerState &TS) {
+  size_t LengthAt = W.beginSection(TagTrainer);
   W.writeU64(TS.NextEpoch);
   W.writeU64(TS.BestEpoch);
   W.writeF64(TS.BestValidScore);
@@ -75,7 +78,7 @@ ByteWriter trainerSection(const TrainerState &TS) {
     for (const Tensor &T : TS.BestParams)
       W.writeFloats(T.data(), T.size());
   }
-  return W;
+  W.endSection(LengthAt);
 }
 
 /// Reads a list of raw tensor blobs laid out like the parameter
@@ -124,12 +127,12 @@ bool liger::saveCheckpoint(const std::string &Path, const ParamStore &Params,
   W.writeU32(CheckpointVersion);
   W.writeU32(1 + (Opt ? 1 : 0) + (Trainer ? 2 : 0)); // section count
   W.writeU32(0);                                     // reserved
-  W.writeSection(TagParams, paramsSection(Params));
+  writeParams(W, Params);
   if (Opt)
-    W.writeSection(TagAdam, adamSection(Params, *Opt));
+    writeAdam(W, Params, *Opt);
   if (Trainer) {
-    W.writeSection(TagRng, rngSection(*Trainer));
-    W.writeSection(TagTrainer, trainerSection(*Trainer));
+    writeRng(W, *Trainer);
+    writeTrainer(W, *Trainer);
   }
   return atomicWriteFile(Path, W.bytes(), Error);
 }
