@@ -260,68 +260,50 @@ BENCHMARK(BM_MatmulTiled)
     ->Args({8, 1});
 
 //===----------------------------------------------------------------------===//
-// Fused cell steps: one graph node per GRU step, two per LSTM step.
-// Their per-gate reference graph is the equivalence oracle in
-// tests/ReferenceGraphs; EXPERIMENTS.md records the fused speed-up.
+// Fused GRU steps: one graph node per step. Their per-gate reference
+// graph is the equivalence oracle in tests/ReferenceGraphs;
+// EXPERIMENTS.md records the fused speed-up.
 //===----------------------------------------------------------------------===//
 
-void runCellForward(benchmark::State &State, CellKind Kind) {
-  Rng R(1);
-  ParamStore Store;
-  RecurrentCell Cell(Store, "cell", Kind, 32, 32, R);
-  std::vector<Var> Inputs;
-  for (int I = 0; I < 8; ++I)
-    Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (auto _ : State) {
-    auto States = Cell.run(Inputs);
-    benchmark::DoNotOptimize(States.back().H->Value[0]);
-    Arena.reset();
-  }
-}
-
-void runCellForwardBackward(benchmark::State &State, CellKind Kind) {
-  Rng R(1);
-  ParamStore Store;
-  RecurrentCell Cell(Store, "cell", Kind, 32, 32, R);
-  std::vector<Var> Inputs;
-  for (int I = 0; I < 8; ++I)
-    Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (auto _ : State) {
-    auto States = Cell.run(Inputs);
-    backward(dot(States.back().H, States.back().H));
-    Store.zeroGrads();
-    Arena.reset();
-  }
-}
-
 void BM_GruCellForward(benchmark::State &State) {
-  runCellForward(State, CellKind::Gru);
+  Rng R(1);
+  ParamStore Store;
+  RecurrentCell Cell(Store, "cell", 32, 32, R);
+  std::vector<Var> Inputs;
+  for (int I = 0; I < 8; ++I)
+    Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  for (auto _ : State) {
+    auto States = Cell.run(Inputs);
+    benchmark::DoNotOptimize(States.back()->Value[0]);
+    Arena.reset();
+  }
 }
 BENCHMARK(BM_GruCellForward);
 
 void BM_GruCellForwardBackward(benchmark::State &State) {
-  runCellForwardBackward(State, CellKind::Gru);
+  Rng R(1);
+  ParamStore Store;
+  RecurrentCell Cell(Store, "cell", 32, 32, R);
+  std::vector<Var> Inputs;
+  for (int I = 0; I < 8; ++I)
+    Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  for (auto _ : State) {
+    auto States = Cell.run(Inputs);
+    backward(dot(States.back(), States.back()));
+    Store.zeroGrads();
+    Arena.reset();
+  }
 }
 BENCHMARK(BM_GruCellForwardBackward);
-
-void BM_LstmCellForward(benchmark::State &State) {
-  runCellForward(State, CellKind::Lstm);
-}
-BENCHMARK(BM_LstmCellForward);
-
-void BM_LstmCellForwardBackward(benchmark::State &State) {
-  runCellForwardBackward(State, CellKind::Lstm);
-}
-BENCHMARK(BM_LstmCellForwardBackward);
 
 void BM_GruSequence(benchmark::State &State) {
   Rng R(1);
   ParamStore Store;
-  RecurrentCell Cell(Store, "gru", CellKind::Gru, 32, 32, R);
+  RecurrentCell Cell(Store, "gru", 32, 32, R);
   std::vector<Var> Inputs;
   for (int I = 0; I < 30; ++I)
     Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
@@ -329,7 +311,7 @@ void BM_GruSequence(benchmark::State &State) {
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
     auto States = Cell.run(Inputs);
-    benchmark::DoNotOptimize(States.back().H->Value[0]);
+    benchmark::DoNotOptimize(States.back()->Value[0]);
     Arena.reset();
   }
 }
@@ -347,7 +329,7 @@ void BM_GruSequenceBatched(benchmark::State &State) {
   bool Batched = State.range(1) != 0;
   Rng R(1);
   ParamStore Store;
-  RecurrentCell Cell(Store, "gru", CellKind::Gru, 100, 100, R);
+  RecurrentCell Cell(Store, "gru", 100, 100, R);
   std::vector<std::vector<Var>> Inputs(30);
   for (auto &Step : Inputs)
     for (size_t I = 0; I < B; ++I)
@@ -355,7 +337,7 @@ void BM_GruSequenceBatched(benchmark::State &State) {
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
-    std::vector<RecState> States(B);
+    std::vector<Var> States(B);
     for (size_t I = 0; I < B; ++I)
       States[I] = Cell.initial();
     for (const std::vector<Var> &Step : Inputs) {
@@ -368,10 +350,10 @@ void BM_GruSequenceBatched(benchmark::State &State) {
     }
     std::vector<Var> Norms;
     Norms.reserve(B);
-    for (const RecState &S : States)
-      Norms.push_back(dot(S.H, S.H));
+    for (const Var &S : States)
+      Norms.push_back(dot(S, S));
     backward(sumV(stackScalars(Norms)));
-    benchmark::DoNotOptimize(States.back().H->Value[0]);
+    benchmark::DoNotOptimize(States.back()->Value[0]);
     Store.zeroGrads();
     Arena.reset();
   }
@@ -594,7 +576,7 @@ int main(int argc, char **argv) {
   if (KernelsOnly)
     Injected.push_back("--benchmark_filter="
                        "BM_Kernel|BM_TanhMap|BM_SigmoidMap|BM_Matmul|"
-                       "BM_GruCell|BM_LstmCell|"
+                       "BM_GruCell|"
                        "BM_MatvecHidden|BM_GruSequence|BM_AttentionScore|"
                        "BM_DecoderStep|BM_LigerForwardBackward");
   if (AttentionOnly)

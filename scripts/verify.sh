@@ -49,7 +49,7 @@
 #      (ExperimentDigestTest: training, evaluation through the
 #      forward-only runtime, fusion statistics), the batched-loss
 #      equivalence suite (lossBatch values bitwise against loss(),
-#      gradients against the per-sample sum, GRU and LSTM) and the
+#      gradients against the per-sample sum) and the
 #      LIGER model suite (every LIGER graph, ablations and classifier
 #      included, runs the lockstep walk) under ASan+UBSan (DESIGN.md
 #      §14);

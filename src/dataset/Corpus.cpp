@@ -56,7 +56,7 @@ std::string drawName(const std::vector<std::string> &Pool, Rng &R,
       return Candidate;
   }
   // Fall back to a fresh unique name.
-  std::string Fresh = "v" + std::to_string(Used.size()) + "u";
+  std::string Fresh = strCat("v", std::to_string(Used.size()), "u");
   Used.insert(Fresh);
   return Fresh;
 }

@@ -7,6 +7,7 @@
 #include "lang/AstPrinter.h"
 
 #include "support/Error.h"
+#include "support/StringUtils.h"
 
 using namespace liger;
 
@@ -57,7 +58,7 @@ std::string printExprPrec(const Expr *E, int MinPrec) {
   case ExprKind::IntLit: {
     int64_t V = cast<IntLitExpr>(E)->value();
     if (V < 0 && MinPrec > UnaryPrec)
-      return "(" + std::to_string(V) + ")";
+      return strCat("(", std::to_string(V), ")");
     return std::to_string(V);
   }
   case ExprKind::BoolLit:
@@ -104,8 +105,8 @@ std::string printExprPrec(const Expr *E, int MinPrec) {
   }
   case ExprKind::Unary: {
     const auto *Unary = cast<UnaryExpr>(E);
-    std::string Out = (Unary->op() == UnaryOp::Neg ? "-" : "!") +
-                      printExprPrec(Unary->operand(), UnaryPrec);
+    std::string Out = strCat(Unary->op() == UnaryOp::Neg ? "-" : "!",
+                             printExprPrec(Unary->operand(), UnaryPrec));
     if (MinPrec > UnaryPrec)
       return "(" + Out + ")";
     return Out;

@@ -104,7 +104,7 @@ Var embedContextImpl(const SeqPathContext &Context,
     std::vector<Var> Inputs;
     for (int Id : Context.PathNodes)
       Inputs.push_back(NodeEmbed.lookup(Id));
-    PathH = PathRnn.run(Inputs).back().H;
+    PathH = PathRnn.run(Inputs).back();
   }
   return tanhV(ContextProj.apply(concat(concat(L, PathH), R)));
 }
@@ -125,8 +125,7 @@ Code2SeqNamePredictor::Code2SeqNamePredictor(const Vocabulary &Subtokens,
       SubtokenEmbed(Store, "c2s.sub", Subtokens.size(), Cfg.EmbedDim,
                     InitRng),
       NodeEmbed(Store, "c2s.node", Nodes.size(), Cfg.EmbedDim, InitRng),
-      PathRnn(Store, "c2s.path", Cfg.Cell, Cfg.EmbedDim, Cfg.Hidden,
-              InitRng),
+      PathRnn(Store, "c2s.path", Cfg.EmbedDim, Cfg.Hidden, InitRng),
       ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
                   Cfg.Hidden, InitRng),
       Decoder(Store, "c2s.dec", SeqDecoderConfig::forModel(Cfg, Target),
@@ -178,8 +177,7 @@ Code2SeqClassifier::Code2SeqClassifier(const Vocabulary &Subtokens,
       SubtokenEmbed(Store, "c2s.sub", Subtokens.size(), Cfg.EmbedDim,
                     InitRng),
       NodeEmbed(Store, "c2s.node", Nodes.size(), Cfg.EmbedDim, InitRng),
-      PathRnn(Store, "c2s.path", Cfg.Cell, Cfg.EmbedDim, Cfg.Hidden,
-              InitRng),
+      PathRnn(Store, "c2s.path", Cfg.EmbedDim, Cfg.Hidden, InitRng),
       ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
                   Cfg.Hidden, InitRng),
       Head(Store, "c2s.head", Cfg.Hidden, NumClasses, InitRng) {}

@@ -28,7 +28,6 @@ struct Code2SeqConfig {
   size_t EmbedDim = 32;
   size_t Hidden = 32;
   size_t AttnHidden = 32;
-  CellKind Cell = CellKind::Gru;
   size_t MaxContexts = 120;
   size_t MaxPathLength = 12;
   size_t MaxPathWidth = 16;

@@ -92,10 +92,10 @@ liger::lockstepSchedule(const std::vector<size_t> &Lens) {
   return Schedule;
 }
 
-std::vector<RecState>
+std::vector<Var>
 liger::runCellLockstep(const RecurrentCell &Cell,
                        const std::vector<std::vector<Var>> &Seqs) {
-  std::vector<RecState> States;
+  std::vector<Var> States;
   States.reserve(Seqs.size());
   std::vector<size_t> Lens;
   Lens.reserve(Seqs.size());
@@ -107,14 +107,14 @@ liger::runCellLockstep(const RecurrentCell &Cell,
   for (size_t T = 0; T < Schedule.size(); ++T) {
     const std::vector<size_t> &Active = Schedule[T];
     std::vector<Var> Ins;
-    std::vector<RecState> Prev;
+    std::vector<Var> Prev;
     Ins.reserve(Active.size());
     Prev.reserve(Active.size());
     for (size_t I : Active) {
       Ins.push_back(Seqs[I][T]);
       Prev.push_back(States[I]);
     }
-    std::vector<RecState> Next = Cell.stepBatch(Ins, Prev);
+    std::vector<Var> Next = Cell.stepBatch(Ins, Prev);
     for (size_t K = 0; K < Active.size(); ++K)
       States[Active[K]] = Next[K];
   }

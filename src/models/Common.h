@@ -83,7 +83,7 @@ lockstepSchedule(const std::vector<size_t> &Lens);
 /// same-timestep lanes share a matmul. Returns each sequence's final
 /// state; per-lane values are bitwise-identical to RecurrentCell::run
 /// over that sequence alone.
-std::vector<RecState>
+std::vector<Var>
 runCellLockstep(const RecurrentCell &Cell,
                 const std::vector<std::vector<Var>> &Seqs);
 

@@ -18,8 +18,8 @@ SeqDecoder::SeqDecoder(ParamStore &Store, const std::string &Name,
       TargetEmbed(Store, Name + ".target_embed", Cfg.TargetVocabSize,
                   Cfg.EmbedDim, R),
       InitProj(Store, Name + ".init", Cfg.InitDim, Cfg.Hidden, R),
-      Cell(Store, Name + ".cell", Cfg.Cell,
-           Cfg.EmbedDim + Cfg.MemoryDim, Cfg.Hidden, R),
+      Cell(Store, Name + ".cell", Cfg.EmbedDim + Cfg.MemoryDim, Cfg.Hidden,
+           R),
       Attn(Store, Name + ".attn", Cfg.Hidden, Cfg.MemoryDim, Cfg.AttnHidden,
            R),
       OutProj(Store, Name + ".out", Cfg.Hidden + Cfg.MemoryDim,
@@ -37,10 +37,7 @@ Var SeqDecoder::loss(const GraphEncoding &Enc,
                     static_cast<size_t>(Id) < Config.TargetVocabSize,
                 "decoder target id out of range");
 
-  RecState State;
-  State.H = tanhV(InitProj.apply(Enc.ProgramEmbedding));
-  if (Config.Cell == CellKind::Lstm)
-    State.C = constant(Tensor::zeros(Config.Hidden));
+  Var State = tanhV(InitProj.apply(Enc.ProgramEmbedding));
 
   // Key-side attention projections: once per decode, shared by every
   // step below.
@@ -66,9 +63,9 @@ Var SeqDecoder::loss(const GraphEncoding &Enc,
   for (size_t I = 0; I < TargetIds.size(); ++I) {
     // Attention with the current hidden state as the query
     // (µ_t = a2(H^d_{t-1}, H^e_{i_j})): one fused node per step.
-    Var Context = Attn.contextOf(State.H, Mem).Context;
+    Var Context = Attn.contextOf(State, Mem).Context;
     State = Cell.step(concat(Inputs[I], Context), State);
-    Var Logits = OutProj.apply(concat(State.H, Context));
+    Var Logits = OutProj.apply(concat(State, Context));
     Losses.push_back(
         softmaxCrossEntropy(Logits, static_cast<size_t>(TargetIds[I])));
   }
@@ -85,7 +82,7 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
   // Per-sample validation, initial states, and prepared attention
   // memories, in ascending sample order (the same nodes loss() builds
   // first for each sample).
-  std::vector<RecState> States(B);
+  std::vector<Var> States(B);
   std::vector<AttentionScorer::Memory> Mems;
   Mems.reserve(B);
   std::vector<size_t> Lens(B);
@@ -98,9 +95,7 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
       LIGER_CHECK(Id >= 0 &&
                       static_cast<size_t>(Id) < Config.TargetVocabSize,
                   "decoder target id out of range");
-    States[Bi].H = tanhV(InitProj.apply(Encs[Bi].ProgramEmbedding));
-    if (Config.Cell == CellKind::Lstm)
-      States[Bi].C = constant(Tensor::zeros(Config.Hidden));
+    States[Bi] = tanhV(InitProj.apply(Encs[Bi].ProgramEmbedding));
     Mems.push_back(Attn.prepare(Encs[Bi].Memory));
     Lens[Bi] = TargetIds[Bi].size();
   }
@@ -121,13 +116,13 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
     Queries.reserve(Active.size());
     ActiveMems.reserve(Active.size());
     for (size_t Bi : Active) {
-      Queries.push_back(States[Bi].H);
+      Queries.push_back(States[Bi]);
       ActiveMems.push_back(&Mems[Bi]);
     }
     std::vector<AttentionScorer::Result> Ctxres =
         Attn.contextOfMultiMemory(Queries, ActiveMems);
     std::vector<Var> Ins, Ctxs;
-    std::vector<RecState> PrevStates;
+    std::vector<Var> PrevStates;
     Ins.reserve(Active.size());
     Ctxs.reserve(Active.size());
     PrevStates.reserve(Active.size());
@@ -141,7 +136,7 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
       Ctxs.push_back(Ctxres[Lane].Context);
       PrevStates.push_back(States[Bi]);
     }
-    std::vector<RecState> Next = Cell.stepBatch(Ins, PrevStates);
+    std::vector<Var> Next = Cell.stepBatch(Ins, PrevStates);
     std::vector<Var> HeadIns;
     std::vector<size_t> Targets;
     HeadIns.reserve(Active.size());
@@ -149,7 +144,7 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
     for (size_t Lane = 0; Lane < Active.size(); ++Lane) {
       size_t Bi = Active[Lane];
       States[Bi] = Next[Lane];
-      HeadIns.push_back(concat(Next[Lane].H, Ctxs[Lane]));
+      HeadIns.push_back(concat(Next[Lane], Ctxs[Lane]));
       Targets.push_back(static_cast<size_t>(TargetIds[Bi][T]));
     }
     std::vector<Var> StepLosses =

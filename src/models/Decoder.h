@@ -32,7 +32,6 @@ struct SeqDecoderConfig {
   size_t AttnHidden = 32;
   size_t MemoryDim = 32; ///< Dimension of the encoder memory vectors.
   size_t InitDim = 32;   ///< Dimension of the program embedding.
-  CellKind Cell = CellKind::Gru;
 
   /// The decoder of a LIGER, DYPRO or code2seq config: memory vectors
   /// and program embedding are both Hidden wide.
@@ -46,7 +45,6 @@ struct SeqDecoderConfig {
     DC.AttnHidden = Cfg.AttnHidden;
     DC.MemoryDim = Cfg.Hidden;
     DC.InitDim = Cfg.Hidden;
-    DC.Cell = Cfg.Cell;
     return DC;
   }
 };

@@ -20,9 +20,9 @@ DyproEncoder::DyproEncoder(ParamStore &Store, const Vocabulary &V,
                            const DyproConfig &Cfg, Rng &R)
     : Config(Cfg), Vocab(V),
       Embed(Store, "dypro.embed", V.size(), Cfg.EmbedDim, R),
-      F1(Store, "dypro.f1", Cfg.Cell, Cfg.EmbedDim, Cfg.EmbedDim, R),
-      F2(Store, "dypro.f2", Cfg.Cell, 2 * Cfg.EmbedDim, Cfg.Hidden, R),
-      Trace(Store, "dypro.trace", Cfg.Cell, Cfg.Hidden, Cfg.Hidden, R) {}
+      F1(Store, "dypro.f1", Cfg.EmbedDim, Cfg.EmbedDim, R),
+      F2(Store, "dypro.f2", 2 * Cfg.EmbedDim, Cfg.Hidden, R),
+      Trace(Store, "dypro.trace", Cfg.Hidden, Cfg.Hidden, R) {}
 
 Var DyproEncoder::lookupToken(const std::string &Token,
                               EncodeContext &Ctx) const {
@@ -49,7 +49,7 @@ Var DyproEncoder::embedState(const ProgramState &State,
       std::vector<Var> Inputs;
       for (const std::string &Token : Tokens)
         Inputs.push_back(lookupToken(Token, Ctx));
-      ValueEmbed = F1.run(Inputs).back().H;
+      ValueEmbed = F1.run(Inputs).back();
     } else {
       ValueEmbed = lookupToken(valueToken(V), Ctx);
     }
@@ -60,7 +60,7 @@ Var DyproEncoder::embedState(const ProgramState &State,
   }
   if (VarEmbeds.empty())
     return constant(Tensor::zeros(Config.Hidden));
-  return F2.run(VarEmbeds).back().H;
+  return F2.run(VarEmbeds).back();
 }
 
 GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
@@ -74,7 +74,7 @@ GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
       if (Consumed >= Config.MaxTraces)
         break;
       ++Consumed;
-      RecState S = Trace.initial();
+      Var S = Trace.initial();
       size_t Steps =
           std::min(States.States.size(), Config.MaxStatesPerTrace);
       bool Stepped = false;
@@ -83,11 +83,11 @@ GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
           continue;
         Var StateVec = embedState(States.States[J], Traces.VarNames, Ctx);
         S = Trace.step(StateVec, S);
-        Out.Memory.push_back(S.H);
+        Out.Memory.push_back(S);
         Stepped = true;
       }
       if (Stepped)
-        TraceEmbeddings.push_back(S.H);
+        TraceEmbeddings.push_back(S);
     }
   }
 

@@ -32,7 +32,6 @@ struct DyproConfig {
   size_t EmbedDim = 32;
   size_t Hidden = 32;
   size_t AttnHidden = 32;
-  CellKind Cell = CellKind::Gru;
   size_t MaxStatesPerTrace = 40;
   size_t MaxTraces = 100; ///< Cap on executions consumed per method.
   /// Cap on the decoder's attention memory: when the per-state hidden

@@ -91,20 +91,13 @@ LinearRef bindLinear(const WeightImage &Image, const std::string &Name,
 }
 
 CellRef bindCell(const WeightImage &Image, const std::string &Name,
-                 CellKind Kind, size_t In, size_t Hidden) {
+                 size_t In, size_t Hidden) {
   CellRef C;
-  C.Kind = Kind;
   C.In = In;
   C.Hidden = Hidden;
-  if (Kind == CellKind::Rnn) {
-    C.L1 = bindLinear(Image, Name + ".Wx", In, Hidden);
-    C.U1 = Image.tensor2d(Name + ".Wh", Hidden, Hidden);
-    return C;
-  }
-  size_t K = Kind == CellKind::Gru ? 3 : 4;
-  C.Wx = Image.tensor2d(Name + ".Wx", K * Hidden, In);
-  C.Bx = Image.tensor1d(Name + ".bx", K * Hidden);
-  C.Wh = Image.tensor2d(Name + ".Wh", K * Hidden, Hidden);
+  C.Wx = Image.tensor2d(Name + ".Wx", 3 * Hidden, In);
+  C.Bx = Image.tensor1d(Name + ".bx", 3 * Hidden);
+  C.Wh = Image.tensor2d(Name + ".Wh", 3 * Hidden, Hidden);
   return C;
 }
 
@@ -121,53 +114,19 @@ AttnRef bindAttn(const WeightImage &Image, const std::string &Name,
   return A;
 }
 
-CellState cellInitial(ScratchArena &Arena, const CellRef &Cell) {
-  CellState S;
-  S.H = Arena.allocZeroed(Cell.Hidden);
-  if (Cell.Kind == CellKind::Lstm)
-    S.C = Arena.allocZeroed(Cell.Hidden);
-  return S;
+const float *cellInitial(ScratchArena &Arena, const CellRef &Cell) {
+  return Arena.allocZeroed(Cell.Hidden);
 }
 
-CellState cellStep(ScratchArena &Arena, const CellRef &Cell, const float *X,
-                   const CellState &Prev) {
+const float *cellStep(ScratchArena &Arena, const CellRef &Cell,
+                      const float *X, const float *Prev) {
   size_t H = Cell.Hidden;
-  CellState Next;
-  switch (Cell.Kind) {
-  case CellKind::Rnn: {
-    // tanhV(add(L1.apply(X), matvec(U1, Prev.H))).
-    float *Y = Arena.alloc(H);
-    kernels::matvec(H, Cell.In, Cell.L1.W, X, Y);
-    kernels::addAcc(H, Cell.L1.B, Y);
-    float *Uh = Arena.alloc(H);
-    kernels::matvec(H, H, Cell.U1, Prev.H, Uh);
-    kernels::addAcc(H, Uh, Y);
-    kernels::tanhMap(H, Y, Y);
-    Next.H = Y;
-    break;
-  }
-  case CellKind::Gru: {
-    float *Gates = Arena.alloc(3 * H);
-    float *Ws = Arena.alloc(9 * H);
-    float *Out = Arena.alloc(H);
-    inferops::gruCellForward(H, Cell.In, Cell.Wx, Cell.Bx, Cell.Wh, X,
-                             Prev.H, Gates, Out, Ws);
-    Next.H = Out;
-    break;
-  }
-  case CellKind::Lstm: {
-    float *Pay = Arena.alloc(6 * H);
-    float *Ws = Arena.alloc(10 * H);
-    float *C = Arena.alloc(H);
-    float *HOut = Arena.alloc(H);
-    inferops::lstmCellForward(H, Cell.In, Cell.Wx, Cell.Bx, Cell.Wh, X,
-                              Prev.H, Prev.C, Pay, C, HOut, Ws);
-    Next.H = HOut;
-    Next.C = C;
-    break;
-  }
-  }
-  return Next;
+  float *Gates = Arena.alloc(3 * H);
+  float *Ws = Arena.alloc(9 * H);
+  float *Out = Arena.alloc(H);
+  inferops::gruCellForward(H, Cell.In, Cell.Wx, Cell.Bx, Cell.Wh, X, Prev,
+                           Gates, Out, Ws);
+  return Out;
 }
 
 const float *attnKeyProj(ScratchArena &Arena, const AttnRef &Attn,
@@ -212,7 +171,7 @@ GreedyDecoder::GreedyDecoder(const WeightImage &Image,
   TargetEmbed =
       Image.tensor2d(Prefix + ".target_embed", Cfg.TargetVocabSize, E);
   Init = bindLinear(Image, Prefix + ".init", Cfg.InitDim, H);
-  Cell = bindCell(Image, Prefix + ".cell", Cfg.Cell, E + M, H);
+  Cell = bindCell(Image, Prefix + ".cell", E + M, H);
   Attn = bindAttn(Image, Prefix + ".attn", H, M, Cfg.AttnHidden);
   Out = bindLinear(Image, Prefix + ".out", H + M, Cfg.TargetVocabSize);
 }
@@ -225,16 +184,11 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
   size_t H = Config.Hidden, E = Config.EmbedDim, M = Config.MemoryDim;
   size_t Vt = Out.Out;
 
-  CellState State;
-  {
-    float *H0 = Arena.alloc(H);
-    kernels::matvec(H, Init.In, Init.W, ProgramEmbedding, H0);
-    kernels::addAcc(H, Init.B, H0);
-    kernels::tanhMap(H, H0, H0);
-    State.H = H0;
-  }
-  if (Config.Cell == CellKind::Lstm)
-    State.C = Arena.allocZeroed(H);
+  float *H0 = Arena.alloc(H);
+  kernels::matvec(H, Init.In, Init.W, ProgramEmbedding, H0);
+  kernels::addAcc(H, Init.B, H0);
+  kernels::tanhMap(H, H0, H0);
+  const float *State = H0;
 
   const float *KP = attnKeyProj(Arena, Attn, Memory);
 
@@ -244,13 +198,13 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
     const float *PrevEmbed = TargetEmbed + static_cast<size_t>(Prev) * E;
     // SeqDecoder::loss's step: attention over the *previous* state, cell
     // step, then the output projection over the new state and context.
-    const float *Ctx = attnContext(Arena, Attn, Memory, KP, State.H);
+    const float *Ctx = attnContext(Arena, Attn, Memory, KP, State);
     float *CellIn = Arena.alloc(E + M);
     std::memcpy(CellIn, PrevEmbed, E * sizeof(float));
     std::memcpy(CellIn + E, Ctx, M * sizeof(float));
     State = cellStep(Arena, Cell, CellIn, State);
     float *OutIn = Arena.alloc(H + M);
-    std::memcpy(OutIn, State.H, H * sizeof(float));
+    std::memcpy(OutIn, State, H * sizeof(float));
     std::memcpy(OutIn + H, Ctx, M * sizeof(float));
     float *Logits = Arena.alloc(Vt);
     kernels::matvec(Vt, Out.In, Out.W, OutIn, Logits);
@@ -317,10 +271,10 @@ void LigerInference::bind(const WeightImage &Image) {
   TreeW.Wx = Image.tensor2d("liger.stmt_tree.Wx", 4 * H, E);
   TreeW.Bx = Image.tensor1d("liger.stmt_tree.bx", 4 * H);
   TreeW.Wh = Image.tensor2d("liger.stmt_tree.Wh", 4 * H, H);
-  F1 = bindCell(Image, "liger.f1", Config.Cell, E, E);
-  F2 = bindCell(Image, "liger.f2", Config.Cell, E, H);
+  F1 = bindCell(Image, "liger.f1", E, E);
+  F2 = bindCell(Image, "liger.f2", E, H);
   A1 = bindAttn(Image, "liger.a1", H, H, A);
-  F3 = bindCell(Image, "liger.f3", Config.Cell, H, H);
+  F3 = bindCell(Image, "liger.f3", H, H);
   if (TargetVocab)
     Decoder.emplace(Image, "liger.dec",
                     SeqDecoderConfig::forModel(Config, *TargetVocab));
@@ -340,8 +294,6 @@ void LigerInference::resetStore() {
   // the zero embedding of a state with no values.
   StoredRow Root;
   Root.H = Store.Floats.allocZeroed(Config.Hidden);
-  if (Config.Cell == CellKind::Lstm)
-    Root.C = Store.Floats.allocZeroed(Config.Hidden);
   Store.Nodes.push_back(Root);
 }
 
@@ -459,11 +411,11 @@ uint32_t LigerInference::objectEntry(const Value &Object) {
   if (!Added)
     return E;
   // f1 over the flattened attr sequence.
-  CellState S = cellInitial(Arena, F1);
+  const float *S = cellInitial(Arena, F1);
   for (int Id : Ids)
     S = cellStep(Arena, F1, tokenEmbed(Id), S);
   float *H = Store.Floats.alloc(F1.Hidden);
-  std::memcpy(H, S.H, F1.Hidden * sizeof(float));
+  std::memcpy(H, S, F1.Hidden * sizeof(float));
   Store.ObjectH.push_back(H);
   return E;
 }
@@ -495,7 +447,7 @@ LigerInference::embedState(const ProgramState &State) {
 
   // Run only the f2 steps below the deepest node that exists.
   size_t H = Config.Hidden;
-  CellState S{Store.Nodes[Node].H, Store.Nodes[Node].C};
+  const float *S = Store.Nodes[Node].H;
   for (;;) {
     uint32_t Payload = StateTrie::payload(Component);
     const float *X = StateTrie::isObject(Component)
@@ -504,13 +456,8 @@ LigerInference::embedState(const ProgramState &State) {
     S = cellStep(Arena, F2, X, S);
     StoredRow Row;
     float *NodeH = Store.Floats.alloc(H);
-    std::memcpy(NodeH, S.H, H * sizeof(float));
+    std::memcpy(NodeH, S, H * sizeof(float));
     Row.H = NodeH;
-    if (S.C) {
-      float *NodeC = Store.Floats.alloc(H);
-      std::memcpy(NodeC, S.C, H * sizeof(float));
-      Row.C = NodeC;
-    }
     Node = Store.Trie.addChild(Node, Component);
     Store.Nodes.push_back(Row);
     if (++I == N)
@@ -596,17 +543,15 @@ LigerInference::encodePath(const BlendedTrace &Path,
           ? std::min(Path.Concrete.size(), Config.MaxConcretePerPath)
           : 0;
 
-  CellState Trace = cellInitial(Arena, F3);
-  const float *PrevH = Trace.H;
+  const float *Trace = cellInitial(Arena, F3);
   for (size_t J = 0; J < Steps; ++J) {
-    const float *Fused = fuseStep(Path, J, NumConcrete, PrevH);
+    const float *Fused = fuseStep(Path, J, NumConcrete, Trace);
     if (!Fused)
       continue;
     Trace = cellStep(Arena, F3, Fused, Trace);
-    PrevH = Trace.H;
-    StepMemory.push_back(Trace.H);
+    StepMemory.push_back(Trace);
   }
-  return Trace.H;
+  return Trace;
 }
 
 LigerInference::Encoding

@@ -23,8 +23,8 @@
 /// depends on the walk order, the embeddings are bitwise-identical to
 /// the training-path forward, and the decodes to the graph decode
 /// oracle of tests/ReferenceGraphs (InferenceEquivalenceTest pins this
-/// for GRU, LSTM and vanilla RNN cells and the ablation configs, and
-/// the decoder for DYPRO and code2seq).
+/// for the full model and the ablation configs, and the decoder for
+/// DYPRO and code2seq).
 ///
 /// Since parameters are frozen at serving time, the embeddings the
 /// graph encoder memoises for one call (statements per sample, objects
@@ -93,17 +93,14 @@ struct LinearRef {
   const float *W = nullptr, *B = nullptr;
 };
 struct CellRef {
-  CellKind Kind = CellKind::Gru;
   size_t In = 0, Hidden = 0;
-  const float *Wx = nullptr, *Bx = nullptr, *Wh = nullptr; // packed
-  LinearRef L1;                                            // Rnn
-  const float *U1 = nullptr;                               // Rnn
+  const float *Wx = nullptr, *Bx = nullptr, *Wh = nullptr; // packed z, r, n
 };
 struct AttnRef {
   size_t QueryDim = 0, KeyDim = 0, Hidden = 0;
   const float *W1 = nullptr, *B1 = nullptr, *W2 = nullptr, *B2 = nullptr;
 };
-/// A recurrent cell's state (C for LSTM only).
+/// A TreeLSTM node's state.
 struct CellState {
   const float *H = nullptr;
   const float *C = nullptr;
@@ -197,12 +194,11 @@ public:
 private:
   void bind(const WeightImage &Image);
 
-  /// One stored embedding: the vector a fusion step consumes, the f2
-  /// cell state C (LSTM trie nodes only), and A1's key-side row,
-  /// projected on first use.
+  /// One stored embedding: the vector a fusion step consumes (for a
+  /// trie node, f2's state) and A1's key-side row, projected on first
+  /// use.
   struct StoredRow {
     const float *H = nullptr;
-    const float *C = nullptr;
     const float *KeyProj = nullptr;
   };
 

@@ -20,10 +20,10 @@ LigerEncoder::LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
     : Config(Cfg), Vocab(JointVocab),
       Embed(Store, "liger.embed", JointVocab.size(), Cfg.EmbedDim, R),
       StmtTree(Store, "liger.stmt_tree", Cfg.EmbedDim, Cfg.Hidden, R),
-      F1(Store, "liger.f1", Cfg.Cell, Cfg.EmbedDim, Cfg.EmbedDim, R),
-      F2(Store, "liger.f2", Cfg.Cell, Cfg.EmbedDim, Cfg.Hidden, R),
+      F1(Store, "liger.f1", Cfg.EmbedDim, Cfg.EmbedDim, R),
+      F2(Store, "liger.f2", Cfg.EmbedDim, Cfg.Hidden, R),
       A1(Store, "liger.a1", Cfg.Hidden, Cfg.Hidden, Cfg.AttnHidden, R),
-      F3(Store, "liger.f3", Cfg.Cell, Cfg.Hidden, Cfg.Hidden, R),
+      F3(Store, "liger.f3", Cfg.Hidden, Cfg.Hidden, R),
       ValueIds(JointVocab) {
   LIGER_CHECK(Cfg.UseStaticFeature || Cfg.UseDynamicFeature,
               "at least one feature dimension must be enabled");
@@ -113,9 +113,9 @@ public:
         for (const int *Id = Begin; Id != End; ++Id)
           Inputs.push_back(Enc.tokenEmbed(*Id, *O.Cache));
       }
-      std::vector<RecState> Out = runCellLockstep(Enc.F1, Seqs);
+      std::vector<Var> Out = runCellLockstep(Enc.F1, Seqs);
       for (size_t K = 0; K < NewObjects.size(); ++K)
-        ObjectH[NewObjects[K].Entry] = Out[K].H;
+        ObjectH[NewObjects[K].Entry] = Out[K];
       NewObjects.clear();
     }
     // A new edge's parent is older or one position up, so ascending
@@ -132,7 +132,7 @@ public:
                          : Enc.tokenEmbed(static_cast<int>(Payload), *E.Cache));
         Prevs.push_back(NodeStates[E.Parent]);
       }
-      std::vector<RecState> Next = Enc.F2.stepBatch(Xs, Prevs);
+      std::vector<Var> Next = Enc.F2.stepBatch(Xs, Prevs);
       for (size_t K = 0; K < Edges.size(); ++K)
         NodeStates[Edges[K].Node] = Next[K];
       Edges.clear();
@@ -140,7 +140,7 @@ public:
   }
 
   /// The state embedding of a flushed node.
-  Var embedding(uint32_t Node) const { return NodeStates[Node].H; }
+  Var embedding(uint32_t Node) const { return NodeStates[Node]; }
 
 private:
   struct NewObject {
@@ -168,7 +168,7 @@ private:
   const LigerEncoder &Enc;
   StateTrie Trie;
   std::vector<Var> ObjectH;         ///< Per object entry: f1's final H.
-  std::vector<RecState> NodeStates; ///< Per trie node: f2's state.
+  std::vector<Var> NodeStates;      ///< Per trie node: f2's state.
   std::vector<NewObject> NewObjects;
   /// Unflushed edges by position: NewEdges[I] holds edges whose
   /// component is the state's I-th value.
@@ -176,7 +176,7 @@ private:
   // Reused scratch.
   std::vector<int> Ids;
   std::vector<Var> Xs;
-  std::vector<RecState> Prevs;
+  std::vector<Var> Prevs;
 };
 
 std::vector<GraphEncoding>
@@ -198,8 +198,7 @@ LigerEncoder::encodeBatch(
     const BlendedTrace *Path;
     size_t Steps;
     size_t NumConcrete;
-    RecState Trace;
-    Var PrevH;
+    Var Trace; ///< F3's state, the next fusion's attention query.
     std::vector<Var> Memory;
   };
   std::vector<Lane> Lanes;
@@ -221,7 +220,6 @@ LigerEncoder::encodeBatch(
                                      Config.MaxConcretePerPath)
                           : 0;
       L.Trace = F3.initial();
-      L.PrevH = L.Trace.H;
       MaxSteps = std::max(MaxSteps, L.Steps);
       Lanes.push_back(std::move(L));
     }
@@ -235,7 +233,7 @@ LigerEncoder::encodeBatch(
   std::vector<Var> Components;
   std::vector<size_t> Active;
   std::vector<Var> Ins;
-  std::vector<RecState> PrevStates;
+  std::vector<Var> PrevStates;
   for (size_t J = 0; J < MaxSteps; ++J) {
     for (size_t Li = 0; Li < Lanes.size(); ++Li) {
       Lane &L = Lanes[Li];
@@ -264,7 +262,7 @@ LigerEncoder::encodeBatch(
                                             Caches[L.Sample]));
       for (uint32_t Node : LaneNodes[Li])
         Components.push_back(States.embedding(Node));
-      Var Fused = fuse(Components, J, L.PrevH);
+      Var Fused = fuse(Components, J, L.Trace);
       if (!Fused)
         continue;
       Active.push_back(Li);
@@ -273,12 +271,11 @@ LigerEncoder::encodeBatch(
     }
     if (Active.empty())
       continue;
-    std::vector<RecState> Next = F3.stepBatch(Ins, PrevStates);
+    std::vector<Var> Next = F3.stepBatch(Ins, PrevStates);
     for (size_t K = 0; K < Active.size(); ++K) {
       Lane &L = Lanes[Active[K]];
       L.Trace = Next[K];
-      L.PrevH = Next[K].H;
-      L.Memory.push_back(Next[K].H);
+      L.Memory.push_back(Next[K]);
     }
   }
 
@@ -286,7 +283,7 @@ LigerEncoder::encodeBatch(
   std::vector<GraphEncoding> Out(B);
   std::vector<std::vector<Var>> PathEmbeds(B);
   for (Lane &L : Lanes) {
-    PathEmbeds[L.Sample].push_back(L.Trace.H);
+    PathEmbeds[L.Sample].push_back(L.Trace);
     Out[L.Sample].Memory.insert(Out[L.Sample].Memory.end(),
                                     L.Memory.begin(), L.Memory.end());
   }

@@ -51,7 +51,6 @@ struct LigerConfig {
   size_t EmbedDim = 32;   ///< Vocabulary embedding (paper: 100).
   size_t Hidden = 32;     ///< Recurrent hidden size (paper: 100).
   size_t AttnHidden = 32; ///< Attention MLP hidden size.
-  CellKind Cell = CellKind::Gru;
   bool UseStaticFeature = true;   ///< §6.3.1 ablation when false.
   bool UseDynamicFeature = true;  ///< §6.3.2 ablation when false.
   bool UseFusionAttention = true; ///< §6.3.3 ablation when false.

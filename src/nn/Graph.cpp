@@ -559,8 +559,8 @@ Var liger::colsView(const Var &M, size_t Col0, size_t Cols) {
 //  - per-row reductions share kernels::dot/matvec with the reference
 //    matvec op.
 //
-// LSTM-style cells produce two values (h, c) but a node has one Value,
-// so those ops build two nodes: the c-node (created first) holds the
+// A TreeLSTM node produces two values (h, c) but a node has one Value,
+// so its op builds two nodes: the c-node (created first) holds the
 // inputs as parents, the gate activations in AuxM, and the combined
 // backward; the h-node (created second, so its backward runs first)
 // has the c-node as its only parent and routes ∂h/∂o into the shared
@@ -775,166 +775,6 @@ void gruCellBatchBackward(Node &N) {
   }
 }
 
-/// One sample's ∂h routing (the h-node's backward): o's grad parks in
-/// the payload slice until the c backward reaches the o gate; tc's
-/// grad flows through tanh into the c grad \p CG. \p Aux is the
-/// sample's 6H payload slice i, f, g, o, tanh(c'), dO.
-void lstmCellBackwardHOne(size_t H, const float *G, float *Aux, float *CG) {
-  const float *O = Aux + 3 * H, *Tc = Aux + 4 * H;
-  float *DO = Aux + 5 * H;
-  kernels::mulAcc(H, G, Tc, DO);
-  Tensor TCG = Tensor::zeros(H);
-  kernels::mulAcc(H, G, O, TCG.data());
-  kernels::tanhGradAcc(H, TCG.data(), Tc, CG);
-}
-
-/// LSTM payload: i, f, g, o, tanh(c'), dO (6H floats; dO zeroed at
-/// forward, filled by the h-node's backward, consumed by the c-node's).
-void lstmCellBackwardH(Node &N) {
-  Node &CN = *N.Parents[0];
-  lstmCellBackwardHOne(N.Value.size(), N.Grad.data(), N.AuxM,
-                       CN.grad().data());
-}
-
-/// One sample's combined c backward (gate chains + c' products), shared
-/// by the single-sample op and the batch op's descending replay.
-void lstmCellBackwardCOne(Node &WxN, Node &BxN, Node &WhN, Node &XN,
-                          Node &HN, Node &CPN, size_t H, size_t In,
-                          const float *Cg, const float *Aux) {
-  const float *Ai = Aux, *Af = Aux + H, *Ag = Aux + 2 * H,
-              *Ao = Aux + 3 * H, *DO = Aux + 5 * H;
-
-  // c' = add(mul(f, c), mul(i, g)).
-  Tensor IGr = Tensor::zeros(H); // i's grad: Cg ⊙ g
-  kernels::mulAcc(H, Cg, Ag, IGr.data());
-  Tensor GG = Tensor::zeros(H); // g's grad: Cg ⊙ i
-  kernels::mulAcc(H, Cg, Ai, GG.data());
-  Tensor FG = Tensor::zeros(H); // f's grad: Cg ⊙ c_prev
-  kernels::mulAcc(H, Cg, CPN.Value.data(), FG.data());
-  if (CPN.RequiresGrad)
-    kernels::mulAcc(H, Cg, Af, CPN.grad().data());
-
-  // Gates o, g, f, i — descending creation order of the reference
-  // graph (pack order is i, f, g, o).
-  Tensor PG = Tensor::zeros(H);
-  kernels::sigmoidGradAcc(H, DO, Ao, PG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, 3 * H, H, In, PG.data());
-  PG.zero();
-  kernels::tanhGradAcc(H, GG.data(), Ag, PG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, 2 * H, H, In, PG.data());
-  PG.zero();
-  kernels::sigmoidGradAcc(H, FG.data(), Af, PG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, H, H, In, PG.data());
-  PG.zero();
-  kernels::sigmoidGradAcc(H, IGr.data(), Ai, PG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, 0, H, In, PG.data());
-}
-
-void lstmCellBackwardC(Node &N) {
-  lstmCellBackwardCOne(*N.Parents[0], *N.Parents[1], *N.Parents[2],
-                       *N.Parents[3], *N.Parents[4], *N.Parents[5],
-                       N.Value.size(), N.Parents[3]->Value.size(),
-                       N.Grad.data(), N.AuxM);
-}
-
-/// h-batch-node backward: every sample's ∂h routing. Samples touch
-/// only their own payload slice and c-batch grad row, so the order is
-/// immaterial bitwise; descending matches the c replay. Runs before
-/// the c-batch backward (the h node is created second) and after every
-/// downstream row view — the same slot the per-sample h nodes occupy.
-void lstmCellBatchBackwardH(Node &N) {
-  Node &CN = *N.Parents[0];
-  size_t B = N.IScalar;
-  size_t H = N.Value.dim(1);
-  const float *G = N.Grad.data();
-  float *CG = CN.grad().data();
-  for (size_t Bi = B; Bi-- > 0;)
-    lstmCellBackwardHOne(H, G + Bi * H, N.AuxM + Bi * 6 * H, CG + Bi * H);
-}
-
-/// One lane of the fused LSTM c backward: lstmCellBackwardCOne minus
-/// the shared-parameter updates. Writes the four gate pre-activation
-/// grads into caller-provided rows (pack order i, f, g, o) and applies
-/// this sample's ∂x/∂h/∂c' in the exact reference within-sample order.
-void lstmCellBackwardLaneC(const float *WxV, const float *WhV, Node &XN,
-                           Node &HN, Node &CPN, size_t H, size_t In,
-                           const float *Cg, const float *Aux, float *PI,
-                           float *PF, float *PGg, float *PO) {
-  const float *Ai = Aux, *Af = Aux + H, *Ag = Aux + 2 * H,
-              *Ao = Aux + 3 * H, *DO = Aux + 5 * H;
-
-  Tensor IGr = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, Ag, IGr.data());
-  Tensor GG = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, Ai, GG.data());
-  Tensor FG = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, CPN.Value.data(), FG.data());
-  if (CPN.RequiresGrad)
-    kernels::mulAcc(H, Cg, Af, CPN.grad().data());
-
-  // Gates o, g, f, i — descending creation order of the reference
-  // graph (pack order is i, f, g, o).
-  std::memset(PO, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, DO, Ao, PO);
-  laneGateBackward(WxV, WhV, XN, HN, 3 * H, H, In, PO);
-  std::memset(PGg, 0, H * sizeof(float));
-  kernels::tanhGradAcc(H, GG.data(), Ag, PGg);
-  laneGateBackward(WxV, WhV, XN, HN, 2 * H, H, In, PGg);
-  std::memset(PF, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, FG.data(), Af, PF);
-  laneGateBackward(WxV, WhV, XN, HN, H, H, In, PF);
-  std::memset(PI, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, IGr.data(), Ai, PI);
-  laneGateBackward(WxV, WhV, XN, HN, 0, H, In, PI);
-}
-
-/// c-batch-node backward: parents are Wx, Bx, Wh, X_0..X_{B-1},
-/// H_0..H_{B-1}, C_0..C_{B-1} (B in IScalar). Fused schedule as in
-/// gruCellBatchBackward: descending per-lane input grads plus one
-/// descending-lane batch-kernel pass per shared-parameter gate region,
-/// bitwise-identical to the per-sample replay.
-void lstmCellBatchBackwardC(Node &N) {
-  size_t B = N.IScalar;
-  size_t H = N.Value.dim(1);
-  size_t In = N.Parents[3]->Value.size();
-  Node &WxN = *N.Parents[0], &BxN = *N.Parents[1], &WhN = *N.Parents[2];
-  const float *G = N.Grad.data();
-  const float *WxV = WxN.Value.data(), *WhV = WhN.Value.data();
-
-  Tensor Scratch = Tensor::raw(4 * B, H);
-  float *PI = Scratch.data(), *PF = PI + B * H, *PGg = PF + B * H,
-        *PO = PGg + B * H;
-  std::vector<const float *> Ptrs(2 * B);
-  const float **XP = Ptrs.data(), **HP = XP + B;
-  for (size_t Bi = B; Bi-- > 0;) {
-    Node &XN = *N.Parents[3 + Bi];
-    Node &HN = *N.Parents[3 + B + Bi];
-    XP[Bi] = XN.Value.data();
-    HP[Bi] = HN.Value.data();
-    lstmCellBackwardLaneC(WxV, WhV, XN, HN, *N.Parents[3 + 2 * B + Bi], H,
-                          In, G + Bi * H, N.AuxM + Bi * 6 * H, PI + Bi * H,
-                          PF + Bi * H, PGg + Bi * H, PO + Bi * H);
-  }
-  const float *Gates[4] = {PI, PF, PGg, PO};
-  if (WhN.RequiresGrad) {
-    float *WhG = WhN.grad().data();
-    for (size_t Gi = 0; Gi < 4; ++Gi)
-      kernels::rank1AccBatchDesc(B, H, H, Gates[Gi], H, HP,
-                                 WhG + Gi * H * H);
-  }
-  if (BxN.RequiresGrad) {
-    float *BxG = BxN.grad().data();
-    for (size_t Gi = 0; Gi < 4; ++Gi)
-      kernels::addAccBatchDesc(B, H, Gates[Gi], H, BxG + Gi * H);
-  }
-  if (WxN.RequiresGrad) {
-    float *WxG = WxN.grad().data();
-    for (size_t Gi = 0; Gi < 4; ++Gi)
-      kernels::rank1AccBatchDesc(B, H, In, Gates[Gi], H, XP,
-                                 WxG + Gi * H * In);
-  }
-}
-
 /// TreeLSTM payload: i, o, u (3H), per-child f (K*H), tanh(c), dO
 /// ((5+K)*H floats total); K lives in IScalar of both nodes.
 void treeLstmBackwardH(Node &N) {
@@ -1025,42 +865,6 @@ Var liger::gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh,
   return N;
 }
 
-CellOut liger::lstmCellOp(const Var &Wx, const Var &Bx, const Var &Wh,
-                          const Var &X, const Var &HPrev, const Var &CPrev) {
-  size_t H = HPrev->Value.dim(0);
-  size_t In = X->Value.dim(0);
-  LIGER_CHECK(Wx->Value.rank() == 2 && Wx->Value.dim(0) == 4 * H &&
-                  Wx->Value.dim(1) == In,
-              "lstmCellOp packed Wx shape mismatch");
-  LIGER_CHECK(Bx->Value.size() == 4 * H, "lstmCellOp packed bias mismatch");
-  LIGER_CHECK(Wh->Value.rank() == 2 && Wh->Value.dim(0) == 4 * H &&
-                  Wh->Value.dim(1) == H,
-              "lstmCellOp packed Wh shape mismatch");
-  LIGER_CHECK(CPrev->Value.size() == H, "lstmCellOp cell-state mismatch");
-
-  // Forward math shared with the inference runtime via
-  // inferops::lstmCellForward (which also zeroes the payload's
-  // dO-scratch block); this op adds the two-node backward wiring.
-  float *Pay = allocCellPayload(6 * H);
-  Tensor Ws = Tensor::raw(10 * H);
-  Tensor C = Tensor::raw(H);
-  Tensor HOut = Tensor::raw(H);
-  inferops::lstmCellForward(H, In, Wx->Value.data(), Bx->Value.data(),
-                            Wh->Value.data(), X->Value.data(),
-                            HPrev->Value.data(), CPrev->Value.data(), Pay,
-                            C.data(), HOut.data(), Ws.data());
-
-  Node *CN = makeNode(std::move(C), {Wx, Bx, Wh, X, HPrev, CPrev},
-                      lstmCellBackwardC);
-  CN->AuxM = Pay;
-  Node *HN = makeNode(std::move(HOut), {CN}, lstmCellBackwardH);
-  HN->AuxM = Pay;
-  CellOut Result;
-  Result.H = HN;
-  Result.C = CN;
-  return Result;
-}
-
 namespace {
 
 /// Returns a contiguous [B x Dim] value block for \p Vars — the matmul
@@ -1086,22 +890,17 @@ const float *stackedValues(const std::vector<Var> &Vars, size_t Dim,
   return Scratch.data();
 }
 
-/// Parent array Wx, Bx, Wh followed by each sample group in turn.
+/// Parent array Wx, Bx, Wh, X_0..X_{B-1}, H_0..H_{B-1}.
 std::vector<Var> cellBatchParents(const Var &Wx, const Var &Bx,
-                                  const Var &Wh,
-                                  std::initializer_list<const std::vector<Var> *>
-                                      Groups) {
+                                  const Var &Wh, const std::vector<Var> &Xs,
+                                  const std::vector<Var> &HPrevs) {
   std::vector<Var> Parents;
-  size_t Total = 3;
-  for (const std::vector<Var> *G : Groups)
-    Total += G->size();
-  Parents.reserve(Total);
+  Parents.reserve(3 + Xs.size() + HPrevs.size());
   Parents.push_back(Wx);
   Parents.push_back(Bx);
   Parents.push_back(Wh);
-  for (const std::vector<Var> *G : Groups)
-    for (const Var &V : *G)
-      Parents.push_back(V);
+  Parents.insert(Parents.end(), Xs.begin(), Xs.end());
+  Parents.insert(Parents.end(), HPrevs.begin(), HPrevs.end());
   return Parents;
 }
 
@@ -1177,7 +976,7 @@ std::vector<Var> liger::gruCellBatchOp(const Var &Wx, const Var &Bx,
       Op[I] = Nn[I] + ZDp[I];
   }
 
-  Node *N = makeNode(std::move(Out), cellBatchParents(Wx, Bx, Wh, {&Xs, &HPrevs}),
+  Node *N = makeNode(std::move(Out), cellBatchParents(Wx, Bx, Wh, Xs, HPrevs),
                      gruCellBatchBackward);
   N->AuxM = Gates;
   N->IScalar = B;
@@ -1185,91 +984,6 @@ std::vector<Var> liger::gruCellBatchOp(const Var &Wx, const Var &Bx,
   Outs.reserve(B);
   for (size_t Bi = 0; Bi < B; ++Bi)
     Outs.push_back(row(N, Bi));
-  return Outs;
-}
-
-std::vector<CellOut> liger::lstmCellBatchOp(const Var &Wx, const Var &Bx,
-                                            const Var &Wh,
-                                            const std::vector<Var> &Xs,
-                                            const std::vector<Var> &HPrevs,
-                                            const std::vector<Var> &CPrevs) {
-  size_t B = Xs.size();
-  LIGER_CHECK(B > 0 && HPrevs.size() == B && CPrevs.size() == B,
-              "lstmCellBatchOp needs matching non-empty input/state sets");
-  size_t H = HPrevs[0]->Value.dim(0);
-  size_t In = Xs[0]->Value.dim(0);
-  LIGER_CHECK(Wx->Value.rank() == 2 && Wx->Value.dim(0) == 4 * H &&
-                  Wx->Value.dim(1) == In,
-              "lstmCellBatchOp packed Wx shape mismatch");
-  LIGER_CHECK(Bx->Value.size() == 4 * H,
-              "lstmCellBatchOp packed bias mismatch");
-  LIGER_CHECK(Wh->Value.rank() == 2 && Wh->Value.dim(0) == 4 * H &&
-                  Wh->Value.dim(1) == H,
-              "lstmCellBatchOp packed Wh shape mismatch");
-
-  float *Pay = allocCellPayload(B * 6 * H);
-  Tensor XScratch, HScratch;
-  const float *XBufV = stackedValues(Xs, In, XScratch);
-  const float *HBufV = stackedValues(HPrevs, H, HScratch);
-
-  Tensor Pre = Tensor::raw(B, 4 * H);
-  kernels::matmul(B, 4 * H, In, Wx->Value.data(), In, XBufV, In,
-                  Pre.data(), 4 * H);
-  Tensor Hh = Tensor::raw(B, 4 * H);
-  kernels::matmul(B, 4 * H, H, Wh->Value.data(), H, HBufV, H,
-                  Hh.data(), 4 * H);
-
-  Tensor C = Tensor::raw(B, H);
-  Tensor HOut = Tensor::raw(B, H);
-  for (size_t Bi = 0; Bi < B; ++Bi) {
-    LIGER_CHECK(CPrevs[Bi]->Value.size() == H,
-                "lstmCellBatchOp cell-state mismatch");
-    float *P = Pre.data() + Bi * 4 * H;
-    kernels::addAcc(4 * H, Bx->Value.data(), P);
-    kernels::addAcc(4 * H, Hh.data() + Bi * 4 * H, P);
-    float *Slice = Pay + Bi * 6 * H;
-    float *Ai = Slice, *Af = Slice + H, *Ag = Slice + 2 * H,
-          *Ao = Slice + 3 * H, *Tc = Slice + 4 * H, *DO = Slice + 5 * H;
-    std::memset(DO, 0, H * sizeof(float));
-    kernels::sigmoidMap(H, P, Ai);
-    kernels::sigmoidMap(H, P + H, Af);
-    kernels::tanhMap(H, P + 2 * H, Ag);
-    kernels::sigmoidMap(H, P + 3 * H, Ao);
-
-    const float *CPV = CPrevs[Bi]->Value.data();
-    Tensor FC = Tensor::raw(H);
-    float *__restrict FCp = FC.data();
-    for (size_t I = 0; I < H; ++I)
-      FCp[I] = Af[I] * CPV[I];
-    Tensor IG = Tensor::raw(H);
-    float *__restrict IGp = IG.data();
-    for (size_t I = 0; I < H; ++I)
-      IGp[I] = Ai[I] * Ag[I];
-    float *__restrict Cp = C.data() + Bi * H;
-    for (size_t I = 0; I < H; ++I)
-      Cp[I] = FCp[I] + IGp[I];
-    kernels::tanhMap(H, Cp, Tc);
-    float *__restrict Hp = HOut.data() + Bi * H;
-    for (size_t I = 0; I < H; ++I)
-      Hp[I] = Ao[I] * Tc[I];
-  }
-
-  Node *CN = makeNode(std::move(C),
-                      cellBatchParents(Wx, Bx, Wh, {&Xs, &HPrevs, &CPrevs}),
-                      lstmCellBatchBackwardC);
-  CN->AuxM = Pay;
-  CN->IScalar = B;
-  Node *HN = makeNode(std::move(HOut), {CN}, lstmCellBatchBackwardH);
-  HN->AuxM = Pay;
-  HN->IScalar = B;
-  std::vector<CellOut> Outs;
-  Outs.reserve(B);
-  for (size_t Bi = 0; Bi < B; ++Bi) {
-    CellOut Sample;
-    Sample.C = row(CN, Bi);
-    Sample.H = row(HN, Bi);
-    Outs.push_back(Sample);
-  }
   return Outs;
 }
 

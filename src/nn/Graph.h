@@ -32,7 +32,8 @@
 /// concatenation, embedding-row lookup, stacking scalar scores,
 /// softmax, attention-style weighted combination, max/mean pooling, a
 /// fused numerically-stable softmax-cross-entropy loss, and the fused
-/// and batched cell / attention / loss-head ops below. Each fused op
+/// GRU, TreeLSTM-node, attention and loss-head ops below (the GRU,
+/// attention and loss head also batched over lanes). Each fused op
 /// is bitwise-identical to a chain of the elementary ops; those
 /// reference chains live in tests/ReferenceGraphs and address packed
 /// parameters through the rowsView/sliceView/colsView ops.
@@ -180,7 +181,7 @@ Var sliceView(const Var &V, size_t Off, size_t Count);
 /// stored parameter (the per-pair reference graphs use it).
 Var colsView(const Var &M, size_t Col0, size_t Cols);
 
-/// Both outputs of a fused LSTM-style cell step.
+/// Both outputs of a fused TreeLSTM node.
 struct CellOut {
   Var H = nullptr;
   Var C = nullptr;
@@ -198,14 +199,6 @@ struct CellOut {
 /// (tests/ReferenceGraphs, FusedEquivalenceTest).
 Var gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh, const Var &X,
               const Var &HPrev);
-
-/// Fused LSTM step with packed Wx [4H x In], bx [4H], Wh [4H x H]
-/// (gate order i, f, g, o):
-///   c' = f ⊙ c + i ⊙ g,  h' = o ⊙ tanh(c')
-/// Two nodes: the c-node owns the gate activations and the combined
-/// backward; the h-node only routes ∂h into the shared payload.
-CellOut lstmCellOp(const Var &Wx, const Var &Bx, const Var &Wh, const Var &X,
-                   const Var &HPrev, const Var &CPrev);
 
 /// Fused Child-Sum TreeLSTM node (per-child forget gates) with packed
 /// Wx [4H x In], bx [4H], Wh [4H x H] in gate order i, o, u, f — i/o/u
@@ -241,18 +234,6 @@ CellOut treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 std::vector<Var> gruCellBatchOp(const Var &Wx, const Var &Bx, const Var &Wh,
                                 const std::vector<Var> &Xs,
                                 const std::vector<Var> &HPrevs);
-
-/// Fused LSTM step for B sequences (see gruCellBatchOp). Two batch
-/// nodes mirror the single-sample op's c-node/h-node split: the
-/// c-batch node owns the stacked gate payload and the combined
-/// per-sample backward replay; the h-batch node routes every sample's
-/// ∂h into the shared payload first. Returned CellOuts are per-sample
-/// row views of the two nodes. Bitwise-identical to B lstmCellOp calls.
-std::vector<CellOut> lstmCellBatchOp(const Var &Wx, const Var &Bx,
-                                     const Var &Wh,
-                                     const std::vector<Var> &Xs,
-                                     const std::vector<Var> &HPrevs,
-                                     const std::vector<Var> &CPrevs);
 
 //===----------------------------------------------------------------------===//
 // Fused attention ops

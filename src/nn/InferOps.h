@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The forward computations of the fused graph ops (gruCellOp,
-/// lstmCellOp, treeLstmNodeOp, attentionKeyProj, attentionOp), factored
+/// treeLstmNodeOp, attentionKeyProj, attentionOp), factored
 /// into free functions over raw float pointers so the autodiff graph
 /// builders in Graph.cpp and the no-graph inference runtime
 /// (models/Inference.h) execute the *same code*. Bitwise equality
@@ -100,42 +100,6 @@ inline void gruCellForward(size_t H, size_t In, const float *Wx,
     ZDp[I] = Z[I] * Dp[I];
   for (size_t I = 0; I < H; ++I)
     Out[I] = Nn[I] + ZDp[I];
-}
-
-/// LSTM cell step. Gates is the 6H backward payload (i, f, g, o,
-/// tanh(c'), dO-scratch — the last block is zeroed here exactly as the
-/// graph op does); COut/HOut are the new cell and hidden states. Ws
-/// needs 10H floats.
-inline void lstmCellForward(size_t H, size_t In, const float *Wx,
-                            const float *Bx, const float *Wh, const float *XV,
-                            const float *HV, const float *CPV, float *Gates,
-                            float *COut, float *HOut, float *Ws) {
-  float *Ai = Gates, *Af = Gates + H, *Ag = Gates + 2 * H,
-        *Ao = Gates + 3 * H, *Tc = Gates + 4 * H, *DO = Gates + 5 * H;
-  std::memset(DO, 0, H * sizeof(float));
-  float *P = Ws;            // 4H gate pre-activations
-  float *Hh = Ws + 4 * H;   // 4H hidden-side projections
-  float *FCp = Ws + 8 * H;  // H: f (.) c
-  float *IGp = Ws + 9 * H;  // H: i (.) g
-
-  kernels::matvecN(4, H, In, Wx, XV, P);
-  kernels::addAcc(4 * H, Bx, P);
-  kernels::matvecN(4, H, H, Wh, HV, Hh);
-  kernels::addAcc(4 * H, Hh, P);
-  kernels::sigmoidMap(H, P, Ai);
-  kernels::sigmoidMap(H, P + H, Af);
-  kernels::tanhMap(H, P + 2 * H, Ag);
-  kernels::sigmoidMap(H, P + 3 * H, Ao);
-
-  for (size_t I = 0; I < H; ++I)
-    FCp[I] = Af[I] * CPV[I];
-  for (size_t I = 0; I < H; ++I)
-    IGp[I] = Ai[I] * Ag[I];
-  for (size_t I = 0; I < H; ++I)
-    COut[I] = FCp[I] + IGp[I];
-  kernels::tanhMap(H, COut, Tc);
-  for (size_t I = 0; I < H; ++I)
-    HOut[I] = Ao[I] * Tc[I];
 }
 
 /// Child-sum TreeLSTM node with \p K children. Gates is the (5+K)H

@@ -132,17 +132,12 @@ Var Mlp::apply(const Var &X) const {
 //===----------------------------------------------------------------------===//
 
 RecurrentCell::RecurrentCell(ParamStore &Store, const std::string &Name,
-                             CellKind Kind, size_t In, size_t Hidden, Rng &R)
-    : Kind(Kind), In(In), Hidden(Hidden) {
-  if (Kind == CellKind::Rnn) {
-    L1 = Linear(Store, Name + ".Wx", In, Hidden, R);
-    U1 = Store.addParam(Name + ".Wh", Tensor::xavier(Hidden, Hidden, R));
-    return;
-  }
-  // Gated cells store the gate weights packed (z, r, n / i, f, g, o);
-  // per-gate blocks are drawn in the pre-packing creation order (all
-  // x-projections, then all h-projections) so fixed seeds reproduce.
-  size_t K = Kind == CellKind::Gru ? 3 : 4;
+                             size_t In, size_t Hidden, Rng &R)
+    : Hidden(Hidden) {
+  // The gate weights are stored packed (z, r, n); per-gate blocks are
+  // drawn in the pre-packing creation order (all x-projections, then
+  // all h-projections) so fixed seeds reproduce.
+  constexpr size_t K = 3;
   Tensor Wx = Tensor::zeros(K * Hidden, In);
   for (size_t G = 0; G < K; ++G)
     xavierRows(Wx, G * Hidden, Hidden, In, R);
@@ -154,73 +149,25 @@ RecurrentCell::RecurrentCell(ParamStore &Store, const std::string &Name,
   PWh = Store.addParam(Name + ".Wh", std::move(Wh));
 }
 
-RecState RecurrentCell::initial() const {
-  RecState S;
-  S.H = constant(Tensor::zeros(Hidden));
-  if (Kind == CellKind::Lstm)
-    S.C = constant(Tensor::zeros(Hidden));
-  return S;
+Var RecurrentCell::initial() const { return constant(Tensor::zeros(Hidden)); }
+
+Var RecurrentCell::step(const Var &X, const Var &Prev) const {
+  return gruCellOp(PWx, PBx, PWh, X, Prev);
 }
 
-RecState RecurrentCell::step(const Var &X, const RecState &Prev) const {
-  RecState S;
-  if (Kind == CellKind::Rnn) {
-    S.H = tanhV(add(L1.apply(X), matvec(U1, Prev.H)));
-  } else if (Kind == CellKind::Gru) {
-    S.H = gruCellOp(PWx, PBx, PWh, X, Prev.H);
-  } else {
-    CellOut Out = lstmCellOp(PWx, PBx, PWh, X, Prev.H, Prev.C);
-    S.H = Out.H;
-    S.C = Out.C;
-  }
-  return S;
-}
-
-std::vector<RecState>
-RecurrentCell::stepBatch(const std::vector<Var> &Xs,
-                         const std::vector<RecState> &Prev) const {
+std::vector<Var> RecurrentCell::stepBatch(const std::vector<Var> &Xs,
+                                          const std::vector<Var> &Prev) const {
   LIGER_CHECK(Xs.size() == Prev.size() && !Xs.empty(),
               "stepBatch needs matching non-empty input/state sets");
-  size_t B = Xs.size();
-  if (Kind == CellKind::Rnn || B == 1) {
-    std::vector<RecState> Out;
-    Out.reserve(B);
-    for (size_t I = 0; I < B; ++I)
-      Out.push_back(step(Xs[I], Prev[I]));
-    return Out;
-  }
-  std::vector<RecState> Out(B);
-  if (Kind == CellKind::Gru) {
-    std::vector<Var> HPrevs;
-    HPrevs.reserve(B);
-    for (const RecState &S : Prev)
-      HPrevs.push_back(S.H);
-    std::vector<Var> Hs = gruCellBatchOp(PWx, PBx, PWh, Xs, HPrevs);
-    for (size_t I = 0; I < B; ++I)
-      Out[I].H = Hs[I];
-    return Out;
-  }
-  std::vector<Var> HPrevs, CPrevs;
-  HPrevs.reserve(B);
-  CPrevs.reserve(B);
-  for (const RecState &S : Prev) {
-    HPrevs.push_back(S.H);
-    CPrevs.push_back(S.C);
-  }
-  std::vector<CellOut> Cells =
-      lstmCellBatchOp(PWx, PBx, PWh, Xs, HPrevs, CPrevs);
-  for (size_t I = 0; I < B; ++I) {
-    Out[I].H = Cells[I].H;
-    Out[I].C = Cells[I].C;
-  }
-  return Out;
+  if (Xs.size() == 1)
+    return {step(Xs[0], Prev[0])};
+  return gruCellBatchOp(PWx, PBx, PWh, Xs, Prev);
 }
 
-std::vector<RecState>
-RecurrentCell::run(const std::vector<Var> &Inputs) const {
-  std::vector<RecState> States;
+std::vector<Var> RecurrentCell::run(const std::vector<Var> &Inputs) const {
+  std::vector<Var> States;
   States.reserve(Inputs.size());
-  RecState S = initial();
+  Var S = initial();
   for (const Var &X : Inputs) {
     S = step(X, S);
     States.push_back(S);

@@ -8,9 +8,8 @@
 /// The layer zoo used by LIGER and the baselines (§4 Preliminaries):
 ///
 ///  - Linear, Mlp — feedforward pieces (the attention scorers a1/a2);
-///  - RnnCell — the vanilla RNN of Eq. (1), h_t = tanh(W x_t + V h_-1);
-///  - GruCell / LstmCell — gated recurrent cells (the practical choice
-///    for the recurrent layers; configurable);
+///  - RecurrentCell — the packed GRU behind every recurrent layer (the
+///    RNNs of Eq. (1); DESIGN.md §5 says why a GRU);
 ///  - ChildSumTreeLstm — the TreeLSTM of §4.2 used to embed statements
 ///    via their ASTs;
 ///  - EmbeddingTable — the vocabulary embedding layer of §5.1.1;
@@ -125,56 +124,38 @@ private:
   Linear First, Second;
 };
 
-/// Which recurrent cell a SeqEncoder uses.
-enum class CellKind { Rnn, Gru, Lstm };
-
-/// State of a recurrent cell: hidden vector (and cell vector for LSTM).
-struct RecState {
-  Var H = nullptr;
-  Var C = nullptr; ///< Null except for LSTM.
-};
-
-/// A single recurrent cell; step() consumes one input vector.
+/// The recurrent cell of every encoder and decoder RNN: a GRU whose
+/// state is its hidden vector; step() consumes one input vector.
 class RecurrentCell {
 public:
   RecurrentCell() = default;
-  RecurrentCell(ParamStore &Store, const std::string &Name, CellKind Kind,
-                size_t In, size_t Hidden, Rng &R);
+  RecurrentCell(ParamStore &Store, const std::string &Name, size_t In,
+                size_t Hidden, Rng &R);
 
   /// Initial (zero) state.
-  RecState initial() const;
+  Var initial() const;
 
-  /// One time step. Gated cells build one fused node per GRU step
-  /// (gruCellOp) and two per LSTM step (lstmCellOp), bitwise-identical
-  /// to the per-gate reference graph in tests/ReferenceGraphs
+  /// One time step: one fused gruCellOp node, bitwise-identical to the
+  /// per-gate reference graph in tests/ReferenceGraphs
   /// (FusedEquivalenceTest).
-  RecState step(const Var &X, const RecState &Prev) const;
+  Var step(const Var &X, const Var &Prev) const;
 
   /// One time step for B concurrently-advancing sequences: stacks the
-  /// inputs/states into one matmul-backed batch op per packed gate
-  /// block (gruCellBatchOp/lstmCellBatchOp) and hands back per-sample
-  /// row views. Rnn cells and B == 1 take a per-sample step() loop;
-  /// either way results are bitwise-identical to calling step() on
-  /// each sample in order (BatchedKernelEquivalenceTest).
-  std::vector<RecState> stepBatch(const std::vector<Var> &Xs,
-                                  const std::vector<RecState> &Prev) const;
+  /// inputs/states into one matmul-backed gruCellBatchOp and hands back
+  /// per-sample row views. B == 1 takes step(); either way results are
+  /// bitwise-identical to calling step() on each sample in order
+  /// (BatchedKernelEquivalenceTest).
+  std::vector<Var> stepBatch(const std::vector<Var> &Xs,
+                             const std::vector<Var> &Prev) const;
 
   /// Folds a sequence left-to-right; returns every state (useful for
   /// attention) — States[i] is the state after consuming Inputs[i].
-  std::vector<RecState> run(const std::vector<Var> &Inputs) const;
-
-  size_t hiddenDim() const { return Hidden; }
-  CellKind kind() const { return Kind; }
+  std::vector<Var> run(const std::vector<Var> &Inputs) const;
 
 private:
-  CellKind Kind = CellKind::Gru;
-  size_t In = 0;
   size_t Hidden = 0;
-  // Rnn keeps the legacy layout: one Linear + one h-matrix.
-  Linear L1;
-  Var U1 = nullptr;
-  // Gru/Lstm store gate weights packed: PWx [K*H x In], PBx [K*H],
-  // PWh [K*H x H] with K = 3 (z, r, n) or 4 (i, f, g, o).
+  // Gate weights packed in gate order z, r, n: PWx [3H x In], PBx [3H],
+  // PWh [3H x H].
   Var PWx = nullptr, PBx = nullptr, PWh = nullptr;
 };
 

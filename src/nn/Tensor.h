@@ -582,15 +582,19 @@ inline void addAccBatchDesc(size_t B, size_t N, const float *__restrict PG,
 inline float dot(size_t N, const float *__restrict A,
                  const float *__restrict B) {
   float P0 = 0.0f, P1 = 0.0f, P2 = 0.0f, P3 = 0.0f;
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
+  // The four-wide limit is computed once, so the tail loop starts at a
+  // known bound (N % 4 iterations) instead of the main loop's leftover
+  // index; GCC then sees finite trip counts and raises no
+  // -Waggressive-loop-optimizations.
+  const size_t N4 = N - N % 4;
+  for (size_t I = 0; I < N4; I += 4) {
     P0 += A[I] * B[I];
     P1 += A[I + 1] * B[I + 1];
     P2 += A[I + 2] * B[I + 2];
     P3 += A[I + 3] * B[I + 3];
   }
   float Acc = (P0 + P1) + (P2 + P3);
-  for (; I < N; ++I)
+  for (size_t I = N4; I < N; ++I)
     Acc += A[I] * B[I];
   return Acc;
 }

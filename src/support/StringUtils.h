@@ -58,6 +58,16 @@ std::string formatDouble(double Value, int Precision = 2);
 /// {"compute","diff"} -> "computeDiff".
 std::string camelCaseJoin(const std::vector<std::string> &Subtokens);
 
+/// \p Parts (strings, C strings or chars) appended left to right into
+/// one string. Use it instead of a `"literal" + std::string` chain:
+/// GCC 12 inlines that operator+ as an insert at offset 0 and reports a
+/// false -Wrestrict in Release builds.
+template <typename... Ts> std::string strCat(const Ts &...Parts) {
+  std::string Out;
+  ((Out += Parts), ...);
+  return Out;
+}
+
 } // namespace liger
 
 #endif // LIGER_SUPPORT_STRINGUTILS_H

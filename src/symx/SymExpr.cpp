@@ -7,6 +7,7 @@
 #include "symx/SymExpr.h"
 
 #include "interp/IntOps.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 
@@ -196,20 +197,20 @@ void SymExpr::collectSlots(std::vector<unsigned> &IntSlots,
 
 std::string SymExpr::str() const {
   auto Bin = [&](const char *Sym) {
-    return "(" + Operands[0]->str() + " " + Sym + " " + Operands[1]->str() +
-           ")";
+    return strCat("(", Operands[0]->str(), " ", Sym, " ", Operands[1]->str(),
+                  ")");
   };
   switch (Op) {
   case SymOp::IntConst: return std::to_string(IntVal);
   case SymOp::BoolConst: return IntVal ? "true" : "false";
-  case SymOp::IntVar: return "x" + std::to_string(Slot);
-  case SymOp::BoolVar: return "b" + std::to_string(Slot);
-  case SymOp::Neg: return "-" + Operands[0]->str();
-  case SymOp::Abs: return "abs(" + Operands[0]->str() + ")";
+  case SymOp::IntVar: return strCat("x", std::to_string(Slot));
+  case SymOp::BoolVar: return strCat("b", std::to_string(Slot));
+  case SymOp::Neg: return strCat("-", Operands[0]->str());
+  case SymOp::Abs: return strCat("abs(", Operands[0]->str(), ")");
   case SymOp::Min:
-    return "min(" + Operands[0]->str() + ", " + Operands[1]->str() + ")";
+    return strCat("min(", Operands[0]->str(), ", ", Operands[1]->str(), ")");
   case SymOp::Max:
-    return "max(" + Operands[0]->str() + ", " + Operands[1]->str() + ")";
+    return strCat("max(", Operands[0]->str(), ", ", Operands[1]->str(), ")");
   case SymOp::Add: return Bin("+");
   case SymOp::Sub: return Bin("-");
   case SymOp::Mul: return Bin("*");
@@ -223,7 +224,7 @@ std::string SymExpr::str() const {
   case SymOp::EqBool: return Bin("==");
   case SymOp::NeInt:
   case SymOp::NeBool: return Bin("!=");
-  case SymOp::Not: return "!" + Operands[0]->str();
+  case SymOp::Not: return strCat("!", Operands[0]->str());
   case SymOp::And: return Bin("&&");
   case SymOp::Or: return Bin("||");
   }

@@ -12,6 +12,7 @@
 
 #include "lang/Parser.h"
 #include "nn/Optim.h"
+#include "nn/WeightImage.h"
 #include "support/StringUtils.h"
 #include "testgen/TraceCollector.h"
 
@@ -523,6 +524,82 @@ TEST(CheckpointTest, AllFourModelStoresRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
+// Seeded parameter layout
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A frozen vocabulary of \p Count tokens Prefix0, Prefix1, ... after
+/// the specials.
+Vocabulary handVocab(const std::string &Prefix, int Count) {
+  Vocabulary V;
+  for (int I = 0; I < Count; ++I)
+    V.add(strCat(Prefix, std::to_string(I)));
+  V.freeze();
+  return V;
+}
+
+std::string layoutDigest(const ParamStore &Store) {
+  return WeightImage::fromStore(Store).version().hex();
+}
+
+// Weight-image digests of the four stores below. The AVX2 build
+// compiles with -mfma, which contracts Rng::nextFloat's multiply-add,
+// so its seeded draws round differently from the scalar build's: one
+// set per kernel configuration, as ExperimentDigestTest keeps.
+#if LIGER_SIMD_AVX2
+constexpr const char *LigerNameLayout = "243f7016aa3eb361796690102a291881";
+constexpr const char *LigerClassifierLayout =
+    "e934aac7e436664cb1666752a20f3d61";
+constexpr const char *DyproNameLayout = "04490051512a70fa168ef620df329cc9";
+constexpr const char *Code2SeqNameLayout = "5bdfc224219b55bca14e98c6af498f64";
+#else
+constexpr const char *LigerNameLayout = "1bbd59df8e0d0ed000baa88c171a84e8";
+constexpr const char *LigerClassifierLayout =
+    "6c09e849c7087e647add686521f3e710";
+constexpr const char *DyproNameLayout = "c71a4424f7a46a6ad846a0f79854b259";
+constexpr const char *Code2SeqNameLayout = "bb84edb64eddfa7240205a8bca11a9a2";
+#endif
+
+} // namespace
+
+TEST(ParamLayoutTest, SeededLayoutsArePinned) {
+  // LGCK checkpoints and LGWI images bind parameters by name and shape,
+  // and a fixed seed must keep drawing the same initial weights.
+  // The weight-image digest covers names, shapes and initial float
+  // bits, so a renamed, reshaped or redrawn tensor moves it even where
+  // a save/load round trip within one build would still pass. Distinct
+  // embed, hidden and attention widths keep a transposed shape visible.
+  Vocabulary Joint = handVocab("tok", 23);
+  Vocabulary Target = handVocab("name", 9);
+  Vocabulary Subtokens = handVocab("sub", 17);
+  Vocabulary Nodes = handVocab("node", 11);
+
+  LigerConfig Lg;
+  Lg.EmbedDim = 6;
+  Lg.Hidden = 7;
+  Lg.AttnHidden = 5;
+  LigerNamePredictor LgName(Joint, Target, Lg, 1234);
+  EXPECT_EQ(layoutDigest(LgName.params()), LigerNameLayout);
+  LigerClassifier LgClass(Joint, 4, Lg, 1234);
+  EXPECT_EQ(layoutDigest(LgClass.params()), LigerClassifierLayout);
+
+  DyproConfig Dy;
+  Dy.EmbedDim = 6;
+  Dy.Hidden = 7;
+  Dy.AttnHidden = 5;
+  DyproNamePredictor DyName(Joint, Target, Dy, 1234);
+  EXPECT_EQ(layoutDigest(DyName.params()), DyproNameLayout);
+
+  Code2SeqConfig C2s;
+  C2s.EmbedDim = 6;
+  C2s.Hidden = 7;
+  C2s.AttnHidden = 5;
+  Code2SeqNamePredictor C2sName(Subtokens, Nodes, Target, C2s, 1234);
+  EXPECT_EQ(layoutDigest(C2sName.params()), Code2SeqNameLayout);
+}
+
+//===----------------------------------------------------------------------===//
 // Batched decoder: lossBatch
 //===----------------------------------------------------------------------===//
 
@@ -549,11 +626,12 @@ struct DecoderFixture {
     const size_t MemLens[] = {2, 4, 3};
     for (size_t S = 0; S < 3; ++S) {
       GraphEncoding &Enc = Encs.emplace_back();
-      Enc.ProgramEmbedding = Store.addParam(
-          "e" + std::to_string(S), Tensor::uniform(Config.InitDim, 0.9f, R));
+      Enc.ProgramEmbedding =
+          Store.addParam(strCat("e", std::to_string(S)),
+                         Tensor::uniform(Config.InitDim, 0.9f, R));
       for (size_t T = 0; T < MemLens[S]; ++T)
         Enc.Memory.push_back(Store.addParam(
-            "m" + std::to_string(S) + "_" + std::to_string(T),
+            strCat("m", std::to_string(S), "_", std::to_string(T)),
             Tensor::uniform(Config.MemoryDim, 0.9f, R)));
     }
     // Ragged target lengths exercise lanes retiring mid-schedule.
@@ -610,12 +688,6 @@ TEST(BatchedLossEquivalenceTest, CrossSampleStateCacheKeepsLossValuesBitwise) {
 
 namespace {
 
-LigerConfig tinyLigerConfig(CellKind Cell) {
-  LigerConfig Config = tinyLigerConfig();
-  Config.Cell = Cell;
-  return Config;
-}
-
 /// A LIGER name model over tinyCorpus() repeated \p Repeats times in
 /// one batch: from the second copy on, every object value and state
 /// prefix is one the batch has already embedded.
@@ -625,21 +697,13 @@ struct RepeatedCorpus {
   LigerNamePredictor Net;
   std::vector<const MethodSample *> Group;
 
-  RepeatedCorpus(CellKind Cell, int Repeats)
-      : Net(V.Joint, V.Target, tinyLigerConfig(Cell), 42) {
+  explicit RepeatedCorpus(int Repeats)
+      : Net(V.Joint, V.Target, tinyLigerConfig(), 42) {
     for (int Repeat = 0; Repeat < Repeats; ++Repeat)
       for (const MethodSample &Sample : Samples)
         Group.push_back(&Sample);
   }
 };
-
-void expectLossBatchMatchesLoss(RepeatedCorpus &C) {
-  std::vector<Var> Batched = C.Net.lossBatch(C.Group);
-  ASSERT_EQ(Batched.size(), C.Group.size());
-  for (size_t S = 0; S < C.Group.size(); ++S)
-    EXPECT_EQ(Batched[S]->Value[0], C.Net.loss(*C.Group[S])->Value[0])
-        << "lane " << S;
-}
 
 /// Largest |entry| of a gradient slot.
 double maxAbs(const Tensor &G) {
@@ -694,22 +758,7 @@ void expectBatchGradientsMatchPerSampleSum(RepeatedCorpus &C) {
 
 } // namespace
 
-TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLossLstm) {
-  // The LSTM trie nodes carry f2's cell state C alongside H.
-  RepeatedCorpus C(CellKind::Lstm, 1);
-  expectLossBatchMatchesLoss(C);
-}
-
-TEST(BatchedLossEquivalenceTest,
-     CrossSampleStateCacheKeepsLossValuesBitwiseLstm) {
-  RepeatedCorpus C(CellKind::Lstm, 2);
-  expectLossBatchMatchesLoss(C);
-}
-
 TEST(BatchedLossEquivalenceTest, LossBatchGradientsMatchPerSampleSum) {
-  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
-    SCOPED_TRACE(Cell == CellKind::Gru ? "GRU" : "LSTM");
-    RepeatedCorpus C(Cell, 2);
-    expectBatchGradientsMatchPerSampleSum(C);
-  }
+  RepeatedCorpus C(2);
+  expectBatchGradientsMatchPerSampleSum(C);
 }

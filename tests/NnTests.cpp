@@ -9,6 +9,7 @@
 #include "nn/Graph.h"
 #include "nn/Module.h"
 #include "nn/Optim.h"
+#include "support/StringUtils.h"
 
 #include "ActivationSweep.h"
 #include "ReferenceGraphs.h"
@@ -224,22 +225,21 @@ TEST(GradCheckTest, LinearAndMlp) {
 
 namespace {
 
-/// Finite-difference check of a three-step sequence through \p Kind,
-/// built by the production cell or, with \p Reference, by the per-gate
-/// reference graph over the same packed parameters.
-void checkCell(CellKind Kind, bool Reference = false) {
+/// Finite-difference check of a three-step GRU sequence, built by the
+/// production cell or, with \p Reference, by the per-gate reference
+/// graph over the same packed parameters.
+void checkCell(bool Reference = false) {
   ParamStore Store;
   Rng R(19);
-  RecurrentCell Cell(Store, "cell", Kind, 3, 4, R);
+  RecurrentCell Cell(Store, "cell", 3, 4, R);
   std::vector<Var> Inputs{constant(Tensor::uniform(3, 0.9f, R)),
                           constant(Tensor::uniform(3, 0.9f, R)),
                           constant(Tensor::uniform(3, 0.9f, R))};
   GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<RecState> States =
-        Reference ? reference::cellRun(Store, "cell", Kind, Cell.initial(),
-                                       Inputs)
+    std::vector<Var> States =
+        Reference ? reference::cellRun(Store, "cell", Cell.initial(), Inputs)
                   : Cell.run(Inputs);
-    Var Last = States.back().H;
+    Var Last = States.back();
     return dot(Last, Last);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -248,9 +248,7 @@ void checkCell(CellKind Kind, bool Reference = false) {
 
 } // namespace
 
-TEST(GradCheckTest, RnnCell) { checkCell(CellKind::Rnn); }
-TEST(GradCheckTest, GruCell) { checkCell(CellKind::Gru); }
-TEST(GradCheckTest, LstmCell) { checkCell(CellKind::Lstm); }
+TEST(GradCheckTest, GruCell) { checkCell(); }
 
 TEST(GradCheckTest, TreeLstm) {
   ParamStore Store;
@@ -342,7 +340,7 @@ TEST(LearningTest, GruLearnsLastToken) {
   ParamStore Store;
   Rng R(27);
   EmbeddingTable Emb(Store, "emb", 3, 6, R);
-  RecurrentCell Cell(Store, "gru", CellKind::Gru, 6, 8, R);
+  RecurrentCell Cell(Store, "gru", 6, 8, R);
   Linear Head(Store, "head", 8, 2, R);
   Adam Opt(Store, [] {
     AdamOptions O;
@@ -368,7 +366,7 @@ TEST(LearningTest, GruLearnsLastToken) {
       std::vector<Var> Inputs;
       for (int Tok : Tokens)
         Inputs.push_back(Emb.lookup(Tok));
-      Var H = Cell.run(Inputs).back().H;
+      Var H = Cell.run(Inputs).back();
       Losses.push_back(softmaxCrossEntropy(Head.apply(H), Label));
     }
     backward(meanLoss(Losses));
@@ -382,7 +380,7 @@ TEST(LearningTest, GruLearnsLastToken) {
     std::vector<Var> Inputs;
     for (int Tok : Tokens)
       Inputs.push_back(Emb.lookup(Tok));
-    Var H = Cell.run(Inputs).back().H;
+    Var H = Cell.run(Inputs).back();
     if (argmax(Head.apply(H)->Value) == Label)
       ++Correct;
   }
@@ -879,11 +877,7 @@ std::function<Var(const std::string &)> treeLookup(const EmbeddingTable &Emb) {
 // tests/ReferenceGraphs) must satisfy the same finite-difference
 // checks as the fused ops they are the oracle for.
 TEST(GradCheckTest, GruCellUnfusedReference) {
-  checkCell(CellKind::Gru, /*Reference=*/true);
-}
-
-TEST(GradCheckTest, LstmCellUnfusedReference) {
-  checkCell(CellKind::Lstm, /*Reference=*/true);
+  checkCell(/*Reference=*/true);
 }
 
 TEST(GradCheckTest, TreeLstmUnfusedReference) {
@@ -918,25 +912,6 @@ TEST(GradCheckTest, GruCellOpPacked) {
     Var H1 = gruCellOp(Wx, Bx, Wh, X, H0);
     Var H2 = gruCellOp(Wx, Bx, Wh, X, H1);
     return dot(H2, H2);
-  });
-  EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
-                         << Result.WorstParam;
-}
-
-TEST(GradCheckTest, LstmCellOpPacked) {
-  ParamStore Store;
-  Rng R(53);
-  const size_t In = 5, H = 6;
-  Var Wx = Store.addParam("Wx", Tensor::xavier(4 * H, In, R));
-  Var Bx = Store.addParam("bx", Tensor::uniform(4 * H, 0.2f, R));
-  Var Wh = Store.addParam("Wh", Tensor::xavier(4 * H, H, R));
-  Var X = Store.addParam("x", Tensor::uniform(In, 0.9f, R));
-  Var H0 = Store.addParam("h0", Tensor::uniform(H, 0.9f, R));
-  Var C0 = Store.addParam("c0", Tensor::uniform(H, 0.9f, R));
-  GradCheckResult Result = checkGradients(Store, [&] {
-    CellOut S1 = lstmCellOp(Wx, Bx, Wh, X, H0, C0);
-    CellOut S2 = lstmCellOp(Wx, Bx, Wh, X, S1.H, S1.C);
-    return add(dot(S2.H, S2.H), dot(S2.C, S2.C));
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
                          << Result.WorstParam;
@@ -987,14 +962,14 @@ struct StepResult {
 };
 
 /// One full training step (batched loss, backward, Adam update) of a
-/// sequence classifier built on \p Kind: through the fused cell, or
-/// with \p Reference through the per-gate reference graph. Identical
-/// seeds make the runs comparable down to the bit.
-StepResult runCellTrainingStep(CellKind Kind, bool Reference) {
+/// GRU sequence classifier: through the fused cell, or with
+/// \p Reference through the per-gate reference graph. Identical seeds
+/// make the runs comparable down to the bit.
+StepResult runCellTrainingStep(bool Reference) {
   ParamStore Store;
   Rng R(61);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
-  RecurrentCell Cell(Store, "cell", Kind, 6, 8, R);
+  RecurrentCell Cell(Store, "cell", 6, 8, R);
   Linear Head(Store, "head", 8, 3, R);
   Adam Opt(Store);
 
@@ -1004,11 +979,10 @@ StepResult runCellTrainingStep(CellKind Kind, bool Reference) {
     std::vector<Var> Inputs;
     for (int T = 0; T < 4; ++T)
       Inputs.push_back(Emb.lookup(Tokens[S][T]));
-    std::vector<RecState> States =
-        Reference
-            ? reference::cellRun(Store, "cell", Kind, Cell.initial(), Inputs)
-            : Cell.run(Inputs);
-    Var H = States.back().H;
+    std::vector<Var> States =
+        Reference ? reference::cellRun(Store, "cell", Cell.initial(), Inputs)
+                  : Cell.run(Inputs);
+    Var H = States.back();
     Losses.push_back(softmaxCrossEntropy(Head.apply(H), S));
   }
   Var Loss = meanLoss(Losses);
@@ -1048,16 +1022,8 @@ StepResult runTreeTrainingStep(bool Reference) {
 } // namespace
 
 TEST(FusedEquivalenceTest, GruTrainingStepIsBitwise) {
-  StepResult Fused = runCellTrainingStep(CellKind::Gru, false);
-  StepResult Ref = runCellTrainingStep(CellKind::Gru, true);
-  EXPECT_EQ(Fused.Loss, Ref.Loss);
-  EXPECT_EQ(Fused.Grads, Ref.Grads);
-  EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
-}
-
-TEST(FusedEquivalenceTest, LstmTrainingStepIsBitwise) {
-  StepResult Fused = runCellTrainingStep(CellKind::Lstm, false);
-  StepResult Ref = runCellTrainingStep(CellKind::Lstm, true);
+  StepResult Fused = runCellTrainingStep(false);
+  StepResult Ref = runCellTrainingStep(true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
   EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
@@ -1078,14 +1044,13 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
   auto RunSink = [](bool Reference) {
     ParamStore Store;
     Rng R(65);
-    RecurrentCell Cell(Store, "cell", CellKind::Gru, 4, 6, R);
+    RecurrentCell Cell(Store, "cell", 4, 6, R);
     std::vector<Var> Inputs{constant(Tensor::uniform(4, 0.9f, R)),
                             constant(Tensor::uniform(4, 0.9f, R))};
-    std::vector<RecState> States =
-        Reference ? reference::cellRun(Store, "cell", CellKind::Gru,
-                                       Cell.initial(), Inputs)
+    std::vector<Var> States =
+        Reference ? reference::cellRun(Store, "cell", Cell.initial(), Inputs)
                   : Cell.run(Inputs);
-    Var H = States.back().H;
+    Var H = States.back();
     GradSink Sink;
     backward(dot(H, H), Sink);
     std::vector<std::vector<float>> Out;
@@ -1112,7 +1077,7 @@ TEST(CheckpointTest, PartialCoverageIsRejected) {
   const size_t In = 3, H = 4;
   ParamStore Source;
   Rng R0(71);
-  RecurrentCell Full(Source, "gru", CellKind::Gru, In, H, R0);
+  RecurrentCell Full(Source, "gru", In, H, R0);
   ParamStore Partial; // Source's names and shapes, but no "gru.Wh"
   for (size_t I = 0; I < Source.params().size(); ++I)
     if (Source.names()[I] != "gru.Wh")
@@ -1122,7 +1087,7 @@ TEST(CheckpointTest, PartialCoverageIsRejected) {
 
   ParamStore Packed;
   Rng R(73);
-  RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
+  RecurrentCell Cell(Packed, "gru", In, H, R);
   std::vector<std::vector<float>> Pristine = dumpParams(Packed);
   std::string Error;
   EXPECT_FALSE(Packed.load(Path, &Error));
@@ -1151,7 +1116,7 @@ TEST(CheckpointTest, PerGateCheckpointIsRejected) {
 
   ParamStore Packed;
   Rng R(69);
-  RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
+  RecurrentCell Cell(Packed, "gru", In, H, R);
   std::vector<std::vector<float>> Pristine = dumpParams(Packed);
   std::string Error;
   EXPECT_FALSE(Packed.load(Path, &Error));
@@ -1180,8 +1145,8 @@ void checkAttentionAt(size_t T, bool Reference = false) {
   Var Q = Store.addParam("q", Tensor::uniform(QDim, 0.9f, R));
   std::vector<Var> Keys;
   for (size_t I = 0; I < T; ++I)
-    Keys.push_back(
-        Store.addParam("k" + std::to_string(I), Tensor::uniform(KDim, 0.9f, R)));
+    Keys.push_back(Store.addParam(strCat("k", std::to_string(I)),
+                                  Tensor::uniform(KDim, 0.9f, R)));
   GradCheckResult Result = checkGradients(Store, [&] {
     AttentionScorer::Result Out;
     if (Reference) {
@@ -1225,24 +1190,24 @@ struct AttnStepResult {
 };
 
 /// One training step of a miniature teacher-forced attention decoder
-/// (embedding -> recurrent cell with attended context -> logits), the
-/// decoder shape SeqDecoder builds, attending through the fused ops or,
-/// with \p Reference, through the per-pair reference graph. The key
+/// (embedding -> GRU with attended context -> logits), the decoder
+/// shape SeqDecoder builds, attending through the fused ops or, with
+/// \p Reference, through the per-pair reference graph. The key
 /// projections are prepared once and shared across every step, in both
 /// modes.
-AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Reference) {
+AttnStepResult runAttentionDecoderStep(bool Reference) {
   ParamStore Store;
   Rng R(83);
   const size_t EmbDim = 6, Hidden = 8, KeyDim = 5, AttnHidden = 9,
                Vocab = 7;
   EmbeddingTable Emb(Store, "emb", Vocab, EmbDim, R);
-  RecurrentCell Cell(Store, "cell", Kind, EmbDim + KeyDim, Hidden, R);
+  RecurrentCell Cell(Store, "cell", EmbDim + KeyDim, Hidden, R);
   AttentionScorer Attn(Store, "attn", Hidden, KeyDim, AttnHidden, R);
   Linear Head(Store, "head", Hidden + KeyDim, Vocab, R);
   std::vector<Var> Memory;
   for (int I = 0; I < 4; ++I)
-    Memory.push_back(
-        Store.addParam("m" + std::to_string(I), Tensor::uniform(KeyDim, 0.9f, R)));
+    Memory.push_back(Store.addParam(strCat("m", std::to_string(I)),
+                                    Tensor::uniform(KeyDim, 0.9f, R)));
   Adam Opt(Store);
 
   const int Targets[] = {4, 5, 6, 4, 2};
@@ -1252,19 +1217,19 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Reference) {
     RefRows = reference::attentionKeyProjRows(Store, "attn", Memory);
   else
     Mem = Attn.prepare(Memory);
-  RecState State = Cell.initial();
+  Var State = Cell.initial();
   AttnStepResult Result;
   std::vector<Var> Losses;
   int Prev = 3;
   for (int Target : Targets) {
     AttentionScorer::Result Step =
-        Reference ? reference::attentionContext(Store, "attn", State.H,
-                                                Memory, RefRows)
-                  : Attn.contextOf(State.H, Mem);
+        Reference ? reference::attentionContext(Store, "attn", State, Memory,
+                                                RefRows)
+                  : Attn.contextOf(State, Mem);
     Result.StepWeights.emplace_back(Step.Weights,
                                     Step.Weights + Memory.size());
     State = Cell.step(concat(Emb.lookup(Prev), Step.Context), State);
-    Var Logits = Head.apply(concat(State.H, Step.Context));
+    Var Logits = Head.apply(concat(State, Step.Context));
     Losses.push_back(softmaxCrossEntropy(Logits, static_cast<size_t>(Target)));
     Prev = Target;
   }
@@ -1285,31 +1250,31 @@ AttnStepResult runFusionStyleStep(bool Reference) {
   ParamStore Store;
   Rng R(85);
   const size_t Dim = 6, AttnHidden = 7;
-  RecurrentCell Cell(Store, "cell", CellKind::Gru, Dim, Dim, R);
+  RecurrentCell Cell(Store, "cell", Dim, Dim, R);
   AttentionScorer A1(Store, "a1", Dim, Dim, AttnHidden, R);
   std::vector<Var> Components;
   for (int I = 0; I < 3; ++I)
-    Components.push_back(
-        Store.addParam("c" + std::to_string(I), Tensor::uniform(Dim, 0.9f, R)));
+    Components.push_back(Store.addParam(strCat("c", std::to_string(I)),
+                                        Tensor::uniform(Dim, 0.9f, R)));
   Adam Opt(Store);
 
   AttnStepResult Result;
-  RecState State = Cell.initial();
+  Var State = Cell.initial();
   for (int J = 0; J < 3; ++J) {
     AttentionScorer::Result Fusion;
     if (Reference) {
       std::vector<Var> Rows =
           reference::attentionKeyProjRows(Store, "a1", Components);
-      Fusion = reference::attentionContext(Store, "a1", State.H, Components,
+      Fusion = reference::attentionContext(Store, "a1", State, Components,
                                            Rows);
     } else {
-      Fusion = A1.contextOf(State.H, A1.prepare(Components));
+      Fusion = A1.contextOf(State, A1.prepare(Components));
     }
     Result.StepWeights.emplace_back(Fusion.Weights,
                                     Fusion.Weights + Components.size());
     State = Cell.step(Fusion.Context, State);
   }
-  Var Loss = dot(State.H, State.H);
+  Var Loss = dot(State, State);
   backward(Loss);
 
   Result.Loss = Loss->Value[0];
@@ -1322,17 +1287,8 @@ AttnStepResult runFusionStyleStep(bool Reference) {
 } // namespace
 
 TEST(AttentionEquivalenceTest, GruDecoderTrainingStepIsBitwise) {
-  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Gru, false);
-  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Gru, true);
-  EXPECT_EQ(Fused.Loss, Ref.Loss);
-  EXPECT_EQ(Fused.StepWeights, Ref.StepWeights);
-  EXPECT_EQ(Fused.Grads, Ref.Grads);
-  EXPECT_EQ(Fused.ParamsAfter, Ref.ParamsAfter);
-}
-
-TEST(AttentionEquivalenceTest, LstmDecoderTrainingStepIsBitwise) {
-  AttnStepResult Fused = runAttentionDecoderStep(CellKind::Lstm, false);
-  AttnStepResult Ref = runAttentionDecoderStep(CellKind::Lstm, true);
+  AttnStepResult Fused = runAttentionDecoderStep(false);
+  AttnStepResult Ref = runAttentionDecoderStep(true);
   EXPECT_EQ(Fused.Loss, Ref.Loss);
   EXPECT_EQ(Fused.StepWeights, Ref.StepWeights);
   EXPECT_EQ(Fused.Grads, Ref.Grads);
@@ -1457,16 +1413,15 @@ namespace {
 /// One training step of B token sequences advancing in lockstep
 /// through stepBatch, or (\p Batched false) through a per-lane step()
 /// loop. Identical seeds make the runs comparable down to the bit.
-StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
-                                      bool Batched) {
+StepResult runBatchedCellTrainingStep(size_t B, bool Batched) {
   ParamStore Store;
   Rng R(71);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
-  RecurrentCell Cell(Store, "cell", Kind, 6, 8, R);
+  RecurrentCell Cell(Store, "cell", 6, 8, R);
   Linear Head(Store, "head", 8, 3, R);
   Adam Opt(Store);
 
-  std::vector<RecState> States(B);
+  std::vector<Var> States(B);
   for (size_t S = 0; S < B; ++S)
     States[S] = Cell.initial();
   for (int T = 0; T < 4; ++T) {
@@ -1482,8 +1437,7 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
   }
   std::vector<Var> Losses;
   for (size_t S = 0; S < B; ++S)
-    Losses.push_back(
-        softmaxCrossEntropy(Head.apply(States[S].H), S % 3));
+    Losses.push_back(softmaxCrossEntropy(Head.apply(States[S]), S % 3));
   Var Loss = meanLoss(Losses);
   backward(Loss);
 
@@ -1505,12 +1459,12 @@ AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
   AttentionScorer Attn(Store, "attn", QDim, KeyDim, AttnHidden, R);
   std::vector<Var> Queries;
   for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(
-        Store.addParam("q" + std::to_string(I), Tensor::uniform(QDim, 0.9f, R)));
+    Queries.push_back(Store.addParam(strCat("q", std::to_string(I)),
+                                     Tensor::uniform(QDim, 0.9f, R)));
   std::vector<Var> Memory;
   for (int I = 0; I < 4; ++I)
-    Memory.push_back(
-        Store.addParam("m" + std::to_string(I), Tensor::uniform(KeyDim, 0.9f, R)));
+    Memory.push_back(Store.addParam(strCat("m", std::to_string(I)),
+                                    Tensor::uniform(KeyDim, 0.9f, R)));
   Adam Opt(Store);
 
   AttentionScorer::Memory Mem = Attn.prepare(Memory);
@@ -1538,9 +1492,9 @@ AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
   return Result;
 }
 
-void expectCellStepBitwise(CellKind Kind, size_t B) {
-  StepResult Batched = runBatchedCellTrainingStep(Kind, B, true);
-  StepResult Ref = runBatchedCellTrainingStep(Kind, B, false);
+void expectCellStepBitwise(size_t B) {
+  StepResult Batched = runBatchedCellTrainingStep(B, true);
+  StepResult Ref = runBatchedCellTrainingStep(B, false);
   EXPECT_EQ(Batched.Loss, Ref.Loss) << "B=" << B;
   EXPECT_EQ(Batched.Grads, Ref.Grads) << "B=" << B;
   EXPECT_EQ(Batched.ParamsAfter, Ref.ParamsAfter) << "B=" << B;
@@ -1566,7 +1520,7 @@ StepResult runLossHeadStep(size_t B, bool Batched) {
   std::vector<Var> Xs;
   std::vector<size_t> Targets;
   for (size_t I = 0; I < B; ++I) {
-    Xs.push_back(Store.addParam("x" + std::to_string(I),
+    Xs.push_back(Store.addParam(strCat("x", std::to_string(I)),
                                 Tensor::uniform(In, 0.9f, R)));
     Targets.push_back(I % V);
   }
@@ -1609,13 +1563,14 @@ AttnStepResult runMultiMemoryStep(size_t Q, bool Batched) {
   std::vector<Var> Queries;
   std::vector<std::vector<Var>> Keys(Q);
   for (size_t I = 0; I < Q; ++I) {
-    Queries.push_back(Store.addParam("q" + std::to_string(I),
+    Queries.push_back(Store.addParam(strCat("q", std::to_string(I)),
                                      Tensor::uniform(QDim, 0.9f, R)));
     // Memory lengths differ per query (2, 3, 4, ...): the batched op
     // must handle ragged key counts.
     for (size_t T = 0; T < 2 + I; ++T)
       Keys[I].push_back(
-          Store.addParam("m" + std::to_string(I) + "_" + std::to_string(T),
+          Store.addParam(strCat("m", std::to_string(I), "_",
+                                std::to_string(T)),
                          Tensor::uniform(KeyDim, 0.9f, R)));
   }
   Adam Opt(Store);
@@ -1716,22 +1671,13 @@ TEST(BatchedKernelEquivalenceTest, MatmulTAccMatchesMatvecTAcc) {
 }
 
 TEST(BatchedKernelEquivalenceTest, GruStepIsBitwiseAtB1) {
-  expectCellStepBitwise(CellKind::Gru, 1);
+  expectCellStepBitwise(1);
 }
 TEST(BatchedKernelEquivalenceTest, GruStepIsBitwiseAtB3) {
-  expectCellStepBitwise(CellKind::Gru, 3);
+  expectCellStepBitwise(3);
 }
 TEST(BatchedKernelEquivalenceTest, GruStepIsBitwiseAtB8) {
-  expectCellStepBitwise(CellKind::Gru, 8);
-}
-TEST(BatchedKernelEquivalenceTest, LstmStepIsBitwiseAtB1) {
-  expectCellStepBitwise(CellKind::Lstm, 1);
-}
-TEST(BatchedKernelEquivalenceTest, LstmStepIsBitwiseAtB3) {
-  expectCellStepBitwise(CellKind::Lstm, 3);
-}
-TEST(BatchedKernelEquivalenceTest, LstmStepIsBitwiseAtB8) {
-  expectCellStepBitwise(CellKind::Lstm, 8);
+  expectCellStepBitwise(8);
 }
 
 TEST(BatchedKernelEquivalenceTest, MultiQueryAttentionIsBitwiseAtQ1) {
@@ -1770,9 +1716,9 @@ TEST(GradCheckTest, GruCellBatchOpPacked) {
   Var Wh = Store.addParam("Wh", Tensor::xavier(3 * H, H, R));
   std::vector<Var> Xs, H0s;
   for (size_t I = 0; I < B; ++I) {
-    Xs.push_back(Store.addParam("x" + std::to_string(I),
+    Xs.push_back(Store.addParam(strCat("x", std::to_string(I)),
                                 Tensor::uniform(In, 0.9f, R)));
-    H0s.push_back(Store.addParam("h" + std::to_string(I),
+    H0s.push_back(Store.addParam(strCat("h", std::to_string(I)),
                                  Tensor::uniform(H, 0.9f, R)));
   }
   GradCheckResult Result = checkGradients(Store, [&] {
@@ -1781,39 +1727,6 @@ TEST(GradCheckTest, GruCellBatchOpPacked) {
     std::vector<Var> Norms;
     for (const Var &Hv : H2)
       Norms.push_back(dot(Hv, Hv));
-    return sumV(stackScalars(Norms));
-  });
-  EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
-                         << Result.WorstParam;
-}
-
-TEST(GradCheckTest, LstmCellBatchOpPacked) {
-  ParamStore Store;
-  Rng R(81);
-  const size_t In = 5, H = 6, B = 3;
-  Var Wx = Store.addParam("Wx", Tensor::xavier(4 * H, In, R));
-  Var Bx = Store.addParam("bx", Tensor::uniform(4 * H, 0.2f, R));
-  Var Wh = Store.addParam("Wh", Tensor::xavier(4 * H, H, R));
-  std::vector<Var> Xs, H0s, C0s;
-  for (size_t I = 0; I < B; ++I) {
-    Xs.push_back(Store.addParam("x" + std::to_string(I),
-                                Tensor::uniform(In, 0.9f, R)));
-    H0s.push_back(Store.addParam("h" + std::to_string(I),
-                                 Tensor::uniform(H, 0.9f, R)));
-    C0s.push_back(Store.addParam("c" + std::to_string(I),
-                                 Tensor::uniform(H, 0.9f, R)));
-  }
-  GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<CellOut> S1 = lstmCellBatchOp(Wx, Bx, Wh, Xs, H0s, C0s);
-    std::vector<Var> H1s, C1s;
-    for (const CellOut &S : S1) {
-      H1s.push_back(S.H);
-      C1s.push_back(S.C);
-    }
-    std::vector<CellOut> S2 = lstmCellBatchOp(Wx, Bx, Wh, Xs, H1s, C1s);
-    std::vector<Var> Norms;
-    for (const CellOut &S : S2)
-      Norms.push_back(add(dot(S.H, S.H), dot(S.C, S.C)));
     return sumV(stackScalars(Norms));
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -1831,12 +1744,13 @@ TEST(GradCheckTest, AttentionMultiMemoryOpPacked) {
   std::vector<Var> Queries;
   std::vector<std::vector<Var>> Keys(Q);
   for (size_t I = 0; I < Q; ++I) {
-    Queries.push_back(Store.addParam("q" + std::to_string(I),
+    Queries.push_back(Store.addParam(strCat("q", std::to_string(I)),
                                      Tensor::uniform(QDim, 0.9f, R)));
     // Ragged memories: 2, 3, 4 keys.
     for (size_t T = 0; T < 2 + I; ++T)
       Keys[I].push_back(
-          Store.addParam("k" + std::to_string(I) + "_" + std::to_string(T),
+          Store.addParam(strCat("k", std::to_string(I), "_",
+                                std::to_string(T)),
                          Tensor::uniform(KeyDim, 0.9f, R)));
   }
   GradCheckResult Result = checkGradients(Store, [&] {
@@ -1866,7 +1780,7 @@ TEST(GradCheckTest, SoftmaxCrossEntropyBatchOpPacked) {
   std::vector<Var> Xs;
   std::vector<size_t> Targets;
   for (size_t I = 0; I < B; ++I) {
-    Xs.push_back(Store.addParam("x" + std::to_string(I),
+    Xs.push_back(Store.addParam(strCat("x", std::to_string(I)),
                                 Tensor::uniform(In, 0.9f, R)));
     Targets.push_back(I % V);
   }

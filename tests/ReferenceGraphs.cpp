@@ -22,83 +22,45 @@ Var reference::param(const ParamStore &Store, const std::string &Name) {
 // Recurrent cells
 //===----------------------------------------------------------------------===//
 
-RecState reference::cellStep(const ParamStore &Store, const std::string &Cell,
-                             CellKind Kind, const Var &X,
-                             const RecState &Prev) {
-  LIGER_CHECK(Kind != CellKind::Rnn,
-              "the per-gate reference covers the gated cells only");
+Var reference::cellStep(const ParamStore &Store, const std::string &Cell,
+                        const Var &X, const Var &Prev) {
   Var PWx = param(Store, Cell + ".Wx");
   Var PBx = param(Store, Cell + ".bx");
   Var PWh = param(Store, Cell + ".Wh");
   size_t H = PWh->Value.dim(1);
-  if (Kind == CellKind::Gru) {
-    Var Wz = rowsView(PWx, 0, H);
-    Var Wr = rowsView(PWx, H, H);
-    Var Wn = rowsView(PWx, 2 * H, H);
-    Var Bz = sliceView(PBx, 0, H);
-    Var Br = sliceView(PBx, H, H);
-    Var Bn = sliceView(PBx, 2 * H, H);
-    Var Uz = rowsView(PWh, 0, H);
-    Var Ur = rowsView(PWh, H, H);
-    Var Un = rowsView(PWh, 2 * H, H);
-    auto Gate = [&](const Var &W, const Var &B, const Var &U,
-                    const Var &HVec) {
-      Var A = matvec(W, X);
-      Var Ab = add(A, B);
-      Var Uh = matvec(U, HVec);
-      return add(Ab, Uh);
-    };
-    Var Z = sigmoidV(Gate(Wz, Bz, Uz, Prev.H));
-    Var Rg = sigmoidV(Gate(Wr, Br, Ur, Prev.H));
-    Var RH = mul(Rg, Prev.H);
-    Var N = tanhV(Gate(Wn, Bn, Un, RH));
-    // h = (1 - z) * n + z * h_prev  =  n + z * (h_prev - n)
-    Var D = sub(Prev.H, N);
-    Var ZD = mul(Z, D);
-    RecState S;
-    S.H = add(N, ZD);
-    return S;
-  }
-  Var Wi = rowsView(PWx, 0, H);
-  Var Wf = rowsView(PWx, H, H);
-  Var Wg = rowsView(PWx, 2 * H, H);
-  Var Wo = rowsView(PWx, 3 * H, H);
-  Var Bi = sliceView(PBx, 0, H);
-  Var Bf = sliceView(PBx, H, H);
-  Var Bg = sliceView(PBx, 2 * H, H);
-  Var Bo = sliceView(PBx, 3 * H, H);
-  Var Ui = rowsView(PWh, 0, H);
-  Var Uf = rowsView(PWh, H, H);
-  Var Ug = rowsView(PWh, 2 * H, H);
-  Var Uo = rowsView(PWh, 3 * H, H);
-  auto Gate = [&](const Var &W, const Var &B, const Var &U) {
+  Var Wz = rowsView(PWx, 0, H);
+  Var Wr = rowsView(PWx, H, H);
+  Var Wn = rowsView(PWx, 2 * H, H);
+  Var Bz = sliceView(PBx, 0, H);
+  Var Br = sliceView(PBx, H, H);
+  Var Bn = sliceView(PBx, 2 * H, H);
+  Var Uz = rowsView(PWh, 0, H);
+  Var Ur = rowsView(PWh, H, H);
+  Var Un = rowsView(PWh, 2 * H, H);
+  auto Gate = [&](const Var &W, const Var &B, const Var &U, const Var &HVec) {
     Var A = matvec(W, X);
     Var Ab = add(A, B);
-    Var Uh = matvec(U, Prev.H);
+    Var Uh = matvec(U, HVec);
     return add(Ab, Uh);
   };
-  Var I = sigmoidV(Gate(Wi, Bi, Ui));
-  Var F = sigmoidV(Gate(Wf, Bf, Uf));
-  Var G = tanhV(Gate(Wg, Bg, Ug));
-  Var O = sigmoidV(Gate(Wo, Bo, Uo));
-  Var FC = mul(F, Prev.C);
-  Var IG = mul(I, G);
-  RecState S;
-  S.C = add(FC, IG);
-  Var TC = tanhV(S.C);
-  S.H = mul(O, TC);
-  return S;
+  Var Z = sigmoidV(Gate(Wz, Bz, Uz, Prev));
+  Var Rg = sigmoidV(Gate(Wr, Br, Ur, Prev));
+  Var RH = mul(Rg, Prev);
+  Var N = tanhV(Gate(Wn, Bn, Un, RH));
+  // h = (1 - z) * n + z * h_prev  =  n + z * (h_prev - n)
+  Var D = sub(Prev, N);
+  Var ZD = mul(Z, D);
+  return add(N, ZD);
 }
 
-std::vector<RecState> reference::cellRun(const ParamStore &Store,
-                                         const std::string &Cell,
-                                         CellKind Kind, RecState Initial,
-                                         const std::vector<Var> &Inputs) {
-  std::vector<RecState> States;
+std::vector<Var> reference::cellRun(const ParamStore &Store,
+                                    const std::string &Cell, Var Initial,
+                                    const std::vector<Var> &Inputs) {
+  std::vector<Var> States;
   States.reserve(Inputs.size());
-  RecState S = Initial;
+  Var S = Initial;
   for (const Var &X : Inputs) {
-    S = cellStep(Store, Cell, Kind, X, S);
+    S = cellStep(Store, Cell, X, S);
     States.push_back(S);
   }
   return States;
@@ -285,37 +247,8 @@ AttentionScorer::Result reference::attentionContext(
 // Greedy decode
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// RecurrentCell::step over the cell registered as \p Cell.
-RecState fusedCellStep(const ParamStore &Store, const std::string &Cell,
-                       CellKind Kind, const Var &X, const RecState &Prev) {
-  RecState S;
-  if (Kind == CellKind::Rnn) {
-    Var Wx = reference::param(Store, Cell + ".Wx.W");
-    Var Bx = reference::param(Store, Cell + ".Wx.b");
-    Var Wh = reference::param(Store, Cell + ".Wh");
-    S.H = tanhV(add(add(matvec(Wx, X), Bx), matvec(Wh, Prev.H)));
-    return S;
-  }
-  Var Wx = reference::param(Store, Cell + ".Wx");
-  Var Bx = reference::param(Store, Cell + ".bx");
-  Var Wh = reference::param(Store, Cell + ".Wh");
-  if (Kind == CellKind::Gru) {
-    S.H = gruCellOp(Wx, Bx, Wh, X, Prev.H);
-    return S;
-  }
-  CellOut Out = lstmCellOp(Wx, Bx, Wh, X, Prev.H, Prev.C);
-  S.H = Out.H;
-  S.C = Out.C;
-  return S;
-}
-
-} // namespace
-
 std::vector<int> reference::decodeGreedy(const ParamStore &Store,
                                          const std::string &Name,
-                                         CellKind Kind,
                                          const Var &ProgramEmbedding,
                                          const std::vector<Var> &Memory,
                                          size_t MaxLen) {
@@ -325,12 +258,12 @@ std::vector<int> reference::decodeGreedy(const ParamStore &Store,
   Var InitB = param(Store, Name + ".init.b");
   Var OutW = param(Store, Name + ".out.W");
   Var OutB = param(Store, Name + ".out.b");
+  Var CellWx = param(Store, Name + ".cell.Wx");
+  Var CellBx = param(Store, Name + ".cell.bx");
+  Var CellWh = param(Store, Name + ".cell.Wh");
   AttentionParams Attn = attentionParams(Store, Name + ".attn");
 
-  RecState State;
-  State.H = tanhV(add(matvec(InitW, ProgramEmbedding), InitB));
-  if (Kind == CellKind::Lstm)
-    State.C = constant(Tensor::zeros(InitW->Value.dim(0)));
+  Var State = tanhV(add(matvec(InitW, ProgramEmbedding), InitB));
   // Key-side projections once per decode (AttentionScorer::prepare).
   Var KeyProj = attentionKeyProj(Attn.W1, Attn.B1, Memory);
 
@@ -340,11 +273,11 @@ std::vector<int> reference::decodeGreedy(const ParamStore &Store,
     // Attention over the previous state, the cell step, then the output
     // projection over the new state and the same context.
     Var Context =
-        attentionOp(Attn.W1, Attn.W2, Attn.B2, State.H, KeyProj, Memory)
+        attentionOp(Attn.W1, Attn.W2, Attn.B2, State, KeyProj, Memory)
             .Context;
     Var In = concat(row(TargetEmbed, static_cast<size_t>(Prev)), Context);
-    State = fusedCellStep(Store, Name + ".cell", Kind, In, State);
-    Var Logits = add(matvec(OutW, concat(State.H, Context)), OutB);
+    State = gruCellOp(CellWx, CellBx, CellWh, In, State);
+    Var Logits = add(matvec(OutW, concat(State, Context)), OutB);
     // Never emit the structural specials other than Eos.
     Tensor Masked = Logits->Value;
     Masked[Vocabulary::Pad] = -1e30f;

@@ -40,17 +40,16 @@ namespace liger::reference {
 /// The parameter registered as \p Name in \p Store (fatal if absent).
 Var param(const ParamStore &Store, const std::string &Name);
 
-/// One per-gate step of the GRU or LSTM cell registered as \p Cell
-/// (packed parameters Cell.Wx, Cell.bx, Cell.Wh) — the reference for
+/// One per-gate step of the GRU registered as \p Cell (packed
+/// parameters Cell.Wx, Cell.bx, Cell.Wh) — the reference for
 /// RecurrentCell::step.
-RecState cellStep(const ParamStore &Store, const std::string &Cell,
-                  CellKind Kind, const Var &X, const RecState &Prev);
+Var cellStep(const ParamStore &Store, const std::string &Cell, const Var &X,
+             const Var &Prev);
 
 /// RecurrentCell::run through cellStep: folds \p Inputs from
 /// \p Initial and returns the state after each input.
-std::vector<RecState> cellRun(const ParamStore &Store, const std::string &Cell,
-                              CellKind Kind, RecState Initial,
-                              const std::vector<Var> &Inputs);
+std::vector<Var> cellRun(const ParamStore &Store, const std::string &Cell,
+                         Var Initial, const std::vector<Var> &Inputs);
 
 /// Per-gate embedding of \p Tree by the Child-Sum TreeLSTM registered
 /// as \p Name — the reference for ChildSumTreeLstm::embed.
@@ -83,12 +82,12 @@ AttentionScorer::Result attentionContext(const ParamStore &Store,
                                          const std::vector<Var> &Keys,
                                          const std::vector<Var> &KeyProjRows);
 
-/// Greedy decoding by the SeqDecoder registered as \p Name (kind
-/// \p Kind) from \p ProgramEmbedding over \p Memory, built from the
-/// fused graph ops its modules call, until Eos or \p MaxLen tokens.
-/// The returned target ids do not include Eos.
+/// Greedy decoding by the SeqDecoder registered as \p Name from
+/// \p ProgramEmbedding over \p Memory, built from the fused graph ops
+/// its modules call, until Eos or \p MaxLen tokens. The returned
+/// target ids do not include Eos.
 std::vector<int> decodeGreedy(const ParamStore &Store, const std::string &Name,
-                              CellKind Kind, const Var &ProgramEmbedding,
+                              const Var &ProgramEmbedding,
                               const std::vector<Var> &Memory, size_t MaxLen);
 
 } // namespace liger::reference

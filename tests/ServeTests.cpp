@@ -10,11 +10,11 @@
 ///  - InferenceEquivalenceTest: the forward-only LigerInference
 ///    runtime is bitwise-identical to the autodiff forward — program
 ///    embeddings memcmp-equal, greedy decodes token-equal to the graph
-///    decode oracle (reference::decodeGreedy) — for GRU and LSTM
-///    cells, with the embedding store cold, warm, and filled in
-///    reverse order, and cold and warm for the no-static, no-dynamic,
-///    no-attention, mean-pool and vanilla-RNN configs; both skip the
-///    paths a feature ablation leaves featureless. The prefix-bound
+///    decode oracle (reference::decodeGreedy) — with the embedding
+///    store cold, warm, and filled in reverse order, and cold and warm
+///    for the no-static, no-dynamic, no-attention and mean-pool
+///    configs; both skip the paths a feature ablation leaves
+///    featureless. The prefix-bound
 ///    GreedyDecoder decodes DYPRO's and code2seq's graph encodings
 ///    exactly as the oracle does, and so does their predict().
 ///  - ValueTokenIdsTest / InferenceStoreTest: the store's token ids
@@ -102,9 +102,10 @@ void expectRoundBitwise(LigerNamePredictor &Net, LigerInference &Inference,
                           Config.Hidden * sizeof(float)),
               0)
         << Round << " round";
-    std::vector<int> Want = reference::decodeGreedy(
-        Net.params(), "liger.dec", Config.Cell, Enc.ProgramEmbedding,
-        Enc.Memory, Config.MaxDecodeLen);
+    std::vector<int> Want =
+        reference::decodeGreedy(Net.params(), "liger.dec",
+                                Enc.ProgramEmbedding, Enc.Memory,
+                                Config.MaxDecodeLen);
     EXPECT_EQ(Inference.predictName(S->Traces), idsToSubtokens(Want, Target))
         << Round << " round";
   }
@@ -186,19 +187,12 @@ WeightImage tinyImage(uint64_t Seed) {
 //===----------------------------------------------------------------------===//
 
 TEST(InferenceEquivalenceTest, GruEncodeDecodeBitwise) {
-  expectForwardEquivalence([](LigerConfig &C) { C.Cell = CellKind::Gru; },
-                           /*ReverseRounds=*/true);
-}
-
-TEST(InferenceEquivalenceTest, LstmEncodeDecodeBitwise) {
-  expectForwardEquivalence([](LigerConfig &C) { C.Cell = CellKind::Lstm; },
-                           /*ReverseRounds=*/true);
+  expectForwardEquivalence([](LigerConfig &) {}, /*ReverseRounds=*/true);
 }
 
 // The ablation configs the figure binaries train (§6.3), each through
 // its own branch of the graph encoder: the lane filters of the feature
-// ablations, uniform fusion at every step, mean pooling over paths, and
-// the vanilla RNN cell.
+// ablations, uniform fusion at every step, and mean pooling over paths.
 TEST(InferenceEquivalenceTest, NoStaticFeatureBitwise) {
   expectForwardEquivalence(
       [](LigerConfig &C) { C.UseStaticFeature = false; },
@@ -219,11 +213,6 @@ TEST(InferenceEquivalenceTest, NoFusionAttentionBitwise) {
 
 TEST(InferenceEquivalenceTest, MeanPoolProgramsBitwise) {
   expectForwardEquivalence([](LigerConfig &C) { C.MeanPoolPrograms = true; },
-                           /*ReverseRounds=*/false);
-}
-
-TEST(InferenceEquivalenceTest, RnnCellBitwise) {
-  expectForwardEquivalence([](LigerConfig &C) { C.Cell = CellKind::Rnn; },
                            /*ReverseRounds=*/false);
 }
 
@@ -292,7 +281,7 @@ void expectGraphEncodingDecodes(
   for (size_t I = 0; I < Samples.size(); ++I) {
     GraphEncoding Enc = Encode(Samples[I]);
     std::vector<int> Want = reference::decodeGreedy(
-        Store, Prefix, Config.Cell, Enc.ProgramEmbedding, Enc.Memory, MaxLen);
+        Store, Prefix, Enc.ProgramEmbedding, Enc.Memory, MaxLen);
     EXPECT_EQ(Decoder.decode(Scratch, Enc.ProgramEmbedding->Value.data(),
                              memoryOf(Enc.Memory), MaxLen),
               Want)
@@ -323,39 +312,32 @@ TEST(InferenceEquivalenceTest, DyproDecodeBitwise) {
   ExperimentScale Scale = tinyScale();
   NameTask Task = buildNameTask(Scale, /*Large=*/false);
   std::vector<MethodSample> Samples = allSampleValues(Task);
-  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
-    DyproConfig Config;
-    Config.EmbedDim = Scale.EmbedDim;
-    Config.Hidden = Config.AttnHidden = Scale.Hidden;
-    Config.Cell = Cell;
-    DyproNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
-    std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
-    expectGraphEncodingDecodes(
-        Net.params(), "dypro.dec",
-        SeqDecoderConfig::forModel(Config, Task.Target),
-        Config.MaxDecodeLen, Task, Samples, Predicted,
-        [&](const MethodSample &S) { return Net.encoder().encode(S.Traces); });
-  }
+  DyproConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Config.AttnHidden = Scale.Hidden;
+  DyproNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+  std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+  expectGraphEncodingDecodes(
+      Net.params(), "dypro.dec",
+      SeqDecoderConfig::forModel(Config, Task.Target), Config.MaxDecodeLen,
+      Task, Samples, Predicted,
+      [&](const MethodSample &S) { return Net.encoder().encode(S.Traces); });
 }
 
 TEST(InferenceEquivalenceTest, Code2SeqDecodeBitwise) {
   ExperimentScale Scale = tinyScale();
   NameTask Task = buildNameTask(Scale, /*Large=*/false);
   std::vector<MethodSample> Samples = allSampleValues(Task);
-  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
-    Code2SeqConfig Config;
-    Config.EmbedDim = Scale.EmbedDim;
-    Config.Hidden = Config.AttnHidden = Scale.Hidden;
-    Config.Cell = Cell;
-    Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
-                              Config, Scale.Seed);
-    std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
-    expectGraphEncodingDecodes(
-        Net.params(), "c2s.dec",
-        SeqDecoderConfig::forModel(Config, Task.Target),
-        Config.MaxDecodeLen, Task, Samples, Predicted,
-        [&](const MethodSample &S) { return Net.encode(S); });
-  }
+  Code2SeqConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Config.AttnHidden = Scale.Hidden;
+  Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
+                            Config, Scale.Seed);
+  std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
+  expectGraphEncodingDecodes(
+      Net.params(), "c2s.dec", SeqDecoderConfig::forModel(Config, Task.Target),
+      Config.MaxDecodeLen, Task, Samples, Predicted,
+      [&](const MethodSample &S) { return Net.encode(S); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -509,27 +491,24 @@ TEST(InferenceStoreTest, PrimitiveAndOneElementArrayEmbedApart) {
         singleStateTraces({{intArray(std::vector<int64_t>(Len, 1))}}));
   States.push_back(singleStateTraces({{intArray({5})}}));
 
-  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
-    Config.Cell = Cell;
-    LigerNamePredictor Net(Joint, Target, Config, /*Seed=*/3);
-    WeightImage Image = WeightImage::fromStore(Net.params());
-    LigerInference Inference(Image, Joint, &Target, Config);
-    GraphArena Arena;
-    GraphArena::Scope Scope(Arena);
-    std::vector<std::vector<float>> Embeddings;
-    for (const MethodTraces &Traces : States) {
-      GraphArena::current().reset();
-      GraphEncoding Enc = Net.encoder().encode(Traces);
-      const float *E = Inference.encode(Traces);
-      ASSERT_EQ(std::memcmp(E, Enc.ProgramEmbedding->Value.data(),
-                            Config.Hidden * sizeof(float)),
-                0)
-          << "state " << Embeddings.size();
-      Embeddings.emplace_back(E, E + Config.Hidden);
-    }
-    EXPECT_NE(Embeddings.front(), Embeddings.back());
-    EXPECT_EQ(Inference.cacheStats().StateMisses, States.size());
+  LigerNamePredictor Net(Joint, Target, Config, /*Seed=*/3);
+  WeightImage Image = WeightImage::fromStore(Net.params());
+  LigerInference Inference(Image, Joint, &Target, Config);
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  std::vector<std::vector<float>> Embeddings;
+  for (const MethodTraces &Traces : States) {
+    GraphArena::current().reset();
+    GraphEncoding Enc = Net.encoder().encode(Traces);
+    const float *E = Inference.encode(Traces);
+    ASSERT_EQ(std::memcmp(E, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0)
+        << "state " << Embeddings.size();
+    Embeddings.emplace_back(E, E + Config.Hidden);
   }
+  EXPECT_NE(Embeddings.front(), Embeddings.back());
+  EXPECT_EQ(Inference.cacheStats().StateMisses, States.size());
 }
 
 TEST(InferenceStoreTest, RebindKeepsStoreOnSameDigestResetsOnNew) {
