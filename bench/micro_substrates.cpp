@@ -401,10 +401,10 @@ BENCHMARK(BM_AttentionScore);
 void BM_DecoderStep(benchmark::State &State) {
   // Teacher-forced decode over a 20-vector memory, forward + backward:
   // the SeqDecoder shape, where the key-side projections are computed
-  // once per decode and shared by every step. Mode 1 = one lane through
-  // loss(), 2 = four lanes decoded in lockstep through lossBatch;
-  // items are normalized per decode step, so /1 vs /2 is the per-step
-  // batching gain.
+  // once per decode and shared by every step. Mode 1 = one lane, whose
+  // lossBatch runs the single-sample ops, 2 = four lanes decoded in
+  // lockstep; items are normalized per decode step, so /1 vs /2 is the
+  // per-step batching gain.
   const int Mode = static_cast<int>(State.range(0));
   const size_t Lanes = Mode == 2 ? 4 : 1;
   Rng R(1);
@@ -427,15 +427,9 @@ void BM_DecoderStep(benchmark::State &State) {
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
-    if (Mode == 2) {
-      std::vector<Var> Losses = Decoder.lossBatch(Encs, AllTargets);
-      backward(sumV(stackScalars(Losses)));
-      benchmark::DoNotOptimize(Losses[0]->Value[0]);
-    } else {
-      Var Loss = Decoder.loss(Enc, Targets);
-      backward(Loss);
-      benchmark::DoNotOptimize(Loss->Value[0]);
-    }
+    std::vector<Var> Losses = Decoder.lossBatch(Encs, AllTargets);
+    backward(Lanes == 1 ? Losses[0] : sumV(stackScalars(Losses)));
+    benchmark::DoNotOptimize(Losses[0]->Value[0]);
     Store.zeroGrads();
     Arena.reset();
   }

@@ -48,11 +48,13 @@
 #      every name model and classifier at a tiny scale
 #      (ExperimentDigestTest: training, evaluation through the
 #      forward-only runtime, fusion statistics), the batched-loss
-#      equivalence suite (lossBatch values bitwise against loss(),
-#      gradients against the per-sample sum) and the
-#      LIGER model suite (every LIGER graph, ablations and classifier
-#      included, runs the lockstep walk) under ASan+UBSan (DESIGN.md
-#      §14);
+#      equivalence suite (each lane's lossBatch value bitwise against
+#      the same sample's batch of one, gradients against the
+#      per-sample sum), the LIGER model suite (every LIGER graph,
+#      ablations and classifier included, runs the lockstep walk), the
+#      DYPRO, code2seq and code2vec suites (DYPRO's encoder bitwise
+#      against its string-keyed oracle) and the seeded parameter
+#      layouts under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones (there the activation kernels are the libm calls
@@ -139,11 +141,11 @@ cmake --build "$REPO/build-tsan" -j "$JOBS" \
   --gtest_filter='TraceCacheConcurrencyTest.*:ServeSharedCacheTest.*:ServeStatsConcurrencyTest.*'
 "$REPO/build-tsan/tests/dataset_tests" --gtest_filter='CorpusTraceCacheTest.*'
 
-step "sanitized lockstep training + drift gate: threaded batched-epoch, experiment digest, batched-loss equivalence (build-asan)"
+step "sanitized lockstep training + drift gate: threaded batched-epoch, experiment digest, batched-loss equivalence, baselines (build-asan)"
 "$REPO/build-asan/tests/eval_tests" \
   --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise:ExperimentDigestTest.*'
 "$REPO/build-asan/tests/models_tests" \
-  --gtest_filter='BatchedLossEquivalenceTest.*:LigerTest.*'
+  --gtest_filter='BatchedLossEquivalenceTest.*:LigerTest.*:DyproTest.*:DyproEquivalenceTest.*:Code2SeqTest.*:Code2VecTest.*:ParamLayoutTest.*'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF

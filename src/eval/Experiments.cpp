@@ -40,6 +40,7 @@ namespace {
 ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
   ExperimentScale Scale;
   bool ModeGiven = false; // an explicit --trace-cache=off stays off
+  bool LargeGiven = false; // an explicit --methods-large beats the 2x
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     // Numeric values must be plain decimal digits that parse completely
@@ -99,8 +100,8 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       continue;
     }
     size_t Tmp;
-    if (TakeSize("methods", Scale.MethodsMed)) {
-      Scale.MethodsLarge = Scale.MethodsMed * 2;
+    if (TakeSize("methods-large", Scale.MethodsLarge)) {
+      LargeGiven = true;
       continue;
     }
     if (TakeSize("batch", Scale.BatchSize)) {
@@ -108,7 +109,7 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
         badNumericFlag(Arg);
       continue;
     }
-    if (TakeSize("methods-large", Scale.MethodsLarge) ||
+    if (TakeSize("methods", Scale.MethodsMed) ||
         TakeSize("coset-per-class", Scale.CosetPerClass) ||
         TakeSize("epochs", Scale.Epochs) ||
         TakeSize("hidden", Scale.Hidden) ||
@@ -144,6 +145,9 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
     std::fprintf(stderr, "unknown experiment flag: %s\n", Arg.c_str());
     std::exit(2);
   }
+  // The large corpus is twice the medium one unless given.
+  if (!LargeGiven)
+    Scale.MethodsLarge = 2 * Scale.MethodsMed;
   // A directory without a mode means "cache": full reuse.
   if (!ModeGiven && !Scale.TraceCacheDir.empty())
     Scale.CacheMode = TraceCacheMode::Full;
@@ -287,21 +291,19 @@ void scopeCheckpointDir(TrainOptions &Opts, const std::string &Tag,
 
 /// Fills the shared vocabularies from a training split.
 void buildVocabularies(const std::vector<MethodSample> &Train,
-                       const ExperimentScale &Scale, Vocabulary &Joint,
-                       Vocabulary *Target, Vocabulary &C2vTokens,
-                       Vocabulary &C2vPaths, Vocabulary *C2vNames,
-                       Vocabulary &C2sSubtokens, Vocabulary &C2sNodes) {
-  Code2VecConfig C2v = code2vecConfig(Scale);
-  Code2SeqConfig C2s = code2seqConfig(Scale);
+                       Vocabulary &Joint, Vocabulary *Target,
+                       Vocabulary &C2vTokens, Vocabulary &C2vPaths,
+                       Vocabulary *C2vNames, Vocabulary &C2sSubtokens,
+                       Vocabulary &C2sNodes) {
   for (const MethodSample &Sample : Train) {
     addSampleToVocabulary(Sample, Joint);
     addVariableNamesToVocabulary(Sample, Joint);
     if (Target)
       addNameToVocabulary(Sample, *Target);
-    addPathContextsToVocabulary(Sample, C2vTokens, C2vPaths, C2v);
+    addPathContextsToVocabulary(Sample, C2vTokens, C2vPaths);
     if (C2vNames)
       Code2VecNamePredictor::addNameToVocabulary(Sample, *C2vNames);
-    addSeqPathContextsToVocabulary(Sample, C2sSubtokens, C2sNodes, C2s);
+    addSeqPathContextsToVocabulary(Sample, C2sSubtokens, C2sNodes);
   }
   Joint.freeze();
   if (Target)
@@ -345,7 +347,7 @@ NameTask liger::buildNameTask(const ExperimentScale &Scale, bool Large) {
       generateMethodCorpus(Options, &Task.Stats);
   Task.Split = splitByProject(std::move(Samples), 0.15, 0.2,
                               Scale.Seed + (Large ? 11 : 10));
-  buildVocabularies(Task.Split.Train, Scale, Task.Joint, &Task.Target,
+  buildVocabularies(Task.Split.Train, Task.Joint, &Task.Target,
                     Task.C2vTokens, Task.C2vPaths, &Task.C2vNames,
                     Task.C2sSubtokens, Task.C2sNodes);
   return Task;
@@ -366,7 +368,7 @@ CosetTask liger::buildCosetTask(const ExperimentScale &Scale) {
       generateCosetCorpus(Options, Task.ClassNames);
   Task.NumClasses = Task.ClassNames.size();
   Task.Split = splitByProject(std::move(Samples), 0.15, 0.2, Scale.Seed + 12);
-  buildVocabularies(Task.Split.Train, Scale, Task.Joint, nullptr,
+  buildVocabularies(Task.Split.Train, Task.Joint, nullptr,
                     Task.C2vTokens, Task.C2vPaths, nullptr,
                     Task.C2sSubtokens, Task.C2sNodes);
   return Task;

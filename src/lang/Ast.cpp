@@ -26,40 +26,6 @@ std::string Type::str() const {
   LIGER_UNREACHABLE("covered switch");
 }
 
-const char *liger::exprKindName(ExprKind Kind) {
-  switch (Kind) {
-  case ExprKind::IntLit:    return "IntLit";
-  case ExprKind::BoolLit:   return "BoolLit";
-  case ExprKind::StringLit: return "StringLit";
-  case ExprKind::Var:       return "Var";
-  case ExprKind::ArrayLit:  return "ArrayLit";
-  case ExprKind::NewArray:  return "NewArray";
-  case ExprKind::NewStruct: return "NewStruct";
-  case ExprKind::Index:     return "Index";
-  case ExprKind::Field:     return "Field";
-  case ExprKind::Unary:     return "Unary";
-  case ExprKind::Binary:    return "Binary";
-  case ExprKind::Call:      return "Call";
-  }
-  LIGER_UNREACHABLE("covered switch");
-}
-
-const char *liger::stmtKindName(StmtKind Kind) {
-  switch (Kind) {
-  case StmtKind::Decl:     return "Decl";
-  case StmtKind::Assign:   return "Assign";
-  case StmtKind::If:       return "If";
-  case StmtKind::While:    return "While";
-  case StmtKind::For:      return "For";
-  case StmtKind::Return:   return "Return";
-  case StmtKind::Break:    return "Break";
-  case StmtKind::Continue: return "Continue";
-  case StmtKind::Block:    return "Block";
-  case StmtKind::Expr:     return "Expr";
-  }
-  LIGER_UNREACHABLE("covered switch");
-}
-
 const char *liger::binaryOpSpelling(BinaryOp Op) {
   switch (Op) {
   case BinaryOp::Add: return "+";

@@ -60,10 +60,6 @@ enum class ExprKind {
   Call,
 };
 
-/// Spelled name of an expression kind ("Binary", "Var", ...), used as the
-/// AST-node-type vocabulary item in the static feature dimension.
-const char *exprKindName(ExprKind Kind);
-
 /// Base class of all MiniLang expressions.
 class Expr {
 public:
@@ -364,9 +360,6 @@ enum class StmtKind {
   Block,
   Expr,
 };
-
-/// Spelled name of a statement kind ("If", "Assign", ...).
-const char *stmtKindName(StmtKind Kind);
 
 /// Base class of all MiniLang statements.
 class Stmt {

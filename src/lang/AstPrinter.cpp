@@ -172,8 +172,6 @@ std::string printAssignHead(const AssignStmt *S) {
 
 } // namespace
 
-std::string liger::printExpr(const Expr *E) { return printExprPrec(E, 0); }
-
 std::string liger::printStmtHead(const Stmt *S) {
   switch (S->kind()) {
   case StmtKind::Decl: {

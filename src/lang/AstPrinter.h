@@ -23,9 +23,6 @@
 
 namespace liger {
 
-/// Renders an expression as source text.
-std::string printExpr(const Expr *E);
-
 /// Renders a single statement (without nested sub-statements for
 /// control flow: "if (x < y)" rather than the whole if). Used for the
 /// symbolic-trace statement view.

@@ -6,29 +6,12 @@
 
 #include "models/Code2Seq.h"
 
-#include "lang/AstTree.h"
 #include "models/Inference.h"
 #include "support/StringUtils.h"
 
 using namespace liger;
 
 namespace {
-
-uint64_t nameSeed(const MethodSample &Sample) {
-  uint64_t H = 1469598103934665603ULL;
-  for (char C : Sample.Fn->Name) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H ^ 0xC2u; // distinct from code2vec's sampling stream
-}
-
-std::vector<AstPath> samplePaths(const MethodSample &Sample,
-                                 const Code2SeqConfig &Config) {
-  AstTree Tree = buildFunctionTree(*Sample.Fn);
-  return extractAstPaths(Tree, Config.MaxContexts, Config.MaxPathLength,
-                         Config.MaxPathWidth, nameSeed(Sample));
-}
 
 std::vector<std::string> leafSubtokens(const std::string &Leaf) {
   std::vector<std::string> Subs = splitSubtokens(Leaf);
@@ -37,15 +20,17 @@ std::vector<std::string> leafSubtokens(const std::string &Leaf) {
   return Subs;
 }
 
+/// code2seq's salt for sampleAstPaths, distinct from code2vec's 0.
+constexpr uint64_t PathSalt = 0xC2;
+
 } // namespace
 
 std::vector<SeqPathContext>
 liger::extractSeqPathContexts(const MethodSample &Sample,
                               const Vocabulary &SubtokenVocab,
-                              const Vocabulary &NodeVocab,
-                              const Code2SeqConfig &Config) {
+                              const Vocabulary &NodeVocab) {
   std::vector<SeqPathContext> Out;
-  for (const AstPath &Path : samplePaths(Sample, Config)) {
+  for (const AstPath &Path : sampleAstPaths(Sample, PathSalt)) {
     SeqPathContext Context;
     for (const std::string &Sub : leafSubtokens(Path.SourceLeaf))
       Context.SourceSubtokens.push_back(SubtokenVocab.lookup(Sub));
@@ -60,9 +45,8 @@ liger::extractSeqPathContexts(const MethodSample &Sample,
 
 void liger::addSeqPathContextsToVocabulary(const MethodSample &Sample,
                                            Vocabulary &SubtokenVocab,
-                                           Vocabulary &NodeVocab,
-                                           const Code2SeqConfig &Config) {
-  for (const AstPath &Path : samplePaths(Sample, Config)) {
+                                           Vocabulary &NodeVocab) {
+  for (const AstPath &Path : sampleAstPaths(Sample, PathSalt)) {
     for (const std::string &Sub : leafSubtokens(Path.SourceLeaf))
       SubtokenVocab.add(Sub);
     for (const std::string &Sub : leafSubtokens(Path.TargetLeaf))
@@ -73,7 +57,7 @@ void liger::addSeqPathContextsToVocabulary(const MethodSample &Sample,
 }
 
 //===----------------------------------------------------------------------===//
-// Shared context embedding
+// Code2SeqEncoder
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -88,18 +72,27 @@ Var sumSubtokenEmbeds(const std::vector<int> &Ids,
   return Sum;
 }
 
-Var embedContextImpl(const SeqPathContext &Context,
-                     const EmbeddingTable &SubtokenEmbed,
-                     const EmbeddingTable &NodeEmbed,
-                     const RecurrentCell &PathRnn, const Linear &ContextProj,
-                     size_t EmbedDim, size_t Hidden) {
+} // namespace
+
+Code2SeqEncoder::Code2SeqEncoder(ParamStore &Store,
+                                 const Vocabulary &Subtokens,
+                                 const Vocabulary &Nodes,
+                                 const Code2SeqConfig &Cfg, Rng &R)
+    : Config(Cfg), SubtokenVocab(Subtokens), NodeVocab(Nodes),
+      SubtokenEmbed(Store, "c2s.sub", Subtokens.size(), Cfg.EmbedDim, R),
+      NodeEmbed(Store, "c2s.node", Nodes.size(), Cfg.EmbedDim, R),
+      PathRnn(Store, "c2s.path", Cfg.EmbedDim, Cfg.Hidden, R),
+      ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
+                  Cfg.Hidden, R) {}
+
+Var Code2SeqEncoder::embedContext(const SeqPathContext &Context) const {
   Var L = sumSubtokenEmbeds(Context.SourceSubtokens, SubtokenEmbed,
-                            EmbedDim);
+                            Config.EmbedDim);
   Var R = sumSubtokenEmbeds(Context.TargetSubtokens, SubtokenEmbed,
-                            EmbedDim);
+                            Config.EmbedDim);
   Var PathH;
   if (Context.PathNodes.empty()) {
-    PathH = constant(Tensor::zeros(Hidden));
+    PathH = constant(Tensor::zeros(Config.Hidden));
   } else {
     std::vector<Var> Inputs;
     for (int Id : Context.PathNodes)
@@ -109,37 +102,9 @@ Var embedContextImpl(const SeqPathContext &Context,
   return tanhV(ContextProj.apply(concat(concat(L, PathH), R)));
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Code2SeqNamePredictor
-//===----------------------------------------------------------------------===//
-
-Code2SeqNamePredictor::Code2SeqNamePredictor(const Vocabulary &Subtokens,
-                                             const Vocabulary &Nodes,
-                                             const Vocabulary &Target,
-                                             const Code2SeqConfig &Cfg,
-                                             uint64_t Seed)
-    : InitRng(Seed), Config(Cfg), SubtokenVocab(Subtokens), NodeVocab(Nodes),
-      TargetVocab(Target),
-      SubtokenEmbed(Store, "c2s.sub", Subtokens.size(), Cfg.EmbedDim,
-                    InitRng),
-      NodeEmbed(Store, "c2s.node", Nodes.size(), Cfg.EmbedDim, InitRng),
-      PathRnn(Store, "c2s.path", Cfg.EmbedDim, Cfg.Hidden, InitRng),
-      ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
-                  Cfg.Hidden, InitRng),
-      Decoder(Store, "c2s.dec", SeqDecoderConfig::forModel(Cfg, Target),
-              InitRng) {}
-
-Var Code2SeqNamePredictor::embedContext(const SeqPathContext &Context) const {
-  return embedContextImpl(Context, SubtokenEmbed, NodeEmbed, PathRnn,
-                          ContextProj, Config.EmbedDim, Config.Hidden);
-}
-
-GraphEncoding
-Code2SeqNamePredictor::encode(const MethodSample &Sample) const {
+GraphEncoding Code2SeqEncoder::encode(const MethodSample &Sample) const {
   std::vector<SeqPathContext> Contexts =
-      extractSeqPathContexts(Sample, SubtokenVocab, NodeVocab, Config);
+      extractSeqPathContexts(Sample, SubtokenVocab, NodeVocab);
   GraphEncoding Out;
   if (Contexts.empty()) {
     Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
@@ -152,58 +117,49 @@ Code2SeqNamePredictor::encode(const MethodSample &Sample) const {
   return Out;
 }
 
+//===----------------------------------------------------------------------===//
+// Heads
+//===----------------------------------------------------------------------===//
+
+Code2SeqNamePredictor::Code2SeqNamePredictor(const Vocabulary &Subtokens,
+                                             const Vocabulary &Nodes,
+                                             const Vocabulary &Target,
+                                             const Code2SeqConfig &Config,
+                                             uint64_t Seed)
+    : InitRng(Seed), Encoder(Store, Subtokens, Nodes, Config, InitRng),
+      Decoder(Store, "c2s.dec", SeqDecoderConfig::forModel(Config, Target),
+              InitRng),
+      TargetVocab(Target) {}
+
 Var Code2SeqNamePredictor::loss(const MethodSample &Sample) const {
-  GraphEncoding Enc = encode(Sample);
-  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
+  return Decoder.lossBatch(
+      {Encoder.encode(Sample)},
+      {nameTargetIds(Sample.NameSubtokens, TargetVocab)})[0];
 }
 
 std::vector<std::vector<std::string>>
 Code2SeqNamePredictor::predict(const std::vector<MethodSample> &Samples) const {
   return decodeGraphEncodings(
-      Store, Decoder, Config.MaxDecodeLen, TargetVocab, Samples,
-      [&](const MethodSample &Sample) { return encode(Sample); });
+      Store, Decoder, TargetVocab, Samples,
+      [&](const MethodSample &Sample) { return Encoder.encode(Sample); });
 }
-
-//===----------------------------------------------------------------------===//
-// Code2SeqClassifier
-//===----------------------------------------------------------------------===//
 
 Code2SeqClassifier::Code2SeqClassifier(const Vocabulary &Subtokens,
                                        const Vocabulary &Nodes,
                                        size_t NumClasses,
-                                       const Code2SeqConfig &Cfg,
+                                       const Code2SeqConfig &Config,
                                        uint64_t Seed)
-    : InitRng(Seed), Config(Cfg), SubtokenVocab(Subtokens), NodeVocab(Nodes),
-      SubtokenEmbed(Store, "c2s.sub", Subtokens.size(), Cfg.EmbedDim,
-                    InitRng),
-      NodeEmbed(Store, "c2s.node", Nodes.size(), Cfg.EmbedDim, InitRng),
-      PathRnn(Store, "c2s.path", Cfg.EmbedDim, Cfg.Hidden, InitRng),
-      ContextProj(Store, "c2s.ctx", 2 * Cfg.EmbedDim + Cfg.Hidden,
-                  Cfg.Hidden, InitRng),
-      Head(Store, "c2s.head", Cfg.Hidden, NumClasses, InitRng) {}
-
-Var Code2SeqClassifier::embedContext(const SeqPathContext &Context) const {
-  return embedContextImpl(Context, SubtokenEmbed, NodeEmbed, PathRnn,
-                          ContextProj, Config.EmbedDim, Config.Hidden);
-}
-
-Var Code2SeqClassifier::codeVector(const MethodSample &Sample) const {
-  std::vector<SeqPathContext> Contexts =
-      extractSeqPathContexts(Sample, SubtokenVocab, NodeVocab, Config);
-  if (Contexts.empty())
-    return constant(Tensor::zeros(Config.Hidden));
-  std::vector<Var> Vecs;
-  for (const SeqPathContext &Context : Contexts)
-    Vecs.push_back(embedContext(Context));
-  return meanPool(Vecs);
-}
+    : InitRng(Seed), Encoder(Store, Subtokens, Nodes, Config, InitRng),
+      Head(Store, "c2s.head", Config.Hidden, NumClasses, InitRng) {}
 
 Var Code2SeqClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
-  return softmaxCrossEntropy(Head.apply(codeVector(Sample)),
+  Var Embedding = Encoder.encode(Sample).ProgramEmbedding;
+  return softmaxCrossEntropy(Head.apply(Embedding),
                              static_cast<size_t>(Sample.ClassId));
 }
 
 int Code2SeqClassifier::predict(const MethodSample &Sample) const {
-  return static_cast<int>(argmax(Head.apply(codeVector(Sample))->Value));
+  return static_cast<int>(
+      argmax(Head.apply(Encoder.encode(Sample).ProgramEmbedding)->Value));
 }

@@ -18,7 +18,7 @@
 #ifndef LIGER_MODELS_CODE2SEQ_H
 #define LIGER_MODELS_CODE2SEQ_H
 
-#include "models/Code2Vec.h" // Code2VecConfig reused for extraction caps
+#include "models/Common.h"
 #include "models/Decoder.h"
 
 namespace liger {
@@ -28,10 +28,6 @@ struct Code2SeqConfig {
   size_t EmbedDim = 32;
   size_t Hidden = 32;
   size_t AttnHidden = 32;
-  size_t MaxContexts = 120;
-  size_t MaxPathLength = 12;
-  size_t MaxPathWidth = 16;
-  size_t MaxDecodeLen = 8;
 };
 
 /// One path-context in code2seq form: sub-token ids for each terminal
@@ -42,18 +38,41 @@ struct SeqPathContext {
   std::vector<int> TargetSubtokens;
 };
 
-/// Extracts code2seq path-contexts for a sample.
+/// Extracts code2seq path-contexts for a sample (sampleAstPaths with
+/// salt 0xC2).
 std::vector<SeqPathContext>
 extractSeqPathContexts(const MethodSample &Sample,
                        const Vocabulary &SubtokenVocab,
-                       const Vocabulary &NodeVocab,
-                       const Code2SeqConfig &Config);
+                       const Vocabulary &NodeVocab);
 
 /// Populates the sub-token and path-node vocabularies from a sample.
 void addSeqPathContextsToVocabulary(const MethodSample &Sample,
                                     Vocabulary &SubtokenVocab,
-                                    Vocabulary &NodeVocab,
-                                    const Code2SeqConfig &Config);
+                                    Vocabulary &NodeVocab);
+
+/// Encoder shared by the name predictor and the classifier.
+class Code2SeqEncoder {
+public:
+  Code2SeqEncoder(ParamStore &Store, const Vocabulary &SubtokenVocab,
+                  const Vocabulary &NodeVocab, const Code2SeqConfig &Config,
+                  Rng &R);
+
+  /// The memory holds every path-context vector and the program
+  /// embedding is their mean; a method without paths encodes as a zero
+  /// vector, which is also its memory.
+  GraphEncoding encode(const MethodSample &Sample) const;
+
+private:
+  Var embedContext(const SeqPathContext &Context) const;
+
+  Code2SeqConfig Config;
+  const Vocabulary &SubtokenVocab;
+  const Vocabulary &NodeVocab;
+  EmbeddingTable SubtokenEmbed;
+  EmbeddingTable NodeEmbed;
+  RecurrentCell PathRnn;
+  Linear ContextProj;
+};
 
 /// code2seq for method name prediction.
 class Code2SeqNamePredictor {
@@ -68,25 +87,15 @@ public:
   std::vector<std::vector<std::string>>
   predict(const std::vector<MethodSample> &Samples) const;
 
-  /// The decoder's inputs: every path-context vector, and their mean.
-  GraphEncoding encode(const MethodSample &Sample) const;
-
   ParamStore &params() { return Store; }
+  const Code2SeqEncoder &encoder() const { return Encoder; }
 
 private:
-  Var embedContext(const SeqPathContext &Context) const;
-
   ParamStore Store;
   Rng InitRng;
-  Code2SeqConfig Config;
-  const Vocabulary &SubtokenVocab;
-  const Vocabulary &NodeVocab;
-  const Vocabulary &TargetVocab;
-  EmbeddingTable SubtokenEmbed;
-  EmbeddingTable NodeEmbed;
-  RecurrentCell PathRnn;
-  Linear ContextProj;
+  Code2SeqEncoder Encoder;
   SeqDecoder Decoder;
+  const Vocabulary &TargetVocab;
 };
 
 /// code2seq with a classification head.
@@ -102,18 +111,9 @@ public:
   ParamStore &params() { return Store; }
 
 private:
-  Var codeVector(const MethodSample &Sample) const;
-  Var embedContext(const SeqPathContext &Context) const;
-
   ParamStore Store;
   Rng InitRng;
-  Code2SeqConfig Config;
-  const Vocabulary &SubtokenVocab;
-  const Vocabulary &NodeVocab;
-  EmbeddingTable SubtokenEmbed;
-  EmbeddingTable NodeEmbed;
-  RecurrentCell PathRnn;
-  Linear ContextProj;
+  Code2SeqEncoder Encoder;
   Linear Head;
 };
 

@@ -6,38 +6,16 @@
 
 #include "models/Code2Vec.h"
 
-#include "lang/AstTree.h"
 #include "support/StringUtils.h"
 
 using namespace liger;
 
-namespace {
-
-uint64_t nameSeed(const MethodSample &Sample) {
-  uint64_t H = 1469598103934665603ULL;
-  for (char C : Sample.Fn->Name) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
-std::vector<AstPath> samplePaths(const MethodSample &Sample,
-                                 const Code2VecConfig &Config) {
-  AstTree Tree = buildFunctionTree(*Sample.Fn);
-  return extractAstPaths(Tree, Config.MaxContexts, Config.MaxPathLength,
-                         Config.MaxPathWidth, nameSeed(Sample));
-}
-
-} // namespace
-
 std::vector<PathContextIds>
 liger::extractPathContexts(const MethodSample &Sample,
                            const Vocabulary &TokenVocab,
-                           const Vocabulary &PathVocab,
-                           const Code2VecConfig &Config) {
+                           const Vocabulary &PathVocab) {
   std::vector<PathContextIds> Out;
-  for (const AstPath &Path : samplePaths(Sample, Config)) {
+  for (const AstPath &Path : sampleAstPaths(Sample, /*Salt=*/0)) {
     PathContextIds Ids;
     Ids.Source = TokenVocab.lookup(Path.SourceLeaf);
     Ids.Path = PathVocab.lookup(Path.interiorKey());
@@ -49,9 +27,8 @@ liger::extractPathContexts(const MethodSample &Sample,
 
 void liger::addPathContextsToVocabulary(const MethodSample &Sample,
                                         Vocabulary &TokenVocab,
-                                        Vocabulary &PathVocab,
-                                        const Code2VecConfig &Config) {
-  for (const AstPath &Path : samplePaths(Sample, Config)) {
+                                        Vocabulary &PathVocab) {
+  for (const AstPath &Path : sampleAstPaths(Sample, /*Salt=*/0)) {
     TokenVocab.add(Path.SourceLeaf);
     TokenVocab.add(Path.TargetLeaf);
     PathVocab.add(Path.interiorKey());
@@ -116,7 +93,7 @@ Code2VecNamePredictor::Code2VecNamePredictor(const Vocabulary &Tokens,
 
 Var Code2VecNamePredictor::codeVector(const MethodSample &Sample) const {
   std::vector<PathContextIds> Contexts =
-      extractPathContexts(Sample, TokenVocab, PathVocab, Config);
+      extractPathContexts(Sample, TokenVocab, PathVocab);
   return buildCodeVector(Contexts, TokenEmbed, PathEmbed, ContextProj,
                          AttnVector, Config.CodeDim);
 }
@@ -171,7 +148,7 @@ Code2VecClassifier::Code2VecClassifier(const Vocabulary &Tokens,
 
 Var Code2VecClassifier::codeVector(const MethodSample &Sample) const {
   std::vector<PathContextIds> Contexts =
-      extractPathContexts(Sample, TokenVocab, PathVocab, Config);
+      extractPathContexts(Sample, TokenVocab, PathVocab);
   return buildCodeVector(Contexts, TokenEmbed, PathEmbed, ContextProj,
                          AttnVector, Config.CodeDim);
 }

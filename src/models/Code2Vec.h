@@ -26,9 +26,6 @@ namespace liger {
 struct Code2VecConfig {
   size_t EmbedDim = 32;
   size_t CodeDim = 32; ///< Context/code vector width.
-  size_t MaxContexts = 120;
-  size_t MaxPathLength = 12;
-  size_t MaxPathWidth = 16;
 };
 
 /// One extracted path-context, already mapped to vocabulary ids.
@@ -39,16 +36,15 @@ struct PathContextIds {
 };
 
 /// Extracts path-contexts from a sample's function body (deterministic
-/// per function, seeded by the function's name hash).
+/// per function: sampleAstPaths with salt 0).
 std::vector<PathContextIds>
 extractPathContexts(const MethodSample &Sample, const Vocabulary &TokenVocab,
-                    const Vocabulary &PathVocab, const Code2VecConfig &Config);
+                    const Vocabulary &PathVocab);
 
 /// Populates the token and path vocabularies from a sample.
 void addPathContextsToVocabulary(const MethodSample &Sample,
                                  Vocabulary &TokenVocab,
-                                 Vocabulary &PathVocab,
-                                 const Code2VecConfig &Config);
+                                 Vocabulary &PathVocab);
 
 /// code2vec for method name prediction (whole-name classification).
 class Code2VecNamePredictor {

@@ -6,8 +6,6 @@
 
 #include "models/Common.h"
 
-#include "lang/AstTree.h"
-
 #include <algorithm>
 
 using namespace liger;
@@ -45,6 +43,17 @@ void liger::addFunctionTreeToVocabulary(const MethodSample &Sample,
                                         Vocabulary &Vocab) {
   LIGER_CHECK(Sample.Fn, "sample without function");
   addTreeLabels(buildFunctionTree(*Sample.Fn), Vocab);
+}
+
+std::vector<AstPath> liger::sampleAstPaths(const MethodSample &Sample,
+                                           uint64_t Salt) {
+  uint64_t Seed = 1469598103934665603ULL;
+  for (char C : Sample.Fn->Name) {
+    Seed ^= static_cast<unsigned char>(C);
+    Seed *= 1099511628211ULL;
+  }
+  return extractAstPaths(buildFunctionTree(*Sample.Fn), MaxAstPaths,
+                         MaxAstPathLength, MaxAstPathWidth, Seed ^ Salt);
 }
 
 void liger::addNameToVocabulary(const MethodSample &Sample,

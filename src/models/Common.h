@@ -21,6 +21,7 @@
 #ifndef LIGER_MODELS_COMMON_H
 #define LIGER_MODELS_COMMON_H
 
+#include "lang/AstTree.h"
 #include "nn/Module.h"
 #include "trace/Trace.h"
 #include "trace/Vocabulary.h"
@@ -55,6 +56,18 @@ void addSampleToVocabulary(const MethodSample &Sample, Vocabulary &Vocab);
 /// which see the whole body rather than trace slices).
 void addFunctionTreeToVocabulary(const MethodSample &Sample,
                                  Vocabulary &Vocab);
+
+/// Caps of the AST path sampler code2vec and code2seq share: paths per
+/// method, interior nodes per path, and leaf-index distance per path.
+constexpr size_t MaxAstPaths = 120;
+constexpr size_t MaxAstPathLength = 12;
+constexpr size_t MaxAstPathWidth = 16;
+
+/// The leaf-to-leaf AST paths of \p Sample's function body within the
+/// caps above, sampled deterministically from the FNV-1a hash of the
+/// function's name XOR \p Salt; each model passes its own salt, so the
+/// two static baselines draw different samples.
+std::vector<AstPath> sampleAstPaths(const MethodSample &Sample, uint64_t Salt);
 
 /// Adds the sample's name sub-tokens to the decoder target vocabulary.
 void addNameToVocabulary(const MethodSample &Sample, Vocabulary &Vocab);

@@ -25,53 +25,6 @@ SeqDecoder::SeqDecoder(ParamStore &Store, const std::string &Name,
       OutProj(Store, Name + ".out", Cfg.Hidden + Cfg.MemoryDim,
               Cfg.TargetVocabSize, R) {}
 
-Var SeqDecoder::loss(const GraphEncoding &Enc,
-                     const std::vector<int> &TargetIds) const {
-  LIGER_CHECK(!Enc.Memory.empty(), "decoder needs a non-empty memory");
-  LIGER_CHECK(!TargetIds.empty() && TargetIds.back() == Vocabulary::Eos,
-              "targets must end with Eos");
-  // Validate every target id once, ahead of the step loop (they feed
-  // both the embedding lookups and the cross-entropy targets).
-  for (int Id : TargetIds)
-    LIGER_CHECK(Id >= 0 &&
-                    static_cast<size_t>(Id) < Config.TargetVocabSize,
-                "decoder target id out of range");
-
-  Var State = tanhV(InitProj.apply(Enc.ProgramEmbedding));
-
-  // Key-side attention projections: once per decode, shared by every
-  // step below.
-  AttentionScorer::Memory Mem = Attn.prepare(Enc.Memory);
-
-  // Teacher-forced inputs are [Sos, T_0, ..., T_{n-2}]; hoist the
-  // embedding lookups out of the step loop and look each distinct id
-  // up once (repeated sub-tokens share one graph node).
-  std::vector<Var> Inputs;
-  Inputs.reserve(TargetIds.size());
-  std::unordered_map<int, Var> EmbedCache;
-  int Prev = Vocabulary::Sos;
-  for (int Target : TargetIds) {
-    Var &Embed = EmbedCache[Prev];
-    if (!Embed)
-      Embed = TargetEmbed.lookup(Prev);
-    Inputs.push_back(Embed);
-    Prev = Target; // teacher forcing
-  }
-
-  std::vector<Var> Losses;
-  Losses.reserve(TargetIds.size());
-  for (size_t I = 0; I < TargetIds.size(); ++I) {
-    // Attention with the current hidden state as the query
-    // (µ_t = a2(H^d_{t-1}, H^e_{i_j})): one fused node per step.
-    Var Context = Attn.contextOf(State, Mem).Context;
-    State = Cell.step(concat(Inputs[I], Context), State);
-    Var Logits = OutProj.apply(concat(State, Context));
-    Losses.push_back(
-        softmaxCrossEntropy(Logits, static_cast<size_t>(TargetIds[I])));
-  }
-  return meanLoss(Losses);
-}
-
 std::vector<Var>
 SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
                       const std::vector<std::vector<int>> &TargetIds) const {
@@ -80,8 +33,7 @@ SeqDecoder::lossBatch(const std::vector<GraphEncoding> &Encs,
               "lossBatch needs matching non-empty sample sets");
 
   // Per-sample validation, initial states, and prepared attention
-  // memories, in ascending sample order (the same nodes loss() builds
-  // first for each sample).
+  // memories, in ascending sample order.
   std::vector<Var> States(B);
   std::vector<AttentionScorer::Memory> Mems;
   Mems.reserve(B);

@@ -24,6 +24,9 @@
 
 namespace liger {
 
+/// Most sub-tokens a greedy decode emits (Eos excluded).
+constexpr size_t MaxDecodeLen = 8;
+
 /// Decoder configuration.
 struct SeqDecoderConfig {
   size_t TargetVocabSize = 0;
@@ -63,16 +66,14 @@ public:
   SeqDecoder(ParamStore &Store, const std::string &Name,
              const SeqDecoderConfig &Config, Rng &R);
 
-  /// Teacher-forced sequence loss. The memory must be non-empty;
-  /// \p TargetIds must end with Eos.
-  Var loss(const GraphEncoding &Enc, const std::vector<int> &TargetIds) const;
-
   /// Teacher-forced losses for B samples decoded in lockstep: the
   /// batching scheduler (lockstepSchedule) groups the samples still
   /// active at each timestep into one multi-memory attention read, one
   /// batched cell step and one batched loss head, so same-timestep
-  /// samples share a matmul. Per-sample loss values are
-  /// bitwise-identical to loss() on each sample
+  /// samples share a matmul. Every memory must be non-empty and every
+  /// target sequence must end with Eos. With one lane each batch op is
+  /// its single-sample op, so a batch of one is the per-sample loss, and
+  /// a sample's loss value is bitwise the same in any batch
   /// (BatchedLossEquivalenceTest); each batch op is pinned against a
   /// per-lane loop of its single-sample op (BatchedKernelEquivalenceTest).
   /// Returns each sample's mean loss.

@@ -22,20 +22,17 @@ DyproEncoder::DyproEncoder(ParamStore &Store, const Vocabulary &V,
       Embed(Store, "dypro.embed", V.size(), Cfg.EmbedDim, R),
       F1(Store, "dypro.f1", Cfg.EmbedDim, Cfg.EmbedDim, R),
       F2(Store, "dypro.f2", 2 * Cfg.EmbedDim, Cfg.Hidden, R),
-      Trace(Store, "dypro.trace", Cfg.Hidden, Cfg.Hidden, R) {}
+      Trace(Store, "dypro.trace", Cfg.Hidden, Cfg.Hidden, R), ValueIds(V) {}
 
-Var DyproEncoder::lookupToken(const std::string &Token,
-                              EncodeContext &Ctx) const {
-  auto It = Ctx.TokenCache.find(Token);
-  if (It != Ctx.TokenCache.end())
-    return It->second;
-  Var E = Embed.lookup(Vocab.lookup(Token));
-  Ctx.TokenCache.emplace(Token, E);
+Var DyproEncoder::tokenEmbed(int Id, EncodeContext &Ctx) const {
+  Var &E = Ctx.Tokens[Id];
+  if (!E)
+    E = Embed.lookup(Id);
   return E;
 }
 
 Var DyproEncoder::embedState(const ProgramState &State,
-                             const std::vector<std::string> &VarNames,
+                             const std::vector<int> &NameIds,
                              EncodeContext &Ctx) const {
   std::vector<Var> VarEmbeds;
   VarEmbeds.reserve(State.Values.size());
@@ -43,18 +40,16 @@ Var DyproEncoder::embedState(const ProgramState &State,
     const Value &V = State.Values[I];
     Var ValueEmbed;
     if (V.isArray() || V.isStruct()) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
+      ValueIds.objectIds(V, Ctx.LeafIds);
       std::vector<Var> Inputs;
-      for (const std::string &Token : Tokens)
-        Inputs.push_back(lookupToken(Token, Ctx));
+      for (int Id : Ctx.LeafIds)
+        Inputs.push_back(tokenEmbed(Id, Ctx));
       ValueEmbed = F1.run(Inputs).back();
     } else {
-      ValueEmbed = lookupToken(valueToken(V), Ctx);
+      ValueEmbed = tokenEmbed(ValueIds.id(V), Ctx);
     }
-    Var NameEmbed = I < VarNames.size()
-                        ? lookupToken(VarNames[I], Ctx)
+    Var NameEmbed = I < NameIds.size()
+                        ? tokenEmbed(NameIds[I], Ctx)
                         : constant(Tensor::zeros(Config.EmbedDim));
     VarEmbeds.push_back(concat(NameEmbed, ValueEmbed));
   }
@@ -64,6 +59,10 @@ Var DyproEncoder::embedState(const ProgramState &State,
 }
 
 GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
+  std::vector<int> NameIds;
+  NameIds.reserve(Traces.VarNames.size());
+  for (const std::string &Name : Traces.VarNames)
+    NameIds.push_back(Vocab.lookup(Name));
   EncodeContext Ctx;
   GraphEncoding Out;
   std::vector<Var> TraceEmbeddings;
@@ -81,7 +80,7 @@ GraphEncoding DyproEncoder::encode(const MethodTraces &Traces) const {
       for (size_t J = 0; J < Steps; ++J) {
         if (States.States[J].Values.empty())
           continue;
-        Var StateVec = embedState(States.States[J], Traces.VarNames, Ctx);
+        Var StateVec = embedState(States.States[J], NameIds, Ctx);
         S = Trace.step(StateVec, S);
         Out.Memory.push_back(S);
         Stepped = true;
@@ -126,14 +125,15 @@ DyproNamePredictor::DyproNamePredictor(const Vocabulary &Vocab,
       TargetVocab(Target) {}
 
 Var DyproNamePredictor::loss(const MethodSample &Sample) const {
-  GraphEncoding Enc = Encoder.encode(Sample.Traces);
-  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
+  return Decoder.lossBatch(
+      {Encoder.encode(Sample.Traces)},
+      {nameTargetIds(Sample.NameSubtokens, TargetVocab)})[0];
 }
 
 std::vector<std::vector<std::string>>
 DyproNamePredictor::predict(const std::vector<MethodSample> &Samples) const {
   return decodeGraphEncodings(
-      Store, Decoder, Encoder.config().MaxDecodeLen, TargetVocab, Samples,
+      Store, Decoder, TargetVocab, Samples,
       [&](const MethodSample &Sample) { return Encoder.encode(Sample.Traces); });
 }
 

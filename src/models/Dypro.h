@@ -13,7 +13,9 @@
 /// its value embedding. Each concrete execution trace is embedded by a
 /// recurrent network over its state vectors *separately*, then all
 /// trace embeddings are pooled into the program embedding — unlike
-/// LIGER, there is no path grouping and no symbolic dimension.
+/// LIGER, there is no path grouping and no symbolic dimension. Values
+/// are read as token ids through LIGER's ValueTokenIds
+/// (models/StateTrie.h), so attr(v) is the same for both models.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 
 #include "models/Common.h"
 #include "models/Decoder.h"
+#include "models/StateTrie.h"
 
 #include <unordered_map>
 
@@ -39,8 +42,6 @@ struct DyproConfig {
   /// engineering bound (the decode-attention cost is quadratic-ish in
   /// it); the trace RNN still consumes every state.
   size_t MaxAttentionMemory = 256;
-  size_t MaxFlattenedValues = 12;
-  size_t MaxDecodeLen = 8;
 };
 
 /// Encoder shared by the name predictor and the classifier.
@@ -52,16 +53,17 @@ public:
   /// The memory holds the per-state hiddens of all traces.
   GraphEncoding encode(const MethodTraces &Traces) const;
 
-  const DyproConfig &config() const { return Config; }
-
 private:
+  /// One encode() call's token embeddings by vocabulary id, and its
+  /// leaf-id scratch.
   struct EncodeContext {
-    std::unordered_map<std::string, Var> TokenCache;
+    std::unordered_map<int, Var> Tokens;
+    std::vector<int> LeafIds;
   };
 
-  Var lookupToken(const std::string &Token, EncodeContext &Ctx) const;
-  Var embedState(const ProgramState &State,
-                 const std::vector<std::string> &VarNames,
+  Var tokenEmbed(int Id, EncodeContext &Ctx) const;
+  /// \p NameIds holds the vocabulary ids of the variable names.
+  Var embedState(const ProgramState &State, const std::vector<int> &NameIds,
                  EncodeContext &Ctx) const;
 
   DyproConfig Config;
@@ -70,6 +72,7 @@ private:
   RecurrentCell F1;    ///< Object-value flattening RNN.
   RecurrentCell F2;    ///< State RNN over (name ⊕ value) embeddings.
   RecurrentCell Trace; ///< RNN over a trace's state vectors.
+  ValueTokenIds ValueIds;
 };
 
 /// DYPRO for method name prediction.

@@ -178,8 +178,7 @@ GreedyDecoder::GreedyDecoder(const WeightImage &Image,
 
 std::vector<int>
 GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
-                      const std::vector<const float *> &Memory,
-                      size_t MaxLen) const {
+                      const std::vector<const float *> &Memory) const {
   LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
   size_t H = Config.Hidden, E = Config.EmbedDim, M = Config.MemoryDim;
   size_t Vt = Out.Out;
@@ -194,10 +193,11 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
 
   std::vector<int> Output;
   int Prev = Vocabulary::Sos;
-  for (size_t Step = 0; Step < MaxLen; ++Step) {
+  for (size_t Step = 0; Step < MaxDecodeLen; ++Step) {
     const float *PrevEmbed = TargetEmbed + static_cast<size_t>(Prev) * E;
-    // SeqDecoder::loss's step: attention over the *previous* state, cell
-    // step, then the output projection over the new state and context.
+    // SeqDecoder::lossBatch's step: attention over the *previous* state,
+    // cell step, then the output projection over the new state and
+    // context.
     const float *Ctx = attnContext(Arena, Attn, Memory, KP, State);
     float *CellIn = Arena.alloc(E + M);
     std::memcpy(CellIn, PrevEmbed, E * sizeof(float));
@@ -224,7 +224,7 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
 }
 
 std::vector<std::vector<std::string>> liger::decodeGraphEncodings(
-    const ParamStore &Store, const SeqDecoder &Decoder, size_t MaxLen,
+    const ParamStore &Store, const SeqDecoder &Decoder,
     const Vocabulary &Target, const std::vector<MethodSample> &Samples,
     const std::function<GraphEncoding(const MethodSample &)> &Encode) {
   WeightImage Image = WeightImage::fromStore(Store);
@@ -239,8 +239,7 @@ std::vector<std::vector<std::string>> liger::decodeGraphEncodings(
     for (const Var &Item : Enc.Memory)
       Memory.push_back(Item->Value.data());
     Names.push_back(idsToSubtokens(
-        Greedy.decode(Scratch, Enc.ProgramEmbedding->Value.data(), Memory,
-                      MaxLen),
+        Greedy.decode(Scratch, Enc.ProgramEmbedding->Value.data(), Memory),
         Target));
     Scratch.reset();
     Arena.reset();
@@ -405,7 +404,7 @@ LigerInference::StoredRow *LigerInference::embedStatement(const Stmt *S) {
 
 uint32_t LigerInference::objectEntry(const Value &Object) {
   std::vector<int> &Ids = IdScratch;
-  ValueIds.objectIds(Object, Config.MaxFlattenedValues, Ids);
+  ValueIds.objectIds(Object, Ids);
   bool Added = false;
   uint32_t E = Store.Trie.objectEntry(Ids, Added);
   if (!Added)
@@ -623,8 +622,7 @@ LigerInference::predictName(const MethodTraces &Traces) {
 std::vector<std::string>
 LigerInference::predictName(const Encoding &Encoded) {
   LIGER_CHECK(Decoder, "predictName needs a target vocabulary");
-  return idsToSubtokens(Decoder->decode(Arena, Encoded.Program,
-                                        Encoded.StepMemory,
-                                        Config.MaxDecodeLen),
-                        *TargetVocab);
+  return idsToSubtokens(
+      Decoder->decode(Arena, Encoded.Program, Encoded.StepMemory),
+      *TargetVocab);
 }

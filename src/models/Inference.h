@@ -115,11 +115,10 @@ public:
                 const SeqDecoderConfig &Config);
 
   /// Target ids decoded greedily from \p ProgramEmbedding over
-  /// \p Memory (non-empty) until Eos or \p MaxLen tokens, Eos excluded;
-  /// temporaries come from \p Arena.
+  /// \p Memory (non-empty) until Eos or MaxDecodeLen tokens, Eos
+  /// excluded; temporaries come from \p Arena.
   std::vector<int> decode(ScratchArena &Arena, const float *ProgramEmbedding,
-                          const std::vector<const float *> &Memory,
-                          size_t MaxLen) const;
+                          const std::vector<const float *> &Memory) const;
 
 private:
   SeqDecoderConfig Config;
@@ -133,7 +132,7 @@ private:
 /// \p Decoder's weights in one snapshot of \p Store decode the values of
 /// each sample's \p Encode, run in a graph arena reset per sample.
 std::vector<std::vector<std::string>> decodeGraphEncodings(
-    const ParamStore &Store, const SeqDecoder &Decoder, size_t MaxLen,
+    const ParamStore &Store, const SeqDecoder &Decoder,
     const Vocabulary &Target, const std::vector<MethodSample> &Samples,
     const std::function<GraphEncoding(const MethodSample &)> &Encode);
 

@@ -155,7 +155,7 @@ private:
 
   /// The entry of \p Object, registering it for the next flush when new.
   uint32_t objectEntry(const Value &Object, SampleCache &Cache) {
-    Enc.ValueIds.objectIds(Object, Enc.Config.MaxFlattenedValues, Ids);
+    Enc.ValueIds.objectIds(Object, Ids);
     bool Added = false;
     uint32_t Entry = Trie.objectEntry(Ids, Added);
     if (Added) {
@@ -320,8 +320,7 @@ LigerNamePredictor::LigerNamePredictor(const Vocabulary &JointVocab,
       TargetVocab(Target) {}
 
 Var LigerNamePredictor::loss(const MethodSample &Sample) const {
-  GraphEncoding Enc = Encoder.encode(Sample.Traces);
-  return Decoder.loss(Enc, nameTargetIds(Sample.NameSubtokens, TargetVocab));
+  return lossBatch({&Sample})[0];
 }
 
 std::vector<Var> LigerNamePredictor::lossBatch(

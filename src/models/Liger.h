@@ -57,8 +57,6 @@ struct LigerConfig {
   bool MeanPoolPrograms = false;  ///< Extra ablation: mean vs max pool.
   size_t MaxStepsPerTrace = 40;   ///< Truncate long blended traces.
   size_t MaxConcretePerPath = 5;  ///< Cap state traces fused per step.
-  size_t MaxFlattenedValues = 12; ///< Cap attr(v) length fed to f1.
-  size_t MaxDecodeLen = 8;
 };
 
 /// Attention introspection for §6.1.2: average fusion weight assigned
@@ -138,13 +136,14 @@ public:
                      const Vocabulary &TargetVocab,
                      const LigerConfig &Config, uint64_t Seed);
 
-  /// Teacher-forced loss for one sample.
+  /// Teacher-forced loss for one sample: lossBatch() over a batch of one.
   Var loss(const MethodSample &Sample) const;
 
   /// Teacher-forced losses for a mini-batch decoded in lockstep (see
   /// SeqDecoder::lossBatch): encodes every sample, then advances all
   /// decoders together so same-timestep samples share one batched cell
-  /// step. Per-sample values are bitwise-identical to loss().
+  /// step. A sample's loss value is bitwise the same in any batch, so
+  /// each equals loss() on that sample.
   std::vector<Var>
   lossBatch(const std::vector<const MethodSample *> &Samples) const;
 

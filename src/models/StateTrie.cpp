@@ -73,24 +73,24 @@ int ValueTokenIds::id(const Value &V) const {
   LIGER_UNREACHABLE("covered switch");
 }
 
-void ValueTokenIds::appendLeaves(const Value &Object, size_t Max,
+void ValueTokenIds::appendLeaves(const Value &Object,
                                  std::vector<int> &Out) const {
   for (const Value &Elem : Object.elements()) {
-    if (Out.size() == Max)
+    if (Out.size() == MaxFlattenedValues)
       return;
     if (Elem.isArray() || Elem.isStruct())
-      appendLeaves(Elem, Max, Out);
+      appendLeaves(Elem, Out);
     else
       Out.push_back(id(Elem));
   }
 }
 
-void ValueTokenIds::objectIds(const Value &Object, size_t Max,
+void ValueTokenIds::objectIds(const Value &Object,
                               std::vector<int> &Out) const {
   Out.clear();
-  appendLeaves(Object, Max, Out);
-  // valueTokens() emits <empty> for a leafless value before truncation.
-  if (Out.empty() && Max > 0)
+  appendLeaves(Object, Out);
+  // valueTokens() emits <empty> for a leafless value.
+  if (Out.empty())
     Out.push_back(Empty);
 }
 

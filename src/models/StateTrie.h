@@ -38,6 +38,10 @@
 
 namespace liger {
 
+/// Most leaf tokens of an object value that f1 reads: attr(v) is cut to
+/// its first MaxFlattenedValues tokens.
+constexpr size_t MaxFlattenedValues = 12;
+
 /// Token ids of runtime values read straight from Values: id() equals
 /// Vocab.lookup(valueToken(V)) for a primitive, and objectIds() the ids
 /// of valueTokens(V) after truncation, without building token strings,
@@ -53,12 +57,11 @@ public:
   int id(const Value &Primitive) const;
 
   /// Replaces \p Out by the ids of an array/struct value's leaves in
-  /// order, cut at \p Max, or by <empty> when it has none.
-  void objectIds(const Value &Object, size_t Max, std::vector<int> &Out) const;
+  /// order, cut at MaxFlattenedValues, or by <empty> when it has none.
+  void objectIds(const Value &Object, std::vector<int> &Out) const;
 
 private:
-  void appendLeaves(const Value &Object, size_t Max,
-                    std::vector<int> &Out) const;
+  void appendLeaves(const Value &Object, std::vector<int> &Out) const;
 
   const Vocabulary &Vocab;
   int Undef = 0, True = 0, False = 0, Empty = 0;

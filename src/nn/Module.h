@@ -103,9 +103,6 @@ public:
                                             const std::vector<size_t> &Targets)
       const;
 
-  size_t inDim() const { return W->Value.dim(1); }
-  size_t outDim() const { return W->Value.dim(0); }
-
 private:
   Var W = nullptr, B = nullptr;
 };
@@ -175,8 +172,6 @@ public:
   Var embed(const AstTree &Tree,
             const std::function<Var(const std::string &)> &Embed) const;
 
-  size_t hiddenDim() const { return Hidden; }
-
 private:
   struct NodeState {
     Var H = nullptr, C = nullptr;
@@ -202,9 +197,6 @@ public:
 
   /// The embedding vector of token id \p Id.
   Var lookup(int Id) const;
-
-  size_t dim() const { return Table->Value.dim(1); }
-  size_t vocabSize() const { return Table->Value.dim(0); }
 
 private:
   Var Table = nullptr;
@@ -259,9 +251,6 @@ public:
   std::vector<Result>
   contextOfMultiMemory(const std::vector<Var> &Queries,
                        const std::vector<const Memory *> &Mems) const;
-
-  size_t queryDim() const { return QueryDim; }
-  size_t keyDim() const { return KeyDim; }
 
 private:
   size_t QueryDim = 0, KeyDim = 0;

@@ -41,9 +41,6 @@ public:
   /// them. Returns the (pre-clip) global gradient norm.
   double step();
 
-  void setLearningRate(float Lr) { Opts.LearningRate = Lr; }
-  float learningRate() const { return Opts.LearningRate; }
-
   /// Serializable optimizer state (checkpointing): the step counter
   /// and per-parameter first/second moment estimates.
   uint64_t stepCount() const { return T; }

@@ -104,12 +104,3 @@ void liger::detail::bufferRelease(float *Data, size_t N) {
   P.Free[N].push_back(Data);
   P.CachedBytes += N * sizeof(float);
 }
-
-void liger::detail::bufferPoolTrim() {
-  if (!BufferPool::Destroyed)
-    pool().trim();
-}
-
-size_t liger::detail::bufferPoolCachedBytes() {
-  return BufferPool::Destroyed ? 0 : pool().CachedBytes;
-}

@@ -47,10 +47,6 @@ float *bufferAcquire(size_t N);
 /// Buffers may be released on a different thread than they were
 /// acquired on; they then join the releasing thread's freelist.
 void bufferRelease(float *Data, size_t N);
-/// Frees every buffer cached by the calling thread's pool.
-void bufferPoolTrim();
-/// Bytes currently cached by the calling thread's pool.
-size_t bufferPoolCachedBytes();
 } // namespace detail
 
 /// Dense row-major float tensor of rank 1 (vector) or 2 (matrix).

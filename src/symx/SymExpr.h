@@ -69,12 +69,6 @@ public:
     LIGER_CHECK(Op == SymOp::BoolConst, "boolValue on non-constant");
     return IntVal != 0;
   }
-  /// Input slot id; only valid for IntVar/BoolVar.
-  unsigned varSlot() const {
-    LIGER_CHECK(Op == SymOp::IntVar || Op == SymOp::BoolVar,
-                "varSlot on non-variable");
-    return Slot;
-  }
   const std::vector<SymExprPtr> &operands() const { return Operands; }
 
   bool isIntConst() const { return Op == SymOp::IntConst; }

@@ -150,6 +150,23 @@ TEST(ScaleTest, ParsesOverrides) {
   EXPECT_EQ(Scale.trainOptions().Threads, 4u);
 }
 
+TEST(ScaleTest, ExplicitMethodsLargeBeatsDerivedDefault) {
+  // --methods=N derives 2N large methods only when --methods-large is
+  // not given, whichever of the two flags comes first.
+  const char *LargeFirst[] = {"bench", "--methods-large=500", "--methods=100"};
+  const char *LargeLast[] = {"bench", "--methods=100", "--methods-large=500"};
+  for (const char **Argv : {LargeFirst, LargeLast}) {
+    ExperimentScale Scale =
+        ExperimentScale::fromArgs(3, const_cast<char **>(Argv));
+    EXPECT_EQ(Scale.MethodsMed, 100u) << Argv[1];
+    EXPECT_EQ(Scale.MethodsLarge, 500u) << Argv[1];
+  }
+  const char *Defaults[] = {"bench"};
+  ExperimentScale Scale =
+      ExperimentScale::fromArgs(1, const_cast<char **>(Defaults));
+  EXPECT_EQ(Scale.MethodsLarge, 2 * Scale.MethodsMed);
+}
+
 namespace {
 
 /// Parses a one-flag command line (exits the process on a bad flag).

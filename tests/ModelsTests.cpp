@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceGraphs.h"
+
 #include "models/Code2Seq.h"
 #include "models/Code2Vec.h"
 #include "models/Decoder.h"
@@ -294,7 +296,7 @@ TEST(DyproTest, LossAndPredictRun) {
   backward(Loss);
   EXPECT_GT(Net.params().gradNorm(), 0.0);
   auto Predicted = Net.predict({Samples[0]});
-  EXPECT_LE(Predicted[0].size(), Config.MaxDecodeLen);
+  EXPECT_LE(Predicted[0].size(), MaxDecodeLen);
 }
 
 TEST(DyproTest, IgnoresSymbolicDimension) {
@@ -335,6 +337,83 @@ TEST(DyproTest, ClassifierLearns) {
   EXPECT_EQ(Net.predict(Samples[1]), 1);
 }
 
+TEST(DyproEquivalenceTest, EncodeMatchesStringKeyedOracle) {
+  // The vocabulary comes from the first sample only, so the others read
+  // unknown variable names and values, whose distinct spellings the
+  // oracle embeds as separate <unk> nodes and the encoder as one; the
+  // 16-element array and the 13-field struct are cut to
+  // MaxFlattenedValues leaves.
+  std::vector<MethodSample> Samples = tinyCorpus();
+  Samples.insert(Samples.begin(), makeSample(R"(
+int[] squares(int n) {
+  int[] out = new int[16];
+  for (int i = 0; i < 16; i++)
+    out[i] = i * i + n;
+  return out;
+}
+)"));
+  Samples.push_back(makeSample(R"(
+string shout(string word, int times) {
+  string loud = word;
+  for (int i = 0; i < times; i++)
+    loud = loud + "!";
+  return loud;
+}
+)"));
+  Samples.push_back(makeSample(R"(
+struct Wide { int a; int b; int c; int d; int e; int f; int g;
+              int h; int i; int j; int k; int l; int m; }
+int wideSum(int k) {
+  Wide w = new Wide(k, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, k + 1);
+  w.b = w.a * 3;
+  return w.a + w.b + w.m;
+}
+)"));
+  TinyVocabs V = buildVocabs({Samples[0]});
+  DyproConfig Config;
+  Config.EmbedDim = 6;
+  Config.Hidden = 7;
+  Config.AttnHidden = 5;
+  Config.MaxAttentionMemory = 24;
+  DyproNamePredictor Net(V.Joint, V.Target, Config, 1234);
+
+  size_t Unknown = 0, CutObjects = 0;
+  for (const MethodSample &Sample : Samples) {
+    for (const std::string &Name : Sample.Traces.VarNames)
+      Unknown += V.Joint.lookup(Name) == Vocabulary::Unk;
+    for (const BlendedTrace &Path : Sample.Traces.Paths)
+      for (const StateTrace &States : Path.Concrete)
+        for (const ProgramState &State : States.States)
+          for (const Value &Val : State.Values) {
+            std::vector<std::string> Tokens = valueTokens(Val);
+            CutObjects += Tokens.size() > MaxFlattenedValues;
+            for (const std::string &Token : Tokens)
+              Unknown += V.Joint.lookup(Token) == Vocabulary::Unk;
+          }
+
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    GraphEncoding Got = Net.encoder().encode(Sample.Traces);
+    GraphEncoding Want =
+        reference::dyproEncode(Net.params(), V.Joint, Config, Sample.Traces);
+    const std::string &Name = Sample.Fn->Name;
+    ASSERT_EQ(std::memcmp(Got.ProgramEmbedding->Value.data(),
+                          Want.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0)
+        << Name;
+    ASSERT_EQ(Got.Memory.size(), Want.Memory.size()) << Name;
+    for (size_t I = 0; I < Got.Memory.size(); ++I)
+      EXPECT_EQ(std::memcmp(Got.Memory[I]->Value.data(),
+                            Want.Memory[I]->Value.data(),
+                            Config.Hidden * sizeof(float)),
+                0)
+          << Name << " memory row " << I;
+  }
+  EXPECT_GT(Unknown, 0u);
+  EXPECT_GT(CutObjects, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // code2vec / code2seq
 //===----------------------------------------------------------------------===//
@@ -348,12 +427,10 @@ struct StaticVocabs {
 
 StaticVocabs buildStaticVocabs(const std::vector<MethodSample> &Samples) {
   StaticVocabs V;
-  Code2VecConfig C2v;
-  Code2SeqConfig C2s;
   for (const MethodSample &Sample : Samples) {
-    addPathContextsToVocabulary(Sample, V.Tokens, V.Paths, C2v);
+    addPathContextsToVocabulary(Sample, V.Tokens, V.Paths);
     Code2VecNamePredictor::addNameToVocabulary(Sample, V.Names);
-    addSeqPathContextsToVocabulary(Sample, V.Subtokens, V.Nodes, C2s);
+    addSeqPathContextsToVocabulary(Sample, V.Subtokens, V.Nodes);
     addNameToVocabulary(Sample, V.Target);
   }
   V.Tokens.freeze();
@@ -370,9 +447,8 @@ StaticVocabs buildStaticVocabs(const std::vector<MethodSample> &Samples) {
 TEST(Code2VecTest, ExtractionIsDeterministic) {
   auto Samples = tinyCorpus();
   StaticVocabs V = buildStaticVocabs(Samples);
-  Code2VecConfig Config;
-  auto A = extractPathContexts(Samples[0], V.Tokens, V.Paths, Config);
-  auto B = extractPathContexts(Samples[0], V.Tokens, V.Paths, Config);
+  auto A = extractPathContexts(Samples[0], V.Tokens, V.Paths);
+  auto B = extractPathContexts(Samples[0], V.Tokens, V.Paths);
   ASSERT_EQ(A.size(), B.size());
   ASSERT_FALSE(A.empty());
   for (size_t I = 0; I < A.size(); ++I) {
@@ -543,7 +619,7 @@ std::string layoutDigest(const ParamStore &Store) {
   return WeightImage::fromStore(Store).version().hex();
 }
 
-// Weight-image digests of the four stores below. The AVX2 build
+// Weight-image digests of the eight stores below. The AVX2 build
 // compiles with -mfma, which contracts Rng::nextFloat's multiply-add,
 // so its seeded draws round differently from the scalar build's: one
 // set per kernel configuration, as ExperimentDigestTest keeps.
@@ -553,12 +629,28 @@ constexpr const char *LigerClassifierLayout =
     "e934aac7e436664cb1666752a20f3d61";
 constexpr const char *DyproNameLayout = "04490051512a70fa168ef620df329cc9";
 constexpr const char *Code2SeqNameLayout = "5bdfc224219b55bca14e98c6af498f64";
+constexpr const char *DyproClassifierLayout =
+    "59ae9b08bc2e7c6a6ad4578469e0bf61";
+constexpr const char *Code2SeqClassifierLayout =
+    "62ba352b9b0129261c3852e6ace066bf";
+constexpr const char *Code2VecNameLayout =
+    "3b4058dc2773cb7b5a3c7b5129cea5e5";
+constexpr const char *Code2VecClassifierLayout =
+    "b25d658d419d9b83260b79801a39ba35";
 #else
 constexpr const char *LigerNameLayout = "1bbd59df8e0d0ed000baa88c171a84e8";
 constexpr const char *LigerClassifierLayout =
     "6c09e849c7087e647add686521f3e710";
 constexpr const char *DyproNameLayout = "c71a4424f7a46a6ad846a0f79854b259";
 constexpr const char *Code2SeqNameLayout = "bb84edb64eddfa7240205a8bca11a9a2";
+constexpr const char *DyproClassifierLayout =
+    "50857297e2c8ff2d2ff6766f9137926e";
+constexpr const char *Code2SeqClassifierLayout =
+    "077b44c9036a81e35134486615089552";
+constexpr const char *Code2VecNameLayout =
+    "09f8fc19d0bdfbc8d1034144a9fee1e9";
+constexpr const char *Code2VecClassifierLayout =
+    "23e5c3c47607c6e1a903ca14bfada9d4";
 #endif
 
 } // namespace
@@ -590,6 +682,8 @@ TEST(ParamLayoutTest, SeededLayoutsArePinned) {
   Dy.AttnHidden = 5;
   DyproNamePredictor DyName(Joint, Target, Dy, 1234);
   EXPECT_EQ(layoutDigest(DyName.params()), DyproNameLayout);
+  DyproClassifier DyClass(Joint, 4, Dy, 1234);
+  EXPECT_EQ(layoutDigest(DyClass.params()), DyproClassifierLayout);
 
   Code2SeqConfig C2s;
   C2s.EmbedDim = 6;
@@ -597,6 +691,18 @@ TEST(ParamLayoutTest, SeededLayoutsArePinned) {
   C2s.AttnHidden = 5;
   Code2SeqNamePredictor C2sName(Subtokens, Nodes, Target, C2s, 1234);
   EXPECT_EQ(layoutDigest(C2sName.params()), Code2SeqNameLayout);
+  Code2SeqClassifier C2sClass(Subtokens, Nodes, 4, C2s, 1234);
+  EXPECT_EQ(layoutDigest(C2sClass.params()), Code2SeqClassifierLayout);
+
+  // code2vec's path vocabulary plays the node vocabulary's part, and
+  // its whole-name vocabulary the target's.
+  Code2VecConfig C2v;
+  C2v.EmbedDim = 6;
+  C2v.CodeDim = 7;
+  Code2VecNamePredictor C2vName(Subtokens, Nodes, Target, C2v, 1234);
+  EXPECT_EQ(layoutDigest(C2vName.params()), Code2VecNameLayout);
+  Code2VecClassifier C2vClass(Subtokens, Nodes, 4, C2v, 1234);
+  EXPECT_EQ(layoutDigest(C2vClass.params()), Code2VecClassifierLayout);
 }
 
 //===----------------------------------------------------------------------===//
@@ -644,11 +750,13 @@ struct DecoderFixture {
 } // namespace
 
 TEST(BatchedLossEquivalenceTest, LossBatchValuesMatchLoss) {
+  // The per-sample loss is a batch of one, whose lane runs the
+  // single-sample ops (step, contextOf, softmaxCrossEntropy).
   DecoderFixture F;
   std::vector<Var> Batched = F.Dec.lossBatch(F.Encs, F.Targets);
   ASSERT_EQ(Batched.size(), 3u);
   for (size_t S = 0; S < 3; ++S) {
-    Var Ref = F.Dec.loss(F.Encs[S], F.Targets[S]);
+    Var Ref = F.Dec.lossBatch({F.Encs[S]}, {F.Targets[S]})[0];
     EXPECT_EQ(Batched[S]->Value[0], Ref->Value[0]) << "sample " << S;
   }
 }

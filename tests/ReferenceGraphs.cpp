@@ -8,6 +8,8 @@
 
 #include "trace/Vocabulary.h"
 
+#include <unordered_map>
+
 using namespace liger;
 
 Var reference::param(const ParamStore &Store, const std::string &Name) {
@@ -290,4 +292,143 @@ std::vector<int> reference::decodeGreedy(const ParamStore &Store,
     Prev = Next;
   }
   return Output;
+}
+
+//===----------------------------------------------------------------------===//
+// DYPRO's string-keyed encoder
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The packed GRU registered as \p Name, stepped by gruCellOp.
+struct BoundGru {
+  Var Wx, Bx, Wh;
+
+  BoundGru(const ParamStore &Store, const std::string &Name)
+      : Wx(reference::param(Store, Name + ".Wx")),
+        Bx(reference::param(Store, Name + ".bx")),
+        Wh(reference::param(Store, Name + ".Wh")) {}
+
+  Var initial() const { return constant(Tensor::zeros(Wh->Value.dim(1))); }
+  Var step(const Var &X, const Var &Prev) const {
+    return gruCellOp(Wx, Bx, Wh, X, Prev);
+  }
+  /// RecurrentCell::run(Inputs).back().
+  Var last(const std::vector<Var> &Inputs) const {
+    Var S = initial();
+    for (const Var &X : Inputs)
+      S = step(X, S);
+    return S;
+  }
+};
+
+/// One dyproEncode call: DyproEncoder's modules and its token cache,
+/// keyed by the token's spelling.
+class StringKeyedDypro {
+public:
+  StringKeyedDypro(const ParamStore &Store, const Vocabulary &Vocab,
+                   const DyproConfig &Config)
+      : Config(Config), Vocab(Vocab),
+        Embed(reference::param(Store, "dypro.embed")), F1(Store, "dypro.f1"),
+        F2(Store, "dypro.f2"), Trace(Store, "dypro.trace") {}
+
+  GraphEncoding encode(const MethodTraces &Traces) {
+    GraphEncoding Out;
+    std::vector<Var> TraceEmbeddings;
+    size_t Consumed = 0;
+
+    for (const BlendedTrace &Path : Traces.Paths) {
+      for (const StateTrace &States : Path.Concrete) {
+        if (Consumed >= Config.MaxTraces)
+          break;
+        ++Consumed;
+        Var S = Trace.initial();
+        size_t Steps =
+            std::min(States.States.size(), Config.MaxStatesPerTrace);
+        bool Stepped = false;
+        for (size_t J = 0; J < Steps; ++J) {
+          if (States.States[J].Values.empty())
+            continue;
+          Var StateVec = embedState(States.States[J], Traces.VarNames);
+          S = Trace.step(StateVec, S);
+          Out.Memory.push_back(S);
+          Stepped = true;
+        }
+        if (Stepped)
+          TraceEmbeddings.push_back(S);
+      }
+    }
+
+    if (TraceEmbeddings.empty()) {
+      Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
+      Out.Memory.push_back(Out.ProgramEmbedding);
+      return Out;
+    }
+    Out.ProgramEmbedding = maxPool(TraceEmbeddings);
+
+    if (Out.Memory.size() > Config.MaxAttentionMemory) {
+      std::vector<Var> Strided;
+      Strided.reserve(Config.MaxAttentionMemory);
+      double Step = static_cast<double>(Out.Memory.size()) /
+                    static_cast<double>(Config.MaxAttentionMemory);
+      for (size_t I = 0; I < Config.MaxAttentionMemory; ++I)
+        Strided.push_back(
+            Out.Memory[static_cast<size_t>(Step * static_cast<double>(I))]);
+      Out.Memory = std::move(Strided);
+    }
+    return Out;
+  }
+
+private:
+  Var lookupToken(const std::string &Token) {
+    auto It = TokenCache.find(Token);
+    if (It != TokenCache.end())
+      return It->second;
+    Var E = row(Embed, static_cast<size_t>(Vocab.lookup(Token)));
+    TokenCache.emplace(Token, E);
+    return E;
+  }
+
+  Var embedState(const ProgramState &State,
+                 const std::vector<std::string> &VarNames) {
+    std::vector<Var> VarEmbeds;
+    VarEmbeds.reserve(State.Values.size());
+    for (size_t I = 0; I < State.Values.size(); ++I) {
+      const Value &V = State.Values[I];
+      Var ValueEmbed;
+      if (V.isArray() || V.isStruct()) {
+        std::vector<std::string> Tokens = valueTokens(V);
+        if (Tokens.size() > MaxFlattenedValues)
+          Tokens.resize(MaxFlattenedValues);
+        std::vector<Var> Inputs;
+        for (const std::string &Token : Tokens)
+          Inputs.push_back(lookupToken(Token));
+        ValueEmbed = F1.last(Inputs);
+      } else {
+        ValueEmbed = lookupToken(valueToken(V));
+      }
+      Var NameEmbed = I < VarNames.size()
+                          ? lookupToken(VarNames[I])
+                          : constant(Tensor::zeros(Config.EmbedDim));
+      VarEmbeds.push_back(concat(NameEmbed, ValueEmbed));
+    }
+    if (VarEmbeds.empty())
+      return constant(Tensor::zeros(Config.Hidden));
+    return F2.last(VarEmbeds);
+  }
+
+  const DyproConfig &Config;
+  const Vocabulary &Vocab;
+  Var Embed;
+  BoundGru F1, F2, Trace;
+  std::unordered_map<std::string, Var> TokenCache;
+};
+
+} // namespace
+
+GraphEncoding reference::dyproEncode(const ParamStore &Store,
+                                     const Vocabulary &Vocab,
+                                     const DyproConfig &Config,
+                                     const MethodTraces &Traces) {
+  return StringKeyedDypro(Store, Vocab, Config).encode(Traces);
 }

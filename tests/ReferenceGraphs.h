@@ -26,13 +26,16 @@
 ///
 /// decodeGreedy is the graph greedy decode that evaluation ran before
 /// the forward-only GreedyDecoder (models/Inference.h) replaced it: the
-/// oracle that decoder is pinned against.
+/// oracle that decoder is pinned against. dyproEncode is DYPRO's encoder
+/// as it was before it read token ids through ValueTokenIds: the oracle
+/// DyproEncoder::encode is pinned against.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_TESTS_REFERENCEGRAPHS_H
 #define LIGER_TESTS_REFERENCEGRAPHS_H
 
+#include "models/Dypro.h"
 #include "nn/Module.h"
 
 namespace liger::reference {
@@ -89,6 +92,16 @@ AttentionScorer::Result attentionContext(const ParamStore &Store,
 std::vector<int> decodeGreedy(const ParamStore &Store, const std::string &Name,
                               const Var &ProgramEmbedding,
                               const std::vector<Var> &Memory, size_t MaxLen);
+
+/// DYPRO's string-keyed encoding of \p Traces by the parameters
+/// "dypro.embed", "dypro.f1", "dypro.f2" and "dypro.trace" of \p Store:
+/// every value is spelled by valueToken()/valueTokens() (an object's
+/// tokens cut at MaxFlattenedValues) and looked up in \p Vocab, with
+/// one embedding node per distinct spelling, and the cells run through
+/// the fused op RecurrentCell calls.
+GraphEncoding dyproEncode(const ParamStore &Store, const Vocabulary &Vocab,
+                          const DyproConfig &Config,
+                          const MethodTraces &Traces);
 
 } // namespace liger::reference
 

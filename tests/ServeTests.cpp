@@ -105,7 +105,7 @@ void expectRoundBitwise(LigerNamePredictor &Net, LigerInference &Inference,
     std::vector<int> Want =
         reference::decodeGreedy(Net.params(), "liger.dec",
                                 Enc.ProgramEmbedding, Enc.Memory,
-                                Config.MaxDecodeLen);
+                                MaxDecodeLen);
     EXPECT_EQ(Inference.predictName(S->Traces), idsToSubtokens(Want, Target))
         << Round << " round";
   }
@@ -267,7 +267,7 @@ std::vector<const float *> memoryOf(const std::vector<Var> &Memory) {
 /// predict() over the same samples) holds those names.
 void expectGraphEncodingDecodes(
     ParamStore &Store, const std::string &Prefix,
-    const SeqDecoderConfig &Config, size_t MaxLen, const NameTask &Task,
+    const SeqDecoderConfig &Config, const NameTask &Task,
     const std::vector<MethodSample> &Samples,
     const std::vector<std::vector<std::string>> &Predicted,
     const std::function<GraphEncoding(const MethodSample &)> &Encode) {
@@ -281,9 +281,9 @@ void expectGraphEncodingDecodes(
   for (size_t I = 0; I < Samples.size(); ++I) {
     GraphEncoding Enc = Encode(Samples[I]);
     std::vector<int> Want = reference::decodeGreedy(
-        Store, Prefix, Enc.ProgramEmbedding, Enc.Memory, MaxLen);
+        Store, Prefix, Enc.ProgramEmbedding, Enc.Memory, MaxDecodeLen);
     EXPECT_EQ(Decoder.decode(Scratch, Enc.ProgramEmbedding->Value.data(),
-                             memoryOf(Enc.Memory), MaxLen),
+                             memoryOf(Enc.Memory)),
               Want)
         << Prefix << " sample " << I;
     EXPECT_EQ(Predicted[I], idsToSubtokens(Want, Task.Target))
@@ -319,8 +319,8 @@ TEST(InferenceEquivalenceTest, DyproDecodeBitwise) {
   std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
   expectGraphEncodingDecodes(
       Net.params(), "dypro.dec",
-      SeqDecoderConfig::forModel(Config, Task.Target), Config.MaxDecodeLen,
-      Task, Samples, Predicted,
+      SeqDecoderConfig::forModel(Config, Task.Target), Task, Samples,
+      Predicted,
       [&](const MethodSample &S) { return Net.encoder().encode(S.Traces); });
 }
 
@@ -336,8 +336,8 @@ TEST(InferenceEquivalenceTest, Code2SeqDecodeBitwise) {
   std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
   expectGraphEncodingDecodes(
       Net.params(), "c2s.dec", SeqDecoderConfig::forModel(Config, Task.Target),
-      Config.MaxDecodeLen, Task, Samples, Predicted,
-      [&](const MethodSample &S) { return Net.encode(S); });
+      Task, Samples, Predicted,
+      [&](const MethodSample &S) { return Net.encoder().encode(S); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,17 +454,21 @@ TEST(ValueTokenIdsTest, ObjectLeafIdsMatchTruncatedValueTokens) {
   Vocabulary Vocab = vocabularyOf(Objects);
   ValueTokenIds Ids(Vocab);
   std::vector<int> Got;
-  for (size_t Max : {size_t(0), size_t(1), size_t(12), size_t(100)})
-    for (const Value &V : Objects) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Max)
-        Tokens.resize(Max);
-      std::vector<int> Want;
-      for (const std::string &Token : Tokens)
-        Want.push_back(Vocab.lookup(Token));
-      Ids.objectIds(V, Max, Got);
-      EXPECT_EQ(Got, Want) << V.str() << " cut at " << Max;
+  size_t Cut = 0;
+  for (const Value &V : Objects) {
+    std::vector<std::string> Tokens = valueTokens(V);
+    if (Tokens.size() > MaxFlattenedValues) {
+      Tokens.resize(MaxFlattenedValues);
+      ++Cut;
     }
+    std::vector<int> Want;
+    for (const std::string &Token : Tokens)
+      Want.push_back(Vocab.lookup(Token));
+    Ids.objectIds(V, Got);
+    EXPECT_EQ(Got, Want) << V.str();
+  }
+  // The flat and the nested 30-leaf values are cut.
+  EXPECT_EQ(Cut, 2u);
 }
 
 TEST(InferenceStoreTest, PrimitiveAndOneElementArrayEmbedApart) {
