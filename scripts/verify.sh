@@ -25,8 +25,11 @@
 #   3b. sanitized hardening: the bounded-execution suites (parser depth
 #      budget, lexer byte totality, interpreter memory budget), the
 #      wrapping-int and slot-layout suites of the interpreter and symx,
-#      plus a liger_fuzz smoke burst and the regression-corpus replay,
-#      all under ASan+UBSan (DESIGN.md §12);
+#      both executors' own suites (step recording, untraced callees,
+#      the recording cap, symbolic paths) and the symbolic witnesses
+#      replayed through the interpreter, plus a liger_fuzz smoke burst
+#      and the regression-corpus replay, all under ASan+UBSan
+#      (DESIGN.md §12);
 #   3c. sanitized serving: the forward-only runtime suites (bitwise
 #      inference equivalence in cold/warm/reverse rounds, the
 #      prefix-bound decoder against the graph decode oracle for LIGER,
@@ -100,8 +103,8 @@ step "sanitized gradcheck build (build-asan)"
 cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
   --target support_tests nn_tests testgen_tests dataset_tests interp_tests \
-           lang_tests symx_tests eval_tests models_tests serve_tests \
-           liger_fuzz liger_serve
+           lang_tests symx_tests property_tests eval_tests models_tests \
+           serve_tests liger_fuzz liger_serve
 "$REPO/build-asan/tests/nn_tests" \
   --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*:ActivationKernelTest.*'
 
@@ -114,8 +117,11 @@ step "sanitized trace cache + parallel corpus (build-asan)"
 
 step "sanitized hardening: depth/memory budgets + fuzz smoke (build-asan)"
 "$REPO/build-asan/tests/interp_tests" \
-  --gtest_filter='InterpHardeningTest.*:InterpIntSemanticsTest.*:FrameLayoutTest.*:InterpCycleTest.*'
-"$REPO/build-asan/tests/symx_tests" --gtest_filter='SymxIntSemanticsTest.*'
+  --gtest_filter='InterpTest.*:InterpHardeningTest.*:InterpIntSemanticsTest.*:FrameLayoutTest.*:InterpCycleTest.*'
+"$REPO/build-asan/tests/symx_tests" \
+  --gtest_filter='SymxIntSemanticsTest.*:SymExecTest.*'
+"$REPO/build-asan/tests/property_tests" \
+  --gtest_filter='Subjects/SymxReplayP.*'
 "$REPO/build-asan/tests/lang_tests" \
   --gtest_filter='ParserDepthTest.*:LexerHardeningTest.*'
 "$REPO/build-asan/tools/liger_fuzz" --smoke --replay "$REPO/tests/fuzz-corpus"

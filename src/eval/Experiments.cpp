@@ -289,31 +289,18 @@ void scopeCheckpointDir(TrainOptions &Opts, const std::string &Tag,
     Opts.CheckpointDir += "/" + Tag + "-" + Model;
 }
 
-/// Fills the shared vocabularies from a training split.
+/// Fills the dynamic models' vocabularies from a training split.
 void buildVocabularies(const std::vector<MethodSample> &Train,
-                       Vocabulary &Joint, Vocabulary *Target,
-                       Vocabulary &C2vTokens, Vocabulary &C2vPaths,
-                       Vocabulary *C2vNames, Vocabulary &C2sSubtokens,
-                       Vocabulary &C2sNodes) {
+                       Vocabulary &Joint, Vocabulary *Target) {
   for (const MethodSample &Sample : Train) {
     addSampleToVocabulary(Sample, Joint);
     addVariableNamesToVocabulary(Sample, Joint);
     if (Target)
       addNameToVocabulary(Sample, *Target);
-    addPathContextsToVocabulary(Sample, C2vTokens, C2vPaths);
-    if (C2vNames)
-      Code2VecNamePredictor::addNameToVocabulary(Sample, *C2vNames);
-    addSeqPathContextsToVocabulary(Sample, C2sSubtokens, C2sNodes);
   }
   Joint.freeze();
   if (Target)
     Target->freeze();
-  C2vTokens.freeze();
-  C2vPaths.freeze();
-  if (C2vNames)
-    C2vNames->freeze();
-  C2sSubtokens.freeze();
-  C2sNodes.freeze();
 }
 
 } // namespace
@@ -347,9 +334,7 @@ NameTask liger::buildNameTask(const ExperimentScale &Scale, bool Large) {
       generateMethodCorpus(Options, &Task.Stats);
   Task.Split = splitByProject(std::move(Samples), 0.15, 0.2,
                               Scale.Seed + (Large ? 11 : 10));
-  buildVocabularies(Task.Split.Train, Task.Joint, &Task.Target,
-                    Task.C2vTokens, Task.C2vPaths, &Task.C2vNames,
-                    Task.C2sSubtokens, Task.C2sNodes);
+  buildVocabularies(Task.Split.Train, Task.Joint, &Task.Target);
   return Task;
 }
 
@@ -368,9 +353,7 @@ CosetTask liger::buildCosetTask(const ExperimentScale &Scale) {
       generateCosetCorpus(Options, Task.ClassNames);
   Task.NumClasses = Task.ClassNames.size();
   Task.Split = splitByProject(std::move(Samples), 0.15, 0.2, Scale.Seed + 12);
-  buildVocabularies(Task.Split.Train, Task.Joint, nullptr,
-                    Task.C2vTokens, Task.C2vPaths, nullptr,
-                    Task.C2sSubtokens, Task.C2sNodes);
+  buildVocabularies(Task.Split.Train, Task.Joint, nullptr);
   return Task;
 }
 
@@ -411,13 +394,15 @@ NameRunResult liger::runNameModel(NameModel Model, const NameTask &Task,
 
   switch (Model) {
   case NameModel::Code2Vec: {
-    Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
+    Code2VecVocabularies V = buildCode2VecVocabularies(Task.Split.Train);
+    Code2VecNamePredictor Net(V.Tokens, V.Paths, V.Names,
                               code2vecConfig(Scale), Scale.Seed);
     Run(HooksOf(Net));
     break;
   }
   case NameModel::Code2Seq: {
-    Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
+    Code2SeqVocabularies V = buildCode2SeqVocabularies(Task.Split.Train);
+    Code2SeqNamePredictor Net(V.Subtokens, V.Nodes, Task.Target,
                               code2seqConfig(Scale), Scale.Seed);
     Run(HooksOf(Net));
     break;
@@ -481,13 +466,15 @@ ClassRunResult liger::runCosetModel(ClassModel Model, const CosetTask &Task,
 
   switch (Model) {
   case ClassModel::Code2Vec: {
-    Code2VecClassifier Net(Task.C2vTokens, Task.C2vPaths, Task.NumClasses,
+    Code2VecVocabularies V = buildCode2VecVocabularies(Task.Split.Train);
+    Code2VecClassifier Net(V.Tokens, V.Paths, Task.NumClasses,
                            code2vecConfig(Scale), Scale.Seed);
     Run(Net);
     return Result;
   }
   case ClassModel::Code2Seq: {
-    Code2SeqClassifier Net(Task.C2sSubtokens, Task.C2sNodes, Task.NumClasses,
+    Code2SeqVocabularies V = buildCode2SeqVocabularies(Task.Split.Train);
+    Code2SeqClassifier Net(V.Subtokens, V.Nodes, Task.NumClasses,
                            code2seqConfig(Scale), Scale.Seed);
     Run(Net);
     return Result;

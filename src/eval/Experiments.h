@@ -111,12 +111,12 @@ struct NameTask {
   CorpusStats Stats;
   Vocabulary Joint;   ///< Ds ∪ Dd ∪ variable names (LIGER, DYPRO).
   Vocabulary Target;  ///< Method-name sub-tokens.
-  Vocabulary C2vTokens, C2vPaths, C2vNames; ///< code2vec vocabularies.
-  Vocabulary C2sSubtokens, C2sNodes;        ///< code2seq vocabularies.
 };
 
 /// Generates and prepares the corpus (\p Large selects the bigger
-/// substitute). Vocabularies are built from the training split.
+/// substitute). Vocabularies are built from the training split; the
+/// static baselines build their own where they run
+/// (buildCode2VecVocabularies, buildCode2SeqVocabularies).
 NameTask buildNameTask(const ExperimentScale &Scale, bool Large);
 
 /// Which name model to run.
@@ -160,9 +160,7 @@ struct CosetTask {
   SplitCorpus Split;
   std::vector<std::string> ClassNames;
   size_t NumClasses = 0;
-  Vocabulary Joint;
-  Vocabulary C2vTokens, C2vPaths;
-  Vocabulary C2sSubtokens, C2sNodes;
+  Vocabulary Joint; ///< Built from the training split, as in NameTask.
 };
 
 /// Generates and prepares the COSET substitute.

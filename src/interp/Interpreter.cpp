@@ -7,6 +7,7 @@
 #include "interp/Interpreter.h"
 
 #include "interp/IntOps.h"
+#include "interp/StmtWalk.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -17,9 +18,6 @@
 using namespace liger;
 
 namespace {
-
-/// Non-local control flow signal bubbling out of statement execution.
-enum class Flow { Normal, Break, Continue, Return };
 
 /// Loop cycle detectors sample no state until the run has used
 /// ArmFuel = min(Fuel / 64, 2^16) statements, so a run that ends early
@@ -36,15 +34,18 @@ constexpr uint64_t SampleGapPerWord = 4;
 constexpr uint64_t MaxSampleGapInArms = 4;
 
 /// The interpreter engine. One instance per top-level execute() call;
-/// user-function calls reuse the engine (sharing fuel) with fresh
-/// environments and instrumentation disabled.
-class Engine {
+/// user-function calls reuse the engine (sharing fuel) in untraced
+/// activations (interp/StmtWalk.h).
+class Engine : public StmtWalk<Engine, Value> {
+  using Walk = StmtWalk<Engine, Value>;
+  friend Walk;
+
 public:
   Engine(const FrameLayout &Layout, const InterpOptions &Options)
-      : Layout(Layout), P(Layout.program()), Options(Options),
+      : Walk(Layout), P(Layout.program()), Options(Options),
         FuelLeft(Options.Fuel),
         ArmFuel(std::min(Options.Fuel / CycleArmDivisor, MaxArmFuel)),
-        Cells(Layout.numSlots()), LastKnown(Layout.varNames().size()) {}
+        LastKnown(Layout.varNames().size()) {}
 
   ExecResult run(const std::vector<Value> &Args) {
     const FunctionDecl &Fn = Layout.function();
@@ -54,21 +55,14 @@ public:
 
     LIGER_CHECK(Args.size() == Fn.Params.size(),
                 "argument count must match parameter count");
-    pushFrame();
-    const std::vector<uint32_t> &Params = Layout.paramSlots(Fn);
-    for (size_t I = 0; I < Params.size(); ++I)
-      declare(Params[I], Args[I]);
-
+    enterFunction(Fn, Args);
     if (Options.RecordStates)
       Result.InitialState = snapshotState();
 
     // The initial snapshot is charged whether or not it is materialized
     // so that probe and recording runs consume the budget identically.
     chargeMemory(stateBytes());
-    Flow F = Flow::Normal;
-    if (Fn.Body && !stopped())
-      F = execBlock(Fn.Body, /*Instrument=*/true);
-    popFrame(/*Persist=*/false);
+    Flow F = finishFunction(Fn);
 
     if (Failed) {
       Result.Status = ExecStatus::RuntimeError;
@@ -93,68 +87,21 @@ public:
 
 private:
   //===--------------------------------------------------------------------===//
-  // Environment
+  // States
   //===--------------------------------------------------------------------===//
 
-  // Shallow binding: each slot's cell holds the innermost live binding
-  // of its name, tagged with the depth of the frame that made it. A
-  // declaration that shadows a binding from an outer frame (or from a
-  // caller: scoping is dynamic) saves the old cell on Shadowed;
-  // popping the frame restores it. Lookup is one index, and a frame
-  // costs nothing unless it declares.
-
-  struct Cell {
-    Value V;
-    uint32_t Depth = 0; ///< Frame depth of the binding; 0 = unbound.
-  };
-  struct ShadowedCell {
-    uint32_t Slot;
-    uint32_t Depth;
-    Value V;
-  };
-
-  void pushFrame() { FrameMarks.push_back(Shadowed.size()); }
-
-  /// Unbinds the innermost frame's declarations. With \p Persist (the
-  /// traced activation's scopes) a dying tuple variable's final value
-  /// becomes its LastKnown fallback.
-  void popFrame(bool Persist) {
-    size_t Mark = FrameMarks.back();
-    FrameMarks.pop_back();
-    while (Shadowed.size() > Mark) {
-      ShadowedCell &Old = Shadowed.back();
-      Cell &C = Cells[Old.Slot];
-      if (Persist && Old.Slot < LastKnown.size())
-        LastKnown[Old.Slot] = std::move(C.V);
-      C.V = std::move(Old.V);
-      C.Depth = Old.Depth;
-      Shadowed.pop_back();
-    }
-  }
-
-  /// Binds \p Slot in the innermost frame; redeclaring a name in the
-  /// same frame overwrites its binding.
-  void declare(uint32_t Slot, Value V) {
-    Cell &C = Cells[Slot];
-    uint32_t Depth = static_cast<uint32_t>(FrameMarks.size());
-    if (C.Depth != Depth) {
-      Shadowed.push_back({Slot, C.Depth, std::move(C.V)});
-      C.Depth = Depth;
-    }
-    C.V = std::move(V);
-  }
-
-  Value *lookup(uint32_t Slot) {
-    Cell &C = Cells[Slot];
-    return C.Depth != 0 ? &C.V : nullptr;
+  /// Keeps a traced variable's final value when its scope closes.
+  void keepLastKnown(uint32_t Slot, Value &&Dying) {
+    if (Slot < LastKnown.size())
+      LastKnown[Slot] = std::move(Dying);
   }
 
   /// The value a snapshot shows for tuple slot \p Slot: the live
   /// binding, else the last value the variable had before going out of
   /// scope (the paper's accumulated valuation), else ⊥.
   const Value &stateValue(uint32_t Slot) const {
-    const Cell &C = Cells[Slot];
-    return C.Depth != 0 ? C.V : LastKnown[Slot];
+    const SlotCell &C = Cells[Slot];
+    return C.Depth != 0 ? C.Val : LastKnown[Slot];
   }
 
   /// Snapshot of the fixed variable tuple, deep-copied.
@@ -189,7 +136,7 @@ private:
   }
 
   /// Burns one unit of fuel; returns false when exhausted.
-  bool burnFuel() {
+  bool burn() {
     if (FuelLeft == 0) {
       OutOfFuel = true;
       return false;
@@ -254,12 +201,18 @@ private:
     return true;
   }
 
+  /// A condition's outcome: its bool value.
+  bool decide(const Value &Cond, bool &Taken, const char *What) {
+    return wantBool(Cond, Taken, What);
+  }
+
   //===--------------------------------------------------------------------===//
   // Instrumentation
   //===--------------------------------------------------------------------===//
 
-  void record(const Stmt *S, StepKind Kind, bool Instrument) {
-    if (!Instrument || Trace->Steps.size() >= Options.MaxRecordedSteps)
+  /// Records a step of the traced activation, up to the recording cap.
+  void record(const Stmt *S, StepKind Kind) {
+    if (Trace->Steps.size() >= Options.MaxRecordedSteps)
       return;
     // Snapshot cost counts against the memory budget even when states
     // are not materialized (RecordStates off), so discovery probes and
@@ -301,9 +254,10 @@ private:
     size_t SavedSteps = 0;
   };
 
-  /// A detector for a loop activation starting now: its first sample
-  /// is one spacing away, and not before the run is armed.
-  CycleDetector startCycleDetector() const {
+  /// The loop-head hook's state (interp/StmtWalk.h): a detector for a
+  /// loop activation starting now. Its first sample is one spacing
+  /// away, and not before the run is armed.
+  CycleDetector enterLoop() const {
     return CycleDetector(std::min(Options.Fuel - ArmFuel, nextSample()));
   }
 
@@ -316,9 +270,9 @@ private:
     return FuelLeft > Gap ? FuelLeft - Gap : 0;
   }
 
-  /// Runs at the head of every iteration, before its fuel is burned.
-  /// Between samples this is one compare.
-  void checkCycle(CycleDetector &D) {
+  /// The loop-head hook: runs at the head of every iteration, before
+  /// its fuel is burned. Between samples this is one compare.
+  void loopHead(CycleDetector &D) {
     if (FuelLeft <= D.NextCheck)
       detectCycle(D);
   }
@@ -409,14 +363,14 @@ private:
   void encodeState() {
     Encoding.clear();
     HeapIds.clear();
-    for (const Cell &C : Cells) {
+    for (const SlotCell &C : Cells) {
       Encoding.push_back(C.Depth);
-      encodeValue(C.V);
+      encodeValue(C.Val);
     }
     Encoding.push_back(Shadowed.size());
     for (const ShadowedCell &Old : Shadowed) {
       Encoding.push_back(uint64_t(Old.Slot) << 32 | Old.Depth);
-      encodeValue(Old.V);
+      encodeValue(Old.Val);
     }
     for (const Value &V : LastKnown)
       encodeValue(V);
@@ -472,155 +426,8 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Statements
+  // Assignments and expressions
   //===--------------------------------------------------------------------===//
-
-  Flow execBlock(const BlockStmt *Block, bool Instrument) {
-    pushFrame();
-    Flow F = Flow::Normal;
-    for (const Stmt *S : Block->body()) {
-      F = execStmt(S, Instrument);
-      if (F != Flow::Normal || stopped())
-        break;
-    }
-    popFrame(/*Persist=*/Instrument);
-    return F;
-  }
-
-  Flow execStmt(const Stmt *S, bool Instrument) {
-    if (!burnFuel())
-      return Flow::Normal;
-    switch (S->kind()) {
-    case StmtKind::Block:
-      return execBlock(cast<BlockStmt>(S), Instrument);
-    case StmtKind::Decl: {
-      const auto *Decl = cast<DeclStmt>(S);
-      Value Init;
-      if (Decl->init()) {
-        Init = evalExpr(Decl->init());
-        if (stopped())
-          return Flow::Normal;
-      } else if (!zeroValue(Decl->declType(), "declaration", Init)) {
-        return Flow::Normal;
-      }
-      declare(Layout.slot(Decl->id()), std::move(Init));
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Normal;
-    }
-    case StmtKind::Assign: {
-      execAssign(cast<AssignStmt>(S));
-      if (stopped())
-        return Flow::Normal;
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Normal;
-    }
-    case StmtKind::If: {
-      const auto *If = cast<IfStmt>(S);
-      Value Cond = evalExpr(If->cond());
-      bool Taken = false;
-      if (stopped() || !wantBool(Cond, Taken, "if condition"))
-        return Flow::Normal;
-      record(S, Taken ? StepKind::CondTrue : StepKind::CondFalse, Instrument);
-      if (Taken)
-        return execStmt(If->thenStmt(), Instrument);
-      if (If->elseStmt())
-        return execStmt(If->elseStmt(), Instrument);
-      return Flow::Normal;
-    }
-    case StmtKind::While: {
-      const auto *While = cast<WhileStmt>(S);
-      CycleDetector Cycle = startCycleDetector();
-      for (;;) {
-        checkCycle(Cycle);
-        if (!burnFuel())
-          return Flow::Normal;
-        Value Cond = evalExpr(While->cond());
-        bool Taken = false;
-        if (stopped() || !wantBool(Cond, Taken, "while condition"))
-          return Flow::Normal;
-        record(S, Taken ? StepKind::CondTrue : StepKind::CondFalse,
-               Instrument);
-        if (!Taken)
-          return Flow::Normal;
-        Flow F = execStmt(While->body(), Instrument);
-        if (stopped() || F == Flow::Return)
-          return F;
-        if (F == Flow::Break)
-          return Flow::Normal;
-      }
-    }
-    case StmtKind::For: {
-      const auto *For = cast<ForStmt>(S);
-      pushFrame();
-      Flow Result = Flow::Normal;
-      if (For->init()) {
-        execStmt(For->init(), Instrument);
-        if (stopped()) {
-          popFrame(/*Persist=*/false);
-          return Flow::Normal;
-        }
-      }
-      CycleDetector Cycle = startCycleDetector();
-      for (;;) {
-        checkCycle(Cycle);
-        if (!burnFuel())
-          break;
-        bool Taken = true;
-        if (For->cond()) {
-          Value Cond = evalExpr(For->cond());
-          if (stopped() || !wantBool(Cond, Taken, "for condition"))
-            break;
-          record(S, Taken ? StepKind::CondTrue : StepKind::CondFalse,
-                 Instrument);
-        }
-        if (!Taken)
-          break;
-        Flow F = execStmt(For->body(), Instrument);
-        if (stopped())
-          break;
-        if (F == Flow::Return) {
-          Result = Flow::Return;
-          break;
-        }
-        if (F == Flow::Break)
-          break;
-        if (For->step()) {
-          execStmt(For->step(), Instrument);
-          if (stopped())
-            break;
-        }
-      }
-      popFrame(/*Persist=*/Instrument);
-      return Result;
-    }
-    case StmtKind::Return: {
-      const auto *Ret = cast<ReturnStmt>(S);
-      if (Ret->value()) {
-        ReturnValue = evalExpr(Ret->value());
-        if (stopped())
-          return Flow::Normal;
-      } else {
-        ReturnValue = Value::undef();
-      }
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Return;
-    }
-    case StmtKind::Break:
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Break;
-    case StmtKind::Continue:
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Continue;
-    case StmtKind::Expr: {
-      evalExpr(cast<ExprStmt>(S)->expr());
-      if (stopped())
-        return Flow::Normal;
-      record(S, StepKind::Plain, Instrument);
-      return Flow::Normal;
-    }
-    }
-    LIGER_UNREACHABLE("covered switch");
-  }
 
   void execAssign(const AssignStmt *S) {
     Value NewValue = evalExpr(S->value());
@@ -630,7 +437,7 @@ private:
     // Resolve the target cell.
     Value *Cell = nullptr;
     if (const auto *Var = dyn_cast<VarExpr>(S->target())) {
-      Cell = lookup(Layout.slot(Var->id()));
+      Cell = lookup(Var);
       if (!Cell) {
         fail("assignment to undeclared variable '" + Var->name() + "'");
         return;
@@ -719,10 +526,6 @@ private:
     *Cell = Value::makeInt(Out);
   }
 
-  //===--------------------------------------------------------------------===//
-  // Expressions
-  //===--------------------------------------------------------------------===//
-
   Value evalExpr(const Expr *E) {
     if (stopped())
       return Value::undef();
@@ -734,7 +537,7 @@ private:
     case ExprKind::StringLit:
       return Value::makeString(cast<StringLitExpr>(E)->value());
     case ExprKind::Var: {
-      if (Value *V = lookup(Layout.slot(E->id())))
+      if (Value *V = lookup(E))
         return *V;
       fail("use of undeclared variable '" + cast<VarExpr>(E)->name() + "'");
       return Value::undef();
@@ -1016,7 +819,7 @@ private:
       return Value::makeInt(Callee == "min" ? std::min(A, B) : std::max(A, B));
     }
 
-    // User function: fresh activation, instrumentation off, shared fuel.
+    // User function: an untraced activation sharing the budgets.
     const FunctionDecl *Fn = P.findFunction(Callee);
     if (!Fn) {
       fail("call to undeclared function '" + Callee + "'");
@@ -1032,38 +835,19 @@ private:
       return Value::undef();
     }
 
-    size_t SavedFrameCount = FrameMarks.size();
-    Value SavedReturn = ReturnValue;
-    ++CallDepth;
-    pushFrame();
-    const std::vector<uint32_t> &Params = Layout.paramSlots(*Fn);
-    for (size_t I = 0; I < Params.size(); ++I)
-      declare(Params[I], std::move(Args[I]));
-    Flow F = Flow::Normal;
-    if (Fn->Body)
-      F = execBlock(Fn->Body, /*Instrument=*/false);
-    popFrame(/*Persist=*/false);
-    --CallDepth;
-    LIGER_CHECK(FrameMarks.size() == SavedFrameCount, "unbalanced frames");
-
-    Value Result = F == Flow::Return ? ReturnValue : Value::undef();
-    ReturnValue = SavedReturn;
+    Value Result = callFunction(*Fn, std::move(Args));
     if (!Fn->ReturnType.isVoid() && Result.isUndef() && !stopped())
       fail("function '" + Callee + "' finished without returning a value");
     return Result;
   }
 
-  const FrameLayout &Layout;
   const Program &P;
   const InterpOptions &Options;
   uint64_t FuelLeft;
   /// Fuel a run uses before its loops sample their state.
   const uint64_t ArmFuel;
 
-  std::vector<Cell> Cells;                 ///< One per layout slot.
-  std::vector<ShadowedCell> Shadowed;      ///< Undo log of shadowed cells.
-  std::vector<size_t> FrameMarks;          ///< Shadowed.size() per frame.
-  std::vector<Value> LastKnown;            ///< Per tuple slot.
+  std::vector<Value> LastKnown; ///< Per tuple slot.
   ExecResult *Trace = nullptr;
 
   bool Failed = false;
@@ -1071,9 +855,7 @@ private:
   bool MemoryExceeded = false;
   uint64_t BytesCharged = 0;
   std::string ErrorMessage;
-  Value ReturnValue;
 
-  unsigned CallDepth = 0;
   static constexpr unsigned MaxCallDepth = 64;
 
   std::vector<uint64_t> Encoding; ///< encodeState()'s output.

@@ -43,17 +43,21 @@ liger::extractSeqPathContexts(const MethodSample &Sample,
   return Out;
 }
 
-void liger::addSeqPathContextsToVocabulary(const MethodSample &Sample,
-                                           Vocabulary &SubtokenVocab,
-                                           Vocabulary &NodeVocab) {
-  for (const AstPath &Path : sampleAstPaths(Sample, PathSalt)) {
-    for (const std::string &Sub : leafSubtokens(Path.SourceLeaf))
-      SubtokenVocab.add(Sub);
-    for (const std::string &Sub : leafSubtokens(Path.TargetLeaf))
-      SubtokenVocab.add(Sub);
-    for (const std::string &Node : Path.InteriorLabels)
-      NodeVocab.add(Node);
-  }
+Code2SeqVocabularies
+liger::buildCode2SeqVocabularies(const std::vector<MethodSample> &Train) {
+  Code2SeqVocabularies V;
+  for (const MethodSample &Sample : Train)
+    for (const AstPath &Path : sampleAstPaths(Sample, PathSalt)) {
+      for (const std::string &Sub : leafSubtokens(Path.SourceLeaf))
+        V.Subtokens.add(Sub);
+      for (const std::string &Sub : leafSubtokens(Path.TargetLeaf))
+        V.Subtokens.add(Sub);
+      for (const std::string &Node : Path.InteriorLabels)
+        V.Nodes.add(Node);
+    }
+  V.Subtokens.freeze();
+  V.Nodes.freeze();
+  return V;
 }
 
 //===----------------------------------------------------------------------===//

@@ -45,10 +45,16 @@ extractSeqPathContexts(const MethodSample &Sample,
                        const Vocabulary &SubtokenVocab,
                        const Vocabulary &NodeVocab);
 
-/// Populates the sub-token and path-node vocabularies from a sample.
-void addSeqPathContextsToVocabulary(const MethodSample &Sample,
-                                    Vocabulary &SubtokenVocab,
-                                    Vocabulary &NodeVocab);
+/// code2seq's encoder vocabularies, frozen. The name predictor's
+/// decoder reads the shared method-name target vocabulary.
+struct Code2SeqVocabularies {
+  Vocabulary Subtokens; ///< Leaf sub-tokens.
+  Vocabulary Nodes;     ///< Path interior labels.
+};
+
+/// Builds code2seq's vocabularies from the training split \p Train.
+Code2SeqVocabularies
+buildCode2SeqVocabularies(const std::vector<MethodSample> &Train);
 
 /// Encoder shared by the name predictor and the classifier.
 class Code2SeqEncoder {

@@ -25,14 +25,21 @@ liger::extractPathContexts(const MethodSample &Sample,
   return Out;
 }
 
-void liger::addPathContextsToVocabulary(const MethodSample &Sample,
-                                        Vocabulary &TokenVocab,
-                                        Vocabulary &PathVocab) {
-  for (const AstPath &Path : sampleAstPaths(Sample, /*Salt=*/0)) {
-    TokenVocab.add(Path.SourceLeaf);
-    TokenVocab.add(Path.TargetLeaf);
-    PathVocab.add(Path.interiorKey());
+Code2VecVocabularies
+liger::buildCode2VecVocabularies(const std::vector<MethodSample> &Train) {
+  Code2VecVocabularies V;
+  for (const MethodSample &Sample : Train) {
+    for (const AstPath &Path : sampleAstPaths(Sample, /*Salt=*/0)) {
+      V.Tokens.add(Path.SourceLeaf);
+      V.Tokens.add(Path.TargetLeaf);
+      V.Paths.add(Path.interiorKey());
+    }
+    V.Names.add(Sample.Fn->Name);
   }
+  V.Tokens.freeze();
+  V.Paths.freeze();
+  V.Names.freeze();
+  return V;
 }
 
 //===----------------------------------------------------------------------===//
@@ -70,11 +77,6 @@ Var buildCodeVector(const std::vector<PathContextIds> &Contexts,
 //===----------------------------------------------------------------------===//
 // Code2VecNamePredictor
 //===----------------------------------------------------------------------===//
-
-void Code2VecNamePredictor::addNameToVocabulary(const MethodSample &Sample,
-                                                Vocabulary &NameVocab) {
-  NameVocab.add(Sample.Fn->Name);
-}
 
 Code2VecNamePredictor::Code2VecNamePredictor(const Vocabulary &Tokens,
                                              const Vocabulary &Paths,

@@ -41,10 +41,16 @@ std::vector<PathContextIds>
 extractPathContexts(const MethodSample &Sample, const Vocabulary &TokenVocab,
                     const Vocabulary &PathVocab);
 
-/// Populates the token and path vocabularies from a sample.
-void addPathContextsToVocabulary(const MethodSample &Sample,
-                                 Vocabulary &TokenVocab,
-                                 Vocabulary &PathVocab);
+/// code2vec's vocabularies, frozen.
+struct Code2VecVocabularies {
+  Vocabulary Tokens; ///< Path-context leaf tokens.
+  Vocabulary Paths;  ///< Path interiors.
+  Vocabulary Names;  ///< Whole method names (the name predictor's classes).
+};
+
+/// Builds code2vec's vocabularies from the training split \p Train.
+Code2VecVocabularies
+buildCode2VecVocabularies(const std::vector<MethodSample> &Train);
 
 /// code2vec for method name prediction (whole-name classification).
 class Code2VecNamePredictor {
@@ -62,11 +68,6 @@ public:
   predict(const std::vector<MethodSample> &Samples) const;
 
   ParamStore &params() { return Store; }
-
-  /// Interns a sample's whole name into \p NameVocab (call during
-  /// vocabulary building).
-  static void addNameToVocabulary(const MethodSample &Sample,
-                                  Vocabulary &NameVocab);
 
 private:
   Var codeVector(const MethodSample &Sample) const;

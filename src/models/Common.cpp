@@ -39,12 +39,6 @@ void liger::addSampleToVocabulary(const MethodSample &Sample,
   }
 }
 
-void liger::addFunctionTreeToVocabulary(const MethodSample &Sample,
-                                        Vocabulary &Vocab) {
-  LIGER_CHECK(Sample.Fn, "sample without function");
-  addTreeLabels(buildFunctionTree(*Sample.Fn), Vocab);
-}
-
 std::vector<AstPath> liger::sampleAstPaths(const MethodSample &Sample,
                                            uint64_t Salt) {
   uint64_t Seed = 1469598103934665603ULL;

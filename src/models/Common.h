@@ -52,11 +52,6 @@ struct MethodSample {
 /// tokens (state value tokens) of \p Sample to \p Vocab.
 void addSampleToVocabulary(const MethodSample &Sample, Vocabulary &Vocab);
 
-/// Adds the *full-function* static tokens (used by code2vec/code2seq,
-/// which see the whole body rather than trace slices).
-void addFunctionTreeToVocabulary(const MethodSample &Sample,
-                                 Vocabulary &Vocab);
-
 /// Caps of the AST path sampler code2vec and code2seq share: paths per
 /// method, interior nodes per path, and leaf-index distance per path.
 constexpr size_t MaxAstPaths = 120;

@@ -176,17 +176,6 @@ void sigmoidBackward(Node &N) {
                           N.Parents[0]->grad().data());
 }
 
-void reluBackward(Node &N) {
-  if (!N.Parents[0]->RequiresGrad)
-    return;
-  float *__restrict AG = N.Parents[0]->grad().data();
-  const float *__restrict G = N.Grad.data();
-  const float *__restrict Y = N.Value.data();
-  for (size_t I = 0; I < N.Grad.size(); ++I)
-    if (Y[I] > 0.0f)
-      AG[I] += G[I];
-}
-
 } // namespace
 
 Var liger::add(const Var &A, const Var &B) {
@@ -231,14 +220,6 @@ Var liger::sigmoidV(const Var &A) {
   Tensor Out = A->Value;
   kernels::sigmoidMap(Out.size(), Out.data(), Out.data());
   return makeNode(std::move(Out), {A}, sigmoidBackward);
-}
-
-Var liger::reluV(const Var &A) {
-  Tensor Out = A->Value;
-  float *O = Out.data();
-  for (size_t I = 0; I < Out.size(); ++I)
-    O[I] = O[I] > 0.0f ? O[I] : 0.0f;
-  return makeNode(std::move(Out), {A}, reluBackward);
 }
 
 namespace {

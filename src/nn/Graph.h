@@ -133,8 +133,6 @@ Var scale(const Var &A, float K);
 Var tanhV(const Var &A);
 /// Elementwise logistic sigmoid.
 Var sigmoidV(const Var &A);
-/// Elementwise ReLU.
-Var reluV(const Var &A);
 /// Concatenation of vectors.
 Var concat(const Var &A, const Var &B);
 /// Row \p Index of matrix \p M as a vector (embedding lookup; backward

@@ -716,20 +716,6 @@ inline void matvecTAcc(size_t Rows, size_t Cols, const float *__restrict M,
   matvecTAccStrided(Rows, Cols, Cols, M, G, XG);
 }
 
-/// XG_b += M^T G_b for B gradient rows (strides as in matmul) — the
-/// input-side backward of matmul. Per-vector it is exactly
-/// matvecTAccStrided, so batched and per-sample backward replays
-/// accumulate identically; the axpy row order inside each vector is
-/// the shared bitwise contract.
-inline void matmulTAcc(size_t B, size_t Rows, size_t Cols,
-                       const float *__restrict M, size_t MStride,
-                       const float *__restrict G, size_t GStride,
-                       float *__restrict XG, size_t XGStride) {
-  for (size_t Bi = 0; Bi < B; ++Bi)
-    matvecTAccStrided(Rows, Cols, MStride, M, G + Bi * GStride,
-                      XG + Bi * XGStride);
-}
-
 /// Y[r][0..Cols) += X[r][0..Cols) with independent row strides — the
 /// strided scatter that lands a contiguous [Rows x Cols] gradient
 /// staging block into a column band of a packed parameter (and the

@@ -20,7 +20,6 @@
 #include "support/Error.h"
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -86,15 +85,6 @@ public:
 
   /// Bernoulli draw with probability \p P of returning true.
   bool nextBool(double P = 0.5) { return nextDouble() < P; }
-
-  /// Standard normal draw (Box–Muller; one value per call for simplicity).
-  double nextGaussian() {
-    double U1 = nextDouble();
-    double U2 = nextDouble();
-    if (U1 < 1e-300)
-      U1 = 1e-300;
-    return std::sqrt(-2.0 * std::log(U1)) * std::cos(6.28318530717958647 * U2);
-  }
 
   /// Picks a uniformly random element of \p Items (must be non-empty).
   template <typename T> const T &pick(const std::vector<T> &Items) {

@@ -92,11 +92,6 @@ bool liger::parseDecimal(const std::string &Text, uint64_t &Out) {
   return true;
 }
 
-bool liger::endsWith(const std::string &S, const std::string &Suffix) {
-  return S.size() >= Suffix.size() &&
-         S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
-}
-
 std::string liger::trim(const std::string &S) {
   size_t Begin = 0;
   size_t End = S.size();
@@ -105,21 +100,6 @@ std::string liger::trim(const std::string &S) {
   while (End > Begin && std::isspace(static_cast<unsigned char>(S[End - 1])))
     --End;
   return S.substr(Begin, End - Begin);
-}
-
-std::vector<std::string> liger::splitChar(const std::string &S, char Sep) {
-  std::vector<std::string> Result;
-  std::string Current;
-  for (char C : S) {
-    if (C == Sep) {
-      Result.push_back(Current);
-      Current.clear();
-    } else {
-      Current.push_back(C);
-    }
-  }
-  Result.push_back(Current);
-  return Result;
 }
 
 std::string liger::formatDouble(double Value, int Precision) {

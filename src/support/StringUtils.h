@@ -37,14 +37,8 @@ std::string toLower(const std::string &S);
 /// Returns true if \p S starts with \p Prefix.
 bool startsWith(const std::string &S, const std::string &Prefix);
 
-/// Returns true if \p S ends with \p Suffix.
-bool endsWith(const std::string &S, const std::string &Suffix);
-
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string &S);
-
-/// Splits on a single character separator; empty fields are kept.
-std::vector<std::string> splitChar(const std::string &S, char Sep);
 
 /// Parses \p Text as a plain decimal number: one or more ASCII digits,
 /// no sign, space or suffix, and no overflow. Returns false (leaving

@@ -6,10 +6,10 @@
 
 #include "symx/SymExec.h"
 
+#include "interp/StmtWalk.h"
 #include "support/Error.h"
 
 #include <set>
-#include <unordered_map>
 
 using namespace liger;
 
@@ -102,7 +102,14 @@ struct Shape {
 // The engine
 //===----------------------------------------------------------------------===//
 
-class SymEngine {
+/// One input shape's engine. Each run walks the traced function through
+/// the executor core the interpreter runs (interp/StmtWalk.h), so a
+/// completed run records the steps the interpreter records on its
+/// witness.
+class SymEngine : public StmtWalk<SymEngine, SValue> {
+  using Walk = StmtWalk<SymEngine, SValue>;
+  friend Walk;
+
 public:
   enum class RunEnd { Completed, ChoicePending, Fault, Unsupported,
                       StepLimit, MemoryLimit };
@@ -114,9 +121,10 @@ public:
     std::vector<SymExprPtr> PathCondition; ///< When Completed.
   };
 
-  SymEngine(const Program &P, const FunctionDecl &Fn, const Shape &Sh,
+  SymEngine(const FrameLayout &Layout, const Shape &Sh,
             const SymxOptions &Options)
-      : P(P), Fn(Fn), Sh(Sh), Options(Options) {}
+      : Walk(Layout), P(Layout.program()), Fn(Layout.function()), Sh(Sh),
+        Options(Options) {}
 
   unsigned numIntSlots() const { return NumIntSlots; }
   unsigned numBoolSlots() const { return NumBoolSlots; }
@@ -129,22 +137,18 @@ public:
     Trace.Steps.clear();
     StepsLeft = Options.MaxSteps;
     BytesCharged = 0;
-    Frames.clear();
-    CallDepth = 0;
     Status = RunEnd::Completed;
     Pending.clear();
     IntSlots.clear();
     BoolSlots.clear();
     NumIntSlots = NumBoolSlots = 0;
 
-    pushFrame();
+    std::vector<SValue> Params;
     for (unsigned I = 0; I < Fn.Params.size(); ++I)
-      Frames.back()[Fn.Params[I].Name] = makeParam(I);
-    Flow F = Flow::Normal;
-    if (Fn.Body && !stopped())
-      F = execBlock(Fn.Body);
-    (void)F;
-    popFrame();
+      Params.push_back(makeParam(I));
+    enterFunction(Fn, std::move(Params));
+    finishFunction(Fn);
+    LIGER_CHECK(FrameMarks.empty(), "unbalanced frames");
 
     RunResult Result;
     Result.End = Status;
@@ -168,8 +172,6 @@ public:
   const std::vector<SlotInfo> &intSlotInfos() const { return IntSlots; }
 
 private:
-  enum class Flow { Normal, Break, Continue, Return };
-
   //===--------------------------------------------------------------------===//
   // Parameter construction
   //===--------------------------------------------------------------------===//
@@ -359,6 +361,14 @@ private:
     return std::nullopt;
   }
 
+  /// A condition's outcome, forking on a symbolic one.
+  bool decide(const SValue &Cond, bool &Taken, const char *) {
+    std::optional<bool> Decided = decideBool(Cond.E);
+    if (Decided)
+      Taken = *Decided;
+    return Decided.has_value();
+  }
+
   /// Resolves a symbolic boolean to a concrete outcome, forking.
   std::optional<bool> decideBool(const SymExprPtr &Cond) {
     if (Cond->isBoolConst())
@@ -400,27 +410,14 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Environment
+  // Budgets and steps
   //===--------------------------------------------------------------------===//
 
-  using Frame = std::unordered_map<std::string, SValue>;
-  void pushFrame() { Frames.emplace_back(); }
-  void popFrame() { Frames.pop_back(); }
-  SValue *lookup(const std::string &Name) {
-    for (auto It = Frames.rbegin(); It != Frames.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
-    }
-    return nullptr;
-  }
-
   void record(const Stmt *S, StepKind Kind) {
-    if (CallDepth == 0)
-      Trace.Steps.push_back({S, Kind});
+    Trace.Steps.push_back({S, Kind});
   }
 
-  bool burnStep() {
+  bool burn() {
     if (StepsLeft == 0) {
       stop(RunEnd::StepLimit);
       return false;
@@ -441,154 +438,12 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Statements (mirrors the concrete interpreter's instrumentation)
+  // Assignments and expressions
   //===--------------------------------------------------------------------===//
 
-  Flow execBlock(const BlockStmt *Block) {
-    pushFrame();
-    Flow F = Flow::Normal;
-    for (const Stmt *S : Block->body()) {
-      F = execStmt(S);
-      if (F != Flow::Normal || stopped())
-        break;
-    }
-    popFrame();
-    return F;
-  }
-
-  Flow execStmt(const Stmt *S) {
-    if (!burnStep())
-      return Flow::Normal;
-    switch (S->kind()) {
-    case StmtKind::Block:
-      return execBlock(cast<BlockStmt>(S));
-    case StmtKind::Decl: {
-      const auto *Decl = cast<DeclStmt>(S);
-      SValue Init;
-      if (Decl->init()) {
-        Init = evalExpr(Decl->init());
-        if (stopped())
-          return Flow::Normal;
-      } else {
-        Init = zeroOf(Decl->declType());
-      }
-      Frames.back()[Decl->name()] = std::move(Init);
-      record(S, StepKind::Plain);
-      return Flow::Normal;
-    }
-    case StmtKind::Assign:
-      execAssign(cast<AssignStmt>(S));
-      if (stopped())
-        return Flow::Normal;
-      record(S, StepKind::Plain);
-      return Flow::Normal;
-    case StmtKind::If: {
-      const auto *If = cast<IfStmt>(S);
-      SValue Cond = evalExpr(If->cond());
-      if (stopped())
-        return Flow::Normal;
-      std::optional<bool> Taken = decideBool(Cond.E);
-      if (!Taken)
-        return Flow::Normal;
-      record(S, *Taken ? StepKind::CondTrue : StepKind::CondFalse);
-      if (*Taken)
-        return execStmt(If->thenStmt());
-      if (If->elseStmt())
-        return execStmt(If->elseStmt());
-      return Flow::Normal;
-    }
-    case StmtKind::While: {
-      const auto *While = cast<WhileStmt>(S);
-      for (;;) {
-        if (!burnStep())
-          return Flow::Normal;
-        SValue Cond = evalExpr(While->cond());
-        if (stopped())
-          return Flow::Normal;
-        std::optional<bool> Taken = decideBool(Cond.E);
-        if (!Taken)
-          return Flow::Normal;
-        record(S, *Taken ? StepKind::CondTrue : StepKind::CondFalse);
-        if (!*Taken)
-          return Flow::Normal;
-        Flow F = execStmt(While->body());
-        if (stopped() || F == Flow::Return)
-          return F;
-        if (F == Flow::Break)
-          return Flow::Normal;
-      }
-    }
-    case StmtKind::For: {
-      const auto *For = cast<ForStmt>(S);
-      pushFrame();
-      Flow Result = Flow::Normal;
-      if (For->init()) {
-        execStmt(For->init());
-        if (stopped()) {
-          popFrame();
-          return Flow::Normal;
-        }
-      }
-      for (;;) {
-        if (!burnStep())
-          break;
-        bool Taken = true;
-        if (For->cond()) {
-          SValue Cond = evalExpr(For->cond());
-          if (stopped())
-            break;
-          std::optional<bool> Decided = decideBool(Cond.E);
-          if (!Decided)
-            break;
-          Taken = *Decided;
-          record(S, Taken ? StepKind::CondTrue : StepKind::CondFalse);
-        }
-        if (!Taken)
-          break;
-        Flow F = execStmt(For->body());
-        if (stopped())
-          break;
-        if (F == Flow::Return) {
-          Result = Flow::Return;
-          break;
-        }
-        if (F == Flow::Break)
-          break;
-        if (For->step()) {
-          execStmt(For->step());
-          if (stopped())
-            break;
-        }
-      }
-      popFrame();
-      return Result;
-    }
-    case StmtKind::Return: {
-      const auto *Ret = cast<ReturnStmt>(S);
-      if (Ret->value()) {
-        ReturnValue = evalExpr(Ret->value());
-        if (stopped())
-          return Flow::Normal;
-      } else {
-        ReturnValue = SValue::undef();
-      }
-      record(S, StepKind::Plain);
-      return Flow::Return;
-    }
-    case StmtKind::Break:
-      record(S, StepKind::Plain);
-      return Flow::Break;
-    case StmtKind::Continue:
-      record(S, StepKind::Plain);
-      return Flow::Continue;
-    case StmtKind::Expr:
-      evalExpr(cast<ExprStmt>(S)->expr());
-      if (stopped())
-        return Flow::Normal;
-      record(S, StepKind::Plain);
-      return Flow::Normal;
-    }
-    LIGER_UNREACHABLE("covered switch");
+  bool zeroValue(const Type &Ty, const char *, SValue &Out) {
+    Out = zeroOf(Ty);
+    return true;
   }
 
   SValue zeroOf(const Type &Ty) {
@@ -622,7 +477,7 @@ private:
 
     SValue *Cell = nullptr;
     if (const auto *Var = dyn_cast<VarExpr>(S->target())) {
-      Cell = lookup(Var->name());
+      Cell = lookup(Var);
       if (!Cell) {
         stop(RunEnd::Fault);
         return;
@@ -702,10 +557,6 @@ private:
     return SymExpr::binary(SOp, std::move(L), std::move(R));
   }
 
-  //===--------------------------------------------------------------------===//
-  // Expressions
-  //===--------------------------------------------------------------------===//
-
   SValue evalExpr(const Expr *E) {
     if (stopped())
       return SValue::undef();
@@ -718,7 +569,7 @@ private:
     case ExprKind::StringLit:
       return SValue::str(cast<StringLitExpr>(E)->value());
     case ExprKind::Var: {
-      if (SValue *V = lookup(cast<VarExpr>(E)->name()))
+      if (SValue *V = lookup(E))
         return *V;
       stop(RunEnd::Fault);
       return SValue::undef();
@@ -977,18 +828,7 @@ private:
       stop(RunEnd::Unsupported);
       return SValue::undef();
     }
-    SValue SavedReturn = ReturnValue;
-    ++CallDepth;
-    pushFrame();
-    for (size_t I = 0; I < Target->Params.size(); ++I)
-      Frames.back()[Target->Params[I].Name] = Args[I];
-    Flow F = Flow::Normal;
-    if (Target->Body)
-      F = execBlock(Target->Body);
-    popFrame();
-    --CallDepth;
-    SValue Result = F == Flow::Return ? ReturnValue : SValue::undef();
-    ReturnValue = SavedReturn;
+    SValue Result = callFunction(*Target, std::move(Args));
     if (!Target->ReturnType.isVoid() && Result.Kind == SValue::K::Undef &&
         !stopped())
       stop(RunEnd::Fault);
@@ -1006,11 +846,8 @@ private:
   SymbolicTrace Trace;
   size_t StepsLeft = 0;
   uint64_t BytesCharged = 0;
-  std::vector<Frame> Frames;
-  unsigned CallDepth = 0;
   RunEnd Status = RunEnd::Completed;
   std::vector<uint8_t> Pending;
-  SValue ReturnValue;
 
   std::vector<SlotInfo> IntSlots;
   std::vector<SlotInfo> BoolSlots;
@@ -1115,10 +952,11 @@ std::vector<SymbolicPath> liger::enumeratePaths(const Program &P,
   std::vector<SymbolicPath> Paths;
   std::set<std::string> SeenKeys;
   size_t RunsLeft = Options.MaxRuns;
+  FrameLayout Layout(P, Fn);
   for (const Shape &Sh : enumerateShapes(Fn, Options)) {
     if (Paths.size() >= Options.MaxPaths || RunsLeft == 0)
       break;
-    SymEngine Engine(P, Fn, Sh, Options);
+    SymEngine Engine(Layout, Sh, Options);
     std::vector<uint8_t> Prefix;
     explorePrefix(Engine, Prefix, Options, SeenKeys, RunsLeft, Paths);
   }

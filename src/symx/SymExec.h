@@ -28,7 +28,9 @@
 /// Every returned path carries a concrete *witness input* found by the
 /// solver, and the invariant — checked by the property tests — that the
 /// concrete interpreter run on the witness follows exactly the path's
-/// symbolic trace.
+/// symbolic trace. Both executors run one statement walk, environment
+/// and call protocol (interp/StmtWalk.h), so they record the same steps
+/// wherever their values agree.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +47,8 @@ namespace liger {
 
 /// One enumerated program path.
 struct SymbolicPath {
-  /// The statements along the path (same instrumentation granularity as
-  /// the concrete interpreter, so path keys are comparable).
+  /// The steps along the path, recorded by the statement walk the
+  /// interpreter runs, so its key is the interpreter's on the witness.
   SymbolicTrace Trace;
   /// The path condition φ: conjunction of boolean symbolic expressions.
   std::vector<SymExprPtr> PathCondition;

@@ -688,12 +688,14 @@ TEST(ExperimentDigestTest, NameModels) {
 
   StableHash H;
   {
-    Code2VecNamePredictor Net(Task.C2vTokens, Task.C2vPaths, Task.C2vNames,
+    Code2VecVocabularies V = buildCode2VecVocabularies(Task.Split.Train);
+    Code2VecNamePredictor Net(V.Tokens, V.Paths, V.Names,
                               digestCode2VecConfig(Scale), Scale.Seed);
     foldNameRun(H, nameHooks(Net), Task, Scale);
   }
   {
-    Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
+    Code2SeqVocabularies V = buildCode2SeqVocabularies(Task.Split.Train);
+    Code2SeqNamePredictor Net(V.Subtokens, V.Nodes, Task.Target,
                               digestCode2SeqConfig(Scale), Scale.Seed);
     foldNameRun(H, nameHooks(Net), Task, Scale);
   }
@@ -729,12 +731,14 @@ TEST(ExperimentDigestTest, CosetClassifiers) {
 
   StableHash H;
   {
-    Code2VecClassifier Net(Task.C2vTokens, Task.C2vPaths, Task.NumClasses,
+    Code2VecVocabularies V = buildCode2VecVocabularies(Task.Split.Train);
+    Code2VecClassifier Net(V.Tokens, V.Paths, Task.NumClasses,
                            digestCode2VecConfig(Scale), Scale.Seed);
     foldClassRun(H, classHooks(Net), Task, Scale);
   }
   {
-    Code2SeqClassifier Net(Task.C2sSubtokens, Task.C2sNodes, Task.NumClasses,
+    Code2SeqVocabularies V = buildCode2SeqVocabularies(Task.Split.Train);
+    Code2SeqClassifier Net(V.Subtokens, V.Nodes, Task.NumClasses,
                            digestCode2SeqConfig(Scale), Scale.Seed);
     foldClassRun(H, classHooks(Net), Task, Scale);
   }

@@ -418,35 +418,9 @@ int wideSum(int k) {
 // code2vec / code2seq
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct StaticVocabs {
-  Vocabulary Tokens, Paths, Names;
-  Vocabulary Subtokens, Nodes, Target;
-};
-
-StaticVocabs buildStaticVocabs(const std::vector<MethodSample> &Samples) {
-  StaticVocabs V;
-  for (const MethodSample &Sample : Samples) {
-    addPathContextsToVocabulary(Sample, V.Tokens, V.Paths);
-    Code2VecNamePredictor::addNameToVocabulary(Sample, V.Names);
-    addSeqPathContextsToVocabulary(Sample, V.Subtokens, V.Nodes);
-    addNameToVocabulary(Sample, V.Target);
-  }
-  V.Tokens.freeze();
-  V.Paths.freeze();
-  V.Names.freeze();
-  V.Subtokens.freeze();
-  V.Nodes.freeze();
-  V.Target.freeze();
-  return V;
-}
-
-} // namespace
-
 TEST(Code2VecTest, ExtractionIsDeterministic) {
   auto Samples = tinyCorpus();
-  StaticVocabs V = buildStaticVocabs(Samples);
+  Code2VecVocabularies V = buildCode2VecVocabularies(Samples);
   auto A = extractPathContexts(Samples[0], V.Tokens, V.Paths);
   auto B = extractPathContexts(Samples[0], V.Tokens, V.Paths);
   ASSERT_EQ(A.size(), B.size());
@@ -460,7 +434,7 @@ TEST(Code2VecTest, ExtractionIsDeterministic) {
 
 TEST(Code2VecTest, LearnsTinyCorpus) {
   auto Samples = tinyCorpus();
-  StaticVocabs V = buildStaticVocabs(Samples);
+  Code2VecVocabularies V = buildCode2VecVocabularies(Samples);
   Code2VecConfig Config;
   Config.EmbedDim = 12;
   Config.CodeDim = 12;
@@ -481,7 +455,7 @@ TEST(Code2VecTest, LearnsTinyCorpus) {
 
 TEST(Code2VecTest, StaticModelIgnoresTraces) {
   auto Samples = tinyCorpus();
-  StaticVocabs V = buildStaticVocabs(Samples);
+  Code2VecVocabularies V = buildCode2VecVocabularies(Samples);
   Code2VecConfig Config;
   Config.EmbedDim = 12;
   Config.CodeDim = 12;
@@ -494,12 +468,13 @@ TEST(Code2VecTest, StaticModelIgnoresTraces) {
 
 TEST(Code2SeqTest, LearnsTinyCorpus) {
   auto Samples = tinyCorpus();
-  StaticVocabs V = buildStaticVocabs(Samples);
+  Code2SeqVocabularies V = buildCode2SeqVocabularies(Samples);
+  TinyVocabs Dyn = buildVocabs(Samples);
   Code2SeqConfig Config;
   Config.EmbedDim = 12;
   Config.Hidden = 12;
   Config.AttnHidden = 12;
-  Code2SeqNamePredictor Net(V.Subtokens, V.Nodes, V.Target, Config, 42);
+  Code2SeqNamePredictor Net(V.Subtokens, V.Nodes, Dyn.Target, Config, 42);
   AdamOptions Opts;
   Opts.LearningRate = 0.01f;
   Adam Opt(Net.params(), Opts);
@@ -517,7 +492,7 @@ TEST(Code2SeqTest, LearnsTinyCorpus) {
 
 TEST(Code2SeqTest, ClassifierRuns) {
   auto Samples = tinyCorpus();
-  StaticVocabs V = buildStaticVocabs(Samples);
+  Code2SeqVocabularies V = buildCode2SeqVocabularies(Samples);
   Code2SeqConfig Config;
   Config.EmbedDim = 12;
   Config.Hidden = 12;
@@ -566,19 +541,22 @@ void roundTripStore(ParamStore &Store, const std::string &Tag) {
 TEST(CheckpointTest, AllFourModelStoresRoundTrip) {
   auto Samples = tinyCorpus();
   TinyVocabs Dyn = buildVocabs(Samples);
-  StaticVocabs Sta = buildStaticVocabs(Samples);
+  Code2VecVocabularies C2vVocabs = buildCode2VecVocabularies(Samples);
+  Code2SeqVocabularies C2sVocabs = buildCode2SeqVocabularies(Samples);
 
   Code2VecConfig C2v;
   C2v.EmbedDim = 12;
   C2v.CodeDim = 12;
-  Code2VecNamePredictor C2vNet(Sta.Tokens, Sta.Paths, Sta.Names, C2v, 42);
+  Code2VecNamePredictor C2vNet(C2vVocabs.Tokens, C2vVocabs.Paths,
+                               C2vVocabs.Names, C2v, 42);
   roundTripStore(C2vNet.params(), "code2vec");
 
   Code2SeqConfig C2s;
   C2s.EmbedDim = 12;
   C2s.Hidden = 12;
   C2s.AttnHidden = 12;
-  Code2SeqNamePredictor C2sNet(Sta.Subtokens, Sta.Nodes, Sta.Target, C2s, 42);
+  Code2SeqNamePredictor C2sNet(C2sVocabs.Subtokens, C2sVocabs.Nodes,
+                               Dyn.Target, C2s, 42);
   roundTripStore(C2sNet.params(), "code2seq");
 
   DyproConfig Dy;

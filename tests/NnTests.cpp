@@ -59,7 +59,6 @@ TEST(GraphTest, ElementwiseForward) {
   EXPECT_FLOAT_EQ(scale(A, 2.0f)->Value[0], 2.0f);
   EXPECT_NEAR(tanhV(A)->Value[0], std::tanh(1.0f), 1e-6);
   EXPECT_NEAR(sigmoidV(A)->Value[1], 1.0f / (1.0f + std::exp(2.0f)), 1e-6);
-  EXPECT_FLOAT_EQ(reluV(A)->Value[1], 0.0f);
 }
 
 TEST(GraphTest, ConcatAndStack) {
@@ -136,7 +135,6 @@ TEST(GradCheckTest, TanhSigmoidRelu) {
   checkOp([](const Var &P) {
     return sumV(mul(tanhV(P), sigmoidV(P)));
   });
-  checkOp([](const Var &P) { return sumV(reluV(P)); });
 }
 
 TEST(GradCheckTest, MatvecAndDot) {
@@ -1639,30 +1637,6 @@ TEST(BatchedKernelEquivalenceTest, MatmulRowsMatchMatvec) {
                                  Ref.data() + Bi * Rows);
         EXPECT_EQ(std::memcmp(Tiled.data(), Ref.data(),
                               B * Rows * sizeof(float)),
-                  0)
-            << "Rows=" << Rows << " Cols=" << Cols << " B=" << B;
-      }
-    }
-  }
-}
-
-TEST(BatchedKernelEquivalenceTest, MatmulTAccMatchesMatvecTAcc) {
-  Rng R(77);
-  for (size_t Rows : {2u, 5u}) {
-    for (size_t Cols : {5u, 19u}) {
-      for (size_t B : {1u, 3u}) {
-        Tensor M = Tensor::uniform(Rows * Cols, 1.0f, R);
-        Tensor G = Tensor::uniform(B * Rows, 1.0f, R);
-        Tensor Acc = Tensor::zeros(B, Cols);
-        kernels::matmulTAcc(B, Rows, Cols, M.data(), Cols, G.data(), Rows,
-                            Acc.data(), Cols);
-        Tensor Ref = Tensor::zeros(B, Cols);
-        for (size_t Bi = 0; Bi < B; ++Bi)
-          kernels::matvecTAccStrided(Rows, Cols, Cols, M.data(),
-                                     G.data() + Bi * Rows,
-                                     Ref.data() + Bi * Cols);
-        EXPECT_EQ(std::memcmp(Acc.data(), Ref.data(),
-                              B * Cols * sizeof(float)),
                   0)
             << "Rows=" << Rows << " Cols=" << Cols << " B=" << B;
       }

@@ -163,7 +163,32 @@ INSTANTIATE_TEST_SUITE_P(
                                  "3; }"},
         SymxSubject{"whileDiv", "int f(int n) { n = abs(n); int c = 0; "
                                 "while (n > 0) { n /= 2; c++; } return "
-                                "c; }"}),
+                                "c; }"},
+        SymxSubject{"whileBreak", "int f(int n) { int i = 0; while (true) "
+                                  "{ if (i >= n) break; i++; } return i; }"},
+        SymxSubject{"forContinue",
+                    "int f(int[] a) { int s = 0; for (int i = 0; i < "
+                    "len(a); i++) { if (a[i] < 0) continue; s += a[i]; } "
+                    "return s; }"},
+        SymxSubject{"declNoInit",
+                    "int f(int a) { int r; bool seen; int[] xs; if (a > 3) "
+                    "{ r = a; seen = true; } if (seen) return r + len(xs); "
+                    "return -1; }"},
+        SymxSubject{"forEver", "int f(int n) { int c = 0; for (;;) { if (c "
+                               "* c >= n) return c; c++; } }"},
+        SymxSubject{"helperInLoop",
+                    "int clip(int x) { if (x > 10) return 10; return x; } "
+                    "int f(int[] a) { int s = 0; for (int i = 0; i < "
+                    "len(a); i++) s += clip(a[i]); if (s > 20) return 1; "
+                    "return 0; }"},
+        SymxSubject{"shadowedDecl",
+                    "int f(int a) { int x = 1; if (a > 0) { int x = a; x = "
+                    "x + 1; if (x > 5) a = x; } { int x = 2; a = a + x; } "
+                    "if (a > x) return a; return x; }"},
+        SymxSubject{"voidHelper",
+                    "void bump(int[] a, int i) { a[i] = a[i] + 1; } int "
+                    "f(int[] a) { bump(a, 0); if (a[0] > 5) return 1; "
+                    "return 0; }"}),
     [](const testing::TestParamInfo<SymxSubject> &Info) {
       return Info.param.Name;
     });

@@ -331,8 +331,9 @@ TEST(InferenceEquivalenceTest, Code2SeqDecodeBitwise) {
   Code2SeqConfig Config;
   Config.EmbedDim = Scale.EmbedDim;
   Config.Hidden = Config.AttnHidden = Scale.Hidden;
-  Code2SeqNamePredictor Net(Task.C2sSubtokens, Task.C2sNodes, Task.Target,
-                            Config, Scale.Seed);
+  Code2SeqVocabularies V = buildCode2SeqVocabularies(Task.Split.Train);
+  Code2SeqNamePredictor Net(V.Subtokens, V.Nodes, Task.Target, Config,
+                            Scale.Seed);
   std::vector<std::vector<std::string>> Predicted = Net.predict(Samples);
   expectGraphEncodingDecodes(
       Net.params(), "c2s.dec", SeqDecoderConfig::forModel(Config, Task.Target),
@@ -718,10 +719,20 @@ const char *SpinSource = "int spinner(int x) {\n"
                          "}\n";
 /// A loop whose state never repeats: every run interprets its whole
 /// fuel budget.
-const char *CounterSource = "int counter(int x) {\n"
-                            "  while (true) { x += 1; }\n"
-                            "  return x;\n"
-                            "}\n";
+// Chained symbolic-index writes (as in fuzz-corpus/symx_index_blowup.mini):
+// the symbolic phase re-executes the method until SymxOptions::MaxRuns,
+// about a hundred milliseconds in an optimized build.
+const char *ChainSource = "int chain(int a1, int a2, int a3, int a4, int a5,"
+                          " int a6) {\n"
+                          "  int[] a = new int[8];\n"
+                          "  a[a1] = 1;\n"
+                          "  a[a2] = 2;\n"
+                          "  a[a3] = 3;\n"
+                          "  a[a4] = 4;\n"
+                          "  a[a5] = 5;\n"
+                          "  a[a6] = 6;\n"
+                          "  return a[0];\n"
+                          "}\n";
 const char *SumSource = "int sumAll(int[] xs) {\n"
                         "  int s = 0;\n"
                         "  for (int i = 0; i < len(xs); i = i + 1) {\n"
@@ -872,12 +883,11 @@ TEST(ServeStatsConcurrencyTest, StatsDuringHandleSeesWholeRequests) {
 
 TEST(ServeDeadlineTest, TinyDeadlineSurfacesAsDistinctStatus) {
   ServeEngine Engine(tinyServeConfig());
-  // A 1ms deadline on an uncached method whose loop never repeats its
-  // state: the fuel-bounded exploration alone takes longer, and the
-  // phase-boundary check then reports the deadline, which dominates the
-  // trace-outcome filters.
+  // A 1ms deadline on an uncached method whose symbolic phase alone
+  // takes about a hundred times longer: the phase-boundary check then
+  // reports the deadline, which dominates the trace-outcome filters.
   std::vector<ServeResponse> Out =
-      Engine.handleBatch({{"counter", CounterSource, 1}});
+      Engine.handleBatch({{"chain", ChainSource, 1}});
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Status, ServeStatus::DeadlineExceeded);
   EXPECT_TRUE(Out[0].NameSubtokens.empty());

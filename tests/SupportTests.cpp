@@ -78,21 +78,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(RngTest, GaussianRoughMoments) {
-  Rng R(13);
-  double Sum = 0, SumSq = 0;
-  const int N = 20000;
-  for (int I = 0; I < N; ++I) {
-    double V = R.nextGaussian();
-    Sum += V;
-    SumSq += V * V;
-  }
-  double Mean = Sum / N;
-  double Var = SumSq / N - Mean * Mean;
-  EXPECT_NEAR(Mean, 0.0, 0.05);
-  EXPECT_NEAR(Var, 1.0, 0.08);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng R(17);
   std::vector<int> V{1, 2, 3, 4, 5, 6, 7, 8};
@@ -174,8 +159,6 @@ TEST(StringUtilsTest, ToLower) { EXPECT_EQ(toLower("AbC9_z"), "abc9_z"); }
 TEST(StringUtilsTest, StartsEndsWith) {
   EXPECT_TRUE(startsWith("liger", "li"));
   EXPECT_FALSE(startsWith("li", "liger"));
-  EXPECT_TRUE(endsWith("liger", "ger"));
-  EXPECT_FALSE(endsWith("ger", "liger"));
 }
 
 TEST(StringUtilsTest, ParseDecimal) {
@@ -198,12 +181,6 @@ TEST(StringUtilsTest, Trim) {
   EXPECT_EQ(trim("  a b \t\n"), "a b");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
-}
-
-TEST(StringUtilsTest, SplitChar) {
-  EXPECT_EQ(splitChar("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(splitChar("", ','), (std::vector<std::string>{""}));
 }
 
 TEST(StringUtilsTest, FormatDouble) {

@@ -264,14 +264,23 @@ std::string hostileSpinSource(const std::string &Name) {
   return replaceIdentifier(Source, "FN", Name);
 }
 
-/// A method whose loop never repeats its state, so every execution
-/// interprets its whole fuel budget.
-std::string counterSpinSource(const std::string &Name) {
-  return replaceIdentifier("int FN(int x) {\n"
-                           "  while (true) { x += 1; }\n"
-                           "  return x;\n"
-                           "}\n",
-                           "FN", Name);
+/// A method of chained symbolic-index writes: the symbolic executor
+/// fans each write out over every in-bounds index, so trace collection
+/// re-executes it until the executor's run budget (SymxOptions::MaxRuns)
+/// is spent, about a hundred milliseconds in an optimized build.
+std::string symbolicBlowupSource(const std::string &Name) {
+  return replaceIdentifier(
+      "int FN(int a1, int a2, int a3, int a4, int a5, int a6) {\n"
+      "  int[] a = new int[8];\n"
+      "  a[a1] = 1;\n"
+      "  a[a2] = 2;\n"
+      "  a[a3] = 3;\n"
+      "  a[a4] = 4;\n"
+      "  a[a5] = 5;\n"
+      "  a[a6] = 6;\n"
+      "  return a[0];\n"
+      "}\n",
+      "FN", Name);
 }
 
 int runSmoke(ServeToolOptions Opts) {
@@ -309,16 +318,16 @@ int runSmoke(ServeToolOptions Opts) {
   // this request must be a trace-cache *miss* even when --trace-cache-dir
   // points at a directory populated by a previous smoke run (verify.sh
   // shares one cache dir across its smoke steps): a per-process nonce
-  // in the method name keeps the key fresh, and the fuel-bounded
-  // exploration of the counter alone then exceeds a 1ms wall-clock
-  // deadline.
+  // in the method name keeps the key fresh. Its symbolic phase then
+  // takes about a hundred times the 1ms wall-clock deadline, so the
+  // deadline fires however fast the rest of the request is.
   std::string Starved =
-      "starvedSpin" +
+      "starvedChain" +
       std::to_string(
           static_cast<unsigned long long>(::getpid()) * 1000003ull ^
           static_cast<unsigned long long>(
               std::chrono::steady_clock::now().time_since_epoch().count()));
-  Burst.push_back({Starved, counterSpinSource(Starved), 1});
+  Burst.push_back({Starved, symbolicBlowupSource(Starved), 1});
 
   std::vector<ServeResponse> Out = Engine.handleBatch(Burst);
   expect(Out.size() == Burst.size(), "batch answered in full");
