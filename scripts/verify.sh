@@ -10,7 +10,8 @@
 #      autodiff grad-check, arena, grad-sink, and checkpoint suites, the
 #      equivalence suites that pin the fused ops against the reference
 #      graphs in tests/ReferenceGraphs and the batched ops against
-#      per-lane loops, and the activation-kernel suite (the AVX2 tanh
+#      per-lane loops, the gradient kernels against their per-element
+#      accumulation replays, and the activation-kernel suite (the AVX2 tanh
 #      and sigmoid against libm at every length 0..33, unaligned and in
 #      place, so a vector access past a buffer's end is caught);
 #   3. sanitized trace cache + parallel corpus: the LGTR fuzz suite
@@ -37,14 +38,17 @@
 #      rebind, LGWI truncation/corruption/mmap fuzz, shared trace-cache
 #      concurrency, stats() during concurrent handle()) and a
 #      liger_serve --smoke burst under ASan+UBSan (DESIGN.md §13);
-#   3c'. thread-sanitized trace cache: a ThreadSanitizer build
-#      (build-tsan, flags on the command line, no CMake option) of
-#      testgen_tests, serve_tests and dataset_tests, running the trace
-#      cache suite, the shared-cache and stats() concurrency suites and
-#      the corpus trace-cache suite (one memory-only cache hit from four
-#      workers, which parse entries outside the cache's lock into
-#      states that share heap payloads, freed on whichever thread drops
-#      them); TSan exits 66 on any report, which fails the step;
+#   3c'. thread-sanitized trace cache and training: a ThreadSanitizer
+#      build (build-tsan, flags on the command line, no CMake option) of
+#      testgen_tests, serve_tests, dataset_tests and eval_tests, running
+#      the trace cache suite, the shared-cache and stats() concurrency
+#      suites, the corpus trace-cache suite (one memory-only cache hit
+#      from four workers, which parse entries outside the cache's lock
+#      into states that share heap payloads, freed on whichever thread
+#      drops them), and threaded training: the lockstep and per-sample
+#      epoch equivalence tests and the lockstep LIGER digest, whose
+#      shard workers run the gradient kernels on pool threads; TSan
+#      exits 66 on any report, which fails the step;
 #   3d. sanitized lockstep training and the drift gate: the threaded
 #      batched-epoch equivalence suites (losses and final weights
 #      bitwise-identical at 1, 2 and 4 threads), the golden digest of
@@ -106,7 +110,7 @@ cmake --build "$REPO/build-asan" -j "$JOBS" \
            lang_tests symx_tests property_tests eval_tests models_tests \
            serve_tests liger_fuzz liger_serve
 "$REPO/build-asan/tests/nn_tests" \
-  --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*:ActivationKernelTest.*'
+  --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*:BackwardKernelOrderTest.*:ActivationKernelTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
 "$REPO/build-asan/tests/testgen_tests" \
@@ -134,18 +138,22 @@ step "sanitized serving: inference equivalence + embedding store + shared cache 
 "$REPO/build-asan/tests/serve_tests"
 "$REPO/build-asan/tools/liger_serve" --smoke --trace-cache-dir="$CACHE"
 
-step "thread-sanitized trace cache: shared cache + stats + corpus workers (build-tsan)"
+step "thread-sanitized trace cache + lockstep training workers (build-tsan)"
 # LIGER_SANITIZE is ASan+UBSan only; TSan needs a tree of its own.
 # TSan exits 66 on any report, so a race fails this step.
 cmake -B "$REPO/build-tsan" -S "$REPO" \
   -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
 cmake --build "$REPO/build-tsan" -j "$JOBS" \
-  --target testgen_tests serve_tests dataset_tests
+  --target testgen_tests serve_tests dataset_tests eval_tests
 "$REPO/build-tsan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
 "$REPO/build-tsan/tests/serve_tests" \
   --gtest_filter='TraceCacheConcurrencyTest.*:ServeSharedCacheTest.*:ServeStatsConcurrencyTest.*'
 "$REPO/build-tsan/tests/dataset_tests" --gtest_filter='CorpusTraceCacheTest.*'
+# Shard workers build and differentiate their graphs on pool threads,
+# through the gradient kernels, into per-shard sinks.
+"$REPO/build-tsan/tests/eval_tests" \
+  --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise:ExperimentDigestTest.LockstepLiger'
 
 step "sanitized lockstep training + drift gate: threaded batched-epoch, experiment digest, batched-loss equivalence, baselines (build-asan)"
 "$REPO/build-asan/tests/eval_tests" \

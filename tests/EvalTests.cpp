@@ -755,6 +755,63 @@ TEST(ExperimentDigestTest, CosetClassifiers) {
   EXPECT_EQ(H.digest(), CosetClassifiersDigest);
 }
 
+// The digests above train per sample at Hidden 8, where every gradient
+// kernel runs one 8-float chunk and its scalar tail. This one trains
+// LIGER the way perfbench's train workload does: lockstep batches in 4
+// shards at Hidden = EmbedDim = 24, so the GRU, attention and loss-head
+// batch backwards run many lanes over several chunks per row. It folds
+// the run (best epoch, best validation score and final loss bits) and
+// every trained parameter, at 1 and 4 threads. Both constants were
+// computed before the backward kernels were register-blocked.
+
+namespace {
+
+ExperimentScale lockstepDigestScale() {
+  ExperimentScale Scale;
+  Scale.MethodsMed = 64;
+  Scale.Epochs = 2;
+  Scale.Seed = 11;
+  Scale.BatchedSamples = true;
+  Scale.LockstepShards = 4;
+  return Scale;
+}
+
+#if LIGER_SIMD_AVX2
+constexpr uint64_t LockstepLigerDigest = 15375840476026040460ull;
+#else
+constexpr uint64_t LockstepLigerDigest = 2759762628312199472ull;
+#endif
+
+uint64_t lockstepLigerDigest(const NameTask &Task, size_t Threads) {
+  ExperimentScale Scale = lockstepDigestScale();
+  Scale.Threads = Threads;
+  LigerNamePredictor Net(Task.Joint, Task.Target, ligerConfig(Scale),
+                         Scale.Seed);
+  NameModelHooks Hooks = nameHooks(Net);
+  Hooks.LossBatch = [&Net](const std::vector<const MethodSample *> &Group) {
+    return Net.lossBatch(Group);
+  };
+  StableHash H;
+  foldTrainResult(H, trainNameModel(Hooks, Task.Split.Train,
+                                    Task.Split.Valid, Scale.trainOptions()));
+  for (const Var &P : Net.params().params())
+    H.addBytes(P->Value.data(), P->Value.size() * sizeof(float));
+  return H.digest();
+}
+
+} // namespace
+
+TEST(ExperimentDigestTest, LockstepLiger) {
+  ExperimentScale Scale = lockstepDigestScale();
+  ASSERT_EQ(Scale.Hidden, 24u);
+  ASSERT_EQ(Scale.EmbedDim, 24u);
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  ASSERT_FALSE(Task.Split.Valid.empty());
+  uint64_t Serial = lockstepLigerDigest(Task, 1);
+  EXPECT_EQ(lockstepLigerDigest(Task, 4), Serial);
+  EXPECT_EQ(Serial, LockstepLigerDigest);
+}
+
 //===----------------------------------------------------------------------===//
 // Checkpoint / resume (crash safety)
 //===----------------------------------------------------------------------===//
