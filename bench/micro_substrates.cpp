@@ -282,13 +282,15 @@ void BM_GruCellForward(benchmark::State &State) {
 }
 BENCHMARK(BM_GruCellForward);
 
+// Arg: the hidden and input size; 24 is the experiments' default.
 void BM_GruCellForwardBackward(benchmark::State &State) {
+  size_t H = static_cast<size_t>(State.range(0));
   Rng R(1);
   ParamStore Store;
-  RecurrentCell Cell(Store, "cell", 32, 32, R);
+  RecurrentCell Cell(Store, "cell", H, H, R);
   std::vector<Var> Inputs;
   for (int I = 0; I < 8; ++I)
-    Inputs.push_back(constant(Tensor::uniform(32, 1.0f, R)));
+    Inputs.push_back(constant(Tensor::uniform(H, 1.0f, R)));
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
@@ -298,7 +300,7 @@ void BM_GruCellForwardBackward(benchmark::State &State) {
     Arena.reset();
   }
 }
-BENCHMARK(BM_GruCellForwardBackward);
+BENCHMARK(BM_GruCellForwardBackward)->Arg(32)->Arg(24);
 
 void BM_GruSequence(benchmark::State &State) {
   Rng R(1);
@@ -318,22 +320,27 @@ void BM_GruSequence(benchmark::State &State) {
 BENCHMARK(BM_GruSequence);
 
 // B concurrently-advancing 30-step sequences in lockstep, forward +
-// backward: Arg(1) routes each timestep through stepBatch (the
-// matmul-backed batch op with the fused descending-lane batch
-// backward), Arg(0) through a per-sample step() loop. Bitwise-identical
-// states and gradients. The forward matmul is roughly a wash at this
-// size — the batch win is the backward's single walk over each shared
-// parameter-gradient matrix instead of one walk per lane.
+// backward, at hidden and input size H (Args {B, batched, H}; H 24 is
+// the experiments' default): batched 1 routes each timestep through
+// stepBatch (the matmul-backed batch op with the fused descending-lane
+// batch backward), batched 0 through a per-sample step() loop.
+// Bitwise-identical states and gradients. Both schedules make the same
+// per-lane input-gradient passes (matvecTAcc); the batch op saves in
+// its forward, where matmul's register tile feeds each loaded weight
+// chunk to two lanes, and in its weight-gradient backward, which walks
+// each shared gradient matrix once for all lanes instead of loading and
+// storing it once per lane.
 void BM_GruSequenceBatched(benchmark::State &State) {
   size_t B = static_cast<size_t>(State.range(0));
   bool Batched = State.range(1) != 0;
+  size_t H = static_cast<size_t>(State.range(2));
   Rng R(1);
   ParamStore Store;
-  RecurrentCell Cell(Store, "gru", 100, 100, R);
+  RecurrentCell Cell(Store, "gru", H, H, R);
   std::vector<std::vector<Var>> Inputs(30);
   for (auto &Step : Inputs)
     for (size_t I = 0; I < B; ++I)
-      Step.push_back(constant(Tensor::uniform(100, 1.0f, R)));
+      Step.push_back(constant(Tensor::uniform(H, 1.0f, R)));
   GraphArena Arena;
   GraphArena::Scope Scope(Arena);
   for (auto _ : State) {
@@ -360,13 +367,17 @@ void BM_GruSequenceBatched(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * B * Inputs.size());
 }
 BENCHMARK(BM_GruSequenceBatched)
-    ->Args({1, 1})
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({24, 0})
-    ->Args({24, 1});
+    ->Args({1, 1, 100})
+    ->Args({3, 0, 100})
+    ->Args({3, 1, 100})
+    ->Args({8, 0, 100})
+    ->Args({8, 1, 100})
+    ->Args({24, 0, 100})
+    ->Args({24, 1, 100})
+    ->Args({8, 0, 24})
+    ->Args({8, 1, 24})
+    ->Args({24, 0, 24})
+    ->Args({24, 1, 24});
 
 //===----------------------------------------------------------------------===//
 // Fused attention: one key-projection node per memory plus one
