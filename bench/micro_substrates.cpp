@@ -413,7 +413,7 @@ void BM_DecoderStep(benchmark::State &State) {
   // Teacher-forced decode over a 20-vector memory, forward + backward:
   // the SeqDecoder shape, where the key-side projections are computed
   // once per decode and shared by every step. Mode 1 = one lane, whose
-  // lossBatch runs the single-sample ops, 2 = four lanes decoded in
+  // lossBatch calls each op with one lane, 2 = four lanes decoded in
   // lockstep; items are normalized per decode step, so /1 vs /2 is the
   // per-step batching gain.
   const int Mode = static_cast<int>(State.range(0));

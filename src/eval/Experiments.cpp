@@ -28,7 +28,7 @@ using namespace liger;
 namespace {
 
 /// Exits with status 2 (the unknown-flag path) for a numeric flag whose
-/// value did not parse completely.
+/// value did not parse completely or is out of its range.
 [[noreturn]] void badNumericFlag(const std::string &Arg) {
   std::fprintf(stderr, "bad numeric value in experiment flag: %s\n",
                Arg.c_str());
@@ -104,16 +104,18 @@ ExperimentScale ExperimentScale::fromArgs(int Argc, char **Argv) {
       LargeGiven = true;
       continue;
     }
-    if (TakeSize("batch", Scale.BatchSize)) {
-      if (Scale.BatchSize == 0)
+    // A zero batch size never advances an epoch, and a zero-width model
+    // has empty tensors and nothing to predict: all three must be >= 1.
+    if (TakeSize("batch", Scale.BatchSize) ||
+        TakeSize("hidden", Scale.Hidden) ||
+        TakeSize("embed", Scale.EmbedDim)) {
+      if (Scale.BatchSize == 0 || Scale.Hidden == 0 || Scale.EmbedDim == 0)
         badNumericFlag(Arg);
       continue;
     }
     if (TakeSize("methods", Scale.MethodsMed) ||
         TakeSize("coset-per-class", Scale.CosetPerClass) ||
         TakeSize("epochs", Scale.Epochs) ||
-        TakeSize("hidden", Scale.Hidden) ||
-        TakeSize("embed", Scale.EmbedDim) ||
         TakeSize("threads", Scale.Threads) ||
         TakeSize("lockstep-shards", Scale.LockstepShards) ||
         TakeSize("checkpoint-every", Scale.CheckpointEveryEpochs))

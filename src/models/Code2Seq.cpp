@@ -159,8 +159,8 @@ Code2SeqClassifier::Code2SeqClassifier(const Vocabulary &Subtokens,
 Var Code2SeqClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
   Var Embedding = Encoder.encode(Sample).ProgramEmbedding;
-  return softmaxCrossEntropy(Head.apply(Embedding),
-                             static_cast<size_t>(Sample.ClassId));
+  return Head.softmaxCrossEntropyBatch(
+      Embedding, static_cast<size_t>(Sample.ClassId))[0];
 }
 
 int Code2SeqClassifier::predict(const MethodSample &Sample) const {

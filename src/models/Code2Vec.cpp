@@ -102,8 +102,8 @@ Var Code2VecNamePredictor::codeVector(const MethodSample &Sample) const {
 
 Var Code2VecNamePredictor::loss(const MethodSample &Sample) const {
   int Target = NameVocab.lookup(Sample.Fn->Name);
-  return softmaxCrossEntropy(OutProj.apply(codeVector(Sample)),
-                             static_cast<size_t>(Target));
+  return OutProj.softmaxCrossEntropyBatch(
+      codeVector(Sample), static_cast<size_t>(Target))[0];
 }
 
 std::vector<std::string>
@@ -157,8 +157,8 @@ Var Code2VecClassifier::codeVector(const MethodSample &Sample) const {
 
 Var Code2VecClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
-  return softmaxCrossEntropy(Head.apply(codeVector(Sample)),
-                             static_cast<size_t>(Sample.ClassId));
+  return Head.softmaxCrossEntropyBatch(
+      codeVector(Sample), static_cast<size_t>(Sample.ClassId))[0];
 }
 
 int Code2VecClassifier::predict(const MethodSample &Sample) const {

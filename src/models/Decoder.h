@@ -11,8 +11,12 @@
 /// encoder vectors (for LIGER: every step embedding H^e_{i_j} of every
 /// blended trace) via the feedforward score network a2.
 ///
-/// Greedy decoding is forward-only: GreedyDecoder (models/Inference.h)
-/// binds a SeqDecoder's parameters by its name prefix.
+/// Each decoder step runs one graph op per layer — the multi-memory
+/// attention read, the GRU step and the linear + softmax loss head —
+/// whatever the number of lanes, so a batch of one builds the
+/// single-sample graph. Greedy decoding is forward-only: GreedyDecoder
+/// (models/Inference.h) binds a SeqDecoder's parameters by its name
+/// prefix and runs the same forwards (nn/InferOps.h) with one lane.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,11 +75,11 @@ public:
   /// active at each timestep into one multi-memory attention read, one
   /// batched cell step and one batched loss head, so same-timestep
   /// samples share a matmul. Every memory must be non-empty and every
-  /// target sequence must end with Eos. With one lane each batch op is
-  /// its single-sample op, so a batch of one is the per-sample loss, and
-  /// a sample's loss value is bitwise the same in any batch
-  /// (BatchedLossEquivalenceTest); each batch op is pinned against a
-  /// per-lane loop of its single-sample op (BatchedKernelEquivalenceTest).
+  /// target sequence must end with Eos. A batch of one is the
+  /// per-sample loss (each op with one lane), and a sample's loss value
+  /// is bitwise the same in any batch (BatchedLossEquivalenceTest);
+  /// each op is pinned against a per-lane loop of one-lane calls
+  /// (BatchedKernelEquivalenceTest).
   /// Returns each sample's mean loss.
   std::vector<Var>
   lossBatch(const std::vector<GraphEncoding> &Encs,

@@ -145,8 +145,8 @@ DyproClassifier::DyproClassifier(const Vocabulary &Vocab, size_t NumClasses,
 Var DyproClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
   GraphEncoding Enc = Encoder.encode(Sample.Traces);
-  return softmaxCrossEntropy(Head.apply(Enc.ProgramEmbedding),
-                             static_cast<size_t>(Sample.ClassId));
+  return Head.softmaxCrossEntropyBatch(
+      Enc.ProgramEmbedding, static_cast<size_t>(Sample.ClassId))[0];
 }
 
 int DyproClassifier::predict(const MethodSample &Sample) const {

@@ -6,10 +6,11 @@
 //
 // The module forwards here (cells, tree node, attention, decoder step)
 // are values-only transliterations of their graph counterparts
-// (Module.cpp / Decoder.cpp), calling the same inferops:: kernels the
-// fused graph ops call. The encode walk goes path by path where
-// LigerEncoder::encodeBatch (Liger.cpp) advances every path in
-// lockstep; both fuse, pool and order step memory the same way. Keep
+// (Module.cpp / Decoder.cpp), calling the same inferops:: forwards the
+// fused graph ops call — the GRU, attention and linear ones with one
+// lane, where the graph ops pass their B. The encode walk goes path by
+// path where LigerEncoder::encodeBatch (Liger.cpp) advances every path
+// in lockstep; both fuse, pool and order step memory the same way. Keep
 // the two in step when either changes — InferenceEquivalenceTest
 // compares them with memcmp, and the decoder with the graph decode of
 // tests/ReferenceGraphs.
@@ -118,13 +119,14 @@ const float *cellInitial(ScratchArena &Arena, const CellRef &Cell) {
   return Arena.allocZeroed(Cell.Hidden);
 }
 
+/// One lane of gruCellBatchOp's forward.
 const float *cellStep(ScratchArena &Arena, const CellRef &Cell,
                       const float *X, const float *Prev) {
   size_t H = Cell.Hidden;
   float *Gates = Arena.alloc(3 * H);
   float *Ws = Arena.alloc(9 * H);
   float *Out = Arena.alloc(H);
-  inferops::gruCellForward(H, Cell.In, Cell.Wx, Cell.Bx, Cell.Wh, X, Prev,
+  inferops::gruCellForward(1, H, Cell.In, Cell.Wx, Cell.Bx, Cell.Wh, X, Prev,
                            Gates, Out, Ws);
   return Out;
 }
@@ -138,22 +140,22 @@ const float *attnKeyProj(ScratchArena &Arena, const AttnRef &Attn,
   return KP;
 }
 
-/// \p Weights, when non-null, receives the softmax weights.
+/// One query of attentionMultiMemoryOp's forward. \p Weights, when
+/// non-null, receives the softmax weights.
 const float *attnContext(ScratchArena &Arena, const AttnRef &Attn,
                          const std::vector<const float *> &Keys,
                          const float *KeyProj, const float *Query,
                          const float **Weights = nullptr) {
   size_t T = Keys.size();
-  float *Ht = Arena.alloc(T * Attn.Hidden);
-  float *A = Arena.alloc(T);
+  float *Pay = Arena.alloc(T * Attn.Hidden + T);
   float *Out = Arena.alloc(Attn.KeyDim);
-  float *Ws = Arena.alloc(2 * Attn.Hidden + T);
-  inferops::attentionForward(T, Attn.KeyDim, Attn.QueryDim, Attn.Hidden,
+  float *Ws = Arena.alloc(2 * Attn.Hidden);
+  inferops::attentionForward(1, &T, Attn.KeyDim, Attn.QueryDim, Attn.Hidden,
                              Attn.KeyDim + Attn.QueryDim, Attn.W1, Attn.W2,
-                             Attn.B2[0], Query, KeyProj, Keys.data(), Ht, A,
+                             Attn.B2[0], Query, &KeyProj, Keys.data(), Pay,
                              Out, Ws);
   if (Weights)
-    *Weights = A;
+    *Weights = Pay + T * Attn.Hidden;
   return Out;
 }
 
@@ -184,8 +186,7 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
   size_t Vt = Out.Out;
 
   float *H0 = Arena.alloc(H);
-  kernels::matvec(H, Init.In, Init.W, ProgramEmbedding, H0);
-  kernels::addAcc(H, Init.B, H0);
+  inferops::linearForward(1, H, Init.In, Init.W, Init.B, ProgramEmbedding, H0);
   kernels::tanhMap(H, H0, H0);
   const float *State = H0;
 
@@ -207,8 +208,7 @@ GreedyDecoder::decode(ScratchArena &Arena, const float *ProgramEmbedding,
     std::memcpy(OutIn, State, H * sizeof(float));
     std::memcpy(OutIn + H, Ctx, M * sizeof(float));
     float *Logits = Arena.alloc(Vt);
-    kernels::matvec(Vt, Out.In, Out.W, OutIn, Logits);
-    kernels::addAcc(Vt, Out.B, Logits);
+    inferops::linearForward(1, Vt, Out.In, Out.W, Out.B, OutIn, Logits);
 
     // Never emit the structural specials other than Eos.
     Logits[Vocabulary::Pad] = -1e30f;

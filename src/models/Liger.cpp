@@ -367,8 +367,8 @@ LigerClassifier::LigerClassifier(const Vocabulary &JointVocab,
 Var LigerClassifier::loss(const MethodSample &Sample) const {
   LIGER_CHECK(Sample.ClassId >= 0, "classification sample without label");
   GraphEncoding Enc = Encoder.encode(Sample.Traces);
-  return softmaxCrossEntropy(Head.apply(Enc.ProgramEmbedding),
-                             static_cast<size_t>(Sample.ClassId));
+  return Head.softmaxCrossEntropyBatch(
+      Enc.ProgramEmbedding, static_cast<size_t>(Sample.ClassId))[0];
 }
 
 int LigerClassifier::predict(const MethodSample &Sample) const {

@@ -40,36 +40,34 @@ Node *finishNode(Node *N, void (*BackwardFn)(Node &)) {
   return N;
 }
 
+/// A node holding \p Value with \p NumParents arena-allocated parent
+/// slots, which the caller fills before finishNode().
+Node *newNodeWithParents(Tensor Value, size_t NumParents) {
+  Node *N = newNodeCommon(std::move(Value));
+  N->NumParents = static_cast<uint32_t>(NumParents);
+  N->Parents = GraphArena::current().allocArray<Node *>(NumParents);
+  return N;
+}
+
 Node *makeNode(Tensor Value, std::initializer_list<Var> Parents,
                void (*BackwardFn)(Node &)) {
-  Node *N = newNodeCommon(std::move(Value));
-  N->NumParents = static_cast<uint32_t>(Parents.size());
-  N->Parents = GraphArena::current().allocArray<Node *>(N->NumParents);
-  size_t I = 0;
-  for (Var P : Parents)
-    N->Parents[I++] = P;
+  Node *N = newNodeWithParents(std::move(Value), Parents.size());
+  std::copy(Parents.begin(), Parents.end(), N->Parents);
   return finishNode(N, BackwardFn);
 }
 
 Node *makeNode(Tensor Value, const std::vector<Var> &Parents,
                void (*BackwardFn)(Node &)) {
-  Node *N = newNodeCommon(std::move(Value));
-  N->NumParents = static_cast<uint32_t>(Parents.size());
-  N->Parents = GraphArena::current().allocArray<Node *>(N->NumParents);
-  for (size_t I = 0; I < Parents.size(); ++I)
-    N->Parents[I] = Parents[I];
+  Node *N = newNodeWithParents(std::move(Value), Parents.size());
+  std::copy(Parents.begin(), Parents.end(), N->Parents);
   return finishNode(N, BackwardFn);
 }
 
 /// Extra parent appended after \p Items (weightedCombine's weights).
 Node *makeNode(Tensor Value, const std::vector<Var> &Items, Var Extra,
                void (*BackwardFn)(Node &)) {
-  Node *N = newNodeCommon(std::move(Value));
-  N->NumParents = static_cast<uint32_t>(Items.size() + 1);
-  N->Parents = GraphArena::current().allocArray<Node *>(N->NumParents);
-  for (size_t I = 0; I < Items.size(); ++I)
-    N->Parents[I] = Items[I];
-  N->Parents[Items.size()] = Extra;
+  Node *N = newNodeWithParents(std::move(Value), Items.size() + 1);
+  *std::copy(Items.begin(), Items.end(), N->Parents) = Extra;
   return finishNode(N, BackwardFn);
 }
 
@@ -601,78 +599,15 @@ void laneGateBackward(const float *WxV, const float *WhV, Node &XN,
     kernels::matvecTAcc(H, In, WxV + Row0 * In, PG, XN.grad().data());
 }
 
-/// One sample's GRU backward: the replay the single-sample op runs
-/// directly and the batch op runs per sample (descending) with its
-/// grad row and payload slice. \p Aux holds z, r, n (3H floats).
-void gruCellBackwardOne(Node &WxN, Node &BxN, Node &WhN, Node &XN, Node &HN,
-                        size_t H, size_t In, const float *G,
-                        const float *Aux) {
-  const float *Z = Aux, *R = Aux + H, *Nn = Aux + 2 * H;
-  const float *WhV = WhN.Value.data();
-  const float *HV = HN.Value.data();
-
-  // h' = add(n, zd), zd = mul(z, d), d = sub(h, n).
-  Tensor DBuf = Tensor::raw(H);
-  float *__restrict D = DBuf.data();
-  for (size_t I = 0; I < H; ++I)
-    D[I] = HV[I] - Nn[I];
-  Tensor ZG = Tensor::zeros(H); // z's grad: G ⊙ d
-  kernels::mulAcc(H, G, D, ZG.data());
-  Tensor DG = Tensor::zeros(H); // d's grad: G ⊙ z
-  kernels::mulAcc(H, G, Z, DG.data());
-  if (HN.RequiresGrad)
-    kernels::addAcc(H, DG.data(), HN.grad().data());
-  Tensor DN = Tensor::zeros(H); // n's grad: G - G ⊙ z
-  kernels::addAcc(H, G, DN.data());
-  kernels::axpy(H, -1.0f, DG.data(), DN.data());
-
-  // n = tanh((Wx_n·x + bx_n) + Wh_n·(r ⊙ h)).
-  Tensor PNG = Tensor::zeros(H);
-  kernels::tanhGradAcc(H, DN.data(), Nn, PNG.data());
-  Tensor RH = Tensor::raw(H);
-  float *__restrict RHp = RH.data();
-  for (size_t I = 0; I < H; ++I)
-    RHp[I] = R[I] * HV[I];
-  if (WhN.RequiresGrad)
-    kernels::rank1Acc(H, H, PNG.data(), RHp, WhN.grad().data() + 2 * H * H);
-  Tensor RHG = Tensor::zeros(H); // (r ⊙ h)'s grad
-  kernels::matvecTAcc(H, H, WhV + 2 * H * H, PNG.data(), RHG.data());
-  Tensor RG = Tensor::zeros(H); // r's grad: rh-grad ⊙ h
-  kernels::mulAcc(H, RHG.data(), HV, RG.data());
-  if (HN.RequiresGrad)
-    kernels::mulAcc(H, RHG.data(), R, HN.grad().data());
-  if (BxN.RequiresGrad)
-    kernels::addAcc(H, PNG.data(), BxN.grad().data() + 2 * H);
-  if (WxN.RequiresGrad)
-    kernels::rank1Acc(H, In, PNG.data(), XN.Value.data(),
-                      WxN.grad().data() + 2 * H * In);
-  if (XN.RequiresGrad)
-    kernels::matvecTAcc(H, In, WxN.Value.data() + 2 * H * In, PNG.data(),
-                        XN.grad().data());
-
-  // r and z gates (descending creation order of the reference graph).
-  Tensor PRG = Tensor::zeros(H);
-  kernels::sigmoidGradAcc(H, RG.data(), R, PRG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, H, H, In, PRG.data());
-  Tensor PZG = Tensor::zeros(H);
-  kernels::sigmoidGradAcc(H, ZG.data(), Z, PZG.data());
-  gateBackward(WxN, BxN, WhN, XN, HN, 0, H, In, PZG.data());
-}
-
-/// GRU payload: z, r, n (3H floats).
-void gruCellBackward(Node &N) {
-  gruCellBackwardOne(*N.Parents[0], *N.Parents[1], *N.Parents[2],
-                     *N.Parents[3], *N.Parents[4], N.Value.size(),
-                     N.Parents[3]->Value.size(), N.Grad.data(), N.AuxM);
-}
-
-/// One lane of the fused GRU batch backward: gruCellBackwardOne minus
-/// the shared-parameter updates. Writes the three gate pre-activation
+/// One lane of the fused GRU batch backward: the per-gate reference
+/// chain h' = add(n, mul(z, sub(h, n))) replayed without the
+/// shared-parameter updates. Writes the three gate pre-activation
 /// grads (and r ⊙ h, the n gate's Wh operand) into caller-provided
 /// rows so the batch backward can apply every Wx/Bx/Wh region once
 /// with the descending-lane kernels, and applies this sample's ∂x/∂h
-/// in the exact reference within-sample order. \p Tmp is 6H floats of
-/// scratch for the lane's intermediate grads.
+/// in the exact reference within-sample order. \p Aux holds the lane's
+/// z, r, n (3H floats); \p Tmp is 6H floats of scratch for its
+/// intermediate grads.
 void gruCellBackwardLane(const float *WxV, const float *WhV, Node &XN,
                          Node &HN, size_t H, size_t In, const float *G,
                          const float *Aux, float *PZG, float *PRG,
@@ -729,11 +664,12 @@ void gruCellBackwardLane(const float *WxV, const float *WhV, Node &XN,
 /// shared-parameter gradient region is walked exactly once by the
 /// descending-lane batch kernels. Every parameter element's
 /// accumulation chain (per-lane mul then add, descending) is the one
-/// the per-sample replay produces, so the result stays
-/// bitwise-identical to the unbatched schedule.
+/// B one-lane nodes created in lane order produce in the newest-first
+/// tape walk, so a lane's gradients do not depend on B. One lane uses
+/// the same single scratch block.
 void gruCellBatchBackward(Node &N) {
   size_t B = N.IScalar;
-  size_t H = N.Value.dim(1);
+  size_t H = N.Value.size() / B;
   size_t In = N.Parents[3]->Value.size();
   Node &WxN = *N.Parents[0], &BxN = *N.Parents[1], &WhN = *N.Parents[2];
   const float *G = N.Grad.data();
@@ -838,33 +774,6 @@ void treeLstmBackwardC(Node &N) {
 
 } // namespace
 
-Var liger::gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh,
-                     const Var &X, const Var &HPrev) {
-  size_t H = HPrev->Value.dim(0);
-  size_t In = X->Value.dim(0);
-  LIGER_CHECK(Wx->Value.rank() == 2 && Wx->Value.dim(0) == 3 * H &&
-                  Wx->Value.dim(1) == In,
-              "gruCellOp packed Wx shape mismatch");
-  LIGER_CHECK(Bx->Value.size() == 3 * H, "gruCellOp packed bias mismatch");
-  LIGER_CHECK(Wh->Value.rank() == 2 && Wh->Value.dim(0) == 3 * H &&
-                  Wh->Value.dim(1) == H,
-              "gruCellOp packed Wh shape mismatch");
-
-  // The forward math lives in inferops::gruCellForward, shared
-  // verbatim with the no-graph inference runtime; this op only adds
-  // the payload, node, and backward wiring.
-  float *Gates = allocCellPayload(3 * H);
-  Tensor Ws = Tensor::raw(9 * H);
-  Tensor Out = Tensor::raw(H);
-  inferops::gruCellForward(H, In, Wx->Value.data(), Bx->Value.data(),
-                           Wh->Value.data(), X->Value.data(),
-                           HPrev->Value.data(), Gates, Out.data(), Ws.data());
-
-  Node *N = makeNode(std::move(Out), {Wx, Bx, Wh, X, HPrev}, gruCellBackward);
-  N->AuxM = Gates;
-  return N;
-}
-
 namespace {
 
 /// Returns a contiguous [B x Dim] value block for \p Vars — the matmul
@@ -872,7 +781,7 @@ namespace {
 /// buffer (zero-copy row views of the previous batch node, the steady
 /// lockstep state), that storage is used directly; otherwise the
 /// values are copied into \p Scratch.
-const float *stackedValues(const std::vector<Var> &Vars, size_t Dim,
+const float *stackedValues(ArrayRef<Var> Vars, size_t Dim,
                            Tensor &Scratch) {
   const float *Base = Vars[0]->Value.data();
   bool Contiguous = true;
@@ -890,31 +799,29 @@ const float *stackedValues(const std::vector<Var> &Vars, size_t Dim,
   return Scratch.data();
 }
 
-/// Parent array Wx, Bx, Wh, X_0..X_{B-1}, H_0..H_{B-1}.
-std::vector<Var> cellBatchParents(const Var &Wx, const Var &Bx,
-                                  const Var &Wh, const std::vector<Var> &Xs,
-                                  const std::vector<Var> &HPrevs) {
-  std::vector<Var> Parents;
-  Parents.reserve(3 + Xs.size() + HPrevs.size());
-  Parents.push_back(Wx);
-  Parents.push_back(Bx);
-  Parents.push_back(Wh);
-  Parents.insert(Parents.end(), Xs.begin(), Xs.end());
-  Parents.insert(Parents.end(), HPrevs.begin(), HPrevs.end());
-  return Parents;
+/// The value of a B-lane batch node: [B x Dim], or a plain [Dim] vector
+/// for one lane, whose node is then that lane's output itself.
+Tensor laneValues(size_t B, size_t Dim) {
+  return B == 1 ? Tensor::raw(Dim) : Tensor::raw(B, Dim);
+}
+
+/// Lane \p Bi's output of a B-lane batch node: the node itself for one
+/// lane, so a one-lane call builds exactly one node, and a zero-copy
+/// row view for more.
+Var laneOutput(Node *N, size_t B, size_t Bi) {
+  return B == 1 ? N : row(N, Bi);
 }
 
 } // namespace
 
 std::vector<Var> liger::gruCellBatchOp(const Var &Wx, const Var &Bx,
-                                       const Var &Wh,
-                                       const std::vector<Var> &Xs,
-                                       const std::vector<Var> &HPrevs) {
+                                       const Var &Wh, ArrayRef<Var> Xs,
+                                       ArrayRef<Var> HPrevs) {
   size_t B = Xs.size();
   LIGER_CHECK(B > 0 && HPrevs.size() == B,
               "gruCellBatchOp needs matching non-empty input/state sets");
-  size_t H = HPrevs[0]->Value.dim(0);
-  size_t In = Xs[0]->Value.dim(0);
+  size_t H = HPrevs[0]->Value.size();
+  size_t In = Xs[0]->Value.size();
   LIGER_CHECK(Wx->Value.rank() == 2 && Wx->Value.dim(0) == 3 * H &&
                   Wx->Value.dim(1) == In,
               "gruCellBatchOp packed Wx shape mismatch");
@@ -924,66 +831,33 @@ std::vector<Var> liger::gruCellBatchOp(const Var &Wx, const Var &Bx,
                   Wh->Value.dim(1) == H,
               "gruCellBatchOp packed Wh shape mismatch");
 
+  // The forward math lives in inferops::gruCellForward, shared
+  // verbatim with the no-graph inference runtime (which runs it with
+  // one lane); this op only adds the payload, node, and backward
+  // wiring.
   float *Gates = allocCellPayload(B * 3 * H);
-  const float *WhV = Wh->Value.data();
   Tensor XScratch, HScratch;
   const float *XBufV = stackedValues(Xs, In, XScratch);
   const float *HBufV = stackedValues(HPrevs, H, HScratch);
+  Tensor Ws = Tensor::raw((7 * B + 2) * H);
+  Tensor Out = laneValues(B, H);
+  inferops::gruCellForward(B, H, In, Wx->Value.data(), Bx->Value.data(),
+                           Wh->Value.data(), XBufV, HBufV, Gates, Out.data(),
+                           Ws.data());
 
-  // Every sample's x-side pre-activations in one tiled matmul (each
-  // output row bitwise-identical to the single-sample matvecN row),
-  // then the z/r hidden-side block and the n rows over r ⊙ h.
-  Tensor Pre = Tensor::raw(B, 3 * H);
-  kernels::matmul(B, 3 * H, In, Wx->Value.data(), In, XBufV, In,
-                  Pre.data(), 3 * H);
-  Tensor Hzr = Tensor::raw(B, 2 * H);
-  kernels::matmul(B, 2 * H, H, WhV, H, HBufV, H, Hzr.data(), 2 * H);
-  Tensor RH = Tensor::raw(B, H);
-  for (size_t Bi = 0; Bi < B; ++Bi) {
-    float *P = Pre.data() + Bi * 3 * H;
-    kernels::addAcc(3 * H, Bx->Value.data(), P);
-    kernels::addAcc(2 * H, Hzr.data() + Bi * 2 * H, P);
-    float *Gb = Gates + Bi * 3 * H;
-    kernels::sigmoidMap(H, P, Gb);
-    kernels::sigmoidMap(H, P + H, Gb + H);
-    const float *HV = HBufV + Bi * H;
-    float *__restrict RHp = RH.data() + Bi * H;
-    for (size_t I = 0; I < H; ++I)
-      RHp[I] = Gb[H + I] * HV[I];
-  }
-  Tensor Un = Tensor::raw(B, H);
-  kernels::matmul(B, H, H, WhV + 2 * H * H, H, RH.data(), H, Un.data(), H);
-
-  Tensor Out = Tensor::raw(B, H);
-  for (size_t Bi = 0; Bi < B; ++Bi) {
-    float *P = Pre.data() + Bi * 3 * H;
-    float *Gb = Gates + Bi * 3 * H;
-    const float *Z = Gb, *Nn = Gb + 2 * H;
-    const float *HV = HBufV + Bi * H;
-    kernels::addAcc(H, Un.data() + Bi * H, P + 2 * H);
-    kernels::tanhMap(H, P + 2 * H, Gb + 2 * H);
-    // h' = n + z ⊙ (h - n), one float op per loop as in gruCellOp.
-    Tensor D = Tensor::raw(H);
-    float *__restrict Dp = D.data();
-    for (size_t I = 0; I < H; ++I)
-      Dp[I] = HV[I] - Nn[I];
-    Tensor ZD = Tensor::raw(H);
-    float *__restrict ZDp = ZD.data();
-    for (size_t I = 0; I < H; ++I)
-      ZDp[I] = Z[I] * Dp[I];
-    float *__restrict Op = Out.data() + Bi * H;
-    for (size_t I = 0; I < H; ++I)
-      Op[I] = Nn[I] + ZDp[I];
-  }
-
-  Node *N = makeNode(std::move(Out), cellBatchParents(Wx, Bx, Wh, Xs, HPrevs),
-                     gruCellBatchBackward);
+  // Parents Wx, Bx, Wh, X_0..X_{B-1}, H_0..H_{B-1}.
+  Node *N = newNodeWithParents(std::move(Out), 3 + 2 * B);
+  Node **P = N->Parents;
+  *P++ = Wx;
+  *P++ = Bx;
+  *P++ = Wh;
+  std::copy(HPrevs.begin(), HPrevs.end(), std::copy(Xs.begin(), Xs.end(), P));
+  finishNode(N, gruCellBatchBackward);
   N->AuxM = Gates;
   N->IScalar = B;
-  std::vector<Var> Outs;
-  Outs.reserve(B);
+  std::vector<Var> Outs(B);
   for (size_t Bi = 0; Bi < B; ++Bi)
-    Outs.push_back(row(N, Bi));
+    Outs[Bi] = laneOutput(N, B, Bi);
   return Outs;
 }
 
@@ -1055,9 +929,10 @@ CellOut liger::treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 // Two node kinds cover a whole attended decode. The KeyProj node
 // computes the key-side half of every score's first layer once per
 // memory ([T x Hidden]; keys are constant across decoder steps). Each
-// step then adds one attention node fusing broadcast query projection →
-// tanh → second-layer matvec → softmax → weighted context sum, the same
-// 1-2-nodes-per-step discipline as the fused cells above.
+// step then adds one attention node for all its queries, fusing the
+// broadcast query projection → tanh → second-layer matvec → softmax →
+// weighted context sum, the same 1-node-per-step discipline as the
+// fused cells above; one query gets that node itself as its context.
 //
 // Both backwards replay the per-pair reference graph (colsView / matvec
 // / add / tanhV / stackScalars / softmax / weightedCombine, see
@@ -1069,12 +944,9 @@ CellOut liger::treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 // strided matvecs forward, fresh-zeroed staging blocks scattered with
 // addAcc2d backward, matching the reference's colsView copy + scatter.
 //
-// Step-node parents: W1, W2, B2, Query, KeyProj, Key_0..Key_{T-1}
-// (T = NumParents - 5); payload AuxM holds the [T x Hidden] tanh
-// activations then the T softmax weights. KeyProj-node parents: W1,
-// B1, Key_0..Key_{T-1}; created before any step node, its backward
-// runs after every step's — exactly where the reference's shared
-// per-key projection nodes sit in the schedule.
+// KeyProj-node parents: W1, B1, Key_0..Key_{T-1}; created before any
+// step node, its backward runs after every step's — exactly where the
+// reference's shared per-key projection nodes sit in the schedule.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1112,9 +984,9 @@ void attentionKeyProjBackward(Node &N) {
   }
 }
 
-/// One query's attention backward over its key memory; the whole
-/// chain for a single-query node, and one replay step of the
-/// multi-memory node (KeyParents points at that query's Key_0.. span).
+/// One query's attention backward over its key memory: one replay step
+/// of the multi-memory node (KeyParents points at that query's Key_0..
+/// span, Ht and A at its payload slice).
 void attentionBackwardOne(Node &W1N, Node &W2N, Node &B2N, Node &QN,
                           Node &KPN, Node *const *KeyParents, size_t T,
                           size_t K, size_t H, size_t Q, const float *G,
@@ -1170,16 +1042,6 @@ void attentionBackwardOne(Node &W1N, Node &W2N, Node &B2N, Node &QN,
                       W1Cols);
 }
 
-void attentionBackward(Node &N) {
-  Node &KPN = *N.Parents[4];
-  size_t T = N.NumParents - 5;
-  size_t H = KPN.Value.dim(1);
-  attentionBackwardOne(*N.Parents[0], *N.Parents[1], *N.Parents[2],
-                       *N.Parents[3], KPN, N.Parents + 5, T,
-                       N.Value.size(), H, N.Parents[3]->Value.size(),
-                       N.Grad.data(), N.AuxM, N.AuxM + T * H);
-}
-
 } // namespace
 
 Var liger::attentionKeyProj(const Var &W1, const Var &B1,
@@ -1214,60 +1076,6 @@ Var liger::attentionKeyProj(const Var &W1, const Var &B1,
   return makeNode(std::move(Out), Parents, attentionKeyProjBackward);
 }
 
-AttnOut liger::attentionOp(const Var &W1, const Var &W2, const Var &B2,
-                           const Var &Query, const Var &KeyProj,
-                           const std::vector<Var> &Keys) {
-  size_t T = Keys.size();
-  LIGER_CHECK(T > 0, "attentionOp needs keys");
-  size_t K = Keys[0]->Value.size();
-  size_t Q = Query->Value.size();
-  size_t H = W1->Value.dim(0);
-  size_t W1Cols = W1->Value.dim(1);
-  LIGER_CHECK(W1->Value.rank() == 2 && W1Cols == K + Q,
-              "attentionOp packed W1 shape mismatch");
-  LIGER_CHECK(W2->Value.rank() == 2 && W2->Value.dim(0) == 1 &&
-                  W2->Value.dim(1) == H,
-              "attentionOp W2 shape mismatch");
-  LIGER_CHECK(B2->Value.size() == 1, "attentionOp B2 shape mismatch");
-  LIGER_CHECK(KeyProj->Value.rank() == 2 && KeyProj->Value.dim(0) == T &&
-                  KeyProj->Value.dim(1) == H,
-              "attentionOp key projection mismatch");
-
-  std::vector<const float *> KeyV(T);
-  for (size_t TI = 0; TI < T; ++TI) {
-    LIGER_CHECK(Keys[TI]->Value.size() == K,
-                "attentionOp keys must share shape");
-    KeyV[TI] = Keys[TI]->Value.data();
-  }
-  // Forward math (broadcast query projection -> tanh -> scores ->
-  // softmax -> weighted context) shared with the inference runtime;
-  // Ht and A land directly in the backward payload.
-  float *Pay = allocCellPayload(T * H + T);
-  float *Ht = Pay, *A = Pay + T * H;
-  Tensor Ws = Tensor::raw(2 * H + T);
-  Tensor Out = Tensor::raw(K);
-  inferops::attentionForward(T, K, Q, H, W1Cols, W1->Value.data(),
-                             W2->Value.data(), B2->Value[0],
-                             Query->Value.data(), KeyProj->Value.data(),
-                             KeyV.data(), Ht, A, Out.data(), Ws.data());
-
-  std::vector<Var> Parents;
-  Parents.reserve(5 + T);
-  Parents.push_back(W1);
-  Parents.push_back(W2);
-  Parents.push_back(B2);
-  Parents.push_back(Query);
-  Parents.push_back(KeyProj);
-  for (const Var &Key : Keys)
-    Parents.push_back(Key);
-  Node *N = makeNode(std::move(Out), Parents, attentionBackward);
-  N->AuxM = Pay;
-  AttnOut Result;
-  Result.Context = N;
-  Result.Weights = A;
-  return Result;
-}
-
 //===----------------------------------------------------------------------===//
 // Multi-memory attention
 //===----------------------------------------------------------------------===//
@@ -1278,31 +1086,28 @@ namespace {
 /// per query its KeyProj followed by its Key_0..Key_{T_q-1}; AuxIdx
 /// holds the per-query key counts, AuxM per-query slices of
 /// (T_q*Hidden + T_q). Queries replay in descending order, each with
-/// its own memory — where ascending-created single-query attentionOp
-/// nodes sit in the newest-first tape walk — so
-/// shared-parameter accumulation is bitwise-identical to the per-query
-/// reference.
+/// its own memory — where one-query nodes created in query order sit
+/// in the newest-first tape walk — so a query's gradients and the
+/// shared-parameter accumulation do not depend on how many queries
+/// share the node.
 void attentionMultiMemoryBackward(Node &N) {
   size_t Qn = N.IScalar;
-  size_t K = N.Value.dim(1);
+  size_t K = N.Value.size() / Qn;
   size_t H = N.Parents[0]->Value.dim(0);
   const size_t *Ts = N.AuxIdx;
   const float *G = N.Grad.data();
-  // Per-query parent-array and payload offsets (ascending prefix sums).
-  std::vector<size_t> MemOff(Qn), PayOff(Qn);
-  size_t POff = 3 + Qn, SOff = 0;
-  for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    MemOff[Qi] = POff;
-    PayOff[Qi] = SOff;
-    POff += 1 + Ts[Qi];
+  // Walk the queries' parent spans and payload slices from the end.
+  size_t POff = N.NumParents, SOff = 0;
+  for (size_t Qi = 0; Qi < Qn; ++Qi)
     SOff += Ts[Qi] * H + Ts[Qi];
-  }
   for (size_t Qi = Qn; Qi-- > 0;) {
     size_t T = Ts[Qi];
-    const float *Slice = N.AuxM + PayOff[Qi];
+    POff -= 1 + T;
+    SOff -= T * H + T;
+    const float *Slice = N.AuxM + SOff;
     attentionBackwardOne(*N.Parents[0], *N.Parents[1], *N.Parents[2],
-                         *N.Parents[3 + Qi], *N.Parents[MemOff[Qi]],
-                         N.Parents + MemOff[Qi] + 1, T, K, H,
+                         *N.Parents[3 + Qi], *N.Parents[POff],
+                         N.Parents + POff + 1, T, K, H,
                          N.Parents[3 + Qi]->Value.size(), G + Qi * K,
                          Slice, Slice + T * H);
   }
@@ -1311,19 +1116,17 @@ void attentionMultiMemoryBackward(Node &N) {
 } // namespace
 
 std::vector<AttnOut> liger::attentionMultiMemoryOp(
-    const Var &W1, const Var &W2, const Var &B2,
-    const std::vector<Var> &Queries, const std::vector<Var> &KeyProjs,
-    const std::vector<const std::vector<Var> *> &KeysPerQuery) {
+    const Var &W1, const Var &W2, const Var &B2, ArrayRef<Var> Queries,
+    ArrayRef<const AttnMemory *> Mems) {
   size_t Qn = Queries.size();
-  LIGER_CHECK(Qn > 0, "attentionMultiMemoryOp needs queries");
-  LIGER_CHECK(KeyProjs.size() == Qn && KeysPerQuery.size() == Qn,
+  LIGER_CHECK(Qn > 0 && Mems.size() == Qn,
               "attentionMultiMemoryOp needs one memory per query");
-  size_t Q = Queries[0]->Value.dim(0);
+  size_t Q = Queries[0]->Value.size();
   size_t H = W1->Value.dim(0);
   size_t W1Cols = W1->Value.dim(1);
-  LIGER_CHECK(!KeysPerQuery[0]->empty(),
+  LIGER_CHECK(!Mems[0]->Keys.empty(),
               "attentionMultiMemoryOp needs non-empty memories");
-  size_t K = (*KeysPerQuery[0])[0]->Value.size();
+  size_t K = Mems[0]->Keys[0]->Value.size();
   LIGER_CHECK(W1->Value.rank() == 2 && W1Cols == K + Q,
               "attentionMultiMemoryOp packed W1 shape mismatch");
   LIGER_CHECK(W2->Value.rank() == 2 && W2->Value.dim(0) == 1 &&
@@ -1332,90 +1135,69 @@ std::vector<AttnOut> liger::attentionMultiMemoryOp(
   LIGER_CHECK(B2->Value.size() == 1,
               "attentionMultiMemoryOp B2 shape mismatch");
 
+  // Per query its key count, payload slice (T*H tanh activations, T
+  // weights) and parents (its KeyProj, then its keys).
   size_t *Ts = GraphArena::current().allocArray<size_t>(Qn);
-  size_t PayTotal = 0, ParentTotal = 3 + Qn;
+  size_t PayTotal = 0, KeyTotal = 0;
   for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    const std::vector<Var> &Keys = *KeysPerQuery[Qi];
-    size_t T = Keys.size();
+    const AttnMemory &Mem = *Mems[Qi];
+    size_t T = Mem.Keys.size();
     LIGER_CHECK(T > 0, "attentionMultiMemoryOp needs non-empty memories");
     LIGER_CHECK(Queries[Qi]->Value.size() == Q,
                 "attentionMultiMemoryOp queries must share shape");
-    for (size_t TI = 0; TI < T; ++TI)
-      LIGER_CHECK(Keys[TI]->Value.size() == K,
-                  "attentionMultiMemoryOp keys must share shape");
-    LIGER_CHECK(KeyProjs[Qi]->Value.rank() == 2 &&
-                    KeyProjs[Qi]->Value.dim(0) == T &&
-                    KeyProjs[Qi]->Value.dim(1) == H,
+    LIGER_CHECK(Mem.KeyProj->Value.rank() == 2 &&
+                    Mem.KeyProj->Value.dim(0) == T &&
+                    Mem.KeyProj->Value.dim(1) == H,
                 "attentionMultiMemoryOp key projection mismatch");
     Ts[Qi] = T;
     PayTotal += T * H + T;
-    ParentTotal += 1 + T;
+    KeyTotal += T;
   }
-  float *Pay = allocCellPayload(PayTotal);
-  const float *W2V = W2->Value.data();
+  Node *N = newNodeWithParents(Tensor(), 3 + 2 * Qn + KeyTotal);
+  Node **P = N->Parents;
+  *P++ = W1;
+  *P++ = W2;
+  *P++ = B2;
+  P = std::copy(Queries.begin(), Queries.end(), P);
+  // Value pointers for the forward: the Qn key projections, then every
+  // query's keys back to back.
+  std::vector<const float *> Ptrs(Qn + KeyTotal);
+  const float **KPV = Ptrs.data(), **KeyV = KPV + Qn;
+  for (size_t Qi = 0; Qi < Qn; ++Qi) {
+    const AttnMemory &Mem = *Mems[Qi];
+    *P++ = Mem.KeyProj;
+    KPV[Qi] = Mem.KeyProj->Value.data();
+    for (const Var &Key : Mem.Keys) {
+      LIGER_CHECK(Key->Value.size() == K,
+                  "attentionMultiMemoryOp keys must share shape");
+      *P++ = Key;
+      *KeyV++ = Key->Value.data();
+    }
+  }
 
-  // All queries' broadcast projections in one tiled matmul over the
-  // shared query-side band of W1 — the cross-memory win; the per-key
-  // walk below is this query's memory only.
+  // The forward math (every query's broadcast projection in one matmul
+  // over the shared query-side band of W1, then each query's walk over
+  // its own memory) is shared with the inference runtime, which runs
+  // it with one query; Ht and the weights land in the payload.
+  float *Pay = allocCellPayload(PayTotal);
   Tensor QScratch;
   const float *QBufV = stackedValues(Queries, Q, QScratch);
-  Tensor Mq = Tensor::raw(Qn, H);
-  kernels::matmul(Qn, H, Q, W1->Value.data() + K, W1Cols, QBufV, Q,
-                  Mq.data(), H);
+  Tensor Ws = Tensor::raw((Qn + 1) * H);
+  N->Value = laneValues(Qn, K);
+  inferops::attentionForward(Qn, Ts, K, Q, H, W1Cols, W1->Value.data(),
+                             W2->Value.data(), B2->Value[0], QBufV, KPV,
+                             Ptrs.data() + Qn, Pay, N->Value.data(),
+                             Ws.data());
 
-  Tensor Out = Tensor::zeros(Qn, K);
-  Tensor Pre = Tensor::raw(H);
-  float *__restrict PreV = Pre.data();
-  size_t PayOff = 0;
-  std::vector<size_t> WOff(Qn);
-  for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    const std::vector<Var> &Keys = *KeysPerQuery[Qi];
-    const float *KPV = KeyProjs[Qi]->Value.data();
-    size_t T = Ts[Qi];
-    float *Ht = Pay + PayOff, *A = Pay + PayOff + T * H;
-    const float *__restrict MqV = Mq.data() + Qi * H;
-    Tensor Sv = Tensor::zeros(T);
-    for (size_t TI = 0; TI < T; ++TI) {
-      const float *__restrict KPRow = KPV + TI * H;
-      for (size_t I = 0; I < H; ++I)
-        PreV[I] = KPRow[I] + MqV[I];
-      float *HtRow = Ht + TI * H;
-      kernels::tanhMap(H, PreV, HtRow);
-      float S = kernels::dot(H, W2V, HtRow);
-      Sv[TI] = S + B2->Value[0];
-    }
-    std::vector<float> Probs = softmaxValues(Sv);
-    std::memcpy(A, Probs.data(), T * sizeof(float));
-    float *OutRow = Out.data() + Qi * K;
-    for (size_t TI = 0; TI < T; ++TI)
-      kernels::axpy(K, A[TI], Keys[TI]->Value.data(), OutRow);
-    WOff[Qi] = PayOff + T * H;
-    PayOff += T * H + T;
-  }
-
-  std::vector<Var> Parents;
-  Parents.reserve(ParentTotal);
-  Parents.push_back(W1);
-  Parents.push_back(W2);
-  Parents.push_back(B2);
-  for (const Var &Qv : Queries)
-    Parents.push_back(Qv);
-  for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    Parents.push_back(KeyProjs[Qi]);
-    for (const Var &Key : *KeysPerQuery[Qi])
-      Parents.push_back(Key);
-  }
-  Node *N = makeNode(std::move(Out), Parents, attentionMultiMemoryBackward);
+  finishNode(N, attentionMultiMemoryBackward);
   N->AuxM = Pay;
   N->AuxIdx = Ts;
   N->IScalar = Qn;
-  std::vector<AttnOut> Results;
-  Results.reserve(Qn);
+  std::vector<AttnOut> Results(Qn);
   for (size_t Qi = 0; Qi < Qn; ++Qi) {
-    AttnOut R;
-    R.Context = row(N, Qi);
-    R.Weights = Pay + WOff[Qi];
-    Results.push_back(R);
+    Results[Qi].Context = laneOutput(N, Qn, Qi);
+    Results[Qi].Weights = Pay + Ts[Qi] * H;
+    Pay += Ts[Qi] * H + Ts[Qi];
   }
   return Results;
 }
@@ -1426,15 +1208,15 @@ std::vector<AttnOut> liger::attentionMultiMemoryOp(
 
 namespace {
 
-/// Batched loss-head node: parents W, Bias, X_0..X_{B-1}; value the
-/// [B x 1] per-lane losses, AuxF the B*V softmax probabilities, AuxIdx
-/// the B targets. Lanes replay in descending order — where the
-/// ascending-created per-lane matvec/add/CE chains sit in the
-/// newest-first tape walk. Each lane's fused CE grad lands in a
-/// fresh logits-grad row that feeds the lane's input grad inline (the
-/// per-lane rows are disjoint, so reordering them against the shared
-/// regions is bitwise-neutral); the shared bias and weight regions
-/// then accumulate through the *BatchDesc kernels, which are
+/// Batched loss-head node: parents W, Bias, X_0..X_{B-1}; value the B
+/// per-lane losses ([B x 1], or [1] for one lane), AuxF the B*V softmax
+/// probabilities, AuxIdx the B targets. Lanes replay in descending
+/// order — where the ascending-created per-lane matvec/add/CE chains
+/// sit in the newest-first tape walk. Each lane's fused CE grad lands
+/// in a fresh logits-grad row that feeds the lane's input grad inline
+/// (the per-lane rows are disjoint, so reordering them against the
+/// shared regions is bitwise-neutral); the shared bias and weight
+/// regions then accumulate through the *BatchDesc kernels, which are
 /// bitwise-identical to descending per-lane addAcc / rank1Acc calls.
 void softmaxCrossEntropyBatchBackward(Node &N) {
   size_t B = N.IScalar;
@@ -1468,9 +1250,10 @@ void softmaxCrossEntropyBatchBackward(Node &N) {
 
 } // namespace
 
-std::vector<Var> liger::softmaxCrossEntropyBatchOp(
-    const Var &W, const Var &Bias, const std::vector<Var> &Xs,
-    const std::vector<size_t> &Targets) {
+std::vector<Var> liger::softmaxCrossEntropyBatchOp(const Var &W,
+                                                   const Var &Bias,
+                                                   ArrayRef<Var> Xs,
+                                                   ArrayRef<size_t> Targets) {
   size_t B = Xs.size();
   LIGER_CHECK(B > 0 && Targets.size() == B,
               "softmaxCrossEntropyBatchOp needs one target per lane");
@@ -1480,43 +1263,39 @@ std::vector<Var> liger::softmaxCrossEntropyBatchOp(
   LIGER_CHECK(Bias->Value.size() == V,
               "softmaxCrossEntropyBatchOp bias mismatch");
 
-  // Every lane's logits in one tiled matmul (each row bitwise ≡ the
-  // per-lane matvec), then the per-lane bias add and the same stable
-  // softmax-NLL as the single-lane op.
+  // Every lane's logits through the linear forward the inference
+  // runtime shares (one matmul, each row bitwise the per-lane matvec,
+  // then the bias add), then the same stable softmax-NLL as the
+  // single-vector softmaxCrossEntropy op.
   Tensor XScratch;
   const float *XBufV = stackedValues(Xs, In, XScratch);
   Tensor Logits = Tensor::raw(B, V);
-  kernels::matmul(B, V, In, W->Value.data(), In, XBufV, In, Logits.data(),
-                  V);
+  inferops::linearForward(B, V, In, W->Value.data(), Bias->Value.data(),
+                          XBufV, Logits.data());
 
   size_t *TargetsA = GraphArena::current().allocArray<size_t>(B);
   float *ProbsA = GraphArena::current().allocArray<float>(B * V);
-  Tensor Out = Tensor::zeros(B, 1);
+  Tensor Out = laneValues(B, 1);
   for (size_t Bi = 0; Bi < B; ++Bi) {
     LIGER_CHECK(Targets[Bi] < V, "target out of range");
-    float *LRow = Logits.data() + Bi * V;
-    kernels::addAcc(V, Bias->Value.data(), LRow);
-    std::vector<float> Probs = softmaxValues(Tensor::view(LRow, V));
-    std::memcpy(ProbsA + Bi * V, Probs.data(), V * sizeof(float));
+    float *Probs = ProbsA + Bi * V;
+    inferops::softmaxRow(V, Logits.data() + Bi * V, Probs);
     Out[Bi] = -std::log(std::max(Probs[Targets[Bi]], 1e-12f));
     TargetsA[Bi] = Targets[Bi];
   }
 
-  std::vector<Var> Parents;
-  Parents.reserve(2 + B);
-  Parents.push_back(W);
-  Parents.push_back(Bias);
-  for (const Var &X : Xs)
-    Parents.push_back(X);
-  Node *N = makeNode(std::move(Out), Parents,
-                     softmaxCrossEntropyBatchBackward);
+  // Parents W, Bias, X_0..X_{B-1}.
+  Node *N = newNodeWithParents(std::move(Out), 2 + B);
+  N->Parents[0] = W;
+  N->Parents[1] = Bias;
+  std::copy(Xs.begin(), Xs.end(), N->Parents + 2);
+  finishNode(N, softmaxCrossEntropyBatchBackward);
   N->AuxF = ProbsA;
   N->AuxIdx = TargetsA;
   N->IScalar = B;
-  std::vector<Var> Losses;
-  Losses.reserve(B);
+  std::vector<Var> Losses(B);
   for (size_t Bi = 0; Bi < B; ++Bi)
-    Losses.push_back(row(N, Bi));
+    Losses[Bi] = laneOutput(N, B, Bi);
   return Losses;
 }
 

@@ -32,11 +32,14 @@
 /// concatenation, embedding-row lookup, stacking scalar scores,
 /// softmax, attention-style weighted combination, max/mean pooling, a
 /// fused numerically-stable softmax-cross-entropy loss, and the fused
-/// GRU, TreeLSTM-node, attention and loss-head ops below (the GRU,
-/// attention and loss head also batched over lanes). Each fused op
-/// is bitwise-identical to a chain of the elementary ops; those
-/// reference chains live in tests/ReferenceGraphs and address packed
-/// parameters through the rowsView/sliceView/colsView ops.
+/// GRU, TreeLSTM-node, attention and loss-head ops below. The GRU,
+/// attention and loss head have one op each, over any number of lanes:
+/// the per-lane operands come as an ArrayRef (a std::vector, or a
+/// single operand for one lane), and one lane gets the op's node
+/// itself, more lanes a row view each.
+/// Each fused op is bitwise-identical to a chain of the elementary ops;
+/// those reference chains live in tests/ReferenceGraphs and address
+/// packed parameters through the rowsView/sliceView/colsView ops.
 ///
 /// Thread-parallel training: graphs built on different threads (each on
 /// its own arena) may share parameter nodes read-only. backward(Loss,
@@ -52,6 +55,7 @@
 
 #include "nn/GraphArena.h"
 #include "nn/Tensor.h"
+#include "support/ArrayRef.h"
 
 #include <cstdint>
 #include <vector>
@@ -185,19 +189,6 @@ struct CellOut {
   Var C = nullptr;
 };
 
-/// Fused GRU step: one graph node computing
-///   z = σ(Wx[0:H]·x + bx[0:H] + Wh[0:H]·h)
-///   r = σ(Wx[H:2H]·x + bx[H:2H] + Wh[H:2H]·h)
-///   n = tanh(Wx[2H:3H]·x + bx[2H:3H] + Wh[2H:3H]·(r ⊙ h))
-///   h' = n + z ⊙ (h - n)
-/// with packed parameters Wx [3H x In], bx [3H], Wh [3H x H] (gate
-/// order z, r, n). The single backward closure emits every parameter
-/// and input gradient, replacing the ~16 nodes of the per-gate graph.
-/// Bitwise-identical to the per-gate reference graph
-/// (tests/ReferenceGraphs, FusedEquivalenceTest).
-Var gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh, const Var &X,
-              const Var &HPrev);
-
 /// Fused Child-Sum TreeLSTM node (per-child forget gates) with packed
 /// Wx [4H x In], bx [4H], Wh [4H x H] in gate order i, o, u, f — i/o/u
 /// rows contiguous so one matvecN covers the h~-side projections, the
@@ -214,24 +205,31 @@ CellOut treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
                        const std::vector<Var> &ChildC);
 
 //===----------------------------------------------------------------------===//
-// Batched recurrent-cell ops
+// Fused GRU step
 //===----------------------------------------------------------------------===//
 
-/// Fused GRU step advanced for B concurrently-running sequences in one
-/// batch node: inputs and previous states are stacked into contiguous
-/// [B x In] / [B x H] blocks so every packed gate costs one tiled
-/// matmul instead of B matvecs. The node's [B x H] value holds every
-/// sample's h'; the returned Vars are per-sample row views (forward: a
-/// row copy; backward: an addAcc into the batch node's grad row). The
-/// batch backward replays the single-sample gruCellOp backward per
-/// sample in descending sample order — exactly where B per-sample cell
-/// nodes created in ascending order would sit in the newest-first tape
-/// walk — so losses, gradients, and optimizer steps
-/// are bitwise-identical to B gruCellOp calls
-/// (BatchedKernelEquivalenceTest pins this).
+/// Fused GRU step of B concurrently-running sequences in one node:
+///   z = σ(Wx[0:H]·x + bx[0:H] + Wh[0:H]·h)
+///   r = σ(Wx[H:2H]·x + bx[H:2H] + Wh[H:2H]·h)
+///   n = tanh(Wx[2H:3H]·x + bx[2H:3H] + Wh[2H:3H]·(r ⊙ h))
+///   h' = n + z ⊙ (h - n)
+/// per lane, with packed parameters Wx [3H x In], bx [3H], Wh [3H x H]
+/// (gate order z, r, n). Inputs and previous states are stacked into
+/// contiguous [B x In] / [B x H] blocks so every packed gate costs one
+/// tiled matmul (inferops::gruCellForward, which the inference runtime
+/// runs with one lane). One lane returns the node itself, its value
+/// that lane's h'; more lanes return per-lane row views of the node's
+/// [B x H] value (forward: zero-copy; backward: an addAcc into the
+/// node's grad row). The single backward closure emits every parameter
+/// and input gradient, replacing the ~16 nodes per lane of the
+/// per-gate graph, and replays lanes in descending order — where B
+/// one-lane nodes created in lane order sit in the newest-first tape
+/// walk — so a lane's values and gradients do not depend on B.
+/// Bitwise-identical to the per-gate reference graph
+/// (tests/ReferenceGraphs, FusedEquivalenceTest) and to a per-lane loop
+/// of one-lane calls (BatchedKernelEquivalenceTest).
 std::vector<Var> gruCellBatchOp(const Var &Wx, const Var &Bx, const Var &Wh,
-                                const std::vector<Var> &Xs,
-                                const std::vector<Var> &HPrevs);
+                                ArrayRef<Var> Xs, ArrayRef<Var> HPrevs);
 
 //===----------------------------------------------------------------------===//
 // Fused attention ops
@@ -242,10 +240,18 @@ std::vector<Var> gruCellBatchOp(const Var &Wx, const Var &Bx, const Var &Wh,
 /// computed with one strided matvec per key over the packed
 /// [Hidden x (KeyDim+QueryDim)] first-layer weight \p W1. Keys are
 /// constant across decoder steps, so callers build this once per
-/// memory and share it across every attentionOp step. Bitwise-identical
+/// memory and share it across every attention step. Bitwise-identical
 /// to the per-key add(matvec(colsView(W1, 0, KeyDim), key), b1) chain.
 Var attentionKeyProj(const Var &W1, const Var &B1,
                      const std::vector<Var> &Keys);
+
+/// An attention memory: its keys plus their key-side projection
+/// (attentionKeyProj over the scorer's W1/B1), built once per memory
+/// and shared by every attention step over it.
+struct AttnMemory {
+  std::vector<Var> Keys;
+  Var KeyProj = nullptr; ///< [T x Hidden] attentionKeyProj node.
+};
 
 /// Result of one fused attention step: the context vector node plus a
 /// read-only peek at the T softmax weights (arena-owned, valid until
@@ -255,51 +261,47 @@ struct AttnOut {
   const float *Weights = nullptr;
 };
 
-/// Fused additive-attention step over a prepared key projection: one
-/// graph node computing, for every key t,
-///   s_t = W2 · tanh(KeyProj[t] + W1[:, KeyDim:] · q) + b2
-///   a = softmax(s),  context = Σ_t a_t · key_t
-/// with a single backward closure emitting all gradients (W1, W2, b2,
-/// query, KeyProj, keys) — the same 1-2-nodes-per-step discipline as
-/// gruCellOp, replacing the ~6·T nodes of the per-pair score chain.
-/// Bitwise-identical to the per-pair reference graph in
-/// tests/ReferenceGraphs (AttentionEquivalenceTest pins this).
-AttnOut attentionOp(const Var &W1, const Var &W2, const Var &B2,
-                    const Var &Query, const Var &KeyProj,
-                    const std::vector<Var> &Keys);
-
-/// Multi-memory fused attention: scores B queries, each against its
-/// OWN prepared key projection, in a single node — the lockstep
-/// decoder's per-lane attention reads over distinct sample memories.
-/// The query-side projection still collapses into one [B x Hidden]
-/// tiled matmul over the shared W1 band (each row bitwise ≡ the
-/// single-query strided matvec); the per-key walk then runs per query
-/// over that query's keys. KeyProjs[i] must be the prepared projection
-/// of KeysPerQuery[i] (attentionKeyProj over the same W1/B1). The
-/// backward replays the single-query attentionOp backward per query in
-/// descending query order with that query's memory — bitwise-identical
-/// to B attentionOp calls (BatchedKernelEquivalenceTest pins this).
-std::vector<AttnOut> attentionMultiMemoryOp(
-    const Var &W1, const Var &W2, const Var &B2,
-    const std::vector<Var> &Queries, const std::vector<Var> &KeyProjs,
-    const std::vector<const std::vector<Var> *> &KeysPerQuery);
+/// Fused additive-attention step of B queries, each over its OWN
+/// memory, in a single node computing, for query q and every key t of
+/// its memory,
+///   s_t = W2 · tanh(KeyProj_q[t] + W1[:, KeyDim:] · q) + b2
+///   a = softmax(s),  context_q = Σ_t a_t · key_t
+/// Mems[i] is query i's memory. The query-side projections collapse
+/// into one [B x Hidden] tiled matmul over the shared W1 band (each row
+/// bitwise the one-query strided matvec); the per-key walk then runs
+/// per query over that query's keys (inferops::attentionForward, which
+/// the inference runtime runs with one query). One query gets the node
+/// itself as its context, more
+/// queries a row view each — the 1-node-per-step discipline of the
+/// fused GRU, replacing the ~6·T nodes per query of the per-pair score
+/// chain. A single backward closure emits all gradients (W1, W2, b2,
+/// queries, key projections, keys), replaying the queries in
+/// descending order, so a query's values and gradients do not depend
+/// on B. Bitwise-identical to the per-pair reference graph in
+/// tests/ReferenceGraphs (AttentionEquivalenceTest) and to a per-query
+/// loop of one-query calls (BatchedKernelEquivalenceTest).
+std::vector<AttnOut> attentionMultiMemoryOp(const Var &W1, const Var &W2,
+                                            const Var &B2,
+                                            ArrayRef<Var> Queries,
+                                            ArrayRef<const AttnMemory *> Mems);
 
 //===----------------------------------------------------------------------===//
 // Batched loss head
 //===----------------------------------------------------------------------===//
 
-/// Batched linear head + softmax cross-entropy for B lockstep lanes:
-/// logits for every lane in one [B x V] tiled matmul over the shared
-/// head weight (each row bitwise ≡ the per-lane matvec), a per-lane
-/// bias add + stable softmax-NLL, and one fused backward that replays
-/// the per-lane add/matvec/CE chains in descending lane order (shared
-/// weight and bias regions through the *BatchDesc kernels, per-lane
-/// input grads inline). Returned Vars are per-lane scalar row views of
-/// the [B x 1] loss node — bitwise-identical to B
+/// Linear head + softmax cross-entropy for B lockstep lanes: logits for
+/// every lane in one [B x V] tiled matmul over the shared head weight
+/// (inferops::linearForward; each row bitwise ≡ the per-lane matvec),
+/// a per-lane bias add + stable softmax-NLL, and one fused backward
+/// that replays the per-lane add/matvec/CE chains in descending lane
+/// order (shared weight and bias regions through the *BatchDesc
+/// kernels, per-lane input grads inline). One lane gets the loss node
+/// itself (one node where the chain builds three), more lanes a scalar
+/// row view each of the [B x 1] loss node — bitwise-identical to B
 /// softmaxCrossEntropy(add(matvec(W, x), bias), target) chains.
 std::vector<Var> softmaxCrossEntropyBatchOp(const Var &W, const Var &Bias,
-                                            const std::vector<Var> &Xs,
-                                            const std::vector<size_t> &Targets);
+                                            ArrayRef<Var> Xs,
+                                            ArrayRef<size_t> Targets);
 
 /// Runs reverse-mode accumulation from scalar \p Loss (grad seeded 1)
 /// over the current arena's tape (see the one-arena contract above).

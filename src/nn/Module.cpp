@@ -104,17 +104,8 @@ Linear::Linear(ParamStore &Store, const std::string &Name, size_t In,
 Var Linear::apply(const Var &X) const { return add(matvec(W, X), B); }
 
 std::vector<Var>
-Linear::softmaxCrossEntropyBatch(const std::vector<Var> &Xs,
-                                 const std::vector<size_t> &Targets) const {
-  LIGER_CHECK(Xs.size() == Targets.size(),
-              "softmaxCrossEntropyBatch needs one target per lane");
-  if (Xs.size() <= 1) {
-    std::vector<Var> Out;
-    Out.reserve(Xs.size());
-    for (size_t I = 0; I < Xs.size(); ++I)
-      Out.push_back(softmaxCrossEntropy(apply(Xs[I]), Targets[I]));
-    return Out;
-  }
+Linear::softmaxCrossEntropyBatch(ArrayRef<Var> Xs,
+                                 ArrayRef<size_t> Targets) const {
   return softmaxCrossEntropyBatchOp(W, B, Xs, Targets);
 }
 
@@ -152,15 +143,11 @@ RecurrentCell::RecurrentCell(ParamStore &Store, const std::string &Name,
 Var RecurrentCell::initial() const { return constant(Tensor::zeros(Hidden)); }
 
 Var RecurrentCell::step(const Var &X, const Var &Prev) const {
-  return gruCellOp(PWx, PBx, PWh, X, Prev);
+  return stepBatch(X, Prev)[0];
 }
 
-std::vector<Var> RecurrentCell::stepBatch(const std::vector<Var> &Xs,
-                                          const std::vector<Var> &Prev) const {
-  LIGER_CHECK(Xs.size() == Prev.size() && !Xs.empty(),
-              "stepBatch needs matching non-empty input/state sets");
-  if (Xs.size() == 1)
-    return {step(Xs[0], Prev[0])};
+std::vector<Var> RecurrentCell::stepBatch(ArrayRef<Var> Xs,
+                                          ArrayRef<Var> Prev) const {
   return gruCellBatchOp(PWx, PBx, PWh, Xs, Prev);
 }
 
@@ -296,34 +283,11 @@ AttentionScorer::prepare(const std::vector<Var> &Keys) const {
 
 AttentionScorer::Result
 AttentionScorer::contextOf(const Var &Query, const Memory &Mem) const {
-  AttnOut Fused = attentionOp(W1, W2, B2, Query, Mem.KeyProj, Mem.Keys);
-  Result Out;
-  Out.Context = Fused.Context;
-  Out.Weights = Fused.Weights;
-  return Out;
+  return contextOfMultiMemory(Query, &Mem)[0];
 }
 
-std::vector<AttentionScorer::Result> AttentionScorer::contextOfMultiMemory(
-    const std::vector<Var> &Queries,
-    const std::vector<const Memory *> &Mems) const {
-  LIGER_CHECK(!Queries.empty() && Mems.size() == Queries.size(),
-              "contextOfMultiMemory needs one memory per query");
-  if (Queries.size() == 1)
-    return {contextOf(Queries[0], *Mems[0])};
-  std::vector<Var> KeyProjs;
-  std::vector<const std::vector<Var> *> KeysPerQuery;
-  KeyProjs.reserve(Mems.size());
-  KeysPerQuery.reserve(Mems.size());
-  for (const Memory *Mem : Mems) {
-    KeyProjs.push_back(Mem->KeyProj);
-    KeysPerQuery.push_back(&Mem->Keys);
-  }
-  std::vector<AttnOut> Fused =
-      attentionMultiMemoryOp(W1, W2, B2, Queries, KeyProjs, KeysPerQuery);
-  std::vector<Result> Out(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I) {
-    Out[I].Context = Fused[I].Context;
-    Out[I].Weights = Fused[I].Weights;
-  }
-  return Out;
+std::vector<AttentionScorer::Result>
+AttentionScorer::contextOfMultiMemory(ArrayRef<Var> Queries,
+                                      ArrayRef<const Memory *> Mems) const {
+  return attentionMultiMemoryOp(W1, W2, B2, Queries, Mems);
 }

@@ -20,10 +20,14 @@
 /// stable): unlike graph nodes, parameters outlive every arena reset,
 /// and the optimizer and (de)serialization reach them through here.
 ///
-/// Each op has exactly one path: the fused and batched graph ops of
-/// nn/Graph.h. The per-gate and per-pair graphs they are bitwise
-/// pinned against live in tests/ReferenceGraphs, reading the same
-/// packed parameters by name from the ParamStore.
+/// Each layer has exactly one graph op in nn/Graph.h, over any number
+/// of lockstep lanes: RecurrentCell::stepBatch, the attention reads
+/// and Linear::softmaxCrossEntropyBatch take B lanes, and step(),
+/// contextOf() and a one-lane softmaxCrossEntropyBatch are one-lane
+/// calls of the same op (one node each, no row view). The per-gate and
+/// per-pair graphs they are bitwise pinned against live in
+/// tests/ReferenceGraphs, reading the same packed parameters by name
+/// from the ParamStore.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,13 +99,12 @@ public:
   Var apply(const Var &X) const;
 
   /// Softmax cross-entropy losses of this layer's logits over a block
-  /// of B lockstep lanes: one batched loss-head node (matmul logits +
-  /// fused descending-lane backward), or the plain apply() +
-  /// softmaxCrossEntropy() chain for a single lane. Bitwise-identical
-  /// to that chain run per lane in order (BatchedKernelEquivalenceTest).
-  std::vector<Var> softmaxCrossEntropyBatch(const std::vector<Var> &Xs,
-                                            const std::vector<size_t> &Targets)
-      const;
+  /// of B ≥ 1 lockstep lanes: one loss-head node (matmul logits + fused
+  /// descending-lane backward) whose one-lane call is the single-sample
+  /// loss head. Bitwise-identical to the apply() + softmaxCrossEntropy()
+  /// chain run per lane in order (BatchedKernelEquivalenceTest).
+  std::vector<Var> softmaxCrossEntropyBatch(ArrayRef<Var> Xs,
+                                            ArrayRef<size_t> Targets) const;
 
 private:
   Var W = nullptr, B = nullptr;
@@ -132,18 +135,17 @@ public:
   /// Initial (zero) state.
   Var initial() const;
 
-  /// One time step: one fused gruCellOp node, bitwise-identical to the
-  /// per-gate reference graph in tests/ReferenceGraphs
-  /// (FusedEquivalenceTest).
+  /// One time step: a one-lane stepBatch, whose single gruCellBatchOp
+  /// node is the new state — bitwise-identical to the per-gate
+  /// reference graph in tests/ReferenceGraphs (FusedEquivalenceTest).
   Var step(const Var &X, const Var &Prev) const;
 
-  /// One time step for B concurrently-advancing sequences: stacks the
-  /// inputs/states into one matmul-backed gruCellBatchOp and hands back
-  /// per-sample row views. B == 1 takes step(); either way results are
+  /// One time step for B ≥ 1 concurrently-advancing sequences: stacks
+  /// the inputs/states into one matmul-backed gruCellBatchOp and hands
+  /// back per-sample row views (one lane: the node itself). Results are
   /// bitwise-identical to calling step() on each sample in order
   /// (BatchedKernelEquivalenceTest).
-  std::vector<Var> stepBatch(const std::vector<Var> &Xs,
-                             const std::vector<Var> &Prev) const;
+  std::vector<Var> stepBatch(ArrayRef<Var> Xs, ArrayRef<Var> Prev) const;
 
   /// Folds a sequence left-to-right; returns every state (useful for
   /// attention) — States[i] is the state after consuming Inputs[i].
@@ -218,18 +220,12 @@ public:
   /// Per-decode attention memory: the keys plus their cached key-side
   /// first-layer projections. Build once per memory with prepare(),
   /// reuse across every decoder step.
-  struct Memory {
-    std::vector<Var> Keys;
-    Var KeyProj = nullptr; ///< [T x Hidden] attentionKeyProj node.
-  };
+  using Memory = AttnMemory;
 
   /// One attention step's outputs: the context node plus a read-only
   /// peek at the T softmax weights (arena-owned; for attention
   /// statistics, not a graph node).
-  struct Result {
-    Var Context = nullptr;
-    const float *Weights = nullptr;
-  };
+  using Result = AttnOut;
 
   /// Projects every key through the key-side half of the first layer
   /// (the expensive part, independent of the query) and packages it
@@ -237,20 +233,19 @@ public:
   Memory prepare(const std::vector<Var> &Keys) const;
 
   /// Attended context for one query over a prepared memory: softmax of
-  /// all scores, then the weighted key sum — one fused attentionOp
-  /// node, bitwise-identical to the per-pair reference graph
+  /// all scores, then the weighted key sum — a one-query
+  /// contextOfMultiMemory, whose single attentionMultiMemoryOp node is
+  /// the context, bitwise-identical to the per-pair reference graph
   /// (AttentionEquivalenceTest).
   Result contextOf(const Var &Query, const Memory &Mem) const;
 
-  /// Attended contexts for a block of queries, each over its OWN
+  /// Attended contexts for a block of B ≥ 1 queries, each over its OWN
   /// prepared memory — the lockstep decoder's per-lane attention reads
   /// over distinct sample memories. One multi-memory node batches the
-  /// query-side projection across lanes; a single query takes
-  /// contextOf(). Either way results are bitwise-identical to
-  /// per-query contextOf() calls in order.
-  std::vector<Result>
-  contextOfMultiMemory(const std::vector<Var> &Queries,
-                       const std::vector<const Memory *> &Mems) const;
+  /// query-side projection across lanes; results are bitwise-identical
+  /// to per-query contextOf() calls in order.
+  std::vector<Result> contextOfMultiMemory(ArrayRef<Var> Queries,
+                                           ArrayRef<const Memory *> Mems) const;
 
 private:
   size_t QueryDim = 0, KeyDim = 0;

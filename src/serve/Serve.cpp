@@ -184,9 +184,9 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
   // buildSample), with a wall-clock check after each phase. The fuel /
   // memory / attempt budgets of DESIGN.md §12 bound each phase's work
   // but not its time, and nothing checks the clock inside a phase: the
-  // symbolic phase alone can return 0.7-2.7 s after a 1 ms deadline
-  // (DESIGN.md §13.3; preempting inside a phase is an open ROADMAP
-  // item).
+  // symbolic phase alone can return 0.5-1.8 s after a 1 ms deadline in
+  // an optimized build (DESIGN.md §13.3; preempting inside a phase is
+  // an open ROADMAP item).
   DiagnosticSink Diags;
   std::optional<Program> Parsed = parseAndCheck(Request.Source, Diags);
   if (!Parsed)

@@ -237,6 +237,20 @@ TEST(ScaleTest, RejectsZeroBatch) {
   EXPECT_EQ(Scale.Epochs, 0u);
 }
 
+TEST(ScaleTest, RejectsZeroModelWidth) {
+  // A zero-width model has empty tensors (Tensor::zeros(0) memsets a
+  // null buffer) and serves empty names.
+  EXPECT_EXIT(parseOneFlag("--hidden=0"), testing::ExitedWithCode(2),
+              "bad numeric value in experiment flag: --hidden=0");
+  EXPECT_EXIT(parseOneFlag("--embed=0"), testing::ExitedWithCode(2),
+              "bad numeric value in experiment flag: --embed=0");
+  const char *Argv[] = {"bench", "--hidden=1", "--embed=1"};
+  ExperimentScale Scale =
+      ExperimentScale::fromArgs(3, const_cast<char **>(Argv));
+  EXPECT_EQ(Scale.Hidden, 1u);
+  EXPECT_EQ(Scale.EmbedDim, 1u);
+}
+
 namespace {
 
 std::vector<MethodSample> tinyTransformCorpus() {

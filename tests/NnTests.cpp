@@ -770,6 +770,45 @@ TEST(GraphArenaTest, ScopeRestoresPreviousArena) {
   EXPECT_FLOAT_EQ(After->Value[0], 9.0f);
 }
 
+TEST(GraphArenaTest, OneLaneOpsBuildOneNode) {
+  // The GRU step, the attention read and the loss head have one op
+  // each: a one-lane call adds that op's node and nothing else, B >= 2
+  // lanes add the batch node plus one row view per lane.
+  ParamStore Store;
+  Rng R(13);
+  const size_t In = 5, H = 6;
+  RecurrentCell Cell(Store, "cell", In, H, R);
+  AttentionScorer Attn(Store, "attn", H, H, 7, R);
+  Linear Head(Store, "head", H, 4, R);
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  Var X = constant(Tensor::uniform(In, 0.9f, R));
+  Var H0 = constant(Tensor::uniform(H, 0.9f, R));
+  AttentionScorer::Memory Mem = Attn.prepare({H0, Cell.step(X, H0)});
+  auto nodesAdded = [&](const std::function<void()> &Build) {
+    size_t Before = GraphArena::current().numLive();
+    Build();
+    return GraphArena::current().numLive() - Before;
+  };
+
+  EXPECT_EQ(nodesAdded([&] { Cell.step(X, H0); }), 1u);
+  EXPECT_EQ(nodesAdded([&] { Attn.contextOf(H0, Mem); }), 1u);
+  EXPECT_EQ(nodesAdded([&] { Head.softmaxCrossEntropyBatch(H0, 2); }), 1u);
+  EXPECT_EQ(nodesAdded([&] { Cell.stepBatch(X, H0); }), 1u);
+  EXPECT_EQ(nodesAdded([&] { Attn.contextOfMultiMemory(H0, &Mem); }), 1u);
+
+  for (size_t B : {2, 3}) {
+    std::vector<Var> Xs(B, X), Hs(B, H0);
+    std::vector<const AttentionScorer::Memory *> Mems(B, &Mem);
+    std::vector<size_t> Targets(B, 1);
+    EXPECT_EQ(nodesAdded([&] { Cell.stepBatch(Xs, Hs); }), 1 + B);
+    EXPECT_EQ(nodesAdded([&] { Attn.contextOfMultiMemory(Hs, Mems); }),
+              1 + B);
+    EXPECT_EQ(nodesAdded([&] { Head.softmaxCrossEntropyBatch(Hs, Targets); }),
+              1 + B);
+  }
+}
+
 TEST(GraphArenaTest, BackwardRejectsGraphOutsideCurrentArena) {
   // backward() walks the current arena's tape; a graph built in another
   // arena is not on it, so the pass must fail loudly rather than skip
@@ -907,8 +946,9 @@ TEST(GradCheckTest, GruCellOpPacked) {
   Var X = Store.addParam("x", Tensor::uniform(In, 0.9f, R));
   Var H0 = Store.addParam("h0", Tensor::uniform(H, 0.9f, R));
   GradCheckResult Result = checkGradients(Store, [&] {
-    Var H1 = gruCellOp(Wx, Bx, Wh, X, H0);
-    Var H2 = gruCellOp(Wx, Bx, Wh, X, H1);
+    // One lane: each call returns its batch node itself.
+    Var H1 = gruCellBatchOp(Wx, Bx, Wh, X, H0)[0];
+    Var H2 = gruCellBatchOp(Wx, Bx, Wh, X, H1)[0];
     return dot(H2, H2);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -1906,14 +1946,15 @@ TEST(GradCheckTest, AttentionMultiMemoryOpPacked) {
                          Tensor::uniform(KeyDim, 0.9f, R)));
   }
   GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<Var> KPs;
-    std::vector<const std::vector<Var> *> KeysPerQuery;
+    std::vector<AttnMemory> Mems(Q);
+    std::vector<const AttnMemory *> MemPtrs;
     for (size_t I = 0; I < Q; ++I) {
-      KPs.push_back(attentionKeyProj(W1, B1, Keys[I]));
-      KeysPerQuery.push_back(&Keys[I]);
+      Mems[I].Keys = Keys[I];
+      Mems[I].KeyProj = attentionKeyProj(W1, B1, Keys[I]);
+      MemPtrs.push_back(&Mems[I]);
     }
     std::vector<AttnOut> Out =
-        attentionMultiMemoryOp(W1, W2, B2, Queries, KPs, KeysPerQuery);
+        attentionMultiMemoryOp(W1, W2, B2, Queries, MemPtrs);
     std::vector<Var> Norms;
     for (const AttnOut &A : Out)
       Norms.push_back(dot(A.Context, A.Context));
@@ -1924,24 +1965,28 @@ TEST(GradCheckTest, AttentionMultiMemoryOpPacked) {
 }
 
 TEST(GradCheckTest, SoftmaxCrossEntropyBatchOpPacked) {
-  ParamStore Store;
-  Rng R(91);
-  const size_t In = 6, V = 4, B = 3;
-  Var W = Store.addParam("W", Tensor::xavier(V, In, R));
-  Var Bias = Store.addParam("b", Tensor::uniform(V, 0.2f, R));
-  std::vector<Var> Xs;
-  std::vector<size_t> Targets;
-  for (size_t I = 0; I < B; ++I) {
-    Xs.push_back(Store.addParam(strCat("x", std::to_string(I)),
-                                Tensor::uniform(In, 0.9f, R)));
-    Targets.push_back(I % V);
+  // Three lanes, then one: a one-lane call's loss is the node itself.
+  for (size_t B : {3, 1}) {
+    ParamStore Store;
+    Rng R(91);
+    const size_t In = 6, V = 4;
+    Var W = Store.addParam("W", Tensor::xavier(V, In, R));
+    Var Bias = Store.addParam("b", Tensor::uniform(V, 0.2f, R));
+    std::vector<Var> Xs;
+    std::vector<size_t> Targets;
+    for (size_t I = 0; I < B; ++I) {
+      Xs.push_back(Store.addParam(strCat("x", std::to_string(I)),
+                                  Tensor::uniform(In, 0.9f, R)));
+      Targets.push_back(I % V);
+    }
+    GradCheckResult Result = checkGradients(Store, [&] {
+      std::vector<Var> Losses =
+          softmaxCrossEntropyBatchOp(W, Bias, Xs, Targets);
+      return sumV(stackScalars(Losses));
+    });
+    EXPECT_TRUE(Result.Ok) << "B=" << B << ": " << Result.MaxRelError
+                           << " at " << Result.WorstParam;
   }
-  GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<Var> Losses = softmaxCrossEntropyBatchOp(W, Bias, Xs, Targets);
-    return sumV(stackScalars(Losses));
-  });
-  EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
-                         << Result.WorstParam;
 }
 
 //===----------------------------------------------------------------------===//

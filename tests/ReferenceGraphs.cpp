@@ -267,18 +267,21 @@ std::vector<int> reference::decodeGreedy(const ParamStore &Store,
 
   Var State = tanhV(add(matvec(InitW, ProgramEmbedding), InitB));
   // Key-side projections once per decode (AttentionScorer::prepare).
-  Var KeyProj = attentionKeyProj(Attn.W1, Attn.B1, Memory);
+  AttnMemory Mem;
+  Mem.Keys = Memory;
+  Mem.KeyProj = attentionKeyProj(Attn.W1, Attn.B1, Memory);
 
   std::vector<int> Output;
   int Prev = Vocabulary::Sos;
   for (size_t Step = 0; Step < MaxLen; ++Step) {
     // Attention over the previous state, the cell step, then the output
-    // projection over the new state and the same context.
+    // projection over the new state and the same context; the attention
+    // read and the cell step are one-lane calls of their batch ops.
     Var Context =
-        attentionOp(Attn.W1, Attn.W2, Attn.B2, State, KeyProj, Memory)
+        attentionMultiMemoryOp(Attn.W1, Attn.W2, Attn.B2, State, &Mem)[0]
             .Context;
     Var In = concat(row(TargetEmbed, static_cast<size_t>(Prev)), Context);
-    State = gruCellOp(CellWx, CellBx, CellWh, In, State);
+    State = gruCellBatchOp(CellWx, CellBx, CellWh, In, State)[0];
     Var Logits = add(matvec(OutW, concat(State, Context)), OutB);
     // Never emit the structural specials other than Eos.
     Tensor Masked = Logits->Value;
@@ -300,7 +303,8 @@ std::vector<int> reference::decodeGreedy(const ParamStore &Store,
 
 namespace {
 
-/// The packed GRU registered as \p Name, stepped by gruCellOp.
+/// The packed GRU registered as \p Name, stepped by one-lane
+/// gruCellBatchOp calls.
 struct BoundGru {
   Var Wx, Bx, Wh;
 
@@ -311,7 +315,7 @@ struct BoundGru {
 
   Var initial() const { return constant(Tensor::zeros(Wh->Value.dim(1))); }
   Var step(const Var &X, const Var &Prev) const {
-    return gruCellOp(Wx, Bx, Wh, X, Prev);
+    return gruCellBatchOp(Wx, Bx, Wh, X, Prev)[0];
   }
   /// RecurrentCell::run(Inputs).back().
   Var last(const std::vector<Var> &Inputs) const {
